@@ -5,11 +5,24 @@ a vector-Jacobian closure. ``Tensor.backward()`` topologically sorts the
 graph (iteratively, so deep recurrent chains are fine) and accumulates
 gradients into ``.grad``. All data is float64; gradient checks downstream
 rely on that.
+
+The tape is acyclic: each vector-Jacobian closure captures its parents and
+plain ndarrays, never the ``Tensor`` it belongs to, so reference counting
+alone frees a tape once its last root is dropped. Python's cyclic collector
+would still walk every live node and closure, and the allocations of a tape
+of a few hundred thousand objects trigger such walks repeatedly while they
+free nothing. :func:`tape_scope` therefore pauses the collector while a tape
+is built, walked or held between the two. The pause is process-wide, which
+is fine because ``ecatch`` is single-threaded; cyclic garbage made inside the
+scope, such as an exception traceback, is collected once the collector runs
+again.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import contextlib
+import gc
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +55,22 @@ def _stable_sigmoid(x: Array) -> Array:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+@contextlib.contextmanager
+def tape_scope() -> Iterator[None]:
+    """Pause the cyclic collector, then restore the state it had on entry.
+
+    Nests, and restores on exceptions; usable as ``with tape_scope():`` or as
+    the decorator ``@tape_scope()``.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Tensor:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import load_events, save_events
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, parse_override, save_config
-from .data import assign_splits, load_dataset, write_dataset
+from .data import Dataset, assign_splits, load_dataset, write_dataset
 from .pipeline import build_structure, evaluate_posts_and_events, predictions
 from .synth import SynthError, SynthSpec, generate, write_ground_truth
 from .training import load_checkpoint, save_checkpoint, train, write_history
@@ -80,10 +80,13 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _run_training(data_dir: str, cfg: RunConfig, out: Path):
-    ds = _load_split_dataset(data_dir, cfg)
+def _run_training(ds: Dataset, cfg: RunConfig, out: Path):
+    ds = assign_splits(ds, cfg.split_fractions(), cfg["seed"])
     events, windows = build_structure(ds, cfg)
     result = train(ds, events, windows, cfg)
+    if result.divergence is not None:
+        print(f"training stopped early ({result.divergence}); "
+              f"kept best epoch {result.best_epoch}", file=sys.stderr)
 
     save_checkpoint(result.params, out / "checkpoint.bin")
     write_history(result.history, out / "history.csv")
@@ -98,7 +101,7 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     _prepare_out_dir(out, args.force)
-    ds, events, windows, result = _run_training(args.data, cfg, out)
+    ds, events, windows, result = _run_training(load_dataset(args.data), cfg, out)
 
     p_post, p_event = predictions(ds, events, windows, result.params, cfg)
     val_idx = ds.split_indices("val")
@@ -182,17 +185,17 @@ def cmd_crosseval(args) -> int:
         test_cfg = cfg.updated(merged)
 
     ds_b_probe = load_dataset(args.test_data)
-    ds_a_probe = load_dataset(args.train_data)
-    if ds_a_probe.d_text != ds_b_probe.d_text or ds_a_probe.d_img != ds_b_probe.d_img:
+    ds_a = load_dataset(args.train_data)
+    if ds_a.d_text != ds_b_probe.d_text or ds_a.d_img != ds_b_probe.d_img:
         raise CliError(
             "embedding dimension mismatch between datasets: "
-            f"text {ds_a_probe.d_text} vs {ds_b_probe.d_text}, "
-            f"image {ds_a_probe.d_img} vs {ds_b_probe.d_img}"
+            f"text {ds_a.d_text} vs {ds_b_probe.d_text}, "
+            f"image {ds_a.d_img} vs {ds_b_probe.d_img}"
         )
 
     out = Path(args.out)
     _prepare_out_dir(out, args.force)
-    _, _, _, result = _run_training(args.train_data, cfg, out)
+    _, _, _, result = _run_training(ds_a, cfg, out)
 
     # the target dataset gets its own structure; no fine-tuning on it
     events_b, windows_b = build_structure(ds_b_probe, test_cfg)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import tape_scope
 from .clustering import PseudoEvent, check_partition, cluster_events, pass_through_events
 from .config import RunConfig
 from .data import Dataset
@@ -27,6 +28,7 @@ def build_structure(
     return events, segment_all(events, ds, span, stride)
 
 
+@tape_scope()
 def predictions(
     ds: Dataset,
     events: list[PseudoEvent],

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, tape_scope
 from .clustering import PseudoEvent
 from .config import RunConfig
 from .data import Dataset
@@ -62,6 +62,7 @@ class ModelOutputs:
     prob_nodes: dict
 
 
+@tape_scope()
 def run_model(
     ds: Dataset,
     events: list[PseudoEvent],
@@ -91,6 +92,7 @@ def run_model(
     return ModelOutputs(states, p_post, p_event, prob_nodes)
 
 
+@tape_scope()
 def forward(
     ds: Dataset,
     events: list[PseudoEvent],
@@ -168,6 +170,7 @@ def forward(
     return ForwardArtifacts(report, loss_nodes, params, cfg["loss.lambda_reg"])
 
 
+@tape_scope()
 def backward(artifacts: ForwardArtifacts) -> dict[str, np.ndarray]:
     """Exact gradients of the total loss for every named parameter."""
     params = artifacts.params
@@ -269,6 +272,7 @@ class TrainResult:
     best_epoch: int
     best_metric: float
     final_params: ModelParams | None = None  # state after the last update
+    divergence: str | None = None  # why a non-finite value stopped training early
 
 
 def _val_metrics(ds: Dataset, p_post: np.ndarray, threshold: float) -> EvalResult | None:
@@ -278,6 +282,7 @@ def _val_metrics(ds: Dataset, p_post: np.ndarray, threshold: float) -> EvalResul
     return evaluate(p_post[val_idx], ds.labels[val_idx], threshold)
 
 
+@tape_scope()
 def train(
     ds: Dataset,
     events: list[PseudoEvent],
@@ -305,12 +310,14 @@ def train(
     best_metric = -math.inf
     best_epoch = 0
     stale = 0
+    divergence = None
 
+    # A divergence stops the loop and hands back the last good checkpoint.
     for epoch in range(cfg["train.epochs"]):
         artifacts = forward(ds, events, windows, params, cfg, epoch=epoch)
         report = artifacts.report
         if not math.isfinite(report.total):
-            # Divergence: hand back the last good checkpoint.
+            divergence = f"epoch {epoch}: non-finite loss"
             break
 
         val = _val_metrics(ds, report.p_post, threshold)
@@ -343,12 +350,22 @@ def train(
             if stale > patience:
                 break
 
-        grads = backward(artifacts)
+        try:
+            grads = backward(artifacts)
+        except TrainingError as exc:
+            divergence = f"epoch {epoch}: {exc}"
+            break
+        # Release this epoch's tape before the next forward builds another.
+        del artifacts
         clip_gradients(grads, cfg["train.grad_clip_norm"])
         optimizer.step(grads)
-        params.assert_finite(f"after update at epoch {epoch}")
+        try:
+            params.assert_finite(f"after update at epoch {epoch}")
+        except FloatingPointError as exc:
+            divergence = str(exc)
+            break
 
-    return TrainResult(best, history, best_epoch, best_metric, params)
+    return TrainResult(best, history, best_epoch, best_metric, params, divergence)
 
 
 def write_history(history: list[dict], path: str | Path) -> None:

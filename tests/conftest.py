@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from ecatch import training
 from ecatch.data import Dataset
 
 DAY = 86400
@@ -43,3 +46,17 @@ def make_dataset(
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def nan_gradient_at_epoch_1(monkeypatch):
+    """Make ``training.backward`` see a NaN regularizer on its second call."""
+    real_backward = training.backward
+    calls = []
+
+    def backward_with_nan_reg(artifacts):
+        calls.append(None)
+        if len(calls) == 2:
+            artifacts.lambda_reg = math.nan
+        return real_backward(artifacts)
+
+    monkeypatch.setattr(training, "backward", backward_with_nan_reg)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from ecatch.autodiff import (
     finite_difference_gradient,
     l2norm,
     softmax,
+    tape_scope,
 )
 
 
@@ -142,3 +145,34 @@ def test_item_reads_single_element_tensors():
         assert v == 0.25
     with pytest.raises(ValueError):
         Tensor(np.array([[0.25, 0.5]])).item()
+
+
+def test_tape_scope_pauses_and_restores_the_collector():
+    assert gc.isenabled()
+    with tape_scope():
+        assert not gc.isenabled()
+        with tape_scope():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+    with pytest.raises(ZeroDivisionError):
+        with tape_scope():
+            1 / 0
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        with tape_scope():
+            pass
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    @tape_scope()
+    def collector_state():
+        return gc.isenabled()
+
+    assert collector_state() is False
+    assert collector_state() is False  # each call enters a fresh scope
+    assert gc.isenabled()

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ecatch import cli
 from ecatch.cli import main
 from ecatch.data import load_dataset
+
+from conftest import nan_gradient_at_epoch_1
 
 SPEC = {
     "n_events": 2,
@@ -125,6 +128,19 @@ def test_train_unknown_config_key_exits_2(tmp_path, dataset_dir, capsys):
     assert "model.dd" in capsys.readouterr().err
 
 
+def test_train_keeps_best_checkpoint_on_nan_gradient(tmp_path, dataset_dir,
+                                                     monkeypatch, capsys):
+    nan_gradient_at_epoch_1(monkeypatch)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run_nan"
+    rc = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 0
+    assert "epoch 1: non-finite gradient in " in capsys.readouterr().err
+    assert (out / "checkpoint.bin").is_file()
+    assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+
+
 def test_train_refuses_nonempty_out(tmp_path, dataset_dir, run_dir):
     cfg = write_config(tmp_path)
     rc = main(["train", "--data", str(dataset_dir), "--config", str(cfg),
@@ -181,13 +197,21 @@ def test_crosseval_dimension_mismatch_fails_before_training(tmp_path, dataset_di
     assert not (out / "checkpoint.bin").exists()
 
 
-def test_crosseval_self_transfer_smoke(tmp_path, dataset_dir):
+def test_crosseval_self_transfer_smoke(tmp_path, dataset_dir, monkeypatch):
+    loaded = []
+
+    def counting_load(path):
+        loaded.append(path)
+        return load_dataset(path)
+
+    monkeypatch.setattr(cli, "load_dataset", counting_load)
     cfg = write_config(tmp_path)
     out = tmp_path / "xrun"
     rc = main(["crosseval", "--train-data", str(dataset_dir),
                "--test-data", str(dataset_dir), "--config", str(cfg),
                "--out", str(out)])
     assert rc == 0
+    assert len(loaded) == 2  # once per dataset argument
     payload = json.loads((out / "crosseval.json").read_text())
     assert payload["n"] == 10
     assert payload["post_level"]["n"] == 10

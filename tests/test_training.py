@@ -1,9 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from ecatch.autodiff import Tensor
+from ecatch import training
+from ecatch.autodiff import Tensor, tape_scope
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.data import assign_splits
@@ -24,7 +26,7 @@ from ecatch.training import (
 )
 from ecatch.verify import grad_check, toy_problem
 
-from conftest import DAY, make_dataset
+from conftest import DAY, make_dataset, nan_gradient_at_epoch_1
 
 
 def test_zero_parameter_forward_closed_form():
@@ -212,6 +214,71 @@ def test_best_checkpoint_tracks_monitored_metric():
     observed = [row["val_f1"] for row in res.history]
     assert res.best_metric == pytest.approx(max(observed))
     assert res.best_epoch == int(np.argmax(observed))
+
+
+def test_epoch_tape_has_no_reference_cycles():
+    # Pausing the collector around the tape is free only because reference
+    # counting alone frees the whole tape: no node may sit on a cycle.
+    ds, events, windows, params, cfg = toy_problem(3)
+    gc.collect()
+    with tape_scope():
+        grads = backward(forward(ds, events, windows, params, cfg))
+        del grads
+        assert gc.collect() == 0
+
+
+def _live_tensors() -> int:
+    gc.collect()
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def test_train_holds_one_tape_at_a_time(monkeypatch):
+    ds, events, windows, _, cfg = toy_problem(9)
+    cfg = cfg.updated({"train.epochs": 3})
+    at_entry = []
+    real_forward = training.forward
+
+    def counting_forward(*args, **kwargs):
+        at_entry.append(_live_tensors())
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting_forward)
+    res = train(ds, events, windows, cfg)
+    assert len(res.history) == 3
+    assert at_entry == [at_entry[0]] * 3
+
+
+def _nan_parameter_at_epoch_1(monkeypatch):
+    real_clip = training.clip_gradients
+    calls = []
+
+    def clip_then_poison(grads, max_norm):
+        calls.append(None)
+        norm = real_clip(grads, max_norm)
+        if len(calls) == 2:
+            grads["fusion.W_text"] = np.full_like(grads["fusion.W_text"], math.nan)
+        return norm
+
+    monkeypatch.setattr(training, "clip_gradients", clip_then_poison)
+
+
+@pytest.mark.parametrize("inject, reason", [
+    (nan_gradient_at_epoch_1, "epoch 1: non-finite gradient in "),
+    (_nan_parameter_at_epoch_1, "after update at epoch 1: non-finite values in fusion.W_text"),
+])
+def test_divergence_returns_best_checkpoint(monkeypatch, inject, reason):
+    ds, events, windows, _, cfg = toy_problem(9)
+    assert ds.split_indices("val").size == 0  # best tracks the latest parameters
+    one_step = train(ds, events, windows, cfg.updated({"train.epochs": 1}))
+
+    inject(monkeypatch)
+    res = train(ds, events, windows, cfg.updated({"train.epochs": 4}))
+    assert res.divergence.startswith(reason)
+    assert [row["epoch"] for row in res.history] == [0, 1]
+    assert res.best_epoch == 1
+    for name, t in res.params.items():
+        np.testing.assert_array_equal(t.data, one_step.final_params[name].data)
+    assert one_step.divergence is None
 
 
 def test_loss_decreases_on_separable_data():
