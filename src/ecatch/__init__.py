@@ -2,12 +2,12 @@
 
 from .clustering import PseudoEvent, cluster_events, pass_through_events
 from .config import RunConfig, load_config
-from .data import Dataset, Post, assign_splits, load_dataset, write_dataset
+from .data import Dataset, assign_splits, load_dataset, write_dataset
 from .metrics import EvalResult, auc_roc, evaluate
 from .params import ModelParams
 from .synth import SynthSpec, generate
 from .training import backward, forward, load_checkpoint, save_checkpoint, train
-from .windows import Window, WindowSequence, segment_event, window_presets
+from .windows import Window, WindowSequence, segment_event
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "Dataset",
     "EvalResult",
     "ModelParams",
-    "Post",
     "PseudoEvent",
     "RunConfig",
     "SynthSpec",
@@ -35,6 +34,5 @@ __all__ = [
     "save_checkpoint",
     "segment_event",
     "train",
-    "window_presets",
     "write_dataset",
 ]

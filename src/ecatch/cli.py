@@ -14,6 +14,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, _threads)
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -80,6 +81,14 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _fingerprint(ds: Dataset) -> str:
+    """sha256 of everything build_structure reads from a dataset."""
+    h = hashlib.sha256(json.dumps([ds.ids, ds.extra], sort_keys=True).encode())
+    h.update(ds.timestamps.tobytes())
+    h.update(ds.text.tobytes())
+    return h.hexdigest()
+
+
 def _run_training(ds: Dataset, cfg: RunConfig, out: Path):
     ds = assign_splits(ds, cfg.split_fractions(), cfg["seed"])
     events, windows = build_structure(ds, cfg)
@@ -93,7 +102,9 @@ def _run_training(ds: Dataset, cfg: RunConfig, out: Path):
     save_events(events, out / "events.json")
     save_windows(windows, out / "windows.json")
     save_config(cfg, out / "config.json")
-    (out / "dataset.json").write_text(json.dumps({"n_posts": ds.n}) + "\n")
+    (out / "dataset.json").write_text(
+        json.dumps({"n_posts": ds.n, "fingerprint": _fingerprint(ds)}) + "\n"
+    )
     return ds, events, windows, result
 
 
@@ -126,13 +137,13 @@ def _load_run_dir(checkpoint_path: Path):
 
 
 def _structure_for(ds, cfg, run_dir: Path):
-    """Reuse persisted events/windows when they match the dataset."""
+    """Reuse persisted events/windows when they were built from this dataset."""
     ev_path, win_path, meta_path = (
         run_dir / "events.json", run_dir / "windows.json", run_dir / "dataset.json"
     )
     if ev_path.is_file() and win_path.is_file() and meta_path.is_file():
         meta = json.loads(meta_path.read_text())
-        if meta.get("n_posts") == ds.n:
+        if meta.get("fingerprint") == _fingerprint(ds):
             return load_events(ev_path), load_windows(win_path)
     return build_structure(ds, cfg)
 

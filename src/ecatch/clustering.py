@@ -53,8 +53,8 @@ def cosine_distances(x: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _min_pair(dist: np.ndarray, active: np.ndarray, nn_dist: np.ndarray,
-              nn_idx: np.ndarray) -> tuple[int, int]:
+def _min_pair(dist: np.ndarray, active: np.ndarray,
+              nn_dist: np.ndarray) -> tuple[int, int]:
     """Globally closest active pair; exact lexicographic tie-breaking."""
     act = np.flatnonzero(active)
     best = nn_dist[act].min()
@@ -105,7 +105,7 @@ def agglomerate(dist: np.ndarray, num_clusters: int, linkage: str) -> list[list[
 
     remaining = n
     while remaining > num_clusters:
-        i, j = _min_pair(dist, active, nn_dist, nn_idx)
+        i, j = _min_pair(dist, active, nn_dist)
 
         if linkage == "average":
             merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])

@@ -11,9 +11,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .windows import PRESETS
-
-DAY = 86400
+from .windows import DAY, PRESETS
 
 
 class ConfigError(ValueError):

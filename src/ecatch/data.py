@@ -17,9 +17,7 @@ A loaded Dataset is immutable (arrays are marked read-only).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -30,19 +28,6 @@ _MANIFEST_KEYS = ("id", "label", "timestamp", "has_image")
 
 class DatasetError(ValueError):
     """Malformed dataset directory or invalid dataset operation."""
-
-
-@dataclass(frozen=True)
-class Post:
-    """One social-media item: embeddings, binary label, timestamp."""
-
-    id: str
-    label: int
-    timestamp: int
-    text_vec: np.ndarray
-    image_vec: np.ndarray
-    has_image: bool
-    extra: dict = field(default_factory=dict)
 
 
 class Dataset:
@@ -81,21 +66,6 @@ class Dataset:
     @property
     def d_img(self) -> int:
         return self.image.shape[1]
-
-    def post(self, i: int) -> Post:
-        return Post(
-            id=self.ids[i],
-            label=int(self.labels[i]),
-            timestamp=int(self.timestamps[i]),
-            text_vec=self.text[i],
-            image_vec=self.image[i],
-            has_image=bool(self.has_image[i]),
-            extra=self.extra[i],
-        )
-
-    @property
-    def posts(self) -> Iterator[Post]:
-        return (self.post(i) for i in range(self.n))
 
     # -- splits ----------------------------------------------------------
     def split_indices(self, name: str) -> np.ndarray:

@@ -35,24 +35,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out if b is None else out + b
 
 
+def check_dims(ds: Dataset, params: ModelParams) -> None:
+    """Raise unless the dataset's embedding widths fit the encoder matrices."""
+    if ds.d_text != params.d_text:
+        raise FusionError(
+            f"dataset d_text={ds.d_text} but fusion.W_text expects {params.d_text}"
+        )
+    if ds.d_img != params.d_img:
+        raise FusionError(
+            f"dataset d_img={ds.d_img} but fusion.W_img expects {params.d_img}"
+        )
+
+
 def encode(ds: Dataset, params: ModelParams, indices) -> tuple[Tensor, Tensor]:
     """Project raw text/image embeddings of ``indices`` to model width.
 
     Zero image vectors (absent images) map exactly onto the image bias.
     """
+    check_dims(ds, params)
     idx = list(indices)
-    text = ds.text[idx]
-    image = ds.image[idx]
-    if text.shape[1] != params.d_text:
-        raise FusionError(
-            f"dataset d_text={text.shape[1]} but fusion.W_text expects {params.d_text}"
-        )
-    if image.shape[1] != params.d_img:
-        raise FusionError(
-            f"dataset d_img={image.shape[1]} but fusion.W_img expects {params.d_img}"
-        )
-    t = linear(Tensor(text), params["fusion.W_text"], params["fusion.b_text"])
-    i = linear(Tensor(image), params["fusion.W_img"], params["fusion.b_img"])
+    t = linear(Tensor(ds.text[idx]), params["fusion.W_text"], params["fusion.b_text"])
+    i = linear(Tensor(ds.image[idx]), params["fusion.W_img"], params["fusion.b_img"])
     return t, i
 
 
@@ -90,39 +93,15 @@ def mh_attention(
     return out
 
 
-def _self_attend(x: Tensor, block: AttentionBlock, scope: str, scale: str) -> Tensor:
-    if scope == "window":
-        attended = mh_attention(x, x, x, block, scale)
-    elif scope == "post":
-        # Each post attends only to itself: the singleton softmax is 1, so
-        # the result is just the value path.
-        attended = _merge_heads(x @ block.wv) @ block.wo
-    else:
-        raise FusionError(f"unknown attention scope {scope!r}")
-    return linear(attended, block.w_out, block.b_out)
-
-
-def _cross_attend(q: Tensor, kv: Tensor, block: AttentionBlock, scope: str,
-                  scale: str) -> Tensor:
+def _attend(q: Tensor, kv: Tensor, block: AttentionBlock, scope: str,
+            scale: str) -> Tensor:
     if scope == "window":
         attended = mh_attention(q, kv, kv, block, scale)
     else:
+        # Each post attends only to its own row of kv: the singleton softmax
+        # is 1, so the result is just the value path.
         attended = _merge_heads(kv @ block.wv) @ block.wo
     return linear(attended, block.w_out, block.b_out)
-
-
-@dataclass(frozen=True)
-class FusedPost:
-    """Per-(window, post) fusion record, all vectors of model width."""
-
-    window_index: int
-    post_index: int
-    encoded_text: np.ndarray
-    encoded_image: np.ndarray
-    cross_ti: np.ndarray
-    cross_it: np.ndarray
-    gate: np.ndarray
-    fused: np.ndarray
 
 
 @dataclass
@@ -130,27 +109,10 @@ class WindowFusion:
     """Graph nodes for one fused window; rows follow ``window.members``."""
 
     window: Window
-    enc_text: Tensor
-    enc_image: Tensor
     cross_ti: Tensor
     cross_it: Tensor
     gate: Tensor      # sigmoid-activated, in (0, 1)
     fused: Tensor     # (n, d)
-
-    def fused_posts(self) -> list[FusedPost]:
-        return [
-            FusedPost(
-                window_index=self.window.index,
-                post_index=p,
-                encoded_text=self.enc_text.data[r],
-                encoded_image=self.enc_image.data[r],
-                cross_ti=self.cross_ti.data[r],
-                cross_it=self.cross_it.data[r],
-                gate=self.gate.data[r],
-                fused=self.fused.data[r],
-            )
-            for r, p in enumerate(self.window.members)
-        ]
 
 
 def fuse_window(
@@ -167,13 +129,13 @@ def fuse_window(
         raise FusionError(f"unknown attention scope {scope!r}")
 
     t, i = encode(ds, params, window.members)
-    h_text = _self_attend(t, params.block("att_text"), scope, scale)
-    h_img = _self_attend(i, params.block("att_img"), scope, scale)
-    c_ti = _cross_attend(h_text, h_img, params.block("att_ti"), scope, scale)
-    c_it = _cross_attend(h_img, h_text, params.block("att_it"), scope, scale)
+    h_text = _attend(t, t, params.block("att_text"), scope, scale)
+    h_img = _attend(i, i, params.block("att_img"), scope, scale)
+    c_ti = _attend(h_text, h_img, params.block("att_ti"), scope, scale)
+    c_it = _attend(h_img, h_text, params.block("att_it"), scope, scale)
 
     gate_pre = linear(concat([c_ti, c_it], axis=1), params["fusion.W_g"],
                       params["fusion.b_g"])
     gate = gate_pre.sigmoid()
     fused = gate * c_ti + (1.0 - gate) * c_it
-    return WindowFusion(window, t, i, c_ti, c_it, gate, fused)
+    return WindowFusion(window, c_ti, c_it, gate, fused)

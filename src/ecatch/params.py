@@ -112,9 +112,6 @@ class ModelParams:
         except KeyError:
             raise ParamError(f"unknown parameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def names(self) -> list[str]:
         return list(self.tensors)
 
@@ -127,10 +124,6 @@ class ModelParams:
             wq=self[f"{p}.Wq"], wk=self[f"{p}.Wk"], wv=self[f"{p}.Wv"],
             wo=self[f"{p}.Wo"], w_out=self[f"{p}.W_out"], b_out=self[f"{p}.b_out"],
         )
-
-    @property
-    def n_entries(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
 
     # -- numeric helpers ---------------------------------------------------
     def zero_grads(self) -> None:

@@ -8,6 +8,7 @@ from .autodiff import tape_scope
 from .clustering import PseudoEvent, check_partition, cluster_events, pass_through_events
 from .config import RunConfig
 from .data import Dataset
+from .fusion import check_dims
 from .metrics import evaluate
 from .params import ModelParams
 from .training import run_model
@@ -37,14 +38,7 @@ def predictions(
     cfg: RunConfig,
 ) -> tuple[np.ndarray, dict[int, float]]:
     """Per-post and per-event probabilities under fixed parameters."""
-    if params.d_text != ds.d_text:
-        raise ValueError(
-            f"fusion.W_text expects d_text={params.d_text}, dataset has {ds.d_text}"
-        )
-    if params.d_img != ds.d_img:
-        raise ValueError(
-            f"fusion.W_img expects d_img={params.d_img}, dataset has {ds.d_img}"
-        )
+    check_dims(ds, params)
     out = run_model(ds, events, windows, params, cfg)
     return out.p_post, out.p_event
 

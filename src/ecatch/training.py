@@ -1,10 +1,11 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
 One epoch is one full-batch pass: every event is fused, trend-encoded and
-scored, per-event losses are built (optionally after global hard-example
-mining), and gradients accumulate event by event in ascending event_id so
-runs are bitwise reproducible. Regularization gradients are added in closed
-form (2 * lambda_reg * theta). Everything runs in float64.
+scored, and per-event losses are built (optionally after global hard-example
+mining). The epoch loss is their sum in ascending event_id, and one backward
+pass over it yields every gradient, so runs are bitwise reproducible.
+Regularization gradients are added in closed form (2 * lambda_reg * theta).
+Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class ForwardArtifacts:
-    """Everything backward() needs: per-event loss nodes plus the report."""
+    """Everything backward() needs: the summed loss node plus the report."""
 
     report: LossReport
-    loss_nodes: dict[int, Tensor]  # event_id -> ce_E + lambda_tc * tc_E
+    loss: Tensor | None  # sum over events of ce_E + lambda_tc * tc_E
     params: ModelParams
-    lambda_reg: float
 
 
 @dataclass
@@ -130,7 +130,7 @@ def forward(
 
     ce_by_event: dict[int, float] = {}
     tc_by_event: dict[int, float] = {}
-    loss_nodes: dict[int, Tensor] = {}
+    loss: Tensor | None = None
     lambda_tc = cfg["loss.lambda_tc"]
     for ev in sorted(events, key=lambda e: e.event_id):
         eid = ev.event_id
@@ -148,7 +148,7 @@ def forward(
             scaled = lambda_tc * tc_node
             node = scaled if node is None else node + scaled
         if node is not None:
-            loss_nodes[eid] = node
+            loss = node if loss is None else loss + node
 
     ce = float(sum(ce_by_event.values()))
     tc = float(sum(tc_by_event.values()))
@@ -167,7 +167,7 @@ def forward(
         lambda_tc=lambda_tc,
         lambda_reg=cfg["loss.lambda_reg"],
     )
-    return ForwardArtifacts(report, loss_nodes, params, cfg["loss.lambda_reg"])
+    return ForwardArtifacts(report, loss, params)
 
 
 @tape_scope()
@@ -175,29 +175,17 @@ def backward(artifacts: ForwardArtifacts) -> dict[str, np.ndarray]:
     """Exact gradients of the total loss for every named parameter."""
     params = artifacts.params
     params.zero_grads()
-    for eid in sorted(artifacts.loss_nodes):
-        artifacts.loss_nodes[eid].backward()
+    if artifacts.loss is not None:
+        artifacts.loss.backward()
 
     grads: dict[str, np.ndarray] = {}
     for name, tensor in params.items():
         g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        g = g + 2.0 * artifacts.lambda_reg * tensor.data
+        g = g + 2.0 * artifacts.report.lambda_reg * tensor.data
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name}")
         grads[name] = g
     return grads
-
-
-def loss_value(
-    ds: Dataset,
-    events: list[PseudoEvent],
-    windows: dict[int, WindowSequence],
-    params: ModelParams,
-    cfg: RunConfig,
-    include_ce: bool = True,
-) -> float:
-    """Total loss as a plain number (finite-difference oracle hook)."""
-    return forward(ds, events, windows, params, cfg, include_ce=include_ce).report.total
 
 
 # -- optimizers -----------------------------------------------------------

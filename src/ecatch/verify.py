@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, finite_difference_gradient
 from .clustering import PseudoEvent, agglomerate, cluster_events, cosine_distances
 from .config import RunConfig
 from .data import Dataset, assign_splits
@@ -25,10 +25,9 @@ from .metrics import auc_by_pair_enumeration, auc_roc
 from .objective import tc_terms
 from .params import ModelParams
 from .trend import TrendState, aggregate_window, decay_weights, run_lstm, trend_features
-from .training import backward, forward, loss_value
-from .windows import Window, segment_all, segment_event
+from .training import backward, forward
+from .windows import DAY, Window, segment_all, segment_event
 
-DAY = 86400
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
@@ -104,22 +103,21 @@ def grad_check(seed: int, d: int = 4, heads: int = 2,
     if corrupt is not None:
         analytic[corrupt] = analytic[corrupt] + 1.0
 
+    def total_with(tensor: Tensor, x: np.ndarray) -> float:
+        tensor.data = x
+        return forward(ds, events, windows, params, cfg).report.total
+
     worst = 0.0
     where = ""
     for name, tensor in params.items():
-        flat = tensor.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + FD_STEP
-            fp = loss_value(ds, events, windows, params, cfg)
-            flat[i] = orig - FD_STEP
-            fm = loss_value(ds, events, windows, params, cfg)
-            flat[i] = orig
-            fd = (fp - fm) / (2.0 * FD_STEP)
-            rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), REL_FLOOR)
-            if rel > worst:
-                worst = rel
+        orig = tensor.data
+        fd = finite_difference_gradient(lambda x: total_with(tensor, x), orig, FD_STEP)
+        tensor.data = orig
+        a = analytic[name]
+        rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), REL_FLOOR)
+        for i, r in enumerate(rel.reshape(-1)):
+            if r > worst:
+                worst = float(r)
                 where = f"{name}[{i}]"
     status = "pass" if worst < GRAD_TOL else "fail"
     return OracleReport("grad_check", status, worst, where, seed)

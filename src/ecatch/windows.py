@@ -56,12 +56,6 @@ class WindowSequence:
         return out
 
 
-def window_presets(dataset_kind: str) -> tuple[int, int]:
-    if dataset_kind not in PRESETS:
-        raise WindowError(f"unknown dataset kind {dataset_kind!r}")
-    return PRESETS[dataset_kind]
-
-
 def segment_event(
     event: PseudoEvent, ds: Dataset, span_secs: int, stride_secs: int
 ) -> WindowSequence:

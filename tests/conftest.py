@@ -56,7 +56,7 @@ def nan_gradient_at_epoch_1(monkeypatch):
     def backward_with_nan_reg(artifacts):
         calls.append(None)
         if len(calls) == 2:
-            artifacts.lambda_reg = math.nan
+            artifacts.report.lambda_reg = math.nan
         return real_backward(artifacts)
 
     monkeypatch.setattr(training, "backward", backward_with_nan_reg)

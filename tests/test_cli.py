@@ -6,9 +6,10 @@ import pytest
 
 from ecatch import cli
 from ecatch.cli import main
-from ecatch.data import load_dataset
+from ecatch.pipeline import build_structure
+from ecatch.data import Dataset, load_dataset, write_dataset
 
-from conftest import nan_gradient_at_epoch_1
+from conftest import DAY, nan_gradient_at_epoch_1
 
 SPEC = {
     "n_events": 2,
@@ -159,6 +160,28 @@ def test_eval_test_split_of_ten_posts_is_one_post(tmp_path, dataset_dir, run_dir
     assert payload["split"] == "test"
     assert payload["n"] == 1
     assert payload["post_level"]["n"] == 1
+
+
+def test_eval_rebuilds_structure_for_another_dataset_of_the_same_size(
+        tmp_path, dataset_dir, run_dir, monkeypatch):
+    a = load_dataset(dataset_dir)
+    shifted = Dataset(a.ids, a.labels, a.timestamps + 3 * DAY, a.text, a.image,
+                      a.has_image, a.extra)
+    other = tmp_path / "shifted"
+    write_dataset(shifted, other)
+
+    builds = []
+
+    def counting_build(ds, cfg):
+        builds.append(ds.n)
+        return build_structure(ds, cfg)
+
+    monkeypatch.setattr(cli, "build_structure", counting_build)
+    checkpoint = str(run_dir / "checkpoint.bin")
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", checkpoint]) == 0
+    assert builds == []  # the stored structure belongs to this dataset
+    assert main(["eval", "--data", str(other), "--checkpoint", checkpoint]) == 0
+    assert builds == [10]  # same size, other timestamps: rebuilt, not reused
 
 
 def test_eval_dimension_mismatch_names_tensor(tmp_path, run_dir, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecatch import training
 from ecatch.autodiff import Tensor, tape_scope
@@ -20,7 +22,6 @@ from ecatch.training import (
     clip_gradients,
     forward,
     load_checkpoint,
-    loss_value,
     save_checkpoint,
     train,
 )
@@ -136,12 +137,26 @@ def test_unused_parameters_get_zero_gradient():
 def test_event_order_does_not_change_loss_or_grads():
     ds, events, windows, params, cfg = toy_problem(6)
     g1 = backward(forward(ds, events, windows, params, cfg))
-    t1 = loss_value(ds, events, windows, params, cfg)
+    t1 = forward(ds, events, windows, params, cfg).report.total
     g2 = backward(forward(ds, list(reversed(events)), windows, params, cfg))
-    t2 = loss_value(ds, list(reversed(events)), windows, params, cfg)
+    t2 = forward(ds, list(reversed(events)), windows, params, cfg).report.total
     assert t1 == pytest.approx(t2, rel=1e-12)
     for name in g1:
         np.testing.assert_allclose(g1[name], g2[name], atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_gradients_add_up_over_events(seed):
+    # Per-event class weights, no regularizer and no mining make the loss a
+    # plain sum of per-event terms, so its gradient is the sum of theirs.
+    ds, events, windows, params, cfg = toy_problem(seed)
+    cfg = cfg.updated({"weights.scope": "event", "loss.lambda_reg": 0.0,
+                       "mining.rho": 1.0})
+    whole = backward(forward(ds, events, windows, params, cfg))
+    parts = [backward(forward(ds, [ev], windows, params, cfg)) for ev in events]
+    for name, g in whole.items():
+        np.testing.assert_allclose(g, sum(p[name] for p in parts), rtol=0, atol=1e-12)
 
 
 def test_forward_requires_training_posts():

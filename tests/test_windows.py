@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecatch.clustering import PseudoEvent
+from ecatch.config import ConfigError, RunConfig
 from ecatch.windows import (
     WindowError,
     load_windows,
     save_windows,
     segment_all,
     segment_event,
-    window_presets,
 )
 
 from conftest import DAY, make_dataset
@@ -78,11 +78,14 @@ def test_t_max_local_is_member_max():
 
 
 def test_presets():
-    assert window_presets("fakeddit") == (4 * DAY, 2 * DAY)
-    assert window_presets("ind") == (2 * DAY, 1 * DAY)
-    assert window_presets("covid") == (7 * DAY, 302400)
-    with pytest.raises(WindowError, match="unknown dataset kind"):
-        window_presets("weibo")
+    def geometry(preset):
+        return RunConfig({"window.preset": preset}).window_geometry()
+
+    assert geometry("fakeddit") == (4 * DAY, 2 * DAY)
+    assert geometry("ind") == (2 * DAY, 1 * DAY)
+    assert geometry("covid") == (7 * DAY, 302400)
+    with pytest.raises(ConfigError, match="window.preset"):
+        geometry("weibo")
 
 
 @settings(max_examples=60, deadline=None)
