@@ -138,8 +138,6 @@ class Tensor:
             lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Tensor":
         other = lift(other)
         a, b = self, other
@@ -178,13 +176,6 @@ class Tensor:
             ),
         )
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return lift(other) / self
-
-    def __neg__(self) -> "Tensor":
-        a = self
-        return Tensor(-a.data, (a,), lambda g: (-g,))
-
     def __pow__(self, p: float) -> "Tensor":
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -205,17 +196,9 @@ class Tensor:
         return Tensor(a.data @ b.data, (a, b), vjp)
 
     # -- elementwise nonlinearities --------------------------------------
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        return Tensor(out, (self,), lambda g: (g * out,))
-
     def log(self) -> "Tensor":
         a = self
         return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return Tensor(out, (self,), lambda g: (g * 0.5 / out,))
 
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
@@ -257,6 +240,18 @@ class Tensor:
 
 def lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Row-wise affine map ``x @ w.T + b`` as one node; ``w`` is (out, in)."""
+    out = x.data @ w.data.T
+    if b is None:
+        return Tensor(out, (x, w), lambda g: (g @ w.data, (x.data.T @ g).T))
+    return Tensor(
+        out + b.data,
+        (x, w, b),
+        lambda g: (g @ w.data, (x.data.T @ g).T, g.sum(axis=0)),
+    )
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax
+from .autodiff import Tensor, concat, linear, softmax
 from .data import Dataset
 from .params import AttentionBlock, ModelParams
 from .windows import Window
@@ -27,12 +27,6 @@ SCALES = ("head", "model")
 
 class FusionError(ValueError):
     pass
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Row-wise affine map x @ w.T + b."""
-    out = x @ w.transpose((1, 0))
-    return out if b is None else out + b
 
 
 def check_dims(ds: Dataset, params: ModelParams) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, l2norm
+from .autodiff import Tensor, l2norm, linear
 from .clustering import PseudoEvent
 from .params import ModelParams
 from .trend import TrendState
@@ -49,8 +49,7 @@ def class_weights(
 
 def classifier_probability(state: TrendState, params: ModelParams) -> Tensor:
     """Sigmoid of the linear readout of one trend state: (1, 1) in (0, 1)."""
-    logit = state.hidden @ params["clf.W_c"].transpose((1, 0)) + params["clf.b_c"]
-    return logit.sigmoid()
+    return linear(state.hidden, params["clf.W_c"], params["clf.b_c"]).sigmoid()
 
 
 @dataclass

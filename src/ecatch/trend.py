@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, l2norm
+from .autodiff import Tensor, concat, l2norm, linear
 from .data import Dataset
 from .params import ModelParams
 from .windows import Window
@@ -84,8 +84,8 @@ class TrendState:
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: ModelParams) -> TrendState:
     def gate(name: str) -> Tensor:
-        return (x @ params[f"lstm.W_{name}"].transpose((1, 0))
-                + h_prev @ params[f"lstm.U_{name}"].transpose((1, 0))
+        return (linear(x, params[f"lstm.W_{name}"])
+                + linear(h_prev, params[f"lstm.U_{name}"])
                 + params[f"lstm.b_{name}"])
 
     i = gate("i").sigmoid()

@@ -67,7 +67,7 @@ def segment_event(
         raise WindowError(f"event {event.event_id} has no members")
 
     members = sorted(event.member_indices, key=lambda i: (int(ds.timestamps[i]), i))
-    times = np.asarray([ds.timestamps[i] for i in members], dtype=np.int64)
+    times = ds.timestamps[members]
     t0 = int(times[0])
     t_last = int(times[-1])
 
@@ -80,16 +80,16 @@ def segment_event(
     for k in range(k_max + 1):
         start = t0 + k * stride_secs
         end = start + span_secs
-        sel = [m for m, t in zip(members, times) if start <= t < end]
-        if not sel:
+        lo, hi = np.searchsorted(times, (start, end))
+        if lo == hi:
             continue
         windows.append(
             Window(
                 index=len(windows) + 1,
                 start=start,
                 end=end,
-                members=tuple(sel),
-                t_max_local=int(max(ds.timestamps[i] for i in sel)),
+                members=tuple(members[lo:hi]),
+                t_max_local=int(times[hi - 1]),
             )
         )
     return WindowSequence(event_id=event.event_id, windows=tuple(windows))

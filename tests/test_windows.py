@@ -103,7 +103,8 @@ def test_coverage_and_overlap(seed, n, span_days):
     counts = {i: 0 for i in range(n)}
     for w in seq.windows:
         assert w.members
-        assert all(w.start <= times[i] < w.end for i in w.members)
+        inside = [i for i in range(n) if w.start <= times[i] < w.end]
+        assert w.members == tuple(sorted(inside, key=lambda i: (times[i], i)))
         for i in w.members:
             counts[i] += 1
     assert all(c >= 1 for c in counts.values())
