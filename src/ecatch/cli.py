@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import load_events, save_events
-from .config import DEFAULTS, ConfigError, RunConfig, load_config, parse_override, save_config
+from .config import (DEFAULTS, ConfigError, RunConfig, load_config, parse_override,
+                     read_config_file, save_config)
 from .data import Dataset, assign_splits, load_dataset, write_dataset
 from .pipeline import build_structure, evaluate_posts_and_events, predictions
 from .synth import SynthError, SynthSpec, generate, write_ground_truth
@@ -192,8 +193,7 @@ def cmd_crosseval(args) -> int:
     cfg = _config_from_args(args)
     test_cfg = cfg
     if args.test_config:
-        merged = json.loads(Path(args.test_config).read_text())
-        test_cfg = cfg.updated(merged)
+        test_cfg = cfg.updated(read_config_file(args.test_config))
 
     ds_b_probe = load_dataset(args.test_data)
     ds_a = load_dataset(args.train_data)

@@ -4,8 +4,12 @@ Distances are cosine (1 - cos), with zero-norm vectors defined to be at
 distance 1 from everything. Merging is greedy global-minimum under the chosen
 linkage; ties are broken by the lexicographically smallest (cluster_id,
 cluster_id) pair, where a merged cluster keeps the smaller of the two ids.
-This makes results reproducible and lets an exhaustive reference implement
-exactly the same rule.
+This makes results reproducible. ``verify.reference_agglomerate`` applies the
+same rule by exhaustive search, but each implementation compares the float64
+distances it computes: the reference takes an average linkage as the mean of
+the original pair distances, ``agglomerate`` updates it by Lance-Williams, so
+an average-linkage tie that holds only in exact arithmetic can break
+differently in the two.
 """
 
 from __future__ import annotations
@@ -47,44 +51,24 @@ def cosine_distances(x: np.ndarray) -> np.ndarray:
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     unit = x / safe[:, None]
-    dist = 1.0 - unit @ unit.T
+    dist = unit @ unit.T
+    np.subtract(1.0, dist, out=dist)
     dist[zero, :] = 1.0
     dist[:, zero] = 1.0
     return dist
-
-
-def _min_pair(dist: np.ndarray, active: np.ndarray,
-              nn_dist: np.ndarray) -> tuple[int, int]:
-    """Globally closest active pair; exact lexicographic tie-breaking."""
-    act = np.flatnonzero(active)
-    best = nn_dist[act].min()
-    rows = act[nn_dist[act] == best]
-    # Every tied pair has both endpoints among `rows`, so scanning those rows
-    # recovers all candidates.
-    candidates: list[tuple[int, int]] = []
-    for i in rows:
-        js = np.flatnonzero(active & (dist[i] == best))
-        for j in js:
-            if j != i:
-                candidates.append((min(i, j), max(i, j)))
-    return min(candidates)
-
-
-def _recompute_nn(dist, active, i):
-    row = np.where(active, dist[i], np.inf)
-    row[i] = np.inf
-    j = int(np.argmin(row))
-    return row[j], j
 
 
 def agglomerate(dist: np.ndarray, num_clusters: int, linkage: str) -> list[list[int]]:
     """Greedy agglomerative merging on a precomputed distance matrix.
 
     Returns clusters as lists of original indices, ordered by smallest member.
-    Uses Lance-Williams updates with a per-row nearest-neighbour cache; for
-    the supported (reducible) linkages a merge can never beat a cached row
-    minimum, so the cache stays valid except where it pointed at the merged
-    pair.
+    Merging happens inside ``dist``: a float64 matrix is overwritten, so pass
+    a copy to keep it. Uses Lance-Williams updates with a per-row
+    nearest-neighbour cache that stays exact: after a merge it recomputes the
+    merged row, the rows whose cached neighbour was one of the pair, and the
+    rows whose distance to the merged cluster fell below their cached minimum.
+    For the supported (reducible) linkages that last case arises only when
+    rounding takes a float64 average below both of its operands.
     """
     n = dist.shape[0]
     if not 1 <= num_clusters <= n:
@@ -92,20 +76,23 @@ def agglomerate(dist: np.ndarray, num_clusters: int, linkage: str) -> list[list[
     if linkage not in LINKAGES:
         raise ClusteringError(f"unknown linkage {linkage!r}")
 
-    dist = np.array(dist, dtype=np.float64)
+    dist = np.asarray(dist, dtype=np.float64)
     np.fill_diagonal(dist, np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     members: list[list[int] | None] = [[i] for i in range(n)]
+    nn_idx = dist.argmin(axis=1)
+    nn_dist = dist[np.arange(n), nn_idx]
 
-    nn_dist = np.empty(n)
-    nn_idx = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        nn_dist[i], nn_idx[i] = _recompute_nn(dist, active, i) if n > 1 else (np.inf, i)
-
-    remaining = n
-    while remaining > num_clusters:
-        i, j = _min_pair(dist, active, nn_dist)
+    # Rows and columns of retired clusters are never cleared: every read
+    # below masks them out with `active`.
+    for _ in range(n - num_clusters):
+        # The smallest row whose minimum is the closest distance, and its first
+        # partner at that distance, form the lexicographically smallest closest
+        # pair: each such partner has the same row minimum, so it is larger.
+        best = nn_dist[active].min()
+        i = int(np.flatnonzero(active & (nn_dist == best))[0])
+        j = int(np.flatnonzero(active & (dist[i] == best))[0])
 
         if linkage == "average":
             merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
@@ -113,25 +100,21 @@ def agglomerate(dist: np.ndarray, num_clusters: int, linkage: str) -> list[list[
             merged = np.maximum(dist[i], dist[j])
         else:
             merged = np.minimum(dist[i], dist[j])
+        merged[i] = np.inf
         dist[i, :] = merged
         dist[:, i] = merged
-        dist[i, i] = np.inf
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
 
         sizes[i] += sizes[j]
         members[i] = members[i] + members[j]  # type: ignore[operator]
         members[j] = None
         active[j] = False
-        remaining -= 1
-        if remaining == 1:
-            break
 
-        nn_dist[i], nn_idx[i] = _recompute_nn(dist, active, i)
-        stale = np.flatnonzero(active & ((nn_idx == i) | (nn_idx == j)))
-        for k in stale:
-            if k != i:
-                nn_dist[k], nn_idx[k] = _recompute_nn(dist, active, k)
+        stale = active & ((nn_idx == i) | (nn_idx == j) | (merged < nn_dist))
+        stale[i] = True
+        rows = np.flatnonzero(stale)
+        block = np.where(active, dist[rows], np.inf)
+        nn_idx[rows] = block.argmin(axis=1)
+        nn_dist[rows] = block[np.arange(rows.size), nn_idx[rows]]
 
     clusters = [m for m in members if m is not None]
     clusters.sort(key=min)

@@ -11,6 +11,9 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .clustering import LINKAGES
+from .fusion import SCALES, SCOPES
+from .objective import WEIGHT_SCOPES
 from .windows import DAY, PRESETS
 
 
@@ -67,11 +70,11 @@ _NULLABLE_TYPES: dict[str, type] = {
 }
 
 _CHOICES: dict[str, tuple] = {
-    "cluster.linkage": ("average", "complete", "single"),
+    "cluster.linkage": LINKAGES,
     "window.preset": tuple(PRESETS),
-    "attention.scope": ("window", "post"),
-    "attention.scale": ("head", "model"),
-    "weights.scope": ("event", "global"),
+    "attention.scope": SCOPES,
+    "attention.scale": SCALES,
+    "weights.scope": WEIGHT_SCOPES,
     "train.optimizer": ("adam", "sgd"),
     "train.early_stop_metric": ("f1", "auc", "accuracy"),
 }
@@ -146,16 +149,19 @@ class RunConfig:
         return (self["split.train"], self["split.val"], self["split.test"])
 
 
+def read_config_file(path: str | Path) -> dict[str, Any]:
+    """The JSON object a config file holds, keys and values not yet checked."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return raw
+
+
 def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> RunConfig:
-    values: dict[str, Any] = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        values.update(raw)
+    values = {} if path is None else read_config_file(path)
     if overrides:
         values.update(overrides)
     return RunConfig(values)

@@ -197,7 +197,6 @@ class LossReport:
     total: float
     p_post: np.ndarray
     p_event: dict[int, float]
-    weights_by_event: dict[int, tuple[float, float]]
     mined: np.ndarray  # True where the post's CE term entered the loss
     lambda_tc: float = 0.0
     lambda_reg: float = 0.0

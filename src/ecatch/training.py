@@ -100,26 +100,20 @@ def forward(
     params: ModelParams,
     cfg: RunConfig,
     epoch: int = 0,
-    include_ce: bool = True,
 ) -> ForwardArtifacts:
-    """Build the full loss for one epoch. ``include_ce`` exists for tests."""
+    """Build the full loss for one epoch."""
     outputs = run_model(ds, events, windows, params, cfg)
-    train_mask = ds.train_mask()
-
-    terms: list = []
-    weights_by_event: dict[int, tuple[float, float]] = {}
-    if include_ce:
-        terms, weights_by_event = ce_terms(
-            events,
-            outputs.prob_nodes,
-            ds.labels,
-            train_mask,
-            cfg["loss.epsilon"],
-            cfg["weights.adaptive"],
-            cfg["weights.scope"],
-        )
-        if not terms:
-            raise TrainingError("no training posts: cannot build the classification loss")
+    terms, _ = ce_terms(
+        events,
+        outputs.prob_nodes,
+        ds.labels,
+        ds.train_mask(),
+        cfg["loss.epsilon"],
+        cfg["weights.adaptive"],
+        cfg["weights.scope"],
+    )
+    if not terms:
+        raise TrainingError("no training posts: cannot build the classification loss")
 
     rho = cfg["mining.rho"]
     mining_active = rho < 1.0 and epoch >= cfg["mining.warmup_epochs"]
@@ -162,7 +156,6 @@ def forward(
         total=total,
         p_post=outputs.p_post,
         p_event=outputs.p_event,
-        weights_by_event=weights_by_event,
         mined=mined,
         lambda_tc=lambda_tc,
         lambda_reg=cfg["loss.lambda_reg"],

@@ -240,7 +240,7 @@ def clustering_oracle(seeds: list[int]) -> OracleReport:
         dist = cosine_distances(x)
         k = int(rng.integers(1, n + 1))
         for linkage in ("average", "complete", "single"):
-            got = agglomerate(dist, k, linkage)
+            got = agglomerate(dist.copy(), k, linkage)
             want = reference_agglomerate(dist, k, linkage)
             if [sorted(c) for c in got] != want:
                 return OracleReport(

@@ -220,6 +220,20 @@ def test_crosseval_dimension_mismatch_fails_before_training(tmp_path, dataset_di
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["missing", "json-list"])
+def test_crosseval_bad_test_config_exits_2(tmp_path, dataset_dir, capsys, content):
+    test_cfg = tmp_path / "test_config.json"
+    if content is not None:
+        test_cfg.write_text(content)
+    out = tmp_path / "xrun"
+    rc = main(["crosseval", "--train-data", str(dataset_dir),
+               "--test-data", str(dataset_dir), "--config", str(write_config(tmp_path)),
+               "--test-config", str(test_cfg), "--out", str(out)])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_crosseval_self_transfer_smoke(tmp_path, dataset_dir, monkeypatch):
     loaded = []
 

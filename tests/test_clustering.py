@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecatch.clustering import (
     ClusteringError,
+    agglomerate,
     cluster_events,
     cosine_distances,
     load_events,
@@ -81,6 +84,67 @@ def test_matches_reference_on_random_small_inputs(rng):
             got = partition(cluster_events(make_dataset(x), k, linkage))
             want = [tuple(c) for c in reference_agglomerate(dist, k, linkage)]
             assert got == want, (n, k, linkage)
+
+
+@st.composite
+def tied_distances(draw):
+    """Symmetric matrices whose off-diagonal entries all lie in {1, 2, 3}."""
+    n = draw(st.integers(2, 8))
+    upper = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    dist = np.zeros((n, n))
+    dist[np.triu_indices(n, 1)] = upper
+    return dist + dist.T
+
+
+# Average linkage is left out: an average tie can hold in exact arithmetic
+# and break differently in the float64 values each implementation computes.
+@settings(max_examples=200, deadline=None)
+@given(dist=tied_distances())
+def test_ties_break_like_the_reference(dist):
+    n = dist.shape[0]
+    for linkage in ("complete", "single"):
+        for k in range(1, n + 1):
+            got = agglomerate(dist.copy(), k, linkage)
+            assert [sorted(c) for c in got] == reference_agglomerate(dist, k, linkage)
+
+
+def full_scan_agglomerate(dist, num_clusters, linkage):
+    """agglomerate's Lance-Williams merges, each pair found by a full scan."""
+    d = dist.copy()
+    n = d.shape[0]
+    np.fill_diagonal(d, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n)
+    members = [[i] for i in range(n)]
+    for _ in range(n - num_clusters):
+        open_pairs = np.where(np.outer(active, active), d, np.inf)
+        open_pairs[np.tril_indices(n)] = np.inf
+        i, j = np.unravel_index(np.argmin(open_pairs), open_pairs.shape)
+        if linkage == "average":
+            merged = (sizes[i] * d[i] + sizes[j] * d[j]) / (sizes[i] + sizes[j])
+        elif linkage == "complete":
+            merged = np.maximum(d[i], d[j])
+        else:
+            merged = np.minimum(d[i], d[j])
+        merged[i] = np.inf
+        d[i, :] = merged
+        d[:, i] = merged
+        sizes[i] += sizes[j]
+        members[i] += members[j]
+        members[j] = None
+        active[j] = False
+    return sorted((m for m in members if m is not None), key=min)
+
+
+def test_average_rounded_below_a_cached_minimum():
+    # Duplicate-heavy integer directions: some Lance-Williams averages round
+    # below the cached nearest-neighbour distance of a row that did not point
+    # at the merged pair.
+    x = np.random.default_rng(13).integers(-1, 2, size=(200, 3)).astype(float)
+    dist = cosine_distances(x)
+    for k in range(1, 10):
+        assert agglomerate(dist.copy(), k, "average") == full_scan_agglomerate(dist, k, "average")
 
 
 def test_pass_through_groups():
