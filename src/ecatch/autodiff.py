@@ -185,15 +185,9 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = lift(other)
         a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise ValueError("matmul requires tensors with ndim >= 2")
-
-        def vjp(g: Array):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            return ga, gb
-
-        return Tensor(a.data @ b.data, (a, b), vjp)
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError("matmul requires 2-D tensors")
+        return Tensor(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
     # -- elementwise nonlinearities --------------------------------------
     def log(self) -> "Tensor":
@@ -218,13 +212,6 @@ class Tensor:
     def reshape(self, shape: tuple[int, ...]) -> "Tensor":
         a = self
         return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-    def transpose(self, axes: tuple[int, ...]) -> "Tensor":
-        a = self
-        inverse = tuple(np.argsort(axes))
-        return Tensor(
-            np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),)
-        )
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         a = self
@@ -252,19 +239,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         (x, w, b),
         lambda g: (g @ w.data, (x.data.T @ g).T, g.sum(axis=0)),
     )
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Row-stochastic softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g: Array):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return Tensor(out, (x,), vjp)
 
 
 def l2norm(x: Tensor) -> Tensor:

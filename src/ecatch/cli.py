@@ -229,7 +229,12 @@ def cmd_crosseval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds: {exc}") from exc
+    if not seeds:
+        raise ConfigError(f"--seeds: no seed in {args.seeds!r}")
     reports = run_all(seeds)
     for r in reports:
         print(r.line())

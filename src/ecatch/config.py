@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .clustering import LINKAGES
 from .fusion import SCALES, SCOPES
@@ -80,6 +80,18 @@ _CHOICES: dict[str, tuple] = {
 }
 
 
+# numeric keys whose values are bounded: key -> (description, test)
+_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
+    "mining.rho": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "train.learning_rate": ("> 0", lambda x: x > 0.0),
+    "train.adam_beta1": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
+    "train.adam_beta2": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
+    "train.adam_eps": ("> 0", lambda x: x > 0.0),
+    "train.grad_clip_norm": ("> 0", lambda x: x > 0.0),
+    "eval.threshold": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
+}
+
+
 def _coerce(key: str, value: Any) -> Any:
     default = DEFAULTS[key][0]
     if value is None:
@@ -98,6 +110,8 @@ def _coerce(key: str, value: Any) -> Any:
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if key in _RANGES and not _RANGES[key][1](value):
+            raise ConfigError(f"{key}: must be {_RANGES[key][0]}, got {value!r}")
         return float(value)
     if target is str:
         if not isinstance(value, str):

@@ -1,10 +1,11 @@
 """Encoders, intra-/cross-modal attention, and soft-gated fusion.
 
 The attention sequence axis is the set of posts inside one window
-(``scope="window"``); a degenerate per-post mode (``scope="post"``, every
-query attends only to itself) exists for ablation. Scaled dot-product uses
-sqrt(head width) by default (``scale="head"``) or sqrt(model width)
-(``scale="model"``).
+(``scope="window"``). The ablation ``scope="post"`` masks every off-diagonal
+score to -inf, so each query attends only to itself and the output is the
+value path. Scaled dot-product uses sqrt(head width) by default
+(``scale="head"``) or sqrt(model width) (``scale="model"``). Each attention
+is one tape node with a hand-written vector-Jacobian product.
 
 No residual connections or layer normalization anywhere: the network is
 shallow and gate/LSTM based, and stays stable without them.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, linear, softmax
+from .autodiff import Tensor, concat, linear
 from .data import Dataset
 from .params import AttentionBlock, ModelParams
 from .windows import Window
@@ -53,48 +54,63 @@ def encode(ds: Dataset, params: ModelParams, indices) -> tuple[Tensor, Tensor]:
     return t, i
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    # (H, n, dh) -> (n, H*dh)
-    h, n, dh = x.shape
-    return x.transpose((1, 0, 2)).reshape((n, h * dh))
-
-
 def mh_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
     block: AttentionBlock,
     scale: str = "head",
+    diagonal: bool = False,
     return_weights: bool = False,
 ):
-    """Multi-head scaled dot-product attention, rows of q attending to rows of k/v."""
+    """Multi-head scaled dot-product attention, rows of q attending to rows of k/v.
+
+    ``diagonal`` masks every score but (i, i) and needs n_q == n_k;
+    ``return_weights`` also returns the (H, n_q, n_k) probability array.
+    """
     if k.shape[0] < 1:
         raise FusionError("attention requires at least one key row")
     if scale not in SCALES:
         raise FusionError(f"unknown attention scale {scale!r}")
-    d = q.shape[1]
+    n_q, d = q.shape
     heads = block.heads
-    divisor = np.sqrt(d / heads) if scale == "head" else np.sqrt(d)
+    c = 1.0 / (np.sqrt(d / heads) if scale == "head" else np.sqrt(d))
+    wq, wk, wv, wo = block.wq, block.wk, block.wv, block.wo
 
-    qh = q @ block.wq              # (H, n_q, dh)
-    kh = k @ block.wk              # (H, n_k, dh)
-    vh = v @ block.wv              # (H, n_k, dh)
-    scores = (qh @ kh.transpose((0, 2, 1))) * (1.0 / divisor)
-    weights = softmax(scores)      # (H, n_q, n_k), rows sum to 1
-    out = _merge_heads(weights @ vh) @ block.wo
-    if return_weights:
-        return out, weights
-    return out
+    qh = q.data @ wq.data          # (H, n_q, dh)
+    kh = k.data @ wk.data          # (H, n_k, dh)
+    vh = v.data @ wv.data          # (H, n_k, dh)
+    scores = (qh @ kh.transpose(0, 2, 1)) * c
+    if diagonal:
+        scores[:, ~np.eye(n_q, dtype=bool)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    merged = (p @ vh).transpose(1, 0, 2).reshape((n_q, d))
+
+    def vjp(g):
+        g_att = (g @ wo.data.T).reshape((n_q, heads, -1)).transpose(1, 0, 2)
+        g_p = g_att @ vh.transpose(0, 2, 1)
+        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+        g_qh = g_s @ kh
+        g_kh = (qh.transpose(0, 2, 1) @ g_s).transpose(0, 2, 1)
+        g_vh = p.transpose(0, 2, 1) @ g_att
+        return (
+            (g_qh @ wq.data.transpose(0, 2, 1)).sum(axis=0),
+            (g_kh @ wk.data.transpose(0, 2, 1)).sum(axis=0),
+            (g_vh @ wv.data.transpose(0, 2, 1)).sum(axis=0),
+            q.data.T @ g_qh,
+            k.data.T @ g_kh,
+            v.data.T @ g_vh,
+            merged.T @ g,
+        )
+
+    out = Tensor(merged @ wo.data, (q, k, v, wq, wk, wv, wo), vjp)
+    return (out, p) if return_weights else out
 
 
 def _attend(q: Tensor, kv: Tensor, block: AttentionBlock, scope: str,
             scale: str) -> Tensor:
-    if scope == "window":
-        attended = mh_attention(q, kv, kv, block, scale)
-    else:
-        # Each post attends only to its own row of kv: the singleton softmax
-        # is 1, so the result is just the value path.
-        attended = _merge_heads(kv @ block.wv) @ block.wo
+    attended = mh_attention(q, kv, kv, block, scale, diagonal=scope == "post")
     return linear(attended, block.w_out, block.b_out)
 
 

@@ -12,8 +12,9 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
 * classifier ``clf.W_c`` (1, d), ``clf.b_c`` (1,)
 
 The (out, in) matrices above (encoders, ``W_out``, gate, LSTM, classifier)
-enter the graph only through ``autodiff.linear``, as ``x @ W.T + b``;
-``mh_attention`` applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out), ``x @ W``.
+enter the graph only through ``autodiff.linear``, as ``x @ W.T + b``.
+``Wq/Wk/Wv`` and ``Wo`` enter only through ``fusion.mh_attention``, one tape
+node per attention, which applies them as (in, out), ``x @ W``.
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per
 head/matrix, biases at zero, in fixed name order from a seeded generator.

@@ -373,6 +373,15 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _field(entry, key: str, where: str):
+    """``entry[key]``, or a TrainingError naming the field the header lacks."""
+    if not isinstance(entry, dict):
+        raise TrainingError(f"checkpoint: {where} is not a JSON object")
+    if key not in entry:
+        raise TrainingError(f"checkpoint: {where} has no {key!r} field")
+    return entry[key]
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -382,13 +391,19 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         header = json.loads(raw[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TrainingError(f"checkpoint: bad header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise TrainingError("checkpoint: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise TrainingError(
             f"checkpoint: unsupported format_version {header.get('format_version')}"
         )
 
-    d, heads = int(header["d"]), int(header["H"])
-    shapes = {e["name"]: tuple(int(s) for s in e["shape"]) for e in header["names"]}
+    d, heads = int(_field(header, "d", "header")), int(_field(header, "H", "header"))
+    shapes = {
+        _field(e, "name", f"names[{i}]"):
+            tuple(int(s) for s in _field(e, "shape", f"names[{i}]"))
+        for i, e in enumerate(_field(header, "names", "header"))
+    }
     if "fusion.W_text" not in shapes or "fusion.W_img" not in shapes:
         raise TrainingError("checkpoint: encoder tensors missing from header")
     d_text = shapes["fusion.W_text"][1]

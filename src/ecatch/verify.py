@@ -163,7 +163,7 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
         k = Tensor(rng.normal(size=(n, d)) * float(rng.choice([0.1, 1.0, 3.0])))
         _, weights = mh_attention(q, k, k, params.block("att_ti"),
                                   return_weights=True)
-        track(float(np.abs(weights.data.sum(axis=-1) - 1.0).max()),
+        track(float(np.abs(weights.sum(axis=-1) - 1.0).max()),
               f"trial {trial}: softmax row sum")
 
         wf = fuse_window(ds, params, window)

@@ -262,6 +262,25 @@ def test_verify_subcommand(tmp_path, monkeypatch):
     assert all(entry["status"] == "pass" for entry in payload)
 
 
+@pytest.mark.parametrize("override", [
+    "train.grad_clip_norm=-1", "mining.rho=1.5", "train.adam_beta2=1.0",
+    "eval.threshold=1",
+])
+def test_train_out_of_range_value_exits_2(tmp_path, dataset_dir, capsys, override):
+    rc = main(["train", "--data", str(dataset_dir), "--config", str(write_config(tmp_path)),
+               "--out", str(tmp_path / "run"), "--set", override])
+    assert rc == 2
+    assert f"configuration error: {override.split('=')[0]}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["x,1", ","])
+def test_verify_bad_seeds_exit_2(tmp_path, capsys, seeds):
+    rc = main(["verify", "--seeds", seeds, "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    assert "configuration error: --seeds:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_help_documents_config_keys(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

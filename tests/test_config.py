@@ -39,6 +39,32 @@ def test_choice_validation():
         RunConfig({"window.preset": "weibo"})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train.grad_clip_norm", -1.0),
+    ("train.grad_clip_norm", 0),
+    ("mining.rho", 1.5),
+    ("mining.rho", 0.0),
+    ("train.learning_rate", 0.0),
+    ("train.learning_rate", -0.02),
+    ("train.adam_beta1", 1.0),
+    ("train.adam_beta1", -0.1),
+    ("train.adam_beta2", 1.0),
+    ("train.adam_eps", 0.0),
+    ("eval.threshold", 0.0),
+    ("eval.threshold", 1.0),
+    ("eval.threshold", float("nan")),
+])
+def test_numeric_range_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: must be"):
+        RunConfig({key: value})
+
+
+def test_numeric_range_bounds_accepted():
+    cfg = RunConfig({"mining.rho": 1, "train.adam_beta1": 0.0, "train.adam_beta2": 0.0,
+                     "eval.threshold": 0.999, "train.grad_clip_norm": 1e-9})
+    assert cfg["mining.rho"] == 1.0 and cfg["train.adam_beta1"] == 0.0
+
+
 def test_nullable_keys():
     cfg = RunConfig({"train.grad_clip_norm": None, "cluster.key": "event"})
     assert cfg["train.grad_clip_norm"] is None

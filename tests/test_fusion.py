@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecatch.autodiff import Tensor, finite_difference_gradient
 from ecatch.fusion import FusionError, encode, fuse_window, mh_attention
-from ecatch.params import ModelParams
+from ecatch.params import AttentionBlock, ModelParams
 from ecatch.windows import Window
 
 from conftest import make_dataset
@@ -93,8 +95,69 @@ def test_attention_rows_stochastic(rng):
     q = Tensor(rng.normal(size=(4, 4)) * 3)
     k = Tensor(rng.normal(size=(6, 4)))
     _, w = mh_attention(q, k, k, params.block("att_it"), return_weights=True)
-    assert w.data.shape == (2, 4, 6)
-    assert np.abs(w.data.sum(axis=-1) - 1.0).max() < 1e-12
+    assert w.shape == (2, 4, 6)
+    assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-12
+
+
+def merge(heads):
+    """(H, n, dh) -> (n, H*dh), head h in columns h*dh .. (h+1)*dh."""
+    h, n, dh = heads.shape
+    return heads.transpose(1, 0, 2).reshape((n, h * dh))
+
+
+def numpy_attention(q, k, v, wq, wk, wv, wo, divisor, diagonal):
+    scores = (q @ wq @ (k @ wk).transpose(0, 2, 1)) * (1.0 / divisor)
+    if diagonal:
+        scores[:, ~np.eye(len(q), dtype=bool)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return merge((e / e.sum(axis=-1, keepdims=True)) @ (v @ wv)) @ wo
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_q=st.integers(1, 5),
+    n_k=st.integers(1, 5),
+    heads=st.sampled_from([1, 2, 4]),
+    dh=st.integers(1, 2),
+    scale=st.sampled_from(["head", "model"]),
+    post=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_attention_node_matches_numpy_and_finite_differences(
+        n_q, n_k, heads, dh, scale, post, seed):
+    diagonal = post and n_q == n_k
+    d = heads * dh
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n_q, d)), rng.normal(size=(n_k, d)),
+              rng.normal(size=(n_k, d))]
+    arrays += [rng.normal(size=(heads, d, dh)) for _ in range(3)]
+    arrays.append(rng.normal(size=(d, d)))
+    g = rng.normal(size=(n_q, d))
+
+    def attend(arrs):
+        tensors = [Tensor(a) for a in arrs]
+        block = AttentionBlock(*tensors[3:], w_out=None, b_out=None)
+        out = mh_attention(*tensors[:3], block, scale, diagonal=diagonal)
+        return out, tensors
+
+    out, tensors = attend(arrays)
+    divisor = np.sqrt(dh) if scale == "head" else np.sqrt(d)
+    expected = numpy_attention(*arrays, divisor, diagonal)
+    assert out.data.tobytes() == expected.tobytes()
+    if diagonal:  # each query sees only its own row: the value path
+        v, wv, wo = arrays[2], arrays[5], arrays[6]
+        assert out.data.tobytes() == (merge(v @ wv) @ wo).tobytes()
+
+    out.backward(g)
+    if diagonal:
+        assert np.all(tensors[0].grad == 0.0)
+    for idx, tensor in enumerate(tensors):
+        def f(x, idx=idx):
+            return float((attend(arrays[:idx] + [x] + arrays[idx + 1:])[0].data * g).sum())
+
+        fd = finite_difference_gradient(f, arrays[idx])
+        err = np.abs(fd - tensor.grad).max()
+        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max()), idx
 
 
 def test_attention_rejects_empty_keys(rng):

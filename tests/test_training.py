@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 
 import numpy as np
@@ -341,6 +342,29 @@ def test_checkpoint_bad_header(tmp_path):
         load_checkpoint(path)
     path.write_bytes(b"no json here")
     with pytest.raises(TrainingError):
+        load_checkpoint(path)
+
+
+def _drop(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: [h], "header is not a JSON object"),
+    (lambda h: _drop(h, "d"), "header has no 'd' field"),
+    (lambda h: _drop(h, "H"), "header has no 'H' field"),
+    (lambda h: dict(h, names=[_drop(h["names"][0], "name")] + h["names"][1:]),
+     r"names\[0\] has no 'name' field"),
+    (lambda h: dict(h, names=h["names"][:2] + [_drop(h["names"][2], "shape")]),
+     r"names\[2\] has no 'shape' field"),
+], ids=["list", "no-d", "no-H", "entry-no-name", "entry-no-shape"])
+def test_checkpoint_header_names_missing_field(tmp_path, edit, message):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(ModelParams.build(4, 2, 5, 3, seed=16), path)
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    path.write_bytes(json.dumps(edit(json.loads(raw[:nl]))).encode() + raw[nl:])
+    with pytest.raises(TrainingError, match=f"^checkpoint: {message}"):
         load_checkpoint(path)
 
 
