@@ -48,7 +48,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _stable_sigmoid(x: Array) -> Array:
+def stable_sigmoid(x: Array) -> Array:
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -88,10 +88,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def item(self) -> float:
         """Value of a single-element tensor of any shape as a Python float."""
@@ -164,28 +160,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = lift(other)
-        a, b = self, other
-        return Tensor(
-            a.data / b.data,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-            ),
-        )
-
-    def __pow__(self, p: float) -> "Tensor":
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-        return Tensor(a.data**p, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
     def __matmul__(self, other) -> "Tensor":
         other = lift(other)
         a, b = self, other
-        if a.ndim != 2 or b.ndim != 2:
+        if a.data.ndim != 2 or b.data.ndim != 2:
             raise ValueError("matmul requires 2-D tensors")
         return Tensor(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
@@ -194,12 +172,8 @@ class Tensor:
         a = self
         return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
 
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return Tensor(out, (self,), lambda g: (g * (1.0 - out * out),))
-
     def sigmoid(self) -> "Tensor":
-        out = _stable_sigmoid(self.data)
+        out = stable_sigmoid(self.data)
         return Tensor(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
@@ -217,10 +191,9 @@ class Tensor:
         a = self
 
         def vjp(g: Array):
-            if axis is None:
-                return (np.broadcast_to(g, a.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, a.shape).copy(),)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, a.shape).copy(),)
 
         return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 

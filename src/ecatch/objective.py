@@ -1,12 +1,13 @@
 """Classification head and the composite training objective.
 
-Per-post probabilities are read out from the trend state of the last window
-containing the post (for single-window events this collapses to one
-probability per event). The classification loss is a per-event weighted
-cross-entropy summed over events; class weights adapt to the per-event (or
-global) training label counts. Optional hard-example mining keeps only the
-globally highest-loss fraction of training posts. The temporal-consistency
-term penalizes large aligned jumps between consecutive trend states.
+Per-post probabilities are read out from the row of the last window
+containing the post in the event's (T, d) trend-state matrix (for
+single-window events this collapses to one probability per event). The
+classification loss is a per-event weighted cross-entropy summed over events;
+class weights adapt to the per-event (or global) training label counts.
+Optional hard-example mining keeps only the globally highest-loss fraction of
+training posts. The temporal-consistency term penalizes large aligned jumps
+between consecutive trend states.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, l2norm, linear
+from .autodiff import Tensor, linear
 from .clustering import PseudoEvent
 from .params import ModelParams
-from .trend import TrendState
 from .windows import WindowSequence
 
 PROB_CLAMP = 1e-12
@@ -47,22 +47,21 @@ def class_weights(
     return nbar / (n0 + epsilon), nbar / (n1 + epsilon)
 
 
-def classifier_probability(state: TrendState, params: ModelParams) -> Tensor:
-    """Sigmoid of the linear readout of one trend state: (1, 1) in (0, 1)."""
-    return linear(state.hidden, params["clf.W_c"], params["clf.b_c"]).sigmoid()
+def classifier_probability(hidden: Tensor, params: ModelParams) -> Tensor:
+    """Sigmoid of the linear readout of each trend-state row: (T, 1) in (0, 1)."""
+    return linear(hidden, params["clf.W_c"], params["clf.b_c"]).sigmoid()
 
 
 @dataclass
 class EventProbabilities:
-    event_id: int
-    window_probs: list[Tensor]          # (1,1) node per window, index t-1
+    window_probs: Tensor                # (T, 1), row t-1 for window t
     last_window_of: dict[int, int]      # post -> 1-based window index
 
 
 def post_probabilities(
     events: list[PseudoEvent],
     window_seqs: dict[int, WindowSequence],
-    states: dict[int, list[TrendState]],
+    states: dict[int, Tensor],
     params: ModelParams,
     n_posts: int,
 ) -> tuple[np.ndarray, dict[int, float], dict[int, EventProbabilities]]:
@@ -76,22 +75,22 @@ def post_probabilities(
     nodes: dict[int, EventProbabilities] = {}
     for ev in events:
         seq = window_seqs[ev.event_id]
-        ev_states = states[ev.event_id]
-        if len(ev_states) != len(seq.windows):
+        hidden = states[ev.event_id]
+        if hidden.shape[0] != len(seq.windows):
             raise ObjectiveError(
-                f"event {ev.event_id}: {len(ev_states)} states for "
+                f"event {ev.event_id}: {hidden.shape[0]} states for "
                 f"{len(seq.windows)} windows"
             )
-        probs = [classifier_probability(s, params) for s in ev_states]
+        probs = classifier_probability(hidden, params)
         last_of = seq.last_window_of()
         for post in ev.member_indices:
             if post not in last_of:
                 raise ObjectiveError(
                     f"post {post} of event {ev.event_id} is not covered by any window"
                 )
-            p_post[post] = probs[last_of[post] - 1].item()
-        p_event[ev.event_id] = probs[-1].item()
-        nodes[ev.event_id] = EventProbabilities(ev.event_id, probs, last_of)
+            p_post[post] = probs.data[last_of[post] - 1, 0]
+        p_event[ev.event_id] = probs.data[-1, 0].item()
+        nodes[ev.event_id] = EventProbabilities(probs, last_of)
     return p_post, p_event, nodes
 
 
@@ -100,7 +99,9 @@ class CETerm:
     post_index: int
     event_id: int
     value: float
-    node: Tensor  # scalar-shaped (1, 1)
+    window: int    # 1-based index of the post's last covering window
+    label: int
+    weight: float  # class weight of ``label`` in the post's event
 
 
 def ce_terms(
@@ -112,7 +113,7 @@ def ce_terms(
     adaptive: bool,
     weight_scope: str = "event",
 ) -> tuple[list[CETerm], dict[int, tuple[float, float]]]:
-    """Weighted cross-entropy term per training post (graph nodes + values)."""
+    """Weighted cross-entropy value per training post, plus each event's weights."""
     if weight_scope not in WEIGHT_SCOPES:
         raise ObjectiveError(f"unknown weight scope {weight_scope!r}")
 
@@ -132,20 +133,25 @@ def ce_terms(
             w01 = (1.0, 1.0)
         weights_by_event[ev.event_id] = w01
         ep = prob_nodes[ev.event_id]
-        log_cache: dict[int, tuple[Tensor, Tensor]] = {}
+        p = np.clip(ep.window_probs.data[:, 0], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        logs = np.log([1.0 - p, p])  # row y: log-likelihood of label y
         for post in ev.member_indices:
             if not train_mask[post]:
                 continue
-            t = ep.last_window_of[post]
-            if t not in log_cache:
-                p = ep.window_probs[t - 1].clip(PROB_CLAMP, 1.0 - PROB_CLAMP)
-                log_cache[t] = (p.log(), (1.0 - p).log())
-            log_p, log_q = log_cache[t]
-            y = int(labels[post])
+            t, y = ep.last_window_of[post], int(labels[post])
             w = w01[y]
-            node = (-w) * (log_p if y == 1 else log_q)
-            terms.append(CETerm(post, ev.event_id, node.item(), node))
+            terms.append(CETerm(post, ev.event_id, (-w * logs[y, t - 1]).item(), t, y, w))
     return terms, weights_by_event
+
+
+def ce_loss(probs: Tensor, terms: list[CETerm]) -> Tensor:
+    """Sum of one event's selected CE terms over its (T, 1) window probabilities;
+    per class, one coefficient array sums each window's negated post weights."""
+    coef = np.zeros((2,) + probs.shape)
+    for term in terms:
+        coef[term.label, term.window - 1, 0] -= term.weight
+    p = probs.clip(PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return (p.log() * coef[1] + (1.0 - p).log() * coef[0]).sum()
 
 
 def mine_hard_examples(terms: list[CETerm], rho: float) -> list[CETerm]:
@@ -159,30 +165,38 @@ def mine_hard_examples(terms: list[CETerm], rho: float) -> list[CETerm]:
     return ranked[:k]
 
 
-def tc_terms(
-    states: list[TrendState], clamp_negative_sim: bool = False
-) -> Tensor | None:
+def tc_terms(hidden: Tensor, clamp_negative_sim: bool = False) -> Tensor | None:
     """Sum over t>=2 of |T_t - T_{t-1}|^2 * cos(T_t, T_{t-1}) for one event.
 
-    Returns None when no window pair contributes (short events, zero-norm
-    guard, or clamped-away negative similarity).
+    ``hidden`` is the event's (T, d) trend-state matrix; the result is one
+    node over it. Returns None when no window pair contributes (short
+    events, zero-norm guard, or clamped-away negative similarity).
     """
-    total: Tensor | None = None
-    for t in range(1, len(states)):
-        a, b = states[t].hidden, states[t - 1].hidden
-        na = float(np.sqrt(np.sum(a.data * a.data)))
-        nb = float(np.sqrt(np.sum(b.data * b.data)))
-        if na < NORM_GUARD or nb < NORM_GUARD:
-            continue
-        sim_value = float((a.data * b.data).sum()) / (na * nb)
-        if clamp_negative_sim and sim_value < 0.0:
-            continue
-        diff = a - b
-        sq = (diff * diff).sum()
-        sim = (a * b).sum() / (l2norm(a) * l2norm(b))
-        term = sq * sim
-        total = term if total is None else total + term
-    return total
+    h = hidden.data
+    norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
+    pairs = (norms[1:] >= NORM_GUARD) & (norms[:-1] >= NORM_GUARD)
+    # The floor only changes pairs that the guard drops.
+    sim = (np.sum(h[1:] * h[:-1], axis=1, keepdims=True)
+           / np.maximum(norms[1:] * norms[:-1], NORM_GUARD * NORM_GUARD))
+    if clamp_negative_sim:
+        pairs &= sim >= 0.0
+    rows = np.flatnonzero(pairs)
+    if rows.size == 0:
+        return None
+    a, b, na, nb, sim = h[rows + 1], h[rows], norms[rows + 1], norms[rows], sim[rows]
+    diff = a - b
+    sq = np.sum(diff * diff, axis=1, keepdims=True)
+
+    def vjp(g: np.ndarray):
+        # d(sim)/da = b / (|a||b|) - sim * a / |a|^2, and b mirrors a.
+        ga = 2.0 * sim * diff + sq * (b / (na * nb) - sim * a / (na * na))
+        gb = -2.0 * sim * diff + sq * (a / (na * nb) - sim * b / (nb * nb))
+        grad = np.zeros_like(h)
+        grad[rows + 1] += ga
+        grad[rows] += gb
+        return (g * grad,)
+
+    return Tensor(np.sum(sq * sim), (hidden,), vjp)
 
 
 @dataclass

@@ -11,10 +11,12 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
   ``lstm.b_g`` (d,)
 * classifier ``clf.W_c`` (1, d), ``clf.b_c`` (1,)
 
-The (out, in) matrices above (encoders, ``W_out``, gate, LSTM, classifier)
-enter the graph only through ``autodiff.linear``, as ``x @ W.T + b``.
-``Wq/Wk/Wv`` and ``Wo`` enter only through ``fusion.mh_attention``, one tape
-node per attention, which applies them as (in, out), ``x @ W``.
+The (out, in) matrices above (encoders, ``W_out``, gate, classifier) enter
+the graph only through ``autodiff.linear``, as ``x @ W.T + b``. The 12 LSTM
+tensors enter only through ``trend.run_lstm``, one tape node per event, which
+stacks each kind in gate order and applies them the same way. ``Wq/Wk/Wv``
+and ``Wo`` enter only through ``fusion.mh_attention``, one tape node per
+attention, which applies them as (in, out), ``x @ W``.
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per
 head/matrix, biases at zero, in fixed name order from a seeded generator.

@@ -25,14 +25,16 @@ from .data import Dataset
 from .fusion import fuse_window
 from .metrics import EvalResult, evaluate
 from .objective import (
+    CETerm,
     LossReport,
+    ce_loss,
     ce_terms,
     mine_hard_examples,
     post_probabilities,
     tc_terms,
     total_loss,
 )
-from .params import ModelParams
+from .params import ModelParams, ParamError
 from .trend import encode_event
 from .windows import WindowSequence
 
@@ -56,7 +58,7 @@ class ForwardArtifacts:
 class ModelOutputs:
     """Forward state of the network before any loss is attached."""
 
-    states: dict[int, list]
+    states: dict[int, Tensor]  # event_id -> (T, d) trend states
     p_post: np.ndarray
     p_event: dict[int, float]
     prob_nodes: dict
@@ -76,15 +78,14 @@ def run_model(
     alpha = cfg["trend.alpha"]
     beta = cfg["trend.beta"]
 
-    states: dict[int, list] = {}
+    states: dict[int, Tensor] = {}
     for ev in sorted(events, key=lambda e: e.event_id):
         seq = windows[ev.event_id]
         try:
             fusions = [fuse_window(ds, params, w, scope, scale) for w in seq.windows]
-            _, _, ev_states = encode_event(fusions, ds, params, alpha, beta)
+            states[ev.event_id] = encode_event(fusions, ds, params, alpha, beta)
         except Exception as exc:
             raise TrainingError(f"event {ev.event_id}: {exc}") from exc
-        states[ev.event_id] = ev_states
 
     p_post, p_event, prob_nodes = post_probabilities(
         events, windows, states, params, ds.n
@@ -119,8 +120,10 @@ def forward(
     mining_active = rho < 1.0 and epoch >= cfg["mining.warmup_epochs"]
     selected = mine_hard_examples(terms, rho) if mining_active else list(terms)
     mined = np.zeros(ds.n, dtype=bool)
+    by_event: dict[int, list[CETerm]] = {}
     for t in selected:
         mined[t.post_index] = True
+        by_event.setdefault(t.event_id, []).append(t)
 
     ce_by_event: dict[int, float] = {}
     tc_by_event: dict[int, float] = {}
@@ -128,21 +131,15 @@ def forward(
     lambda_tc = cfg["loss.lambda_tc"]
     for ev in sorted(events, key=lambda e: e.event_id):
         eid = ev.event_id
-        node: Tensor | None = None
-        ce_val = 0.0
-        for t in selected:
-            if t.event_id == eid:
-                node = t.node if node is None else node + t.node
-                ce_val += t.value
-        ce_by_event[eid] = ce_val
+        ev_terms = by_event.get(eid, [])
+        ce_by_event[eid] = sum((t.value for t in ev_terms), 0.0)
+        node = ce_loss(outputs.prob_nodes[eid].window_probs, ev_terms)
 
         tc_node = tc_terms(outputs.states[eid], cfg["loss.tc_clamp"])
         tc_by_event[eid] = tc_node.item() if tc_node is not None else 0.0
         if tc_node is not None and lambda_tc != 0.0:
-            scaled = lambda_tc * tc_node
-            node = scaled if node is None else node + scaled
-        if node is not None:
-            loss = node if loss is None else loss + node
+            node = node + lambda_tc * tc_node
+        loss = node if loss is None else loss + node
 
     ce = float(sum(ce_by_event.values()))
     tc = float(sum(tc_by_event.values()))
@@ -373,13 +370,17 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def _field(entry, key: str, where: str):
-    """``entry[key]``, or a TrainingError naming the field the header lacks."""
+def _field(entry, key: str, where: str, kind: type):
+    """``entry[key]`` as a JSON ``kind`` (ints positive), or a TrainingError naming it."""
     if not isinstance(entry, dict):
         raise TrainingError(f"checkpoint: {where} is not a JSON object")
     if key not in entry:
         raise TrainingError(f"checkpoint: {where} has no {key!r} field")
-    return entry[key]
+    value = entry[key]
+    if type(value) is not kind or (kind is int and value < 1):
+        what = "a positive integer" if kind is int else f"a {kind.__name__}"
+        raise TrainingError(f"checkpoint: {where} {key!r} must be {what}, got {value!r}")
+    return value
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -398,18 +399,24 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"checkpoint: unsupported format_version {header.get('format_version')}"
         )
 
-    d, heads = int(_field(header, "d", "header")), int(_field(header, "H", "header"))
-    shapes = {
-        _field(e, "name", f"names[{i}]"):
-            tuple(int(s) for s in _field(e, "shape", f"names[{i}]"))
-        for i, e in enumerate(_field(header, "names", "header"))
-    }
-    if "fusion.W_text" not in shapes or "fusion.W_img" not in shapes:
-        raise TrainingError("checkpoint: encoder tensors missing from header")
+    d, heads = _field(header, "d", "header", int), _field(header, "H", "header", int)
+    shapes = {}
+    for i, e in enumerate(_field(header, "names", "header", list)):
+        where = f"names[{i}]"
+        shape = _field(e, "shape", where, list)
+        if not all(type(n) is int and n >= 1 for n in shape):
+            raise TrainingError(f"checkpoint: {where} 'shape' must hold positive integers, "
+                                f"got {shape!r}")
+        shapes[_field(e, "name", where, str)] = tuple(shape)
+    if any(len(shapes.get(n, ())) != 2 for n in ("fusion.W_text", "fusion.W_img")):
+        raise TrainingError("checkpoint: 2-D encoder tensors missing from header")
     d_text = shapes["fusion.W_text"][1]
     d_img = shapes["fusion.W_img"][1]
 
-    params = ModelParams.build(d, heads, d_text, d_img, zero=True)
+    try:
+        params = ModelParams.build(d, heads, d_text, d_img, zero=True)
+    except ParamError as exc:
+        raise TrainingError(f"checkpoint: {exc}") from exc
     expected = {n: t.shape for n, t in params.items()}
     if list(shapes) != list(expected):
         raise TrainingError("checkpoint: tensor name set does not match this model")

@@ -5,7 +5,8 @@ t_max being the latest member timestamp, so the newest post always carries
 weight 1. Between consecutive surviving windows the aggregate difference
 (semantic shift) and an exponential moving average of its norm (momentum)
 are appended, and the (2d+1)-length feature rolls through a unidirectional
-LSTM whose state resets per event.
+LSTM whose state resets per event. An event's whole roll is one tape node
+that returns its (T, d) hidden-state matrix, one row per window.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, l2norm, linear
+from .autodiff import Tensor, concat, l2norm, stable_sigmoid
 from .data import Dataset
-from .params import ModelParams
+from .params import LSTM_GATES, ModelParams
 from .windows import Window
 
 
@@ -75,44 +76,57 @@ def trend_features(aggregates: list[Tensor], beta: float) -> list[TrendFeature]:
     return out
 
 
-@dataclass
-class TrendState:
-    hidden: Tensor  # (1, d), every component in (-1, 1)
-    cell: Tensor    # (1, d)
+def run_lstm(features: list[TrendFeature], params: ModelParams) -> Tensor:
+    """Roll the trend LSTM from zero state over one event's window features.
 
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              params: ModelParams) -> TrendState:
-    def gate(name: str) -> Tensor:
-        return (linear(x, params[f"lstm.W_{name}"])
-                + linear(h_prev, params[f"lstm.U_{name}"])
-                + params[f"lstm.b_{name}"])
-
-    i = gate("i").sigmoid()
-    f = gate("f").sigmoid()
-    o = gate("o").sigmoid()
-    candidate = gate("c").tanh()
-    c = f * c_prev + i * candidate
-    h = o * c.tanh()
-    return TrendState(hidden=h, cell=c)
-
-
-def run_lstm(features: list[TrendFeature], params: ModelParams) -> list[TrendState]:
-    """Roll the trend LSTM from zero state over one event's window features."""
+    One tape node over the stacked inputs and the 12 ``lstm.*`` tensors gives
+    the (T, d) hidden states, row t-1 for window t. Gates stack in
+    ``LSTM_GATES`` order: one input matmul for all steps, one recurrent
+    matmul per step, and backpropagation through time as the VJP.
+    """
     d = params.d
-    expected = 2 * d + 1
-    h = Tensor(np.zeros((1, d)))
-    c = Tensor(np.zeros((1, d)))
-    states: list[TrendState] = []
-    for feat in features:
-        if feat.lbar.shape[1] != expected:
-            raise TrendError(
-                f"feature length {feat.lbar.shape[1]} != 2d+1 = {expected}"
-            )
-        state = lstm_cell(feat.lbar, h, c, params)
-        states.append(state)
-        h, c = state.hidden, state.cell
-    return states
+    if not features:
+        return Tensor(np.zeros((0, d)))
+    x = concat([f.lbar for f in features], axis=0)
+    if x.shape[1] != 2 * d + 1:
+        raise TrendError(f"feature length {x.shape[1]} != 2d+1 = {2 * d + 1}")
+    weights = tuple(params[f"lstm.{kind}_{g}"] for kind in "WUb" for g in LSTM_GATES)
+    w, u, b = (np.concatenate([t.data for t in weights[k:k + 4]]) for k in (0, 4, 8))
+
+    steps = x.shape[0]
+    projected = x.data @ w.T                       # (T, 4d)
+    acts = np.empty((steps, 4 * d))                # i, f, o, candidate
+    cells = np.zeros((steps + 1, d))               # row 0 is the zero state
+    hidden = np.zeros((steps + 1, d))
+    for t in range(steps):
+        z = projected[t] + hidden[t] @ u.T + b
+        acts[t, :3 * d] = stable_sigmoid(z[:3 * d])
+        acts[t, 3 * d:] = np.tanh(z[3 * d:])
+        i, f, o, cand = np.split(acts[t], 4)
+        cells[t + 1] = f * cells[t] + i * cand
+        hidden[t + 1] = o * np.tanh(cells[t + 1])
+
+    def vjp(g: np.ndarray):
+        slope = acts * (1.0 - acts)                     # sigmoid' of i, f, o
+        slope[:, 3 * d:] = 1.0 - acts[:, 3 * d:] ** 2   # tanh' of the candidate
+        tanh_c = np.tanh(cells[1:])
+        dz = np.empty_like(acts)
+        dh_next, dc_next = np.zeros(d), np.zeros(d)
+        for t in range(steps - 1, -1, -1):
+            i, f, o, cand = np.split(acts[t], 4)
+            dh = g[t] + dh_next
+            dc = dh * o * (1.0 - tanh_c[t] * tanh_c[t]) + dc_next
+            dz[t] = np.concatenate([dc * cand, dc * cells[t], dh * tanh_c[t], dc * i]) * slope[t]
+            dc_next = dc * f
+            dh_next = dz[t] @ u
+        return (
+            dz @ w,
+            *np.split(dz.T @ x.data, 4),
+            *np.split(dz.T @ hidden[:-1], 4),
+            *np.split(dz.sum(axis=0), 4),
+        )
+
+    return Tensor(hidden[1:], (x, *weights), vjp)
 
 
 def encode_event(
@@ -121,11 +135,7 @@ def encode_event(
     params: ModelParams,
     alpha: float,
     beta: float,
-) -> tuple[list[Tensor], list[TrendFeature], list[TrendState]]:
-    """Aggregate -> features -> LSTM for one event's fused windows."""
-    aggregates = [
-        aggregate_window(wf.fused, wf.window, ds, alpha) for wf in window_fusions
-    ]
-    features = trend_features(aggregates, beta)
-    states = run_lstm(features, params)
-    return aggregates, features, states
+) -> Tensor:
+    """Aggregate -> features -> LSTM for one event's fused windows: (T, d)."""
+    aggregates = [aggregate_window(wf.fused, wf.window, ds, alpha) for wf in window_fusions]
+    return run_lstm(trend_features(aggregates, beta), params)

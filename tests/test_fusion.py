@@ -251,7 +251,8 @@ def test_fusion_gradients_match_finite_differences(rng):
     w = window_over(ds)
 
     def scalar():
-        return (fuse_window(ds, params, w).fused ** 2.0).sum()
+        fused = fuse_window(ds, params, w).fused
+        return (fused * fused).sum()
 
     out = scalar()
     params.zero_grads()

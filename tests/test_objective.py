@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecatch.autodiff import Tensor
+from ecatch.autodiff import Tensor, finite_difference_gradient
 from ecatch.clustering import PseudoEvent
 from ecatch.objective import (
+    NORM_GUARD,
+    PROB_CLAMP,
     CETerm,
+    EventProbabilities,
     ObjectiveError,
+    ce_loss,
     ce_terms,
     class_weights,
     classifier_probability,
@@ -17,15 +23,15 @@ from ecatch.objective import (
     total_loss,
 )
 from ecatch.params import ModelParams
-from ecatch.trend import TrendState, run_lstm, trend_features
+from ecatch.trend import run_lstm, trend_features
 from ecatch.windows import segment_all
 
 from conftest import DAY, make_dataset
 
 
-def state(vec):
-    v = np.asarray(vec, dtype=float)[None, :]
-    return TrendState(Tensor(v), Tensor(np.zeros_like(v)))
+def trend_states(*rows):
+    """An event's (T, d) trend-state matrix, one row per window."""
+    return Tensor(np.array(rows, dtype=float))
 
 
 # -- class weights ------------------------------------------------------------
@@ -104,9 +110,9 @@ def test_single_window_event_shares_probability(rng):
     windows = segment_all(events, ds, DAY, DAY)
     assert len(windows[0].windows) == 1
     params = ModelParams.build(4, 2, 3, 2, seed=2)
-    states = {0: run_lstm(trend_features([Tensor(rng.normal(size=(1, 4)))], 0.5),
+    hidden = {0: run_lstm(trend_features([Tensor(rng.normal(size=(1, 4)))], 0.5),
                           params)}
-    p_post, p_event, _ = post_probabilities(events, windows, states, params, ds.n)
+    p_post, p_event, _ = post_probabilities(events, windows, hidden, params, ds.n)
     np.testing.assert_allclose(p_post, p_event[0])
 
 
@@ -119,9 +125,10 @@ def test_readout_uses_last_covering_window(rng):
     assert last[1] == 2
     params = ModelParams.build(4, 2, 3, 2, seed=3)
     aggs = [Tensor(rng.normal(size=(1, 4))) for _ in windows[0].windows]
-    states = {0: run_lstm(trend_features(aggs, 0.5), params)}
-    p_post, _, _ = post_probabilities(events, windows, states, params, ds.n)
-    expected = classifier_probability(states[0][last[1] - 1], params).item()
+    hidden = {0: run_lstm(trend_features(aggs, 0.5), params)}
+    p_post, _, _ = post_probabilities(events, windows, hidden, params, ds.n)
+    row = Tensor(hidden[0].data[last[1] - 1:last[1]])
+    expected = classifier_probability(row, params).item()
     assert p_post[1] == pytest.approx(expected)
 
 
@@ -135,12 +142,11 @@ def ce_setup(rng, labels, probs):
     windows = segment_all(events, ds, DAY, DAY)
     assert len(windows[0].windows) == n
     params = ModelParams.build(2, 1, 3, 2, zero=True)
-    states = {}
     logits = np.log(np.asarray(probs) / (1.0 - np.asarray(probs)))
     params["clf.W_c"].data[...] = np.array([[1.0, 0.0]])
     # hidden values are bounded by tanh, so steer via handcrafted states
-    states[0] = [state([l, 0.0]) for l in logits]
-    _, _, nodes = post_probabilities(events, windows, states, params, ds.n)
+    hidden = {0: trend_states(*([l, 0.0] for l in logits))}
+    _, _, nodes = post_probabilities(events, windows, hidden, params, ds.n)
     return ds, events, nodes
 
 
@@ -154,8 +160,8 @@ def test_perfect_predictions_near_zero_loss(rng):
     windows = segment_all(events, ds, DAY, DAY)
     params = ModelParams.build(2, 1, 3, 2, zero=True)
     params["clf.W_c"].data[...] = np.array([[60.0, 0.0]])
-    states = {0: [state([1.0 if y == 1 else -1.0, 0.0]) for y in labels]}
-    _, _, nodes = post_probabilities(events, windows, states, params, ds.n)
+    hidden = {0: trend_states(*([1.0 if y == 1 else -1.0, 0.0] for y in labels))}
+    _, _, nodes = post_probabilities(events, windows, hidden, params, ds.n)
     terms, _ = ce_terms(events, nodes, labels, np.ones(3, dtype=bool),
                         epsilon=1.0, adaptive=False)
     total = sum(t.value for t in terms)
@@ -171,20 +177,19 @@ def test_single_post_halfway_is_ln2(rng):
 
 
 def test_mining_keeps_top_half():
-    terms = [CETerm(i, 0, v, Tensor(np.array([[v]])))
-             for i, v in enumerate([0.1, 0.9, 0.2, 0.8])]
+    terms = [CETerm(i, 0, v, 1, 1, 1.0) for i, v in enumerate([0.1, 0.9, 0.2, 0.8])]
     kept = mine_hard_examples(terms, 0.5)
     assert sorted(t.post_index for t in kept) == [1, 3]
     assert sum(t.value for t in kept) == pytest.approx(1.7)
 
 
 def test_mining_full_fraction_is_identity():
-    terms = [CETerm(i, 0, float(i), Tensor(np.array([[1.0]]))) for i in range(4)]
+    terms = [CETerm(i, 0, float(i), 1, 1, 1.0) for i in range(4)]
     assert mine_hard_examples(terms, 1.0) == terms
 
 
 def test_mining_tie_break_prefers_low_index():
-    terms = [CETerm(i, 0, 0.5, Tensor(np.array([[1.0]]))) for i in range(4)]
+    terms = [CETerm(i, 0, 0.5, 1, 1, 1.0) for i in range(4)]
     kept = mine_hard_examples(terms, 0.5)
     assert [t.post_index for t in kept] == [0, 1]
 
@@ -232,40 +237,133 @@ def test_adaptive_terms_are_reweighted_plain_terms(rng):
         assert term.value == pytest.approx(expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.integers(1, 5),
+    n_posts=st.integers(1, 8),
+    mined=st.floats(0.1, 1.0),
+    seed=st.integers(0, 10_000),
+)
+def test_ce_loss_is_the_sum_of_its_terms(steps, n_posts, mined, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 1.0, size=(steps, 1))
+    p[rng.random(steps) < 0.2] = rng.choice([0.0, 1e-13, 1.0 - 1e-13, 1.0])
+    probs = Tensor(p)
+    labels = rng.integers(0, 2, size=n_posts)
+    last_of = {post: int(rng.integers(1, steps + 1)) for post in range(n_posts)}
+    events = [PseudoEvent(0, tuple(range(n_posts)))]
+    nodes = {0: EventProbabilities(probs, last_of)}
+    terms, _ = ce_terms(events, nodes, labels, rng.random(n_posts) < 0.8,
+                        epsilon=float(rng.uniform(0.1, 2.0)), adaptive=True)
+    terms = mine_hard_examples(terms, mined) if terms else terms
+    if not terms:
+        return
+
+    loss = ce_loss(probs, terms)
+    want = sum(t.value for t in terms)
+    assert abs(loss.item() - want) <= 1e-12 * max(1.0, abs(want))
+
+    loss.backward()
+    clipped = np.clip(p[:, 0], PROB_CLAMP, 1.0 - PROB_CLAMP)
+    expected = np.zeros(steps)
+    for t in terms:
+        q = clipped[t.window - 1]
+        expected[t.window - 1] += -t.weight / q if t.label == 1 else t.weight / (1.0 - q)
+    inside = (p[:, 0] > PROB_CLAMP) & (p[:, 0] < 1.0 - PROB_CLAMP)
+    np.testing.assert_allclose(probs.grad[:, 0], np.where(inside, expected, 0.0),
+                               rtol=1e-12, atol=0.0)
+
+
 # -- temporal consistency --------------------------------------------------------
 def test_tc_constant_sequence_is_zero():
-    total = tc_terms([state([1.0, 2.0]), state([1.0, 2.0]), state([1.0, 2.0])])
-    assert total is None or float(total.data) == pytest.approx(0.0)
+    total = tc_terms(trend_states([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]))
+    assert total is None or total.item() == pytest.approx(0.0)
 
 
 def test_tc_colinear_growth():
-    total = tc_terms([state([1.0, 0.0]), state([2.0, 0.0])])
-    assert float(total.data) == pytest.approx(1.0)
+    total = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0]))
+    assert total.item() == pytest.approx(1.0)
 
 
 def test_tc_anti_aligned_is_negative():
-    total = tc_terms([state([1.0, 0.0]), state([-1.0, 0.0])])
-    assert float(total.data) == pytest.approx(-4.0)
+    total = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0]))
+    assert total.item() == pytest.approx(-4.0)
 
 
 def test_tc_zero_norm_guard():
-    total = tc_terms([state([0.0, 0.0]), state([1.0, 0.0])])
+    total = tc_terms(trend_states([0.0, 0.0], [1.0, 0.0]))
     assert total is None
 
 
 def test_tc_clamp_drops_negative_similarity():
-    states = [state([1.0, 0.0]), state([-1.0, 0.0]), state([-2.0, 0.0])]
-    clamped = tc_terms(states, clamp_negative_sim=True)
+    clamped = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]),
+                       clamp_negative_sim=True)
     # only the colinear (-1,0)->(-2,0) pair survives: |d|^2=1, sim=1
-    assert float(clamped.data) == pytest.approx(1.0)
+    assert clamped.item() == pytest.approx(1.0)
 
 
 def test_tc_sum_over_multiple_steps():
-    states = [state([1.0, 0.0]), state([2.0, 0.0]), state([2.0, 1.0])]
-    total = tc_terms(states)
+    total = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0], [2.0, 1.0]))
     # term2: |d|^2=1, sim=1; term3: |d|^2=1, sim=4/(2*sqrt5)
     expected = 1.0 + 1.0 * (4.0 / (2.0 * math.sqrt(5.0)))
-    assert float(total.data) == pytest.approx(expected)
+    assert total.item() == pytest.approx(expected)
+
+
+def tc_by_pairs(h, clamp):
+    """The consistency sum one window pair at a time; None if no pair counts."""
+    total = None
+    for a, b in zip(h[1:], h[:-1]):
+        na, nb = np.sqrt(a @ a), np.sqrt(b @ b)
+        if na < NORM_GUARD or nb < NORM_GUARD:
+            continue
+        sim = (a @ b) / (na * nb)
+        if clamp and sim < 0.0:
+            continue
+        term = ((a - b) @ (a - b)) * sim
+        total = term if total is None else total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["random", "zero", "flip"]), min_size=1, max_size=6),
+    d=st.integers(1, 4),
+    clamp=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_tc_node_matches_pair_loop_and_finite_differences(kinds, d, clamp, seed):
+    # "zero" rows sit on the norm guard; "flip" rows are anti-parallel to the
+    # row before, so the clamp drops their pair.
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(len(kinds), d))
+    for t, kind in enumerate(kinds):
+        if kind == "zero":
+            h[t] = 0.0
+        elif kind == "flip" and t > 0:
+            h[t] = -rng.uniform(0.5, 2.0) * h[t - 1]
+    hidden = Tensor(h)
+    got = tc_terms(hidden, clamp_negative_sim=clamp)
+    want = tc_by_pairs(h, clamp)
+    if want is None:
+        assert got is None
+        return
+    assert abs(got.item() - want) <= 1e-12 * max(1.0, abs(want))
+
+    got.backward()
+    assert np.all(hidden.grad[np.linalg.norm(h, axis=1) < NORM_GUARD] == 0.0)
+    a, b = h[1:], h[:-1]
+    cos = np.sum(a * b, axis=1) / np.maximum(
+        np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1), 1e-300)
+    if "zero" in kinds or np.abs(cos).min() < 1e-3:
+        return  # finite differences would cross the guard or the clamp
+
+    def f(x):
+        out = tc_terms(Tensor(x), clamp_negative_sim=clamp)
+        return out.item() if out is not None else 0.0
+
+    fd = finite_difference_gradient(f, h)
+    err = np.abs(fd - hidden.grad).max()
+    assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 # -- total ------------------------------------------------------------------------

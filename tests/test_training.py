@@ -12,10 +12,10 @@ from ecatch import training
 from ecatch.autodiff import Tensor, tape_scope
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
-from ecatch.data import assign_splits
+from ecatch.data import Dataset, assign_splits
 from ecatch.objective import class_weights
 from ecatch.params import ModelParams
-from ecatch.trend import lstm_cell, trend_features
+from ecatch.trend import run_lstm, trend_features
 from ecatch.training import (
     Adam,
     Sgd,
@@ -28,6 +28,7 @@ from ecatch.training import (
     train,
 )
 from ecatch.verify import grad_check, toy_problem
+from ecatch.windows import segment_all
 
 from conftest import DAY, make_dataset, nan_gradient_at_epoch_1
 
@@ -74,7 +75,6 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
     events = [PseudoEvent(0, (0,))]
     cfg = RunConfig({"model.d": 4, "model.heads": 2, "window.span_secs": DAY,
                      "window.stride_secs": DAY})
-    from ecatch.windows import segment_all
     windows = segment_all(events, ds, DAY, DAY)
     params = ModelParams.build(4, 2, 3, 2, seed=4)
     art = forward(ds, events, windows, params, cfg)
@@ -84,9 +84,8 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
     from ecatch.fusion import fuse_window
     wf = fuse_window(ds, params, windows[0].windows[0])
     feats = trend_features([wf.fused], cfg["trend.beta"])
-    state = lstm_cell(feats[0].lbar, Tensor(np.zeros((1, 4))),
-                      Tensor(np.zeros((1, 4))), params)
-    logit = (state.hidden.data @ params["clf.W_c"].data.T
+    hidden = run_lstm(feats, params)
+    logit = (hidden.data @ params["clf.W_c"].data.T
              + params["clf.b_c"].data)
     expected = 1.0 / (1.0 + np.exp(-logit[0, 0]))
     assert art.report.p_post[0] == pytest.approx(expected)
@@ -158,6 +157,72 @@ def test_gradients_add_up_over_events(seed):
     parts = [backward(forward(ds, [ev], windows, params, cfg)) for ev in events]
     for name, g in whole.items():
         np.testing.assert_allclose(g, sum(p[name] for p in parts), rtol=0, atol=1e-12)
+
+
+def _tape(*roots) -> list[Tensor]:
+    seen: dict[int, Tensor] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_one_lstm_node_and_one_readout_node_per_event():
+    ds, events, _, params, cfg = toy_problem(0)
+    windows = segment_all(events, ds, 2 * DAY, DAY)
+    assert all(len(windows[ev.event_id].windows) > 1 for ev in events)
+    out = training.run_model(ds, events, windows, params, cfg)
+    nodes = _tape(*out.states.values(),
+                  *(ep.window_probs for ep in out.prob_nodes.values()))
+    for name in ("lstm.W_i", "clf.W_c"):
+        users = [n for n in nodes if any(p is params[name] for p in n._parents)]
+        assert len(users) == len(events), name
+
+
+def _rebuilt(ds: Dataset, **fields) -> Dataset:
+    kept = dict(ids=ds.ids, labels=ds.labels, timestamps=ds.timestamps, text=ds.text,
+                image=ds.image, has_image=ds.has_image, split=ds.split)
+    return Dataset(**{**kept, **fields})
+
+
+EDGE_CASES = {
+    "single-post-events": lambda ds, evs, cfg: (
+        ds, [PseudoEvent(i, (i,)) for i in range(ds.n)], cfg),
+    "identical-timestamps": lambda ds, evs, cfg: (
+        _rebuilt(ds, timestamps=np.full(ds.n, 3 * DAY)), evs, cfg),
+    "event-without-training-posts": lambda ds, evs, cfg: (
+        ds.with_split(np.isin(np.arange(ds.n), evs[1].member_indices)), evs, cfg),
+    "one-class-event-weights": lambda ds, evs, cfg: (
+        _rebuilt(ds, labels=np.zeros(ds.n, dtype=np.int64)), evs,
+        cfg.updated({"weights.scope": "event"})),
+    "one-class-global-weights": lambda ds, evs, cfg: (
+        _rebuilt(ds, labels=np.zeros(ds.n, dtype=np.int64)), evs,
+        cfg.updated({"weights.scope": "global"})),
+    "no-images": lambda ds, evs, cfg: (
+        _rebuilt(ds, image=np.zeros_like(ds.image), has_image=np.zeros(ds.n, dtype=bool)),
+        evs, cfg),
+    "stride-equals-span": lambda ds, evs, cfg: (
+        ds, evs, cfg.updated({"window.stride_secs": cfg["window.span_secs"]})),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_edge_cases_stay_finite(case):
+    ds, events, _, params, cfg = toy_problem(0, n_posts=12)
+    cfg = cfg.updated({"window.span_secs": 2 * DAY, "window.stride_secs": DAY})
+    ds, events, cfg = EDGE_CASES[case](ds, events, cfg)
+    windows = segment_all(events, ds, *cfg.window_geometry())
+    art = forward(ds, events, windows, params, cfg)
+    assert math.isfinite(art.report.total)
+    assert np.all((art.report.p_post > 0.0) & (art.report.p_post < 1.0))
+    for name, g in backward(art).items():
+        assert np.all(np.isfinite(g)), name
+    res = train(ds, events, windows, cfg.updated({"train.epochs": 2}))
+    assert res.divergence is None
+    assert len(res.history) == 2
 
 
 def test_forward_requires_training_posts():
@@ -357,7 +422,20 @@ def _drop(entry, key):
      r"names\[0\] has no 'name' field"),
     (lambda h: dict(h, names=h["names"][:2] + [_drop(h["names"][2], "shape")]),
      r"names\[2\] has no 'shape' field"),
-], ids=["list", "no-d", "no-H", "entry-no-name", "entry-no-shape"])
+    (lambda h: dict(h, d="x"), "header 'd' must be a positive integer, got 'x'"),
+    (lambda h: dict(h, d=-4), "header 'd' must be a positive integer, got -4"),
+    (lambda h: dict(h, H=2.5), "header 'H' must be a positive integer, got 2.5"),
+    (lambda h: dict(h, H=3), r"heads \(3\) must divide model width \(4\)"),
+    (lambda h: dict(h, names=5), "header 'names' must be a list, got 5"),
+    (lambda h: dict(h, names=[dict(h["names"][0], shape=["a"])] + h["names"][1:]),
+     r"names\[0\] 'shape' must hold positive integers, got \['a'\]"),
+    (lambda h: dict(h, names=[dict(h["names"][0], shape=3)] + h["names"][1:]),
+     r"names\[0\] 'shape' must be a list, got 3"),
+    (lambda h: dict(h, names=[dict(h["names"][0], shape=[4])] + h["names"][1:]),
+     "2-D encoder tensors missing from header"),
+], ids=["list", "no-d", "no-H", "entry-no-name", "entry-no-shape", "d-string",
+        "d-negative", "H-float", "H-not-dividing-d", "names-int", "shape-string-entry",
+        "shape-int", "encoder-1d"])
 def test_checkpoint_header_names_missing_field(tmp_path, edit, message):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(ModelParams.build(4, 2, 5, 3, seed=16), path)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecatch.autodiff import Tensor
-from ecatch.params import ModelParams
+from ecatch.autodiff import Tensor, finite_difference_gradient
+from ecatch.params import LSTM_GATES, ModelParams
 from ecatch.trend import (
     TrendError,
+    TrendFeature,
     aggregate_window,
     decay_weights,
     run_lstm,
@@ -94,17 +97,13 @@ def test_zero_parameter_lstm_fixed_point(rng):
     params = ModelParams.build(3, 1, 2, 2, zero=True)
     feats = trend_features([Tensor(rng.normal(size=(1, 3))) for _ in range(3)],
                            beta=0.5)
-    states = run_lstm(feats, params)
-    for s in states:
-        np.testing.assert_array_equal(s.hidden.data, np.zeros((1, 3)))
-    # cell halves each step from zero: stays zero
-    for s in states:
-        np.testing.assert_array_equal(s.cell.data, np.zeros((1, 3)))
+    # cell halves each step from zero: stays zero, and so does 0.5 * tanh(cell)
+    np.testing.assert_array_equal(run_lstm(feats, params).data, np.zeros((3, 3)))
 
 
 def test_empty_feature_list_gives_empty_states():
     params = ModelParams.build(3, 1, 2, 2, zero=True)
-    assert run_lstm([], params) == []
+    assert run_lstm([], params).shape == (0, 3)
 
 
 def test_saturated_gates_single_step(rng):
@@ -119,12 +118,10 @@ def test_saturated_gates_single_step(rng):
     params["lstm.b_c"].data[...] = b_c
 
     agg = rng.normal(size=(1, d))
-    states = run_lstm(trend_features([Tensor(agg)], beta=0.5), params)
+    hidden = run_lstm(trend_features([Tensor(agg)], beta=0.5), params)
     lbar = np.concatenate([agg, np.zeros((1, d)), np.zeros((1, 1))], axis=1)
     expected_c = np.tanh(lbar @ w_c.T + b_c)
-    np.testing.assert_allclose(states[0].cell.data, expected_c, atol=1e-6)
-    np.testing.assert_allclose(states[0].hidden.data, 0.5 * np.tanh(expected_c),
-                               atol=1e-6)
+    np.testing.assert_allclose(hidden.data, 0.5 * np.tanh(expected_c), atol=1e-6)
 
 
 def test_feature_length_validation(rng):
@@ -137,20 +134,19 @@ def test_feature_length_validation(rng):
 def test_hidden_state_strictly_inside_unit_box(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=5)
     aggs = [Tensor(rng.normal(size=(1, 4)) * 3) for _ in range(6)]
-    states = run_lstm(trend_features(aggs, beta=0.3), params)
-    for s in states:
-        assert np.abs(s.hidden.data).max() < 1.0
+    hidden = run_lstm(trend_features(aggs, beta=0.3), params)
+    assert hidden.shape == (6, 4)
+    assert np.abs(hidden.data).max() < 1.0
 
 
 def test_event_isolation(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=6)
     aggs_a = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
     aggs_b = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
-    solo = [s.hidden.data for s in run_lstm(trend_features(aggs_a, 0.5), params)]
+    solo = run_lstm(trend_features(aggs_a, 0.5), params).data
     run_lstm(trend_features(aggs_b, 0.5), params)  # unrelated event in between
-    again = [s.hidden.data for s in run_lstm(trend_features(aggs_a, 0.5), params)]
-    for x, y in zip(solo, again):
-        np.testing.assert_array_equal(x, y)
+    again = run_lstm(trend_features(aggs_a, 0.5), params).data
+    np.testing.assert_array_equal(solo, again)
 
 
 def test_duplicate_window_delta_gradient_is_safe(rng):
@@ -159,7 +155,62 @@ def test_duplicate_window_delta_gradient_is_safe(rng):
     params = ModelParams.build(3, 1, 2, 2, seed=7)
     base = Tensor(rng.normal(size=(1, 3)))
     feats = trend_features([base, base], beta=0.5)
-    states = run_lstm(feats, params)
-    loss = (states[-1].hidden * states[-1].hidden).sum()
+    hidden = run_lstm(feats, params)
+    loss = (hidden * hidden).sum()
     loss.backward()
     assert np.all(np.isfinite(base.grad))
+
+
+def numpy_lstm(x, p):
+    """One window at a time, one matmul per gate: the LSTM by its definition."""
+    d = p["lstm.b_i"].size
+    h, c = np.zeros(d), np.zeros(d)
+    rows = []
+    for row in x:
+        z = {g: p[f"lstm.W_{g}"] @ row + p[f"lstm.U_{g}"] @ h + p[f"lstm.b_{g}"]
+             for g in LSTM_GATES}
+        c = (c / (1.0 + np.exp(-z["f"]))
+             + np.tanh(z["c"]) / (1.0 + np.exp(-z["i"])))
+        h = np.tanh(c) / (1.0 + np.exp(-z["o"]))
+        rows.append(h)
+    return np.array(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.integers(1, 5),
+    d=st.integers(1, 4),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_lstm_node_matches_numpy_and_finite_differences(steps, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    params = ModelParams.build(d, 1, 2, 2, seed=seed)
+    names = [n for n in params.names() if n.startswith("lstm.")]
+    arrays = [rng.normal(size=(steps, 2 * d + 1)) * scale]
+    arrays += [rng.normal(size=params[n].shape) * scale for n in names]
+    g = rng.normal(size=(steps, d))
+
+    def roll(arrs):
+        for name, a in zip(names, arrs[1:]):
+            params[name].data = a
+        rows = [Tensor(arrs[0][t:t + 1]) for t in range(steps)]
+        zero = Tensor(np.zeros((1, 1)))
+        return run_lstm([TrendFeature(zero, zero, r) for r in rows], params), rows
+
+    out, rows = roll(arrays)
+    assert out.shape == (steps, d)
+    expected = numpy_lstm(arrays[0], dict(zip(names, arrays[1:])))
+    assert np.abs(out.data - expected).max() <= 1e-12
+
+    params.zero_grads()
+    out.backward(g)
+    analytic = [np.concatenate([r.grad for r in rows])]
+    analytic += [params[n].grad for n in names]
+    for idx, grad in enumerate(analytic):
+        def f(x, idx=idx):
+            return float((roll(arrays[:idx] + [x] + arrays[idx + 1:])[0].data * g).sum())
+
+        fd = finite_difference_gradient(f, arrays[idx])
+        err = np.abs(fd - grad).max()
+        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(grad).max(), 1e-3), idx
