@@ -6,6 +6,14 @@ graph (iteratively, so deep recurrent chains are fine) and accumulates
 gradients into ``.grad``. All data is float64; gradient checks downstream
 rely on that.
 
+``backward`` consumes the graph it walks: once an interior node has passed
+its gradient to its parents, it drops its ``grad``, its closure and its
+parents, so the tape shrinks as the walk proceeds. Leaves keep their
+``.grad``. Walking a consumed graph again raises :class:`GraphConsumedError`.
+Under :func:`no_grad` no graph is recorded at all: each new ``Tensor`` is a
+leaf, and reference counting frees intermediate results as soon as the
+caller drops them. Scoring runs that way.
+
 The tape is acyclic: each vector-Jacobian closure captures its parents and
 plain ndarrays, never the ``Tensor`` it belongs to, so reference counting
 alone frees a tape once its last root is dropped. Python's cyclic collector
@@ -57,6 +65,34 @@ def stable_sigmoid(x: Array) -> Array:
     return out
 
 
+class GraphConsumedError(RuntimeError):
+    """``backward`` reached a node whose graph an earlier ``backward`` consumed."""
+
+
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph: a ``Tensor`` made inside keeps no parents and no VJP.
+
+    Process-wide like :func:`tape_scope`; nests, and restores the previous
+    state on exit or on an exception.
+    """
+    global _recording
+    was_recording = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = was_recording
+
+
+def _consumed(g: Array):
+    """Stands in for the VJP of a node that an earlier ``backward`` walked."""
+    raise GraphConsumedError("backward already walked this graph")
+
+
 @contextlib.contextmanager
 def tape_scope() -> Iterator[None]:
     """Pause the cyclic collector, then restore the state it had on entry.
@@ -81,8 +117,12 @@ class Tensor:
     def __init__(self, data, parents: tuple = (), vjp=None):
         self.data = _as_array(data)
         self.grad: Array | None = None
-        self._parents = parents
-        self._vjp = vjp
+        if _recording:
+            self._parents = parents
+            self._vjp = vjp
+        else:
+            self._parents = ()
+            self._vjp = None
 
     # -- introspection -------------------------------------------------
     @property
@@ -98,7 +138,12 @@ class Tensor:
 
     # -- graph traversal -----------------------------------------------
     def backward(self, seed: Array | float | None = None) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable ``.grad``."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``.
+
+        Consumes the graph: each interior node drops its ``grad``, VJP and
+        parents once it has passed its gradient on, and a later ``backward``
+        that reaches it raises :class:`GraphConsumedError`.
+        """
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -109,6 +154,10 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._vjp is _consumed:
+                raise GraphConsumedError(
+                    f"backward already walked the graph of {node!r}; build it again"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -116,13 +165,18 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data) if seed is None else _as_array(seed)
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+        # Popping in reverse topological order lets each node go as soon as
+        # nothing later in the walk refers to it.
+        while topo:
+            node = topo.pop()
+            if node._vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+            if node.grad is not None:
+                for parent, g in zip(node._parents, node._vjp(node.grad)):
+                    if g is None:
+                        continue
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad, node._parents, node._vjp = None, (), _consumed
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "Tensor":

@@ -1,10 +1,15 @@
-"""Shared wiring between CLI commands: structure building and evaluation."""
+"""Shared wiring between CLI commands: structure building and evaluation.
+
+Scoring records no autodiff tape: :func:`predictions` runs the model under
+``autodiff.no_grad``, so reference counting frees each attention's buffers as
+soon as it returns, and a pass holds no more than the outputs it is building.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import tape_scope
+from .autodiff import no_grad
 from .clustering import PseudoEvent, check_partition, cluster_events, pass_through_events
 from .config import RunConfig
 from .data import Dataset
@@ -29,7 +34,6 @@ def build_structure(
     return events, segment_all(events, ds, span, stride)
 
 
-@tape_scope()
 def predictions(
     ds: Dataset,
     events: list[PseudoEvent],
@@ -39,7 +43,8 @@ def predictions(
 ) -> tuple[np.ndarray, dict[int, float]]:
     """Per-post and per-event probabilities under fixed parameters."""
     check_dims(ds, params)
-    out = run_model(ds, events, windows, params, cfg)
+    with no_grad():
+        out = run_model(ds, events, windows, params, cfg)
     return out.p_post, out.p_event
 
 

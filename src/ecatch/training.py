@@ -162,7 +162,11 @@ def forward(
 
 @tape_scope()
 def backward(artifacts: ForwardArtifacts) -> dict[str, np.ndarray]:
-    """Exact gradients of the total loss for every named parameter."""
+    """Exact gradients of the total loss for every named parameter.
+
+    Walking the loss graph consumes it, so each ``forward`` result can be
+    differentiated once.
+    """
     params = artifacts.params
     params.zero_grads()
     if artifacts.loss is not None:

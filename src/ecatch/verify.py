@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, finite_difference_gradient
+from .autodiff import Tensor, finite_difference_gradient, no_grad
 from .clustering import PseudoEvent, agglomerate, cluster_events, cosine_distances
 from .config import RunConfig
 from .data import Dataset, assign_splits
@@ -53,9 +53,17 @@ class OracleReport:
 # -- shared toy model -------------------------------------------------------
 def toy_problem(seed: int, d: int = 4, heads: int = 2, n_posts: int = 6,
                 d_text: int = 5, d_img: int = 3):
-    """Tiny two-event dataset plus config and randomized parameters."""
+    """Tiny two-event dataset plus config and randomized parameters.
+
+    Each event's first and last posts sit at the two ends of the 8 days, so
+    at 4-day windows every 2 days every event has at least two windows and
+    gradients pass through the LSTM recurrence.
+    """
     rng = np.random.default_rng(seed)
-    timestamps = np.sort(rng.integers(0, 8 * DAY, size=n_posts))
+    half = n_posts // 2
+    timestamps = np.concatenate([np.sort(rng.integers(0, 8 * DAY, size=m))
+                                 for m in (half, n_posts - half)])
+    timestamps[[0, half - 1, half, -1]] = [0, 8 * DAY - 1, 0, 8 * DAY - 1]
     labels = rng.integers(0, 2, size=n_posts)
     labels[0], labels[-1] = 0, 1  # keep both classes present
     has_image = rng.random(n_posts) > 0.3
@@ -72,7 +80,6 @@ def toy_problem(seed: int, d: int = 4, heads: int = 2, n_posts: int = 6,
     )
     ds = assign_splits(ds, (0.8, 0.1, 0.1), seed=seed)
 
-    half = n_posts // 2
     events = [
         PseudoEvent(0, tuple(range(half))),
         PseudoEvent(1, tuple(range(half, n_posts))),
@@ -105,7 +112,8 @@ def grad_check(seed: int, d: int = 4, heads: int = 2,
 
     def total_with(tensor: Tensor, x: np.ndarray) -> float:
         tensor.data = x
-        return forward(ds, events, windows, params, cfg).report.total
+        with no_grad():  # a value only: no tape to build
+            return forward(ds, events, windows, params, cfg).report.total
 
     worst = 0.0
     where = ""

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecatch.autodiff import (
+    GraphConsumedError,
     Tensor,
     concat,
     finite_difference_gradient,
     l2norm,
     linear,
+    no_grad,
     tape_scope,
 )
 
@@ -199,3 +202,82 @@ def test_tape_scope_pauses_and_restores_the_collector():
     assert collector_state() is False
     assert collector_state() is False  # each call enters a fresh scope
     assert gc.isenabled()
+
+
+def _graph(*roots) -> list[Tensor]:
+    seen: dict[int, Tensor] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_consumes_interior_nodes_and_keeps_leaf_grads(rng):
+    x_val, w_val = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    x, w = Tensor(x_val), Tensor(w_val)
+    out = (x * w + x).sigmoid().sum()
+    interior = [n for n in _graph(out) if n._parents]
+    closures = [weakref.ref(n._vjp) for n in interior]
+    assert len(interior) == 4
+
+    out.backward()
+    s = 1.0 / (1.0 + np.exp(-(x_val * w_val + x_val)))
+    slope = s * (1.0 - s)
+    np.testing.assert_allclose(x.grad, slope * (w_val + 1.0), rtol=1e-15)
+    np.testing.assert_allclose(w.grad, slope * x_val, rtol=1e-15)
+    for node in interior:
+        assert node.grad is None
+        assert node._parents == ()
+    assert all(ref() is None for ref in closures)  # every VJP closure was freed
+    assert out.item() == pytest.approx(s.sum())    # values stay readable
+
+
+def test_second_backward_on_the_same_root_raises():
+    x = Tensor(np.array([[2.0]]))
+    y = x * x + x
+    y.backward()
+    grad = x.grad.copy()
+    with pytest.raises(GraphConsumedError, match="already walked"):
+        y.backward()
+    assert np.array_equal(x.grad, grad)  # the failed walk added nothing
+
+
+def test_backward_through_a_consumed_shared_node_raises():
+    x = Tensor(np.array([[2.0, -1.0]]))
+    shared = x * 3.0
+    first = (shared * shared).sum()
+    second = (shared + 1.0).sum()  # a fresh root over the same interior node
+    first.backward()
+    grad = x.grad.copy()
+    with pytest.raises(GraphConsumedError):
+        second.backward()
+    assert np.array_equal(x.grad, grad)
+    assert second._parents != ()  # refused before any node was consumed
+    # a graph over leaves only is still free to walk
+    fresh = (x * 2.0).sum()
+    fresh.backward()
+    np.testing.assert_array_equal(x.grad, grad + 2.0)
+
+
+def test_no_grad_records_no_graph_and_restores_its_state(rng):
+    a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(4, 3)))
+    taped = (linear(a, b).sigmoid() * 2.0 + concat([a, a], axis=0).sum()).log()
+    with no_grad():
+        h = linear(a, b).sigmoid()
+        c = concat([a, a], axis=0).sum()
+        untaped = (h * 2.0 + c).log()
+        with no_grad():
+            assert (a + a)._parents == ()
+        assert (a + a)._parents == ()
+    assert all(n._parents == () and n._vjp is None for n in (h, c, untaped))
+    assert untaped.data.tobytes() == taped.data.tobytes()
+    assert len(_graph(taped)) > 1
+    assert (a + a)._parents == (a, a)
+
+    with pytest.raises(ZeroDivisionError):
+        with no_grad():
+            1 / 0
+    assert (a * b.sum())._parents != ()
