@@ -257,15 +257,33 @@ def lift(x) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Row-wise affine map ``x @ w.T + b`` as one node; ``w`` is (out, in)."""
-    out = x.data @ w.data.T
+    """Affine map ``x @ w.T + b`` over the last axis as one node; ``w`` is (out, in).
+
+    Leading axes of ``x`` are flattened into rows for the matmuls.
+    """
+    rows = x.data.reshape(-1, x.shape[-1])
+    out = (rows @ w.data.T).reshape(x.shape[:-1] + (w.shape[0],))
+
+    def vjp(g: Array):
+        g_rows = g.reshape(rows.shape[0], -1)
+        grads = ((g_rows @ w.data).reshape(x.shape), (rows.T @ g_rows).T)
+        return grads if b is None else grads + (g_rows.sum(axis=0),)
+
     if b is None:
-        return Tensor(out, (x, w), lambda g: (g @ w.data, (x.data.T @ g).T))
-    return Tensor(
-        out + b.data,
-        (x, w, b),
-        lambda g: (g @ w.data, (x.data.T @ g).T, g.sum(axis=0)),
-    )
+        return Tensor(out, (x, w), vjp)
+    return Tensor(out + b.data, (x, w, b), vjp)
+
+
+def take(x: Tensor, index) -> Tensor:
+    """Rows ``index`` of ``x`` (axis 0) as one node; the VJP scatter-adds."""
+    index = np.asarray(index, dtype=np.intp)
+
+    def vjp(g: Array):
+        grad = np.zeros_like(x.data)
+        np.add.at(grad, index, g)
+        return (grad,)
+
+    return Tensor(x.data[index], (x,), vjp)
 
 
 def l2norm(x: Tensor) -> Tensor:

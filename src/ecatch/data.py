@@ -24,6 +24,9 @@ import numpy as np
 FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
 _MANIFEST_KEYS = ("id", "label", "timestamp", "has_image")
+# Latest accepted timestamp (seconds). Window arithmetic adds a span to a
+# timestamp in int64; this leaves about 4.6e18 s of headroom for it.
+MAX_TIMESTAMP = 2**62
 
 
 class DatasetError(ValueError):
@@ -161,6 +164,11 @@ def load_dataset(directory: str | Path) -> Dataset:
             if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
                 raise DatasetError(
                     f"manifest line {lineno}: timestamp must be a non-negative integer"
+                )
+            if ts > MAX_TIMESTAMP:
+                raise DatasetError(
+                    f"manifest line {lineno}: timestamp {ts} exceeds 2**62, beyond "
+                    f"which window arithmetic may overflow int64"
                 )
             if not isinstance(row.get("has_image"), bool):
                 raise DatasetError(f"manifest line {lineno}: has_image must be a bool")

@@ -4,8 +4,14 @@ The attention sequence axis is the set of posts inside one window
 (``scope="window"``). The ablation ``scope="post"`` masks every off-diagonal
 score to -inf, so each query attends only to itself and the output is the
 value path. Scaled dot-product uses sqrt(head width) by default
-(``scale="head"``) or sqrt(model width) (``scale="model"``). Each attention
-is one tape node with a hand-written vector-Jacobian product.
+(``scale="head"``) or sqrt(model width) (``scale="model"``).
+
+Windows are fused in groups of equal member count, which may mix events:
+fusion has no term across windows, so a group of B windows of n posts is one
+pass over (B, n, d) arrays, and no padding is needed. :func:`window_groups`
+cuts each group into chunks of at most ``MAX_PAIRS`` attention pairs. Each
+attention of a pass is one tape node with a hand-written vector-Jacobian
+product.
 
 No residual connections or layer normalization anywhere: the network is
 shallow and gate/LSTM based, and stays stable without them.
@@ -14,6 +20,7 @@ shallow and gate/LSTM based, and stays stable without them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +31,12 @@ from .windows import Window
 
 SCOPES = ("window", "post")
 SCALES = ("head", "model")
+
+# Attention pairs (B * n * n) one fusion pass may hold. A pass also holds at
+# most MAX_PAIRS / 8 post rows, so that at d = 32 and H = 4 neither its
+# (B, H, n, n) scores nor its (B, n, d) rows pass 256 KB an array, whatever
+# the number of same-size windows.
+MAX_PAIRS = 8192
 
 
 class FusionError(ValueError):
@@ -42,16 +55,11 @@ def check_dims(ds: Dataset, params: ModelParams) -> None:
         )
 
 
-def encode(ds: Dataset, params: ModelParams, indices) -> tuple[Tensor, Tensor]:
-    """Project raw text/image embeddings of ``indices`` to model width.
-
-    Zero image vectors (absent images) map exactly onto the image bias.
-    """
-    check_dims(ds, params)
-    idx = list(indices)
-    t = linear(Tensor(ds.text[idx]), params["fusion.W_text"], params["fusion.b_text"])
-    i = linear(Tensor(ds.image[idx]), params["fusion.W_img"], params["fusion.b_img"])
-    return t, i
+def _head_grad(x: np.ndarray, g_heads: np.ndarray) -> np.ndarray:
+    """Per-head ``x^T @ g`` summed over every leading axis: (H, d, dh)."""
+    heads, dh = g_heads.shape[-3], g_heads.shape[-1]
+    g_rows = np.moveaxis(g_heads, -3, 0).reshape(heads, -1, dh)
+    return x.reshape(-1, x.shape[-1]).T @ g_rows
 
 
 def mh_attention(
@@ -65,43 +73,45 @@ def mh_attention(
 ):
     """Multi-head scaled dot-product attention, rows of q attending to rows of k/v.
 
+    Sequences run along the second-to-last axis; any leading axes index
+    independent sequences, such as the windows of one fusion group.
     ``diagonal`` masks every score but (i, i) and needs n_q == n_k;
-    ``return_weights`` also returns the (H, n_q, n_k) probability array.
+    ``return_weights`` also returns the (..., H, n_q, n_k) probability array.
     """
-    if k.shape[0] < 1:
+    if k.shape[-2] < 1:
         raise FusionError("attention requires at least one key row")
     if scale not in SCALES:
         raise FusionError(f"unknown attention scale {scale!r}")
-    n_q, d = q.shape
+    n_q, d = q.shape[-2:]
     heads = block.heads
     c = 1.0 / (np.sqrt(d / heads) if scale == "head" else np.sqrt(d))
     wq, wk, wv, wo = block.wq, block.wk, block.wv, block.wo
 
-    qh = q.data @ wq.data          # (H, n_q, dh)
-    kh = k.data @ wk.data          # (H, n_k, dh)
-    vh = v.data @ wv.data          # (H, n_k, dh)
-    scores = (qh @ kh.transpose(0, 2, 1)) * c
+    qh = q.data[..., None, :, :] @ wq.data          # (..., H, n_q, dh)
+    kh = k.data[..., None, :, :] @ wk.data          # (..., H, n_k, dh)
+    vh = v.data[..., None, :, :] @ wv.data          # (..., H, n_k, dh)
+    scores = (qh @ kh.swapaxes(-1, -2)) * c
     if diagonal:
-        scores[:, ~np.eye(n_q, dtype=bool)] = -np.inf
+        scores[..., ~np.eye(n_q, dtype=bool)] = -np.inf
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    merged = (p @ vh).transpose(1, 0, 2).reshape((n_q, d))
+    merged = (p @ vh).swapaxes(-3, -2).reshape(q.shape)
 
     def vjp(g):
-        g_att = (g @ wo.data.T).reshape((n_q, heads, -1)).transpose(1, 0, 2)
-        g_p = g_att @ vh.transpose(0, 2, 1)
+        g_att = (g @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
+        g_p = g_att @ vh.swapaxes(-1, -2)
         g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
         g_qh = g_s @ kh
-        g_kh = (qh.transpose(0, 2, 1) @ g_s).transpose(0, 2, 1)
-        g_vh = p.transpose(0, 2, 1) @ g_att
+        g_kh = (qh.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
+        g_vh = p.swapaxes(-1, -2) @ g_att
         return (
-            (g_qh @ wq.data.transpose(0, 2, 1)).sum(axis=0),
-            (g_kh @ wk.data.transpose(0, 2, 1)).sum(axis=0),
-            (g_vh @ wv.data.transpose(0, 2, 1)).sum(axis=0),
-            q.data.T @ g_qh,
-            k.data.T @ g_kh,
-            v.data.T @ g_vh,
-            merged.T @ g,
+            (g_qh @ wq.data.swapaxes(-1, -2)).sum(axis=-3),
+            (g_kh @ wk.data.swapaxes(-1, -2)).sum(axis=-3),
+            (g_vh @ wv.data.swapaxes(-1, -2)).sum(axis=-3),
+            _head_grad(q.data, g_qh),
+            _head_grad(k.data, g_kh),
+            _head_grad(v.data, g_vh),
+            merged.reshape(-1, d).T @ g.reshape(-1, d),
         )
 
     out = Tensor(merged @ wo.data, (q, k, v, wq, wk, wv, wo), vjp)
@@ -114,15 +124,67 @@ def _attend(q: Tensor, kv: Tensor, block: AttentionBlock, scope: str,
     return linear(attended, block.w_out, block.b_out)
 
 
-@dataclass
-class WindowFusion:
-    """Graph nodes for one fused window; rows follow ``window.members``."""
+def window_groups(windows: Sequence[Window]) -> list[list[int]]:
+    """Positions in ``windows`` grouped by member count, ascending, in chunks.
 
-    window: Window
+    A group keeps the order of ``windows``; a group of n-post windows is cut
+    into chunks of at most max(1, MAX_PAIRS // (n * max(n, 8))) windows.
+    """
+    by_size: dict[int, list[int]] = {}
+    for pos, w in enumerate(windows):
+        if not w.members:
+            raise FusionError(f"window {w.index} has no members")
+        by_size.setdefault(len(w.members), []).append(pos)
+    chunks = []
+    for n in sorted(by_size):
+        group, step = by_size[n], max(1, MAX_PAIRS // (n * max(n, 8)))
+        chunks += [group[k:k + step] for k in range(0, len(group), step)]
+    return chunks
+
+
+@dataclass
+class GroupFusion:
+    """Graph nodes for one pass over B windows of n posts: (B, n, d) each,
+    row b following the members of the pass's window b."""
+
     cross_ti: Tensor
     cross_it: Tensor
     gate: Tensor      # sigmoid-activated, in (0, 1)
-    fused: Tensor     # (n, d)
+    fused: Tensor
+
+
+def fuse_group(
+    ds: Dataset,
+    params: ModelParams,
+    windows: Sequence[Window],
+    scope: str = "window",
+    scale: str = "head",
+) -> GroupFusion:
+    """Full fusion pipeline for windows of one member count, in one pass.
+
+    Zero image vectors (absent images) encode exactly onto the image bias.
+    """
+    if scope not in SCOPES:
+        raise FusionError(f"unknown attention scope {scope!r}")
+    sizes = {len(w.members) for w in windows}
+    if len(sizes) != 1 or 0 in sizes:
+        raise FusionError(f"a fusion group needs windows of one non-zero member "
+                          f"count, got counts {sorted(sizes)}")
+    check_dims(ds, params)
+
+    members = np.array([w.members for w in windows])     # (B, n)
+    t = linear(Tensor(ds.text[members]), params["fusion.W_text"], params["fusion.b_text"])
+    i = linear(Tensor(ds.image[members]), params["fusion.W_img"], params["fusion.b_img"])
+    h_text = _attend(t, t, params.block("att_text"), scope, scale)
+    h_img = _attend(i, i, params.block("att_img"), scope, scale)
+    c_ti = _attend(h_text, h_img, params.block("att_ti"), scope, scale)
+    c_it = _attend(h_img, h_text, params.block("att_it"), scope, scale)
+
+    gate_pre = linear(concat([c_ti, c_it], axis=-1), params["fusion.W_g"],
+                      params["fusion.b_g"])
+    gate = gate_pre.sigmoid()
+    fused = gate * c_ti + (1.0 - gate) * c_it
+    return GroupFusion(c_ti, c_it, gate, fused)
 
 
 def fuse_window(
@@ -131,21 +193,6 @@ def fuse_window(
     window: Window,
     scope: str = "window",
     scale: str = "head",
-) -> WindowFusion:
-    """Full fusion pipeline for one window's posts."""
-    if not window.members:
-        raise FusionError(f"window {window.index} has no members")
-    if scope not in SCOPES:
-        raise FusionError(f"unknown attention scope {scope!r}")
-
-    t, i = encode(ds, params, window.members)
-    h_text = _attend(t, t, params.block("att_text"), scope, scale)
-    h_img = _attend(i, i, params.block("att_img"), scope, scale)
-    c_ti = _attend(h_text, h_img, params.block("att_ti"), scope, scale)
-    c_it = _attend(h_img, h_text, params.block("att_it"), scope, scale)
-
-    gate_pre = linear(concat([c_ti, c_it], axis=1), params["fusion.W_g"],
-                      params["fusion.b_g"])
-    gate = gate_pre.sigmoid()
-    fused = gate * c_ti + (1.0 - gate) * c_it
-    return WindowFusion(window, c_ti, c_it, gate, fused)
+) -> GroupFusion:
+    """Fusion of one window: a group of one, (1, n, d) tensors."""
+    return fuse_group(ds, params, [window], scope, scale)

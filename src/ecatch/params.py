@@ -16,7 +16,8 @@ the graph only through ``autodiff.linear``, as ``x @ W.T + b``. The 12 LSTM
 tensors enter only through ``trend.run_lstm``, one tape node per event, which
 stacks each kind in gate order and applies them the same way. ``Wq/Wk/Wv``
 and ``Wo`` enter only through ``fusion.mh_attention``, one tape node per
-attention, which applies them as (in, out), ``x @ W``.
+attention block and fusion group (all windows of one member count, in
+chunks), which applies them as (in, out), ``x @ W``.
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per
 head/matrix, biases at zero, in fixed name order from a seeded generator.

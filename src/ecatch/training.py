@@ -1,7 +1,8 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
-One epoch is one full-batch pass: every event is fused, trend-encoded and
-scored, and per-event losses are built (optionally after global hard-example
+One epoch is one full-batch pass: the windows of all events are fused in
+groups of equal member count, then every event is trend-encoded and scored,
+and per-event losses are built (optionally after global hard-example
 mining). The epoch loss is their sum in ascending event_id, and one backward
 pass over it yields every gradient, so runs are bitwise reproducible.
 Regularization gradients are added in closed form (2 * lambda_reg * theta).
@@ -18,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, tape_scope
+from .autodiff import Tensor, concat, tape_scope
 from .clustering import PseudoEvent
 from .config import RunConfig
 from .data import Dataset
-from .fusion import fuse_window
+# ``fuse_window`` is not called here; it stays importable under this module
+# for the benchmark tracer, which wraps the names ``run_model`` used to call.
+from .fusion import FusionError, fuse_group, fuse_window, window_groups  # noqa: F401
 from .metrics import EvalResult, evaluate
 from .objective import (
     CETerm,
@@ -35,8 +38,8 @@ from .objective import (
     total_loss,
 )
 from .params import ModelParams, ParamError
-from .trend import encode_event
-from .windows import WindowSequence
+from .trend import TrendError, aggregate, decay_weights, encode_event
+from .windows import Window, WindowSequence
 
 CHECKPOINT_VERSION = 1
 
@@ -64,6 +67,35 @@ class ModelOutputs:
     prob_nodes: dict
 
 
+def fused_aggregates(
+    ds: Dataset,
+    params: ModelParams,
+    windows: list[Window],
+    scope: str,
+    scale: str,
+    alpha: float,
+) -> tuple[Tensor, np.ndarray]:
+    """Decay-weighted fused aggregates of ``windows``, one pass per chunk of
+    :func:`fusion.window_groups`.
+
+    Returns the stacked (W, d) aggregates, in chunk order, and for each
+    window the row that holds its aggregate.
+    """
+    chunks = window_groups(windows)
+    parts = []
+    for chunk in chunks:
+        group = [windows[k] for k in chunk]
+        # One expression, so no chunk's fused rows outlive its aggregate
+        # under ``no_grad``.
+        parts.append(aggregate(fuse_group(ds, params, group, scope, scale).fused,
+                               decay_weights(ds, group, alpha)))
+    rows = np.empty(len(windows), dtype=np.intp)
+    rows[[k for chunk in chunks for k in chunk]] = np.arange(len(windows))
+    if not parts:
+        return Tensor(np.zeros((0, params.d))), rows
+    return concat(parts, axis=0), rows
+
+
 @tape_scope()
 def run_model(
     ds: Dataset,
@@ -72,20 +104,25 @@ def run_model(
     params: ModelParams,
     cfg: RunConfig,
 ) -> ModelOutputs:
-    """Fusion -> trend encoding -> probabilities for every event."""
-    scope = cfg["attention.scope"]
-    scale = cfg["attention.scale"]
-    alpha = cfg["trend.alpha"]
-    beta = cfg["trend.beta"]
+    """Grouped fusion -> per-event trend encoding -> probabilities."""
+    ordered = sorted(events, key=lambda e: e.event_id)
+    flat = [w for ev in ordered for w in windows[ev.event_id].windows]
+    try:
+        aggregates, rows = fused_aggregates(ds, params, flat, cfg["attention.scope"],
+                                            cfg["attention.scale"], cfg["trend.alpha"])
+    except (FusionError, TrendError) as exc:
+        raise TrainingError(f"window fusion: {exc}") from exc
 
     states: dict[int, Tensor] = {}
-    for ev in sorted(events, key=lambda e: e.event_id):
-        seq = windows[ev.event_id]
+    start = 0
+    for ev in ordered:
+        stop = start + len(windows[ev.event_id].windows)
         try:
-            fusions = [fuse_window(ds, params, w, scope, scale) for w in seq.windows]
-            states[ev.event_id] = encode_event(fusions, ds, params, alpha, beta)
+            states[ev.event_id] = encode_event(rows[start:stop], aggregates, params,
+                                               cfg["trend.beta"])
         except Exception as exc:
             raise TrainingError(f"event {ev.event_id}: {exc}") from exc
+        start = stop
 
     p_post, p_event, prob_nodes = post_probabilities(
         events, windows, states, params, ds.n

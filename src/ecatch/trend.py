@@ -2,20 +2,22 @@
 
 Per window: posts are averaged with weights exp(-alpha * (t_max - t_i)),
 t_max being the latest member timestamp, so the newest post always carries
-weight 1. Between consecutive surviving windows the aggregate difference
-(semantic shift) and an exponential moving average of its norm (momentum)
-are appended, and the (2d+1)-length feature rolls through a unidirectional
-LSTM whose state resets per event. An event's whole roll is one tape node
-that returns its (T, d) hidden-state matrix, one row per window.
+weight 1. :func:`aggregate` does that for a whole fusion group of windows in
+one tape node. Between consecutive windows of an event the aggregate
+difference (semantic shift) and an exponential moving average of its norm
+(momentum) are appended; :func:`trend_features` builds an event's (T, 2d+1)
+LSTM input in one node. That input rolls through a unidirectional LSTM whose
+state resets per event; the whole roll is one tape node that returns the
+(T, d) hidden-state matrix, one row per window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, l2norm, stable_sigmoid
+from .autodiff import Tensor, stable_sigmoid, take
 from .data import Dataset
 from .params import LSTM_GATES, ModelParams
 from .windows import Window
@@ -25,69 +27,74 @@ class TrendError(ValueError):
     pass
 
 
-def decay_weights(ds: Dataset, window: Window, alpha: float) -> np.ndarray:
-    """Normalized recency weights over the window's members (sum to 1)."""
+def decay_weights(ds: Dataset, windows: Sequence[Window], alpha: float) -> np.ndarray:
+    """Normalized recency weights of windows of one member count: (B, n), rows sum to 1."""
     if alpha < 0:
         raise TrendError("alpha must be >= 0")
-    ages = np.asarray(
-        [window.t_max_local - int(ds.timestamps[i]) for i in window.members],
-        dtype=np.float64,
-    )
+    members = np.array([w.members for w in windows], dtype=np.intp)
+    t_max = np.array([w.t_max_local for w in windows], dtype=np.int64)
+    ages = (t_max[:, None] - ds.timestamps[members]).astype(np.float64)
     lam = np.exp(-alpha * ages)
-    return lam / lam.sum()
+    return lam / lam.sum(axis=1, keepdims=True)
 
 
-def aggregate_window(fused: Tensor, window: Window, ds: Dataset, alpha: float) -> Tensor:
-    """Decay-weighted mean of the window's fused post embeddings: (1, d)."""
-    if fused.shape[0] != len(window.members):
-        raise TrendError("fused rows do not match window members")
-    weights = decay_weights(ds, window, alpha)
-    return Tensor(weights[None, :]) @ fused
+def aggregate(fused: Tensor, weights: np.ndarray) -> Tensor:
+    """Weighted mean of each window's fused rows: (B, n, d) -> (B, d), one node."""
+    if fused.shape[:2] != weights.shape:
+        raise TrendError(f"fused rows {fused.shape[:2]} do not match weights {weights.shape}")
+    w = weights[:, None, :]
+    return Tensor((w @ fused.data)[:, 0, :], (fused,),
+                  lambda g: (weights[:, :, None] * g[:, None, :],))
 
 
-@dataclass
-class TrendFeature:
-    delta: Tensor     # (1, d) shift from the previous window (zeros for t=1)
-    momentum: Tensor  # (1, 1) EMA of shift norms, always >= 0
-    lbar: Tensor      # (1, 2d+1) LSTM input [L; delta; M]
+def trend_features(aggregates: Tensor, beta: float) -> Tensor:
+    """One event's LSTM input [L; delta; M] from its (T, d) window aggregates.
 
-
-def trend_features(aggregates: list[Tensor], beta: float) -> list[TrendFeature]:
-    if not aggregates:
+    Row t holds the aggregate, its shift from row t-1 (zero for the first
+    window) and the momentum M_t = beta * M_{t-1} + (1 - beta) * |delta_t|
+    from M_1 = 0: a (T, 2d+1) node. A zero shift gets a zero subgradient.
+    """
+    if aggregates.shape[0] == 0:
         raise TrendError("no window aggregates")
     if not 0.0 <= beta <= 1.0:
         raise TrendError("beta must lie in [0, 1]")
-    d = aggregates[0].shape[1]
+    agg = aggregates.data
+    steps = agg.shape[0]
+    delta = np.zeros_like(agg)
+    delta[1:] = agg[1:] - agg[:-1]
+    norms = np.sqrt(np.sum(delta * delta, axis=1))
+    momentum = np.zeros(steps)
+    for t in range(1, steps):
+        momentum[t] = beta * momentum[t - 1] + (1.0 - beta) * norms[t]
 
-    out: list[TrendFeature] = []
-    prev_m: Tensor | None = None
-    for t, agg in enumerate(aggregates, start=1):
-        if t == 1:
-            # No predecessor: the shift is identically zero, and so is the
-            # momentum seed; keep them constants so no gradient flows.
-            delta = Tensor(np.zeros((1, d)))
-            momentum = Tensor(np.zeros((1, 1)))
-        else:
-            delta = agg - aggregates[t - 2]
-            shift_norm = l2norm(delta).reshape((1, 1))
-            momentum = beta * prev_m + (1.0 - beta) * shift_norm
-        out.append(TrendFeature(delta, momentum, concat([agg, delta, momentum], axis=1)))
-        prev_m = momentum
-    return out
+    def vjp(g: np.ndarray):
+        d = agg.shape[1]
+        g_delta = g[:, d:2 * d].copy()
+        g_m = 0.0
+        for t in range(steps - 1, 0, -1):
+            g_m = g[t, 2 * d] + beta * g_m
+            if norms[t] != 0.0:
+                g_delta[t] += (1.0 - beta) * g_m * delta[t] / norms[t]
+        g_agg = g[:, :d].copy()
+        g_agg[1:] += g_delta[1:]
+        g_agg[:-1] -= g_delta[1:]
+        return (g_agg,)
+
+    out = np.concatenate([agg, delta, momentum[:, None]], axis=1)
+    return Tensor(out, (aggregates,), vjp)
 
 
-def run_lstm(features: list[TrendFeature], params: ModelParams) -> Tensor:
-    """Roll the trend LSTM from zero state over one event's window features.
+def run_lstm(x: Tensor, params: ModelParams) -> Tensor:
+    """Roll the trend LSTM from zero state over one event's (T, 2d+1) input.
 
-    One tape node over the stacked inputs and the 12 ``lstm.*`` tensors gives
-    the (T, d) hidden states, row t-1 for window t. Gates stack in
+    One tape node over the input and the 12 ``lstm.*`` tensors gives the
+    (T, d) hidden states, row t-1 for window t. Gates stack in
     ``LSTM_GATES`` order: one input matmul for all steps, one recurrent
     matmul per step, and backpropagation through time as the VJP.
     """
     d = params.d
-    if not features:
+    if x.shape[0] == 0:
         return Tensor(np.zeros((0, d)))
-    x = concat([f.lbar for f in features], axis=0)
     if x.shape[1] != 2 * d + 1:
         raise TrendError(f"feature length {x.shape[1]} != 2d+1 = {2 * d + 1}")
     weights = tuple(params[f"lstm.{kind}_{g}"] for kind in "WUb" for g in LSTM_GATES)
@@ -130,12 +137,11 @@ def run_lstm(features: list[TrendFeature], params: ModelParams) -> Tensor:
 
 
 def encode_event(
-    window_fusions: list,
-    ds: Dataset,
+    rows,
+    aggregates: Tensor,
     params: ModelParams,
-    alpha: float,
     beta: float,
 ) -> Tensor:
-    """Aggregate -> features -> LSTM for one event's fused windows: (T, d)."""
-    aggregates = [aggregate_window(wf.fused, wf.window, ds, alpha) for wf in window_fusions]
-    return run_lstm(trend_features(aggregates, beta), params)
+    """One event's trend states: its window aggregates, gathered from the rows
+    ``rows`` of ``aggregates`` in window order -> features -> LSTM: (T, d)."""
+    return run_lstm(trend_features(take(aggregates, rows), beta), params)

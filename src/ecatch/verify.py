@@ -20,11 +20,11 @@ from .autodiff import Tensor, finite_difference_gradient, no_grad
 from .clustering import PseudoEvent, agglomerate, cluster_events, cosine_distances
 from .config import RunConfig
 from .data import Dataset, assign_splits
-from .fusion import fuse_window, mh_attention
+from .fusion import fuse_group, mh_attention
 from .metrics import auc_by_pair_enumeration, auc_roc
 from .objective import tc_terms
 from .params import ModelParams
-from .trend import aggregate_window, decay_weights, run_lstm, trend_features
+from .trend import aggregate, decay_weights, run_lstm, trend_features
 from .training import backward, forward
 from .windows import DAY, Window, segment_all, segment_event
 
@@ -133,7 +133,11 @@ def grad_check(seed: int, d: int = 4, heads: int = 2,
 
 # -- structural invariants ----------------------------------------------------
 def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
-    """Randomized fusion/trend runs; checks the hard architectural bounds."""
+    """Randomized fusion/trend runs; checks the hard architectural bounds.
+
+    Each trial fuses one group of 2-4 windows of equal size in one pass, so
+    the bounds are checked window by window on the batched nodes.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     where = ""
@@ -147,24 +151,28 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
         d = int(rng.choice([2, 4, 8]))
         heads = int(rng.choice([h for h in (1, 2, 4) if d % h == 0]))
         n = int(rng.integers(1, 7))
+        n_windows = int(rng.integers(2, 5))
         d_text = int(rng.integers(2, 6))
         d_img = int(rng.integers(2, 6))
         # moderate input scales keep sigmoid/tanh off exact float saturation,
         # where open-interval bounds stop being observable
         scale_factor = float(rng.choice([0.1, 0.5, 1.0]))
 
-        times = np.sort(rng.integers(0, 5 * DAY, size=n))
+        n_posts = n * n_windows
+        times = np.sort(rng.integers(0, 5 * DAY, size=n_posts))
         ds = Dataset(
-            ids=[f"p{i}" for i in range(n)],
-            labels=rng.integers(0, 2, size=n),
+            ids=[f"p{i}" for i in range(n_posts)],
+            labels=rng.integers(0, 2, size=n_posts),
             timestamps=times,
-            text=rng.normal(size=(n, d_text)) * scale_factor,
-            image=rng.normal(size=(n, d_img)) * scale_factor,
-            has_image=np.ones(n, dtype=bool),
+            text=rng.normal(size=(n_posts, d_text)) * scale_factor,
+            image=rng.normal(size=(n_posts, d_img)) * scale_factor,
+            has_image=np.ones(n_posts, dtype=bool),
         )
         params = ModelParams.build(d, heads, d_text, d_img, seed=int(rng.integers(1 << 31)))
-        window = Window(1, int(times[0]), int(times[-1]) + 1,
-                        tuple(range(n)), int(times[-1]))
+        # one fusion group: n_windows windows of n consecutive posts each
+        group = [Window(b + 1, int(times[b * n]), int(times[(b + 1) * n - 1]) + 1,
+                        tuple(range(b * n, (b + 1) * n)), int(times[(b + 1) * n - 1]))
+                 for b in range(n_windows)]
 
         # attention rows must be stochastic even for large scores
         q = Tensor(rng.normal(size=(n, d)) * float(rng.choice([0.1, 1.0, 3.0])))
@@ -174,28 +182,28 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
         track(float(np.abs(weights.sum(axis=-1) - 1.0).max()),
               f"trial {trial}: softmax row sum")
 
-        wf = fuse_window(ds, params, window)
-        gate = wf.gate.data
+        gf = fuse_group(ds, params, group)
+        gate = gf.gate.data
         if not ((gate > 0.0).all() and (gate < 1.0).all()):
             track(1.0, f"trial {trial}: gate out of (0,1)")
-        lo = np.minimum(wf.cross_ti.data, wf.cross_it.data) - 1e-12
-        hi = np.maximum(wf.cross_ti.data, wf.cross_it.data) + 1e-12
-        track(float(np.maximum(lo - wf.fused.data, wf.fused.data - hi).max()),
+        lo = np.minimum(gf.cross_ti.data, gf.cross_it.data) - 1e-12
+        hi = np.maximum(gf.cross_ti.data, gf.cross_it.data) + 1e-12
+        track(float(np.maximum(lo - gf.fused.data, gf.fused.data - hi).max()),
               f"trial {trial}: fused outside gate interval")
 
         alpha = float(rng.choice([0.0, 1.0 / DAY, 5.0 / DAY]))
-        agg = aggregate_window(wf.fused, window, ds, alpha)
-        col_lo = wf.fused.data.min(axis=0) - 1e-12
-        col_hi = wf.fused.data.max(axis=0) + 1e-12
-        track(float(np.maximum(col_lo - agg.data[0], agg.data[0] - col_hi).max()),
+        agg = aggregate(gf.fused, decay_weights(ds, group, alpha))
+        col_lo = gf.fused.data.min(axis=1) - 1e-12
+        col_hi = gf.fused.data.max(axis=1) + 1e-12
+        track(float(np.maximum(col_lo - agg.data, agg.data - col_hi).max()),
               f"trial {trial}: aggregate outside convex hull")
 
         # a short aggregate sequence through features + LSTM
-        aggs = [agg, agg * float(rng.uniform(0.2, 2.0)), agg + 0.5]
-        feats = trend_features(aggs, beta=float(rng.uniform(0.0, 1.0)))
-        for f in feats:
-            if f.momentum.item() < 0:
-                track(1.0, f"trial {trial}: negative momentum")
+        seq = np.concatenate([agg.data, agg.data * float(rng.uniform(0.2, 2.0)),
+                              agg.data + 0.5])
+        feats = trend_features(Tensor(seq), beta=float(rng.uniform(0.0, 1.0)))
+        if (feats.data[:, -1] < 0).any():
+            track(1.0, f"trial {trial}: negative momentum")
         if float(np.abs(run_lstm(feats, params).data).max()) >= 1.0:
             track(1.0, f"trial {trial}: |T| >= 1")
 
@@ -387,7 +395,7 @@ def decay_weight_properties(seeds: list[int]) -> OracleReport:
             has_image=np.zeros(n, dtype=bool),
         )
         w = Window(1, int(times[0]), int(times[-1]) + 1, tuple(range(n)), int(times[-1]))
-        lam = decay_weights(ds, w, alpha=float(rng.uniform(0, 2)) / DAY)
+        lam = decay_weights(ds, [w], alpha=float(rng.uniform(0, 2)) / DAY)[0]
         if abs(lam.sum() - 1.0) > 1e-12 or (lam <= 0).any():
             return OracleReport("decay_weights", "fail", 1.0, f"n={n}", seed)
         if lam.argmax() not in np.flatnonzero(times == times[-1]):

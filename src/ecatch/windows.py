@@ -2,7 +2,9 @@
 
 The window grid starts at the earliest member timestamp and advances by
 ``stride_secs`` until the window covers the latest post; empty windows are
-dropped and survivors re-indexed contiguously from 1. With stride = span/2
+dropped and survivors re-indexed contiguously from 1. After an empty window
+the walk jumps to the first grid position that covers the next post, so its
+cost follows the number of windows, not the event's extent. With stride = span/2
 consecutive grid windows overlap by 50%.
 """
 
@@ -18,6 +20,7 @@ from .clustering import PseudoEvent
 from .data import Dataset
 
 DAY = 86400
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 # span/stride in seconds for the supported corpus layouts
 PRESETS = {
@@ -70,6 +73,10 @@ def segment_event(
     times = ds.timestamps[members]
     t0 = int(times[0])
     t_last = int(times[-1])
+    if t_last + span_secs > INT64_MAX:
+        # searchsorted would compare such window ends as floats
+        raise WindowError(f"event {event.event_id}: timestamp {t_last} plus span "
+                          f"{span_secs} does not fit in int64")
 
     # Smallest k whose window still covers the latest post; later grid
     # positions would only duplicate its trailing content.
@@ -77,12 +84,17 @@ def segment_event(
     k_max = 0 if extent < span_secs else (extent - span_secs) // stride_secs + 1
 
     windows: list[Window] = []
-    for k in range(k_max + 1):
+    k = 0
+    while k <= k_max:
         start = t0 + k * stride_secs
         end = start + span_secs
         lo, hi = np.searchsorted(times, (start, end))
         if lo == hi:
+            # Empty: the next post is at times[lo] >= end. Grid positions
+            # before the first window that reaches it are empty as well.
+            k = (int(times[lo]) - span_secs - t0) // stride_secs + 1
             continue
+        k += 1
         windows.append(
             Window(
                 index=len(windows) + 1,

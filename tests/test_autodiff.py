@@ -14,6 +14,7 @@ from ecatch.autodiff import (
     l2norm,
     linear,
     no_grad,
+    take,
     tape_scope,
 )
 
@@ -281,3 +282,30 @@ def test_no_grad_records_no_graph_and_restores_its_state(rng):
         with no_grad():
             1 / 0
     assert (a * b.sum())._parents != ()
+
+
+def test_take_gathers_rows_and_scatter_adds(rng):
+    x = Tensor(rng.normal(size=(4, 3)))
+    index = [2, 0, 2, 3]
+    out = take(x, index)
+    np.testing.assert_array_equal(out.data, x.data[index])
+    g = rng.normal(size=(4, 3))
+    out.backward(g)
+    expected = np.zeros((4, 3))
+    for row, k in enumerate(index):
+        expected[k] += g[row]
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_linear_over_leading_axes_matches_rows(rng):
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (5, 4), (5,)))
+    xr, wr, br = (Tensor(t.data.copy()) for t in (x, w, b))
+    out = linear(x, w, b)
+    rows = linear(Tensor(xr.data.reshape(6, 4)), wr, br)
+    np.testing.assert_array_equal(out.data, rows.data.reshape(2, 3, 5))
+    g = rng.normal(size=(2, 3, 5))
+    out.backward(g)
+    rows.backward(g.reshape(6, 5))
+    for batched, flat in ((w, wr), (b, br)):
+        np.testing.assert_array_equal(batched.grad, flat.grad)
+    np.testing.assert_allclose(x.grad, g @ w.data, rtol=1e-12)

@@ -123,6 +123,23 @@ def test_bad_manifest_fields(tmp_path, field, value, message):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("ts", [99999999999999999999, 2**63 - 1, 2**62 + 1])
+def test_timestamps_beyond_window_arithmetic_name_their_line(tmp_path, ts):
+    rows = [{"id": f"p{i}", "label": 0, "timestamp": 1, "has_image": False}
+            for i in range(3)]
+    rows[2]["timestamp"] = ts
+    write_raw(tmp_path, rows=rows)
+    with pytest.raises(DatasetError, match=r"manifest line 2: timestamp .*2\*\*62"):
+        load_dataset(tmp_path)
+
+
+def test_largest_accepted_timestamp_loads(tmp_path):
+    rows = [{"id": f"p{i}", "label": 0, "timestamp": 2**62, "has_image": False}
+            for i in range(3)]
+    write_raw(tmp_path, rows=rows)
+    assert load_dataset(tmp_path).timestamps.tolist() == [2**62] * 3
+
+
 def test_bad_format_version(tmp_path):
     write_raw(tmp_path, meta_override={"format_version": 2})
     with pytest.raises(DatasetError, match="format_version"):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecatch import fusion
 from ecatch.autodiff import Tensor, finite_difference_gradient
-from ecatch.fusion import FusionError, encode, fuse_window, mh_attention
+from ecatch.fusion import FusionError, fuse_window, mh_attention
 from ecatch.params import AttentionBlock, ModelParams
 from ecatch.windows import Window
 
@@ -21,13 +22,29 @@ def build_params(d=4, heads=2, d_text=3, d_img=3, seed=0, zero=False):
     return ModelParams.build(d, heads, d_text, d_img, seed=seed, zero=zero)
 
 
+def encode(ds, params, indices):
+    """The text and image encoder outputs, (n, d) each, read off the tape of
+    a one-window fusion pass over ``indices``."""
+    fused = fuse_window(ds, params, Window(1, 0, 1, tuple(indices), 0)).fused
+    nodes, stack = [], [fused]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node._parents)
+
+    def node_of(name):
+        return next(n for n in nodes if any(p is params[name] for p in n._parents))
+
+    return node_of("fusion.W_text").data[0], node_of("fusion.W_img").data[0]
+
+
 def test_encode_zero_weights_give_bias(rng):
     ds = make_dataset(rng.normal(size=(4, 3)), image=rng.normal(size=(4, 3)))
     params = build_params(zero=True)
     params["fusion.b_text"].data[...] = 7.0
     t, i = encode(ds, params, range(4))
-    assert np.all(t.data == 7.0)
-    assert np.all(i.data == 0.0)
+    assert np.all(t == 7.0)
+    assert np.all(i == 0.0)
 
 
 def test_encode_absent_image_maps_to_bias(rng):
@@ -38,7 +55,7 @@ def test_encode_absent_image_maps_to_bias(rng):
     params = build_params(seed=1)
     params["fusion.b_img"].data[...] = rng.normal(size=4)
     _, i = encode(ds, params, range(3))
-    np.testing.assert_allclose(i.data[1], params["fusion.b_img"].data)
+    np.testing.assert_allclose(i[1], params["fusion.b_img"].data)
 
 
 def test_encode_identity_passthrough(rng):
@@ -47,7 +64,7 @@ def test_encode_identity_passthrough(rng):
     params = ModelParams.build(4, 2, 4, 3, zero=True)
     params["fusion.W_text"].data[...] = np.eye(4)
     t, _ = encode(ds, params, range(5))
-    np.testing.assert_array_equal(t.data, x)
+    np.testing.assert_array_equal(t, x)
 
 
 def test_encode_dimension_mismatch(rng):
@@ -203,7 +220,7 @@ def test_saturated_gate_selects_first_branch(rng):
 def test_single_post_window_finite(rng):
     ds = make_dataset(rng.normal(size=(1, 3)), image=rng.normal(size=(1, 3)))
     wf = fuse_window(ds, build_params(seed=8), window_over(ds))
-    assert wf.fused.data.shape == (1, 4)
+    assert wf.fused.data.shape == (1, 1, 4)
     assert np.all(np.isfinite(wf.fused.data))
 
 
@@ -225,8 +242,8 @@ def test_permutation_equivariance(rng):
     params = build_params(seed=10)
     base = Window(1, 0, 100, (0, 1, 2, 3), 40)
     perm = Window(1, 0, 100, (2, 0, 3, 1), 40)
-    a = fuse_window(ds, params, base).fused.data
-    b = fuse_window(ds, params, perm).fused.data
+    a = fuse_window(ds, params, base).fused.data[0]
+    b = fuse_window(ds, params, perm).fused.data[0]
     np.testing.assert_allclose(b, a[[2, 0, 3, 1]], atol=1e-12)
 
 
@@ -238,8 +255,8 @@ def test_post_scope_has_no_cross_post_flow(rng):
     ds2 = make_dataset(x2, image=np.zeros((3, 3)))
     params = build_params(seed=11)
     w = window_over(ds1)
-    out1 = fuse_window(ds1, params, w, scope="post").fused.data
-    out2 = fuse_window(ds2, params, w, scope="post").fused.data
+    out1 = fuse_window(ds1, params, w, scope="post").fused.data[0]
+    out2 = fuse_window(ds2, params, w, scope="post").fused.data[0]
     np.testing.assert_allclose(out1[:2], out2[:2])
     assert not np.allclose(out1[2], out2[2])
 
@@ -272,3 +289,87 @@ def test_fusion_gradients_match_finite_differences(rng):
         fd = finite_difference_gradient(f, tensor.data)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-8)
         assert (np.abs(fd - analytic) / denom).max() < 1e-4, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    n=st.integers(1, 4),
+    n_k=st.integers(1, 4),
+    heads=st.sampled_from([1, 2]),
+    post=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_batched_attention_matches_each_sequence_and_finite_differences(
+        batch, n, n_k, heads, post, seed):
+    diagonal = post and n == n_k
+    d = 2 * heads
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(batch, n, d)), rng.normal(size=(batch, n_k, d)),
+              rng.normal(size=(batch, n_k, d))]
+    arrays += [rng.normal(size=(heads, d, 2)) for _ in range(3)]
+    arrays.append(rng.normal(size=(d, d)))
+    g = rng.normal(size=(batch, n, d))
+
+    def attend(arrs):
+        tensors = [Tensor(a) for a in arrs]
+        block = AttentionBlock(*tensors[3:], w_out=None, b_out=None)
+        return mh_attention(*tensors[:3], block, diagonal=diagonal), tensors
+
+    out, tensors = attend(arrays)
+    for b in range(batch):
+        one, _ = attend([a[b] for a in arrays[:3]] + arrays[3:])
+        np.testing.assert_allclose(out.data[b], one.data, rtol=1e-12, atol=1e-14)
+
+    out.backward(g)
+    for idx, tensor in enumerate(tensors):
+        def f(x, idx=idx):
+            return float((attend(arrays[:idx] + [x] + arrays[idx + 1:])[0].data * g).sum())
+
+        fd = finite_difference_gradient(f, arrays[idx])
+        err = np.abs(fd - tensor.grad).max()
+        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max(), 1e-3), idx
+
+
+def test_window_groups_cut_same_size_chunks():
+    sizes = [3, 1, 3, 100, 2, 1, 3, 100]
+    windows = [Window(k + 1, 0, 1, tuple(range(n)), 0) for k, n in enumerate(sizes)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "MAX_PAIRS", 48)  # 6, 3, 2 and 1 windows of 1, 2, 3, 100 posts
+        chunks = fusion.window_groups(windows)
+    assert chunks == [[1, 5], [4], [0, 2], [6], [3], [7]]
+    assert fusion.window_groups(windows) == [[1, 5], [4], [0, 2, 6], [3], [7]]
+    with pytest.raises(FusionError, match="no members"):
+        fusion.window_groups([Window(1, 0, 1, (), 0)])
+
+
+def test_window_groups_bound_pairs_and_rows_per_chunk():
+    windows = [Window(1, 0, 1, tuple(range(n)), 0)
+               for n in (1, 2, 5, 8, 30, 91) for _ in range(3000)]
+    chunks = fusion.window_groups(windows)
+    assert sorted(k for c in chunks for k in c) == list(range(len(windows)))
+    for chunk in chunks:
+        n = len(windows[chunk[0]].members)
+        assert {len(windows[k].members) for k in chunk} == {n}
+        assert len(chunk) == 1 or len(chunk) * n * max(n, 8) <= fusion.MAX_PAIRS
+
+
+def test_group_pass_matches_one_window_passes(rng):
+    ds = make_dataset(rng.normal(size=(9, 3)), image=rng.normal(size=(9, 3)),
+                      timestamps=np.arange(9) * 100)
+    params = build_params(seed=13)
+    group = [Window(k + 1, 0, 1000, (3 * k, 3 * k + 1, 3 * k + 2), 0) for k in range(3)]
+    together = fusion.fuse_group(ds, params, group)
+    assert together.fused.shape == (3, 3, 4)
+    for k, w in enumerate(group):
+        alone = fuse_window(ds, params, w)
+        for field in ("cross_ti", "cross_it", "gate", "fused"):
+            np.testing.assert_allclose(getattr(together, field).data[k],
+                                       getattr(alone, field).data[0], rtol=1e-12, atol=1e-15)
+
+
+def test_group_pass_rejects_mixed_sizes(rng):
+    ds = make_dataset(rng.normal(size=(3, 3)))
+    params = build_params()
+    with pytest.raises(FusionError, match="one non-zero member count"):
+        fusion.fuse_group(ds, params, [Window(1, 0, 1, (0,), 0), Window(2, 0, 1, (1, 2), 0)])

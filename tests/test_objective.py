@@ -81,7 +81,7 @@ def pipeline(rng, n=6, d=4):
     params = ModelParams.build(d, 2, 3, 2, seed=1)
     states = {}
     for ev in events:
-        aggs = [Tensor(rng.normal(size=(1, d))) for _ in windows[ev.event_id].windows]
+        aggs = Tensor(rng.normal(size=(len(windows[ev.event_id].windows), d)))
         states[ev.event_id] = run_lstm(trend_features(aggs, 0.5), params)
     return ds, events, windows, params, states
 
@@ -110,7 +110,7 @@ def test_single_window_event_shares_probability(rng):
     windows = segment_all(events, ds, DAY, DAY)
     assert len(windows[0].windows) == 1
     params = ModelParams.build(4, 2, 3, 2, seed=2)
-    hidden = {0: run_lstm(trend_features([Tensor(rng.normal(size=(1, 4)))], 0.5),
+    hidden = {0: run_lstm(trend_features(Tensor(rng.normal(size=(1, 4))), 0.5),
                           params)}
     p_post, p_event, _ = post_probabilities(events, windows, hidden, params, ds.n)
     np.testing.assert_allclose(p_post, p_event[0])
@@ -124,7 +124,7 @@ def test_readout_uses_last_covering_window(rng):
     # post 1 appears in windows 1 and 2; its probability must come from 2
     assert last[1] == 2
     params = ModelParams.build(4, 2, 3, 2, seed=3)
-    aggs = [Tensor(rng.normal(size=(1, 4))) for _ in windows[0].windows]
+    aggs = Tensor(rng.normal(size=(len(windows[0].windows), 4)))
     hidden = {0: run_lstm(trend_features(aggs, 0.5), params)}
     p_post, _, _ = post_probabilities(events, windows, hidden, params, ds.n)
     row = Tensor(hidden[0].data[last[1] - 1:last[1]])

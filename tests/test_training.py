@@ -83,7 +83,7 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
     # chains on one row -> gate -> lstm on [P; 0; 0] -> sigmoid readout
     from ecatch.fusion import fuse_window
     wf = fuse_window(ds, params, windows[0].windows[0])
-    feats = trend_features([wf.fused], cfg["trend.beta"])
+    feats = trend_features(Tensor(wf.fused.data[0]), cfg["trend.beta"])
     hidden = run_lstm(feats, params)
     logit = (hidden.data @ params["clf.W_c"].data.T
              + params["clf.b_c"].data)

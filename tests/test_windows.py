@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ecatch.clustering import PseudoEvent
 from ecatch.config import ConfigError, RunConfig
 from ecatch.windows import (
+    Window,
     WindowError,
     load_windows,
     save_windows,
@@ -125,3 +128,44 @@ def test_windows_json_roundtrip(tmp_path):
     path = tmp_path / "windows.json"
     save_windows(windows, path)
     assert load_windows(path) == windows
+
+
+def grid_walk(times, span, stride):
+    """Every grid position in turn, empty or not: the definition."""
+    times = sorted(times)
+    t0, t_last = times[0], times[-1]
+    k_max = 0 if t_last - t0 < span else (t_last - t0 - span) // stride + 1
+    out = []
+    for k in range(k_max + 1):
+        start = t0 + k * stride
+        inside = [i for i, t in enumerate(times) if start <= t < start + span]
+        if inside:
+            out.append((start, start + span, tuple(inside), times[inside[-1]]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    times=st.lists(st.integers(0, 60), min_size=1, max_size=8),
+    span=st.integers(1, 12),
+    stride_cut=st.integers(0, 11),
+)
+def test_skipping_empty_positions_matches_the_grid_walk(times, span, stride_cut):
+    stride = max(1, span - stride_cut)
+    times = sorted(times)
+    seq, _ = seg(times, span, stride)
+    expected = [Window(k + 1, *w) for k, w in enumerate(grid_walk(times, span, stride))]
+    assert list(seq.windows) == expected
+
+
+def test_wide_event_segments_in_time_of_its_windows():
+    t = time.perf_counter()
+    seq, _ = seg([0, 10**11], 4 * DAY, 2 * DAY)
+    assert time.perf_counter() - t < 0.1
+    assert [w.members for w in seq.windows] == [(0,), (1,)]
+    assert seq.windows[-1].start <= 10**11 < seq.windows[-1].end
+
+
+def test_window_end_beyond_int64_is_refused():
+    with pytest.raises(WindowError, match="int64"):
+        seg([0, 2**62], 2**62, 2**61)
