@@ -1,10 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every operation returns a new :class:`Tensor` that remembers its parents and
-a vector-Jacobian closure. ``Tensor.backward()`` topologically sorts the
-graph (iteratively, so deep recurrent chains are fine) and accumulates
-gradients into ``.grad``. All data is float64; gradient checks downstream
-rely on that.
+Every model operation is one hand-written node: a new :class:`Tensor` that
+remembers its parents and a vector-Jacobian closure. This module holds the
+generic ones, :func:`linear`, :func:`take` and :func:`concat`; the attention
+and the gate live in ``fusion``, the aggregation, trend-input and LSTM nodes
+in ``trend``, and the cross-entropy and consistency nodes in ``objective``.
+``Tensor`` itself only adds and scales, which is all the loss's final scalar
+sum needs. ``Tensor.backward()`` topologically sorts the graph (iteratively,
+so deep chains are fine) and accumulates gradients into ``.grad``. All data
+is float64; gradient checks downstream rely on that.
 
 ``backward`` consumes the graph it walks: once an interior node has passed
 its gradient to its parents, it drops its ``grad``, its closure and its
@@ -14,16 +18,13 @@ Under :func:`no_grad` no graph is recorded at all: each new ``Tensor`` is a
 leaf, and reference counting frees intermediate results as soon as the
 caller drops them. Scoring runs that way.
 
-The tape is acyclic: each vector-Jacobian closure captures its parents and
-plain ndarrays, never the ``Tensor`` it belongs to, so reference counting
-alone frees a tape once its last root is dropped. Python's cyclic collector
-would still walk every live node and closure, and the allocations of a tape
-of a few hundred thousand objects trigger such walks repeatedly while they
-free nothing. :func:`tape_scope` therefore pauses the collector while a tape
-is built, walked or held between the two. The pause is process-wide, which
-is fine because ``ecatch`` is single-threaded; cyclic garbage made inside the
-scope, such as an exception traceback, is collected once the collector runs
-again.
+The tape is acyclic: a closure captures its parents and plain ndarrays,
+never its own ``Tensor``, so reference counting alone frees a tape once its
+last root is dropped. Python's cyclic collector would still walk every live
+node again and again while freeing nothing, so :func:`tape_scope` pauses it
+while a tape is built, walked or held. The pause is process-wide, which is
+fine because ``ecatch`` is single-threaded; cyclic garbage made inside the
+scope, such as an exception traceback, is collected once it runs again.
 """
 
 from __future__ import annotations
@@ -41,19 +42,6 @@ def _as_array(x) -> Array:
     if isinstance(x, np.ndarray) and x.dtype == np.float64:
         return x
     return np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    squeeze = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if squeeze:
-        grad = grad.sum(axis=squeeze, keepdims=True)
-    return grad
 
 
 def stable_sigmoid(x: Array) -> Array:
@@ -173,105 +161,52 @@ class Tensor:
                 continue
             if node.grad is not None:
                 for parent, g in zip(node._parents, node._vjp(node.grad)):
-                    if g is None:
-                        continue
                     parent.grad = g if parent.grad is None else parent.grad + g
             node.grad, node._parents, node._vjp = None, (), _consumed
 
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other) -> "Tensor":
-        other = lift(other)
-        a, b = self, other
-        return Tensor(
-            a.data + b.data,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-        )
+    # -- the loss's scalar sum -------------------------------------------
+    def __add__(self, other: "Tensor") -> "Tensor":
+        if self.shape != other.shape:
+            raise ValueError(f"cannot add shapes {self.shape} and {other.shape}")
+        return Tensor(self.data + other.data, (self, other), lambda g: (g, g))
 
-    def __sub__(self, other) -> "Tensor":
-        other = lift(other)
-        a, b = self, other
-        return Tensor(
-            a.data - b.data,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-        )
-
-    def __rsub__(self, other) -> "Tensor":
-        return lift(other) - self
-
-    def __mul__(self, other) -> "Tensor":
-        other = lift(other)
-        a, b = self, other
-        return Tensor(
-            a.data * b.data,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
-            ),
-        )
+    def __mul__(self, c: float) -> "Tensor":
+        """Scale by a constant number."""
+        c = float(c)
+        return Tensor(self.data * c, (self,), lambda g: (g * c,))
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other) -> "Tensor":
-        other = lift(other)
+    # Nothing here calls it; ``bench/tracer.py`` wraps the name. Deleting it waits
+    # for the benchmark change named in the tracer's FOUND: line in CHANGES.md.
+    def __matmul__(self, other: "Tensor") -> "Tensor":
         a, b = self, other
         if a.data.ndim != 2 or b.data.ndim != 2:
             raise ValueError("matmul requires 2-D tensors")
         return Tensor(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
-    # -- elementwise nonlinearities --------------------------------------
-    def log(self) -> "Tensor":
-        a = self
-        return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
 
-    def sigmoid(self) -> "Tensor":
-        out = stable_sigmoid(self.data)
-        return Tensor(out, (self,), lambda g: (g * out * (1.0 - out),))
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        # Gradient passes through only where the value was not clamped.
-        a = self
-        mask = (a.data > lo) & (a.data < hi)
-        return Tensor(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
-
-    # -- shape ops -------------------------------------------------------
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        a = self
-        return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        a = self
-
-        def vjp(g: Array):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape).copy(),)
-
-        return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
-def lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor | Array, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``x @ w.T + b`` over the last axis as one node; ``w`` is (out, in).
 
-    Leading axes of ``x`` are flattened into rows for the matmuls.
+    Leading axes of ``x`` are flattened into rows for the matmuls. A plain
+    ndarray ``x``, such as a batch of input embeddings, is a constant: it is
+    no parent of the node and gets no gradient.
     """
-    rows = x.data.reshape(-1, x.shape[-1])
-    out = (rows @ w.data.T).reshape(x.shape[:-1] + (w.shape[0],))
+    constant = not isinstance(x, Tensor)
+    x_data = _as_array(x) if constant else x.data
+    rows = x_data.reshape(-1, x_data.shape[-1])
+    out = (rows @ w.data.T).reshape(x_data.shape[:-1] + (w.shape[0],))
+    parents = (w,) if b is None else (w, b)
 
     def vjp(g: Array):
         g_rows = g.reshape(rows.shape[0], -1)
-        grads = ((g_rows @ w.data).reshape(x.shape), (rows.T @ g_rows).T)
-        return grads if b is None else grads + (g_rows.sum(axis=0),)
+        grads = ((rows.T @ g_rows).T,) + (() if b is None else (g_rows.sum(axis=0),))
+        return grads if constant else ((g_rows @ w.data).reshape(x_data.shape),) + grads
 
-    if b is None:
-        return Tensor(out, (x, w), vjp)
-    return Tensor(out + b.data, (x, w, b), vjp)
+    if b is not None:
+        out = out + b.data
+    return Tensor(out, parents if constant else (x,) + parents, vjp)
 
 
 def take(x: Tensor, index) -> Tensor:
@@ -286,36 +221,12 @@ def take(x: Tensor, index) -> Tensor:
     return Tensor(x.data[index], (x,), vjp)
 
 
-def l2norm(x: Tensor) -> Tensor:
-    """Euclidean norm of all entries; subgradient 0 at the origin.
-
-    The zero case matters: identically-zero difference vectors (e.g. between
-    duplicate window aggregates) must not poison gradients with NaN.
-    """
-    val = float(np.sqrt(np.sum(x.data * x.data)))
-
-    def vjp(g: Array):
-        if val == 0.0:
-            return (np.zeros_like(x.data),)
-        return (g * x.data / val,)
-
-    return Tensor(val, (x,), vjp)
-
-
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = list(parts)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g: Array):
-        slicer: list = [slice(None)] * g.ndim
-        grads = []
-        for k in range(len(parts)):
-            slicer[axis] = slice(int(offsets[k]), int(offsets[k + 1]))
-            grads.append(g[tuple(slicer)])
-        return tuple(grads)
-
-    return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """``parts`` stacked along axis 0 as one node; the VJP slices the rows back."""
+    parts = tuple(parts)
+    ends = np.cumsum([p.shape[0] for p in parts])
+    return Tensor(np.concatenate([p.data for p in parts]), parts,
+                  lambda g: tuple(np.split(g, ends[:-1])))
 
 
 def finite_difference_gradient(f, x: Array, h: float = 1e-5) -> Array:

@@ -9,9 +9,11 @@ value path. Scaled dot-product uses sqrt(head width) by default
 Windows are fused in groups of equal member count, which may mix events:
 fusion has no term across windows, so a group of B windows of n posts is one
 pass over (B, n, d) arrays, and no padding is needed. :func:`window_groups`
-cuts each group into chunks of at most ``MAX_PAIRS`` attention pairs. Each
-attention of a pass is one tape node with a hand-written vector-Jacobian
-product.
+cuts each group into chunks of at most ``MAX_PAIRS`` attention pairs. Fusing
+a pass makes eleven tape nodes, each with a hand-written vector-Jacobian
+product: two encoder ``linear`` nodes, an ``mh_attention`` node and its
+output ``linear`` for each of the four attentions, and one :func:`gate` node
+that mixes the two cross-modal views (``trend.aggregate`` adds a twelfth).
 
 No residual connections or layer normalization anywhere: the network is
 shallow and gate/LSTM based, and stays stable without them.
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, linear
+from .autodiff import Tensor, linear, stable_sigmoid
 from .data import Dataset
 from .params import AttentionBlock, ModelParams
 from .windows import Window
@@ -142,14 +144,39 @@ def window_groups(windows: Sequence[Window]) -> list[list[int]]:
     return chunks
 
 
+def gate(c_ti: Tensor, c_it: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Soft-gated mix ``g * c_ti + (1 - g) * c_it`` as one node, and the gate g.
+
+    ``g = sigmoid(c_ti @ w_a.T + c_it @ w_b.T + b)``, where ``w_a`` and ``w_b``
+    are the two (d, d) column blocks of the (d, 2d) gate matrix ``w``.
+    """
+    shape, d = c_ti.shape, c_ti.shape[-1]
+    a, c = c_ti.data.reshape(-1, d), c_it.data.reshape(-1, d)
+    w_a, w_b = w.data[:, :d], w.data[:, d:]
+    g = stable_sigmoid(a @ w_a.T + c @ w_b.T + b.data)
+
+    def vjp(grad: np.ndarray):
+        grad = grad.reshape(-1, d)
+        dz = grad * (a - c) * g * (1.0 - g)
+        return (
+            (grad * g + dz @ w_a).reshape(shape),
+            (grad * (1.0 - g) + dz @ w_b).reshape(shape),
+            np.concatenate([dz.T @ a, dz.T @ c], axis=1),
+            dz.sum(axis=0),
+        )
+
+    fused = Tensor((g * a + (1.0 - g) * c).reshape(shape), (c_ti, c_it, w, b), vjp)
+    return fused, g.reshape(shape)
+
+
 @dataclass
 class GroupFusion:
-    """Graph nodes for one pass over B windows of n posts: (B, n, d) each,
-    row b following the members of the pass's window b."""
+    """One pass over B windows of n posts: (B, n, d) each, row b following the
+    members of the pass's window b."""
 
     cross_ti: Tensor
     cross_it: Tensor
-    gate: Tensor      # sigmoid-activated, in (0, 1)
+    gate: np.ndarray  # the gate node's g, in (0, 1)
     fused: Tensor
 
 
@@ -173,18 +200,15 @@ def fuse_group(
     check_dims(ds, params)
 
     members = np.array([w.members for w in windows])     # (B, n)
-    t = linear(Tensor(ds.text[members]), params["fusion.W_text"], params["fusion.b_text"])
-    i = linear(Tensor(ds.image[members]), params["fusion.W_img"], params["fusion.b_img"])
+    t = linear(ds.text[members], params["fusion.W_text"], params["fusion.b_text"])
+    i = linear(ds.image[members], params["fusion.W_img"], params["fusion.b_img"])
     h_text = _attend(t, t, params.block("att_text"), scope, scale)
     h_img = _attend(i, i, params.block("att_img"), scope, scale)
     c_ti = _attend(h_text, h_img, params.block("att_ti"), scope, scale)
     c_it = _attend(h_img, h_text, params.block("att_it"), scope, scale)
 
-    gate_pre = linear(concat([c_ti, c_it], axis=-1), params["fusion.W_g"],
-                      params["fusion.b_g"])
-    gate = gate_pre.sigmoid()
-    fused = gate * c_ti + (1.0 - gate) * c_it
-    return GroupFusion(c_ti, c_it, gate, fused)
+    fused, g = gate(c_ti, c_it, params["fusion.W_g"], params["fusion.b_g"])
+    return GroupFusion(c_ti, c_it, g, fused)
 
 
 def fuse_window(

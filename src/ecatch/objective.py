@@ -1,13 +1,16 @@
 """Classification head and the composite training objective.
 
-Per-post probabilities are read out from the row of the last window
-containing the post in the event's (T, d) trend-state matrix (for
-single-window events this collapses to one probability per event). The
-classification loss is a per-event weighted cross-entropy summed over events;
-class weights adapt to the per-event (or global) training label counts.
-Optional hard-example mining keeps only the globally highest-loss fraction of
-training posts. The temporal-consistency term penalizes large aligned jumps
-between consecutive trend states.
+Every event's (T, d) trend-state matrix is stacked, in ascending event_id,
+into one (sum T, d) matrix, and one ``linear`` node reads it out into
+logits. A post's probability is the sigmoid of the row of the last window
+containing it (for single-window events this collapses to one probability
+per event). The loss is two nodes over that stack: :func:`ce_loss`, the
+weighted cross-entropy of every selected training post, whose class weights
+adapt to the per-event (or global) training label counts, and
+:func:`tc_terms`, the temporal-consistency term, which penalizes large
+aligned jumps between consecutive trend states of one event. Optional
+hard-example mining keeps only the globally highest-loss fraction of
+training posts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, linear
+from .autodiff import Tensor, concat, linear, stable_sigmoid
 from .clustering import PseudoEvent
 from .params import ModelParams
 from .windows import WindowSequence
@@ -47,15 +50,23 @@ def class_weights(
     return nbar / (n0 + epsilon), nbar / (n1 + epsilon)
 
 
-def classifier_probability(hidden: Tensor, params: ModelParams) -> Tensor:
-    """Sigmoid of the linear readout of each trend-state row: (T, 1) in (0, 1)."""
-    return linear(hidden, params["clf.W_c"], params["clf.b_c"]).sigmoid()
-
-
 @dataclass
-class EventProbabilities:
-    window_probs: Tensor                # (T, 1), row t-1 for window t
-    last_window_of: dict[int, int]      # post -> 1-based window index
+class Readout:
+    """Every event's trend states, stacked in ascending event_id, read out."""
+
+    states: Tensor            # (R, d), R the windows of all events
+    logits: Tensor            # (R, 1)
+    probs: np.ndarray         # (R,) sigmoid of the logits
+    event_ids: list[int]
+    offsets: np.ndarray       # event k owns rows offsets[k]:offsets[k + 1]
+    rows: dict[int, dict[int, int]]  # event -> post -> row of its last covering window
+
+    def ce_coefficients(self, terms: list["CETerm"]) -> np.ndarray:
+        """Per class, each row's negated sum of the weights of ``terms``: (2, R)."""
+        coef = np.zeros((2, self.probs.size))
+        for term in terms:
+            coef[term.label, term.row] -= term.weight
+        return coef
 
 
 def post_probabilities(
@@ -64,34 +75,42 @@ def post_probabilities(
     states: dict[int, Tensor],
     params: ModelParams,
     n_posts: int,
-) -> tuple[np.ndarray, dict[int, float], dict[int, EventProbabilities]]:
+) -> tuple[np.ndarray, dict[int, float], Readout]:
     """Per-post probability via each post's last covering window.
 
     Returns the dense per-post array, the per-event probability (last
-    window's readout), and the graph nodes needed to assemble losses.
+    window's readout), and the readout the losses are built on.
     """
-    p_post = np.full(n_posts, np.nan)
-    p_event: dict[int, float] = {}
-    nodes: dict[int, EventProbabilities] = {}
-    for ev in events:
+    ordered = sorted(events, key=lambda e: e.event_id)
+    offsets = np.zeros(len(ordered) + 1, dtype=np.intp)
+    rows: dict[int, dict[int, int]] = {}
+    for k, ev in enumerate(ordered):
         seq = window_seqs[ev.event_id]
-        hidden = states[ev.event_id]
-        if hidden.shape[0] != len(seq.windows):
+        steps = states[ev.event_id].shape[0]
+        if steps != len(seq.windows):
             raise ObjectiveError(
-                f"event {ev.event_id}: {hidden.shape[0]} states for "
-                f"{len(seq.windows)} windows"
+                f"event {ev.event_id}: {steps} states for {len(seq.windows)} windows"
             )
-        probs = classifier_probability(hidden, params)
         last_of = seq.last_window_of()
-        for post in ev.member_indices:
-            if post not in last_of:
-                raise ObjectiveError(
-                    f"post {post} of event {ev.event_id} is not covered by any window"
-                )
-            p_post[post] = probs.data[last_of[post] - 1, 0]
-        p_event[ev.event_id] = probs.data[-1, 0].item()
-        nodes[ev.event_id] = EventProbabilities(probs, last_of)
-    return p_post, p_event, nodes
+        uncovered = [post for post in ev.member_indices if post not in last_of]
+        if uncovered:
+            raise ObjectiveError(
+                f"post {uncovered[0]} of event {ev.event_id} is not covered by any window"
+            )
+        rows[ev.event_id] = {post: int(offsets[k]) + last_of[post] - 1
+                             for post in ev.member_indices}
+        offsets[k + 1] = offsets[k] + steps
+
+    stacked = (concat([states[ev.event_id] for ev in ordered]) if ordered
+               else Tensor(np.zeros((0, params.d))))
+    logits = linear(stacked, params["clf.W_c"], params["clf.b_c"])
+    probs = stable_sigmoid(logits.data[:, 0])
+    p_post = np.full(n_posts, np.nan)
+    for of_event in rows.values():
+        p_post[list(of_event)] = probs[list(of_event.values())]
+    p_event = {ev.event_id: probs[offsets[k + 1] - 1].item() for k, ev in enumerate(ordered)}
+    readout = Readout(stacked, logits, probs, [ev.event_id for ev in ordered], offsets, rows)
+    return p_post, p_event, readout
 
 
 @dataclass
@@ -99,14 +118,14 @@ class CETerm:
     post_index: int
     event_id: int
     value: float
-    window: int    # 1-based index of the post's last covering window
+    row: int       # readout row of the post's last covering window
     label: int
     weight: float  # class weight of ``label`` in the post's event
 
 
 def ce_terms(
     events: list[PseudoEvent],
-    prob_nodes: dict[int, EventProbabilities],
+    readout: Readout,
     labels: np.ndarray,
     train_mask: np.ndarray,
     epsilon: float,
@@ -122,6 +141,8 @@ def ce_terms(
         all_members = [i for ev in events for i in ev.member_indices]
         global_w = class_weights(labels, all_members, train_mask, epsilon)
 
+    p = np.clip(readout.probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    logs = np.log([1.0 - p, p])  # row y: log-likelihood of label y
     terms: list[CETerm] = []
     weights_by_event: dict[int, tuple[float, float]] = {}
     for ev in events:
@@ -132,26 +153,32 @@ def ce_terms(
         else:
             w01 = (1.0, 1.0)
         weights_by_event[ev.event_id] = w01
-        ep = prob_nodes[ev.event_id]
-        p = np.clip(ep.window_probs.data[:, 0], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        logs = np.log([1.0 - p, p])  # row y: log-likelihood of label y
         for post in ev.member_indices:
             if not train_mask[post]:
                 continue
-            t, y = ep.last_window_of[post], int(labels[post])
+            row, y = readout.rows[ev.event_id][post], int(labels[post])
             w = w01[y]
-            terms.append(CETerm(post, ev.event_id, (-w * logs[y, t - 1]).item(), t, y, w))
+            terms.append(CETerm(post, ev.event_id, (-w * logs[y, row]).item(), row, y, w))
     return terms, weights_by_event
 
 
-def ce_loss(probs: Tensor, terms: list[CETerm]) -> Tensor:
-    """Sum of one event's selected CE terms over its (T, 1) window probabilities;
-    per class, one coefficient array sums each window's negated post weights."""
-    coef = np.zeros((2,) + probs.shape)
-    for term in terms:
-        coef[term.label, term.window - 1, 0] -= term.weight
-    p = probs.clip(PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return (p.log() * coef[1] + (1.0 - p).log() * coef[0]).sum()
+def ce_loss(logits: Tensor, coef: np.ndarray) -> Tensor:
+    """Weighted cross-entropy over (R, 1) logits as one node.
+
+    With p the sigmoid of the logits clipped to [PROB_CLAMP, 1 - PROB_CLAMP],
+    the value is the sum of coef[1] * log p + coef[0] * log(1 - p); ``coef``
+    (2, R) holds each row's negated post weights per class (see
+    :meth:`Readout.ce_coefficients`). A clipped p passes no gradient.
+    """
+    p = stable_sigmoid(logits.data[:, 0])
+    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+    q = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    value = np.sum(np.log(q) * coef[1] + np.log(1.0 - q) * coef[0])
+
+    def vjp(g: np.ndarray):
+        return ((g * inside * (coef[1] * (1.0 - p) - coef[0] * p))[:, None],)
+
+    return Tensor(value, (logits,), vjp)
 
 
 def mine_hard_examples(terms: list[CETerm], rho: float) -> list[CETerm]:
@@ -165,27 +192,38 @@ def mine_hard_examples(terms: list[CETerm], rho: float) -> list[CETerm]:
     return ranked[:k]
 
 
-def tc_terms(hidden: Tensor, clamp_negative_sim: bool = False) -> Tensor | None:
-    """Sum over t>=2 of |T_t - T_{t-1}|^2 * cos(T_t, T_{t-1}) for one event.
+def tc_terms(
+    states: Tensor,
+    clamp_negative_sim: bool = False,
+    offsets=None,
+) -> tuple[Tensor | None, np.ndarray]:
+    """Sum over t>=2 of |T_t - T_{t-1}|^2 * cos(T_t, T_{t-1}) within each event.
 
-    ``hidden`` is the event's (T, d) trend-state matrix; the result is one
-    node over it. Returns None when no window pair contributes (short
-    events, zero-norm guard, or clamped-away negative similarity).
+    ``states`` stacks the events' trend-state matrices, event k in rows
+    ``offsets[k]:offsets[k + 1]`` (one event when ``offsets`` is None), and
+    no pair crosses two events. Returns one node over ``states`` for the
+    whole sum, or None when no pair contributes (short events, the zero-norm
+    guard, or clamped-away negative similarity), and each event's sum.
     """
-    h = hidden.data
+    h = states.data
+    offsets = np.array([0, h.shape[0]]) if offsets is None else np.asarray(offsets)
+    event_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
     norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
-    pairs = (norms[1:] >= NORM_GUARD) & (norms[:-1] >= NORM_GUARD)
+    pairs = ((event_of[1:] == event_of[:-1])[:, None]
+             & (norms[1:] >= NORM_GUARD) & (norms[:-1] >= NORM_GUARD))
     # The floor only changes pairs that the guard drops.
     sim = (np.sum(h[1:] * h[:-1], axis=1, keepdims=True)
            / np.maximum(norms[1:] * norms[:-1], NORM_GUARD * NORM_GUARD))
     if clamp_negative_sim:
         pairs &= sim >= 0.0
     rows = np.flatnonzero(pairs)
-    if rows.size == 0:
-        return None
     a, b, na, nb, sim = h[rows + 1], h[rows], norms[rows + 1], norms[rows], sim[rows]
     diff = a - b
     sq = np.sum(diff * diff, axis=1, keepdims=True)
+    values = (sq * sim)[:, 0]
+    by_event = np.bincount(event_of[rows], weights=values, minlength=offsets.size - 1)
+    if rows.size == 0:
+        return None, by_event
 
     def vjp(g: np.ndarray):
         # d(sim)/da = b / (|a||b|) - sim * a / |a|^2, and b mirrors a.
@@ -196,7 +234,7 @@ def tc_terms(hidden: Tensor, clamp_negative_sim: bool = False) -> Tensor | None:
         grad[rows] += gb
         return (g * grad,)
 
-    return Tensor(np.sum(sq * sim), (hidden,), vjp)
+    return Tensor(np.sum(values), (states,), vjp), by_event
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
 One epoch is one full-batch pass: the windows of all events are fused in
-groups of equal member count, then every event is trend-encoded and scored,
-and per-event losses are built (optionally after global hard-example
-mining). The epoch loss is their sum in ascending event_id, and one backward
-pass over it yields every gradient, so runs are bitwise reproducible.
-Regularization gradients are added in closed form (2 * lambda_reg * theta).
-Everything runs in float64.
+groups of equal member count, every event is trend-encoded, and the stacked
+trend states of all events are read out at once. The epoch loss is
+``ce + lambda_tc * tc``: one cross-entropy node over the selected training
+posts (optionally after global hard-example mining) and one
+temporal-consistency node over all events, joined by the scalar sum. One
+backward pass over it yields every gradient, and runs are bitwise
+reproducible. Regularization gradients are added in closed form
+(2 * lambda_reg * theta). Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .data import Dataset
 from .fusion import FusionError, fuse_group, fuse_window, window_groups  # noqa: F401
 from .metrics import EvalResult, evaluate
 from .objective import (
-    CETerm,
     LossReport,
+    Readout,
     ce_loss,
     ce_terms,
     mine_hard_examples,
@@ -53,7 +55,7 @@ class ForwardArtifacts:
     """Everything backward() needs: the summed loss node plus the report."""
 
     report: LossReport
-    loss: Tensor | None  # sum over events of ce_E + lambda_tc * tc_E
+    loss: Tensor | None  # ce + lambda_tc * tc
     params: ModelParams
 
 
@@ -64,7 +66,7 @@ class ModelOutputs:
     states: dict[int, Tensor]  # event_id -> (T, d) trend states
     p_post: np.ndarray
     p_event: dict[int, float]
-    prob_nodes: dict
+    readout: Readout
 
 
 def fused_aggregates(
@@ -93,7 +95,7 @@ def fused_aggregates(
     rows[[k for chunk in chunks for k in chunk]] = np.arange(len(windows))
     if not parts:
         return Tensor(np.zeros((0, params.d))), rows
-    return concat(parts, axis=0), rows
+    return concat(parts), rows
 
 
 @tape_scope()
@@ -104,7 +106,7 @@ def run_model(
     params: ModelParams,
     cfg: RunConfig,
 ) -> ModelOutputs:
-    """Grouped fusion -> per-event trend encoding -> probabilities."""
+    """Grouped fusion -> per-event trend encoding -> one readout of all events."""
     ordered = sorted(events, key=lambda e: e.event_id)
     flat = [w for ev in ordered for w in windows[ev.event_id].windows]
     try:
@@ -124,10 +126,8 @@ def run_model(
             raise TrainingError(f"event {ev.event_id}: {exc}") from exc
         start = stop
 
-    p_post, p_event, prob_nodes = post_probabilities(
-        events, windows, states, params, ds.n
-    )
-    return ModelOutputs(states, p_post, p_event, prob_nodes)
+    p_post, p_event, readout = post_probabilities(events, windows, states, params, ds.n)
+    return ModelOutputs(states, p_post, p_event, readout)
 
 
 @tape_scope()
@@ -141,9 +141,10 @@ def forward(
 ) -> ForwardArtifacts:
     """Build the full loss for one epoch."""
     outputs = run_model(ds, events, windows, params, cfg)
+    readout = outputs.readout
     terms, _ = ce_terms(
         events,
-        outputs.prob_nodes,
+        readout,
         ds.labels,
         ds.train_mask(),
         cfg["loss.epsilon"],
@@ -157,26 +158,17 @@ def forward(
     mining_active = rho < 1.0 and epoch >= cfg["mining.warmup_epochs"]
     selected = mine_hard_examples(terms, rho) if mining_active else list(terms)
     mined = np.zeros(ds.n, dtype=bool)
-    by_event: dict[int, list[CETerm]] = {}
+    ce_by_event = dict.fromkeys(readout.event_ids, 0.0)
     for t in selected:
         mined[t.post_index] = True
-        by_event.setdefault(t.event_id, []).append(t)
+        ce_by_event[t.event_id] += t.value
 
-    ce_by_event: dict[int, float] = {}
-    tc_by_event: dict[int, float] = {}
-    loss: Tensor | None = None
     lambda_tc = cfg["loss.lambda_tc"]
-    for ev in sorted(events, key=lambda e: e.event_id):
-        eid = ev.event_id
-        ev_terms = by_event.get(eid, [])
-        ce_by_event[eid] = sum((t.value for t in ev_terms), 0.0)
-        node = ce_loss(outputs.prob_nodes[eid].window_probs, ev_terms)
-
-        tc_node = tc_terms(outputs.states[eid], cfg["loss.tc_clamp"])
-        tc_by_event[eid] = tc_node.item() if tc_node is not None else 0.0
-        if tc_node is not None and lambda_tc != 0.0:
-            node = node + lambda_tc * tc_node
-        loss = node if loss is None else loss + node
+    loss = ce_loss(readout.logits, readout.ce_coefficients(selected))
+    tc_node, tc_values = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
+    tc_by_event = dict(zip(readout.event_ids, tc_values.tolist()))
+    if tc_node is not None and lambda_tc != 0.0:
+        loss = loss + lambda_tc * tc_node
 
     ce = float(sum(ce_by_event.values()))
     tc = float(sum(tc_by_event.values()))

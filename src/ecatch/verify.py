@@ -3,8 +3,9 @@
 Everything here is independent of the implementation paths it checks:
 gradients against central finite differences, clustering against an
 exhaustive agglomerative reference, AUC against explicit pair enumeration,
-plus randomized structural invariants (row-stochastic attention, gating and
-hull bounds, LSTM output bounds, momentum positivity).
+plus randomized structural invariants (row-stochastic attention, the gate
+node's bounds, hull bounds, LSTM output bounds, momentum positivity, no
+gradient through a clipped probability).
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, finite_difference_gradient, no_grad
+from .autodiff import Tensor, finite_difference_gradient, no_grad, stable_sigmoid
 from .clustering import PseudoEvent, agglomerate, cluster_events, cosine_distances
 from .config import RunConfig
 from .data import Dataset, assign_splits
 from .fusion import fuse_group, mh_attention
 from .metrics import auc_by_pair_enumeration, auc_roc
-from .objective import tc_terms
+from .objective import PROB_CLAMP, ce_loss, tc_terms
 from .params import ModelParams
 from .trend import aggregate, decay_weights, run_lstm, trend_features
 from .training import backward, forward
@@ -183,7 +184,7 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
               f"trial {trial}: softmax row sum")
 
         gf = fuse_group(ds, params, group)
-        gate = gf.gate.data
+        gate = gf.gate
         if not ((gate > 0.0).all() and (gate < 1.0).all()):
             track(1.0, f"trial {trial}: gate out of (0,1)")
         lo = np.minimum(gf.cross_ti.data, gf.cross_it.data) - 1e-12
@@ -206,6 +207,14 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
             track(1.0, f"trial {trial}: negative momentum")
         if float(np.abs(run_lstm(feats, params).data).max()) >= 1.0:
             track(1.0, f"trial {trial}: |T| >= 1")
+
+        # the cross-entropy node is flat where the probability is clipped
+        logits = Tensor(rng.normal(size=(n_windows, 1))
+                        + rng.choice([0.0, 40.0, -40.0, 800.0, -800.0], size=(n_windows, 1)))
+        ce_loss(logits, -rng.uniform(0.1, 2.0, size=(2, n_windows))).backward()
+        p = stable_sigmoid(logits.data[:, 0])
+        if np.any(logits.grad[(p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)] != 0.0):
+            track(1.0, f"trial {trial}: gradient through a clipped probability")
 
     tol = 1e-12
     status = "pass" if worst <= tol else "fail"
@@ -349,19 +358,22 @@ def window_coverage(seeds: list[int]) -> OracleReport:
 
 
 def tc_rotation_invariance(seeds: list[int]) -> OracleReport:
-    """The consistency term only sees norms and angles."""
+    """The consistency term of 2-4 stacked events only sees norms and angles,
+    and each event's value is the one it has alone."""
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 6))
-        steps = int(rng.integers(2, 6))
-        hidden = rng.normal(size=(steps, d))
+        steps = rng.integers(1, 6, size=int(rng.integers(2, 5)))
+        offsets = np.concatenate([[0], np.cumsum(steps)])
+        hidden = rng.normal(size=(int(offsets[-1]), d))
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        a = tc_terms(Tensor(hidden))
-        b = tc_terms(Tensor(hidden @ q))
-        va = a.item() if a is not None else 0.0
-        vb = b.item() if b is not None else 0.0
-        worst = max(worst, abs(va - vb) / max(abs(va), 1.0))
+        _, va = tc_terms(Tensor(hidden), offsets=offsets)
+        _, vb = tc_terms(Tensor(hidden @ q), offsets=offsets)
+        alone = np.concatenate([tc_terms(Tensor(hidden[a:b]))[1]
+                                for a, b in zip(offsets, offsets[1:])])
+        scale = np.maximum(np.abs(va), 1.0)
+        worst = max(worst, float(np.max(np.maximum(np.abs(va - vb), np.abs(va - alone)) / scale)))
     status = "pass" if worst < 1e-9 else "fail"
     return OracleReport("tc_rotation_invariance", status, worst, "", seeds[0] if seeds else 0)
 

@@ -227,7 +227,7 @@ def test_single_post_window_finite(rng):
 def test_gate_bounds_and_convex_combination(rng):
     ds = make_dataset(rng.normal(size=(5, 3)), image=rng.normal(size=(5, 3)))
     wf = fuse_window(ds, build_params(seed=9), window_over(ds))
-    assert np.all(wf.gate.data > 0.0) and np.all(wf.gate.data < 1.0)
+    assert np.all(wf.gate > 0.0) and np.all(wf.gate < 1.0)
     lo = np.minimum(wf.cross_ti.data, wf.cross_it.data)
     hi = np.maximum(wf.cross_ti.data, wf.cross_it.data)
     assert np.all(wf.fused.data >= lo - 1e-12)
@@ -267,13 +267,12 @@ def test_fusion_gradients_match_finite_differences(rng):
     params = build_params(seed=12)
     w = window_over(ds)
 
-    def scalar():
-        fused = fuse_window(ds, params, w).fused
-        return (fused * fused).sum()
+    def scalar():  # the sum of squared fused entries
+        return float(np.sum(fuse_window(ds, params, w).fused.data ** 2))
 
-    out = scalar()
+    fused = fuse_window(ds, params, w).fused
     params.zero_grads()
-    out.backward()
+    fused.backward(2.0 * fused.data)
     for name in ("fusion.W_text", "fusion.att_ti.Wq", "fusion.W_g",
                  "fusion.att_img.b_out"):
         tensor = params[name]
@@ -282,7 +281,7 @@ def test_fusion_gradients_match_finite_differences(rng):
         def f(x, tensor=tensor):
             old = tensor.data.copy()
             tensor.data = x
-            val = float(scalar().data)
+            val = scalar()
             tensor.data = old
             return val
 
@@ -363,9 +362,10 @@ def test_group_pass_matches_one_window_passes(rng):
     assert together.fused.shape == (3, 3, 4)
     for k, w in enumerate(group):
         alone = fuse_window(ds, params, w)
-        for field in ("cross_ti", "cross_it", "gate", "fused"):
+        for field in ("cross_ti", "cross_it", "fused"):
             np.testing.assert_allclose(getattr(together, field).data[k],
                                        getattr(alone, field).data[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(together.gate[k], alone.gate[0], rtol=1e-12, atol=1e-15)
 
 
 def test_group_pass_rejects_mixed_sizes(rng):
@@ -373,3 +373,52 @@ def test_group_pass_rejects_mixed_sizes(rng):
     params = build_params()
     with pytest.raises(FusionError, match="one non-zero member count"):
         fusion.fuse_group(ds, params, [Window(1, 0, 1, (0,), 0), Window(2, 0, 1, (1, 2), 0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    n=st.integers(1, 4),
+    d=st.integers(1, 4),
+    shift=st.sampled_from([0.0, 8.0, -8.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_gate_node_matches_numpy_and_finite_differences(batch, n, d, shift, seed):
+    # ``shift`` pushes the gate bias towards one branch without saturating it.
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(batch, n, d)), rng.normal(size=(batch, n, d)),
+              rng.normal(size=(d, 2 * d)), rng.normal(size=d) + shift]
+    g = rng.normal(size=(batch, n, d))
+    tensors = [Tensor(a) for a in arrays]
+    out, gate = fusion.gate(*tensors)
+
+    c_ti, c_it, w, b = arrays
+    ref = 1.0 / (1.0 + np.exp(-(np.concatenate([c_ti, c_it], axis=-1) @ w.T + b)))
+    np.testing.assert_allclose(gate, ref, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(out.data, ref * c_ti + (1.0 - ref) * c_it, rtol=1e-12, atol=1e-15)
+    assert np.all((gate > 0.0) & (gate < 1.0))
+
+    out.backward(g)
+    for idx, tensor in enumerate(tensors):
+        def f(x, idx=idx):
+            args = arrays[:idx] + [x] + arrays[idx + 1:]
+            return float((fusion.gate(*(Tensor(a) for a in args))[0].data * g).sum())
+
+        fd = finite_difference_gradient(f, arrays[idx])
+        err = np.abs(fd - tensor.grad).max()
+        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max(), 1e-3), idx
+
+
+@pytest.mark.parametrize("bias, chosen", [(800.0, 0), (-800.0, 1)])
+def test_saturated_gate_node_passes_one_branch_and_no_gate_gradient(rng, bias, chosen):
+    arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)),
+              rng.normal(size=(4, 8)) * 0.1, np.full(4, bias)]
+    tensors = [Tensor(a) for a in arrays]
+    out, gate = fusion.gate(*tensors)
+    assert np.all(gate == (1.0 if chosen == 0 else 0.0))
+    np.testing.assert_array_equal(out.data, arrays[chosen])
+    g = rng.normal(size=(2, 3, 4))
+    out.backward(g)
+    np.testing.assert_array_equal(tensors[chosen].grad, g)
+    for k in (1 - chosen, 2, 3):  # the other branch and the gate's weights
+        assert np.all(tensors[k].grad == 0.0), k

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecatch.autodiff import Tensor, finite_difference_gradient
+from ecatch.autodiff import Tensor, finite_difference_gradient, stable_sigmoid
 from ecatch.clustering import PseudoEvent
 from ecatch.objective import (
     NORM_GUARD,
     PROB_CLAMP,
     CETerm,
-    EventProbabilities,
     ObjectiveError,
+    Readout,
     ce_loss,
     ce_terms,
     class_weights,
-    classifier_probability,
     mine_hard_examples,
     post_probabilities,
     tc_terms,
@@ -127,9 +126,9 @@ def test_readout_uses_last_covering_window(rng):
     aggs = Tensor(rng.normal(size=(len(windows[0].windows), 4)))
     hidden = {0: run_lstm(trend_features(aggs, 0.5), params)}
     p_post, _, _ = post_probabilities(events, windows, hidden, params, ds.n)
-    row = Tensor(hidden[0].data[last[1] - 1:last[1]])
-    expected = classifier_probability(row, params).item()
-    assert p_post[1] == pytest.approx(expected)
+    row = hidden[0].data[last[1] - 1]
+    logit = row @ params["clf.W_c"].data[0] + params["clf.b_c"].data[0]
+    assert p_post[1] == pytest.approx(1.0 / (1.0 + np.exp(-logit)))
 
 
 # -- cross-entropy and mining --------------------------------------------------
@@ -237,73 +236,94 @@ def test_adaptive_terms_are_reweighted_plain_terms(rng):
         assert term.value == pytest.approx(expected)
 
 
+def readout_of(logits, last_of):
+    """A hand-made readout: events of (T_e,) logits, post -> 1-based window."""
+    steps = [len(z) for z in logits]
+    offsets = np.concatenate([[0], np.cumsum(steps)]).astype(np.intp)
+    z = np.concatenate(logits)
+    rows = {e: {post: int(offsets[e]) + t - 1 for post, t in of_event.items()}
+            for e, of_event in enumerate(last_of)}
+    return Readout(Tensor(np.zeros((z.size, 1))), Tensor(z[:, None]), stable_sigmoid(z),
+                   list(range(len(steps))), offsets, rows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    steps=st.integers(1, 5),
+    steps=st.lists(st.integers(1, 5), min_size=1, max_size=2),
     n_posts=st.integers(1, 8),
     mined=st.floats(0.1, 1.0),
     seed=st.integers(0, 10_000),
 )
 def test_ce_loss_is_the_sum_of_its_terms(steps, n_posts, mined, seed):
+    # Logits of +-40 put p beyond PROB_CLAMP, +-800 at exactly 0 or 1: no
+    # gradient may pass there.
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.0, 1.0, size=(steps, 1))
-    p[rng.random(steps) < 0.2] = rng.choice([0.0, 1e-13, 1.0 - 1e-13, 1.0])
-    probs = Tensor(p)
+    logits = [rng.normal(size=t) * 3.0 for t in steps]
+    for z in logits:
+        z[rng.random(z.size) < 0.2] = rng.choice([-800.0, -40.0, 40.0, 800.0])
     labels = rng.integers(0, 2, size=n_posts)
-    last_of = {post: int(rng.integers(1, steps + 1)) for post in range(n_posts)}
-    events = [PseudoEvent(0, tuple(range(n_posts)))]
-    nodes = {0: EventProbabilities(probs, last_of)}
-    terms, _ = ce_terms(events, nodes, labels, rng.random(n_posts) < 0.8,
+    owner = rng.integers(0, len(steps), size=n_posts)
+    last_of = [{post: int(rng.integers(1, steps[e] + 1))
+                for post in range(n_posts) if owner[post] == e} for e in range(len(steps))]
+    events = [PseudoEvent(e, tuple(of_event)) for e, of_event in enumerate(last_of)]
+    readout = readout_of(logits, last_of)
+    terms, _ = ce_terms(events, readout, labels, rng.random(n_posts) < 0.8,
                         epsilon=float(rng.uniform(0.1, 2.0)), adaptive=True)
     terms = mine_hard_examples(terms, mined) if terms else terms
     if not terms:
         return
 
-    loss = ce_loss(probs, terms)
+    coef = readout.ce_coefficients(terms)
+    loss = ce_loss(readout.logits, coef)
     want = sum(t.value for t in terms)
     assert abs(loss.item() - want) <= 1e-12 * max(1.0, abs(want))
 
     loss.backward()
-    clipped = np.clip(p[:, 0], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    expected = np.zeros(steps)
+    p = readout.probs
+    expected = np.zeros(p.size)
     for t in terms:
-        q = clipped[t.window - 1]
-        expected[t.window - 1] += -t.weight / q if t.label == 1 else t.weight / (1.0 - q)
-    inside = (p[:, 0] > PROB_CLAMP) & (p[:, 0] < 1.0 - PROB_CLAMP)
-    np.testing.assert_allclose(probs.grad[:, 0], np.where(inside, expected, 0.0),
+        expected[t.row] += -t.weight * (1.0 - p[t.row]) if t.label == 1 else t.weight * p[t.row]
+    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+    assert np.all(readout.logits.grad[~inside] == 0.0)
+    np.testing.assert_allclose(readout.logits.grad[:, 0], np.where(inside, expected, 0.0),
                                rtol=1e-12, atol=0.0)
+
+    fd = finite_difference_gradient(lambda x: ce_loss(Tensor(x), coef).item(),
+                                    readout.logits.data)
+    err = np.abs(fd - readout.logits.grad).max()
+    assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 # -- temporal consistency --------------------------------------------------------
 def test_tc_constant_sequence_is_zero():
-    total = tc_terms(trend_states([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]))
+    total, _ = tc_terms(trend_states([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]))
     assert total is None or total.item() == pytest.approx(0.0)
 
 
 def test_tc_colinear_growth():
-    total = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0]))
+    total, _ = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0]))
     assert total.item() == pytest.approx(1.0)
 
 
 def test_tc_anti_aligned_is_negative():
-    total = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0]))
+    total, _ = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0]))
     assert total.item() == pytest.approx(-4.0)
 
 
 def test_tc_zero_norm_guard():
-    total = tc_terms(trend_states([0.0, 0.0], [1.0, 0.0]))
+    total, _ = tc_terms(trend_states([0.0, 0.0], [1.0, 0.0]))
     assert total is None
 
 
 def test_tc_clamp_drops_negative_similarity():
-    clamped = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]),
+    clamped, _ = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]),
                        clamp_negative_sim=True)
     # only the colinear (-1,0)->(-2,0) pair survives: |d|^2=1, sim=1
     assert clamped.item() == pytest.approx(1.0)
 
 
 def test_tc_sum_over_multiple_steps():
-    total = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0], [2.0, 1.0]))
+    total, _ = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0], [2.0, 1.0]))
     # term2: |d|^2=1, sim=1; term3: |d|^2=1, sim=4/(2*sqrt5)
     expected = 1.0 + 1.0 * (4.0 / (2.0 * math.sqrt(5.0)))
     assert total.item() == pytest.approx(expected)
@@ -342,12 +362,13 @@ def test_tc_node_matches_pair_loop_and_finite_differences(kinds, d, clamp, seed)
         elif kind == "flip" and t > 0:
             h[t] = -rng.uniform(0.5, 2.0) * h[t - 1]
     hidden = Tensor(h)
-    got = tc_terms(hidden, clamp_negative_sim=clamp)
+    got, by_event = tc_terms(hidden, clamp_negative_sim=clamp)
     want = tc_by_pairs(h, clamp)
     if want is None:
-        assert got is None
+        assert got is None and by_event.tolist() == [0.0]
         return
     assert abs(got.item() - want) <= 1e-12 * max(1.0, abs(want))
+    assert by_event.tolist() == [pytest.approx(want, rel=1e-12)]
 
     got.backward()
     assert np.all(hidden.grad[np.linalg.norm(h, axis=1) < NORM_GUARD] == 0.0)
@@ -358,11 +379,59 @@ def test_tc_node_matches_pair_loop_and_finite_differences(kinds, d, clamp, seed)
         return  # finite differences would cross the guard or the clamp
 
     def f(x):
-        out = tc_terms(Tensor(x), clamp_negative_sim=clamp)
+        out, _ = tc_terms(Tensor(x), clamp_negative_sim=clamp)
         return out.item() if out is not None else 0.0
 
     fd = finite_difference_gradient(f, h)
     err = np.abs(fd - hidden.grad).max()
+    assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["random", "zero", "flip"]), min_size=2, max_size=9),
+    breaks=st.lists(st.booleans(), min_size=8, max_size=8),
+    d=st.integers(1, 4),
+    clamp=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_stacked_tc_node_pairs_rows_only_within_events(kinds, breaks, d, clamp, seed):
+    # Events start where ``breaks`` says; "flip" rows are anti-parallel to the
+    # row before, also across an event boundary, where no pair may form.
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(len(kinds), d))
+    for t, kind in enumerate(kinds):
+        if kind == "zero":
+            h[t] = 0.0
+        elif kind == "flip" and t > 0:
+            h[t] = -rng.uniform(0.5, 2.0) * h[t - 1]
+    offsets = [0] + [t for t in range(1, len(kinds)) if breaks[t - 1]] + [len(kinds)]
+    per_event = [tc_by_pairs(h[a:b], clamp) for a, b in zip(offsets, offsets[1:])]
+    want = np.array([0.0 if v is None else v for v in per_event])
+
+    states = Tensor(h)
+    got, by_event = tc_terms(states, clamp_negative_sim=clamp, offsets=offsets)
+    assert by_event.shape == want.shape
+    assert np.abs(by_event - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    if all(v is None for v in per_event):
+        assert got is None
+        return
+    assert abs(got.item() - want.sum()) <= 1e-12 * max(1.0, np.abs(want).sum())
+
+    got.backward()
+    assert np.all(states.grad[np.linalg.norm(h, axis=1) < NORM_GUARD] == 0.0)
+    a, b = h[1:], h[:-1]
+    cos = np.sum(a * b, axis=1) / np.maximum(
+        np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1), 1e-300)
+    if "zero" in kinds or np.abs(cos).min() < 1e-3:
+        return  # finite differences would cross the guard or the clamp
+
+    def f(x):
+        out, _ = tc_terms(Tensor(x), clamp_negative_sim=clamp, offsets=offsets)
+        return out.item() if out is not None else 0.0
+
+    fd = finite_difference_gradient(f, h)
+    err = np.abs(fd - states.grad).max()
     assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 

@@ -2,13 +2,14 @@ import dataclasses
 import gc
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecatch import training
+from ecatch import fusion, training
 from ecatch.autodiff import Tensor, tape_scope
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
@@ -170,16 +171,55 @@ def _tape(*roots) -> list[Tensor]:
     return list(seen.values())
 
 
-def test_one_lstm_node_and_one_readout_node_per_event():
+def test_one_lstm_node_per_event_and_one_readout_node_per_pass():
     ds, events, _, params, cfg = toy_problem(0)
     windows = segment_all(events, ds, 2 * DAY, DAY)
     assert all(len(windows[ev.event_id].windows) > 1 for ev in events)
     out = training.run_model(ds, events, windows, params, cfg)
-    nodes = _tape(*out.states.values(),
-                  *(ep.window_probs for ep in out.prob_nodes.values()))
-    for name in ("lstm.W_i", "clf.W_c"):
+    nodes = _tape(*out.states.values(), out.readout.logits)
+    for name, count in (("lstm.W_i", len(events)), ("clf.W_c", 1)):
         users = [n for n in nodes if any(p is params[name] for p in n._parents)]
-        assert len(users) == len(events), name
+        assert len(users) == count, name
+
+
+def _kind(node) -> str:
+    """The function whose VJP closure a node holds; '' for a leaf."""
+    return node._vjp.__qualname__.split(".<locals>")[0] if node._vjp else ""
+
+
+def test_epoch_tape_holds_only_fused_nodes():
+    # 12 nodes per fusion chunk, 3 per event, and 7 for the two stacks, the
+    # readout, the two loss nodes and their sum; the leaves are the parameters.
+    ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
+    flat = [w for ev in events for w in windows[ev.event_id].windows]
+    chunks, n_events = len(fusion.window_groups(flat)), len(events)
+    assert chunks == 3 and n_events == 2
+    tape = _tape(forward(ds, events, windows, params, cfg).loss)
+    assert Counter(_kind(n) for n in tape) == {
+        "": len(params.names()),
+        "linear": 6 * chunks + 1,
+        "mh_attention": 4 * chunks,
+        "gate": chunks,
+        "aggregate": chunks,
+        "take": n_events,
+        "trend_features": n_events,
+        "run_lstm": n_events,
+        "concat": 2,
+        "ce_loss": 1,
+        "tc_terms": 1,
+        "Tensor.__mul__": 1,
+        "Tensor.__add__": 1,
+    }
+    assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
+    assert len(tape) - len(params.names()) == 12 * chunks + 3 * n_events + 7
+
+
+def test_backward_leaves_gradients_on_parameters_only():
+    ds, events, windows, params, cfg = toy_problem(0)
+    art = forward(ds, events, windows, params, cfg)
+    leaves = [n for n in _tape(art.loss) if not n._parents]
+    backward(art)
+    assert {id(n) for n in leaves if n.grad is not None} <= {id(t) for _, t in params.items()}
 
 
 def _rebuilt(ds: Dataset, **fields) -> Dataset:
