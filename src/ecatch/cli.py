@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import load_events, save_events
+from .clustering import ClusteringError, check_partition, load_events, save_events
 from .config import (DEFAULTS, ConfigError, RunConfig, load_config, parse_override,
                      read_config_file, save_config)
 from .data import Dataset, assign_splits, load_dataset, write_dataset
@@ -137,15 +137,33 @@ def _load_run_dir(checkpoint_path: Path):
     return run_dir, cfg, params
 
 
+def _read_persisted(path: Path, load):
+    """``load(path)``, or a CliError naming the file when its JSON is malformed."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"{path}: malformed ({exc!r})") from exc
+
+
 def _structure_for(ds, cfg, run_dir: Path):
-    """Reuse persisted events/windows when they were built from this dataset."""
+    """Reuse persisted events/windows built from this dataset; refuse damaged ones."""
     ev_path, win_path, meta_path = (
         run_dir / "events.json", run_dir / "windows.json", run_dir / "dataset.json"
     )
     if ev_path.is_file() and win_path.is_file() and meta_path.is_file():
-        meta = json.loads(meta_path.read_text())
+        meta = _read_persisted(meta_path, lambda p: json.loads(p.read_text()))
+        if not isinstance(meta, dict):
+            raise CliError(f"{meta_path}: not a JSON object")
         if meta.get("fingerprint") == _fingerprint(ds):
-            return load_events(ev_path), load_windows(win_path)
+            events = _read_persisted(ev_path, load_events)
+            try:
+                check_partition(events, ds.n)
+            except ClusteringError as exc:
+                raise CliError(f"{ev_path}: {exc}") from exc
+            windows = _read_persisted(win_path, load_windows)
+            if set(windows) != {ev.event_id for ev in events}:
+                raise CliError(f"{win_path}: its events are not those of {ev_path}")
+            return events, windows
     return build_structure(ds, cfg)
 
 

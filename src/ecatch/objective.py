@@ -1,16 +1,16 @@
 """Classification head and the composite training objective.
 
-Every event's (T, d) trend-state matrix is stacked, in ascending event_id,
-into one (sum T, d) matrix, and one ``linear`` node reads it out into
-logits. A post's probability is the sigmoid of the row of the last window
-containing it (for single-window events this collapses to one probability
-per event). The loss is two nodes over that stack: :func:`ce_loss`, the
-weighted cross-entropy of every selected training post, whose class weights
-adapt to the per-event (or global) training label counts, and
-:func:`tc_terms`, the temporal-consistency term, which penalizes large
-aligned jumps between consecutive trend states of one event. Optional
-hard-example mining keeps only the globally highest-loss fraction of
-training posts.
+The trend stage hands over one (R, d) matrix that stacks every event's
+trend states in ascending event_id (see ``training.run_model``), and one
+``linear`` node reads it out into logits. A post's probability is the
+sigmoid of the row of the last window containing it (for single-window
+events this collapses to one probability per event). The loss is two nodes
+over that stack: :func:`ce_loss`, the weighted cross-entropy of every
+selected training post, whose class weights adapt to the per-event (or
+global) training label counts, and :func:`tc_terms`, the
+temporal-consistency term, which penalizes large aligned jumps between
+consecutive trend states of one event. Optional hard-example mining keeps
+only the globally highest-loss fraction of training posts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, linear, stable_sigmoid
+from .autodiff import Tensor, linear, stable_sigmoid
 from .clustering import PseudoEvent
 from .params import ModelParams
 from .windows import WindowSequence
@@ -72,26 +72,21 @@ class Readout:
 def post_probabilities(
     events: list[PseudoEvent],
     window_seqs: dict[int, WindowSequence],
-    states: dict[int, Tensor],
+    states: Tensor,
+    offsets: np.ndarray,
     params: ModelParams,
     n_posts: int,
 ) -> tuple[np.ndarray, dict[int, float], Readout]:
     """Per-post probability via each post's last covering window.
 
-    Returns the dense per-post array, the per-event probability (last
-    window's readout), and the readout the losses are built on.
+    ``states`` stacks the events' trend states in the order of ``events``,
+    event k in rows ``offsets[k]:offsets[k + 1]``. Returns the dense per-post
+    array, the per-event probability (last window's readout), and the
+    readout the losses are built on.
     """
-    ordered = sorted(events, key=lambda e: e.event_id)
-    offsets = np.zeros(len(ordered) + 1, dtype=np.intp)
     rows: dict[int, dict[int, int]] = {}
-    for k, ev in enumerate(ordered):
-        seq = window_seqs[ev.event_id]
-        steps = states[ev.event_id].shape[0]
-        if steps != len(seq.windows):
-            raise ObjectiveError(
-                f"event {ev.event_id}: {steps} states for {len(seq.windows)} windows"
-            )
-        last_of = seq.last_window_of()
+    for k, ev in enumerate(events):
+        last_of = window_seqs[ev.event_id].last_window_of()
         uncovered = [post for post in ev.member_indices if post not in last_of]
         if uncovered:
             raise ObjectiveError(
@@ -99,17 +94,14 @@ def post_probabilities(
             )
         rows[ev.event_id] = {post: int(offsets[k]) + last_of[post] - 1
                              for post in ev.member_indices}
-        offsets[k + 1] = offsets[k] + steps
 
-    stacked = (concat([states[ev.event_id] for ev in ordered]) if ordered
-               else Tensor(np.zeros((0, params.d))))
-    logits = linear(stacked, params["clf.W_c"], params["clf.b_c"])
+    logits = linear(states, params["clf.W_c"], params["clf.b_c"])
     probs = stable_sigmoid(logits.data[:, 0])
     p_post = np.full(n_posts, np.nan)
     for of_event in rows.values():
         p_post[list(of_event)] = probs[list(of_event.values())]
-    p_event = {ev.event_id: probs[offsets[k + 1] - 1].item() for k, ev in enumerate(ordered)}
-    readout = Readout(stacked, logits, probs, [ev.event_id for ev in ordered], offsets, rows)
+    p_event = {ev.event_id: probs[offsets[k + 1] - 1].item() for k, ev in enumerate(events)}
+    readout = Readout(states, logits, probs, [ev.event_id for ev in events], offsets, rows)
     return p_post, p_event, readout
 
 

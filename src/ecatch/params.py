@@ -13,8 +13,8 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
 
 The (out, in) matrices above (encoders, ``W_out``, gate, classifier) enter
 the graph only through ``autodiff.linear``, as ``x @ W.T + b``. The 12 LSTM
-tensors enter only through ``trend.run_lstm``, one tape node per event, which
-stacks each kind in gate order and applies them the same way. ``Wq/Wk/Wv``
+tensors enter only through ``trend.run_lstm``, one tape node for all events,
+which stacks each kind in gate order and applies them the same way. ``Wq/Wk/Wv``
 and ``Wo`` enter only through ``fusion.mh_attention``, one tape node per
 attention block and fusion group (all windows of one member count, in
 chunks), which applies them as (in, out), ``x @ W``.

@@ -1,12 +1,12 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
 One epoch is one full-batch pass: the windows of all events are fused in
-groups of equal member count, every event is trend-encoded, and the stacked
-trend states of all events are read out at once. The epoch loss is
-``ce + lambda_tc * tc``: one cross-entropy node over the selected training
-posts (optionally after global hard-example mining) and one
-temporal-consistency node over all events, joined by the scalar sum. One
-backward pass over it yields every gradient, and runs are bitwise
+groups of equal member count, and the aggregates of all events, stacked in
+ascending event_id, are trend-encoded in lockstep and read out at once. The
+epoch loss is ``ce + lambda_tc * tc``: one cross-entropy node over the
+selected training posts (optionally after global hard-example mining) and
+one temporal-consistency node over all events, joined by the scalar sum.
+One backward pass over it yields every gradient, and runs are bitwise
 reproducible. Regularization gradients are added in closed form
 (2 * lambda_reg * theta). Everything runs in float64.
 """
@@ -63,7 +63,6 @@ class ForwardArtifacts:
 class ModelOutputs:
     """Forward state of the network before any loss is attached."""
 
-    states: dict[int, Tensor]  # event_id -> (T, d) trend states
     p_post: np.ndarray
     p_event: dict[int, float]
     readout: Readout
@@ -106,28 +105,20 @@ def run_model(
     params: ModelParams,
     cfg: RunConfig,
 ) -> ModelOutputs:
-    """Grouped fusion -> per-event trend encoding -> one readout of all events."""
+    """Grouped fusion -> one trend encoding and one readout of all events."""
     ordered = sorted(events, key=lambda e: e.event_id)
+    offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in ordered])
     flat = [w for ev in ordered for w in windows[ev.event_id].windows]
     try:
         aggregates, rows = fused_aggregates(ds, params, flat, cfg["attention.scope"],
                                             cfg["attention.scale"], cfg["trend.alpha"])
+        states = encode_event(rows, aggregates, params, cfg["trend.beta"], offsets)
     except (FusionError, TrendError) as exc:
-        raise TrainingError(f"window fusion: {exc}") from exc
+        raise TrainingError(f"window encoding: {exc}") from exc
 
-    states: dict[int, Tensor] = {}
-    start = 0
-    for ev in ordered:
-        stop = start + len(windows[ev.event_id].windows)
-        try:
-            states[ev.event_id] = encode_event(rows[start:stop], aggregates, params,
-                                               cfg["trend.beta"])
-        except Exception as exc:
-            raise TrainingError(f"event {ev.event_id}: {exc}") from exc
-        start = stop
-
-    p_post, p_event, readout = post_probabilities(events, windows, states, params, ds.n)
-    return ModelOutputs(states, p_post, p_event, readout)
+    p_post, p_event, readout = post_probabilities(ordered, windows, states, offsets, params,
+                                                  ds.n)
+    return ModelOutputs(p_post, p_event, readout)
 
 
 @tape_scope()

@@ -3,12 +3,12 @@
 Per window: posts are averaged with weights exp(-alpha * (t_max - t_i)),
 t_max being the latest member timestamp, so the newest post always carries
 weight 1. :func:`aggregate` does that for a whole fusion group of windows in
-one tape node. Between consecutive windows of an event the aggregate
-difference (semantic shift) and an exponential moving average of its norm
-(momentum) are appended; :func:`trend_features` builds an event's (T, 2d+1)
-LSTM input in one node. That input rolls through a unidirectional LSTM whose
-state resets per event; the whole roll is one tape node that returns the
-(T, d) hidden-state matrix, one row per window.
+one tape node. Every event's aggregates are stacked in window order, event
+k in rows ``offsets[k]:offsets[k + 1]``. Between consecutive windows of an
+event the aggregate difference (semantic shift) and an exponential moving
+average of its norm (momentum) are appended, all events in one node. That
+input rolls through a unidirectional LSTM, each event from zero state, all
+events in lockstep in one node that returns the (R, d) hidden states.
 """
 
 from __future__ import annotations
@@ -47,34 +47,51 @@ def aggregate(fused: Tensor, weights: np.ndarray) -> Tensor:
                   lambda g: (weights[:, :, None] * g[:, None, :],))
 
 
-def trend_features(aggregates: Tensor, beta: float) -> Tensor:
-    """One event's LSTM input [L; delta; M] from its (T, d) window aggregates.
-
-    Row t holds the aggregate, its shift from row t-1 (zero for the first
-    window) and the momentum M_t = beta * M_{t-1} + (1 - beta) * |delta_t|
-    from M_1 = 0: a (T, 2d+1) node. A zero shift gets a zero subgradient.
-    """
-    if aggregates.shape[0] == 0:
+def _lockstep(offsets, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each event's first row, longest event first, and per step t the rows of
+    window t of the events that have one: a prefix of the step before.
+    ``offsets`` None means one event of ``rows`` rows."""
+    offsets = np.array([0, rows]) if offsets is None else np.asarray(offsets, dtype=np.intp)
+    lengths = np.diff(offsets)
+    if np.any(lengths <= 0):
         raise TrendError("no window aggregates")
+    order = np.argsort(-lengths, kind="stable")
+    starts, running = offsets[:-1][order], lengths[order]
+    return starts, [starts[:np.count_nonzero(running > t)] + t
+                    for t in range(running.max(initial=0))]
+
+
+def trend_features(aggregates: Tensor, beta: float, offsets=None) -> Tensor:
+    """Every event's LSTM input [L; delta; M] from its window aggregates.
+
+    Event k owns rows ``offsets[k]:offsets[k + 1]`` (one event when None).
+    Row t holds the aggregate, its shift from row t-1 of its event (zero at
+    the event's first window) and the momentum
+    M_t = beta * M_{t-1} + (1 - beta) * |delta_t|, restarting at 0 with each
+    event: one (R, 2d+1) node. A zero shift gets a zero subgradient, and no
+    gradient crosses an event boundary.
+    """
+    starts, steps = _lockstep(offsets, aggregates.shape[0])
     if not 0.0 <= beta <= 1.0:
         raise TrendError("beta must lie in [0, 1]")
     agg = aggregates.data
-    steps = agg.shape[0]
     delta = np.zeros_like(agg)
     delta[1:] = agg[1:] - agg[:-1]
+    delta[starts] = 0.0
     norms = np.sqrt(np.sum(delta * delta, axis=1))
-    momentum = np.zeros(steps)
-    for t in range(1, steps):
-        momentum[t] = beta * momentum[t - 1] + (1.0 - beta) * norms[t]
+    momentum = np.zeros(agg.shape[0])
+    for r in steps[1:]:
+        momentum[r] = beta * momentum[r - 1] + (1.0 - beta) * norms[r]
 
     def vjp(g: np.ndarray):
         d = agg.shape[1]
+        g_m = g[:, 2 * d].copy()  # becomes the whole gradient reaching each M_t
+        for r in reversed(steps[2:]):
+            g_m[r - 1] += beta * g_m[r]
         g_delta = g[:, d:2 * d].copy()
-        g_m = 0.0
-        for t in range(steps - 1, 0, -1):
-            g_m = g[t, 2 * d] + beta * g_m
-            if norms[t] != 0.0:
-                g_delta[t] += (1.0 - beta) * g_m * delta[t] / norms[t]
+        g_delta[starts] = 0.0
+        moved = norms != 0.0
+        g_delta[moved] += ((1.0 - beta) * g_m[moved])[:, None] * delta[moved] / norms[moved, None]
         g_agg = g[:, :d].copy()
         g_agg[1:] += g_delta[1:]
         g_agg[:-1] -= g_delta[1:]
@@ -84,13 +101,14 @@ def trend_features(aggregates: Tensor, beta: float) -> Tensor:
     return Tensor(out, (aggregates,), vjp)
 
 
-def run_lstm(x: Tensor, params: ModelParams) -> Tensor:
-    """Roll the trend LSTM from zero state over one event's (T, 2d+1) input.
+def run_lstm(x: Tensor, params: ModelParams, offsets=None) -> Tensor:
+    """Roll the trend LSTM over every event's rows of ``x``, laid out as in
+    :func:`trend_features`, each event from zero state.
 
-    One tape node over the input and the 12 ``lstm.*`` tensors gives the
-    (T, d) hidden states, row t-1 for window t. Gates stack in
-    ``LSTM_GATES`` order: one input matmul for all steps, one recurrent
-    matmul per step, and backpropagation through time as the VJP.
+    All events step in lockstep: step t is one recurrent matmul over the
+    events still running. One tape node over the input and the 12 ``lstm.*``
+    tensors gives the (R, d) hidden states. Gates stack in ``LSTM_GATES``
+    order; backpropagation through time, the same steps in reverse, is the VJP.
     """
     d = params.d
     if x.shape[0] == 0:
@@ -100,48 +118,51 @@ def run_lstm(x: Tensor, params: ModelParams) -> Tensor:
     weights = tuple(params[f"lstm.{kind}_{g}"] for kind in "WUb" for g in LSTM_GATES)
     w, u, b = (np.concatenate([t.data for t in weights[k:k + 4]]) for k in (0, 4, 8))
 
-    steps = x.shape[0]
-    projected = x.data @ w.T                       # (T, 4d)
-    acts = np.empty((steps, 4 * d))                # i, f, o, candidate
-    cells = np.zeros((steps + 1, d))               # row 0 is the zero state
-    hidden = np.zeros((steps + 1, d))
-    for t in range(steps):
-        z = projected[t] + hidden[t] @ u.T + b
-        acts[t, :3 * d] = stable_sigmoid(z[:3 * d])
-        acts[t, 3 * d:] = np.tanh(z[3 * d:])
-        i, f, o, cand = np.split(acts[t], 4)
-        cells[t + 1] = f * cells[t] + i * cand
-        hidden[t + 1] = o * np.tanh(cells[t + 1])
+    starts, steps = _lockstep(offsets, x.shape[0])
+    projected = x.data @ w.T                       # (R, 4d)
+    acts = np.empty_like(projected)                # i, f, o, candidate
+    cells, hidden = np.empty((x.shape[0], d)), np.empty((x.shape[0], d))
+    prev_c, prev_h = np.empty((2, x.shape[0], d))  # the state each row starts from
+    c, h = np.zeros((2, starts.size, d))           # one row per event, zero at its start
+    for r in steps:
+        n = r.size
+        prev_c[r], prev_h[r] = c[:n], h[:n]
+        z = projected[r] + h[:n] @ u.T + b
+        a = np.concatenate([stable_sigmoid(z[:, :3 * d]), np.tanh(z[:, 3 * d:])], axis=1)
+        i, f, o, cand = np.split(a, 4, axis=1)
+        c[:n] = f * c[:n] + i * cand
+        h[:n] = o * np.tanh(c[:n])
+        acts[r], cells[r], hidden[r] = a, c[:n], h[:n]
 
     def vjp(g: np.ndarray):
         slope = acts * (1.0 - acts)                     # sigmoid' of i, f, o
         slope[:, 3 * d:] = 1.0 - acts[:, 3 * d:] ** 2   # tanh' of the candidate
-        tanh_c = np.tanh(cells[1:])
+        tanh_c = np.tanh(cells)
         dz = np.empty_like(acts)
-        dh_next, dc_next = np.zeros(d), np.zeros(d)
-        for t in range(steps - 1, -1, -1):
-            i, f, o, cand = np.split(acts[t], 4)
-            dh = g[t] + dh_next
-            dc = dh * o * (1.0 - tanh_c[t] * tanh_c[t]) + dc_next
-            dz[t] = np.concatenate([dc * cand, dc * cells[t], dh * tanh_c[t], dc * i]) * slope[t]
-            dc_next = dc * f
-            dh_next = dz[t] @ u
+        # Carried per event; rows past the events running at step t + 1 stay
+        # zero, so no gradient reaches an event's last window from later steps.
+        dh_next, dc_next = np.zeros((2, starts.size, d))
+        for r in reversed(steps):
+            n = r.size
+            i, f, o, cand = np.split(acts[r], 4, axis=1)
+            dh = g[r] + dh_next[:n]
+            dc = dh * o * (1.0 - tanh_c[r] * tanh_c[r]) + dc_next[:n]
+            dz[r] = np.concatenate([dc * cand, dc * prev_c[r], dh * tanh_c[r], dc * i],
+                                   axis=1) * slope[r]
+            dc_next[:n] = dc * f
+            dh_next[:n] = dz[r] @ u
         return (
             dz @ w,
             *np.split(dz.T @ x.data, 4),
-            *np.split(dz.T @ hidden[:-1], 4),
+            *np.split(dz.T @ prev_h, 4),
             *np.split(dz.sum(axis=0), 4),
         )
 
-    return Tensor(hidden[1:], (x, *weights), vjp)
+    return Tensor(hidden, (x, *weights), vjp)
 
 
-def encode_event(
-    rows,
-    aggregates: Tensor,
-    params: ModelParams,
-    beta: float,
-) -> Tensor:
-    """One event's trend states: its window aggregates, gathered from the rows
-    ``rows`` of ``aggregates`` in window order -> features -> LSTM: (T, d)."""
-    return run_lstm(trend_features(take(aggregates, rows), beta), params)
+def encode_event(rows, aggregates: Tensor, params: ModelParams, beta: float,
+                 offsets) -> Tensor:
+    """The (R, d) trend states of every event, laid out by ``offsets``, from the
+    rows ``rows`` of ``aggregates``: one gather, features and LSTM node each."""
+    return run_lstm(trend_features(take(aggregates, rows), beta, offsets), params, offsets)

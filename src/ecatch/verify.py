@@ -4,15 +4,15 @@ Everything here is independent of the implementation paths it checks:
 gradients against central finite differences, clustering against an
 exhaustive agglomerative reference, AUC against explicit pair enumeration,
 plus randomized structural invariants (row-stochastic attention, the gate
-node's bounds, hull bounds, LSTM output bounds, momentum positivity, no
-gradient through a clipped probability).
+node's bounds, hull bounds, LSTM output bounds, momentum positivity, stacked
+events matching each event alone, no gradient through a clipped probability).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,17 @@ class OracleReport:
 
 
 # -- shared toy model -------------------------------------------------------
+def _posts(timestamps, labels=None, text=None, image=None) -> Dataset:
+    """Posts p0, p1, ... at ``timestamps``: label 0 and zero embeddings unless
+    given, and an image wherever ``image`` has a nonzero entry."""
+    n = len(timestamps)
+    text = np.zeros((n, 2)) if text is None else text
+    image = np.zeros((n, 2)) if image is None else image
+    return Dataset([f"p{i}" for i in range(n)],
+                   np.zeros(n, dtype=np.int64) if labels is None else labels,
+                   timestamps, text, image, np.any(image != 0.0, axis=1))
+
+
 def toy_problem(seed: int, d: int = 4, heads: int = 2, n_posts: int = 6,
                 d_text: int = 5, d_img: int = 3):
     """Tiny two-event dataset plus config and randomized parameters.
@@ -71,15 +82,7 @@ def toy_problem(seed: int, d: int = 4, heads: int = 2, n_posts: int = 6,
     text = rng.normal(size=(n_posts, d_text))
     image = np.where(has_image[:, None], rng.normal(size=(n_posts, d_img)), 0.0)
 
-    ds = Dataset(
-        ids=[f"p{i}" for i in range(n_posts)],
-        labels=labels,
-        timestamps=timestamps,
-        text=text,
-        image=image,
-        has_image=has_image,
-    )
-    ds = assign_splits(ds, (0.8, 0.1, 0.1), seed=seed)
+    ds = assign_splits(_posts(timestamps, labels, text, image), (0.8, 0.1, 0.1), seed=seed)
 
     events = [
         PseudoEvent(0, tuple(range(half))),
@@ -161,14 +164,9 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
 
         n_posts = n * n_windows
         times = np.sort(rng.integers(0, 5 * DAY, size=n_posts))
-        ds = Dataset(
-            ids=[f"p{i}" for i in range(n_posts)],
-            labels=rng.integers(0, 2, size=n_posts),
-            timestamps=times,
-            text=rng.normal(size=(n_posts, d_text)) * scale_factor,
-            image=rng.normal(size=(n_posts, d_img)) * scale_factor,
-            has_image=np.ones(n_posts, dtype=bool),
-        )
+        ds = _posts(times, rng.integers(0, 2, size=n_posts),
+                    rng.normal(size=(n_posts, d_text)) * scale_factor,
+                    rng.normal(size=(n_posts, d_img)) * scale_factor)
         params = ModelParams.build(d, heads, d_text, d_img, seed=int(rng.integers(1 << 31)))
         # one fusion group: n_windows windows of n consecutive posts each
         group = [Window(b + 1, int(times[b * n]), int(times[(b + 1) * n - 1]) + 1,
@@ -199,14 +197,23 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
         track(float(np.maximum(col_lo - agg.data, agg.data - col_hi).max()),
               f"trial {trial}: aggregate outside convex hull")
 
-        # a short aggregate sequence through features + LSTM
+        # 2-4 events of 1-4 aggregates each, stacked through features + LSTM;
+        # each event's rows must be what it gives alone
         seq = np.concatenate([agg.data, agg.data * float(rng.uniform(0.2, 2.0)),
                               agg.data + 0.5])
-        feats = trend_features(Tensor(seq), beta=float(rng.uniform(0.0, 1.0)))
+        offsets = np.cumsum([0, *rng.integers(1, 5, size=int(rng.integers(2, 5)))])
+        seq = seq[rng.integers(0, len(seq), size=offsets[-1])]
+        beta = float(rng.uniform(0.0, 1.0))
+        feats = trend_features(Tensor(seq), beta, offsets)
+        states = run_lstm(feats, params, offsets).data
         if (feats.data[:, -1] < 0).any():
             track(1.0, f"trial {trial}: negative momentum")
-        if float(np.abs(run_lstm(feats, params).data).max()) >= 1.0:
+        if float(np.abs(states).max()) >= 1.0:
             track(1.0, f"trial {trial}: |T| >= 1")
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            alone = run_lstm(trend_features(Tensor(seq[a:b]), beta), params).data
+            track(float(np.abs(states[a:b] - alone).max()),
+                  f"trial {trial}: stacked event differs from the event alone")
 
         # the cross-entropy node is flat where the probability is clipped
         logits = Tensor(rng.normal(size=(n_windows, 1))
@@ -298,14 +305,7 @@ def partition_and_scale_invariance(seeds: list[int]) -> OracleReport:
     for seed in seeds:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
-        ds = Dataset(
-            ids=[f"p{i}" for i in range(n)],
-            labels=np.zeros(n, dtype=np.int64),
-            timestamps=np.sort(rng.integers(0, 100, size=n)),
-            text=rng.normal(size=(n, 3)),
-            image=np.zeros((n, 2)),
-            has_image=np.zeros(n, dtype=bool),
-        )
+        ds = _posts(np.sort(rng.integers(0, 100, size=n)), text=rng.normal(size=(n, 3)))
         k = int(rng.integers(1, n + 1))
         events = cluster_events(ds, k)
         seen = sorted(i for ev in events for i in ev.member_indices)
@@ -328,14 +328,7 @@ def window_coverage(seeds: list[int]) -> OracleReport:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
         times = np.sort(rng.integers(0, 40 * DAY, size=n))
-        ds = Dataset(
-            ids=[f"p{i}" for i in range(n)],
-            labels=np.zeros(n, dtype=np.int64),
-            timestamps=times,
-            text=np.zeros((n, 2)),
-            image=np.zeros((n, 2)),
-            has_image=np.zeros(n, dtype=bool),
-        )
+        ds = _posts(times)
         event = PseudoEvent(0, tuple(range(n)))
         span = int(rng.choice([2, 4, 6])) * DAY
         seq = segment_event(event, ds, span, span // 2)
@@ -398,14 +391,7 @@ def decay_weight_properties(seeds: list[int]) -> OracleReport:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 8))
         times = np.sort(rng.integers(0, 10 * DAY, size=n))
-        ds = Dataset(
-            ids=[f"p{i}" for i in range(n)],
-            labels=np.zeros(n, dtype=np.int64),
-            timestamps=times,
-            text=np.zeros((n, 2)),
-            image=np.zeros((n, 2)),
-            has_image=np.zeros(n, dtype=bool),
-        )
+        ds = _posts(times)
         w = Window(1, int(times[0]), int(times[-1]) + 1, tuple(range(n)), int(times[-1]))
         lam = decay_weights(ds, [w], alpha=float(rng.uniform(0, 2)) / DAY)[0]
         if abs(lam.sum() - 1.0) > 1e-12 or (lam <= 0).any():
@@ -439,14 +425,5 @@ def run_all(seeds: list[int]) -> list[OracleReport]:
 
 
 def write_report(reports: list[OracleReport], path: str | Path) -> None:
-    payload = [
-        {
-            "name": r.name,
-            "status": r.status,
-            "worst_error": r.worst_error,
-            "location": r.location,
-            "seed": r.seed,
-        }
-        for r in reports
-    ]
+    payload = [asdict(r) for r in reports]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

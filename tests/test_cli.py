@@ -205,6 +205,33 @@ def test_predict_emits_one_line_per_post(tmp_path, dataset_dir, run_dir):
     assert all(0.0 <= l["p"] <= 1.0 for l in lines)
 
 
+def _drop_first_event(path):
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(payload[1:]))
+
+
+DAMAGED_STRUCTURE = {
+    "events-without-an-event": ("events.json", _drop_first_event),
+    "windows-without-an-event": ("windows.json", _drop_first_event),
+    "dataset-not-an-object": ("dataset.json", lambda path: path.write_text("[]")),
+    "events-not-json": ("events.json", lambda path: path.write_text("{")),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_STRUCTURE))
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_damaged_persisted_structure_is_refused(tmp_path, dataset_dir, run_dir, capsys,
+                                               case, command):
+    name, damage = DAMAGED_STRUCTURE[case]
+    damage(run_dir / name)
+    out = ["--out", str(tmp_path / "out.json")]
+    rc = main([command, "--data", str(dataset_dir),
+               "--checkpoint", str(run_dir / "checkpoint.bin"), *out])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_crosseval_dimension_mismatch_fails_before_training(tmp_path, dataset_dir,
                                                             capsys):
     other_spec = write_spec(tmp_path, d_img=5, seed=9)

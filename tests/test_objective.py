@@ -33,6 +33,12 @@ def trend_states(*rows):
     return Tensor(np.array(rows, dtype=float))
 
 
+def probabilities_of(events, windows, states, params, n_posts):
+    """``post_probabilities`` over ``states``, one event's rows after another."""
+    offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
+    return post_probabilities(events, windows, states, offsets, params, n_posts)
+
+
 # -- class weights ------------------------------------------------------------
 def test_balanced_weights_are_one():
     labels = np.array([0] * 50 + [1] * 50)
@@ -78,10 +84,9 @@ def pipeline(rng, n=6, d=4):
               PseudoEvent(1, tuple(range(n // 2, n)))]
     windows = segment_all(events, ds, 3 * DAY, DAY)
     params = ModelParams.build(d, 2, 3, 2, seed=1)
-    states = {}
-    for ev in events:
-        aggs = Tensor(rng.normal(size=(len(windows[ev.event_id].windows), d)))
-        states[ev.event_id] = run_lstm(trend_features(aggs, 0.5), params)
+    offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
+    aggs = Tensor(rng.normal(size=(offsets[-1], d)))
+    states = run_lstm(trend_features(aggs, 0.5, offsets), params, offsets)
     return ds, events, windows, params, states
 
 
@@ -89,7 +94,7 @@ def test_zero_classifier_gives_half(rng):
     ds, events, windows, params, states = pipeline(rng)
     params["clf.W_c"].data[...] = 0.0
     params["clf.b_c"].data[...] = 0.0
-    p_post, p_event, _ = post_probabilities(events, windows, states, params, ds.n)
+    p_post, p_event, _ = probabilities_of(events, windows, states, params, ds.n)
     np.testing.assert_allclose(p_post, 0.5)
     assert all(v == 0.5 for v in p_event.values())
 
@@ -98,7 +103,7 @@ def test_large_bias_saturates(rng):
     ds, events, windows, params, states = pipeline(rng)
     params["clf.W_c"].data[...] = 0.0
     params["clf.b_c"].data[...] = 10.0
-    p_post, _, _ = post_probabilities(events, windows, states, params, ds.n)
+    p_post, _, _ = probabilities_of(events, windows, states, params, ds.n)
     np.testing.assert_allclose(p_post, 1.0 / (1.0 + np.exp(-10.0)))
     assert p_post[0] == pytest.approx(0.99995, abs=5e-6)
 
@@ -109,9 +114,8 @@ def test_single_window_event_shares_probability(rng):
     windows = segment_all(events, ds, DAY, DAY)
     assert len(windows[0].windows) == 1
     params = ModelParams.build(4, 2, 3, 2, seed=2)
-    hidden = {0: run_lstm(trend_features(Tensor(rng.normal(size=(1, 4))), 0.5),
-                          params)}
-    p_post, p_event, _ = post_probabilities(events, windows, hidden, params, ds.n)
+    hidden = run_lstm(trend_features(Tensor(rng.normal(size=(1, 4))), 0.5), params)
+    p_post, p_event, _ = probabilities_of(events, windows, hidden, params, ds.n)
     np.testing.assert_allclose(p_post, p_event[0])
 
 
@@ -124,9 +128,9 @@ def test_readout_uses_last_covering_window(rng):
     assert last[1] == 2
     params = ModelParams.build(4, 2, 3, 2, seed=3)
     aggs = Tensor(rng.normal(size=(len(windows[0].windows), 4)))
-    hidden = {0: run_lstm(trend_features(aggs, 0.5), params)}
-    p_post, _, _ = post_probabilities(events, windows, hidden, params, ds.n)
-    row = hidden[0].data[last[1] - 1]
+    hidden = run_lstm(trend_features(aggs, 0.5), params)
+    p_post, _, _ = probabilities_of(events, windows, hidden, params, ds.n)
+    row = hidden.data[last[1] - 1]
     logit = row @ params["clf.W_c"].data[0] + params["clf.b_c"].data[0]
     assert p_post[1] == pytest.approx(1.0 / (1.0 + np.exp(-logit)))
 
@@ -144,8 +148,8 @@ def ce_setup(rng, labels, probs):
     logits = np.log(np.asarray(probs) / (1.0 - np.asarray(probs)))
     params["clf.W_c"].data[...] = np.array([[1.0, 0.0]])
     # hidden values are bounded by tanh, so steer via handcrafted states
-    hidden = {0: trend_states(*([l, 0.0] for l in logits))}
-    _, _, nodes = post_probabilities(events, windows, hidden, params, ds.n)
+    hidden = trend_states(*([l, 0.0] for l in logits))
+    _, _, nodes = probabilities_of(events, windows, hidden, params, ds.n)
     return ds, events, nodes
 
 
@@ -159,8 +163,8 @@ def test_perfect_predictions_near_zero_loss(rng):
     windows = segment_all(events, ds, DAY, DAY)
     params = ModelParams.build(2, 1, 3, 2, zero=True)
     params["clf.W_c"].data[...] = np.array([[60.0, 0.0]])
-    hidden = {0: trend_states(*([1.0 if y == 1 else -1.0, 0.0] for y in labels))}
-    _, _, nodes = post_probabilities(events, windows, hidden, params, ds.n)
+    hidden = trend_states(*([1.0 if y == 1 else -1.0, 0.0] for y in labels))
+    _, _, nodes = probabilities_of(events, windows, hidden, params, ds.n)
     terms, _ = ce_terms(events, nodes, labels, np.ones(3, dtype=bool),
                         epsilon=1.0, adaptive=False)
     total = sum(t.value for t in terms)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecatch import fusion, training
@@ -171,13 +171,13 @@ def _tape(*roots) -> list[Tensor]:
     return list(seen.values())
 
 
-def test_one_lstm_node_per_event_and_one_readout_node_per_pass():
+def test_one_lstm_node_and_one_readout_node_per_pass():
     ds, events, _, params, cfg = toy_problem(0)
     windows = segment_all(events, ds, 2 * DAY, DAY)
     assert all(len(windows[ev.event_id].windows) > 1 for ev in events)
     out = training.run_model(ds, events, windows, params, cfg)
-    nodes = _tape(*out.states.values(), out.readout.logits)
-    for name, count in (("lstm.W_i", len(events)), ("clf.W_c", 1)):
+    nodes = _tape(out.readout.states, out.readout.logits)
+    for name, count in (("lstm.W_i", 1), ("clf.W_c", 1)):
         users = [n for n in nodes if any(p is params[name] for p in n._parents)]
         assert len(users) == count, name
 
@@ -188,8 +188,10 @@ def _kind(node) -> str:
 
 
 def test_epoch_tape_holds_only_fused_nodes():
-    # 12 nodes per fusion chunk, 3 per event, and 7 for the two stacks, the
-    # readout, the two loss nodes and their sum; the leaves are the parameters.
+    # 12 nodes per fusion chunk and 9 for all events: the stack of the
+    # aggregates, their gather into event order, the trend input, the LSTM,
+    # the readout, the two loss nodes and their sum; the leaves are the
+    # parameters. No node is made per event.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
     flat = [w for ev in events for w in windows[ev.event_id].windows]
     chunks, n_events = len(fusion.window_groups(flat)), len(events)
@@ -201,17 +203,17 @@ def test_epoch_tape_holds_only_fused_nodes():
         "mh_attention": 4 * chunks,
         "gate": chunks,
         "aggregate": chunks,
-        "take": n_events,
-        "trend_features": n_events,
-        "run_lstm": n_events,
-        "concat": 2,
+        "take": 1,
+        "trend_features": 1,
+        "run_lstm": 1,
+        "concat": 1,
         "ce_loss": 1,
         "tc_terms": 1,
         "Tensor.__mul__": 1,
         "Tensor.__add__": 1,
     }
     assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
-    assert len(tape) - len(params.names()) == 12 * chunks + 3 * n_events + 7
+    assert len(tape) - len(params.names()) == 12 * chunks + 9
 
 
 def test_backward_leaves_gradients_on_parameters_only():
@@ -263,6 +265,44 @@ def test_edge_cases_stay_finite(case):
     res = train(ds, events, windows, cfg.updated({"train.epochs": 2}))
     assert res.divergence is None
     assert len(res.history) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    same_time=st.booleans(),
+    stride_is_span=st.booleans(),
+    scope=st.sampled_from(["event", "global"]),
+    seed=st.integers(0, 1000),
+)
+@example(sizes=[1, 1, 1], same_time=False, stride_is_span=False, scope="event", seed=0)
+@example(sizes=[5, 1, 4], same_time=True, stride_is_span=True, scope="global", seed=1)
+def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, seed):
+    # Events of drawn sizes, single-post ones among them, on shared or spread
+    # timestamps, with overlapping or back-to-back windows.
+    _, _, _, params, cfg = toy_problem(0)
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    starts = np.cumsum([0] + sizes)
+    events = [PseudoEvent(k, tuple(range(a, b)))
+              for k, (a, b) in enumerate(zip(starts[:-1], starts[1:]))]
+    split = rng.integers(0, 3, size=n)
+    split[0] = 0  # at least one training post
+    ds = make_dataset(rng.normal(size=(n, params.d_text)),
+                      labels=rng.integers(0, 2, size=n),
+                      timestamps=(np.full(n, 3 * DAY) if same_time
+                                  else rng.integers(0, 8 * DAY, size=n)),
+                      image=rng.normal(size=(n, params.d_img))).with_split(split)
+    span = 2 * DAY
+    cfg = cfg.updated({"weights.scope": scope, "window.span_secs": span,
+                       "window.stride_secs": span if stride_is_span else DAY})
+    windows = segment_all(events, ds, *cfg.window_geometry())
+    art = forward(ds, events, windows, params, cfg, epoch=1)
+    report = art.report
+    assert all(math.isfinite(v) for v in (report.ce, report.tc, report.total))
+    assert np.all((report.p_post > 0.0) & (report.p_post < 1.0))
+    for name, g in backward(art).items():
+        assert np.all(np.isfinite(g)), name
 
 
 def test_forward_requires_training_posts():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecatch.autodiff import Tensor, finite_difference_gradient, take
@@ -289,3 +289,76 @@ def test_trend_input_needs_a_window():
         trend_features(Tensor(np.zeros((0, 3))), beta=0.5)
     with pytest.raises(TrendError, match="beta"):
         trend_features(Tensor(np.zeros((1, 3))), beta=1.5)
+
+
+# -- all events stacked --------------------------------------------------------
+EVENT_LENGTHS = st.lists(st.integers(1, 6), min_size=1, max_size=5)
+
+
+def stacked(lengths):
+    """Row offsets of events of ``lengths`` windows, one event after another."""
+    return np.cumsum([0] + list(lengths))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=EVENT_LENGTHS, d=st.integers(1, 3), beta=st.sampled_from([0.0, 0.4, 1.0]),
+       repeat=st.booleans(), seed=st.integers(0, 10_000))
+@example(lengths=[1, 6, 1, 3], d=2, beta=0.4, repeat=True, seed=1)  # single beside long
+@example(lengths=[3, 3, 3], d=2, beta=0.4, repeat=False, seed=2)    # all equal
+@example(lengths=[5], d=2, beta=0.4, repeat=False, seed=3)          # one event alone
+def test_stacked_trend_input_is_each_events_own(lengths, d, beta, repeat, seed):
+    rng = np.random.default_rng(seed)
+    offsets = stacked(lengths)
+    agg = rng.normal(size=(offsets[-1], d))
+    if repeat:
+        agg[1::2] = agg[:-1:2]  # zero shifts, and repeats across event boundaries
+    g = rng.normal(size=(offsets[-1], 2 * d + 1))
+
+    x = Tensor(agg)
+    out = trend_features(x, beta, offsets)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        np.testing.assert_array_equal(out.data[a:b], trend_features(Tensor(agg[a:b]), beta).data)
+    out.backward(g)
+    fd = finite_difference_gradient(
+        lambda a: float((trend_features(Tensor(a), beta, offsets).data * g).sum()), agg)
+    assert np.abs(fd - x.grad).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=EVENT_LENGTHS, d=st.integers(1, 3), scale=st.sampled_from([0.3, 1.0, 3.0]),
+       seed=st.integers(0, 10_000))
+@example(lengths=[1, 6, 1, 3], d=2, scale=1.0, seed=1)
+@example(lengths=[3, 3, 3], d=2, scale=1.0, seed=2)
+@example(lengths=[5], d=2, scale=1.0, seed=3)
+def test_lockstep_lstm_matches_each_event_alone_and_finite_differences(lengths, d, scale,
+                                                                        seed):
+    rng = np.random.default_rng(seed)
+    offsets = stacked(lengths)
+    params = ModelParams.build(d, 1, 2, 2, seed=seed)
+    names = [n for n in params.names() if n.startswith("lstm.")]
+    arrays = [rng.normal(size=(offsets[-1], 2 * d + 1)) * scale]
+    arrays += [rng.normal(size=params[n].shape) * scale for n in names]
+    g = rng.normal(size=(offsets[-1], d))
+
+    def roll(arrs):
+        for name, a in zip(names, arrs[1:]):
+            params[name].data = a
+        x = Tensor(arrs[0])
+        return run_lstm(x, params, offsets), x
+
+    out, x = roll(arrays)
+    assert out.shape == (offsets[-1], d)
+    by_name = dict(zip(names, arrays[1:]))
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        assert np.abs(out.data[a:b] - numpy_lstm(arrays[0][a:b], by_name)).max() <= 1e-12
+
+    params.zero_grads()
+    out.backward(g)
+    analytic = [x.grad] + [params[n].grad for n in names]
+    for idx, grad in enumerate(analytic):
+        def f(a, idx=idx):
+            return float((roll(arrays[:idx] + [a] + arrays[idx + 1:])[0].data * g).sum())
+
+        fd = finite_difference_gradient(f, arrays[idx])
+        err = np.abs(fd - grad).max()
+        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(grad).max(), 1e-3), idx
