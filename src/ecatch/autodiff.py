@@ -20,17 +20,12 @@ caller drops them. Scoring runs that way.
 
 The tape is acyclic: a closure captures its parents and plain ndarrays,
 never its own ``Tensor``, so reference counting alone frees a tape once its
-last root is dropped. Python's cyclic collector would still walk every live
-node again and again while freeing nothing, so :func:`tape_scope` pauses it
-while a tape is built, walked or held. The pause is process-wide, which is
-fine because ``ecatch`` is single-threaded; cyclic garbage made inside the
-scope, such as an exception traceback, is collected once it runs again.
+last root is dropped.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gc
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -45,12 +40,9 @@ def _as_array(x) -> Array:
 
 
 def stable_sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class GraphConsumedError(RuntimeError):
@@ -64,8 +56,8 @@ _recording = True
 def no_grad() -> Iterator[None]:
     """Record no graph: a ``Tensor`` made inside keeps no parents and no VJP.
 
-    Process-wide like :func:`tape_scope`; nests, and restores the previous
-    state on exit or on an exception.
+    Process-wide; nests, and restores the previous state on exit or on an
+    exception.
     """
     global _recording
     was_recording = _recording
@@ -79,22 +71,6 @@ def no_grad() -> Iterator[None]:
 def _consumed(g: Array):
     """Stands in for the VJP of a node that an earlier ``backward`` walked."""
     raise GraphConsumedError("backward already walked this graph")
-
-
-@contextlib.contextmanager
-def tape_scope() -> Iterator[None]:
-    """Pause the cyclic collector, then restore the state it had on entry.
-
-    Nests, and restores on exceptions; usable as ``with tape_scope():`` or as
-    the decorator ``@tape_scope()``.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class Tensor:

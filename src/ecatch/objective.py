@@ -2,21 +2,23 @@
 
 The trend stage hands over one (R, d) matrix that stacks every event's
 trend states in ascending event_id (see ``training.run_model``), and one
-``linear`` node reads it out into logits. A post's probability is the
-sigmoid of the row of the last window containing it (for single-window
-events this collapses to one probability per event). The loss is two nodes
-over that stack: :func:`ce_loss`, the weighted cross-entropy of every
-selected training post, whose class weights adapt to the per-event (or
-global) training label counts, and :func:`tc_terms`, the
-temporal-consistency term, which penalizes large aligned jumps between
-consecutive trend states of one event. Optional hard-example mining keeps
-only the globally highest-loss fraction of training posts.
+``linear`` node reads it out into a :class:`Readout`. A post's probability
+is the sigmoid of the row of the last window containing it. The readout
+lists every (event, post) membership with that row as aligned index arrays,
+and the bookkeeping stays in arrays up to the loss: :func:`ce_terms` gives
+each training membership's weighted cross-entropy, with class weights
+adapted to per-event (or global) training label counts, and optional
+hard-example mining keeps the globally highest-loss fraction of them. The
+loss is two nodes over the stack: :func:`ce_loss` over the selected terms,
+and :func:`tc_terms`, the temporal-consistency term, which penalizes large
+aligned jumps between consecutive trend states of one event.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +36,18 @@ class ObjectiveError(ValueError):
     pass
 
 
+def _weight_table(labels, post, group, train_mask, epsilon, n_groups=1) -> np.ndarray:
+    """(n_groups, 2) adaptive class weights; group g counts the training posts
+    ``post[group == g]``, a post once per membership."""
+    if epsilon <= 0:
+        raise ObjectiveError("epsilon must be positive")
+    train = train_mask[post]
+    n = np.bincount(group[train], minlength=n_groups)
+    n1 = np.bincount(group[train], weights=labels[post[train]], minlength=n_groups)
+    n0 = n - n1
+    return np.stack([n / 2.0 / (n0 + epsilon), n / 2.0 / (n1 + epsilon)], axis=1)
+
+
 def class_weights(
     labels: np.ndarray,
     member_indices,
@@ -41,31 +55,34 @@ def class_weights(
     epsilon: float,
 ) -> tuple[float, float]:
     """Adaptive weights mean_count / (count_c + epsilon) over training posts."""
-    if epsilon <= 0:
-        raise ObjectiveError("epsilon must be positive")
-    idx = [i for i in member_indices if train_mask[i]]
-    n1 = int(sum(labels[i] for i in idx))
-    n0 = len(idx) - n1
-    nbar = (n0 + n1) / 2.0
-    return nbar / (n0 + epsilon), nbar / (n1 + epsilon)
+    post = np.asarray(member_indices, dtype=np.intp)
+    w0, w1 = _weight_table(labels, post, np.zeros_like(post), train_mask, epsilon)[0]
+    return w0.item(), w1.item()
 
 
 @dataclass
 class Readout:
-    """Every event's trend states, stacked in ascending event_id, read out."""
+    """Every event's trend states, stacked in ascending event_id, read out.
+
+    Memberships are three aligned arrays, each event's posts in member order,
+    event after event: a post in two events appears once for each.
+    """
 
     states: Tensor            # (R, d), R the windows of all events
     logits: Tensor            # (R, 1)
     probs: np.ndarray         # (R,) sigmoid of the logits
+    p_post: np.ndarray        # (n_posts,) probability of each covered post, else NaN
+    p_event: dict[int, float]  # event_id -> its last window's probability
     event_ids: list[int]
     offsets: np.ndarray       # event k owns rows offsets[k]:offsets[k + 1]
-    rows: dict[int, dict[int, int]]  # event -> post -> row of its last covering window
+    post: np.ndarray          # membership -> post index
+    event: np.ndarray         # membership -> position of its event in ``event_ids``
+    row: np.ndarray           # membership -> row of the post's last covering window
 
-    def ce_coefficients(self, terms: list["CETerm"]) -> np.ndarray:
+    def ce_coefficients(self, terms: "CrossEntropyTerms") -> np.ndarray:
         """Per class, each row's negated sum of the weights of ``terms``: (2, R)."""
         coef = np.zeros((2, self.probs.size))
-        for term in terms:
-            coef[term.label, term.row] -= term.weight
+        np.add.at(coef, (terms.label, terms.row), -terms.weight)
         return coef
 
 
@@ -76,82 +93,86 @@ def post_probabilities(
     offsets: np.ndarray,
     params: ModelParams,
     n_posts: int,
-) -> tuple[np.ndarray, dict[int, float], Readout]:
-    """Per-post probability via each post's last covering window.
+) -> Readout:
+    """Read out ``states``; a post's probability is its last covering window's.
 
     ``states`` stacks the events' trend states in the order of ``events``,
-    event k in rows ``offsets[k]:offsets[k + 1]``. Returns the dense per-post
-    array, the per-event probability (last window's readout), and the
-    readout the losses are built on.
+    event k in rows ``offsets[k]:offsets[k + 1]``.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for k, ev in enumerate(events):
-        last_of = window_seqs[ev.event_id].last_window_of()
-        uncovered = [post for post in ev.member_indices if post not in last_of]
-        if uncovered:
-            raise ObjectiveError(
-                f"post {uncovered[0]} of event {ev.event_id} is not covered by any window"
-            )
-        rows[ev.event_id] = {post: int(offsets[k]) + last_of[post] - 1
-                             for post in ev.member_indices}
+    windows = [w for ev in events for w in window_seqs[ev.event_id].windows]
+    cover_row = np.repeat(np.arange(len(windows)), [len(w.members) for w in windows])
+    covered = np.fromiter(chain.from_iterable(w.members for w in windows), dtype=np.intp)
+    event_of_row = np.repeat(np.arange(len(events)), np.diff(offsets))
+    # Keyed by (event, post); rows ascend, so a key's last occurrence is its last window.
+    keys, last = np.unique((event_of_row[cover_row] * n_posts + covered)[::-1],
+                           return_index=True)
+    post = np.fromiter(chain.from_iterable(ev.member_indices for ev in events), dtype=np.intp)
+    event = np.repeat(np.arange(len(events)), [len(ev.member_indices) for ev in events])
+    key = event * n_posts + post
+    missing = ~np.isin(key, keys)
+    if missing.any():
+        k = np.argmax(missing)
+        raise ObjectiveError(f"post {post[k]} of event {events[event[k]].event_id} "
+                             f"is not covered by any window")
+    row = cover_row[::-1][last[np.searchsorted(keys, key)]]
 
     logits = linear(states, params["clf.W_c"], params["clf.b_c"])
     probs = stable_sigmoid(logits.data[:, 0])
     p_post = np.full(n_posts, np.nan)
-    for of_event in rows.values():
-        p_post[list(of_event)] = probs[list(of_event.values())]
+    p_post[post] = probs[row]
     p_event = {ev.event_id: probs[offsets[k + 1] - 1].item() for k, ev in enumerate(events)}
-    readout = Readout(states, logits, probs, [ev.event_id for ev in events], offsets, rows)
-    return p_post, p_event, readout
+    return Readout(states, logits, probs, p_post, p_event, [ev.event_id for ev in events],
+                   offsets, post, event, row)
 
 
 @dataclass
-class CETerm:
-    post_index: int
-    event_id: int
-    value: float
-    row: int       # readout row of the post's last covering window
-    label: int
-    weight: float  # class weight of ``label`` in the post's event
+class CrossEntropyTerms:
+    """One weighted cross-entropy term per training post in each of its events,
+    as aligned columns."""
+
+    post: np.ndarray    # post index
+    event: np.ndarray   # position of the post's event in the readout
+    row: np.ndarray     # readout row of the post's last covering window
+    label: np.ndarray
+    weight: np.ndarray  # class weight of ``label`` in the post's event
+    value: np.ndarray   # -weight * log-likelihood of ``label``
+
+    def __len__(self) -> int:
+        return self.post.size
+
+    def take(self, index) -> "CrossEntropyTerms":
+        """The terms at ``index``, in that order."""
+        return CrossEntropyTerms(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def ce_terms(
-    events: list[PseudoEvent],
     readout: Readout,
     labels: np.ndarray,
     train_mask: np.ndarray,
     epsilon: float,
     adaptive: bool,
     weight_scope: str = "event",
-) -> tuple[list[CETerm], dict[int, tuple[float, float]]]:
-    """Weighted cross-entropy value per training post, plus each event's weights."""
+) -> tuple[CrossEntropyTerms, np.ndarray]:
+    """Weighted cross-entropy of every training membership of ``readout``, and
+    each event's (w_0, w_1) class weights as an (E, 2) array."""
     if weight_scope not in WEIGHT_SCOPES:
         raise ObjectiveError(f"unknown weight scope {weight_scope!r}")
+    n_events = len(readout.event_ids)
+    if adaptive:
+        # The weight group of each event: itself, or one group for all.
+        group = np.arange(n_events) if weight_scope == "event" else np.zeros(n_events, np.intp)
+        weights = _weight_table(labels, readout.post, group[readout.event], train_mask,
+                                epsilon, n_events)[group]
+    else:
+        weights = np.ones((n_events, 2))
 
-    global_w = None
-    if weight_scope == "global":
-        all_members = [i for ev in events for i in ev.member_indices]
-        global_w = class_weights(labels, all_members, train_mask, epsilon)
-
+    keep = train_mask[readout.post]
+    post, event, row = readout.post[keep], readout.event[keep], readout.row[keep]
+    label = labels[post].astype(np.intp)
+    weight = weights[event, label]
     p = np.clip(readout.probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     logs = np.log([1.0 - p, p])  # row y: log-likelihood of label y
-    terms: list[CETerm] = []
-    weights_by_event: dict[int, tuple[float, float]] = {}
-    for ev in events:
-        if adaptive:
-            w01 = global_w if global_w is not None else class_weights(
-                labels, ev.member_indices, train_mask, epsilon
-            )
-        else:
-            w01 = (1.0, 1.0)
-        weights_by_event[ev.event_id] = w01
-        for post in ev.member_indices:
-            if not train_mask[post]:
-                continue
-            row, y = readout.rows[ev.event_id][post], int(labels[post])
-            w = w01[y]
-            terms.append(CETerm(post, ev.event_id, (-w * logs[y, row]).item(), row, y, w))
-    return terms, weights_by_event
+    return CrossEntropyTerms(post, event, row, label, weight, -weight * logs[label, row]), weights
 
 
 def ce_loss(logits: Tensor, coef: np.ndarray) -> Tensor:
@@ -173,15 +194,15 @@ def ce_loss(logits: Tensor, coef: np.ndarray) -> Tensor:
     return Tensor(value, (logits,), vjp)
 
 
-def mine_hard_examples(terms: list[CETerm], rho: float) -> list[CETerm]:
-    """Keep the ceil(rho * N) highest-loss terms; ties favor lower post index."""
+def mine_hard_examples(terms: CrossEntropyTerms, rho: float) -> CrossEntropyTerms:
+    """Keep the ceil(rho * N) highest-loss terms, highest first; ties favor
+    lower post index."""
     if not 0.0 < rho <= 1.0:
         raise ObjectiveError(f"mining fraction must be in (0, 1], got {rho}")
     if rho == 1.0:
-        return list(terms)
+        return terms
     k = math.ceil(rho * len(terms))
-    ranked = sorted(terms, key=lambda t: (-t.value, t.post_index))
-    return ranked[:k]
+    return terms.take(np.lexsort((terms.post, -terms.value))[:k])
 
 
 def tc_terms(

@@ -2,13 +2,14 @@
 
 One epoch is one full-batch pass: the windows of all events are fused in
 groups of equal member count, and the aggregates of all events, stacked in
-ascending event_id, are trend-encoded in lockstep and read out at once. The
-epoch loss is ``ce + lambda_tc * tc``: one cross-entropy node over the
-selected training posts (optionally after global hard-example mining) and
-one temporal-consistency node over all events, joined by the scalar sum.
-One backward pass over it yields every gradient, and runs are bitwise
-reproducible. Regularization gradients are added in closed form
-(2 * lambda_reg * theta). Everything runs in float64.
+ascending event_id, are trend-encoded in lockstep and read out at once into
+one ``objective.Readout``. The epoch loss is ``ce + lambda_tc * tc``: one
+cross-entropy node over the selected training posts (optionally after global
+hard-example mining) and one temporal-consistency node over all events,
+joined by the scalar sum; from the readout to the loss, the per-post
+bookkeeping is index arrays. One backward pass over it yields every
+gradient, and runs are bitwise reproducible. Regularization gradients are
+added in closed form (2 * lambda_reg * theta). Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat, tape_scope
+from .autodiff import Tensor, concat
 from .clustering import PseudoEvent
 from .config import RunConfig
 from .data import Dataset
@@ -59,15 +60,6 @@ class ForwardArtifacts:
     params: ModelParams
 
 
-@dataclass
-class ModelOutputs:
-    """Forward state of the network before any loss is attached."""
-
-    p_post: np.ndarray
-    p_event: dict[int, float]
-    readout: Readout
-
-
 def fused_aggregates(
     ds: Dataset,
     params: ModelParams,
@@ -97,14 +89,13 @@ def fused_aggregates(
     return concat(parts), rows
 
 
-@tape_scope()
 def run_model(
     ds: Dataset,
     events: list[PseudoEvent],
     windows: dict[int, WindowSequence],
     params: ModelParams,
     cfg: RunConfig,
-) -> ModelOutputs:
+) -> Readout:
     """Grouped fusion -> one trend encoding and one readout of all events."""
     ordered = sorted(events, key=lambda e: e.event_id)
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in ordered])
@@ -116,12 +107,9 @@ def run_model(
     except (FusionError, TrendError) as exc:
         raise TrainingError(f"window encoding: {exc}") from exc
 
-    p_post, p_event, readout = post_probabilities(ordered, windows, states, offsets, params,
-                                                  ds.n)
-    return ModelOutputs(p_post, p_event, readout)
+    return post_probabilities(ordered, windows, states, offsets, params, ds.n)
 
 
-@tape_scope()
 def forward(
     ds: Dataset,
     events: list[PseudoEvent],
@@ -131,28 +119,21 @@ def forward(
     epoch: int = 0,
 ) -> ForwardArtifacts:
     """Build the full loss for one epoch."""
-    outputs = run_model(ds, events, windows, params, cfg)
-    readout = outputs.readout
-    terms, _ = ce_terms(
-        events,
-        readout,
-        ds.labels,
-        ds.train_mask(),
-        cfg["loss.epsilon"],
-        cfg["weights.adaptive"],
-        cfg["weights.scope"],
-    )
-    if not terms:
+    readout = run_model(ds, events, windows, params, cfg)
+    terms, _ = ce_terms(readout, ds.labels, ds.train_mask(), cfg["loss.epsilon"],
+                        cfg["weights.adaptive"], cfg["weights.scope"])
+    if not len(terms):
         raise TrainingError("no training posts: cannot build the classification loss")
 
     rho = cfg["mining.rho"]
     mining_active = rho < 1.0 and epoch >= cfg["mining.warmup_epochs"]
-    selected = mine_hard_examples(terms, rho) if mining_active else list(terms)
+    selected = mine_hard_examples(terms, rho) if mining_active else terms
     mined = np.zeros(ds.n, dtype=bool)
-    ce_by_event = dict.fromkeys(readout.event_ids, 0.0)
-    for t in selected:
-        mined[t.post_index] = True
-        ce_by_event[t.event_id] += t.value
+    mined[selected.post] = True
+    # bincount adds in term order, as a loop over the terms would.
+    ce_values = np.bincount(selected.event, weights=selected.value,
+                            minlength=len(readout.event_ids))
+    ce_by_event = dict(zip(readout.event_ids, ce_values.tolist()))
 
     lambda_tc = cfg["loss.lambda_tc"]
     loss = ce_loss(readout.logits, readout.ce_coefficients(selected))
@@ -171,8 +152,8 @@ def forward(
         tc=tc,
         reg=reg,
         total=total,
-        p_post=outputs.p_post,
-        p_event=outputs.p_event,
+        p_post=readout.p_post,
+        p_event=readout.p_event,
         mined=mined,
         lambda_tc=lambda_tc,
         lambda_reg=cfg["loss.lambda_reg"],
@@ -180,7 +161,6 @@ def forward(
     return ForwardArtifacts(report, loss, params)
 
 
-@tape_scope()
 def backward(artifacts: ForwardArtifacts) -> dict[str, np.ndarray]:
     """Exact gradients of the total loss for every named parameter.
 
@@ -284,7 +264,6 @@ def _val_metrics(ds: Dataset, p_post: np.ndarray, threshold: float) -> EvalResul
     return evaluate(p_post[val_idx], ds.labels[val_idx], threshold)
 
 
-@tape_scope()
 def train(
     ds: Dataset,
     events: list[PseudoEvent],

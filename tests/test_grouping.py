@@ -70,7 +70,7 @@ def test_layout_covers_the_grouping_cases():
 def test_one_forward_makes_four_attention_nodes_per_chunk():
     ds, events, windows, params, cfg = keyed_problem(LAYOUT)
     out = training.run_model(ds, events, windows, params, cfg)
-    nodes = _tape(out.readout.states)
+    nodes = _tape(out.states)
     n_chunks = len(fusion.window_groups(flat_windows(events, windows)))
     assert n_chunks == 4 < len(flat_windows(events, windows))
     for block in ATT_BLOCKS:

@@ -10,7 +10,7 @@ from ecatch.clustering import PseudoEvent
 from ecatch.objective import (
     NORM_GUARD,
     PROB_CLAMP,
-    CETerm,
+    CrossEntropyTerms,
     ObjectiveError,
     Readout,
     ce_loss,
@@ -34,7 +34,7 @@ def trend_states(*rows):
 
 
 def probabilities_of(events, windows, states, params, n_posts):
-    """``post_probabilities`` over ``states``, one event's rows after another."""
+    """``post_probabilities``' readout of ``states``, one event's rows after another."""
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
     return post_probabilities(events, windows, states, offsets, params, n_posts)
 
@@ -94,16 +94,16 @@ def test_zero_classifier_gives_half(rng):
     ds, events, windows, params, states = pipeline(rng)
     params["clf.W_c"].data[...] = 0.0
     params["clf.b_c"].data[...] = 0.0
-    p_post, p_event, _ = probabilities_of(events, windows, states, params, ds.n)
-    np.testing.assert_allclose(p_post, 0.5)
-    assert all(v == 0.5 for v in p_event.values())
+    out = probabilities_of(events, windows, states, params, ds.n)
+    np.testing.assert_allclose(out.p_post, 0.5)
+    assert all(v == 0.5 for v in out.p_event.values())
 
 
 def test_large_bias_saturates(rng):
     ds, events, windows, params, states = pipeline(rng)
     params["clf.W_c"].data[...] = 0.0
     params["clf.b_c"].data[...] = 10.0
-    p_post, _, _ = probabilities_of(events, windows, states, params, ds.n)
+    p_post = probabilities_of(events, windows, states, params, ds.n).p_post
     np.testing.assert_allclose(p_post, 1.0 / (1.0 + np.exp(-10.0)))
     assert p_post[0] == pytest.approx(0.99995, abs=5e-6)
 
@@ -115,8 +115,8 @@ def test_single_window_event_shares_probability(rng):
     assert len(windows[0].windows) == 1
     params = ModelParams.build(4, 2, 3, 2, seed=2)
     hidden = run_lstm(trend_features(Tensor(rng.normal(size=(1, 4))), 0.5), params)
-    p_post, p_event, _ = probabilities_of(events, windows, hidden, params, ds.n)
-    np.testing.assert_allclose(p_post, p_event[0])
+    out = probabilities_of(events, windows, hidden, params, ds.n)
+    np.testing.assert_allclose(out.p_post, out.p_event[0])
 
 
 def test_readout_uses_last_covering_window(rng):
@@ -129,10 +129,37 @@ def test_readout_uses_last_covering_window(rng):
     params = ModelParams.build(4, 2, 3, 2, seed=3)
     aggs = Tensor(rng.normal(size=(len(windows[0].windows), 4)))
     hidden = run_lstm(trend_features(aggs, 0.5), params)
-    p_post, _, _ = probabilities_of(events, windows, hidden, params, ds.n)
+    p_post = probabilities_of(events, windows, hidden, params, ds.n).p_post
     row = hidden.data[last[1] - 1]
     logit = row @ params["clf.W_c"].data[0] + params["clf.b_c"].data[0]
     assert p_post[1] == pytest.approx(1.0 / (1.0 + np.exp(-logit)))
+
+
+def test_readout_lists_each_events_posts_with_their_last_window(rng):
+    # Event 2 repeats event 0's posts: each membership gets its own row.
+    ds, events, windows, params, _ = pipeline(rng, n=9)
+    events = events + [PseudoEvent(2, events[0].member_indices[::-1])]
+    windows[2] = windows[0]
+    offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
+    states = run_lstm(trend_features(Tensor(rng.normal(size=(offsets[-1], 4))), 0.5, offsets),
+                      params, offsets)
+    readout = post_probabilities(events, windows, states, offsets, params, ds.n)
+    want = [(post, k, offsets[k] + windows[ev.event_id].last_window_of()[post] - 1)
+            for k, ev in enumerate(events) for post in ev.member_indices]
+    assert list(zip(readout.post, readout.event, readout.row)) == want
+    assert readout.event_ids == [0, 1, 2]
+    last_row = {post: row for post, _, row in want}  # a later event's row wins
+    assert readout.p_post.tolist() == [readout.probs[last_row[i]] for i in range(ds.n)]
+    for k, ev in enumerate(events):
+        assert readout.p_event[ev.event_id] == readout.probs[offsets[k + 1] - 1]
+
+
+def test_uncovered_post_is_named(rng):
+    ds, events, windows, params, states = pipeline(rng)
+    events = [events[0], PseudoEvent(1, events[1].member_indices + (0,))]
+    offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
+    with pytest.raises(ObjectiveError, match="post 0 of event 1 is not covered"):
+        post_probabilities(events, windows, states, offsets, params, ds.n)
 
 
 # -- cross-entropy and mining --------------------------------------------------
@@ -149,8 +176,7 @@ def ce_setup(rng, labels, probs):
     params["clf.W_c"].data[...] = np.array([[1.0, 0.0]])
     # hidden values are bounded by tanh, so steer via handcrafted states
     hidden = trend_states(*([l, 0.0] for l in logits))
-    _, _, nodes = probabilities_of(events, windows, hidden, params, ds.n)
-    return ds, events, nodes
+    return ds, probabilities_of(events, windows, hidden, params, ds.n)
 
 
 def test_perfect_predictions_near_zero_loss(rng):
@@ -164,80 +190,81 @@ def test_perfect_predictions_near_zero_loss(rng):
     params = ModelParams.build(2, 1, 3, 2, zero=True)
     params["clf.W_c"].data[...] = np.array([[60.0, 0.0]])
     hidden = trend_states(*([1.0 if y == 1 else -1.0, 0.0] for y in labels))
-    _, _, nodes = probabilities_of(events, windows, hidden, params, ds.n)
-    terms, _ = ce_terms(events, nodes, labels, np.ones(3, dtype=bool),
-                        epsilon=1.0, adaptive=False)
-    total = sum(t.value for t in terms)
+    readout = probabilities_of(events, windows, hidden, params, ds.n)
+    terms, _ = ce_terms(readout, labels, np.ones(3, dtype=bool), epsilon=1.0, adaptive=False)
+    total = terms.value.sum()
     assert total == pytest.approx(0.0, abs=1e-9 * 3)
 
 
 def test_single_post_halfway_is_ln2(rng):
     labels = np.array([1])
-    ds, events, nodes = ce_setup(rng, labels, [0.5])
-    terms, _ = ce_terms(events, nodes, labels, np.ones(1, dtype=bool),
-                        epsilon=1.0, adaptive=False)
-    assert terms[0].value == pytest.approx(math.log(2.0))
+    _, readout = ce_setup(rng, labels, [0.5])
+    terms, _ = ce_terms(readout, labels, np.ones(1, dtype=bool), epsilon=1.0, adaptive=False)
+    assert terms.value[0] == pytest.approx(math.log(2.0))
+
+
+def terms_of(values, posts=None):
+    """Terms of one event with the given values, of posts 0, 1, ... unless given."""
+    n = len(values)
+    posts = np.arange(n) if posts is None else np.asarray(posts)
+    ones = np.ones(n, dtype=np.intp)
+    return CrossEntropyTerms(posts, 0 * ones, ones, ones, np.ones(n), np.asarray(values, float))
 
 
 def test_mining_keeps_top_half():
-    terms = [CETerm(i, 0, v, 1, 1, 1.0) for i, v in enumerate([0.1, 0.9, 0.2, 0.8])]
-    kept = mine_hard_examples(terms, 0.5)
-    assert sorted(t.post_index for t in kept) == [1, 3]
-    assert sum(t.value for t in kept) == pytest.approx(1.7)
+    kept = mine_hard_examples(terms_of([0.1, 0.9, 0.2, 0.8]), 0.5)
+    assert kept.post.tolist() == [1, 3]
+    assert kept.value.sum() == pytest.approx(1.7)
 
 
 def test_mining_full_fraction_is_identity():
-    terms = [CETerm(i, 0, float(i), 1, 1, 1.0) for i in range(4)]
-    assert mine_hard_examples(terms, 1.0) == terms
+    terms = terms_of([0.0, 1.0, 2.0, 3.0])
+    assert mine_hard_examples(terms, 1.0) is terms
 
 
 def test_mining_tie_break_prefers_low_index():
-    terms = [CETerm(i, 0, 0.5, 1, 1, 1.0) for i in range(4)]
-    kept = mine_hard_examples(terms, 0.5)
-    assert [t.post_index for t in kept] == [0, 1]
+    kept = mine_hard_examples(terms_of([0.5] * 4, posts=[3, 1, 2, 0]), 0.5)
+    assert kept.post.tolist() == [0, 1]
 
 
 def test_mining_fraction_validation():
     with pytest.raises(ObjectiveError):
-        mine_hard_examples([], 0.0)
+        mine_hard_examples(terms_of([]), 0.0)
     with pytest.raises(ObjectiveError):
-        mine_hard_examples([], 1.5)
+        mine_hard_examples(terms_of([]), 1.5)
 
 
 def test_ce_skips_non_training_posts(rng):
     labels = np.array([1, 0, 1])
-    ds, events, nodes = ce_setup(rng, labels, [0.3, 0.4, 0.9])
+    _, readout = ce_setup(rng, labels, [0.3, 0.4, 0.9])
     train = np.array([True, False, True])
-    terms, _ = ce_terms(events, nodes, labels, train, epsilon=1.0, adaptive=False)
-    assert sorted(t.post_index for t in terms) == [0, 2]
+    terms, _ = ce_terms(readout, labels, train, epsilon=1.0, adaptive=False)
+    assert sorted(terms.post.tolist()) == [0, 2]
 
 
 def test_ce_monotone_toward_label(rng):
     labels = np.array([1])
     for p_lo, p_hi in ((0.3, 0.6), (0.6, 0.9)):
-        _, events, nodes_lo = ce_setup(rng, labels, [p_lo])
-        terms_lo, _ = ce_terms(events, nodes_lo, labels, np.ones(1, dtype=bool),
+        _, readout_lo = ce_setup(rng, labels, [p_lo])
+        terms_lo, _ = ce_terms(readout_lo, labels, np.ones(1, dtype=bool),
                                epsilon=1.0, adaptive=False)
-        _, _, nodes_hi = ce_setup(rng, labels, [p_hi])
-        terms_hi, _ = ce_terms(events, nodes_hi, labels, np.ones(1, dtype=bool),
+        _, readout_hi = ce_setup(rng, labels, [p_hi])
+        terms_hi, _ = ce_terms(readout_hi, labels, np.ones(1, dtype=bool),
                                epsilon=1.0, adaptive=False)
-        assert terms_hi[0].value < terms_lo[0].value
+        assert terms_hi.value[0] < terms_lo.value[0]
 
 
 def test_adaptive_terms_are_reweighted_plain_terms(rng):
     labels = np.array([1, 0, 0])
-    ds, events, nodes = ce_setup(rng, labels, [0.4, 0.3, 0.8])
-    t1, w1 = ce_terms(events, nodes, labels, np.ones(3, dtype=bool),
-                      epsilon=1e-9, adaptive=True)
-    t0, _ = ce_terms(events, nodes, labels, np.ones(3, dtype=bool),
-                     epsilon=1e-9, adaptive=False)
+    _, readout = ce_setup(rng, labels, [0.4, 0.3, 0.8])
+    t1, w1 = ce_terms(readout, labels, np.ones(3, dtype=bool), epsilon=1e-9, adaptive=True)
+    t0, _ = ce_terms(readout, labels, np.ones(3, dtype=bool), epsilon=1e-9, adaptive=False)
     w = w1[0]
     assert w[0] == pytest.approx(0.75)
     assert w[1] == pytest.approx(1.5)
-    by_post = {t.post_index: t.value for t in t0}
-    for term in t1:
-        expected = by_post[term.post_index] * w[labels[term.post_index]]
-        assert term.value == pytest.approx(expected)
+    by_post = dict(zip(t0.post.tolist(), t0.value))
+    for post, value in zip(t1.post, t1.value):
+        assert value == pytest.approx(by_post[post] * w[labels[post]])
 
 
 def readout_of(logits, last_of):
@@ -245,10 +272,11 @@ def readout_of(logits, last_of):
     steps = [len(z) for z in logits]
     offsets = np.concatenate([[0], np.cumsum(steps)]).astype(np.intp)
     z = np.concatenate(logits)
-    rows = {e: {post: int(offsets[e]) + t - 1 for post, t in of_event.items()}
-            for e, of_event in enumerate(last_of)}
+    post, event, row = np.array([(post, e, offsets[e] + t - 1)
+                                 for e, of_event in enumerate(last_of)
+                                 for post, t in of_event.items()], dtype=np.intp).reshape(-1, 3).T
     return Readout(Tensor(np.zeros((z.size, 1))), Tensor(z[:, None]), stable_sigmoid(z),
-                   list(range(len(steps))), offsets, rows)
+                   None, None, list(range(len(steps))), offsets, post, event, row)
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,24 +297,23 @@ def test_ce_loss_is_the_sum_of_its_terms(steps, n_posts, mined, seed):
     owner = rng.integers(0, len(steps), size=n_posts)
     last_of = [{post: int(rng.integers(1, steps[e] + 1))
                 for post in range(n_posts) if owner[post] == e} for e in range(len(steps))]
-    events = [PseudoEvent(e, tuple(of_event)) for e, of_event in enumerate(last_of)]
     readout = readout_of(logits, last_of)
-    terms, _ = ce_terms(events, readout, labels, rng.random(n_posts) < 0.8,
+    terms, _ = ce_terms(readout, labels, rng.random(n_posts) < 0.8,
                         epsilon=float(rng.uniform(0.1, 2.0)), adaptive=True)
-    terms = mine_hard_examples(terms, mined) if terms else terms
-    if not terms:
+    if not len(terms):
         return
+    terms = mine_hard_examples(terms, mined)
 
     coef = readout.ce_coefficients(terms)
     loss = ce_loss(readout.logits, coef)
-    want = sum(t.value for t in terms)
+    want = terms.value.sum()
     assert abs(loss.item() - want) <= 1e-12 * max(1.0, abs(want))
 
     loss.backward()
     p = readout.probs
     expected = np.zeros(p.size)
-    for t in terms:
-        expected[t.row] += -t.weight * (1.0 - p[t.row]) if t.label == 1 else t.weight * p[t.row]
+    for row, label, weight in zip(terms.row, terms.label, terms.weight):
+        expected[row] += -weight * (1.0 - p[row]) if label == 1 else weight * p[row]
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
     assert np.all(readout.logits.grad[~inside] == 0.0)
     np.testing.assert_allclose(readout.logits.grad[:, 0], np.where(inside, expected, 0.0),
@@ -296,6 +323,72 @@ def test_ce_loss_is_the_sum_of_its_terms(steps, n_posts, mined, seed):
                                     readout.logits.data)
     err = np.abs(fd - readout.logits.grad).max()
     assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+def terms_by_loop(readout, labels, train, epsilon, adaptive, scope):
+    """(post, event, row, label, weight, value) per training membership, one at a time."""
+    members = list(zip(readout.post.tolist(), readout.event.tolist(), readout.row.tolist()))
+    q = np.clip(readout.probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    logs = np.log([1.0 - q, q])
+    terms = []
+    for post, event, row in members:
+        if not train[post]:
+            continue
+        y, w = int(labels[post]), 1.0
+        if adaptive:
+            group = [i for i, e, _ in members if train[i] and (scope == "global" or e == event)]
+            n1 = sum(int(labels[i]) for i in group)
+            counts = (len(group) - n1, n1)
+            w = (len(group) / 2.0) / (counts[y] + epsilon)
+        terms.append((post, event, row, y, w, -w * logs[y, row]))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    duplicate=st.booleans(),
+    n_posts=st.integers(1, 8),
+    rho=st.sampled_from([0.2, 0.5, 0.75, 1.0]),
+    adaptive=st.booleans(),
+    scope=st.sampled_from(["event", "global"]),
+    seed=st.integers(0, 10_000),
+)
+def test_terms_mining_and_coefficients_match_a_per_term_loop(
+        steps, duplicate, n_posts, rho, adaptive, scope, seed):
+    # Logits from {-40, 0, 40} and a duplicated event (same posts, same
+    # logits, its own rows) make tied values, which mining breaks by post.
+    rng = np.random.default_rng(seed)
+    logits = [rng.choice([-40.0, 0.0, 40.0], size=t) for t in steps]
+    owner = rng.integers(0, len(steps), size=n_posts)
+    last_of = [{post: int(rng.integers(1, steps[e] + 1))
+                for post in rng.permutation(n_posts) if owner[post] == e}
+               for e in range(len(steps))]
+    if duplicate:
+        logits.append(logits[0].copy())
+        last_of.append(dict(last_of[0]))
+    readout = readout_of(logits, last_of)
+    labels = rng.integers(0, 2, size=n_posts)
+    train = rng.random(n_posts) < 0.8
+    epsilon = float(rng.uniform(0.1, 2.0))
+
+    terms, weights = ce_terms(readout, labels, train, epsilon, adaptive, scope)
+    want = terms_by_loop(readout, labels, train, epsilon, adaptive, scope)
+    got = list(zip(*(c.tolist() for c in (terms.post, terms.event, terms.row, terms.label,
+                                           terms.weight, terms.value))))
+    assert got == want
+    assert weights.shape == (len(logits), 2)
+
+    kept = mine_hard_examples(terms, rho)
+    k = math.ceil(rho * len(want))
+    want_kept = want if rho == 1.0 else sorted(want, key=lambda t: (-t[5], t[0]))[:k]
+    assert list(zip(kept.post.tolist(), kept.event.tolist(), kept.value.tolist())) == \
+        [(t[0], t[1], t[5]) for t in want_kept]
+
+    coef = np.zeros((2, readout.probs.size))
+    for _, _, row, y, w, _ in want_kept:
+        coef[y, row] -= w
+    assert readout.ce_coefficients(kept).tobytes() == coef.tobytes()
 
 
 # -- temporal consistency --------------------------------------------------------

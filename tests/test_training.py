@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecatch import fusion, training
-from ecatch.autodiff import Tensor, tape_scope
+from ecatch import fusion, pipeline, training
+from ecatch.autodiff import Tensor
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.data import Dataset, assign_splits
@@ -176,7 +176,7 @@ def test_one_lstm_node_and_one_readout_node_per_pass():
     windows = segment_all(events, ds, 2 * DAY, DAY)
     assert all(len(windows[ev.event_id].windows) > 1 for ev in events)
     out = training.run_model(ds, events, windows, params, cfg)
-    nodes = _tape(out.readout.states, out.readout.logits)
+    nodes = _tape(out.states, out.logits)
     for name, count in (("lstm.W_i", 1), ("clf.W_c", 1)):
         users = [n for n in nodes if any(p is params[name] for p in n._parents)]
         assert len(users) == count, name
@@ -267,19 +267,30 @@ def test_edge_cases_stay_finite(case):
     assert len(res.history) == 2
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
     same_time=st.booleans(),
     stride_is_span=st.booleans(),
     scope=st.sampled_from(["event", "global"]),
+    images=st.booleans(),
+    untrained_last=st.booleans(),
+    one_class=st.booleans(),
+    mined=st.booleans(),
     seed=st.integers(0, 1000),
 )
-@example(sizes=[1, 1, 1], same_time=False, stride_is_span=False, scope="event", seed=0)
-@example(sizes=[5, 1, 4], same_time=True, stride_is_span=True, scope="global", seed=1)
-def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, seed):
+@example(sizes=[1, 1, 1], same_time=False, stride_is_span=False, scope="event", images=True,
+         untrained_last=False, one_class=False, mined=False, seed=0)
+@example(sizes=[5, 1, 4], same_time=True, stride_is_span=True, scope="global", images=True,
+         untrained_last=False, one_class=False, mined=False, seed=1)
+@example(sizes=[3, 4], same_time=False, stride_is_span=False, scope="event", images=False,
+         untrained_last=True, one_class=True, mined=True, seed=2)
+def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, images,
+                                      untrained_last, one_class, mined, seed):
     # Events of drawn sizes, single-post ones among them, on shared or spread
-    # timestamps, with overlapping or back-to-back windows.
+    # timestamps, with overlapping or back-to-back windows; with or without
+    # images, a last event without training posts, one class only, and
+    # mining that may leave an event without a mined post.
     _, _, _, params, cfg = toy_problem(0)
     rng = np.random.default_rng(seed)
     n = sum(sizes)
@@ -287,20 +298,30 @@ def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, s
     events = [PseudoEvent(k, tuple(range(a, b)))
               for k, (a, b) in enumerate(zip(starts[:-1], starts[1:]))]
     split = rng.integers(0, 3, size=n)
+    if untrained_last and len(sizes) > 1:
+        split[starts[-2]:] = rng.integers(1, 3, size=sizes[-1])
     split[0] = 0  # at least one training post
-    ds = make_dataset(rng.normal(size=(n, params.d_text)),
-                      labels=rng.integers(0, 2, size=n),
+    labels = np.full(n, rng.integers(0, 2)) if one_class else rng.integers(0, 2, size=n)
+    ds = make_dataset(rng.normal(size=(n, params.d_text)), labels=labels,
                       timestamps=(np.full(n, 3 * DAY) if same_time
                                   else rng.integers(0, 8 * DAY, size=n)),
-                      image=rng.normal(size=(n, params.d_img))).with_split(split)
+                      image=rng.normal(size=(n, params.d_img)) * images).with_split(split)
+    assert ds.has_image.any() == images
     span = 2 * DAY
     cfg = cfg.updated({"weights.scope": scope, "window.span_secs": span,
-                       "window.stride_secs": span if stride_is_span else DAY})
+                       "window.stride_secs": span if stride_is_span else DAY,
+                       "mining.rho": 0.5 if mined else 1.0, "mining.warmup_epochs": 1})
     windows = segment_all(events, ds, *cfg.window_geometry())
     art = forward(ds, events, windows, params, cfg, epoch=1)
     report = art.report
     assert all(math.isfinite(v) for v in (report.ce, report.tc, report.total))
     assert np.all((report.p_post > 0.0) & (report.p_post < 1.0))
+    ids = [ev.event_id for ev in events]
+    assert list(report.ce_by_event) == list(report.tc_by_event) == ids
+    assert report.ce == pytest.approx(sum(report.ce_by_event.values()), rel=1e-12, abs=0.0)
+    assert report.tc == pytest.approx(sum(report.tc_by_event.values()), rel=1e-12, abs=1e-300)
+    if untrained_last and len(sizes) > 1:
+        assert report.ce_by_event[ids[-1]] == 0.0
     for name, g in backward(art).items():
         assert np.all(np.isfinite(g)), name
 
@@ -378,14 +399,36 @@ def test_best_checkpoint_tracks_monitored_metric():
 
 
 def test_epoch_tape_has_no_reference_cycles():
-    # Pausing the collector around the tape is free only because reference
-    # counting alone frees the whole tape: no node may sit on a cycle.
+    # Reference counting alone frees the whole tape: no node may sit on a
+    # cycle, so the collector finds nothing once the collector was held off.
     ds, events, windows, params, cfg = toy_problem(3)
     gc.collect()
-    with tape_scope():
+    gc.disable()
+    try:
         grads = backward(forward(ds, events, windows, params, cfg))
         del grads
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_train_and_scoring_leave_the_collector_on(monkeypatch):
+    ds, events, windows, params, cfg = toy_problem(4)
+    seen = []
+
+    def recording(real):
+        def call(*args, **kwargs):
+            seen.append((real.__name__, gc.isenabled()))
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("run_model", "ce_terms", "backward"):
+        monkeypatch.setattr(training, name, recording(getattr(training, name)))
+    monkeypatch.setattr(pipeline, "run_model", recording(pipeline.run_model))
+    train(ds, events, windows, cfg.updated({"train.epochs": 2}))
+    pipeline.predictions(ds, events, windows, params, cfg)
+    assert [name for name, _ in seen] == ["run_model", "ce_terms", "backward"] * 2 + ["run_model"]
+    assert all(enabled for _, enabled in seen)
 
 
 def _live_tensors() -> int:
