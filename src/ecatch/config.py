@@ -8,6 +8,7 @@ JSON when possible and fall back to raw strings.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Callable
 
@@ -80,14 +81,36 @@ _CHOICES: dict[str, tuple] = {
 }
 
 
+_POSITIVE = ("> 0", lambda x: x > 0)
+_AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
+_NON_NEGATIVE = (">= 0", lambda x: x >= 0)
+
 # numeric keys whose values are bounded: key -> (description, test)
 _RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
+    "seed": _NON_NEGATIVE,
+    "init.seed": _NON_NEGATIVE,
+    "split.train": _POSITIVE,
+    "split.val": _POSITIVE,
+    "split.test": _POSITIVE,
+    "cluster.num_clusters": _AT_LEAST_ONE,
+    "window.span_secs": _AT_LEAST_ONE,
+    "window.stride_secs": _AT_LEAST_ONE,
+    "model.d": _AT_LEAST_ONE,
+    "model.heads": _AT_LEAST_ONE,
+    "trend.alpha": _NON_NEGATIVE,
+    "trend.beta": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "loss.lambda_tc": _NON_NEGATIVE,
+    "loss.lambda_reg": _NON_NEGATIVE,
+    "loss.epsilon": _POSITIVE,
     "mining.rho": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
-    "train.learning_rate": ("> 0", lambda x: x > 0.0),
+    "mining.warmup_epochs": _NON_NEGATIVE,
+    "train.learning_rate": _POSITIVE,
     "train.adam_beta1": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
     "train.adam_beta2": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
-    "train.adam_eps": ("> 0", lambda x: x > 0.0),
-    "train.grad_clip_norm": ("> 0", lambda x: x > 0.0),
+    "train.adam_eps": _POSITIVE,
+    "train.epochs": _AT_LEAST_ONE,
+    "train.grad_clip_norm": _POSITIVE,
+    "train.early_stop_patience": _NON_NEGATIVE,
     "eval.threshold": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
 }
 
@@ -103,16 +126,17 @@ def _coerce(key: str, value: Any) -> Any:
         if isinstance(value, bool):
             return value
         raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    if target is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        return value
-    if target is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if target is int or target is float:
+        number = (int, float) if target is float else int
+        if isinstance(value, bool) or not isinstance(value, number):
+            kind = "a number" if target is float else "an integer"
+            raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+        # False for NaN, the infinities and ints beyond the float range.
+        if target is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{key}: must be a finite float, got {value!r}")
         if key in _RANGES and not _RANGES[key][1](value):
             raise ConfigError(f"{key}: must be {_RANGES[key][0]}, got {value!r}")
-        return float(value)
+        return target(value)
     if target is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")

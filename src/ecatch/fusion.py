@@ -10,10 +10,10 @@ Windows are fused in groups of equal member count, which may mix events:
 fusion has no term across windows, so a group of B windows of n posts is one
 pass over (B, n, d) arrays, and no padding is needed. :func:`window_groups`
 cuts each group into chunks of at most ``MAX_PAIRS`` attention pairs. Fusing
-a pass makes eleven tape nodes, each with a hand-written vector-Jacobian
-product: two encoder ``linear`` nodes, an ``mh_attention`` node and its
-output ``linear`` for each of the four attentions, and one :func:`gate` node
-that mixes the two cross-modal views (``trend.aggregate`` adds a twelfth).
+a pass makes seven tape nodes, each with a hand-written vector-Jacobian
+product: two encoder ``linear`` nodes, one ``mh_attention`` node per
+attention block (output affine included), and one :func:`gate` node that
+mixes the two cross-modal views (``trend.aggregate`` adds an eighth).
 
 No residual connections or layer normalization anywhere: the network is
 shallow and gate/LSTM based, and stays stable without them.
@@ -73,7 +73,7 @@ def mh_attention(
     diagonal: bool = False,
     return_weights: bool = False,
 ):
-    """Multi-head scaled dot-product attention, rows of q attending to rows of k/v.
+    """Multi-head attention, rows of q over rows of k/v, then ``x @ W_out.T + b_out``.
 
     Sequences run along the second-to-last axis; any leading axes index
     independent sequences, such as the windows of one fusion group.
@@ -87,7 +87,7 @@ def mh_attention(
     n_q, d = q.shape[-2:]
     heads = block.heads
     c = 1.0 / (np.sqrt(d / heads) if scale == "head" else np.sqrt(d))
-    wq, wk, wv, wo = block.wq, block.wk, block.wv, block.wo
+    wq, wk, wv, wo, w_out = block.wq, block.wk, block.wv, block.wo, block.w_out
 
     qh = q.data[..., None, :, :] @ wq.data          # (..., H, n_q, dh)
     kh = k.data[..., None, :, :] @ wk.data          # (..., H, n_k, dh)
@@ -98,8 +98,11 @@ def mh_attention(
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     merged = (p @ vh).swapaxes(-3, -2).reshape(q.shape)
+    rows = (merged @ wo.data).reshape(-1, d)
 
-    def vjp(g):
+    def vjp(g_out):
+        g_rows = g_out.reshape(rows.shape)
+        g = (g_rows @ w_out.data).reshape(q.shape)
         g_att = (g @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
         g_p = g_att @ vh.swapaxes(-1, -2)
         g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
@@ -114,16 +117,12 @@ def mh_attention(
             _head_grad(k.data, g_kh),
             _head_grad(v.data, g_vh),
             merged.reshape(-1, d).T @ g.reshape(-1, d),
+            (rows.T @ g_rows).T, g_rows.sum(axis=0),
         )
 
-    out = Tensor(merged @ wo.data, (q, k, v, wq, wk, wv, wo), vjp)
+    out = (rows @ w_out.data.T).reshape(q.shape) + block.b_out.data
+    out = Tensor(out, (q, k, v, wq, wk, wv, wo, w_out, block.b_out), vjp)
     return (out, p) if return_weights else out
-
-
-def _attend(q: Tensor, kv: Tensor, block: AttentionBlock, scope: str,
-            scale: str) -> Tensor:
-    attended = mh_attention(q, kv, kv, block, scale, diagonal=scope == "post")
-    return linear(attended, block.w_out, block.b_out)
 
 
 def window_groups(windows: Sequence[Window]) -> list[list[int]]:
@@ -202,10 +201,11 @@ def fuse_group(
     members = np.array([w.members for w in windows])     # (B, n)
     t = linear(ds.text[members], params["fusion.W_text"], params["fusion.b_text"])
     i = linear(ds.image[members], params["fusion.W_img"], params["fusion.b_img"])
-    h_text = _attend(t, t, params.block("att_text"), scope, scale)
-    h_img = _attend(i, i, params.block("att_img"), scope, scale)
-    c_ti = _attend(h_text, h_img, params.block("att_ti"), scope, scale)
-    c_it = _attend(h_img, h_text, params.block("att_it"), scope, scale)
+    post = scope == "post"
+    h_text = mh_attention(t, t, t, params.block("att_text"), scale, diagonal=post)
+    h_img = mh_attention(i, i, i, params.block("att_img"), scale, diagonal=post)
+    c_ti = mh_attention(h_text, h_img, h_img, params.block("att_ti"), scale, diagonal=post)
+    c_it = mh_attention(h_img, h_text, h_text, params.block("att_it"), scale, diagonal=post)
 
     fused, g = gate(c_ti, c_it, params["fusion.W_g"], params["fusion.b_g"])
     return GroupFusion(c_ti, c_it, g, fused)

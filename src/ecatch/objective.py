@@ -36,9 +36,10 @@ class ObjectiveError(ValueError):
     pass
 
 
-def _weight_table(labels, post, group, train_mask, epsilon, n_groups=1) -> np.ndarray:
-    """(n_groups, 2) adaptive class weights; group g counts the training posts
-    ``post[group == g]``, a post once per membership."""
+def class_weights(labels, post, group, train_mask, epsilon, n_groups=1) -> np.ndarray:
+    """(n_groups, 2) adaptive class weights mean_count / (count_c + epsilon);
+    group g counts the training posts ``post[group == g]``, a post once per
+    membership."""
     if epsilon <= 0:
         raise ObjectiveError("epsilon must be positive")
     train = train_mask[post]
@@ -46,18 +47,6 @@ def _weight_table(labels, post, group, train_mask, epsilon, n_groups=1) -> np.nd
     n1 = np.bincount(group[train], weights=labels[post[train]], minlength=n_groups)
     n0 = n - n1
     return np.stack([n / 2.0 / (n0 + epsilon), n / 2.0 / (n1 + epsilon)], axis=1)
-
-
-def class_weights(
-    labels: np.ndarray,
-    member_indices,
-    train_mask: np.ndarray,
-    epsilon: float,
-) -> tuple[float, float]:
-    """Adaptive weights mean_count / (count_c + epsilon) over training posts."""
-    post = np.asarray(member_indices, dtype=np.intp)
-    w0, w1 = _weight_table(labels, post, np.zeros_like(post), train_mask, epsilon)[0]
-    return w0.item(), w1.item()
 
 
 @dataclass
@@ -161,7 +150,7 @@ def ce_terms(
     if adaptive:
         # The weight group of each event: itself, or one group for all.
         group = np.arange(n_events) if weight_scope == "event" else np.zeros(n_events, np.intp)
-        weights = _weight_table(labels, readout.post, group[readout.event], train_mask,
+        weights = class_weights(labels, readout.post, group[readout.event], train_mask,
                                 epsilon, n_events)[group]
     else:
         weights = np.ones((n_events, 2))

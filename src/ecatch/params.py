@@ -11,13 +11,13 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
   ``lstm.b_g`` (d,)
 * classifier ``clf.W_c`` (1, d), ``clf.b_c`` (1,)
 
-The (out, in) matrices above (encoders, ``W_out``, gate, classifier) enter
-the graph only through ``autodiff.linear``, as ``x @ W.T + b``. The 12 LSTM
-tensors enter only through ``trend.run_lstm``, one tape node for all events,
-which stacks each kind in gate order and applies them the same way. ``Wq/Wk/Wv``
-and ``Wo`` enter only through ``fusion.mh_attention``, one tape node per
-attention block and fusion group (all windows of one member count, in
-chunks), which applies them as (in, out), ``x @ W``.
+The (out, in) matrices above are applied as ``x @ W.T + b``: the encoders and
+the classifier by ``autodiff.linear``, ``W_g`` by ``fusion.gate`` and ``W_out``
+by ``fusion.mh_attention``. The 12 LSTM tensors enter only through
+``trend.run_lstm``, one tape node for all events, which stacks each kind in
+gate order and applies them the same way. Each attention block is one
+``fusion.mh_attention`` node per fusion chunk (windows of one member count),
+which applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out), ``x @ W``, before ``W_out``.
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per
 head/matrix, biases at zero, in fixed name order from a seeded generator.
@@ -45,7 +45,7 @@ class AttentionBlock:
     wk: Tensor
     wv: Tensor
     wo: Tensor      # (d, d)
-    w_out: Tensor   # (d, d) affine applied after the attention output
+    w_out: Tensor   # (d, d) output affine, applied after Wo
     b_out: Tensor   # (d,)
 
     @property

@@ -56,7 +56,7 @@ class ForwardArtifacts:
     """Everything backward() needs: the summed loss node plus the report."""
 
     report: LossReport
-    loss: Tensor | None  # ce + lambda_tc * tc
+    loss: Tensor  # ce + lambda_tc * tc
     params: ModelParams
 
 
@@ -169,8 +169,7 @@ def backward(artifacts: ForwardArtifacts) -> dict[str, np.ndarray]:
     """
     params = artifacts.params
     params.zero_grads()
-    if artifacts.loss is not None:
-        artifacts.loss.backward()
+    artifacts.loss.backward()
 
     grads: dict[str, np.ndarray] = {}
     for name, tensor in params.items():

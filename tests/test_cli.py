@@ -292,6 +292,15 @@ def test_verify_subcommand(tmp_path, monkeypatch):
 @pytest.mark.parametrize("override", [
     "train.grad_clip_norm=-1", "mining.rho=1.5", "train.adam_beta2=1.0",
     "eval.threshold=1",
+    # integer keys, and float keys beyond the optimizer's
+    "model.d=0", "model.heads=0", "seed=-1", "init.seed=-1", "window.span_secs=0",
+    "window.stride_secs=-5", "cluster.num_clusters=0", "train.epochs=0",
+    "train.early_stop_patience=-1", "mining.warmup_epochs=-1", "trend.beta=2",
+    "trend.alpha=-1", "loss.lambda_tc=-0.5", "loss.lambda_reg=-1", "loss.epsilon=0",
+    "split.val=0",
+    # non-finite numbers, which JSON spells NaN, Infinity and -Infinity
+    "loss.lambda_reg=NaN", "trend.alpha=Infinity", "split.train=NaN",
+    "train.learning_rate=Infinity", "eval.threshold=NaN", "loss.lambda_tc=-Infinity",
 ])
 def test_train_out_of_range_value_exits_2(tmp_path, dataset_dir, capsys, override):
     rc = main(["train", "--data", str(dataset_dir), "--config", str(write_config(tmp_path)),

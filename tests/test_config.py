@@ -53,6 +53,8 @@ def test_choice_validation():
     ("eval.threshold", 0.0),
     ("eval.threshold", 1.0),
     ("eval.threshold", float("nan")),
+    ("train.grad_clip_norm", float("inf")),
+    ("loss.epsilon", 10 ** 400),
 ])
 def test_numeric_range_rejected(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: must be"):
@@ -63,6 +65,17 @@ def test_numeric_range_bounds_accepted():
     cfg = RunConfig({"mining.rho": 1, "train.adam_beta1": 0.0, "train.adam_beta2": 0.0,
                      "eval.threshold": 0.999, "train.grad_clip_norm": 1e-9})
     assert cfg["mining.rho"] == 1.0 and cfg["train.adam_beta1"] == 0.0
+
+
+def test_integer_and_loss_range_bounds_accepted():
+    bounds = {"seed": 0, "init.seed": 0, "model.d": 1, "model.heads": 1,
+              "window.span_secs": 1, "window.stride_secs": 1, "cluster.num_clusters": 1,
+              "train.epochs": 1, "train.early_stop_patience": 0, "mining.warmup_epochs": 0,
+              "trend.alpha": 0, "trend.beta": 1, "loss.lambda_tc": 0.0,
+              "loss.lambda_reg": 0.0, "loss.epsilon": 1e-300, "split.val": 1e-9}
+    cfg = RunConfig(bounds)
+    assert {k: cfg[k] for k in bounds} == bounds
+    assert isinstance(cfg["trend.beta"], float) and isinstance(cfg["model.d"], int)
 
 
 def test_nullable_keys():

@@ -101,6 +101,7 @@ def test_single_head_uniform_softmax_is_column_mean(rng):
     block = params.block("att_img")
     block.wv.data[...] = np.eye(4)[None]
     block.wo.data[...] = np.eye(4)
+    block.w_out.data[...] = np.eye(4)
     v = rng.normal(size=(6, 4))
     out = mh_attention(Tensor(rng.normal(size=(2, 4))), Tensor(v), Tensor(v), block)
     direct = v.mean(axis=0)
@@ -122,12 +123,12 @@ def merge(heads):
     return heads.transpose(1, 0, 2).reshape((n, h * dh))
 
 
-def numpy_attention(q, k, v, wq, wk, wv, wo, divisor, diagonal):
+def numpy_attention(q, k, v, wq, wk, wv, wo, w_out, b_out, divisor, diagonal):
     scores = (q @ wq @ (k @ wk).transpose(0, 2, 1)) * (1.0 / divisor)
     if diagonal:
         scores[:, ~np.eye(len(q), dtype=bool)] = -np.inf
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return merge((e / e.sum(axis=-1, keepdims=True)) @ (v @ wv)) @ wo
+    return merge((e / e.sum(axis=-1, keepdims=True)) @ (v @ wv)) @ wo @ w_out.T + b_out
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,12 +149,12 @@ def test_attention_node_matches_numpy_and_finite_differences(
     arrays = [rng.normal(size=(n_q, d)), rng.normal(size=(n_k, d)),
               rng.normal(size=(n_k, d))]
     arrays += [rng.normal(size=(heads, d, dh)) for _ in range(3)]
-    arrays.append(rng.normal(size=(d, d)))
+    arrays += [rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=d)]
     g = rng.normal(size=(n_q, d))
 
     def attend(arrs):
         tensors = [Tensor(a) for a in arrs]
-        block = AttentionBlock(*tensors[3:], w_out=None, b_out=None)
+        block = AttentionBlock(*tensors[3:])
         out = mh_attention(*tensors[:3], block, scale, diagonal=diagonal)
         return out, tensors
 
@@ -162,8 +163,8 @@ def test_attention_node_matches_numpy_and_finite_differences(
     expected = numpy_attention(*arrays, divisor, diagonal)
     assert out.data.tobytes() == expected.tobytes()
     if diagonal:  # each query sees only its own row: the value path
-        v, wv, wo = arrays[2], arrays[5], arrays[6]
-        assert out.data.tobytes() == (merge(v @ wv) @ wo).tobytes()
+        v, wv, wo, w_out, b_out = arrays[2], *arrays[5:]
+        assert out.data.tobytes() == (merge(v @ wv) @ wo @ w_out.T + b_out).tobytes()
 
     out.backward(g)
     if diagonal:
@@ -307,12 +308,12 @@ def test_batched_attention_matches_each_sequence_and_finite_differences(
     arrays = [rng.normal(size=(batch, n, d)), rng.normal(size=(batch, n_k, d)),
               rng.normal(size=(batch, n_k, d))]
     arrays += [rng.normal(size=(heads, d, 2)) for _ in range(3)]
-    arrays.append(rng.normal(size=(d, d)))
+    arrays += [rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=d)]
     g = rng.normal(size=(batch, n, d))
 
     def attend(arrs):
         tensors = [Tensor(a) for a in arrs]
-        block = AttentionBlock(*tensors[3:], w_out=None, b_out=None)
+        block = AttentionBlock(*tensors[3:])
         return mh_attention(*tensors[:3], block, diagonal=diagonal), tensors
 
     out, tensors = attend(arrays)

@@ -78,6 +78,19 @@ def test_one_forward_makes_four_attention_nodes_per_chunk():
         assert sum(any(p is wq for p in n._parents) for n in nodes) == n_chunks, block
 
 
+def test_each_attention_block_is_one_node_per_chunk():
+    # The block's projections and its output affine enter the same node.
+    ds, events, windows, params, cfg = keyed_problem(LAYOUT)
+    nodes = _tape(training.run_model(ds, events, windows, params, cfg).states)
+    n_chunks = len(fusion.window_groups(flat_windows(events, windows)))
+    for block in ATT_BLOCKS:
+        tensors = [params[f"fusion.{block}.{t}"]
+                   for t in ("Wq", "Wk", "Wv", "Wo", "W_out", "b_out")]
+        users = [n for n in nodes if any(any(p is t for p in n._parents) for t in tensors)]
+        assert len(users) == n_chunks, block
+        assert all(any(p is t for p in n._parents) for n in users for t in tensors), block
+
+
 def score(ds, events, windows, params, cfg):
     p_post, p_event = pipeline.predictions(ds, events, windows, params, cfg)
     return p_post, p_event

@@ -40,23 +40,29 @@ def probabilities_of(events, windows, states, params, n_posts):
 
 
 # -- class weights ------------------------------------------------------------
+def one_group_weights(labels, train_mask, epsilon):
+    """(w_0, w_1) of one group that holds every post."""
+    post = np.arange(len(labels))
+    return class_weights(labels, post, np.zeros_like(post), train_mask, epsilon)[0]
+
+
 def test_balanced_weights_are_one():
     labels = np.array([0] * 50 + [1] * 50)
-    w0, w1 = class_weights(labels, range(100), np.ones(100, dtype=bool), 1e-8)
+    w0, w1 = one_group_weights(labels, np.ones(100, dtype=bool), 1e-8)
     assert w0 == pytest.approx(1.0)
     assert w1 == pytest.approx(1.0)
 
 
 def test_skewed_weights_formula():
     labels = np.array([0] * 80 + [1] * 20)
-    w0, w1 = class_weights(labels, range(100), np.ones(100, dtype=bool), 1e-12)
+    w0, w1 = one_group_weights(labels, np.ones(100, dtype=bool), 1e-12)
     assert w0 == pytest.approx(0.625)
     assert w1 == pytest.approx(2.5)
 
 
 def test_empty_class_is_smoothed():
     labels = np.zeros(10, dtype=int)
-    w0, w1 = class_weights(labels, range(10), np.ones(10, dtype=bool), 1.0)
+    w0, w1 = one_group_weights(labels, np.ones(10, dtype=bool), 1.0)
     assert w1 == pytest.approx(5.0)  # nbar with an empty positive class
     assert math.isfinite(w0)
 
@@ -64,13 +70,13 @@ def test_empty_class_is_smoothed():
 def test_weights_count_training_posts_only():
     labels = np.array([0, 0, 1, 1])
     train = np.array([True, True, True, False])
-    w0, w1 = class_weights(labels, range(4), train, 1e-12)
+    w0, w1 = one_group_weights(labels, train, 1e-12)
     assert (w0, w1) == (pytest.approx(0.75), pytest.approx(1.5))
 
 
 def test_epsilon_must_be_positive():
     with pytest.raises(ObjectiveError):
-        class_weights(np.array([0, 1]), range(2), np.ones(2, dtype=bool), 0.0)
+        one_group_weights(np.array([0, 1]), np.ones(2, dtype=bool), 0.0)
 
 
 # -- probabilities -------------------------------------------------------------

@@ -45,8 +45,9 @@ def test_zero_parameter_forward_closed_form():
     expected = 0.0
     train_mask = ds.train_mask()
     for ev in events:
-        w = class_weights(ds.labels, ev.member_indices, train_mask,
-                          cfg["loss.epsilon"])
+        post = np.array(ev.member_indices)
+        w = class_weights(ds.labels, post, np.zeros_like(post), train_mask,
+                          cfg["loss.epsilon"])[0]
         for i in ev.member_indices:
             if train_mask[i]:
                 expected += w[ds.labels[i]] * math.log(2.0)
@@ -96,7 +97,8 @@ def test_reg_only_gradient_is_linear_in_params():
     ds, events, windows, params, cfg = toy_problem(2)
     cfg = cfg.updated({"loss.lambda_tc": 0.0, "loss.lambda_reg": 0.03})
     art = forward(ds, events, windows, params, cfg)
-    grads = backward(dataclasses.replace(art, loss=None))
+    # A constant loss leaves only the closed-form regularizer gradient.
+    grads = backward(dataclasses.replace(art, loss=Tensor(0.0)))
     for name, tensor in params.items():
         np.testing.assert_allclose(grads[name], 2 * 0.03 * tensor.data)
 
@@ -118,7 +120,8 @@ def test_zero_parameter_gradients_match_quadratic_form():
                              zero=True)
     cfg0 = cfg.updated({"loss.lambda_tc": 0.0})
     art = forward(ds, events, windows, zero, cfg0)
-    grads = backward(dataclasses.replace(art, loss=None))
+    # A constant loss leaves only the closed-form regularizer gradient.
+    grads = backward(dataclasses.replace(art, loss=Tensor(0.0)))
     for name in zero.names():
         np.testing.assert_allclose(grads[name], 0.0)
 
@@ -188,7 +191,7 @@ def _kind(node) -> str:
 
 
 def test_epoch_tape_holds_only_fused_nodes():
-    # 12 nodes per fusion chunk and 9 for all events: the stack of the
+    # 8 nodes per fusion chunk and 9 for all events: the stack of the
     # aggregates, their gather into event order, the trend input, the LSTM,
     # the readout, the two loss nodes and their sum; the leaves are the
     # parameters. No node is made per event.
@@ -199,7 +202,7 @@ def test_epoch_tape_holds_only_fused_nodes():
     tape = _tape(forward(ds, events, windows, params, cfg).loss)
     assert Counter(_kind(n) for n in tape) == {
         "": len(params.names()),
-        "linear": 6 * chunks + 1,
+        "linear": 2 * chunks + 1,
         "mh_attention": 4 * chunks,
         "gate": chunks,
         "aggregate": chunks,
@@ -213,7 +216,7 @@ def test_epoch_tape_holds_only_fused_nodes():
         "Tensor.__add__": 1,
     }
     assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
-    assert len(tape) - len(params.names()) == 12 * chunks + 9
+    assert len(tape) - len(params.names()) == 8 * chunks + 9
 
 
 def test_backward_leaves_gradients_on_parameters_only():
