@@ -10,6 +10,30 @@ distances it computes: the reference takes an average linkage as the mean of
 the original pair distances, ``agglomerate`` updates it by Lance-Williams, so
 an average-linkage tie that holds only in exact arithmetic can break
 differently in the two.
+
+Two paths compute the partition:
+
+* ``complete`` and ``single`` build the n x n float64 matrix of
+  ``cosine_distances`` and merge in it with ``agglomerate``: O(n^2) memory.
+* ``average`` takes a vector path in O(n*d) memory. With u the unit rows
+  (zero-norm rows left at 0) and S a cluster's sum of unit rows, the mean of
+  the pair distances between clusters A and B is
+  ``1 - S_A . S_B / (|A| |B|)``, and a zero row sits at exactly 1 from
+  everything. A nearest-neighbour chain (Muellner 2011, arXiv:1109.2378, sec.
+  3) finds the same dendrogram as the greedy rule, one ``S @ S[a]`` per
+  query, and the n - k lowest merges give the partition.
+
+The chain merges in another order than the greedy rule, so wherever order
+could matter the vector path hands the case to ``agglomerate`` on the matrix:
+when a nearest-neighbour query has a second candidate within ``NEAR_TIE`` of
+its minimum, when two merge heights lie within ``NEAR_TIE`` of each other,
+when a merge sits below a merge that formed one of its clusters, and always
+when two or more rows have zero norm or a unit row is not finite. Exact ties, as integer-valued rows
+give, thus take the matrix path. What is left is rounding: the two paths
+compute each linkage with different float64 errors, far below ``NEAR_TIE``
+but not proved to stay there, so a near-tie that one path's error carried
+past ``NEAR_TIE`` could still order two merges differently, as it can
+between the reference and ``agglomerate`` above.
 """
 
 from __future__ import annotations
@@ -23,6 +47,9 @@ import numpy as np
 from .data import Dataset
 
 LINKAGES = ("average", "complete", "single")
+
+# Distances closer than this count as tied on the average-linkage vector path.
+NEAR_TIE = 1e-10
 
 
 class ClusteringError(ValueError):
@@ -44,13 +71,25 @@ def _sort_members(ds: Dataset, members: list[int]) -> tuple[int, ...]:
     return tuple(sorted(members, key=lambda i: (int(ds.timestamps[i]), i)))
 
 
-def cosine_distances(x: np.ndarray) -> np.ndarray:
-    """Pairwise 1 - cosine similarity; zero-norm rows sit at distance 1."""
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit norm (zero-norm rows stay 0), and the zero-row mask."""
     x = np.asarray(x, dtype=np.float64)
     norms = np.sqrt((x * x).sum(axis=1))
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     unit = x / safe[:, None]
+    unit[zero] = 0.0  # a row whose squares underflow is not left tiny
+    return unit, zero
+
+
+def _check_num_clusters(n: int, num_clusters: int) -> None:
+    if not 1 <= num_clusters <= n:
+        raise ClusteringError(f"num_clusters must be in [1, {n}], got {num_clusters}")
+
+
+def cosine_distances(x: np.ndarray) -> np.ndarray:
+    """Pairwise 1 - cosine similarity; zero-norm rows sit at distance 1."""
+    unit, zero = _unit_rows(x)
     dist = unit @ unit.T
     np.subtract(1.0, dist, out=dist)
     dist[zero, :] = 1.0
@@ -71,8 +110,7 @@ def agglomerate(dist: np.ndarray, num_clusters: int, linkage: str) -> list[list[
     rounding takes a float64 average below both of its operands.
     """
     n = dist.shape[0]
-    if not 1 <= num_clusters <= n:
-        raise ClusteringError(f"num_clusters must be in [1, {n}], got {num_clusters}")
+    _check_num_clusters(n, num_clusters)
     if linkage not in LINKAGES:
         raise ClusteringError(f"unknown linkage {linkage!r}")
 
@@ -121,12 +159,85 @@ def agglomerate(dist: np.ndarray, num_clusters: int, linkage: str) -> list[list[
     return clusters
 
 
+def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] | None:
+    """Average-linkage clusters of the rows of ``x`` without the distance matrix.
+
+    Returns ``agglomerate(cosine_distances(x), num_clusters, "average")``'s
+    partition, each cluster sorted and the clusters ordered by smallest
+    member, or None where a tie or an inversion needs the matrix path (see
+    the module docstring). Holds the (n, d) cluster sums and O(n) vectors.
+    """
+    sums, zero = _unit_rows(x)
+    n = sums.shape[0]
+    _check_num_clusters(n, num_clusters)
+    if np.count_nonzero(zero) > 1 or not np.isfinite(sums).all():
+        return None
+
+    # Slot i holds a live cluster, or a retired one that `retired` masks out.
+    sizes = np.ones(n)
+    formed_at = np.full(n, -np.inf)  # height of the merge that formed slot i
+    retired = np.zeros(n)            # 0 while live, inf once merged away
+    merges: list[tuple[float, int, int]] = []
+    chain: list[int] = []
+    while len(merges) < n - 1:
+        if not chain:
+            chain.append(int(retired.argmin()))
+        a = chain[-1]
+        dist = 1.0 - (sums @ sums[a]) / (sizes * sizes[a])
+        dist += retired
+        dist[a] = np.inf
+        b = int(dist.argmin())
+        height = float(dist[b])
+        if np.count_nonzero(dist <= height + NEAR_TIE) > 1:
+            return None
+        if len(chain) == 1 or b != chain[-2]:
+            chain.append(b)
+            continue
+        # a and b are each other's nearest neighbours: merge b into a's slot.
+        del chain[-2:]
+        if height < max(formed_at[a], formed_at[b]):
+            return None
+        sums[a] += sums[b]
+        sizes[a] += sizes[b]
+        formed_at[a] = height
+        retired[b] = np.inf
+        merges.append((height, a, b))
+
+    heights = np.array([h for h, _, _ in merges])
+    if np.any(np.diff(np.sort(heights)) <= NEAR_TIE):
+        return None
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for m in np.argsort(heights)[: n - num_clusters]:
+        _, a, b = merges[m]
+        root[find(b)] = find(a)
+    clusters: dict[int, list[int]] = {}
+    for i in range(n):  # first seen in order of smallest member
+        clusters.setdefault(find(i), []).append(i)
+    return list(clusters.values())
+
+
 def cluster_events(ds: Dataset, num_clusters: int, linkage: str = "average") -> list[PseudoEvent]:
-    """Group posts into pseudo-events by text-embedding similarity only."""
+    """Group posts into pseudo-events by text-embedding similarity only.
+
+    ``average`` runs ``average_linkage_chain`` in O(n*d) memory and falls back
+    to the matrix path when that returns None; ``complete`` and ``single``
+    always take the matrix path, ``agglomerate`` on ``cosine_distances``,
+    whose n x n float64 matrix is 8*n^2 bytes.
+    """
     if ds.n == 0:
         raise ClusteringError("cannot cluster an empty dataset")
-    dist = cosine_distances(ds.text)
-    clusters = agglomerate(dist, num_clusters, linkage)
+    clusters = None
+    if linkage == "average":
+        clusters = average_linkage_chain(ds.text, num_clusters)
+    if clusters is None:
+        clusters = agglomerate(cosine_distances(ds.text), num_clusters, linkage)
     return [
         PseudoEvent(event_id=k, member_indices=_sort_members(ds, c))
         for k, c in enumerate(clusters)

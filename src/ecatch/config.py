@@ -157,6 +157,21 @@ class RunConfig:
             if k not in DEFAULTS:
                 raise ConfigError(f"unknown config key {k!r}")
             self._values[k] = _coerce(k, v)
+        self._check_cross_keys()
+
+    def _check_cross_keys(self) -> None:
+        """Constraints between keys, checked once every key is valid alone."""
+        d, heads = self["model.d"], self["model.heads"]
+        if d % heads != 0:
+            raise ConfigError(f"model.heads ({heads}) must divide model.d ({d})")
+        span, stride = self.window_geometry()
+        if stride > span:
+            raise ConfigError(
+                f"window.stride_secs ({stride}) exceeds window.span_secs ({span})"
+            )
+        total = sum(self.split_fractions())
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"split.train + split.val + split.test must sum to 1, got {total}")
 
     def __getitem__(self, key: str) -> Any:
         if key not in DEFAULTS:

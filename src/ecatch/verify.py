@@ -2,7 +2,8 @@
 
 Everything here is independent of the implementation paths it checks:
 gradients against central finite differences, clustering against an
-exhaustive agglomerative reference, AUC against explicit pair enumeration,
+exhaustive agglomerative reference, the average-linkage vector path against
+the distance-matrix path, AUC against explicit pair enumeration,
 plus randomized structural invariants (row-stochastic attention, the gate
 node's bounds, hull bounds, LSTM output bounds, momentum positivity, stacked
 events matching a per-step reference LSTM on each event alone, no gradient
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, finite_difference_gradient, no_grad, stable_sigmoid
-from .clustering import PseudoEvent, agglomerate, cluster_events, cosine_distances
+from .clustering import (PseudoEvent, agglomerate, average_linkage_chain, cluster_events,
+                         cosine_distances)
 from .config import RunConfig
 from .data import Dataset, assign_splits
 from .fusion import fuse_group, mh_attention
@@ -296,6 +298,38 @@ def clustering_oracle(seeds: list[int]) -> OracleReport:
     return OracleReport("clustering_oracle", "pass", 0.0, "", seeds[0] if seeds else 0)
 
 
+def average_linkage_oracle(seeds: list[int]) -> OracleReport:
+    """The average-linkage vector path vs ``agglomerate`` on the distance matrix.
+
+    One Gaussian draw per seed, with a zero row now and then and every k
+    compared; the first seed's draw is 600 posts around 12 centroids,
+    where the vector path must also decide without the matrix fallback.
+    """
+    for pos, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if pos == 0:
+            n = 600
+            x = rng.normal(size=(12, 8))[rng.integers(12, size=n)] + rng.normal(size=(n, 8))
+            ks = sorted({1, 2, 12, 40, n - 1, n})
+        else:
+            n = int(rng.integers(2, 30))
+            x = rng.normal(size=(n, int(rng.integers(2, 6))))
+            if rng.random() < 0.2:
+                x[int(rng.integers(n))] = 0.0
+            ks = range(1, n + 1)
+        ds = _posts(np.zeros(n, dtype=np.int64), text=x)
+        dist = cosine_distances(x)
+        for k in ks:
+            if pos == 0 and average_linkage_chain(x, k) is None:
+                return OracleReport("average_linkage_chain", "fail", 1.0,
+                                    f"n={n} k={k} fell back to the matrix", seed)
+            got = [list(ev.member_indices) for ev in cluster_events(ds, k, "average")]
+            want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
+            if got != want:
+                return OracleReport("average_linkage_chain", "fail", 1.0, f"n={n} k={k}", seed)
+    return OracleReport("average_linkage_chain", "pass", 0.0, "", seeds[0] if seeds else 0)
+
+
 def auc_oracle(seeds: list[int]) -> OracleReport:
     """Rank-statistic AUC vs exhaustive pair enumeration (exact equality)."""
     for seed in seeds:
@@ -427,6 +461,7 @@ def run_all(seeds: list[int]) -> list[OracleReport]:
     reports.append(structural_invariants(200, seeds[0]))
     salt = [s + k for s in seeds for k in range(17)]
     reports.append(clustering_oracle(salt))
+    reports.append(average_linkage_oracle(salt[:20]))
     reports.append(auc_oracle(salt))
     reports.append(partition_and_scale_invariance(salt[:20]))
     reports.append(window_coverage(salt[:30]))

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecatch import cli
+from ecatch import cli, clustering
 from ecatch.cli import main
 from ecatch.pipeline import build_structure
 from ecatch.data import Dataset, load_dataset, write_dataset
@@ -100,6 +101,24 @@ def test_cluster_writes_events(tmp_path, dataset_dir):
     assert len(events) == 2
     members = sorted(i for e in events for i in e["members"])
     assert members == list(range(10))
+
+
+def test_average_cluster_events_json_is_unchanged(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, n_events=4, posts_per_event=[20, 30], d_text=8,
+                      margin=2.0, seed=11)
+    data = tmp_path / "data"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == 0
+
+    def no_matrix(x):
+        raise AssertionError("average linkage built the distance matrix")
+
+    monkeypatch.setattr(clustering, "cosine_distances", no_matrix)
+    out = tmp_path / "events.json"
+    assert main(["cluster", "--data", str(data), "--out", str(out),
+                 "--set", "cluster.num_clusters=4"]) == 0
+    # sha256 of the file written by the n x n distance-matrix path
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3815990af45ec83ce8399188859a30aceea30ea4f3b943611c5f3e732792510d")
 
 
 def test_train_writes_artifacts(run_dir):
@@ -307,6 +326,22 @@ def test_train_out_of_range_value_exits_2(tmp_path, dataset_dir, capsys, overrid
                "--out", str(tmp_path / "run"), "--set", override])
     assert rc == 2
     assert f"configuration error: {override.split('=')[0]}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["model.d=32", "model.heads=3"], "model.heads (3) must divide model.d (32)"),
+    (["window.span_secs=100000", "window.stride_secs=200000"],
+     "window.stride_secs (200000) exceeds window.span_secs (100000)"),
+    (["split.train=0.5"], "split.train + split.val + split.test must sum to 1, got 0.7"),
+], ids=["heads", "stride", "splits"])
+def test_train_cross_key_error_exits_2(tmp_path, dataset_dir, capsys, overrides, message):
+    args = ["train", "--data", str(dataset_dir), "--config", str(write_config(tmp_path)),
+            "--out", str(tmp_path / "run")]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("seeds", ["x,1", ","])

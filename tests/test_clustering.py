@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ecatch.clustering import (
     ClusteringError,
     agglomerate,
+    average_linkage_chain,
     cluster_events,
     cosine_distances,
     load_events,
@@ -145,6 +148,68 @@ def test_average_rounded_below_a_cached_minimum():
     dist = cosine_distances(x)
     for k in range(1, 10):
         assert agglomerate(dist.copy(), k, "average") == full_scan_agglomerate(dist, k, "average")
+
+
+@st.composite
+def text_rows(draw):
+    """Float32-valued rows with some zero rows, or {-2, ..., 2} rows full of ties."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cells = st.integers(-2, 2)
+    else:
+        cells = st.floats(-4, 4, width=32)
+    x = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d)), dtype=float)
+    x = x.reshape(n, d)
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    x[np.array(zero)] = 0.0
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=text_rows())
+def test_average_vector_path_matches_the_matrix_path(x):
+    n = x.shape[0]
+    ds = make_dataset(x)
+    dist = cosine_distances(x)
+    for k in range(1, n + 1):
+        got = [list(ev.member_indices) for ev in cluster_events(ds, k, "average")]
+        want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
+        assert got == want, k
+
+
+def test_average_vector_path_never_builds_the_matrix():
+    n = 2000
+    ds = make_dataset(np.random.default_rng(5).normal(size=(n, 16)))
+    tracemalloc.start()
+    try:
+        events = cluster_events(ds, 20, "average")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 20
+    assert peak < n * n * 8 / 4
+
+
+def test_average_vector_path_hands_ties_to_the_matrix_path():
+    two_zero_rows = np.array([[1.0, 0.0], [0.0, 0.0], [0.6, 0.8], [0.0, 0.0]])
+    assert average_linkage_chain(two_zero_rows, 2) is None
+    square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert average_linkage_chain(square, 2) is None
+    assert partition(cluster_events(make_dataset(square), 2)) == [(0, 1), (2, 3)]
+    # Every nearest neighbour is unique, but two merges tie in height at the
+    # cut, and the greedy rule makes the one the chain makes second.
+    equal_heights = np.array([[-1, 3], [0, -3], [2, 2], [2, -2], [-3, 3],
+                              [-3, 0], [-3, -1], [0, -1], [-1, -3], [-3, -3]], dtype=float)
+    assert average_linkage_chain(equal_heights, 8) is None
+    want = [sorted(c) for c in agglomerate(cosine_distances(equal_heights), 8, "average")]
+    assert partition(cluster_events(make_dataset(equal_heights), 8)) == [tuple(c) for c in want]
+    not_finite = square.copy()
+    not_finite[1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert average_linkage_chain(not_finite, 2) is None
+    with pytest.raises(ClusteringError, match=r"num_clusters must be in \[1, 4\], got 5"):
+        average_linkage_chain(square, 5)
 
 
 def test_pass_through_groups():

@@ -72,7 +72,8 @@ def test_integer_and_loss_range_bounds_accepted():
               "window.span_secs": 1, "window.stride_secs": 1, "cluster.num_clusters": 1,
               "train.epochs": 1, "train.early_stop_patience": 0, "mining.warmup_epochs": 0,
               "trend.alpha": 0, "trend.beta": 1, "loss.lambda_tc": 0.0,
-              "loss.lambda_reg": 0.0, "loss.epsilon": 1e-300, "split.val": 1e-9}
+              "loss.lambda_reg": 0.0, "loss.epsilon": 1e-300, "split.val": 1e-9,
+              "split.train": 0.9 - 1e-9}
     cfg = RunConfig(bounds)
     assert {k: cfg[k] for k in bounds} == bounds
     assert isinstance(cfg["trend.beta"], float) and isinstance(cfg["model.d"], int)

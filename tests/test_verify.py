@@ -3,6 +3,7 @@ import numpy as np
 from ecatch.clustering import cosine_distances
 from ecatch.verify import (
     auc_oracle,
+    average_linkage_oracle,
     clustering_oracle,
     decay_weight_properties,
     event_order_invariance,
@@ -35,6 +36,7 @@ def test_structural_invariants_small_batch():
 
 def test_individual_checks_pass():
     assert clustering_oracle(list(range(8))).ok
+    assert average_linkage_oracle(list(range(5))).ok
     assert auc_oracle(list(range(10))).ok
     assert partition_and_scale_invariance(list(range(5))).ok
     assert window_coverage(list(range(8))).ok
