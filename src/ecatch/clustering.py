@@ -23,17 +23,28 @@ Two paths compute the partition:
   3) finds the same dendrogram as the greedy rule, one ``S @ S[a]`` per
   query, and the n - k lowest merges give the partition.
 
+Rows with equal unit vectors (reposts, or one post at another scale) enter
+the chain as one cluster each, with their sum and count: the matrix path
+merges them before anything else, at heights that only rounding tells apart.
+
 The chain merges in another order than the greedy rule, so wherever order
-could matter the vector path hands the case to ``agglomerate`` on the matrix:
-when a nearest-neighbour query has a second candidate within ``NEAR_TIE`` of
-its minimum, when two merge heights lie within ``NEAR_TIE`` of each other,
-when a merge sits below a merge that formed one of its clusters, and always
-when two or more rows have zero norm or a unit row is not finite. Exact ties, as integer-valued rows
-give, thus take the matrix path. What is left is rounding: the two paths
-compute each linkage with different float64 errors, far below ``NEAR_TIE``
-but not proved to stay there, so a near-tie that one path's error carried
-past ``NEAR_TIE`` could still order two merges differently, as it can
-between the reference and ``agglomerate`` above.
+could matter the vector path hands the case to ``agglomerate`` on the matrix.
+Before the chain, that is when ``num_clusters`` exceeds the number of
+distinct unit rows, so the cut would split equal rows, and always when two
+or more rows have zero norm (each sits at exactly 1 from everything) or a
+unit row is not finite. During the chain, it is when a nearest-neighbour
+query has a second candidate within ``NEAR_TIE`` of its minimum, or a merge
+sits below a merge that formed one of its clusters. After the chain, it is
+when the two merge heights on either side of the cut lie within
+``NEAR_TIE`` of each other (tied merges on one side of the cut are applied
+together, so their order cannot change the partition), or when equal rows
+were grouped and some other merge lies within ``NEAR_TIE`` of height 0. Other
+exact ties, as integer-valued rows give, thus take the matrix path; a fallback
+costs the chain's work up to that point plus the whole matrix path. What is
+left is rounding: the two paths compute each linkage with different float64
+errors, far below ``NEAR_TIE`` but not proved to stay there, so a near-tie
+that one path's error carried past ``NEAR_TIE`` could still order two merges
+differently, as it can between the reference and ``agglomerate`` above.
 """
 
 from __future__ import annotations
@@ -165,21 +176,32 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
     Returns ``agglomerate(cosine_distances(x), num_clusters, "average")``'s
     partition, each cluster sorted and the clusters ordered by smallest
     member, or None where a tie or an inversion needs the matrix path (see
-    the module docstring). Holds the (n, d) cluster sums and O(n) vectors.
+    the module docstring). Holds the (n, d) unit rows and their bytes, the
+    cluster sums and O(n) vectors.
     """
-    sums, zero = _unit_rows(x)
-    n = sums.shape[0]
+    unit, zero = _unit_rows(x)
+    n = unit.shape[0]
     _check_num_clusters(n, num_clusters)
-    if np.count_nonzero(zero) > 1 or not np.isfinite(sums).all():
+    if np.count_nonzero(zero) > 1 or not np.isfinite(unit).all():
         return None
+    # Bitwise-equal unit rows form one starting cluster each: the matrix path
+    # merges them first, at heights that only rounding tells apart.
+    slot: dict[bytes, int] = {}
+    group = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in unit])
+    m = len(slot)
+    del slot
+    if num_clusters > m:
+        return None  # the cut falls among the merges of equal rows
+    sums = np.zeros((m, unit.shape[1]))
+    np.add.at(sums, group, unit)
+    sizes = np.bincount(group).astype(np.float64)
 
     # Slot i holds a live cluster, or a retired one that `retired` masks out.
-    sizes = np.ones(n)
-    formed_at = np.full(n, -np.inf)  # height of the merge that formed slot i
-    retired = np.zeros(n)            # 0 while live, inf once merged away
+    formed_at = np.full(m, -np.inf)  # height of the merge that formed slot i
+    retired = np.zeros(m)            # 0 while live, inf once merged away
     merges: list[tuple[float, int, int]] = []
     chain: list[int] = []
-    while len(merges) < n - 1:
+    while len(merges) < m - 1:
         if not chain:
             chain.append(int(retired.argmin()))
         a = chain[-1]
@@ -203,10 +225,16 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
         retired[b] = np.inf
         merges.append((height, a, b))
 
+    # Only the order across the cut decides the partition: tied merges on one
+    # side of it are applied together.
     heights = np.array([h for h, _, _ in merges])
-    if np.any(np.diff(np.sort(heights)) <= NEAR_TIE):
+    order = np.argsort(heights)
+    cut = m - num_clusters
+    if m < n and m > 1 and heights[order[0]] <= NEAR_TIE:
+        return None  # a merge as low as those of the equal rows
+    if 0 < cut < m - 1 and heights[order[cut]] - heights[order[cut - 1]] <= NEAR_TIE:
         return None
-    root = list(range(n))
+    root = list(range(m))
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -214,12 +242,12 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
             i = root[i]
         return i
 
-    for m in np.argsort(heights)[: n - num_clusters]:
-        _, a, b = merges[m]
+    for j in order[:cut]:
+        _, a, b = merges[j]
         root[find(b)] = find(a)
     clusters: dict[int, list[int]] = {}
     for i in range(n):  # first seen in order of smallest member
-        clusters.setdefault(find(i), []).append(i)
+        clusters.setdefault(find(int(group[i])), []).append(i)
     return list(clusters.values())
 
 
@@ -227,7 +255,9 @@ def cluster_events(ds: Dataset, num_clusters: int, linkage: str = "average") -> 
     """Group posts into pseudo-events by text-embedding similarity only.
 
     ``average`` runs ``average_linkage_chain`` in O(n*d) memory and falls back
-    to the matrix path when that returns None; ``complete`` and ``single``
+    to the matrix path when that returns None: on a tie or an inversion, two
+    or more zero rows, or more clusters than distinct rows (see the module
+    docstring); reposts alone do not force it. ``complete`` and ``single``
     always take the matrix path, ``agglomerate`` on ``cosine_distances``,
     whose n x n float64 matrix is 8*n^2 bytes.
     """

@@ -152,7 +152,8 @@ def test_average_rounded_below_a_cached_minimum():
 
 @st.composite
 def text_rows(draw):
-    """Float32-valued rows with some zero rows, or {-2, ..., 2} rows full of ties."""
+    """Float32-valued rows with some zero rows, or {-2, ..., 2} rows full of ties,
+    and some rows copied over others."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -163,6 +164,9 @@ def text_rows(draw):
     x = x.reshape(n, d)
     zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     x[np.array(zero)] = 0.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+        x[dst] = x[src]
     return x
 
 
@@ -189,6 +193,28 @@ def test_average_vector_path_never_builds_the_matrix():
         tracemalloc.stop()
     assert len(events) == 20
     assert peak < n * n * 8 / 4
+
+
+def test_average_vector_path_groups_equal_rows():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(200, 6))
+    x[190:199] = x[[0, 0, 0, 1, 2, 3, 4, 5, 6]]  # reposts, one post three more times
+    x[199] = 2.0 * x[7]                           # the same direction at twice the norm
+    m = 190
+    dist = cosine_distances(x)
+    for k in (1, 5, 20, m):
+        want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
+        assert average_linkage_chain(x, k) == want, k
+    # More clusters than distinct rows would split equal rows: the matrix path decides.
+    assert average_linkage_chain(x, m + 1) is None
+    want = [tuple(sorted(c)) for c in agglomerate(dist.copy(), m + 1, "average")]
+    assert partition(cluster_events(make_dataset(x), m + 1)) == want
+    # A near copy, within rounding of a repost: which pair merges first at
+    # the cut k = 4 is for rounding to decide, so the matrix path decides it.
+    near = np.array([[1.0, -2.0], [3.0, 0.0], [3.0, 2.0], [1.0, -2.0], [1.0 + 1e-9, -2.0]])
+    assert average_linkage_chain(near, 4) is None
+    want = [tuple(sorted(c)) for c in agglomerate(cosine_distances(near), 4, "average")]
+    assert partition(cluster_events(make_dataset(near), 4)) == want
 
 
 def test_average_vector_path_hands_ties_to_the_matrix_path():
