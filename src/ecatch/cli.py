@@ -1,8 +1,8 @@
 """ecatch command line: generate | cluster | train | eval | predict | crosseval | verify.
 
-Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error.
-ECATCH_THREADS caps worker threads (also applied to BLAS pools, which keeps
-training bitwise reproducible).
+Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error (a bad run
+config, ``generate`` spec or ``verify --seeds`` value). ECATCH_THREADS caps worker
+threads (also applied to BLAS pools, which keeps training bitwise reproducible).
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusteringError, check_partition, load_events, save_events
-from .config import (DEFAULTS, ConfigError, RunConfig, load_config, parse_override,
-                     read_config_file, save_config)
+from .config import (KEYS, NON_NEGATIVE, ConfigError, RunConfig, check_value, load_config,
+                     parse_override, read_config_file, save_config)
 from .data import Dataset, assign_splits, load_dataset, write_dataset
 from .pipeline import build_structure, evaluate_posts_and_events, predictions
-from .synth import SynthError, SynthSpec, generate, write_ground_truth
+from .synth import SynthSpec, generate, write_ground_truth
 from .training import load_checkpoint, save_checkpoint, train, write_history
 from .verify import run_all, write_report
 from .windows import load_windows, save_windows
@@ -251,6 +251,8 @@ def cmd_verify(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--seeds: {exc}") from exc
+    for seed in seeds:
+        check_value("--seeds", seed, int, NON_NEGATIVE)
     if not seeds:
         raise ConfigError(f"--seeds: no seed in {args.seeds!r}")
     reports = run_all(seeds)
@@ -268,8 +270,8 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 def _config_epilog() -> str:
     lines = ["config keys (JSON file and --set overrides):"]
-    for key, (default, help_text) in DEFAULTS.items():
-        lines.append(f"  {key:<26} default={default!r:<12} {help_text}")
+    for name, key in KEYS.items():
+        lines.append(f"  {name:<26} default={key.default!r:<12} {key.help}")
     return "\n".join(lines)
 
 
@@ -344,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SynthError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime/numeric failures

@@ -3,6 +3,13 @@
 Config files are JSON objects whose keys come from the table below; unknown
 keys are rejected. Command-line ``--set key=value`` overrides are parsed as
 JSON when possible and fall back to raw strings.
+
+Each key is declared once, in ``KEYS``: its default, its help (printed by
+``ecatch --help``) and what a value must be. To add a key, add one ``Key``
+there; ``check_value`` then checks its values and the help lists it. A string
+key may list its allowed values, a numeric key may carry a bound, and a key
+that takes null (every key whose default is null) names its type.
+Constraints between keys go in ``RunConfig._check_cross_keys``.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
 from .clustering import LINKAGES
 from .fusion import SCALES, SCOPES
@@ -22,141 +29,118 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (default, help)
-DEFAULTS: dict[str, tuple[Any, str]] = {
-    "seed": (0, "global seed: splits, parameter init, any sampling"),
-    "split.train": (0.8, "training fraction"),
-    "split.val": (0.1, "validation fraction"),
-    "split.test": (0.1, "test fraction"),
-    "cluster.num_clusters": (10, "number of pseudo-events formed by clustering"),
-    "cluster.linkage": ("average", "agglomerative linkage: average|complete|single"),
-    "cluster.key": (None, "manifest field to group by instead of clustering"),
-    "window.preset": ("fakeddit", "span/stride preset: fakeddit|ind|covid"),
-    "window.span_secs": (None, "window span in seconds (overrides preset)"),
-    "window.stride_secs": (None, "window stride in seconds (overrides preset)"),
-    "model.d": (32, "model width shared by all components"),
-    "model.heads": (4, "attention heads (must divide model.d)"),
-    "attention.scope": ("window", "attention sequence: window|post"),
-    "attention.scale": ("head", "dot-product divisor: head=sqrt(d/H), model=sqrt(d)"),
-    "init.seed": (None, "parameter init seed (defaults to `seed`)"),
-    "trend.alpha": (1.0 / (2 * DAY), "recency decay rate, 1/seconds"),
-    "trend.beta": (0.9, "momentum smoothing in [0, 1]"),
-    "loss.lambda_tc": (0.1, "temporal-consistency multiplier"),
-    "loss.lambda_reg": (1e-4, "l2 regularization multiplier"),
-    "loss.epsilon": (1.0, "class-count smoothing in adaptive weights"),
-    "loss.tc_clamp": (False, "clamp negative cosine in the consistency term"),
-    "weights.adaptive": (True, "use adaptive class weights (off: w0=w1=1)"),
-    "weights.scope": ("event", "count classes per event or globally: event|global"),
-    "mining.rho": (1.0, "hard-example fraction in (0,1]; 1.0 disables mining"),
-    "mining.warmup_epochs": (2, "epochs trained unmined before mining starts"),
-    "train.optimizer": ("adam", "adam|sgd"),
-    "train.learning_rate": (0.02, "step size"),
-    "train.adam_beta1": (0.9, "Adam first-moment decay"),
-    "train.adam_beta2": (0.999, "Adam second-moment decay"),
-    "train.adam_eps": (1e-8, "Adam denominator guard"),
-    "train.epochs": (30, "maximum training epochs"),
-    "train.grad_clip_norm": (5.0, "global gradient-norm clip; null disables"),
-    "train.early_stop_patience": (5, "epochs without val improvement before stop"),
-    "train.early_stop_metric": ("f1", "validation metric: f1|auc|accuracy"),
-    "eval.threshold": (0.5, "decision threshold for headline metrics"),
-}
-
-# declared types for keys whose default is None
-_NULLABLE_TYPES: dict[str, type] = {
-    "cluster.key": str,
-    "window.span_secs": int,
-    "window.stride_secs": int,
-    "init.seed": int,
-    "train.grad_clip_norm": float,
-}
-
-_CHOICES: dict[str, tuple] = {
-    "cluster.linkage": LINKAGES,
-    "window.preset": tuple(PRESETS),
-    "attention.scope": SCOPES,
-    "attention.scale": SCALES,
-    "weights.scope": WEIGHT_SCOPES,
-    "train.optimizer": ("adam", "sgd"),
-    "train.early_stop_metric": ("f1", "auc", "accuracy"),
-}
+# numeric bounds: (description, test)
+POSITIVE = ("> 0", lambda x: x > 0)
+AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
+NON_NEGATIVE = (">= 0", lambda x: x >= 0)
+UNIT_INTERVAL = ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+OPEN_UNIT_INTERVAL = ("in (0, 1)", lambda x: 0.0 < x < 1.0)
+_DECAY = ("in [0, 1)", lambda x: 0.0 <= x < 1.0)
 
 
-_POSITIVE = ("> 0", lambda x: x > 0)
-_AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
-_NON_NEGATIVE = (">= 0", lambda x: x >= 0)
+def check_value(name: str, value: Any, kind: type, rule: tuple | None = None,
+                error: type[ValueError] = ConfigError) -> Any:
+    """``value`` as a ``kind`` (bool, int, float or str), or ``error`` naming ``name``.
 
-# numeric keys whose values are bounded: key -> (description, test)
-_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
-    "seed": _NON_NEGATIVE,
-    "init.seed": _NON_NEGATIVE,
-    "split.train": _POSITIVE,
-    "split.val": _POSITIVE,
-    "split.test": _POSITIVE,
-    "cluster.num_clusters": _AT_LEAST_ONE,
-    "window.span_secs": _AT_LEAST_ONE,
-    "window.stride_secs": _AT_LEAST_ONE,
-    "model.d": _AT_LEAST_ONE,
-    "model.heads": _AT_LEAST_ONE,
-    "trend.alpha": _NON_NEGATIVE,
-    "trend.beta": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
-    "loss.lambda_tc": _NON_NEGATIVE,
-    "loss.lambda_reg": _NON_NEGATIVE,
-    "loss.epsilon": _POSITIVE,
-    "mining.rho": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
-    "mining.warmup_epochs": _NON_NEGATIVE,
-    "train.learning_rate": _POSITIVE,
-    "train.adam_beta1": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
-    "train.adam_beta2": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
-    "train.adam_eps": _POSITIVE,
-    "train.epochs": _AT_LEAST_ONE,
-    "train.grad_clip_norm": _POSITIVE,
-    "train.early_stop_patience": _NON_NEGATIVE,
-    "eval.threshold": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
-}
-
-
-def _coerce(key: str, value: Any) -> Any:
-    default = DEFAULTS[key][0]
+    No kind takes null, and no number takes a bool. A float takes an int and
+    must be finite. ``rule`` is the allowed values of a str, or the
+    ``(description, test)`` bound of a number.
+    """
     if value is None:
-        if key in _NULLABLE_TYPES:
-            return None
-        raise ConfigError(f"{key}: null is not allowed")
-    target = type(default) if default is not None else _NULLABLE_TYPES[key]
-    if target is bool:
+        raise error(f"{name}: null is not allowed")
+    if kind is bool:
         if isinstance(value, bool):
             return value
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    if target is int or target is float:
-        number = (int, float) if target is float else int
-        if isinstance(value, bool) or not isinstance(value, number):
-            kind = "a number" if target is float else "an integer"
-            raise ConfigError(f"{key}: expected {kind}, got {value!r}")
-        # False for NaN, the infinities and ints beyond the float range.
-        if target is float and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{key}: must be a finite float, got {value!r}")
-        if key in _RANGES and not _RANGES[key][1](value):
-            raise ConfigError(f"{key}: must be {_RANGES[key][0]}, got {value!r}")
-        return target(value)
-    if target is str:
+        raise error(f"{name}: expected a boolean, got {value!r}")
+    if kind is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{key}: expected a string, got {value!r}")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError(
-                f"{key}: {value!r} not one of {', '.join(_CHOICES[key])}"
-            )
+            raise error(f"{name}: expected a string, got {value!r}")
+        if rule is not None and value not in rule:
+            raise error(f"{name}: {value!r} not one of {', '.join(rule)}")
         return value
-    raise ConfigError(f"{key}: unsupported value {value!r}")
+    number = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, number):
+        expected = "a number" if kind is float else "an integer"
+        raise error(f"{name}: expected {expected}, got {value!r}")
+    # False for NaN, the infinities and ints beyond the float range.
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise error(f"{name}: must be a finite float, got {value!r}")
+    if rule is not None and not rule[1](value):
+        raise error(f"{name}: must be {rule[0]}, got {value!r}")
+    return kind(value)
+
+
+class Key(NamedTuple):
+    """One config key. ``kind`` is the type of a key that takes null."""
+    default: Any
+    help: str
+    rule: tuple | None = None
+    kind: type | None = None
+
+    def check(self, name: str, value: Any) -> Any:
+        if value is None and self.kind is not None:
+            return None
+        return check_value(name, value, self.kind or type(self.default), self.rule)
+
+
+KEYS: dict[str, Key] = {
+    "seed": Key(0, "global seed: splits, parameter init, any sampling", NON_NEGATIVE),
+    "split.train": Key(0.8, "training fraction", POSITIVE),
+    "split.val": Key(0.1, "validation fraction", POSITIVE),
+    "split.test": Key(0.1, "test fraction", POSITIVE),
+    "cluster.num_clusters": Key(10, "number of pseudo-events formed by clustering",
+                                AT_LEAST_ONE),
+    "cluster.linkage": Key("average", "agglomerative linkage: average|complete|single",
+                           LINKAGES),
+    "cluster.key": Key(None, "manifest field to group by instead of clustering", kind=str),
+    "window.preset": Key("fakeddit", "span/stride preset: fakeddit|ind|covid", tuple(PRESETS)),
+    "window.span_secs": Key(None, "window span in seconds (overrides preset)",
+                            AT_LEAST_ONE, int),
+    "window.stride_secs": Key(None, "window stride in seconds (overrides preset)",
+                              AT_LEAST_ONE, int),
+    "model.d": Key(32, "model width shared by all components", AT_LEAST_ONE),
+    "model.heads": Key(4, "attention heads (must divide model.d)", AT_LEAST_ONE),
+    "attention.scope": Key("window", "attention sequence: window|post", SCOPES),
+    "attention.scale": Key("head", "dot-product divisor: head=sqrt(d/H), model=sqrt(d)",
+                           SCALES),
+    "init.seed": Key(None, "parameter init seed (defaults to `seed`)", NON_NEGATIVE, int),
+    "trend.alpha": Key(1.0 / (2 * DAY), "recency decay rate, 1/seconds", NON_NEGATIVE),
+    "trend.beta": Key(0.9, "momentum smoothing in [0, 1]", UNIT_INTERVAL),
+    "loss.lambda_tc": Key(0.1, "temporal-consistency multiplier", NON_NEGATIVE),
+    "loss.lambda_reg": Key(1e-4, "l2 regularization multiplier", NON_NEGATIVE),
+    "loss.epsilon": Key(1.0, "class-count smoothing in adaptive weights", POSITIVE),
+    "loss.tc_clamp": Key(False, "clamp negative cosine in the consistency term"),
+    "weights.adaptive": Key(True, "use adaptive class weights (off: w0=w1=1)"),
+    "weights.scope": Key("event", "count classes per event or globally: event|global",
+                         WEIGHT_SCOPES),
+    "mining.rho": Key(1.0, "hard-example fraction in (0,1]; 1.0 disables mining",
+                      ("in (0, 1]", lambda x: 0.0 < x <= 1.0)),
+    "mining.warmup_epochs": Key(2, "epochs trained unmined before mining starts", NON_NEGATIVE),
+    "train.optimizer": Key("adam", "adam|sgd", ("adam", "sgd")),
+    "train.learning_rate": Key(0.02, "step size", POSITIVE),
+    "train.adam_beta1": Key(0.9, "Adam first-moment decay", _DECAY),
+    "train.adam_beta2": Key(0.999, "Adam second-moment decay", _DECAY),
+    "train.adam_eps": Key(1e-8, "Adam denominator guard", POSITIVE),
+    "train.epochs": Key(30, "maximum training epochs", AT_LEAST_ONE),
+    "train.grad_clip_norm": Key(5.0, "global gradient-norm clip; null disables", POSITIVE,
+                                float),
+    "train.early_stop_patience": Key(5, "epochs without val improvement before stop",
+                                     NON_NEGATIVE),
+    "train.early_stop_metric": Key("f1", "validation metric: f1|auc|accuracy",
+                                   ("f1", "auc", "accuracy")),
+    "eval.threshold": Key(0.5, "decision threshold for headline metrics", OPEN_UNIT_INTERVAL),
+}
 
 
 class RunConfig:
     """Validated, immutable-by-convention view over the dotted-key table."""
 
     def __init__(self, values: dict[str, Any] | None = None):
-        self._values = {k: v for k, (v, _) in DEFAULTS.items()}
+        self._values = {k: key.default for k, key in KEYS.items()}
         for k, v in (values or {}).items():
-            if k not in DEFAULTS:
+            if k not in KEYS:
                 raise ConfigError(f"unknown config key {k!r}")
-            self._values[k] = _coerce(k, v)
+            self._values[k] = KEYS[k].check(k, v)
         self._check_cross_keys()
 
     def _check_cross_keys(self) -> None:
@@ -174,7 +158,7 @@ class RunConfig:
             raise ConfigError(f"split.train + split.val + split.test must sum to 1, got {total}")
 
     def __getitem__(self, key: str) -> Any:
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         return self._values[key]
 

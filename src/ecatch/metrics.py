@@ -48,17 +48,17 @@ class EvalResult:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied scores share the mean of their rank range."""
+    """1-based ranks; tied scores share the mean of their rank range.
+
+    A group of ties starts wherever a sorted score differs from the one
+    before it, so each NaN is a group of its own.
+    """
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)] - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import (AT_LEAST_ONE, NON_NEGATIVE, OPEN_UNIT_INTERVAL, UNIT_INTERVAL,
+                     ConfigError, check_value)
 from .data import Dataset
 from .windows import PRESETS
 
@@ -32,8 +34,22 @@ NOISE_SIGMA = 1.0
 FULL_SPLIT_MARGIN = 4.0        # margin at which the fake wave is fully separated
 
 
-class SynthError(ValueError):
+class SynthError(ConfigError):
     pass
+
+
+# bound of each field but posts_per_event; its type is that of its default
+_BOUNDS = {
+    "n_events": AT_LEAST_ONE,
+    "d_text": AT_LEAST_ONE,
+    "d_img": AT_LEAST_ONE,
+    "imbalance": OPEN_UNIT_INTERVAL,
+    "margin": NON_NEGATIVE,
+    "drift": NON_NEGATIVE,
+    "modality_conflict": UNIT_INTERVAL,
+    "missing_image": UNIT_INTERVAL,
+    "seed": NON_NEGATIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -50,36 +66,29 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        lo, hi = self.posts_per_event
-        if self.n_events < 1:
-            raise SynthError("n_events must be >= 1")
-        if lo < 1 or hi < lo:
-            raise SynthError(f"bad posts_per_event range ({lo}, {hi})")
-        if self.d_text < 1 or self.d_img < 1:
-            raise SynthError("embedding dims must be positive")
-        if not 0.0 < self.imbalance < 1.0:
-            raise SynthError("imbalance must lie in (0, 1)")
-        if self.margin < 0 or self.drift < 0:
-            raise SynthError("margin and drift must be >= 0")
-        for name in ("modality_conflict", "missing_image"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise SynthError(f"{name} must lie in [0, 1]")
+        self.from_dict(asdict(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        """A spec with each field checked; a float field given an int holds a float."""
+        if not isinstance(raw, dict):
+            raise SynthError("spec must hold a JSON object")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise SynthError(f"unknown spec fields: {sorted(unknown)}")
-        if "posts_per_event" in raw:
-            ppe = raw["posts_per_event"]
-            if not (isinstance(ppe, (list, tuple)) and len(ppe) == 2):
+        values = {}
+        for name, value in raw.items():
+            if name != "posts_per_event":
+                kind = type(cls.__dataclass_fields__[name].default)
+                values[name] = check_value(name, value, kind, _BOUNDS[name], SynthError)
+                continue
+            if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise SynthError("posts_per_event must be a [min, max] pair")
-            raw = dict(raw, posts_per_event=(int(ppe[0]), int(ppe[1])))
-        spec = cls(**raw)
-        spec.validate()
-        return spec
+            lo, hi = (check_value(name, v, int, AT_LEAST_ONE, SynthError) for v in value)
+            if hi < lo:
+                raise SynthError(f"posts_per_event: max {hi} is below min {lo}")
+            values[name] = (lo, hi)
+        return cls(**values)
 
 
 def _separation(margin: float) -> float:

@@ -92,6 +92,26 @@ def test_generate_invalid_spec_is_config_error(tmp_path, capsys):
     assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"n_events": "5"}, "n_events: expected an integer, got '5'"),
+    ({"n_events": 2.5}, "n_events: expected an integer, got 2.5"),
+    ({"seed": -1}, "seed: must be >= 0, got -1"),
+    ({"posts_per_event": ["a", 3]}, "posts_per_event: expected an integer, got 'a'"),
+    ({"posts_per_event": [3.7, 5]}, "posts_per_event: expected an integer, got 3.7"),
+    ({"imbalance": "0.5"}, "imbalance: expected a number, got '0.5'"),
+    ({"margin": None}, "margin: null is not allowed"),
+    ({"margin": True}, "margin: expected a number, got True"),
+    ([1, 2], "spec must hold a JSON object"),
+], ids=["n_events-str", "n_events-float", "seed-negative", "posts_per_event-str",
+        "posts_per_event-float", "imbalance-str", "margin-null", "margin-bool", "not-an-object"])
+def test_generate_bad_spec_exits_2_naming_the_field(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cluster_writes_events(tmp_path, dataset_dir):
     out = tmp_path / "events.json"
     rc = main(["cluster", "--data", str(dataset_dir), "--out", str(out),
@@ -344,7 +364,7 @@ def test_train_cross_key_error_exits_2(tmp_path, dataset_dir, capsys, overrides,
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("seeds", ["x,1", ","])
+@pytest.mark.parametrize("seeds", ["x,1", ",", "-1", "0,-3"])
 def test_verify_bad_seeds_exit_2(tmp_path, capsys, seeds):
     rc = main(["verify", "--seeds", seeds, "--out", str(tmp_path / "report.json")])
     assert rc == 2

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ecatch.config import (
+    KEYS,
     ConfigError,
     RunConfig,
     load_config,
@@ -16,6 +17,16 @@ def test_defaults_available():
     assert cfg["model.d"] == 32
     assert cfg["train.optimizer"] == "adam"
     assert cfg["window.preset"] == "fakeddit"
+
+
+@pytest.mark.parametrize("name", list(KEYS))
+def test_default_passes_its_own_check(name):
+    key = KEYS[name]
+    if key.default is None:
+        assert key.kind is not None, "a key whose default is null names its type"
+    else:
+        value = key.check(name, key.default)
+        assert value == key.default and type(value) is type(key.default)
 
 
 def test_unknown_key_rejected():

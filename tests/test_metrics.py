@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ecatch.metrics import (
     MetricsError,
+    _average_ranks,
     auc_by_pair_enumeration,
     auc_roc,
     evaluate,
@@ -72,6 +73,29 @@ def test_auc_matches_pair_enumeration(seed, n):
         y[0] = 1 - y[0]
     p = np.round(rng.random(n), 1)  # coarse grid forces ties
     assert auc_roc(p, y) == auc_by_pair_enumeration(p, y)
+
+
+def loop_average_ranks(scores):
+    """Reference: walk the sorted scores, extending each group while equal to its first."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0, np.nan, np.inf, -np.inf])
+                | st.floats(allow_nan=True), max_size=30))
+def test_average_ranks_match_the_loop_bitwise(values):
+    scores = np.array(values, dtype=np.float64)
+    assert _average_ranks(scores).tobytes() == loop_average_ranks(scores).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -128,5 +128,6 @@ def test_spec_validation():
 def test_spec_from_dict_rejects_unknown_fields():
     with pytest.raises(SynthError, match="unknown spec fields"):
         SynthSpec.from_dict({"n_events": 2, "bogus": 1})
-    spec = SynthSpec.from_dict({"n_events": 2, "posts_per_event": [3, 5]})
+    spec = SynthSpec.from_dict({"n_events": 2, "posts_per_event": [3, 5], "margin": 4})
     assert spec.posts_per_event == (3, 5)
+    assert type(spec.margin) is float
