@@ -20,8 +20,11 @@ Two paths compute the partition:
   the pair distances between clusters A and B is
   ``1 - S_A . S_B / (|A| |B|)``, and a zero row sits at exactly 1 from
   everything. A nearest-neighbour chain (Muellner 2011, arXiv:1109.2378, sec.
-  3) finds the same dendrogram as the greedy rule, one ``S @ S[a]`` per
-  query, and the n - k lowest merges give the partition.
+  3) finds the same dendrogram as the greedy rule, and the n - k lowest
+  merges give the partition. Each query is one product of the live cluster
+  sums with S_a: the live clusters are packed into the first rows, and a
+  merged-away cluster's row takes the last live one, so a query's work falls
+  with the number of clusters left.
 
 Rows with equal unit vectors (reposts, or one post at another scale) enter
 the chain as one cluster each, with their sum and count: the matrix path
@@ -176,8 +179,11 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
     Returns ``agglomerate(cosine_distances(x), num_clusters, "average")``'s
     partition, each cluster sorted and the clusters ordered by smallest
     member, or None where a tie or an inversion needs the matrix path (see
-    the module docstring). Holds the (n, d) unit rows and their bytes, the
-    cluster sums and O(n) vectors.
+    the module docstring). Each query runs over the live clusters only: a
+    merged-away cluster's row is swapped out for the last live row. Holds the
+    (n, d) unit rows (and their bytes while it finds equal rows) until the
+    cluster sums are built, then the (m, d) sums of the m distinct rows and
+    O(n) vectors.
     """
     unit, zero = _unit_rows(x)
     n = unit.shape[0]
@@ -194,24 +200,30 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
         return None  # the cut falls among the merges of equal rows
     sums = np.zeros((m, unit.shape[1]))
     np.add.at(sums, group, unit)
+    del unit
     sizes = np.bincount(group).astype(np.float64)
 
-    # Slot i holds a live cluster, or a retired one that `retired` masks out.
-    formed_at = np.full(m, -np.inf)  # height of the merge that formed slot i
-    retired = np.zeros(m)            # 0 while live, inf once merged away
+    # The live clusters fill rows [0, live) of `sums` and `sizes`: slot id s
+    # sits in row pos[s], and row r holds slot ids[r]. Merges, the chain and
+    # `formed_at` speak of slot ids; a merged-away row takes the last live one.
+    ids = np.arange(m)
+    pos = np.arange(m)
+    live = m
+    formed_at = np.full(m, -np.inf)  # height of the merge that formed slot s
     merges: list[tuple[float, int, int]] = []
     chain: list[int] = []
-    while len(merges) < m - 1:
+    while live > 1:
         if not chain:
-            chain.append(int(retired.argmin()))
+            chain.append(int(ids[:live].min()))
         a = chain[-1]
-        dist = 1.0 - (sums @ sums[a]) / (sizes * sizes[a])
-        dist += retired
-        dist[a] = np.inf
-        b = int(dist.argmin())
-        height = float(dist[b])
+        pa = pos[a]
+        dist = 1.0 - (sums[:live] @ sums[pa]) / (sizes[:live] * sizes[pa])
+        dist[pa] = np.inf
+        pb = int(dist.argmin())
+        height = float(dist[pb])
         if np.count_nonzero(dist <= height + NEAR_TIE) > 1:
             return None
+        b = int(ids[pb])
         if len(chain) == 1 or b != chain[-2]:
             chain.append(b)
             continue
@@ -219,11 +231,16 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
         del chain[-2:]
         if height < max(formed_at[a], formed_at[b]):
             return None
-        sums[a] += sums[b]
-        sizes[a] += sizes[b]
+        sums[pa] += sums[pb]
+        sizes[pa] += sizes[pb]
         formed_at[a] = height
-        retired[b] = np.inf
         merges.append((height, a, b))
+        live -= 1
+        if pb != live:
+            sums[pb] = sums[live]
+            sizes[pb] = sizes[live]
+            ids[pb] = ids[live]
+            pos[ids[pb]] = pb
 
     # Only the order across the cut decides the partition: tied merges on one
     # side of it are applied together.

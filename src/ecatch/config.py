@@ -31,8 +31,12 @@ class ConfigError(ValueError):
 
 # numeric bounds: (description, test)
 POSITIVE = ("> 0", lambda x: x > 0)
-AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
 NON_NEGATIVE = (">= 0", lambda x: x >= 0)
+# Sizes and counts must fit numpy's int64; seeds take NON_NEGATIVE, since
+# numpy seeds any non-negative int.
+INT64_MAX = 2**63 - 1
+SIZE = ("in [1, 2**63 - 1]", lambda x: 1 <= x <= INT64_MAX)
+COUNT = ("in [0, 2**63 - 1]", lambda x: 0 <= x <= INT64_MAX)
 UNIT_INTERVAL = ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 OPEN_UNIT_INTERVAL = ("in (0, 1)", lambda x: 0.0 < x < 1.0)
 _DECAY = ("in [0, 1)", lambda x: 0.0 <= x < 1.0)
@@ -89,17 +93,17 @@ KEYS: dict[str, Key] = {
     "split.val": Key(0.1, "validation fraction", POSITIVE),
     "split.test": Key(0.1, "test fraction", POSITIVE),
     "cluster.num_clusters": Key(10, "number of pseudo-events formed by clustering",
-                                AT_LEAST_ONE),
+                                SIZE),
     "cluster.linkage": Key("average", "agglomerative linkage: average|complete|single",
                            LINKAGES),
     "cluster.key": Key(None, "manifest field to group by instead of clustering", kind=str),
     "window.preset": Key("fakeddit", "span/stride preset: fakeddit|ind|covid", tuple(PRESETS)),
     "window.span_secs": Key(None, "window span in seconds (overrides preset)",
-                            AT_LEAST_ONE, int),
+                            SIZE, int),
     "window.stride_secs": Key(None, "window stride in seconds (overrides preset)",
-                              AT_LEAST_ONE, int),
-    "model.d": Key(32, "model width shared by all components", AT_LEAST_ONE),
-    "model.heads": Key(4, "attention heads (must divide model.d)", AT_LEAST_ONE),
+                              SIZE, int),
+    "model.d": Key(32, "model width shared by all components", SIZE),
+    "model.heads": Key(4, "attention heads (must divide model.d)", SIZE),
     "attention.scope": Key("window", "attention sequence: window|post", SCOPES),
     "attention.scale": Key("head", "dot-product divisor: head=sqrt(d/H), model=sqrt(d)",
                            SCALES),
@@ -115,17 +119,17 @@ KEYS: dict[str, Key] = {
                          WEIGHT_SCOPES),
     "mining.rho": Key(1.0, "hard-example fraction in (0,1]; 1.0 disables mining",
                       ("in (0, 1]", lambda x: 0.0 < x <= 1.0)),
-    "mining.warmup_epochs": Key(2, "epochs trained unmined before mining starts", NON_NEGATIVE),
+    "mining.warmup_epochs": Key(2, "epochs trained unmined before mining starts", COUNT),
     "train.optimizer": Key("adam", "adam|sgd", ("adam", "sgd")),
     "train.learning_rate": Key(0.02, "step size", POSITIVE),
     "train.adam_beta1": Key(0.9, "Adam first-moment decay", _DECAY),
     "train.adam_beta2": Key(0.999, "Adam second-moment decay", _DECAY),
     "train.adam_eps": Key(1e-8, "Adam denominator guard", POSITIVE),
-    "train.epochs": Key(30, "maximum training epochs", AT_LEAST_ONE),
+    "train.epochs": Key(30, "maximum training epochs", SIZE),
     "train.grad_clip_norm": Key(5.0, "global gradient-norm clip; null disables", POSITIVE,
                                 float),
     "train.early_stop_patience": Key(5, "epochs without val improvement before stop",
-                                     NON_NEGATIVE),
+                                     COUNT),
     "train.early_stop_metric": Key("f1", "validation metric: f1|auc|accuracy",
                                    ("f1", "auc", "accuracy")),
     "eval.threshold": Key(0.5, "decision threshold for headline metrics", OPEN_UNIT_INTERVAL),

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (AT_LEAST_ONE, NON_NEGATIVE, OPEN_UNIT_INTERVAL, UNIT_INTERVAL,
-                     ConfigError, check_value)
+from .config import (NON_NEGATIVE, OPEN_UNIT_INTERVAL, SIZE, UNIT_INTERVAL, ConfigError,
+                     check_value)
 from .data import Dataset
 from .windows import PRESETS
 
@@ -40,9 +40,9 @@ class SynthError(ConfigError):
 
 # bound of each field but posts_per_event; its type is that of its default
 _BOUNDS = {
-    "n_events": AT_LEAST_ONE,
-    "d_text": AT_LEAST_ONE,
-    "d_img": AT_LEAST_ONE,
+    "n_events": SIZE,
+    "d_text": SIZE,
+    "d_img": SIZE,
     "imbalance": OPEN_UNIT_INTERVAL,
     "margin": NON_NEGATIVE,
     "drift": NON_NEGATIVE,
@@ -84,7 +84,7 @@ class SynthSpec:
                 continue
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise SynthError("posts_per_event must be a [min, max] pair")
-            lo, hi = (check_value(name, v, int, AT_LEAST_ONE, SynthError) for v in value)
+            lo, hi = (check_value(name, v, int, SIZE, SynthError) for v in value)
             if hi < lo:
                 raise SynthError(f"posts_per_event: max {hi} is below min {lo}")
             values[name] = (lo, hi)

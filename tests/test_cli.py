@@ -102,8 +102,12 @@ def test_generate_invalid_spec_is_config_error(tmp_path, capsys):
     ({"margin": None}, "margin: null is not allowed"),
     ({"margin": True}, "margin: expected a number, got True"),
     ([1, 2], "spec must hold a JSON object"),
+    ({"posts_per_event": [1, 10**30]},
+     f"posts_per_event: must be in [1, 2**63 - 1], got {10**30}"),
+    ({"d_text": 2**63}, f"d_text: must be in [1, 2**63 - 1], got {2**63}"),
 ], ids=["n_events-str", "n_events-float", "seed-negative", "posts_per_event-str",
-        "posts_per_event-float", "imbalance-str", "margin-null", "margin-bool", "not-an-object"])
+        "posts_per_event-float", "imbalance-str", "margin-null", "margin-bool", "not-an-object",
+        "posts_per_event-beyond-int64", "d_text-beyond-int64"])
 def test_generate_bad_spec_exits_2_naming_the_field(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -340,12 +344,25 @@ def test_verify_subcommand(tmp_path, monkeypatch):
     # non-finite numbers, which JSON spells NaN, Infinity and -Infinity
     "loss.lambda_reg=NaN", "trend.alpha=Infinity", "split.train=NaN",
     "train.learning_rate=Infinity", "eval.threshold=NaN", "loss.lambda_tc=-Infinity",
+    # sizes and counts beyond int64
+    f"cluster.num_clusters={2**63}", f"train.epochs={2**63}",
+    f"mining.warmup_epochs={10**30}",
 ])
 def test_train_out_of_range_value_exits_2(tmp_path, dataset_dir, capsys, override):
     rc = main(["train", "--data", str(dataset_dir), "--config", str(write_config(tmp_path)),
                "--out", str(tmp_path / "run"), "--set", override])
     assert rc == 2
     assert f"configuration error: {override.split('=')[0]}: must be" in capsys.readouterr().err
+
+
+def test_train_model_width_beyond_int64_exits_2(tmp_path, dataset_dir, capsys):
+    rc = main(["train", "--data", str(dataset_dir), "--config", str(write_config(tmp_path)),
+               "--out", str(tmp_path / "run"), "--set", f"model.d={10**30}",
+               "--set", "model.heads=1"])
+    assert rc == 2
+    assert (f"configuration error: model.d: must be in [1, 2**63 - 1], got {10**30}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -238,6 +238,66 @@ def test_average_vector_path_hands_ties_to_the_matrix_path():
         average_linkage_chain(square, 5)
 
 
+def masked_chain_log(x):
+    """The nearest-neighbour chain over every slot, merged-away slots masked:
+    its merges (a, b) in chain order, and the number of merges made before
+    each restart of the chain."""
+    unit = x / np.sqrt((x * x).sum(axis=1))[:, None]
+    slot = {}
+    group = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in unit])
+    m = len(slot)
+    sums = np.zeros((m, x.shape[1]))
+    np.add.at(sums, group, unit)
+    sizes = np.bincount(group).astype(float)
+    retired = np.zeros(m)
+    merges, restarts, chain = [], [], []
+    while len(merges) < m - 1:
+        if not chain:
+            restarts.append(len(merges))
+            chain.append(int(retired.argmin()))
+        a = chain[-1]
+        dist = 1.0 - (sums @ sums[a]) / (sizes * sizes[a]) + retired
+        dist[a] = np.inf
+        b = int(dist.argmin())
+        if len(chain) == 1 or b != chain[-2]:
+            chain.append(b)
+            continue
+        del chain[-2:]
+        sums[a] += sums[b]
+        sizes[a] += sizes[b]
+        retired[b] = np.inf
+        merges.append((a, b))
+    return m, merges, restarts
+
+
+def test_average_vector_path_swaps_merged_rows_out():
+    rng = np.random.default_rng(3)
+    centroids = 3.0 * rng.normal(size=(12, 8))
+    x = centroids[rng.integers(0, 12, size=300)] + rng.normal(size=(300, 8))
+    x[[40, 90, 91, 160, 250]] = x[[3, 17, 17, 120, 201]]  # reposts
+    dist = cosine_distances(x)
+    for k in (1, 2, 12, 40, 150, 295):
+        want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
+        assert average_linkage_chain(x, k) == want, k
+
+    # Replay the merges on rows packed as the chain keeps them: the live
+    # clusters fill the first `live` rows, and a merged-away row takes the
+    # last live one.
+    m, merges, restarts = masked_chain_log(x)
+    assert m == 295
+    ids, pos, live = list(range(m)), list(range(m)), m
+    a_last = b_last = restart_moved = 0
+    for t, (a, b) in enumerate(merges):
+        if t in restarts and ids[0] != min(ids[:live]):
+            restart_moved += 1  # the smallest live slot no longer sits in row 0
+        live -= 1
+        a_last += pos[a] == live
+        b_last += pos[b] == live
+        ids[pos[b]] = ids[live]
+        pos[ids[live]] = pos[b]
+    assert a_last and b_last and restart_moved, (a_last, b_last, restart_moved)
+
+
 def test_pass_through_groups():
     ds = make_dataset(
         np.zeros((5, 2)),

@@ -66,6 +66,15 @@ def test_choice_validation():
     ("eval.threshold", float("nan")),
     ("train.grad_clip_norm", float("inf")),
     ("loss.epsilon", 10 ** 400),
+    # sizes and counts must fit int64
+    ("model.d", 2 ** 63),
+    ("model.heads", 10 ** 30),
+    ("cluster.num_clusters", 2 ** 63),
+    ("window.span_secs", 2 ** 63),
+    ("window.stride_secs", 2 ** 63),
+    ("train.epochs", 2 ** 63),
+    ("train.early_stop_patience", 2 ** 63),
+    ("mining.warmup_epochs", 2 ** 63),
 ])
 def test_numeric_range_rejected(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: must be"):
@@ -88,6 +97,16 @@ def test_integer_and_loss_range_bounds_accepted():
     cfg = RunConfig(bounds)
     assert {k: cfg[k] for k in bounds} == bounds
     assert isinstance(cfg["trend.beta"], float) and isinstance(cfg["model.d"], int)
+
+
+def test_sizes_and_counts_take_int64_max_and_seeds_any_size():
+    top = 2 ** 63 - 1
+    bounds = {"model.d": top, "model.heads": 1, "cluster.num_clusters": top,
+              "window.span_secs": top, "window.stride_secs": top, "train.epochs": top,
+              "train.early_stop_patience": top, "mining.warmup_epochs": top,
+              "seed": 2 ** 64, "init.seed": 10 ** 30}
+    cfg = RunConfig(bounds)
+    assert {k: cfg[k] for k in bounds} == bounds
 
 
 def test_nullable_keys():

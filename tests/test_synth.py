@@ -131,3 +131,15 @@ def test_spec_from_dict_rejects_unknown_fields():
     spec = SynthSpec.from_dict({"n_events": 2, "posts_per_event": [3, 5], "margin": 4})
     assert spec.posts_per_event == (3, 5)
     assert type(spec.margin) is float
+
+
+def test_spec_sizes_fit_int64_and_seeds_any_size():
+    top = 2 ** 63 - 1
+    spec = SynthSpec.from_dict({"n_events": top, "d_text": top, "d_img": top,
+                                "posts_per_event": [top, top], "seed": 2 ** 64})
+    assert spec.n_events == top and spec.seed == 2 ** 64
+    for field in ("n_events", "d_text", "d_img"):
+        with pytest.raises(SynthError, match=f"^{field}: must be in"):
+            SynthSpec.from_dict({field: 2 ** 63})
+    with pytest.raises(SynthError, match="^posts_per_event: must be in"):
+        SynthSpec.from_dict({"posts_per_event": [1, 2 ** 63]})
