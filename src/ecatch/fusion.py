@@ -15,6 +15,12 @@ product: two encoder ``linear`` nodes, one ``mh_attention`` node per
 attention block (output affine included), and one :func:`gate` node that
 mixes the two cross-modal views (``trend.aggregate`` adds an eighth).
 
+Each attention block holds one (..., H, n, n) buffer in the forward pass: the
+scores are scaled, shifted, exponentiated and normalised in place into the
+probabilities that the VJP keeps. The VJP turns its fresh ``g_p`` into the
+score gradient in place too, so a block's backward adds one n x n buffer and
+one n x n temporary.
+
 No residual connections or layer normalization anywhere: the network is
 shallow and gate/LSTM based, and stays stable without them.
 """
@@ -37,7 +43,9 @@ SCALES = ("head", "model")
 # Attention pairs (B * n * n) one fusion pass may hold. A pass also holds at
 # most MAX_PAIRS / 8 post rows, so that at d = 32 and H = 4 neither its
 # (B, H, n, n) scores nor its (B, n, d) rows pass 256 KB an array, whatever
-# the number of same-size windows.
+# the number of same-size windows. Each block's forward holds one such score
+# buffer, the probabilities the VJP keeps; the VJP reuses its ``g_p`` for the
+# score gradient.
 MAX_PAIRS = 8192
 
 
@@ -92,11 +100,16 @@ def mh_attention(
     qh = q.data[..., None, :, :] @ wq.data          # (..., H, n_q, dh)
     kh = k.data[..., None, :, :] @ wk.data          # (..., H, n_k, dh)
     vh = v.data[..., None, :, :] @ wv.data          # (..., H, n_k, dh)
-    scores = (qh @ kh.swapaxes(-1, -2)) * c
+    # The softmax runs in place on the one (..., H, n_q, n_k) score buffer, in
+    # the operand order of ``e = exp(s * c - max); p = e / e.sum``, so every
+    # float equals the out-of-place form's.
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= c
     if diagonal:
-        scores[..., ~np.eye(n_q, dtype=bool)] = -np.inf
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        p[..., ~np.eye(n_q, dtype=bool)] = -np.inf
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     merged = (p @ vh).swapaxes(-3, -2).reshape(q.shape)
     rows = (merged @ wo.data).reshape(-1, d)
 
@@ -104,8 +117,12 @@ def mh_attention(
         g_rows = g_out.reshape(rows.shape)
         g = (g_rows @ w_out.data).reshape(q.shape)
         g_att = (g @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
-        g_p = g_att @ vh.swapaxes(-1, -2)
-        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+        # g_p turns into the score gradient p * (g_p - (g_p * p).sum) * c in
+        # place, in that operand order
+        g_s = g_att @ vh.swapaxes(-1, -2)
+        g_s -= (g_s * p).sum(axis=-1, keepdims=True)
+        g_s *= p
+        g_s *= c
         g_qh = g_s @ kh
         g_kh = (qh.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
         g_vh = p.swapaxes(-1, -2) @ g_att

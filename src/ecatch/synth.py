@@ -32,6 +32,7 @@ TARGET_POSTS_PER_SPAN = 8      # keeps window occupancy inside 3..20
 EVENT_GAP_SECS = 90 * 86400
 NOISE_SIGMA = 1.0
 FULL_SPLIT_MARGIN = 4.0        # margin at which the fake wave is fully separated
+MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)  # numpy refuses any larger array
 
 
 class SynthError(ConfigError):
@@ -70,7 +71,10 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthSpec":
-        """A spec with each field checked; a float field given an int holds a float."""
+        """A spec with each field checked; a float field given an int holds a float.
+
+        The largest draw's (posts, width) float64 rows must fit one numpy array.
+        """
         if not isinstance(raw, dict):
             raise SynthError("spec must hold a JSON object")
         unknown = set(raw) - set(cls.__dataclass_fields__)
@@ -88,7 +92,13 @@ class SynthSpec:
             if hi < lo:
                 raise SynthError(f"posts_per_event: max {hi} is below min {lo}")
             values[name] = (lo, hi)
-        return cls(**values)
+        spec = cls(**values)
+        size = spec.n_events * spec.posts_per_event[1] * max(spec.d_text, spec.d_img) * 8
+        if size > MAX_ARRAY_BYTES:
+            raise SynthError(
+                f"n_events * posts_per_event[1] * max(d_text, d_img) * 8 = {size} bytes "
+                f"exceeds numpy's maximum array size of {MAX_ARRAY_BYTES} bytes")
+        return spec
 
 
 def _separation(margin: float) -> float:

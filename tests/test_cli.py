@@ -105,9 +105,12 @@ def test_generate_invalid_spec_is_config_error(tmp_path, capsys):
     ({"posts_per_event": [1, 10**30]},
      f"posts_per_event: must be in [1, 2**63 - 1], got {10**30}"),
     ({"d_text": 2**63}, f"d_text: must be in [1, 2**63 - 1], got {2**63}"),
+    ({"n_events": 1, "posts_per_event": [1, 2**63 - 1]},
+     f"n_events * posts_per_event[1] * max(d_text, d_img) * 8 = {(2**63 - 1) * 32 * 8} bytes "
+     f"exceeds numpy's maximum array size of {2**63 - 1} bytes"),
 ], ids=["n_events-str", "n_events-float", "seed-negative", "posts_per_event-str",
         "posts_per_event-float", "imbalance-str", "margin-null", "margin-bool", "not-an-object",
-        "posts_per_event-beyond-int64", "d_text-beyond-int64"])
+        "posts_per_event-beyond-int64", "d_text-beyond-int64", "posts_per_event-beyond-array"])
 def test_generate_bad_spec_exits_2_naming_the_field(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecatch import fusion
-from ecatch.autodiff import Tensor, finite_difference_gradient
+from ecatch.autodiff import Tensor, finite_difference_gradient, no_grad
 from ecatch.fusion import FusionError, fuse_window, mh_attention
 from ecatch.params import AttentionBlock, ModelParams
 from ecatch.windows import Window
@@ -335,6 +337,84 @@ def test_batched_attention_matches_each_sequence_and_finite_differences(
         fd = finite_difference_gradient(f, arrays[idx])
         err = np.abs(fd - tensor.grad).max()
         assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max(), 1e-3), idx
+
+
+def out_of_place_attention(q, k, v, wq, wk, wv, wo, w_out, b_out, c, diagonal, g_out):
+    """The attention forward and its nine VJP outputs, each n x n step in a
+    fresh array: the expressions the in-place softmax must match bit for bit."""
+    n_q, d = q.shape[-2:]
+    heads = wq.shape[0]
+    qh, kh, vh = q[..., None, :, :] @ wq, k[..., None, :, :] @ wk, v[..., None, :, :] @ wv
+    scores = (qh @ kh.swapaxes(-1, -2)) * c
+    if diagonal:
+        scores[..., ~np.eye(n_q, dtype=bool)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    merged = (p @ vh).swapaxes(-3, -2).reshape(q.shape)
+    rows = (merged @ wo).reshape(-1, d)
+    out = (rows @ w_out.T).reshape(q.shape) + b_out
+
+    g_rows = g_out.reshape(rows.shape)
+    g = (g_rows @ w_out).reshape(q.shape)
+    g_att = (g @ wo.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
+    g_p = g_att @ vh.swapaxes(-1, -2)
+    g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+    g_qh = g_s @ kh
+    g_kh = (qh.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
+    g_vh = p.swapaxes(-1, -2) @ g_att
+    grads = (
+        (g_qh @ wq.swapaxes(-1, -2)).sum(axis=-3),
+        (g_kh @ wk.swapaxes(-1, -2)).sum(axis=-3),
+        (g_vh @ wv.swapaxes(-1, -2)).sum(axis=-3),
+        fusion._head_grad(q, g_qh), fusion._head_grad(k, g_kh), fusion._head_grad(v, g_vh),
+        merged.reshape(-1, d).T @ g.reshape(-1, d), (rows.T @ g_rows).T, g_rows.sum(axis=0),
+    )
+    return out, p, grads
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("batch, n", [(1, 150), (40, 8)], ids=["burst-window", "chunk"])
+def test_attention_is_bitwise_the_out_of_place_softmax_at_burst_size(batch, n, diagonal):
+    d, heads = 32, 4
+    rng = np.random.default_rng(batch * 1000 + n)
+    arrays = [rng.normal(size=(batch, n, d)) for _ in range(3)]
+    arrays += [rng.normal(size=(heads, d, d // heads)) / np.sqrt(d) for _ in range(3)]
+    arrays += [rng.normal(size=(d, d)) / np.sqrt(d), rng.normal(size=(d, d)) / np.sqrt(d),
+               rng.normal(size=d)]
+    g_out = rng.normal(size=(batch, n, d))
+    c = 1.0 / np.sqrt(d / heads)
+
+    tensors = [Tensor(a) for a in arrays]
+    out, p = mh_attention(*tensors[:3], AttentionBlock(*tensors[3:]), diagonal=diagonal,
+                          return_weights=True)
+    ref_out, ref_p, ref_grads = out_of_place_attention(*arrays, c, diagonal, g_out)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert p.tobytes() == ref_p.tobytes()
+    grads = out._vjp(g_out)
+    assert len(grads) == len(ref_grads) == 9
+    for idx, (got, want) in enumerate(zip(grads, ref_grads)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), idx
+
+
+def test_attention_forward_holds_one_score_buffer():
+    # Without a graph the block's peak allocation is its one (1, H, n, n)
+    # score buffer plus (n, d)-sized rows; each out-of-place softmax step
+    # would add a buffer of its own.
+    n, d, heads = 190, 32, 4
+    rng = np.random.default_rng(0)
+    params = build_params(d=d, heads=heads, d_text=d, d_img=d, seed=1)
+    x = Tensor(rng.normal(size=(1, n, d)))
+    block = params.block("att_text")
+    with no_grad():
+        mh_attention(x, x, x, block)  # warm any lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mh_attention(x, x, x, block)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * heads * n * n * 8, peak / (heads * n * n * 8)
 
 
 def test_window_groups_cut_same_size_chunks():

@@ -135,9 +135,21 @@ def test_spec_from_dict_rejects_unknown_fields():
 
 def test_spec_sizes_fit_int64_and_seeds_any_size():
     top = 2 ** 63 - 1
-    spec = SynthSpec.from_dict({"n_events": top, "d_text": top, "d_img": top,
-                                "posts_per_event": [top, top], "seed": 2 ** 64})
-    assert spec.n_events == top and spec.seed == 2 ** 64
+    assert SynthSpec.from_dict({"seed": 2 ** 64}).seed == 2 ** 64
+    # each size is also bounded by the largest draw's float64 rows, which must
+    # fit one numpy array: at most 2**63 - 1 bytes, (2**60 - 1) * 8 here
+    fits = 2 ** 60 - 1
+    ones = {"n_events": 1, "d_text": 1, "d_img": 1, "posts_per_event": [1, 1]}
+    for field in ("n_events", "d_text", "d_img", "posts_per_event"):
+        for size, accepted in ((fits, True), (fits + 1, False), (top, False)):
+            raw = {**ones, field: [1, size] if field == "posts_per_event" else size}
+            if accepted:
+                SynthSpec.from_dict(raw)
+                continue
+            with pytest.raises(SynthError, match=(
+                    r"^n_events \* posts_per_event\[1\] \* max\(d_text, d_img\) \* 8 = "
+                    f"{size * 8} bytes exceeds numpy's maximum array size")):
+                SynthSpec.from_dict(raw)
     for field in ("n_events", "d_text", "d_img"):
         with pytest.raises(SynthError, match=f"^{field}: must be in"):
             SynthSpec.from_dict({field: 2 ** 63})
