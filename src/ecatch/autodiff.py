@@ -2,13 +2,14 @@
 
 Every model operation is one hand-written node: a new :class:`Tensor` that
 remembers its parents and a vector-Jacobian closure. This module holds the
-generic ones, :func:`linear`, :func:`take` and :func:`concat`; the attention
-and the gate live in ``fusion``, the aggregation, trend-input and LSTM nodes
-in ``trend``, and the cross-entropy and consistency nodes in ``objective``.
-``Tensor`` itself only adds and scales, which is all the loss's final scalar
-sum needs. ``Tensor.backward()`` topologically sorts the graph (iteratively,
-so deep chains are fine) and accumulates gradients into ``.grad``. All data
-is float64; gradient checks downstream rely on that.
+generic ones: :func:`linear`, :func:`gather`, which stacks row blocks and
+picks rows of the stack, and :func:`add_scaled`, the loss's ``a + c * b``.
+The attention and the gate live in ``fusion``, the aggregation, trend-input
+and LSTM nodes in ``trend``, and the cross-entropy and consistency nodes in
+``objective``. ``Tensor`` has no arithmetic of its own. ``Tensor.backward()``
+topologically sorts the graph (iteratively, so deep chains are fine) and
+accumulates gradients into ``.grad``. All data is float64; gradient checks
+downstream rely on that.
 
 ``backward`` consumes the graph it walks: once an interior node has passed
 its gradient to its parents, it drops its ``grad``, its closure and its
@@ -140,21 +141,8 @@ class Tensor:
                     parent.grad = g if parent.grad is None else parent.grad + g
             node.grad, node._parents, node._vjp = None, (), _consumed
 
-    # -- the loss's scalar sum -------------------------------------------
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if self.shape != other.shape:
-            raise ValueError(f"cannot add shapes {self.shape} and {other.shape}")
-        return Tensor(self.data + other.data, (self, other), lambda g: (g, g))
-
-    def __mul__(self, c: float) -> "Tensor":
-        """Scale by a constant number."""
-        c = float(c)
-        return Tensor(self.data * c, (self,), lambda g: (g * c,))
-
-    __rmul__ = __mul__
-
-    # Nothing here calls it; ``bench/tracer.py`` wraps the name. Deleting it waits
-    # for the benchmark change named in the tracer's FOUND: line in CHANGES.md.
+    # Only ``bench/tracer.py`` uses it: the tracer counts calls under this name.
+    # Deleting it waits for the benchmark change that points the tracer elsewhere.
     def __matmul__(self, other: "Tensor") -> "Tensor":
         a, b = self, other
         if a.data.ndim != 2 or b.data.ndim != 2:
@@ -185,24 +173,31 @@ def linear(x: Tensor | Array, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor(out, parents if constant else (x,) + parents, vjp)
 
 
-def take(x: Tensor, index) -> Tensor:
-    """Rows ``index`` of ``x`` (axis 0) as one node; the VJP scatter-adds."""
-    index = np.asarray(index, dtype=np.intp)
+def gather(parts: Sequence[Tensor], rows) -> Tensor:
+    """Rows ``rows`` of the stack of ``parts`` along axis 0, as one node.
+
+    The VJP scatter-adds into a zero stack, repeated rows summing, and splits
+    it back into the parts.
+    """
+    parts = tuple(parts)
+    rows = np.asarray(rows, dtype=np.intp)
+    stack = np.concatenate([p.data for p in parts])
+    shape, ends = stack.shape, np.cumsum([p.shape[0] for p in parts])[:-1]
 
     def vjp(g: Array):
-        grad = np.zeros_like(x.data)
-        np.add.at(grad, index, g)
-        return (grad,)
+        grad = np.zeros(shape)
+        np.add.at(grad, rows, g)
+        return tuple(np.split(grad, ends))
 
-    return Tensor(x.data[index], (x,), vjp)
+    return Tensor(stack[rows], parts, vjp)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """``parts`` stacked along axis 0 as one node; the VJP slices the rows back."""
-    parts = tuple(parts)
-    ends = np.cumsum([p.shape[0] for p in parts])
-    return Tensor(np.concatenate([p.data for p in parts]), parts,
-                  lambda g: tuple(np.split(g, ends[:-1])))
+def add_scaled(a: Tensor, b: Tensor, c: float) -> Tensor:
+    """``a + c * b`` for tensors of one shape and a constant number ``c``, as one node."""
+    if a.shape != b.shape:
+        raise ValueError(f"cannot add shapes {a.shape} and {b.shape}")
+    c = float(c)
+    return Tensor(a.data + b.data * c, (a, b), lambda g: (g, g * c))
 
 
 def finite_difference_gradient(f, x: Array, h: float = 1e-5) -> Array:

@@ -16,6 +16,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,11 +26,12 @@ from .clustering import ClusteringError, check_partition, load_events, save_even
 from .config import (KEYS, NON_NEGATIVE, ConfigError, RunConfig, check_value, load_config,
                      parse_override, read_config_file, save_config)
 from .data import Dataset, assign_splits, load_dataset, write_dataset
+from .params import shape_table
 from .pipeline import build_structure, evaluate_posts_and_events, predictions
-from .synth import SynthSpec, generate, write_ground_truth
+from .synth import MAX_ARRAY_BYTES, SynthSpec, generate, write_ground_truth
 from .training import load_checkpoint, save_checkpoint, train, write_history
 from .verify import run_all, write_report
-from .windows import load_windows, save_windows
+from .windows import save_windows, segment_all
 
 
 class CliError(RuntimeError):
@@ -50,6 +52,16 @@ def _prepare_out_dir(path: Path, force: bool) -> None:
     if path.exists() and any(path.iterdir()) and not force:
         raise CliError(f"output directory {path} is not empty (use --force)")
     path.mkdir(parents=True, exist_ok=True)
+
+
+def _check_model_size(ds: Dataset, cfg: RunConfig) -> None:
+    """Refuse a ``model.d`` whose parameters numpy cannot hold at this dataset's widths."""
+    shapes = shape_table(cfg["model.d"], cfg["model.heads"], ds.d_text, ds.d_img)
+    for name, shape in shapes.items():
+        size = math.prod(shape) * 8
+        if size > MAX_ARRAY_BYTES:
+            raise ConfigError(f"model.d: {name} {shape} needs {size} bytes, more than "
+                              f"numpy's maximum array size of {MAX_ARRAY_BYTES} bytes")
 
 
 def _load_split_dataset(data_dir: str, cfg: RunConfig):
@@ -111,9 +123,11 @@ def _run_training(ds: Dataset, cfg: RunConfig, out: Path):
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    ds = load_dataset(args.data)
+    _check_model_size(ds, cfg)
     out = Path(args.out)
     _prepare_out_dir(out, args.force)
-    ds, events, windows, result = _run_training(load_dataset(args.data), cfg, out)
+    ds, events, windows, result = _run_training(ds, cfg, out)
 
     p_post, p_event = predictions(ds, events, windows, result.params, cfg)
     val_idx = ds.split_indices("val")
@@ -146,11 +160,10 @@ def _read_persisted(path: Path, load):
 
 
 def _structure_for(ds, cfg, run_dir: Path):
-    """Reuse persisted events/windows built from this dataset; refuse damaged ones."""
-    ev_path, win_path, meta_path = (
-        run_dir / "events.json", run_dir / "windows.json", run_dir / "dataset.json"
-    )
-    if ev_path.is_file() and win_path.is_file() and meta_path.is_file():
+    """Reuse the persisted events of this dataset, refusing damaged ones, and
+    rebuild their windows, which depend on the timestamps alone."""
+    ev_path, meta_path = run_dir / "events.json", run_dir / "dataset.json"
+    if ev_path.is_file() and meta_path.is_file():
         meta = _read_persisted(meta_path, lambda p: json.loads(p.read_text()))
         if not isinstance(meta, dict):
             raise CliError(f"{meta_path}: not a JSON object")
@@ -160,10 +173,7 @@ def _structure_for(ds, cfg, run_dir: Path):
                 check_partition(events, ds.n)
             except ClusteringError as exc:
                 raise CliError(f"{ev_path}: {exc}") from exc
-            windows = _read_persisted(win_path, load_windows)
-            if set(windows) != {ev.event_id for ev in events}:
-                raise CliError(f"{win_path}: its events are not those of {ev_path}")
-            return events, windows
+            return events, segment_all(events, ds, *cfg.window_geometry())
     return build_structure(ds, cfg)
 
 
@@ -221,6 +231,7 @@ def cmd_crosseval(args) -> int:
             f"text {ds_a.d_text} vs {ds_b_probe.d_text}, "
             f"image {ds_a.d_img} vs {ds_b_probe.d_img}"
         )
+    _check_model_size(ds_a, cfg)
 
     out = Path(args.out)
     _prepare_out_dir(out, args.force)

@@ -235,5 +235,9 @@ def fuse_window(
     scope: str = "window",
     scale: str = "head",
 ) -> GroupFusion:
-    """Fusion of one window: a group of one, (1, n, d) tensors."""
+    """Fusion of one window: a group of one, (1, n, d) tensors.
+
+    Only ``bench/tracer.py`` uses it: the tracer wraps this name. Deleting it
+    waits for the benchmark change that points the tracer at ``fuse_group``.
+    """
     return fuse_group(ds, params, [window], scope, scale)

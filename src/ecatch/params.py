@@ -53,7 +53,8 @@ class AttentionBlock:
         return self.wq.shape[0]
 
 
-def _shape_table(d: int, heads: int, d_text: int, d_img: int) -> dict[str, tuple[int, ...]]:
+def shape_table(d: int, heads: int, d_text: int, d_img: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, by name, in the fixed name order; allocates nothing."""
     if d % heads != 0:
         raise ParamError(f"heads ({heads}) must divide model width ({d})")
     dh = d // heads
@@ -101,7 +102,7 @@ class ModelParams:
     @classmethod
     def build(cls, d: int, heads: int, d_text: int, d_img: int,
               seed: int = 0, zero: bool = False) -> "ModelParams":
-        shapes = _shape_table(d, heads, d_text, d_img)
+        shapes = shape_table(d, heads, d_text, d_img)
         rng = np.random.default_rng(seed)
         tensors: dict[str, Tensor] = {}
         for name, shape in shapes.items():

@@ -1,12 +1,13 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
 One epoch is one full-batch pass: the windows of all events are fused in
-groups of equal member count, and the aggregates of all events, stacked in
-ascending event_id, are trend-encoded in lockstep and read out at once into
-one ``objective.Readout``. The epoch loss is ``ce + lambda_tc * tc``: one
-cross-entropy node over the selected training posts (optionally after global
-hard-example mining) and one temporal-consistency node over all events,
-joined by the scalar sum; from the readout to the loss, the per-post
+groups of equal member count, and one gather node orders the groups'
+aggregates by ascending event_id for the lockstep trend encoding and one
+read-out into an ``objective.Readout``. The epoch loss is
+``ce + lambda_tc * tc``: one cross-entropy node over the selected training
+posts (optionally after global hard-example mining) and one
+temporal-consistency node over all events, joined by one
+``autodiff.add_scaled`` node; from the readout to the loss, the per-post
 bookkeeping is index arrays. One backward pass over it yields every
 gradient, and runs are bitwise reproducible. Regularization gradients are
 added in closed form (2 * lambda_reg * theta). Everything runs in float64.
@@ -22,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, add_scaled
 from .clustering import PseudoEvent
 from .config import RunConfig
 from .data import Dataset
-# ``fuse_window`` is not called here; it stays importable under this module
-# for the benchmark tracer, which wraps the names ``run_model`` used to call.
+# ``fuse_window`` is not called here. Only ``bench/tracer.py`` uses it: the
+# tracer wraps the names ``run_model`` used to call.
 from .fusion import FusionError, fuse_group, fuse_window, window_groups  # noqa: F401
 from .metrics import EvalResult, evaluate
 from .objective import (
@@ -40,7 +41,7 @@ from .objective import (
     tc_terms,
     total_loss,
 )
-from .params import ModelParams, ParamError
+from .params import ModelParams, ParamError, shape_table
 from .trend import TrendError, aggregate, decay_weights, encode_event
 from .windows import Window, WindowSequence
 
@@ -56,7 +57,7 @@ class ForwardArtifacts:
     """Everything backward() needs: the summed loss node plus the report."""
 
     report: LossReport
-    loss: Tensor  # ce + lambda_tc * tc
+    loss: Tensor  # add_scaled(ce, tc, lambda_tc), or the ce node alone
     params: ModelParams
 
 
@@ -67,12 +68,12 @@ def fused_aggregates(
     scope: str,
     scale: str,
     alpha: float,
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[list[Tensor], np.ndarray]:
     """Decay-weighted fused aggregates of ``windows``, one pass per chunk of
     :func:`fusion.window_groups`.
 
-    Returns the stacked (W, d) aggregates, in chunk order, and for each
-    window the row that holds its aggregate.
+    Returns the chunks' (B, d) aggregates, in chunk order, and for each
+    window the row of their stack that holds its aggregate.
     """
     chunks = window_groups(windows)
     parts = []
@@ -84,9 +85,7 @@ def fused_aggregates(
                                decay_weights(ds, group, alpha)))
     rows = np.empty(len(windows), dtype=np.intp)
     rows[[k for chunk in chunks for k in chunk]] = np.arange(len(windows))
-    if not parts:
-        return Tensor(np.zeros((0, params.d))), rows
-    return concat(parts), rows
+    return parts or [Tensor(np.zeros((0, params.d)))], rows
 
 
 def run_model(
@@ -101,9 +100,9 @@ def run_model(
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in ordered])
     flat = [w for ev in ordered for w in windows[ev.event_id].windows]
     try:
-        aggregates, rows = fused_aggregates(ds, params, flat, cfg["attention.scope"],
-                                            cfg["attention.scale"], cfg["trend.alpha"])
-        states = encode_event(rows, aggregates, params, cfg["trend.beta"], offsets)
+        parts, rows = fused_aggregates(ds, params, flat, cfg["attention.scope"],
+                                       cfg["attention.scale"], cfg["trend.alpha"])
+        states = encode_event(rows, parts, params, cfg["trend.beta"], offsets)
     except (FusionError, TrendError) as exc:
         raise TrainingError(f"window encoding: {exc}") from exc
 
@@ -140,7 +139,7 @@ def forward(
     tc_node, tc_values = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
     tc_by_event = dict(zip(readout.event_ids, tc_values.tolist()))
     if tc_node is not None and lambda_tc != 0.0:
-        loss = loss + lambda_tc * tc_node
+        loss = add_scaled(loss, tc_node, lambda_tc)
 
     ce = float(sum(ce_by_event.values()))
     tc = float(sum(tc_by_event.values()))
@@ -416,10 +415,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     d_img = shapes["fusion.W_img"][1]
 
     try:
-        params = ModelParams.build(d, heads, d_text, d_img, zero=True)
+        expected = shape_table(d, heads, d_text, d_img)
     except ParamError as exc:
         raise TrainingError(f"checkpoint: {exc}") from exc
-    expected = {n: t.shape for n, t in params.items()}
     if list(shapes) != list(expected):
         raise TrainingError("checkpoint: tensor name set does not match this model")
     for name, shape in shapes.items():
@@ -428,15 +426,18 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 f"checkpoint: {name} has shape {shape}, expected {expected[name]}"
             )
 
+    # Each tensor is read only once the body holds all of its bytes, so a
+    # header's sizes never reach an allocation.
     body = raw[nl + 1:]
     offset = 0
-    for name, t in params.items():
-        nbytes = t.data.size * 8
+    tensors = {}
+    for name, shape in shapes.items():
+        nbytes = math.prod(shape) * 8
         chunk = body[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise TrainingError(f"checkpoint: truncated while reading {name}")
-        t.data = np.frombuffer(chunk, dtype="<f8").reshape(t.shape).copy()
+        tensors[name] = Tensor(np.frombuffer(chunk, dtype="<f8").reshape(shape).copy())
         offset += nbytes
     if offset != len(body):
         raise TrainingError("checkpoint: trailing bytes after last tensor")
-    return params
+    return ModelParams(d, heads, d_text, d_img, tensors)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, stable_sigmoid, take
+from .autodiff import Tensor, gather, stable_sigmoid
 from .data import Dataset
 from .params import LSTM_GATES, ModelParams
 from .windows import Window
@@ -161,8 +161,9 @@ def run_lstm(x: Tensor, params: ModelParams, offsets=None) -> Tensor:
     return Tensor(hidden, (x, *weights), vjp)
 
 
-def encode_event(rows, aggregates: Tensor, params: ModelParams, beta: float,
+def encode_event(rows, parts: Sequence[Tensor], params: ModelParams, beta: float,
                  offsets) -> Tensor:
     """The (R, d) trend states of every event, laid out by ``offsets``, from the
-    rows ``rows`` of ``aggregates``: one gather, features and LSTM node each."""
-    return run_lstm(trend_features(take(aggregates, rows), beta, offsets), params, offsets)
+    rows ``rows`` of the stacked aggregate ``parts``: one gather, features and
+    LSTM node each."""
+    return run_lstm(trend_features(gather(parts, rows), beta, offsets), params, offsets)

@@ -50,14 +50,6 @@ class WindowSequence:
     event_id: int
     windows: tuple[Window, ...]
 
-    def last_window_of(self) -> dict[int, int]:
-        """Map post index -> index of the last window containing it."""
-        out: dict[int, int] = {}
-        for w in self.windows:
-            for i in w.members:
-                out[i] = w.index
-        return out
-
 
 def segment_event(
     event: PseudoEvent, ds: Dataset, span_secs: int, stride_secs: int
@@ -116,6 +108,8 @@ def segment_all(
 
 
 def save_windows(windows: dict[int, WindowSequence], path: str | Path) -> None:
+    """Write ``windows`` as JSON for reading; ``eval`` and ``predict`` rebuild
+    the windows from the run's ``events.json`` instead of loading this."""
     payload = [
         {
             "event_id": seq.event_id,
@@ -133,21 +127,3 @@ def save_windows(windows: dict[int, WindowSequence], path: str | Path) -> None:
         for seq in (windows[k] for k in sorted(windows))
     ]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_windows(path: str | Path) -> dict[int, WindowSequence]:
-    payload = json.loads(Path(path).read_text())
-    out: dict[int, WindowSequence] = {}
-    for entry in payload:
-        windows = tuple(
-            Window(
-                index=int(w["index"]),
-                start=int(w["start"]),
-                end=int(w["end"]),
-                members=tuple(int(i) for i in w["members"]),
-                t_max_local=int(w["t_max_local"]),
-            )
-            for w in entry["windows"]
-        )
-        out[int(entry["event_id"])] = WindowSequence(int(entry["event_id"]), windows)
-    return out

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from ecatch.autodiff import (
     GraphConsumedError,
     Tensor,
-    concat,
+    add_scaled,
     finite_difference_gradient,
+    gather,
     linear,
     no_grad,
     stable_sigmoid,
-    take,
 )
 from ecatch.fusion import gate
 from ecatch.objective import PROB_CLAMP, ce_loss, tc_terms
@@ -39,9 +39,9 @@ def fd_check(build, *arrays, tol=1e-7):
 def test_add_and_scale(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4)) + 3.0
-    fd_check(lambda x, y: x + y * 0.5 + 2.0 * x, a, b)
+    fd_check(lambda x, y: add_scaled(add_scaled(x, y, 0.5), x, 2.0), a, b)
     with pytest.raises(ValueError, match="cannot add"):
-        Tensor(a) + Tensor(np.ones(4))  # no broadcasting
+        add_scaled(Tensor(a), Tensor(np.ones(4)), 1.0)  # no broadcasting
 
 
 def test_broadcast_bias(rng):
@@ -68,7 +68,7 @@ def test_linear_gradient(rng):
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=(3,))
     fd_check(lambda t, u, v: linear(t, u, v), x, w, b)
-    fd_check(lambda t, u: linear(t, u) + linear(t, u), x, w)
+    fd_check(lambda t, u: add_scaled(linear(t, u), linear(t, u), 1.0), x, w)
     # a plain ndarray input is a constant: no parent, no gradient
     fd_check(lambda u, v: linear(x, u, v), w, b)
     wt, bt = Tensor(w), Tensor(b)
@@ -131,11 +131,11 @@ def test_l2norm_zero_is_safe():
     assert by_event.tolist() == [0.0, 0.0]
 
 
-def test_concat_and_slicing_gradients(rng):
+def test_gather_gradients(rng):
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(1, 3))
-    fd_check(lambda x, y: concat([x, y]), a, b)
-    out = concat([Tensor(a), Tensor(b)])
+    fd_check(lambda x, y: gather([x, y], [2, 0, 2, 1]), a, b)
+    out = gather([Tensor(a), Tensor(b)], [0, 1, 2])
     assert out.data.tobytes() == np.concatenate([a, b]).tobytes()
 
 
@@ -155,8 +155,8 @@ def test_final_sum_of_ce_and_tc(rng):
     states = rng.normal(size=(4, 3))
     w = rng.normal(size=(1, 3))
     coef = -rng.uniform(0.1, 2.0, size=(2, 4))
-    fd_check(lambda h, u: ce_loss(linear(h, u), coef)
-             + 0.3 * tc_terms(h, offsets=[0, 2, 4])[0], states, w)
+    fd_check(lambda h, u: add_scaled(ce_loss(linear(h, u), coef),
+                                     tc_terms(h, offsets=[0, 2, 4])[0], 0.3), states, w)
 
 
 def test_clip_masks_gradient():
@@ -174,14 +174,14 @@ def test_deep_chain_no_recursion_error():
     x = Tensor(np.ones((1, 1)))
     y = x
     for _ in range(5000):
-        y = y * 1.0
+        y = add_scaled(y, y, 0.0)
     y.backward()
     assert x.grad[0, 0] == 1.0
 
 
 def test_reused_node_accumulates():
     x = Tensor(np.array([[2.0]]))
-    y = x + x * 3.0  # dy/dx = 1 + 3 = 4
+    y = add_scaled(x, x, 3.0)  # dy/dx = 1 + 3 = 4
     y.backward()
     assert x.grad[0, 0] == pytest.approx(4.0)
 
@@ -195,7 +195,7 @@ def test_reused_node_accumulates():
 def test_grad_of_sum_is_ones(rows, cols, seed):
     rng = np.random.default_rng(seed)
     x, y = Tensor(rng.normal(size=(rows, cols))), Tensor(rng.normal(size=(rows, cols)))
-    (x + y).backward()
+    add_scaled(x, y, 1.0).backward()
     assert np.all(x.grad == 1.0) and np.all(y.grad == 1.0)
 
 
@@ -235,10 +235,10 @@ def _graph(*roots) -> list[Tensor]:
 def test_backward_consumes_interior_nodes_and_keeps_leaf_grads(rng):
     x_val, w_val = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
     x, w = Tensor(x_val), Tensor(w_val)
-    out = linear(x, w) * 2.0 + linear(x, w)
+    out = add_scaled(linear(x, w), linear(x, w), 2.0)
     interior = [n for n in _graph(out) if n._parents]
     closures = [weakref.ref(n._vjp) for n in interior]
-    assert len(interior) == 4
+    assert len(interior) == 3
 
     out.backward()
     ones = np.ones((3, 3))
@@ -253,7 +253,7 @@ def test_backward_consumes_interior_nodes_and_keeps_leaf_grads(rng):
 
 def test_second_backward_on_the_same_root_raises():
     x = Tensor(np.array([[2.0]]))
-    y = x * 2.0 + x
+    y = add_scaled(add_scaled(x, x, 1.0), x, 1.0)
     y.backward()
     grad = x.grad.copy()
     with pytest.raises(GraphConsumedError, match="already walked"):
@@ -263,9 +263,9 @@ def test_second_backward_on_the_same_root_raises():
 
 def test_backward_through_a_consumed_shared_node_raises():
     x = Tensor(np.array([[2.0, -1.0]]))
-    shared = x * 3.0
-    first = shared + shared
-    second = shared * 1.0  # a fresh root over the same interior node
+    shared = add_scaled(x, x, 2.0)
+    first = add_scaled(shared, shared, 1.0)
+    second = add_scaled(shared, shared, 0.0)  # a fresh root over the same interior node
     first.backward()
     grad = x.grad.copy()
     with pytest.raises(GraphConsumedError):
@@ -273,7 +273,7 @@ def test_backward_through_a_consumed_shared_node_raises():
     assert np.array_equal(x.grad, grad)
     assert second._parents != ()  # refused before any node was consumed
     # a graph over leaves only is still free to walk
-    fresh = x * 2.0
+    fresh = add_scaled(x, x, 1.0)
     fresh.backward()
     np.testing.assert_array_equal(x.grad, grad + 2.0)
 
@@ -284,38 +284,74 @@ def test_no_grad_records_no_graph_and_restores_its_state(rng):
     coef = -rng.uniform(0.1, 2.0, size=(2, 4))
 
     def loss():
-        fused, _ = gate(concat([a, b]), concat([b, a]), w_g, b_g)
+        fused, _ = gate(gather([a, b], range(4)), gather([b, a], range(4)), w_g, b_g)
         tc, _ = tc_terms(fused, offsets=[0, 2, 4])
-        return fused, ce_loss(linear(fused, w_c), coef) + 0.5 * tc
+        return fused, add_scaled(ce_loss(linear(fused, w_c), coef), tc, 0.5)
 
     _, taped = loss()
     with no_grad():
         fused, untaped = loss()
         with no_grad():
-            assert (a + a)._parents == ()
-        assert (a + a)._parents == ()
+            assert add_scaled(a, a, 1.0)._parents == ()
+        assert add_scaled(a, a, 1.0)._parents == ()
     assert all(n._parents == () and n._vjp is None for n in (fused, untaped))
     assert untaped.data.tobytes() == taped.data.tobytes()
     assert len(_graph(taped)) > 1
-    assert (a + a)._parents == (a, a)
+    assert add_scaled(a, a, 1.0)._parents == (a, a)
 
     with pytest.raises(ZeroDivisionError):
         with no_grad():
             1 / 0
-    assert (a * 2.0)._parents != ()
+    assert add_scaled(a, a, 1.0)._parents != ()
 
 
-def test_take_gathers_rows_and_scatter_adds(rng):
-    x = Tensor(rng.normal(size=(4, 3)))
+def test_gather_scatter_adds_repeated_rows(rng):
+    x, y = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(1, 3)))
     index = [2, 0, 2, 3]
-    out = take(x, index)
-    np.testing.assert_array_equal(out.data, x.data[index])
+    out = gather([x, y], index)
+    np.testing.assert_array_equal(out.data, np.concatenate([x.data, y.data])[index])
     g = rng.normal(size=(4, 3))
     out.backward(g)
     expected = np.zeros((4, 3))
     for row, k in enumerate(index):
         expected[k] += g[row]
-    np.testing.assert_array_equal(x.grad, expected)
+    np.testing.assert_array_equal(x.grad, expected[:3])
+    np.testing.assert_array_equal(y.grad, expected[3:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    cols=st.integers(1, 4),
+    n_rows=st.integers(0, 12),
+    scale=st.floats(-3.0, 3.0, allow_nan=False),
+    seed=st.integers(0, 10_000),
+)
+def test_gather_and_add_scaled_match_their_numpy_expressions_bitwise(
+        sizes, cols, n_rows, scale, seed):
+    # The epoch graph's two generic nodes, against the expressions they
+    # replace: rows of a concatenation, and a + b * scale.
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=(n, cols)) for n in sizes]
+    stack = np.concatenate(blocks)
+    rows = rng.integers(0, stack.shape[0], size=n_rows)  # repeats are likely
+    g = rng.normal(size=(n_rows, cols))
+    parts = [Tensor(b) for b in blocks]
+    out = gather(parts, rows)
+    assert out.data.tobytes() == stack[rows].tobytes()
+    out.backward(g)
+    want = np.zeros_like(stack)
+    np.add.at(want, rows, g)
+    for part, block in zip(parts, np.split(want, np.cumsum(sizes)[:-1])):
+        assert part.grad.tobytes() == block.tobytes()
+
+    a, b = Tensor(rng.normal(size=(2, cols))), Tensor(rng.normal(size=(2, cols)))
+    total = add_scaled(a, b, scale)
+    assert total.data.tobytes() == (a.data + b.data * scale).tobytes()
+    seed_grad = rng.normal(size=(2, cols))
+    total.backward(seed_grad)
+    assert a.grad.tobytes() == seed_grad.tobytes()
+    assert b.grad.tobytes() == (seed_grad * scale).tobytes()
 
 
 def test_linear_over_leading_axes_matches_rows(rng):

@@ -258,7 +258,6 @@ def _drop_first_event(path):
 
 DAMAGED_STRUCTURE = {
     "events-without-an-event": ("events.json", _drop_first_event),
-    "windows-without-an-event": ("windows.json", _drop_first_event),
     "dataset-not-an-object": ("dataset.json", lambda path: path.write_text("[]")),
     "events-not-json": ("events.json", lambda path: path.write_text("{")),
 }
@@ -276,6 +275,48 @@ def test_damaged_persisted_structure_is_refused(tmp_path, dataset_dir, run_dir, 
     assert rc == 1
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def _add_a_post_of_event_1_to_the_last_window_of_event_0(path):
+    payload = json.loads(path.read_text())
+    seqs = {entry["event_id"]: entry["windows"] for entry in payload}
+    seqs[0][-1]["members"].append(seqs[1][0]["members"][0])
+    path.write_text(json.dumps(payload))
+
+
+EDITED_WINDOWS = {
+    "post-of-another-event": _add_a_post_of_event_1_to_the_last_window_of_event_0,
+    "not-json": lambda path: path.write_text("{"),
+    "missing": lambda path: path.unlink(),
+}
+
+
+@pytest.mark.parametrize("case", list(EDITED_WINDOWS))
+def test_edited_windows_json_leaves_predictions_unchanged(tmp_path, dataset_dir, run_dir,
+                                                          case):
+    # The windows are rebuilt from events.json, so windows.json plays no part.
+    def predict(name):
+        out = tmp_path / name
+        assert main(["predict", "--data", str(dataset_dir),
+                     "--checkpoint", str(run_dir / "checkpoint.bin"), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    clean = predict("clean.jsonl")
+    EDITED_WINDOWS[case](run_dir / "windows.json")
+    assert predict("edited.jsonl") == clean
+
+
+@pytest.mark.parametrize("command", ["train", "crosseval"])
+def test_model_width_beyond_numpy_arrays_exits_2(tmp_path, dataset_dir, capsys, command):
+    data = (["--data", str(dataset_dir)] if command == "train"
+            else ["--train-data", str(dataset_dir), "--test-data", str(dataset_dir)])
+    rc = main([command, *data, "--config", str(write_config(tmp_path)),
+               "--out", str(tmp_path / "run"), "--set", f"model.d={2**62}",
+               "--set", "model.heads=1"])
+    assert rc == 2
+    assert (f"configuration error: model.d: fusion.W_text ({2**62}, 6) needs "
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_crosseval_dimension_mismatch_fails_before_training(tmp_path, dataset_dir,

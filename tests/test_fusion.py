@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ecatch import fusion
 from ecatch.autodiff import Tensor, finite_difference_gradient, no_grad
-from ecatch.fusion import FusionError, fuse_window, mh_attention
+from ecatch.fusion import FusionError, mh_attention
 from ecatch.params import AttentionBlock, ModelParams
 from ecatch.windows import Window
 
@@ -27,7 +27,7 @@ def build_params(d=4, heads=2, d_text=3, d_img=3, seed=0, zero=False):
 def encode(ds, params, indices):
     """The text and image encoder outputs, (n, d) each, read off the tape of
     a one-window fusion pass over ``indices``."""
-    fused = fuse_window(ds, params, Window(1, 0, 1, tuple(indices), 0)).fused
+    fused = fusion.fuse_group(ds, params, [Window(1, 0, 1, tuple(indices), 0)]).fused
     nodes, stack = [], [fused]
     while stack:
         node = stack.pop()
@@ -212,7 +212,7 @@ def symmetric_setup(rng, n=3):
 
 def test_equal_cross_outputs_pin_fusion(rng):
     ds, params = symmetric_setup(rng)
-    wf = fuse_window(ds, params, window_over(ds))
+    wf = fusion.fuse_group(ds, params, [window_over(ds)])
     np.testing.assert_allclose(wf.cross_ti.data, wf.cross_it.data)
     np.testing.assert_allclose(wf.fused.data, wf.cross_ti.data)
 
@@ -222,20 +222,20 @@ def test_saturated_gate_selects_first_branch(rng):
     params = build_params(seed=7)
     params["fusion.W_g"].data[...] = 0.0
     params["fusion.b_g"].data[...] = 40.0
-    wf = fuse_window(ds, params, window_over(ds))
+    wf = fusion.fuse_group(ds, params, [window_over(ds)])
     assert np.abs(wf.fused.data - wf.cross_ti.data).max() < 1e-9
 
 
 def test_single_post_window_finite(rng):
     ds = make_dataset(rng.normal(size=(1, 3)), image=rng.normal(size=(1, 3)))
-    wf = fuse_window(ds, build_params(seed=8), window_over(ds))
+    wf = fusion.fuse_group(ds, build_params(seed=8), [window_over(ds)])
     assert wf.fused.data.shape == (1, 1, 4)
     assert np.all(np.isfinite(wf.fused.data))
 
 
 def test_gate_bounds_and_convex_combination(rng):
     ds = make_dataset(rng.normal(size=(5, 3)), image=rng.normal(size=(5, 3)))
-    wf = fuse_window(ds, build_params(seed=9), window_over(ds))
+    wf = fusion.fuse_group(ds, build_params(seed=9), [window_over(ds)])
     assert np.all(wf.gate > 0.0) and np.all(wf.gate < 1.0)
     lo = np.minimum(wf.cross_ti.data, wf.cross_it.data)
     hi = np.maximum(wf.cross_ti.data, wf.cross_it.data)
@@ -251,8 +251,8 @@ def test_permutation_equivariance(rng):
     params = build_params(seed=10)
     base = Window(1, 0, 100, (0, 1, 2, 3), 40)
     perm = Window(1, 0, 100, (2, 0, 3, 1), 40)
-    a = fuse_window(ds, params, base).fused.data[0]
-    b = fuse_window(ds, params, perm).fused.data[0]
+    a = fusion.fuse_group(ds, params, [base]).fused.data[0]
+    b = fusion.fuse_group(ds, params, [perm]).fused.data[0]
     np.testing.assert_allclose(b, a[[2, 0, 3, 1]], atol=1e-12)
 
 
@@ -264,8 +264,8 @@ def test_post_scope_has_no_cross_post_flow(rng):
     ds2 = make_dataset(x2, image=np.zeros((3, 3)))
     params = build_params(seed=11)
     w = window_over(ds1)
-    out1 = fuse_window(ds1, params, w, scope="post").fused.data[0]
-    out2 = fuse_window(ds2, params, w, scope="post").fused.data[0]
+    out1 = fusion.fuse_group(ds1, params, [w], scope="post").fused.data[0]
+    out2 = fusion.fuse_group(ds2, params, [w], scope="post").fused.data[0]
     np.testing.assert_allclose(out1[:2], out2[:2])
     assert not np.allclose(out1[2], out2[2])
 
@@ -277,9 +277,9 @@ def test_fusion_gradients_match_finite_differences(rng):
     w = window_over(ds)
 
     def scalar():  # the sum of squared fused entries
-        return float(np.sum(fuse_window(ds, params, w).fused.data ** 2))
+        return float(np.sum(fusion.fuse_group(ds, params, [w]).fused.data ** 2))
 
-    fused = fuse_window(ds, params, w).fused
+    fused = fusion.fuse_group(ds, params, [w]).fused
     params.zero_grads()
     fused.backward(2.0 * fused.data)
     for name in ("fusion.W_text", "fusion.att_ti.Wq", "fusion.W_g",
@@ -448,7 +448,7 @@ def test_group_pass_matches_one_window_passes(rng):
     together = fusion.fuse_group(ds, params, group)
     assert together.fused.shape == (3, 3, 4)
     for k, w in enumerate(group):
-        alone = fuse_window(ds, params, w)
+        alone = fusion.fuse_group(ds, params, [w])
         for field in ("cross_ti", "cross_it", "fused"):
             np.testing.assert_allclose(getattr(together, field).data[k],
                                        getattr(alone, field).data[0], rtol=1e-12, atol=1e-15)

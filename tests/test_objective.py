@@ -129,8 +129,8 @@ def test_readout_uses_last_covering_window(rng):
     ds = make_dataset(rng.normal(size=(3, 3)), timestamps=[0, DAY, 2 * DAY])
     events = [PseudoEvent(0, (0, 1, 2))]
     windows = segment_all(events, ds, 2 * DAY, DAY)
-    last = windows[0].last_window_of()
     # post 1 appears in windows 1 and 2; its probability must come from 2
+    last = {i: w.index for w in windows[0].windows for i in w.members}
     assert last[1] == 2
     params = ModelParams.build(4, 2, 3, 2, seed=3)
     aggs = Tensor(rng.normal(size=(len(windows[0].windows), 4)))
@@ -150,7 +150,9 @@ def test_readout_lists_each_events_posts_with_their_last_window(rng):
     states = run_lstm(trend_features(Tensor(rng.normal(size=(offsets[-1], 4))), 0.5, offsets),
                       params, offsets)
     readout = post_probabilities(events, windows, states, offsets, params, ds.n)
-    want = [(post, k, offsets[k] + windows[ev.event_id].last_window_of()[post] - 1)
+    last = {ev.event_id: {i: w.index for w in windows[ev.event_id].windows for i in w.members}
+            for ev in events}  # later windows overwrite: each post's last window
+    want = [(post, k, offsets[k] + last[ev.event_id][post] - 1)
             for k, ev in enumerate(events) for post in ev.member_indices]
     assert list(zip(readout.post, readout.event, readout.row)) == want
     assert readout.event_ids == [0, 1, 2]

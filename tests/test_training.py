@@ -15,7 +15,7 @@ from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.data import Dataset, assign_splits
 from ecatch.objective import class_weights
-from ecatch.params import ModelParams
+from ecatch.params import ModelParams, shape_table
 from ecatch.trend import run_lstm, trend_features
 from ecatch.training import (
     Adam,
@@ -83,8 +83,8 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
 
     # direct evaluation: encode -> self/cross attention collapse to affine
     # chains on one row -> gate -> lstm on [P; 0; 0] -> sigmoid readout
-    from ecatch.fusion import fuse_window
-    wf = fuse_window(ds, params, windows[0].windows[0])
+    from ecatch.fusion import fuse_group
+    wf = fuse_group(ds, params, [windows[0].windows[0]])
     feats = trend_features(Tensor(wf.fused.data[0]), cfg["trend.beta"])
     hidden = run_lstm(feats, params)
     logit = (hidden.data @ params["clf.W_c"].data.T
@@ -191,9 +191,9 @@ def _kind(node) -> str:
 
 
 def test_epoch_tape_holds_only_fused_nodes():
-    # 8 nodes per fusion chunk and 9 for all events: the stack of the
-    # aggregates, their gather into event order, the trend input, the LSTM,
-    # the readout, the two loss nodes and their sum; the leaves are the
+    # 8 nodes per fusion chunk and 7 for all events: the gather of the
+    # chunks' aggregates into event order, the trend input, the LSTM, the
+    # readout, the two loss nodes and their weighted sum; the leaves are the
     # parameters. No node is made per event.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
     flat = [w for ev in events for w in windows[ev.event_id].windows]
@@ -206,17 +206,15 @@ def test_epoch_tape_holds_only_fused_nodes():
         "mh_attention": 4 * chunks,
         "gate": chunks,
         "aggregate": chunks,
-        "take": 1,
+        "gather": 1,
         "trend_features": 1,
         "run_lstm": 1,
-        "concat": 1,
         "ce_loss": 1,
         "tc_terms": 1,
-        "Tensor.__mul__": 1,
-        "Tensor.__add__": 1,
+        "add_scaled": 1,
     }
     assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
-    assert len(tape) - len(params.names()) == 8 * chunks + 9
+    assert len(tape) - len(params.names()) == 8 * chunks + 7
 
 
 def test_backward_leaves_gradients_on_parameters_only():
@@ -569,6 +567,32 @@ def test_checkpoint_header_names_missing_field(tmp_path, edit, message):
     nl = raw.find(b"\n")
     path.write_bytes(json.dumps(edit(json.loads(raw[:nl]))).encode() + raw[nl:])
     with pytest.raises(TrainingError, match=f"^checkpoint: {message}"):
+        load_checkpoint(path)
+
+
+def _with_header(path, **fields):
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    path.write_bytes(json.dumps(dict(json.loads(raw[:nl]), **fields)).encode() + raw[nl:])
+
+
+def test_checkpoint_header_width_beyond_numpy_names_the_tensor(tmp_path):
+    # The header's shapes are compared before anything is allocated.
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(ModelParams.build(4, 2, 5, 3, seed=17), path)
+    _with_header(path, d=2**62)
+    with pytest.raises(TrainingError, match=r"^checkpoint: fusion.W_text has shape \(4, 5\), "
+                                            rf"expected \({2**62}, 5\)$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_of_a_huge_model_is_truncated_not_allocated(tmp_path):
+    d = 2**62
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(ModelParams.build(4, 1, 5, 3, seed=18), path)
+    names = [{"name": n, "shape": list(s)} for n, s in shape_table(d, 1, 5, 3).items()]
+    _with_header(path, d=d, H=1, names=names)
+    with pytest.raises(TrainingError, match="^checkpoint: truncated while reading fusion.W_text$"):
         load_checkpoint(path)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecatch.autodiff import Tensor, finite_difference_gradient, take
+from ecatch.autodiff import Tensor, finite_difference_gradient, gather
 from ecatch.params import LSTM_GATES, ModelParams
 from ecatch.trend import (
     TrendError,
@@ -152,7 +152,7 @@ def test_duplicate_window_delta_gradient_is_safe(rng):
     # norm's subgradient must stay finite
     params = ModelParams.build(3, 1, 2, 2, seed=7)
     base = Tensor(rng.normal(size=(1, 3)))
-    feats = trend_features(take(base, [0, 0]), beta=0.5)
+    feats = trend_features(gather([base], [0, 0]), beta=0.5)
     hidden = run_lstm(feats, params)
     hidden.backward(2.0 * hidden.data)  # the gradient of the sum of squares
     assert np.all(np.isfinite(base.grad))

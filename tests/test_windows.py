@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -10,7 +11,6 @@ from ecatch.config import ConfigError, RunConfig
 from ecatch.windows import (
     Window,
     WindowError,
-    load_windows,
     save_windows,
     segment_all,
     segment_event,
@@ -127,7 +127,12 @@ def test_windows_json_roundtrip(tmp_path):
     windows = segment_all(events, ds, 2 * DAY, DAY)
     path = tmp_path / "windows.json"
     save_windows(windows, path)
-    assert load_windows(path) == windows
+    payload = json.loads(path.read_text())
+    assert [entry["event_id"] for entry in payload] == sorted(windows)
+    for entry in payload:
+        assert tuple(Window(w["index"], w["start"], w["end"], tuple(w["members"]),
+                            w["t_max_local"]) for w in entry["windows"]) == \
+            windows[entry["event_id"]].windows
 
 
 def grid_walk(times, span, stride):
