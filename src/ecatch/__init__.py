@@ -1,38 +1,33 @@
-"""Event-centric cross-modal misinformation detection over embedding vectors."""
+"""Event-centric cross-modal misinformation detection over embedding vectors.
 
-from .clustering import PseudoEvent, cluster_events, pass_through_events
-from .config import RunConfig, load_config
-from .data import Dataset, assign_splits, load_dataset, write_dataset
-from .metrics import EvalResult, auc_roc, evaluate
-from .params import ModelParams
-from .synth import SynthSpec, generate
-from .training import backward, forward, load_checkpoint, save_checkpoint, train
-from .windows import Window, WindowSequence, segment_event
+The names below load with their module on first use (PEP 562), so importing
+the package imports no numpy. ``python -m ecatch.cli`` and the ``ecatch``
+script run this file first; ``ecatch.cli`` can then size the BLAS thread
+pools before numpy starts them.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "EvalResult",
-    "ModelParams",
-    "PseudoEvent",
-    "RunConfig",
-    "SynthSpec",
-    "Window",
-    "WindowSequence",
-    "assign_splits",
-    "auc_roc",
-    "backward",
-    "cluster_events",
-    "evaluate",
-    "forward",
-    "generate",
-    "load_checkpoint",
-    "load_config",
-    "load_dataset",
-    "pass_through_events",
-    "save_checkpoint",
-    "segment_event",
-    "train",
-    "write_dataset",
-]
+_EXPORTS = {
+    "clustering": ("PseudoEvent", "cluster_events", "pass_through_events"),
+    "config": ("RunConfig", "load_config"),
+    "data": ("Dataset", "assign_splits", "load_dataset", "write_dataset"),
+    "metrics": ("EvalResult", "auc_roc", "evaluate"),
+    "params": ("ModelParams",),
+    "synth": ("SynthSpec", "generate"),
+    "training": ("backward", "forward", "load_checkpoint", "save_checkpoint", "train"),
+    "windows": ("Window", "WindowSequence", "segment_event"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,8 +1,11 @@
 """ecatch command line: generate | cluster | train | eval | predict | crosseval | verify.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error (a bad run
-config, ``generate`` spec or ``verify --seeds`` value). ECATCH_THREADS caps worker
-threads (also applied to BLAS pools, which keeps training bitwise reproducible).
+config, ``generate`` spec or ``verify --seeds`` value). ECATCH_THREADS (default 1)
+sizes the BLAS thread pools: it fills in whichever of OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS is unset, before numpy is first
+imported (``import ecatch`` imports none), which keeps training bitwise
+reproducible for a given thread count.
 """
 
 from __future__ import annotations

@@ -292,13 +292,21 @@ def cluster_events(ds: Dataset, num_clusters: int, linkage: str = "average") -> 
 
 
 def pass_through_events(ds: Dataset, key: str) -> list[PseudoEvent]:
-    """One event per distinct manifest value of ``key`` (clustering skipped)."""
+    """One event per distinct manifest value of ``key`` (clustering skipped).
+
+    Equal numbers such as 1 and 1.0 share an event; true and false match no
+    number. A list or object value is refused.
+    """
     groups: dict = {}
     order: list = []
     for i in range(ds.n):
         if key not in ds.extra[i]:
             raise ClusteringError(f"post {ds.ids[i]!r} is missing manifest key {key!r}")
         v = ds.extra[i][key]
+        if isinstance(v, (list, dict)):
+            raise ClusteringError(f"post {ds.ids[i]!r}: manifest key {key!r} holds a "
+                                  f"{type(v).__name__}, not a single value")
+        v = (isinstance(v, bool), v)  # Python's True == 1
         if v not in groups:
             groups[v] = []
             order.append(v)
@@ -310,9 +318,14 @@ def pass_through_events(ds: Dataset, key: str) -> list[PseudoEvent]:
 
 
 def check_partition(events: list[PseudoEvent], n: int) -> None:
-    """Raise unless the events are disjoint, non-empty, and cover 0..n-1."""
+    """Raise unless the events have distinct ids, are disjoint and non-empty,
+    and cover 0..n-1."""
     seen: set[int] = set()
+    ids: set[int] = set()
     for ev in events:
+        if ev.event_id in ids:
+            raise ClusteringError(f"event id {ev.event_id} is repeated")
+        ids.add(ev.event_id)
         if not ev.member_indices:
             raise ClusteringError(f"event {ev.event_id} is empty")
         for i in ev.member_indices:

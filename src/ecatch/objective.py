@@ -11,7 +11,9 @@ adapted to per-event (or global) training label counts, and optional
 hard-example mining keeps the globally highest-loss fraction of them. The
 loss is two nodes over the stack: :func:`ce_loss` over the selected terms,
 and :func:`tc_terms`, the temporal-consistency term, which penalizes large
-aligned jumps between consecutive trend states of one event.
+aligned jumps between consecutive trend states of one event. A
+:class:`LossReport` holds the totals of those sums only, with no per-event or
+per-post split.
 """
 
 from __future__ import annotations
@@ -241,25 +243,11 @@ def tc_terms(
 
 @dataclass
 class LossReport:
-    """Loss decomposition plus every per-post probability."""
+    """The epoch's loss totals and every per-post probability."""
 
-    ce_by_event: dict[int, float]
-    tc_by_event: dict[int, float]
     ce: float
     tc: float
     reg: float
-    total: float
+    total: float  # ce + lambda_tc * tc + lambda_reg * reg
     p_post: np.ndarray
-    p_event: dict[int, float]
-    mined: np.ndarray  # True where the post's CE term entered the loss
-    lambda_tc: float = 0.0
-    lambda_reg: float = 0.0
-
-
-def total_loss(ce: float, tc: float, params: ModelParams,
-               lambda_tc: float, lambda_reg: float) -> tuple[float, float]:
-    """(total, reg) where total = ce + lambda_tc*tc + lambda_reg*|params|^2."""
-    if lambda_tc < 0 or lambda_reg < 0:
-        raise ObjectiveError("loss multipliers must be >= 0")
-    reg = params.l2_squared()
-    return ce + lambda_tc * tc + lambda_reg * reg, reg
+    lambda_reg: float

@@ -4,13 +4,14 @@ One epoch is one full-batch pass: the windows of all events are fused in
 groups of equal member count, and one gather node orders the groups'
 aggregates by ascending event_id for the lockstep trend encoding and one
 read-out into an ``objective.Readout``. The epoch loss is
-``ce + lambda_tc * tc``: one cross-entropy node over the selected training
-posts (optionally after global hard-example mining) and one
-temporal-consistency node over all events, joined by one
-``autodiff.add_scaled`` node; from the readout to the loss, the per-post
-bookkeeping is index arrays. One backward pass over it yields every
-gradient, and runs are bitwise reproducible. Regularization gradients are
-added in closed form (2 * lambda_reg * theta). Everything runs in float64.
+``ce + lambda_tc * tc``: one cross-entropy node over the training posts
+(optionally after global hard-example mining) and one temporal-consistency
+node over all events, joined by one ``autodiff.add_scaled`` node; from the
+readout to the loss, the per-post bookkeeping is index arrays. Its report
+holds totals only: the sums of those two nodes, the regularizer and the
+total. One backward pass over it yields every gradient, and runs are bitwise
+reproducible. Regularization gradients are added in closed form
+(2 * lambda_reg * theta). Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .objective import (
     mine_hard_examples,
     post_probabilities,
     tc_terms,
-    total_loss,
 )
 from .params import ModelParams, ParamError, shape_table
 from .trend import TrendError, aggregate, decay_weights, encode_event
@@ -125,38 +125,21 @@ def forward(
         raise TrainingError("no training posts: cannot build the classification loss")
 
     rho = cfg["mining.rho"]
-    mining_active = rho < 1.0 and epoch >= cfg["mining.warmup_epochs"]
-    selected = mine_hard_examples(terms, rho) if mining_active else terms
-    mined = np.zeros(ds.n, dtype=bool)
-    mined[selected.post] = True
-    # bincount adds in term order, as a loop over the terms would.
-    ce_values = np.bincount(selected.event, weights=selected.value,
-                            minlength=len(readout.event_ids))
-    ce_by_event = dict(zip(readout.event_ids, ce_values.tolist()))
+    if rho < 1.0 and epoch >= cfg["mining.warmup_epochs"]:
+        terms = mine_hard_examples(terms, rho)
 
-    lambda_tc = cfg["loss.lambda_tc"]
-    loss = ce_loss(readout.logits, readout.ce_coefficients(selected))
+    lambda_tc, lambda_reg = cfg["loss.lambda_tc"], cfg["loss.lambda_reg"]
+    loss = ce_loss(readout.logits, readout.ce_coefficients(terms))
     tc_node, tc_values = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
-    tc_by_event = dict(zip(readout.event_ids, tc_values.tolist()))
     if tc_node is not None and lambda_tc != 0.0:
         loss = add_scaled(loss, tc_node, lambda_tc)
 
-    ce = float(sum(ce_by_event.values()))
-    tc = float(sum(tc_by_event.values()))
-    total, reg = total_loss(ce, tc, params, lambda_tc, cfg["loss.lambda_reg"])
-    report = LossReport(
-        ce_by_event=ce_by_event,
-        tc_by_event=tc_by_event,
-        ce=ce,
-        tc=tc,
-        reg=reg,
-        total=total,
-        p_post=readout.p_post,
-        p_event=readout.p_event,
-        mined=mined,
-        lambda_tc=lambda_tc,
-        lambda_reg=cfg["loss.lambda_reg"],
-    )
+    # Each event's sum first (bincount adds in term order), then across events.
+    ce = float(sum(np.bincount(terms.event, weights=terms.value).tolist()))
+    tc = float(sum(tc_values.tolist()))
+    reg = params.l2_squared()
+    report = LossReport(ce, tc, reg, ce + lambda_tc * tc + lambda_reg * reg,
+                        readout.p_post, lambda_reg)
     return ForwardArtifacts(report, loss, params)
 
 
@@ -239,10 +222,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> floa
 
 
 # -- training loop ----------------------------------------------------------
-HISTORY_FIELDS = (
-    "epoch", "ce", "tc", "reg", "total",
-    "val_accuracy", "val_precision", "val_recall", "val_f1", "val_auc",
-)
+VAL_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
+HISTORY_FIELDS = ("epoch", "ce", "tc", "reg", "total") + tuple(f"val_{m}" for m in VAL_METRICS)
 
 
 @dataclass
@@ -300,18 +281,9 @@ def train(
             break
 
         val = _val_metrics(ds, report.p_post, threshold)
-        row = {
-            "epoch": epoch,
-            "ce": report.ce,
-            "tc": report.tc,
-            "reg": report.reg,
-            "total": report.total,
-            "val_accuracy": val.accuracy if val else math.nan,
-            "val_precision": val.precision if val else math.nan,
-            "val_recall": val.recall if val else math.nan,
-            "val_f1": val.f1 if val else math.nan,
-            "val_auc": val.auc if val else math.nan,
-        }
+        row = {"epoch": epoch, "ce": report.ce, "tc": report.tc, "reg": report.reg,
+               "total": report.total}
+        row.update({f"val_{m}": getattr(val, m) if val else math.nan for m in VAL_METRICS})
         history.append(row)
 
         monitored = row[f"val_{metric_name}"]

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +259,16 @@ def _drop_first_event(path):
     path.write_text(json.dumps(payload[1:]))
 
 
+def _repeat_the_first_event_id(path):
+    payload = json.loads(path.read_text())
+    for entry in payload:
+        entry["event_id"] = payload[0]["event_id"]
+    path.write_text(json.dumps(payload))
+
+
 DAMAGED_STRUCTURE = {
     "events-without-an-event": ("events.json", _drop_first_event),
+    "events-repeated-id": ("events.json", _repeat_the_first_event_id),
     "dataset-not-an-object": ("dataset.json", lambda path: path.write_text("[]")),
     "events-not-json": ("events.json", lambda path: path.write_text("{")),
 }
@@ -441,3 +452,37 @@ def test_help_documents_config_keys(capsys):
     assert "model.d" in out
     assert "mining.rho" in out
     assert "trend.alpha" in out
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Records OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+NUMPY_IMPORT_PROBE = """
+import os, sys
+
+class Probe:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Probe())
+{statement}
+print(Probe.seen)
+"""
+
+
+@pytest.mark.parametrize("statement, seen", [
+    ("import ecatch.cli", ["3"]),
+    # a library import leaves BLAS alone
+    ("import ecatch; from ecatch import train", [None]),
+])
+def test_ecatch_threads_reach_blas_before_numpy_starts(statement, seen):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["ECATCH_THREADS"] = "3"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE.format(statement=statement)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == repr(seen)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from ecatch.clustering import (
     ClusteringError,
+    PseudoEvent,
     agglomerate,
     average_linkage_chain,
+    check_partition,
     cluster_events,
     cosine_distances,
     load_events,
@@ -321,6 +323,24 @@ def test_pass_through_missing_key():
     ds = make_dataset(np.zeros((2, 2)), extra=[{"k": 1}, {}])
     with pytest.raises(ClusteringError, match="missing manifest key"):
         pass_through_events(ds, "k")
+
+
+def test_pass_through_keeps_bools_apart_from_equal_numbers():
+    ds = make_dataset(np.zeros((4, 2)), extra=[{"k": v} for v in (1, True, 1.0, "1")])
+    assert partition(pass_through_events(ds, "k")) == [(0, 2), (1,), (3,)]
+
+
+@pytest.mark.parametrize("value", [[1, 2], {"a": 1}])
+def test_pass_through_refuses_a_list_or_object_value(value):
+    ds = make_dataset(np.zeros((2, 2)), extra=[{"k": 1}, {"k": value}])
+    with pytest.raises(ClusteringError, match="^post 'p1': manifest key 'k' holds a "):
+        pass_through_events(ds, "k")
+
+
+def test_check_partition_refuses_a_repeated_event_id():
+    events = [PseudoEvent(0, (0,)), PseudoEvent(1, (1,)), PseudoEvent(0, (2,))]
+    with pytest.raises(ClusteringError, match="^event id 0 is repeated$"):
+        check_partition(events, 3)
 
 
 def test_partition_property(rng):

@@ -66,6 +66,8 @@ def test_choice_validation():
     ("eval.threshold", float("nan")),
     ("train.grad_clip_norm", float("inf")),
     ("loss.epsilon", 10 ** 400),
+    ("loss.lambda_tc", -0.1),
+    ("loss.lambda_reg", -1e-4),
     # sizes and counts must fit int64
     ("model.d", 2 ** 63),
     ("model.heads", 10 ** 30),

@@ -19,10 +19,11 @@ from ecatch.objective import (
     mine_hard_examples,
     post_probabilities,
     tc_terms,
-    total_loss,
 )
 from ecatch.params import ModelParams
+from ecatch.training import forward
 from ecatch.trend import run_lstm, trend_features
+from ecatch.verify import toy_problem
 from ecatch.windows import segment_all
 
 from conftest import DAY, make_dataset
@@ -541,22 +542,14 @@ def test_stacked_tc_node_pairs_rows_only_within_events(kinds, breaks, d, clamp, 
 
 
 # -- total ------------------------------------------------------------------------
-def test_total_loss_arithmetic():
-    params = ModelParams.build(2, 1, 2, 2, zero=True)
-    params["clf.W_c"].data[...] = np.array([[1.0, 1.0]])  # l2 = 2
-    total, reg = total_loss(ce=1.0, tc=-4.0, params=params,
-                            lambda_tc=0.1, lambda_reg=0.01)
-    assert reg == pytest.approx(2.0)
-    assert total == pytest.approx(0.62)
-
-
-def test_total_loss_zero_multipliers():
-    params = ModelParams.build(2, 1, 2, 2, seed=0)
-    total, _ = total_loss(3.25, 100.0, params, 0.0, 0.0)
-    assert total == pytest.approx(3.25)
-
-
-def test_total_loss_rejects_negative_multipliers():
-    params = ModelParams.build(2, 1, 2, 2, zero=True)
-    with pytest.raises(ObjectiveError):
-        total_loss(1.0, 1.0, params, -0.1, 0.0)
+@pytest.mark.parametrize("lambda_tc, lambda_reg", [(0.0, 0.0), (0.1, 0.01)])
+def test_forward_total_adds_the_reported_sums(lambda_tc, lambda_reg):
+    ds, events, windows, params, cfg = toy_problem(3)
+    cfg = cfg.updated({"loss.lambda_tc": lambda_tc, "loss.lambda_reg": lambda_reg})
+    art = forward(ds, events, windows, params, cfg)
+    report = art.report
+    assert report.tc > 0.0 and report.reg > 0.0
+    assert report.reg == params.l2_squared()
+    assert report.total == report.ce + lambda_tc * report.tc + lambda_reg * report.reg
+    # the loss node differentiates the same sums, the regularizer aside
+    assert art.loss.item() == pytest.approx(report.ce + lambda_tc * report.tc, rel=1e-12)

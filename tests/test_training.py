@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import gc
 import json
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -14,7 +16,7 @@ from ecatch.autodiff import Tensor
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.data import Dataset, assign_splits
-from ecatch.objective import class_weights
+from ecatch.objective import ce_terms, class_weights, mine_hard_examples, tc_terms
 from ecatch.params import ModelParams, shape_table
 from ecatch.trend import run_lstm, trend_features
 from ecatch.training import (
@@ -63,8 +65,8 @@ def test_duplicated_event_adds_its_own_loss():
     dup_windows = dict(windows)
     dup_windows[2] = windows[0]
     art2 = forward(ds, dup_events, dup_windows, params, cfg)
-    extra = (art.report.ce_by_event[0]
-             + cfg["loss.lambda_tc"] * art.report.tc_by_event[0])
+    alone = forward(ds, events[:1], {0: windows[0]}, params, cfg).report
+    extra = alone.ce + cfg["loss.lambda_tc"] * alone.tc
     assert art2.report.total == pytest.approx(art.report.total + extra)
 
 
@@ -317,12 +319,21 @@ def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, i
     report = art.report
     assert all(math.isfinite(v) for v in (report.ce, report.tc, report.total))
     assert np.all((report.p_post > 0.0) & (report.p_post < 1.0))
-    ids = [ev.event_id for ev in events]
-    assert list(report.ce_by_event) == list(report.tc_by_event) == ids
-    assert report.ce == pytest.approx(sum(report.ce_by_event.values()), rel=1e-12, abs=0.0)
-    assert report.tc == pytest.approx(sum(report.tc_by_event.values()), rel=1e-12, abs=1e-300)
+    # The reported sums, per event in term order and then across events,
+    # bitwise, over the terms that mining kept.
+    readout = training.run_model(ds, events, windows, params, cfg)
+    terms, _ = ce_terms(readout, ds.labels, ds.train_mask(), cfg["loss.epsilon"],
+                        cfg["weights.adaptive"], scope)
+    if mined:
+        terms = mine_hard_examples(terms, 0.5)
+    ce_by_event = [functools.reduce(operator.add, terms.value[terms.event == k].tolist(), 0.0)
+                   for k in range(len(events))]
+    assert report.ce == sum(ce_by_event)
+    _, tc_by_event = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
+    assert tc_by_event.size == len(events)
+    assert report.tc == sum(tc_by_event.tolist())
     if untrained_last and len(sizes) > 1:
-        assert report.ce_by_event[ids[-1]] == 0.0
+        assert not np.any(terms.event == len(events) - 1)
     for name, g in backward(art).items():
         assert np.all(np.isfinite(g)), name
 
