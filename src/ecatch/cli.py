@@ -67,11 +67,6 @@ def _check_model_size(ds: Dataset, cfg: RunConfig) -> None:
                               f"numpy's maximum array size of {MAX_ARRAY_BYTES} bytes")
 
 
-def _load_split_dataset(data_dir: str, cfg: RunConfig):
-    ds = load_dataset(data_dir)
-    return assign_splits(ds, cfg.split_fractions(), cfg["seed"])
-
-
 # -- commands -----------------------------------------------------------------
 def cmd_generate(args) -> int:
     try:
@@ -146,19 +141,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_run_dir(checkpoint_path: Path):
-    run_dir = checkpoint_path.parent
-    cfg_path = run_dir / "config.json"
-    cfg = load_config(cfg_path) if cfg_path.is_file() else RunConfig()
-    params = load_checkpoint(checkpoint_path)
-    return run_dir, cfg, params
-
-
 def _read_persisted(path: Path, load):
-    """``load(path)``, or a CliError naming the file when its JSON is malformed."""
+    """``load(path)``, or a CliError naming the file when it is malformed."""
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ClusteringError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    except ValueError as exc:
         raise CliError(f"{path}: malformed ({exc!r})") from exc
 
 
@@ -180,10 +169,24 @@ def _structure_for(ds, cfg, run_dir: Path):
     return build_structure(ds, cfg)
 
 
-def cmd_eval(args) -> int:
-    run_dir, cfg, params = _load_run_dir(Path(args.checkpoint))
-    ds = _load_split_dataset(args.data, cfg)
+def _load_run(args):
+    """The config and checkpoint of a run, the split dataset and its structure.
+
+    The run's config.json is required: the windows and the split come from it.
+    """
+    run_dir = Path(args.checkpoint).parent
+    cfg_path = run_dir / "config.json"
+    if not cfg_path.is_file():
+        raise CliError(f"{cfg_path}: missing (train and crosseval write it)")
+    cfg = load_config(cfg_path)
+    params = load_checkpoint(args.checkpoint)
+    ds = assign_splits(load_dataset(args.data), cfg.split_fractions(), cfg["seed"])
     events, windows = _structure_for(ds, cfg, run_dir)
+    return cfg, params, ds, events, windows
+
+
+def cmd_eval(args) -> int:
+    cfg, params, ds, events, windows = _load_run(args)
     p_post, p_event = predictions(ds, events, windows, params, cfg)
 
     idx = ds.split_indices(args.split)
@@ -202,9 +205,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    run_dir, cfg, params = _load_run_dir(Path(args.checkpoint))
-    ds = _load_split_dataset(args.data, cfg)
-    events, windows = _structure_for(ds, cfg, run_dir)
+    cfg, params, ds, events, windows = _load_run(args)
     p_post, _ = predictions(ds, events, windows, params, cfg)
 
     assignment = ds.split_assignment()

@@ -344,10 +344,22 @@ def save_events(events: list[PseudoEvent], path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _json_int(value, where: str) -> int:
+    if type(value) is not int:
+        raise ClusteringError(f"{where} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_events(path: str | Path) -> list[PseudoEvent]:
+    """The events of ``save_events``; each id and member must be a JSON integer."""
     payload = json.loads(Path(path).read_text())
-    return [
-        PseudoEvent(event_id=int(e["event_id"]),
-                    member_indices=tuple(int(i) for i in e["members"]))
-        for e in payload
-    ]
+    if not isinstance(payload, list):
+        raise ClusteringError("events must be a JSON list")
+    events = []
+    for k, e in enumerate(payload):
+        if not isinstance(e, dict) or not isinstance(e.get("members"), list):
+            raise ClusteringError(f"event {k} must be an object with a 'members' list")
+        events.append(PseudoEvent(
+            event_id=_json_int(e.get("event_id"), f"event {k} 'event_id'"),
+            member_indices=tuple(_json_int(i, f"event {k} 'members'") for i in e["members"])))
+    return events

@@ -8,7 +8,7 @@ to 0 on empty denominators since the inputs can be degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,19 +32,8 @@ class EvalResult:
     n: int
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": None if np.isnan(self.auc) else self.auc,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "threshold": self.threshold,
-            "n": self.n,
-        }
+        # "auc" keeps its place among the fields
+        return {**asdict(self), "auc": None if np.isnan(self.auc) else self.auc}
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:

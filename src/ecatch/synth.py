@@ -12,6 +12,12 @@ density uniform. Timestamp density targets a handful of posts per
 default-span window. Modality conflict flips the image-side class direction
 with probability kappa. Everything is reproducible from the seed via
 per-event child seeds.
+
+The bytes written depend on the order of the draws. Each event's generator
+draws, in turn: the post count n, the n labels, the draws of
+_time_fractions, the text and image centroids, the n modality flips, the n
+missing-image flags, and last one (n, d_text + d_img) noise block whose
+first d_text columns are the text noise and the rest the image noise.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ class SynthSpec:
     def from_dict(cls, raw: dict) -> "SynthSpec":
         """A spec with each field checked; a float field given an int holds a float.
 
-        The largest draw's (posts, width) float64 rows must fit one numpy array.
+        The largest (posts, width) float64 array of the dataset must fit numpy.
         """
         if not isinstance(raw, dict):
             raise SynthError("spec must hold a JSON object")
@@ -140,12 +146,8 @@ def generate(spec: SynthSpec) -> tuple[Dataset, dict]:
     drift_axis_img = min(1, spec.d_img - 1)
 
     ids: list[str] = []
-    labels: list[int] = []
-    timestamps: list[int] = []
-    has_image: list[bool] = []
     extra: list[dict] = []
-    text_rows: list[np.ndarray] = []
-    image_rows: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, ...]] = []  # per event, in Dataset's argument order
     truth_events: list[dict] = []
 
     for e in range(spec.n_events):
@@ -154,39 +156,32 @@ def generate(spec: SynthSpec) -> tuple[Dataset, dict]:
         t0 = e * EVENT_GAP_SECS
         duration = max(1, n * SPAN_SECS // TARGET_POSTS_PER_SPAN)
 
-        post_labels = (rng.random(n) < spec.imbalance).astype(np.int64)
-        frac = _time_fractions(post_labels, sep, spec.imbalance, rng)
+        labels = (rng.random(n) < spec.imbalance).astype(np.int64)
+        frac = _time_fractions(labels, sep, spec.imbalance, rng)
         times = (duration * frac).astype(np.int64)
 
         order = np.argsort(times, kind="stable")
-        times = times[order] + t0
-        post_labels = post_labels[order]
+        times = times[order]
+        labels = labels[order]
 
         centroid_text = rng.normal(0.0, 1.0, size=spec.d_text)
         centroid_img = rng.normal(0.0, 1.0, size=spec.d_img)
         flip = rng.random(n) < spec.modality_conflict
         missing = rng.random(n) < spec.missing_image
+        noise = rng.normal(0.0, NOISE_SIGMA, size=(n, spec.d_text + spec.d_img))
 
-        for j in range(n):
-            y = int(post_labels[j])
-            window_ord = int((times[j] - t0) // STRIDE_SECS)
-            tvec = centroid_text + rng.normal(0.0, NOISE_SIGMA, size=spec.d_text)
-            tvec[0] += spec.margin * y
-            tvec[drift_axis_text] += spec.drift * window_ord
+        window_ord = times // STRIDE_SECS
+        text = centroid_text + noise[:, :spec.d_text]
+        text[:, 0] += spec.margin * labels
+        text[:, drift_axis_text] += spec.drift * window_ord
+        image = centroid_img + noise[:, spec.d_text:]
+        image[:, 0] += spec.margin * np.where(flip, 1 - labels, labels)
+        image[:, drift_axis_img] += spec.drift * window_ord
+        image[missing] = 0.0
 
-            img_label = 1 - y if flip[j] else y
-            ivec = centroid_img + rng.normal(0.0, NOISE_SIGMA, size=spec.d_img)
-            ivec[0] += spec.margin * img_label
-            ivec[drift_axis_img] += spec.drift * window_ord
-
-            ids.append(f"e{e:03d}p{j:03d}")
-            labels.append(y)
-            timestamps.append(int(times[j]))
-            has_image.append(not bool(missing[j]))
-            extra.append({"event": e})
-            text_rows.append(tvec)
-            image_rows.append(ivec if not missing[j] else np.zeros(spec.d_img))
-
+        ids += [f"e{e:03d}p{j:03d}" for j in range(n)]
+        extra += [{"event": e} for _ in range(n)]
+        parts.append((labels, times + t0, text, image, ~missing))
         truth_events.append({
             "event_id": e,
             "n_posts": n,
@@ -196,28 +191,14 @@ def generate(spec: SynthSpec) -> tuple[Dataset, dict]:
             "centroid_img": [float(v) for v in centroid_img],
         })
 
-    ds = Dataset(
-        ids=ids,
-        labels=np.asarray(labels),
-        timestamps=np.asarray(timestamps),
-        text=np.asarray(text_rows),
-        image=np.asarray(image_rows),
-        has_image=np.asarray(has_image),
-        extra=extra,
-    )
+    ds = Dataset(ids, *(np.concatenate(column) for column in zip(*parts)), extra=extra)
     truth = {
-        "spec": _spec_dict(spec),
+        "spec": asdict(spec),
         "wave_separation": sep,
         "class_axis": 0,
         "events": truth_events,
     }
     return ds, truth
-
-
-def _spec_dict(spec: SynthSpec) -> dict:
-    d = asdict(spec)
-    d["posts_per_event"] = list(d["posts_per_event"])
-    return d
 
 
 def write_ground_truth(truth: dict, path: str | Path) -> None:

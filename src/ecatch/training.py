@@ -253,8 +253,6 @@ def train(
     """Full-batch gradient training with best-validation checkpointing."""
     if ds.split is None:
         raise TrainingError("assign splits before training")
-    if cfg["train.epochs"] < 1:
-        raise TrainingError("train.epochs must be >= 1")
     if params is None:
         params = ModelParams.build(
             cfg["model.d"], cfg["model.heads"], ds.d_text, ds.d_img,
@@ -367,9 +365,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise TrainingError(f"checkpoint: bad header ({exc})") from exc
     if not isinstance(header, dict):
         raise TrainingError("checkpoint: header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
+    version = header.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise TrainingError(
-            f"checkpoint: unsupported format_version {header.get('format_version')}"
+            f"checkpoint: unsupported format_version {version!r}"
         )
 
     d, heads = _field(header, "d", "header", int), _field(header, "H", "header", int)

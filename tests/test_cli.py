@@ -266,9 +266,29 @@ def _repeat_the_first_event_id(path):
     path.write_text(json.dumps(payload))
 
 
+# int() would read each of the next edits as the saved value, so only a JSON
+# integer is accepted.
+def _add_0_9_to_a_member(path):
+    payload = json.loads(path.read_text())
+    payload[0]["members"][0] += 0.9
+    path.write_text(json.dumps(payload))
+
+
+def _set_event_id(position, value):
+    def damage(path):
+        payload = json.loads(path.read_text())
+        assert payload[position]["event_id"] == int(value)
+        payload[position]["event_id"] = value
+        path.write_text(json.dumps(payload))
+    return damage
+
+
 DAMAGED_STRUCTURE = {
     "events-without-an-event": ("events.json", _drop_first_event),
     "events-repeated-id": ("events.json", _repeat_the_first_event_id),
+    "events-member-float": ("events.json", _add_0_9_to_a_member),
+    "events-id-true": ("events.json", _set_event_id(1, True)),
+    "events-id-string": ("events.json", _set_event_id(0, "0")),
     "dataset-not-an-object": ("dataset.json", lambda path: path.write_text("[]")),
     "events-not-json": ("events.json", lambda path: path.write_text("{")),
 }
@@ -285,6 +305,19 @@ def test_damaged_persisted_structure_is_refused(tmp_path, dataset_dir, run_dir, 
                "--checkpoint", str(run_dir / "checkpoint.bin"), *out])
     assert rc == 1
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_run_without_its_config_is_refused(tmp_path, dataset_dir, run_dir, capsys, command):
+    # The windows and the split seed come from config.json; defaults would score
+    # the posts with other windows and another split.
+    (run_dir / "config.json").unlink()
+    out = ["--out", str(tmp_path / "out.json")]
+    rc = main([command, "--data", str(dataset_dir),
+               "--checkpoint", str(run_dir / "checkpoint.bin"), *out])
+    assert rc == 1
+    assert f"error: {run_dir / 'config.json'}: missing" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 
 

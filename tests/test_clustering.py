@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -361,3 +363,22 @@ def test_events_json_roundtrip(tmp_path, rng):
     path = tmp_path / "events.json"
     save_events(events, path)
     assert load_events(path) == events
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({}, "events must be a JSON list"),
+    ([[0, 1]], "event 0 must be an object with a 'members' list"),
+    ([{"event_id": 0, "members": 1}], "event 0 must be an object with a 'members' list"),
+    ([{"event_id": 0, "members": [0]}, {"event_id": True, "members": [1]}],
+     "event 1 'event_id' must be a JSON integer, got True"),
+    ([{"event_id": "0", "members": [0]}],
+     "event 0 'event_id' must be a JSON integer, got '0'"),
+    ([{"members": [0]}], "event 0 'event_id' must be a JSON integer, got None"),
+    ([{"event_id": 0, "members": [0, 1.9]}],
+     "event 0 'members' must be a JSON integer, got 1.9"),
+])
+def test_load_events_refuses_what_is_not_a_list_of_json_integers(tmp_path, payload, message):
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ClusteringError, match=f"^{re.escape(message)}$"):
+        load_events(path)

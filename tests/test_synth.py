@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from ecatch.clustering import pass_through_events
 from ecatch.data import load_dataset, write_dataset
 from ecatch.metrics import auc_roc
-from ecatch.synth import SPAN_SECS, SynthError, SynthSpec, generate
+from ecatch.synth import (EVENT_GAP_SECS, NOISE_SIGMA, SPAN_SECS, STRIDE_SECS,
+                          TARGET_POSTS_PER_SPAN, SynthError, SynthSpec, _separation,
+                          _time_fractions, generate)
 from ecatch.windows import segment_all
 
 
@@ -16,6 +20,76 @@ def test_deterministic_bytes(tmp_path):
     write_dataset(generate(spec)[0], b)
     for name in ("meta.json", "manifest.jsonl", "text.f32", "image.f32"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _per_post_reference(spec: SynthSpec):
+    """generate() one post at a time: after the event's other draws, each post
+    draws its text noise and then its image noise."""
+    lo, hi = spec.posts_per_event
+    sep = _separation(spec.margin)
+    posts, truth_events = [], []
+    for e, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.n_events)):
+        rng = np.random.default_rng(child)
+        n = int(rng.integers(lo, hi + 1))
+        t0 = e * EVENT_GAP_SECS
+        duration = max(1, n * SPAN_SECS // TARGET_POSTS_PER_SPAN)
+        labels = (rng.random(n) < spec.imbalance).astype(np.int64)
+        times = (duration * _time_fractions(labels, sep, spec.imbalance, rng)).astype(np.int64)
+        order = np.argsort(times, kind="stable")
+        times, labels = times[order], labels[order]
+        centroid_text = rng.normal(0.0, 1.0, size=spec.d_text)
+        centroid_img = rng.normal(0.0, 1.0, size=spec.d_img)
+        flip = rng.random(n) < spec.modality_conflict
+        missing = rng.random(n) < spec.missing_image
+        for j in range(n):
+            y, window_ord = int(labels[j]), int(times[j] // STRIDE_SECS)
+            text = centroid_text + rng.normal(0.0, NOISE_SIGMA, size=spec.d_text)
+            text[0] += spec.margin * y
+            text[min(1, spec.d_text - 1)] += spec.drift * window_ord
+            image = centroid_img + rng.normal(0.0, NOISE_SIGMA, size=spec.d_img)
+            image[0] += spec.margin * (1 - y if flip[j] else y)
+            image[min(1, spec.d_img - 1)] += spec.drift * window_ord
+            if missing[j]:
+                image = np.zeros(spec.d_img)
+            posts.append((f"e{e:03d}p{j:03d}", y, int(times[j]) + t0, text, image,
+                          not missing[j], {"event": e}))
+        truth_events.append({
+            "event_id": e, "n_posts": n, "t0": t0, "duration": duration,
+            "centroid_text": centroid_text.tolist(), "centroid_img": centroid_img.tolist(),
+        })
+    truth = {"spec": {**spec.__dict__, "posts_per_event": [lo, hi]},
+             "wave_separation": sep, "class_axis": 0, "events": truth_events}
+    return [list(column) for column in zip(*posts)], truth
+
+
+# the command-line defaults, the CI spec, one- and three-post events of width 1,
+# and every post flipped and imageless
+DRAW_ORDER_SPECS = [
+    {},
+    {"n_events": 40, "posts_per_event": [40, 55], "seed": 4},
+    {"n_events": 7, "posts_per_event": [1, 3], "d_text": 1, "d_img": 1, "drift": 0.7,
+     "modality_conflict": 0.4, "missing_image": 0.3, "margin": 5.0, "imbalance": 0.2,
+     "seed": 9},
+    {"n_events": 5, "posts_per_event": [20, 90], "d_text": 3, "d_img": 2, "drift": 2.0,
+     "modality_conflict": 1.0, "missing_image": 1.0, "seed": 123},
+]
+
+
+@pytest.mark.parametrize("raw", DRAW_ORDER_SPECS)
+def test_draw_order_matches_the_per_post_reference(raw):
+    # The written bytes depend on the order of the draws, so it is pinned here.
+    spec = SynthSpec.from_dict(raw)
+    ds, truth = generate(spec)
+    (ids, labels, timestamps, text, image, has_image, extra), want = _per_post_reference(spec)
+    assert ds.ids == ids and ds.extra == extra
+    for got, rows, dtype in ((ds.labels, labels, np.int64),
+                             (ds.timestamps, timestamps, np.int64),
+                             (ds.text, text, np.float64), (ds.image, image, np.float64),
+                             (ds.has_image, has_image, bool)):
+        expected = np.asarray(rows, dtype=dtype)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    assert json.dumps(truth, indent=2) == json.dumps(want, indent=2)
 
 
 def test_generated_directory_loads_clean(tmp_path):

@@ -551,6 +551,8 @@ def _drop(entry, key):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda h: [h], "header is not a JSON object"),
+    (lambda h: dict(h, format_version=True), "unsupported format_version True"),
+    (lambda h: dict(h, format_version=1.0), "unsupported format_version 1.0"),
     (lambda h: _drop(h, "d"), "header has no 'd' field"),
     (lambda h: _drop(h, "H"), "header has no 'H' field"),
     (lambda h: dict(h, names=[_drop(h["names"][0], "name")] + h["names"][1:]),
@@ -568,9 +570,9 @@ def _drop(entry, key):
      r"names\[0\] 'shape' must be a list, got 3"),
     (lambda h: dict(h, names=[dict(h["names"][0], shape=[4])] + h["names"][1:]),
      "2-D encoder tensors missing from header"),
-], ids=["list", "no-d", "no-H", "entry-no-name", "entry-no-shape", "d-string",
-        "d-negative", "H-float", "H-not-dividing-d", "names-int", "shape-string-entry",
-        "shape-int", "encoder-1d"])
+], ids=["list", "version-true", "version-float", "no-d", "no-H", "entry-no-name",
+        "entry-no-shape", "d-string", "d-negative", "H-float", "H-not-dividing-d", "names-int",
+        "shape-string-entry", "shape-int", "encoder-1d"])
 def test_checkpoint_header_names_missing_field(tmp_path, edit, message):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(ModelParams.build(4, 2, 5, 3, seed=16), path)
