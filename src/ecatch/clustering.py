@@ -16,38 +16,48 @@ Two paths compute the partition:
 * ``complete`` and ``single`` build the n x n float64 matrix of
   ``cosine_distances`` and merge in it with ``agglomerate``: O(n^2) memory.
 * ``average`` takes a vector path in O(n*d) memory. With u the unit rows
-  (zero-norm rows left at 0) and S a cluster's sum of unit rows, the mean of
-  the pair distances between clusters A and B is
-  ``1 - S_A . S_B / (|A| |B|)``, and a zero row sits at exactly 1 from
-  everything. A nearest-neighbour chain (Muellner 2011, arXiv:1109.2378, sec.
-  3) finds the same dendrogram as the greedy rule, and the n - k lowest
-  merges give the partition. Each query is one product of the live cluster
-  sums with S_a: the live clusters are packed into the first rows, and a
-  merged-away cluster's row takes the last live one, so a query's work falls
-  with the number of clusters left.
+  (zero-norm rows left at 0) and M a cluster's mean of unit rows, the mean of
+  the pair distances between clusters A and B is ``1 - M_A . M_B``, and a
+  zero row sits at exactly 1 from everything. ``CHAINS`` nearest-neighbour
+  chains (Muellner 2011, arXiv:1109.2378, sec. 3) grow in lockstep. Each
+  step queries every chain top with one product of their means and the live
+  clusters' means, then applies the results in chain order: a chain pushes a
+  free neighbour; merges its top with its previous element, or with another
+  chain's top, when the two are each other's nearest neighbours; waits when
+  the neighbour sits inside another chain; and queries again when its result
+  names a cluster merged earlier in the step. An empty chain restarts at the
+  smallest free slot. Average linkage is reducible: a merge never brings a
+  cluster closer than the nearer of its parts. So every chain link stays a
+  nearest-neighbour link, every merge joins reciprocal nearest neighbours,
+  the chains find the greedy rule's dendrogram, and the n - k lowest merges
+  give the partition. A cycle of waiting chains would need equal distances.
+  The live clusters are packed into the first rows, and a merged-away
+  cluster's row takes the last live one, so a step's work falls with the
+  number of clusters left.
 
 Rows with equal unit vectors (reposts, or one post at another scale) enter
-the chain as one cluster each, with their sum and count: the matrix path
-merges them before anything else, at heights that only rounding tells apart.
+the chains as one cluster each, with their count: the matrix path merges
+them before anything else, at heights that only rounding tells apart.
 
-The chain merges in another order than the greedy rule, so wherever order
+The chains merge in another order than the greedy rule, so wherever order
 could matter the vector path hands the case to ``agglomerate`` on the matrix.
-Before the chain, that is when ``num_clusters`` exceeds the number of
+Before the chains, that is when ``num_clusters`` exceeds the number of
 distinct unit rows, so the cut would split equal rows, and always when two
 or more rows have zero norm (each sits at exactly 1 from everything) or a
-unit row is not finite. During the chain, it is when a nearest-neighbour
-query has a second candidate within ``NEAR_TIE`` of its minimum, or a merge
-sits below a merge that formed one of its clusters. After the chain, it is
-when the two merge heights on either side of the cut lie within
-``NEAR_TIE`` of each other (tied merges on one side of the cut are applied
-together, so their order cannot change the partition), or when equal rows
-were grouped and some other merge lies within ``NEAR_TIE`` of height 0. Other
-exact ties, as integer-valued rows give, thus take the matrix path; a fallback
-costs the chain's work up to that point plus the whole matrix path. What is
-left is rounding: the two paths compute each linkage with different float64
-errors, far below ``NEAR_TIE`` but not proved to stay there, so a near-tie
-that one path's error carried past ``NEAR_TIE`` could still order two merges
-differently, as it can between the reference and ``agglomerate`` above.
+unit row is not finite. During the chains, it is when a nearest-neighbour
+query has a second candidate within ``NEAR_TIE`` of its minimum, a merge
+sits below a merge that formed one of its clusters, or every chain waits.
+After the chains, it is when the two merge heights on either side of the cut
+lie within ``NEAR_TIE`` of each other (tied merges on one side of the cut
+are applied together, so their order cannot change the partition), or when
+equal rows were grouped and some other merge lies within ``NEAR_TIE`` of
+height 0. Other exact ties, as integer-valued rows give, thus take the
+matrix path; a fallback costs the chains' work up to that point plus the
+whole matrix path. What is left is rounding: the two paths compute each
+linkage with different float64 errors, far below ``NEAR_TIE`` but not proved
+to stay there, so a near-tie that one path's error carried past ``NEAR_TIE``
+could still order two merges differently, as it can between the reference
+and ``agglomerate`` above.
 """
 
 from __future__ import annotations
@@ -64,6 +74,8 @@ LINKAGES = ("average", "complete", "single")
 
 # Distances closer than this count as tied on the average-linkage vector path.
 NEAR_TIE = 1e-10
+# Nearest-neighbour chains the average-linkage vector path grows in lockstep.
+CHAINS = 16
 
 
 class ClusteringError(ValueError):
@@ -79,10 +91,6 @@ class PseudoEvent:
 
     event_id: int
     member_indices: tuple[int, ...]
-
-
-def _sort_members(ds: Dataset, members: list[int]) -> tuple[int, ...]:
-    return tuple(sorted(members, key=lambda i: (int(ds.timestamps[i]), i)))
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,11 +187,13 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
     Returns ``agglomerate(cosine_distances(x), num_clusters, "average")``'s
     partition, each cluster sorted and the clusters ordered by smallest
     member, or None where a tie or an inversion needs the matrix path (see
-    the module docstring). Each query runs over the live clusters only: a
-    merged-away cluster's row is swapped out for the last live row. Holds the
-    (n, d) unit rows (and their bytes while it finds equal rows) until the
-    cluster sums are built, then the (m, d) sums of the m distinct rows and
-    O(n) vectors.
+    the module docstring). ``CHAINS`` nearest-neighbour chains grow in
+    lockstep, and each step queries all their tops with one product over the
+    live clusters only: a merged-away cluster's row is swapped out for the
+    last live row. Holds the (n, d) unit rows (and their bytes while it finds
+    equal rows) until the cluster means are built, then the (m, d) means of
+    the m distinct rows (the unit rows themselves when all are distinct), one
+    (CHAINS, m) block and O(m) vectors.
     """
     unit, zero = _unit_rows(x)
     n = unit.shape[0]
@@ -198,53 +208,94 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
     del slot
     if num_clusters > m:
         return None  # the cut falls among the merges of equal rows
-    sums = np.zeros((m, unit.shape[1]))
-    np.add.at(sums, group, unit)
+    # A group's rows are equal, so its first row is its mean.
+    means = unit if m == n else unit[np.unique(group, return_index=True)[1]]
     del unit
     sizes = np.bincount(group).astype(np.float64)
 
-    # The live clusters fill rows [0, live) of `sums` and `sizes`: slot id s
-    # sits in row pos[s], and row r holds slot ids[r]. Merges, the chain and
+    # The live clusters fill rows [0, live) of `means` and `sizes`: slot id s
+    # sits in row pos[s], and row r holds slot ids[r]. Merges, the chains and
     # `formed_at` speak of slot ids; a merged-away row takes the last live one.
     ids = np.arange(m)
     pos = np.arange(m)
     live = m
     formed_at = np.full(m, -np.inf)  # height of the merge that formed slot s
-    merges: list[tuple[float, int, int]] = []
-    chain: list[int] = []
+    # The merge made while `live` clusters remain is number m - live.
+    heights = np.empty(m - 1)
+    pairs = np.empty((m - 1, 2), dtype=np.int64)
+    chains: list[list[int]] = [[] for _ in range(CHAINS)]
+    owner = np.full(m, -1)  # the chain slot s sits in, or -1 when it is free
+    block = np.empty(CHAINS * m)
     while live > 1:
-        if not chain:
-            chain.append(int(ids[:live].min()))
-        a = chain[-1]
-        pa = pos[a]
-        dist = 1.0 - (sums[:live] @ sums[pa]) / (sizes[:live] * sizes[pa])
-        dist[pa] = np.inf
-        pb = int(dist.argmin())
-        height = float(dist[pb])
-        if np.count_nonzero(dist <= height + NEAR_TIE) > 1:
+        empty = [c for c in range(CHAINS) if not chains[c]]
+        if empty:
+            free = ids[:live][owner[ids[:live]] < 0]
+            for c, s in zip(empty, np.sort(free)[:len(empty)].tolist()):
+                chains[c].append(s)
+                owner[s] = c
+        tops = [chain[-1] for chain in chains if chain]
+        rows = pos[tops]
+        k = len(tops)
+        # Cosine similarities, so that the nearest cluster is the largest
+        # entry: 1 - s rounds monotonically, so `best` and the check for a
+        # second candidate within NEAR_TIE are those of the distances.
+        sim = block[:k * live].reshape(k, live)
+        np.matmul(means[rows], means[:live].T, out=sim)
+        at = np.arange(k)
+        sim[at, rows] = -np.inf
+        nearest = sim.argmax(axis=1)
+        best = 1.0 - sim[at, nearest]
+        sim[at, nearest] = -np.inf
+        if np.any(1.0 - sim.max(axis=1) <= best + NEAR_TIE):
             return None
-        b = int(ids[pb])
-        if len(chain) == 1 or b != chain[-2]:
-            chain.append(b)
-            continue
-        # a and b are each other's nearest neighbours: merge b into a's slot.
-        del chain[-2:]
-        if height < max(formed_at[a], formed_at[b]):
-            return None
-        sums[pa] += sums[pb]
-        sizes[pa] += sizes[pb]
-        formed_at[a] = height
-        merges.append((height, a, b))
-        live -= 1
-        if pb != live:
-            sums[pb] = sums[live]
-            sizes[pb] = sizes[live]
-            ids[pb] = ids[live]
-            pos[ids[pb]] = pb
+        found = dict(zip(tops, zip(ids[nearest].tolist(), best.tolist())))
+
+        # Apply the results in chain order. A result that names a cluster
+        # merged earlier in this step is stale: its chain queries again.
+        merged: set[int] = set()
+        progress = False
+        for a in tops:
+            b, height = found[a]
+            if a in merged or b in merged:
+                continue
+            chain = chains[owner[a]]
+            if len(chain) > 1 and b == chain[-2]:
+                del chain[-2:]
+            elif owner[b] < 0:
+                chain.append(b)
+                owner[b] = owner[a]
+                progress = True
+                continue
+            elif b in found and found[b][0] == a:  # b tops another chain
+                chains[owner[b]].pop()
+                chain.pop()
+            else:
+                continue  # b sits inside another chain: wait for it
+            # a and b are each other's nearest neighbours: merge b into a's slot.
+            if height < max(formed_at[a], formed_at[b]):
+                return None
+            owner[a] = owner[b] = -1
+            merged.update((a, b))
+            progress = True
+            pa, pb = pos[a], pos[b]
+            total = sizes[pa] + sizes[pb]
+            means[pa] = (sizes[pa] * means[pa] + sizes[pb] * means[pb]) / total
+            sizes[pa] = total
+            formed_at[a] = height
+            heights[m - live] = height
+            pairs[m - live] = a, b
+            live -= 1
+            if pb != live:
+                means[pb] = means[live]
+                sizes[pb] = sizes[live]
+                ids[pb] = ids[live]
+                pos[ids[pb]] = pb
+        if not progress:
+            return None  # every chain waits on another: only ties close such a cycle
+    del means, block, sizes  # the cut's lists can take their memory
 
     # Only the order across the cut decides the partition: tied merges on one
     # side of it are applied together.
-    heights = np.array([h for h, _, _ in merges])
     order = np.argsort(heights)
     cut = m - num_clusters
     if m < n and m > 1 and heights[order[0]] <= NEAR_TIE:
@@ -259,8 +310,7 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
             i = root[i]
         return i
 
-    for j in order[:cut]:
-        _, a, b = merges[j]
+    for a, b in pairs[order[:cut]].tolist():
         root[find(b)] = find(a)
     clusters: dict[int, list[int]] = {}
     for i in range(n):  # first seen in order of smallest member
@@ -271,12 +321,14 @@ def average_linkage_chain(x: np.ndarray, num_clusters: int) -> list[list[int]] |
 def cluster_events(ds: Dataset, num_clusters: int, linkage: str = "average") -> list[PseudoEvent]:
     """Group posts into pseudo-events by text-embedding similarity only.
 
-    ``average`` runs ``average_linkage_chain`` in O(n*d) memory and falls back
-    to the matrix path when that returns None: on a tie or an inversion, two
-    or more zero rows, or more clusters than distinct rows (see the module
-    docstring); reposts alone do not force it. ``complete`` and ``single``
-    always take the matrix path, ``agglomerate`` on ``cosine_distances``,
-    whose n x n float64 matrix is 8*n^2 bytes.
+    ``average`` runs ``average_linkage_chain``, ``CHAINS`` nearest-neighbour
+    chains in lockstep in O(n*d) memory, and falls back to the matrix path
+    when that returns None: on a tie, an inversion or a step in which every
+    chain waits, two or more zero rows, or more clusters than distinct rows
+    (see the module docstring); reposts alone do not force it. ``complete``
+    and ``single`` always take the matrix path, ``agglomerate`` on
+    ``cosine_distances``, whose n x n float64 matrix is 8*n^2 bytes. Members
+    are in time order, ``Dataset.time_order``.
     """
     if ds.n == 0:
         raise ClusteringError("cannot cluster an empty dataset")
@@ -286,7 +338,7 @@ def cluster_events(ds: Dataset, num_clusters: int, linkage: str = "average") -> 
     if clusters is None:
         clusters = agglomerate(cosine_distances(ds.text), num_clusters, linkage)
     return [
-        PseudoEvent(event_id=k, member_indices=_sort_members(ds, c))
+        PseudoEvent(event_id=k, member_indices=tuple(ds.time_order(c).tolist()))
         for k, c in enumerate(clusters)
     ]
 
@@ -312,7 +364,7 @@ def pass_through_events(ds: Dataset, key: str) -> list[PseudoEvent]:
             order.append(v)
         groups[v].append(i)
     return [
-        PseudoEvent(event_id=k, member_indices=_sort_members(ds, groups[v]))
+        PseudoEvent(event_id=k, member_indices=tuple(ds.time_order(groups[v]).tolist()))
         for k, v in enumerate(order)
     ]
 

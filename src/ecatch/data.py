@@ -70,6 +70,11 @@ class Dataset:
     def d_img(self) -> int:
         return self.image.shape[1]
 
+    def time_order(self, members) -> np.ndarray:
+        """The post indices ``members`` sorted by (timestamp, index)."""
+        idx = np.asarray(members, dtype=np.int64)
+        return idx[np.lexsort((idx, self.timestamps[idx]))]
+
     # -- splits ----------------------------------------------------------
     def split_indices(self, name: str) -> np.ndarray:
         if self.split is None:

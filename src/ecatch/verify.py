@@ -304,15 +304,18 @@ def average_linkage_oracle(seeds: list[int]) -> OracleReport:
     One Gaussian draw per seed, with a zero row now and then and every k
     compared; the first seed's draw is 600 posts around 12 centroids, ten of
     them reposts of others, where the vector path must also decide without
-    the matrix fallback.
+    the matrix fallback, and decide the same with the rows permuted: its
+    chains start in the order of the rows, the partition must not follow it.
     """
     for pos, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
+        perm = None
         if pos == 0:
             n = 600
             x = rng.normal(size=(12, 8))[rng.integers(12, size=n)] + rng.normal(size=(n, 8))
             x[590:] = x[rng.integers(590, size=10)]
             ks = [1, 2, 12, 40, 590]
+            perm = rng.permutation(n)
         else:
             n = int(rng.integers(2, 30))
             x = rng.normal(size=(n, int(rng.integers(2, 6))))
@@ -331,6 +334,11 @@ def average_linkage_oracle(seeds: list[int]) -> OracleReport:
             want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
             if got != want:
                 return OracleReport("average_linkage_chain", "fail", 1.0, f"n={n} k={k}", seed)
+            if perm is not None:
+                moved = average_linkage_chain(x[perm], k)
+                if moved is None or sorted(sorted(perm[c].tolist()) for c in moved) != got:
+                    return OracleReport("average_linkage_chain", "fail", 1.0,
+                                        f"n={n} k={k} with the rows permuted", seed)
     return OracleReport("average_linkage_chain", "pass", 0.0, "", seeds[0] if seeds else 0)
 
 

@@ -61,8 +61,9 @@ def segment_event(
     if not event.member_indices:
         raise WindowError(f"event {event.event_id} has no members")
 
-    members = sorted(event.member_indices, key=lambda i: (int(ds.timestamps[i]), i))
-    times = ds.timestamps[members]
+    order = ds.time_order(event.member_indices)
+    times = ds.timestamps[order]
+    members = order.tolist()
     t0 = int(times[0])
     t_last = int(times[-1])
     if t_last + span_secs > INT64_MAX:

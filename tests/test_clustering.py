@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecatch.clustering import (
+    CHAINS,
     ClusteringError,
     PseudoEvent,
     agglomerate,
@@ -79,6 +80,7 @@ def test_members_sorted_by_time_then_index(rng):
     ds = make_dataset(x, timestamps=[50, 10, 50, 5])
     events = cluster_events(ds, 1)
     assert events[0].member_indices == (3, 1, 0, 2)
+    assert all(type(i) is int for i in events[0].member_indices)  # JSON-writable
 
 
 def test_matches_reference_on_random_small_inputs(rng):
@@ -197,6 +199,8 @@ def test_average_vector_path_never_builds_the_matrix():
         tracemalloc.stop()
     assert len(events) == 20
     assert peak < n * n * 8 / 4
+    want = [tuple(sorted(c)) for c in agglomerate(cosine_distances(ds.text), 20, "average")]
+    assert partition(events) == want
 
 
 def test_average_vector_path_groups_equal_rows():
@@ -242,36 +246,88 @@ def test_average_vector_path_hands_ties_to_the_matrix_path():
         average_linkage_chain(square, 5)
 
 
-def masked_chain_log(x):
-    """The nearest-neighbour chain over every slot, merged-away slots masked:
-    its merges (a, b) in chain order, and the number of merges made before
-    each restart of the chain."""
+def masked_chains_log(x):
+    """The lockstep nearest-neighbour chains over every slot, merged-away slots
+    masked: the merges (a, b) in the order made, the number of merges made
+    before each chain restart, and how each step applied each chain's result
+    ("push", "merge", "cross", "wait" or "stale"), one list per step."""
     unit = x / np.sqrt((x * x).sum(axis=1))[:, None]
     slot = {}
     group = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in unit])
     m = len(slot)
-    sums = np.zeros((m, x.shape[1]))
-    np.add.at(sums, group, unit)
+    means = np.zeros((m, x.shape[1]))
+    means[group] = unit
     sizes = np.bincount(group).astype(float)
     retired = np.zeros(m)
-    merges, restarts, chain = [], [], []
+    merges, restarts, steps = [], [], []
+    chains = [[] for _ in range(CHAINS)]
     while len(merges) < m - 1:
-        if not chain:
-            restarts.append(len(merges))
-            chain.append(int(retired.argmin()))
-        a = chain[-1]
-        dist = 1.0 - (sums @ sums[a]) / (sizes * sizes[a]) + retired
-        dist[a] = np.inf
-        b = int(dist.argmin())
-        if len(chain) == 1 or b != chain[-2]:
-            chain.append(b)
-            continue
-        del chain[-2:]
-        sums[a] += sums[b]
-        sizes[a] += sizes[b]
-        retired[b] = np.inf
-        merges.append((a, b))
-    return m, merges, restarts
+        free = [s for s in range(m) if not retired[s] and all(s not in c for c in chains)]
+        for chain in chains:
+            if not chain and free:
+                restarts.append(len(merges))
+                chain.append(free.pop(0))
+        tops = {chain[-1]: chain for chain in chains if chain}
+        nearest = {}
+        for a in tops:
+            dist = 1.0 - means @ means[a] + retired
+            dist[a] = np.inf
+            nearest[a] = int(dist.argmin())
+        merged, kinds = set(), []
+        steps.append(kinds)
+        for a, chain in tops.items():
+            b = nearest[a]
+            if a in merged or b in merged:
+                kinds.append("stale")
+                continue
+            if len(chain) > 1 and b == chain[-2]:
+                kinds.append("merge")
+                del chain[-2:]
+            elif all(b not in c for c in chains):
+                kinds.append("push")
+                chain.append(b)
+                continue
+            elif nearest.get(b) == a:
+                kinds.append("cross")
+                tops[b].pop()
+                chain.pop()
+            else:
+                kinds.append("wait")
+                continue
+            merged |= {a, b}
+            means[a] = (sizes[a] * means[a] + sizes[b] * means[b]) / (sizes[a] + sizes[b])
+            sizes[a] += sizes[b]
+            retired[b] = np.inf
+            merges.append((a, b))
+    return m, merges, restarts, steps
+
+
+def test_average_vector_path_merges_across_chains_and_waits():
+    # Four directions at 0, 10, 30 and 70 degrees, each the top of its own
+    # chain. In the first step 0 and 1 are each other's nearest neighbours in
+    # two chains and merge; 1 is then stale; 2's nearest neighbour 1 has just
+    # merged, so 2 queries again; 3's nearest neighbour 2 tops another chain
+    # but points at 1, so 3 waits.
+    angles = np.radians([0.0, 10.0, 30.0, 70.0])
+    x = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    _, merges, _, steps = masked_chains_log(x)
+    assert steps[0] == ["cross", "stale", "stale", "wait"]
+    assert merges == [(0, 1), (0, 2), (0, 3)]
+    dist = cosine_distances(x)
+    for k in range(1, 5):
+        want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
+        assert average_linkage_chain(x, k) == want, k
+    # More directions than chains: chains also push free clusters and merge
+    # with their previous element.
+    rng = np.random.default_rng(2)
+    angles = rng.uniform(0.0, np.pi, size=3 * CHAINS)
+    x = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    _, _, _, steps = masked_chains_log(x)
+    assert {"push", "merge", "cross", "wait", "stale"} <= {k for s in steps for k in s}
+    dist = cosine_distances(x)
+    for k in range(1, 3 * CHAINS + 1):
+        want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
+        assert average_linkage_chain(x, k) == want, k
 
 
 def test_average_vector_path_swaps_merged_rows_out():
@@ -284,10 +340,10 @@ def test_average_vector_path_swaps_merged_rows_out():
         want = [sorted(c) for c in agglomerate(dist.copy(), k, "average")]
         assert average_linkage_chain(x, k) == want, k
 
-    # Replay the merges on rows packed as the chain keeps them: the live
+    # Replay the merges on rows packed as the chains keep them: the live
     # clusters fill the first `live` rows, and a merged-away row takes the
     # last live one.
-    m, merges, restarts = masked_chain_log(x)
+    m, merges, restarts, _ = masked_chains_log(x)
     assert m == 295
     ids, pos, live = list(range(m)), list(range(m)), m
     a_last = b_last = restart_moved = 0

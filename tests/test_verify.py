@@ -1,6 +1,7 @@
 import numpy as np
 
-from ecatch.clustering import cosine_distances
+from ecatch import verify
+from ecatch.clustering import average_linkage_chain, cosine_distances
 from ecatch.verify import (
     auc_oracle,
     average_linkage_oracle,
@@ -28,6 +29,18 @@ def test_grad_check_fault_injection_points_at_parameter():
     report = grad_check(1, corrupt="lstm.U_f")
     assert report.status == "fail"
     assert report.location.startswith("lstm.U_f")
+
+
+def test_average_linkage_oracle_refuses_a_partition_that_follows_the_rows(monkeypatch):
+    first = {}
+
+    def positional(x, k):  # the partition of the first rows seen, whatever the rows
+        return first.setdefault(k, average_linkage_chain(x, k))
+
+    monkeypatch.setattr(verify, "average_linkage_chain", positional)
+    report = average_linkage_oracle([0])
+    assert report.status == "fail"
+    assert report.location == "n=600 k=2 with the rows permuted"
 
 
 def test_structural_invariants_small_batch():

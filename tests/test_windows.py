@@ -66,12 +66,14 @@ def test_validation_errors():
 
 
 def test_member_order_is_internal():
-    ds = make_dataset(np.zeros((4, 2)), timestamps=[3 * DAY, 0, DAY, 2 * DAY])
+    ds = make_dataset(np.zeros((4, 2)), timestamps=[3 * DAY, DAY, DAY, 0])
     shuffled = PseudoEvent(0, (2, 0, 3, 1))
-    ordered = PseudoEvent(0, (1, 2, 3, 0))
+    ordered = PseudoEvent(0, (3, 1, 2, 0))
     a = segment_event(shuffled, ds, 2 * DAY, DAY)
     b = segment_event(ordered, ds, 2 * DAY, DAY)
     assert a == b
+    assert a.windows[0].members == (3, 1, 2)  # equal times in index order
+    assert all(type(i) is int for w in a.windows for i in w.members)
 
 
 def test_t_max_local_is_member_max():
