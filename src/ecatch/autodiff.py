@@ -17,7 +17,8 @@ parents, so the tape shrinks as the walk proceeds. Leaves keep their
 ``.grad``. Walking a consumed graph again raises :class:`GraphConsumedError`.
 Under :func:`no_grad` no graph is recorded at all: each new ``Tensor`` is a
 leaf, and reference counting frees intermediate results as soon as the
-caller drops them. Scoring runs that way.
+caller drops them. Scoring runs that way; :func:`recording` tells a node
+whether to keep what only its VJP needs.
 
 The tape is acyclic: a closure captures its parents and plain ndarrays,
 never its own ``Tensor``, so reference counting alone frees a tape once its
@@ -67,6 +68,11 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _recording = was_recording
+
+
+def recording() -> bool:
+    """Whether new tensors record their parents and VJP: False under :func:`no_grad`."""
+    return _recording
 
 
 def _consumed(g: Array):

@@ -8,18 +8,33 @@ value path. Scaled dot-product uses sqrt(head width) by default
 
 Windows are fused in groups of equal member count, which may mix events:
 fusion has no term across windows, so a group of B windows of n posts is one
-pass over (B, n, d) arrays, and no padding is needed. :func:`window_groups`
-cuts each group into chunks of at most ``MAX_PAIRS`` attention pairs. Fusing
-a pass makes seven tape nodes, each with a hand-written vector-Jacobian
-product: two encoder ``linear`` nodes, one ``mh_attention`` node per
-attention block (output affine included), and one :func:`gate` node that
-mixes the two cross-modal views (``trend.aggregate`` adds an eighth).
+pass over (2, B, n, d) stacks, text rows at modality 0 and image rows at 1,
+and no padding is needed. :func:`window_groups` cuts each group into chunks of
+at most ``MAX_PAIRS`` attention pairs per modality. Fusing a chunk makes four
+tape nodes, each with a hand-written vector-Jacobian product: one
+:func:`encode` node that writes the stack, one :func:`attention` node of
+self-attention over it (blocks ``att_text`` and ``att_img``), one of
+cross-attention whose keys and values are the stack with its modality axis
+flipped (``att_ti`` and ``att_it``), and one :func:`gate` node that mixes the
+two halves of the cross output (``trend.aggregate`` adds a fifth). Each
+attention node reads its two blocks' weights from one :func:`block_pair`
+node, which a fusion pass builds once for all its chunks.
 
-Each attention block holds one (..., H, n, n) buffer in the forward pass: the
-scores are scaled, shifted, exponentiated and normalised in place into the
+Inside an attention node, each input modality goes through one
+(rows, d) @ (d, 3d) product that covers every head and the q/k/v roles, and
+``Wo`` and ``W_out`` are one 2-D product each per modality. The VJP makes the
+input gradient and the weight gradient with one product each, over all heads
+and roles. Only the n x n stage runs per (window, head). The tape keeps a
+node's projections, probabilities and head outputs, but not the rows that
+enter ``W_out``: the VJP takes ``W_out``'s gradient through ``Wo`` instead.
+
+That stage holds one (2, B, H, n, n) buffer in the forward pass: the scores
+are scaled, shifted, exponentiated and normalised in place into the
 probabilities that the VJP keeps. The VJP turns its fresh ``g_p`` into the
-score gradient in place too, so a block's backward adds one n x n buffer and
-one n x n temporary.
+score gradient in place too, so a node's backward adds one buffer of that size
+and one temporary. A window whose pairs alone pass ``MAX_PAIRS`` runs the
+stage one modality at a time, so no buffer grows past one modality's
+(1, H, n, n), and scoring holds one at a time.
 
 No residual connections or layer normalization anywhere: the network is
 shallow and gate/LSTM based, and stays stable without them.
@@ -32,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, linear, stable_sigmoid
+from .autodiff import Tensor, recording, stable_sigmoid
 from .data import Dataset
 from .params import AttentionBlock, ModelParams
 from .windows import Window
@@ -40,13 +55,16 @@ from .windows import Window
 SCOPES = ("window", "post")
 SCALES = ("head", "model")
 
-# Attention pairs (B * n * n) one fusion pass may hold. A pass also holds at
-# most MAX_PAIRS / 8 post rows, so that at d = 32 and H = 4 neither its
-# (B, H, n, n) scores nor its (B, n, d) rows pass 256 KB an array, whatever
-# the number of same-size windows. Each block's forward holds one such score
-# buffer, the probabilities the VJP keeps; the VJP reuses its ``g_p`` for the
-# score gradient.
+# Attention pairs (B * n * n) one fusion pass may hold per modality. A pass
+# also holds at most MAX_PAIRS / 8 post rows, so that at d = 32 and H = 4
+# neither one modality's (B, H, n, n) scores nor its (B, n, d) rows pass
+# 256 KB an array, whatever the number of same-size windows. Each attention
+# node's forward keeps the scores of both modalities, the probabilities its VJP
+# reuses for the score gradient.
 MAX_PAIRS = 8192
+# Rows of at most this many keys take their softmax max one key column at a
+# time: exact, and far cheaper than a reduction over a short last axis.
+COLUMN_MAX_KEYS = 16
 
 
 class FusionError(ValueError):
@@ -65,81 +83,172 @@ def check_dims(ds: Dataset, params: ModelParams) -> None:
         )
 
 
-def _head_grad(x: np.ndarray, g_heads: np.ndarray) -> np.ndarray:
-    """Per-head ``x^T @ g`` summed over every leading axis: (H, d, dh)."""
-    heads, dh = g_heads.shape[-3], g_heads.shape[-1]
-    g_rows = np.moveaxis(g_heads, -3, 0).reshape(heads, -1, dh)
-    return x.reshape(-1, x.shape[-1]).T @ g_rows
+def encode(ds: Dataset, params: ModelParams, members: np.ndarray) -> Tensor:
+    """Text and image rows of ``members`` as one (2, *members.shape, d) node.
+
+    Modality m is ``x @ W.T + b`` over its embeddings, which are constants.
+    """
+    d = params.d
+    inputs = (ds.text[members].reshape(-1, ds.d_text),
+              ds.image[members].reshape(-1, ds.d_img))
+    weights = (params["fusion.W_text"], params["fusion.b_text"],
+               params["fusion.W_img"], params["fusion.b_img"])
+    out = np.empty((2, inputs[0].shape[0], d))
+    for m, rows in enumerate(inputs):
+        np.matmul(rows, weights[2 * m].data.T, out=out[m])
+        out[m] += weights[2 * m + 1].data
+
+    def vjp(g: np.ndarray):
+        g = g.reshape(out.shape)
+        grads = []
+        for m, rows in enumerate(inputs):
+            grads += [(rows.T @ g[m]).T, g[m].sum(axis=0)]
+        return grads
+
+    return Tensor(out.reshape((2,) + members.shape + (d,)), weights, vjp)
 
 
-def mh_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    block: AttentionBlock,
+def block_pair(first: AttentionBlock, second: AttentionBlock, cross: bool = False) -> Tensor:
+    """Two attention blocks' weights, one per modality, as one (2, d, 5d + 1) node.
+
+    Row block m holds the projection columns for the rows of input modality
+    m, heads merged (head h of a role in its columns h*dh .. (h+1)*dh): Wq,
+    Wk and Wv of block m, or with ``cross`` Wq of block m next to Wk and Wv
+    of the other block, whose queries attend to these rows. Then come output
+    m's ``Wo``, ``W_out`` and, as the last column, ``b_out``.
+    """
+    d, dh = first.wo.shape[0], first.wq.shape[-1]
+    parents = []
+    for block, other in ((first, second), (second, first)):
+        kv = other if cross else block
+        parents += [block.wq, kv.wk, kv.wv, block.wo, block.w_out, block.b_out]
+    pack = np.empty((2, d, 5 * d + 1))
+    for m in range(2):
+        wq, wk, wv, wo, w_out, b_out = (t.data for t in parents[6 * m:6 * m + 6])
+        pack[m, :, :3 * d] = np.concatenate([wq, wk, wv]).transpose(1, 0, 2).reshape(d, -1)
+        pack[m, :, 3 * d:4 * d] = wo
+        pack[m, :, 4 * d:5 * d] = w_out
+        pack[m, :, 5 * d] = b_out
+
+    def vjp(g: np.ndarray):
+        grads = []
+        for m in range(2):
+            grads += np.split(g[m, :, :3 * d].reshape(d, -1, dh).transpose(1, 0, 2).copy(), 3)
+            grads += [g[m, :, 3 * d:4 * d].copy(), g[m, :, 4 * d:5 * d].copy(),
+                      g[m, :, 5 * d].copy()]
+        return grads
+
+    return Tensor(pack, tuple(parents), vjp)
+
+
+def block_pairs(params: ModelParams) -> tuple[Tensor, Tensor]:
+    """The self- and the cross-attention :func:`block_pair` of ``params``."""
+    return (block_pair(params.block("att_text"), params.block("att_img")),
+            block_pair(params.block("att_ti"), params.block("att_it"), cross=True))
+
+
+def _row_max(s: np.ndarray) -> np.ndarray:
+    """``s.max(axis=-1, keepdims=True)``, key column by key column for short rows."""
+    if s.shape[-1] > COLUMN_MAX_KEYS:
+        return s.max(axis=-1, keepdims=True)
+    top = s[..., :1].copy()
+    for j in range(1, s.shape[-1]):
+        np.maximum(top, s[..., j:j + 1], out=top)
+    return top
+
+
+def attention(
+    x: Tensor,
+    pair: Tensor,
+    heads: int,
+    cross: bool = False,
     scale: str = "head",
     diagonal: bool = False,
     return_weights: bool = False,
 ):
-    """Multi-head attention, rows of q over rows of k/v, then ``x @ W_out.T + b_out``.
+    """Two multi-head attention blocks over the (2, ..., n, d) stack ``x``, one node.
 
-    Sequences run along the second-to-last axis; any leading axes index
-    independent sequences, such as the windows of one fusion group.
-    ``diagonal`` masks every score but (i, i) and needs n_q == n_k;
-    ``return_weights`` also returns the (..., H, n_q, n_k) probability array.
+    Output m attends from the rows of ``x[m]`` to those of ``x[m]``, or with
+    ``cross`` to those of ``x[1 - m]``, with row block m of ``pair`` (see
+    :func:`block_pair`), then applies ``x @ W_out.T + b_out``. Axes between
+    the modality and the rows index independent sequences, such as the
+    windows of one fusion chunk. ``diagonal`` masks every score but (i, i);
+    ``return_weights`` also returns the (2, ..., H, n, n) probabilities.
     """
-    if k.shape[-2] < 1:
+    shape = x.shape
+    n, d = shape[-2:]
+    if n < 1:
         raise FusionError("attention requires at least one key row")
     if scale not in SCALES:
         raise FusionError(f"unknown attention scale {scale!r}")
-    n_q, d = q.shape[-2:]
-    heads = block.heads
     c = 1.0 / (np.sqrt(d / heads) if scale == "head" else np.sqrt(d))
-    wq, wk, wv, wo, w_out = block.wq, block.wk, block.wv, block.wo, block.w_out
+    w = pair.data
+    rows_in = x.data.reshape(2, -1, d)
+    batch = rows_in.shape[1] // n
+    # (role, modality, window, head, post, head width) views of the projections
+    q, k, v = (rows_in @ w[:, :, :3 * d]).reshape(2, batch, n, 3, heads, -1) \
+        .transpose(3, 0, 1, 4, 2, 5)
+    if cross:
+        k, v = k[::-1], v[::-1]
+    # A window too big for the pair budget on its own runs one modality at a time.
+    parts = [slice(0, 1), slice(1, 2)] if n * max(n, 8) > MAX_PAIRS else [slice(0, 2)]
+    merged = np.empty((2, batch, n, heads, d // heads))
+    heads_first = merged.transpose(0, 1, 3, 2, 4)
+    keep = recording() or return_weights
+    probs = []
+    for s in parts:
+        # The softmax runs in place on one score buffer, in the operand order
+        # of ``e = exp(s * c - max); p = e / e.sum``, so every float equals the
+        # out-of-place form's.
+        p = q[s] @ k[s].swapaxes(-1, -2)
+        p *= c
+        if diagonal:
+            p[..., ~np.eye(n, dtype=bool)] = -np.inf
+        p -= _row_max(p)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, v[s], out=heads_first[s])
+        if keep:
+            probs.append(p)
+        del p
+    merged = merged.reshape(2, -1, d)
 
-    qh = q.data[..., None, :, :] @ wq.data          # (..., H, n_q, dh)
-    kh = k.data[..., None, :, :] @ wk.data          # (..., H, n_k, dh)
-    vh = v.data[..., None, :, :] @ wv.data          # (..., H, n_k, dh)
-    # The softmax runs in place on the one (..., H, n_q, n_k) score buffer, in
-    # the operand order of ``e = exp(s * c - max); p = e / e.sum``, so every
-    # float equals the out-of-place form's.
-    p = qh @ kh.swapaxes(-1, -2)
-    p *= c
-    if diagonal:
-        p[..., ~np.eye(n_q, dtype=bool)] = -np.inf
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    merged = (p @ vh).swapaxes(-3, -2).reshape(q.shape)
-    rows = (merged @ wo.data).reshape(-1, d)
+    def vjp(g_out: np.ndarray):
+        g_rows = g_out.reshape(merged.shape)
+        g_pair = np.empty_like(w)
+        # W_out's gradient g_rows^T @ (merged @ Wo), associated so that the
+        # tape need not keep the rows that entered W_out
+        np.matmul(g_rows.swapaxes(-1, -2) @ merged, w[:, :, 3 * d:4 * d],
+                  out=g_pair[:, :, 4 * d:5 * d])
+        g_pair[:, :, 5 * d] = g_rows.sum(axis=1)
+        g = g_rows @ w[:, :, 4 * d:5 * d]
+        np.matmul(merged.swapaxes(-1, -2), g, out=g_pair[:, :, 3 * d:4 * d])
+        g_att = (g @ w[:, :, 3 * d:4 * d].swapaxes(-1, -2)) \
+            .reshape(2, batch, n, heads, -1).transpose(0, 1, 3, 2, 4)
+        g_proj = np.empty((2, batch, n, 3, heads, d // heads))
+        g_q, g_k, g_v = g_proj.transpose(3, 0, 1, 4, 2, 5)
+        if cross:
+            g_k, g_v = g_k[::-1], g_v[::-1]
+        for s, p in zip(parts, probs):
+            # g_p turns into the score gradient p * (g_p - (g_p * p).sum) * c
+            # in place, in that operand order
+            g_s = g_att[s] @ v[s].swapaxes(-1, -2)
+            g_s -= (g_s * p).sum(axis=-1, keepdims=True)
+            g_s *= p
+            g_s *= c
+            np.matmul(g_s, k[s], out=g_q[s])
+            np.matmul(g_s.swapaxes(-1, -2), q[s], out=g_k[s])
+            np.matmul(p.swapaxes(-1, -2), g_att[s], out=g_v[s])
+        g_proj = g_proj.reshape(2, -1, 3 * d)
+        np.matmul(rows_in.swapaxes(-1, -2), g_proj, out=g_pair[:, :, :3 * d])
+        return (g_proj @ w[:, :, :3 * d].swapaxes(-1, -2)).reshape(shape), g_pair
 
-    def vjp(g_out):
-        g_rows = g_out.reshape(rows.shape)
-        g = (g_rows @ w_out.data).reshape(q.shape)
-        g_att = (g @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
-        # g_p turns into the score gradient p * (g_p - (g_p * p).sum) * c in
-        # place, in that operand order
-        g_s = g_att @ vh.swapaxes(-1, -2)
-        g_s -= (g_s * p).sum(axis=-1, keepdims=True)
-        g_s *= p
-        g_s *= c
-        g_qh = g_s @ kh
-        g_kh = (qh.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
-        g_vh = p.swapaxes(-1, -2) @ g_att
-        return (
-            (g_qh @ wq.data.swapaxes(-1, -2)).sum(axis=-3),
-            (g_kh @ wk.data.swapaxes(-1, -2)).sum(axis=-3),
-            (g_vh @ wv.data.swapaxes(-1, -2)).sum(axis=-3),
-            _head_grad(q.data, g_qh),
-            _head_grad(k.data, g_kh),
-            _head_grad(v.data, g_vh),
-            merged.reshape(-1, d).T @ g.reshape(-1, d),
-            (rows.T @ g_rows).T, g_rows.sum(axis=0),
-        )
-
-    out = (rows @ w_out.data.T).reshape(q.shape) + block.b_out.data
-    out = Tensor(out, (q, k, v, wq, wk, wv, wo, w_out, block.b_out), vjp)
-    return (out, p) if return_weights else out
+    out = (merged @ w[:, :, 3 * d:4 * d]) @ w[:, :, 4 * d:5 * d].swapaxes(-1, -2) \
+        + w[:, None, :, 5 * d]
+    out = Tensor(out.reshape(shape), (x, pair), vjp)
+    if return_weights:
+        return out, probs[0] if len(probs) == 1 else np.concatenate(probs)
+    return out
 
 
 def window_groups(windows: Sequence[Window]) -> list[list[int]]:
@@ -160,40 +269,43 @@ def window_groups(windows: Sequence[Window]) -> list[list[int]]:
     return chunks
 
 
-def gate(c_ti: Tensor, c_it: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Soft-gated mix ``g * c_ti + (1 - g) * c_it`` as one node, and the gate g.
+def gate(cross: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Soft-gated mix ``g * c_ti + (1 - g) * c_it`` of the halves of ``cross``
+    as one node, and the gate g.
 
-    ``g = sigmoid(c_ti @ w_a.T + c_it @ w_b.T + b)``, where ``w_a`` and ``w_b``
-    are the two (d, d) column blocks of the (d, 2d) gate matrix ``w``.
+    ``cross`` is the (2, ..., d) stack of ``c_ti`` and ``c_it``, and
+    ``g = sigmoid(c_ti @ w_a.T + c_it @ w_b.T + b)``, where ``w_a`` and
+    ``w_b`` are the two (d, d) column blocks of the (d, 2d) gate matrix ``w``.
     """
-    shape, d = c_ti.shape, c_ti.shape[-1]
-    a, c = c_ti.data.reshape(-1, d), c_it.data.reshape(-1, d)
+    shape, d = cross.shape[1:], cross.shape[-1]
+    a, c = cross.data.reshape(2, -1, d)
     w_a, w_b = w.data[:, :d], w.data[:, d:]
     g = stable_sigmoid(a @ w_a.T + c @ w_b.T + b.data)
 
     def vjp(grad: np.ndarray):
         grad = grad.reshape(-1, d)
         dz = grad * (a - c) * g * (1.0 - g)
+        g_cross = np.empty((2,) + a.shape)
+        g_cross[0] = grad * g + dz @ w_a
+        g_cross[1] = grad * (1.0 - g) + dz @ w_b
         return (
-            (grad * g + dz @ w_a).reshape(shape),
-            (grad * (1.0 - g) + dz @ w_b).reshape(shape),
+            g_cross.reshape(cross.shape),
             np.concatenate([dz.T @ a, dz.T @ c], axis=1),
             dz.sum(axis=0),
         )
 
-    fused = Tensor((g * a + (1.0 - g) * c).reshape(shape), (c_ti, c_it, w, b), vjp)
+    fused = Tensor((g * a + (1.0 - g) * c).reshape(shape), (cross, w, b), vjp)
     return fused, g.reshape(shape)
 
 
 @dataclass
 class GroupFusion:
-    """One pass over B windows of n posts: (B, n, d) each, row b following the
-    members of the pass's window b."""
+    """One pass over B windows of n posts, row b following the members of the
+    pass's window b."""
 
-    cross_ti: Tensor
-    cross_it: Tensor
+    cross: Tensor  # (2, B, n, d): c_ti, then c_it
     gate: np.ndarray  # the gate node's g, in (0, 1)
-    fused: Tensor
+    fused: Tensor  # (B, n, d)
 
 
 def fuse_group(
@@ -202,9 +314,12 @@ def fuse_group(
     windows: Sequence[Window],
     scope: str = "window",
     scale: str = "head",
+    pairs: tuple[Tensor, Tensor] | None = None,
 ) -> GroupFusion:
     """Full fusion pipeline for windows of one member count, in one pass.
 
+    ``pairs`` are :func:`block_pairs` of ``params``, which a caller fusing
+    several groups builds once; by default this pass builds its own.
     Zero image vectors (absent images) encode exactly onto the image bias.
     """
     if scope not in SCOPES:
@@ -214,18 +329,14 @@ def fuse_group(
         raise FusionError(f"a fusion group needs windows of one non-zero member "
                           f"count, got counts {sorted(sizes)}")
     check_dims(ds, params)
+    intra, inter = block_pairs(params) if pairs is None else pairs
 
-    members = np.array([w.members for w in windows])     # (B, n)
-    t = linear(ds.text[members], params["fusion.W_text"], params["fusion.b_text"])
-    i = linear(ds.image[members], params["fusion.W_img"], params["fusion.b_img"])
     post = scope == "post"
-    h_text = mh_attention(t, t, t, params.block("att_text"), scale, diagonal=post)
-    h_img = mh_attention(i, i, i, params.block("att_img"), scale, diagonal=post)
-    c_ti = mh_attention(h_text, h_img, h_img, params.block("att_ti"), scale, diagonal=post)
-    c_it = mh_attention(h_img, h_text, h_text, params.block("att_it"), scale, diagonal=post)
-
-    fused, g = gate(c_ti, c_it, params["fusion.W_g"], params["fusion.b_g"])
-    return GroupFusion(c_ti, c_it, g, fused)
+    x = encode(ds, params, np.array([w.members for w in windows]))
+    h = attention(x, intra, params.heads, False, scale, diagonal=post)
+    c = attention(h, inter, params.heads, True, scale, diagonal=post)
+    fused, g = gate(c, params["fusion.W_g"], params["fusion.b_g"])
+    return GroupFusion(c, g, fused)
 
 
 def fuse_window(
@@ -235,7 +346,7 @@ def fuse_window(
     scope: str = "window",
     scale: str = "head",
 ) -> GroupFusion:
-    """Fusion of one window: a group of one, (1, n, d) tensors.
+    """Fusion of one window: a group of one, (1, n, d) tensors per modality.
 
     Only ``bench/tracer.py`` uses it: the tracer wraps this name. Deleting it
     waits for the benchmark change that points the tracer at ``fuse_group``.

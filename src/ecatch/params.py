@@ -11,13 +11,17 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
   ``lstm.b_g`` (d,)
 * classifier ``clf.W_c`` (1, d), ``clf.b_c`` (1,)
 
-The (out, in) matrices above are applied as ``x @ W.T + b``: the encoders and
-the classifier by ``autodiff.linear``, ``W_g`` by ``fusion.gate`` and ``W_out``
-by ``fusion.mh_attention``. The 12 LSTM tensors enter only through
-``trend.run_lstm``, one tape node for all events, which stacks each kind in
-gate order and applies them the same way. Each attention block is one
-``fusion.mh_attention`` node per fusion chunk (windows of one member count),
-which applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out), ``x @ W``, before ``W_out``.
+The (out, in) matrices above are applied as ``x @ W.T + b``: the encoders by
+``fusion.encode``, the classifier by ``autodiff.linear``, ``W_g`` by
+``fusion.gate`` and ``W_out`` by ``fusion.attention``. The 12 LSTM tensors
+enter only through ``trend.run_lstm``, one tape node for all events, which
+stacks each kind in gate order and applies them the same way. The attention
+blocks enter in pairs, one block per modality: ``att_text`` with ``att_img``
+and ``att_ti`` with ``att_it``. Each pair is one ``fusion.block_pair`` node per
+fusion pass, which stacks the two blocks' tensors and merges ``Wq/Wk/Wv``
+across heads, and one ``fusion.attention`` node per fusion chunk (windows of
+one member count), which applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out),
+``x @ W``, before ``W_out``.
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per
 head/matrix, biases at zero, in fixed name order from a seeded generator.

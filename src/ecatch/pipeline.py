@@ -59,22 +59,25 @@ def evaluate_posts_and_events(
     """Post-level metrics over ``indices``; event-level aggregate alongside.
 
     An event enters the aggregate when it has at least one selected post; its
-    reference label is the majority label of those posts (ties go to 1).
+    reference label is the majority label of those posts (ties go to 1). Each
+    event's selected and positive counts are two bincounts over the events'
+    members.
     """
     post_level = evaluate(p_post[indices], ds.labels[indices], threshold).as_dict()
 
-    selected = set(int(i) for i in indices)
-    ev_probs: list[float] = []
-    ev_labels: list[int] = []
-    for ev in events:
-        members = [i for i in ev.member_indices if i in selected]
-        if not members:
-            continue
-        ev_probs.append(p_event[ev.event_id])
-        ev_labels.append(int(np.mean([ds.labels[i] for i in members]) >= 0.5))
+    selected = np.zeros(ds.n, dtype=bool)
+    selected[indices] = True
+    members = np.concatenate([np.asarray(ev.member_indices, dtype=np.intp)
+                              for ev in events] or [np.zeros(0, dtype=np.intp)])
+    owner = np.repeat(np.arange(len(events)), [len(ev.member_indices) for ev in events])
+    chosen = selected[members]
+    count = np.bincount(owner[chosen], minlength=len(events))
+    positive = np.bincount(owner[chosen], weights=ds.labels[members[chosen]],
+                           minlength=len(events))
+    kept = np.flatnonzero(count)
     event_level = None
-    if ev_probs:
-        event_level = evaluate(
-            np.asarray(ev_probs), np.asarray(ev_labels), threshold
-        ).as_dict()
+    if kept.size:
+        ev_probs = np.array([p_event[events[e].event_id] for e in kept])
+        ev_labels = (2 * positive[kept] >= count[kept]).astype(np.int64)
+        event_level = evaluate(ev_probs, ev_labels, threshold).as_dict()
     return {"post_level": post_level, "event_level": event_level}

@@ -1,7 +1,9 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
 One epoch is one full-batch pass: the windows of all events are fused in
-groups of equal member count, and one gather node orders the groups'
+chunks of equal member count, five tape nodes a chunk (the encoder, self- and
+cross-attention over both modalities, the gate and the aggregate) and two
+attention weight nodes for them all, and one gather node orders the chunks'
 aggregates by ascending event_id for the lockstep trend encoding and one
 read-out into an ``objective.Readout``. The epoch loss is
 ``ce + lambda_tc * tc``: one cross-entropy node over the training posts
@@ -30,7 +32,7 @@ from .config import RunConfig
 from .data import Dataset
 # ``fuse_window`` is not called here. Only ``bench/tracer.py`` uses it: the
 # tracer wraps the names ``run_model`` used to call.
-from .fusion import FusionError, fuse_group, fuse_window, window_groups  # noqa: F401
+from .fusion import FusionError, block_pairs, fuse_group, fuse_window, window_groups  # noqa: F401
 from .metrics import EvalResult, evaluate
 from .objective import (
     LossReport,
@@ -70,18 +72,20 @@ def fused_aggregates(
     alpha: float,
 ) -> tuple[list[Tensor], np.ndarray]:
     """Decay-weighted fused aggregates of ``windows``, one pass per chunk of
-    :func:`fusion.window_groups`.
+    :func:`fusion.window_groups`, all chunks reading one pair of attention
+    weight nodes.
 
     Returns the chunks' (B, d) aggregates, in chunk order, and for each
     window the row of their stack that holds its aggregate.
     """
     chunks = window_groups(windows)
+    pairs = block_pairs(params)
     parts = []
     for chunk in chunks:
         group = [windows[k] for k in chunk]
         # One expression, so no chunk's fused rows outlive its aggregate
         # under ``no_grad``.
-        parts.append(aggregate(fuse_group(ds, params, group, scope, scale).fused,
+        parts.append(aggregate(fuse_group(ds, params, group, scope, scale, pairs).fused,
                                decay_weights(ds, group, alpha)))
     rows = np.empty(len(windows), dtype=np.intp)
     rows[[k for chunk in chunks for k in chunk]] = np.arange(len(windows))

@@ -24,7 +24,7 @@ from .clustering import (PseudoEvent, agglomerate, average_linkage_chain, cluste
                          cosine_distances)
 from .config import RunConfig
 from .data import Dataset, assign_splits
-from .fusion import fuse_group, mh_attention
+from .fusion import attention, block_pairs, fuse_group
 from .metrics import auc_by_pair_enumeration, auc_roc
 from .objective import PROB_CLAMP, ce_loss, tc_terms
 from .params import LSTM_GATES, ModelParams
@@ -191,20 +191,21 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
                         tuple(range(b * n, (b + 1) * n)), int(times[(b + 1) * n - 1]))
                  for b in range(n_windows)]
 
-        # attention rows must be stochastic even for large scores
-        q = Tensor(rng.normal(size=(n, d)) * float(rng.choice([0.1, 1.0, 3.0])))
-        k = Tensor(rng.normal(size=(n, d)) * float(rng.choice([0.1, 1.0, 3.0])))
-        _, weights = mh_attention(q, k, k, params.block("att_ti"),
-                                  return_weights=True)
-        track(float(np.abs(weights.sum(axis=-1) - 1.0).max()),
-              f"trial {trial}: softmax row sum")
+        # attention rows must be stochastic even for large scores, in both
+        # stacked nodes and both modalities
+        x = Tensor(rng.normal(size=(2, n_windows, n, d))
+                   * rng.choice([0.1, 1.0, 3.0], size=(2, 1, 1, 1)))
+        for cross, pair in enumerate(block_pairs(params)):
+            _, weights = attention(x, pair, heads, bool(cross), return_weights=True)
+            track(float(np.abs(weights.sum(axis=-1) - 1.0).max()),
+                  f"trial {trial}: softmax row sum")
 
         gf = fuse_group(ds, params, group)
         gate = gf.gate
         if not ((gate > 0.0).all() and (gate < 1.0).all()):
             track(1.0, f"trial {trial}: gate out of (0,1)")
-        lo = np.minimum(gf.cross_ti.data, gf.cross_it.data) - 1e-12
-        hi = np.maximum(gf.cross_ti.data, gf.cross_it.data) + 1e-12
+        lo = gf.cross.data.min(axis=0) - 1e-12
+        hi = gf.cross.data.max(axis=0) + 1e-12
         track(float(np.maximum(lo - gf.fused.data, gf.fused.data - hi).max()),
               f"trial {trial}: fused outside gate interval")
 

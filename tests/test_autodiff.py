@@ -140,12 +140,11 @@ def test_gather_gradients(rng):
 
 
 def test_gate_over_leading_axes_matches_rows(rng):
-    c_ti, c_it = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    cross = rng.normal(size=(2, 2, 3, 4))  # c_ti, then c_it
     w, b = rng.normal(size=(4, 8)), rng.normal(size=(4,))
-    fd_check(lambda x, y, u, v: gate(x, y, u, v)[0], c_ti, c_it, w, b)
-    batched, g_batched = gate(*(Tensor(a) for a in (c_ti, c_it, w, b)))
-    rows, g_rows = gate(Tensor(c_ti.reshape(6, 4)), Tensor(c_it.reshape(6, 4)),
-                        Tensor(w), Tensor(b))
+    fd_check(lambda x, u, v: gate(x, u, v)[0], cross, w, b)
+    batched, g_batched = gate(*(Tensor(a) for a in (cross, w, b)))
+    rows, g_rows = gate(Tensor(cross.reshape(2, 6, 4)), Tensor(w), Tensor(b))
     np.testing.assert_array_equal(batched.data.reshape(6, 4), rows.data)
     np.testing.assert_array_equal(g_batched.reshape(6, 4), g_rows)
 
@@ -284,7 +283,7 @@ def test_no_grad_records_no_graph_and_restores_its_state(rng):
     coef = -rng.uniform(0.1, 2.0, size=(2, 4))
 
     def loss():
-        fused, _ = gate(gather([a, b], range(4)), gather([b, a], range(4)), w_g, b_g)
+        fused, _ = gate(gather([a, b], [[0, 1, 2, 3], [2, 3, 0, 1]]), w_g, b_g)
         tc, _ = tc_terms(fused, offsets=[0, 2, 4])
         return fused, add_scaled(ce_loss(linear(fused, w_c), coef), tc, 0.5)
 

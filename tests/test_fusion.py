@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ecatch import fusion
 from ecatch.autodiff import Tensor, finite_difference_gradient, no_grad
-from ecatch.fusion import FusionError, mh_attention
+from ecatch.fusion import FusionError, attention, block_pair, block_pairs
 from ecatch.params import AttentionBlock, ModelParams
 from ecatch.windows import Window
 
@@ -25,8 +25,8 @@ def build_params(d=4, heads=2, d_text=3, d_img=3, seed=0, zero=False):
 
 
 def encode(ds, params, indices):
-    """The text and image encoder outputs, (n, d) each, read off the tape of
-    a one-window fusion pass over ``indices``."""
+    """The text and image encoder outputs, (n, d) each, read off the encoder
+    node of a one-window fusion pass over ``indices``."""
     fused = fusion.fuse_group(ds, params, [Window(1, 0, 1, tuple(indices), 0)]).fused
     nodes, stack = [], [fused]
     while stack:
@@ -37,7 +37,8 @@ def encode(ds, params, indices):
     def node_of(name):
         return next(n for n in nodes if any(p is params[name] for p in n._parents))
 
-    return node_of("fusion.W_text").data[0], node_of("fusion.W_img").data[0]
+    text, image = node_of("fusion.W_text").data[:, 0]
+    return text, image
 
 
 def test_encode_zero_weights_give_bias(rng):
@@ -75,48 +76,66 @@ def test_encode_dimension_mismatch(rng):
         encode(ds, build_params(d_text=3), range(2))
 
 
+def random_blocks(rng, heads, dh, scale=1.0):
+    """Two attention blocks of random Tensors, and their arrays in block order."""
+    d = heads * dh
+    shapes = [(heads, d, dh)] * 3 + [(d, d), (d, d), (d,)]
+    arrays = [rng.normal(size=s) * scale for _ in range(2) for s in shapes]
+    tensors = [Tensor(a) for a in arrays]
+    return AttentionBlock(*tensors[:6]), AttentionBlock(*tensors[6:]), arrays, tensors
+
+
+def stacked(x, blocks, cross=False, **kwargs):
+    """One attention node over the (2, ..., n, d) array ``x``."""
+    return attention(Tensor(x), block_pair(*blocks, cross=cross), blocks[0].heads, cross,
+                     **kwargs)
+
+
 def test_attention_single_key_ignores_query(rng):
-    params = build_params(seed=3)
-    block = params.block("att_ti")
-    k = Tensor(rng.normal(size=(1, 4)))
-    out1 = mh_attention(Tensor(rng.normal(size=(3, 4))), k, k, block)
-    out2 = mh_attention(Tensor(rng.normal(size=(3, 4)) * 50), k, k, block)
-    # with one key the softmax is 1 for every query row
-    for out in (out1, out2):
-        assert np.allclose(out.data[0], out.data[1])
-    np.testing.assert_allclose(out1.data, out2.data)
+    # With one key the softmax is 1, so a cross output does not see its
+    # queries, and a self output is its own row's value path.
+    blocks = random_blocks(rng, 2, 2)[:2]
+    x = rng.normal(size=(2, 3, 1, 4))
+    y = x.copy()
+    y[0] = rng.normal(size=(3, 1, 4)) * 50
+    for cross, same in ((True, 0), (False, 1)):
+        out1, out2 = stacked(x, blocks, cross).data, stacked(y, blocks, cross).data
+        np.testing.assert_array_equal(out1[same], out2[same])
+        assert not np.allclose(out1[1 - same], out2[1 - same])
 
 
 def test_attention_identical_keys_identical_rows(rng):
-    params = build_params(seed=4)
-    block = params.block("att_text")
-    k = Tensor(np.tile(rng.normal(size=(1, 4)), (5, 1)))
-    q = Tensor(rng.normal(size=(3, 4)))
-    out = mh_attention(q, k, k, block)
-    assert np.allclose(out.data, out.data[0])
+    blocks = random_blocks(rng, 2, 2)[:2]
+    x = np.stack([rng.normal(size=(5, 4)), np.tile(rng.normal(size=(1, 4)), (5, 1))])
+    out = stacked(x, blocks, cross=True).data
+    assert np.allclose(out[0], out[0, 0])  # queries of x[0] over identical keys
+    assert np.allclose(out[1], out[1, 0])  # identical queries
 
 
 def test_single_head_uniform_softmax_is_column_mean(rng):
     # zero query/key projections force uniform attention; identity value and
     # output projections then average the value rows
     params = ModelParams.build(4, 1, 3, 3, zero=True)
-    block = params.block("att_img")
-    block.wv.data[...] = np.eye(4)[None]
-    block.wo.data[...] = np.eye(4)
-    block.w_out.data[...] = np.eye(4)
-    v = rng.normal(size=(6, 4))
-    out = mh_attention(Tensor(rng.normal(size=(2, 4))), Tensor(v), Tensor(v), block)
-    direct = v.mean(axis=0)
-    np.testing.assert_allclose(out.data, np.tile(direct, (2, 1)), atol=1e-12)
+    for name in ("att_text", "att_img", "att_ti", "att_it"):
+        block = params.block(name)
+        block.wv.data[...] = np.eye(4)[None]
+        block.wo.data[...] = np.eye(4)
+        block.w_out.data[...] = np.eye(4)
+    x = rng.normal(size=(2, 6, 4))
+    for cross, pair in enumerate(block_pairs(params)):
+        out = attention(Tensor(x), pair, 1, bool(cross)).data
+        for m in range(2):
+            direct = x[m if not cross else 1 - m].mean(axis=0)
+            np.testing.assert_allclose(out[m], np.tile(direct, (6, 1)), atol=1e-12)
 
 
 def test_attention_rows_stochastic(rng):
     params = build_params(seed=5)
-    q = Tensor(rng.normal(size=(4, 4)) * 3)
-    k = Tensor(rng.normal(size=(6, 4)))
-    _, w = mh_attention(q, k, k, params.block("att_it"), return_weights=True)
-    assert w.shape == (2, 4, 6)
-    assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-12
+    x = Tensor(rng.normal(size=(2, 3, 6, 4)) * 3)
+    for cross, pair in enumerate(block_pairs(params)):
+        _, w = attention(x, pair, 2, bool(cross), return_weights=True)
+        assert w.shape == (2, 3, 2, 6, 6)
+        assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-12
 
 
 def merge(heads):
@@ -133,44 +152,60 @@ def numpy_attention(q, k, v, wq, wk, wv, wo, w_out, b_out, divisor, diagonal):
     return merge((e / e.sum(axis=-1, keepdims=True)) @ (v @ wv)) @ wo @ w_out.T + b_out
 
 
+def assert_gemv_close(got, want):
+    """Equal up to a few units in the last place of the largest entry: how far
+    a gemv's sums and a GEMM's may differ."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=8 * np.finfo(np.float64).eps * np.abs(want).max())
+
+
+def sources(x, cross):
+    """Per output modality m: its queries x[m] and its keys and values."""
+    return [(x[m], x[1 - m] if cross else x[m]) for m in range(2)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    n_q=st.integers(1, 5),
-    n_k=st.integers(1, 5),
+    n=st.integers(1, 5),
     heads=st.sampled_from([1, 2, 4]),
     dh=st.integers(1, 2),
     scale=st.sampled_from(["head", "model"]),
     post=st.booleans(),
+    cross=st.booleans(),
     seed=st.integers(0, 10_000),
 )
 def test_attention_node_matches_numpy_and_finite_differences(
-        n_q, n_k, heads, dh, scale, post, seed):
-    diagonal = post and n_q == n_k
+        n, heads, dh, scale, post, cross, seed):
     d = heads * dh
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(n_q, d)), rng.normal(size=(n_k, d)),
-              rng.normal(size=(n_k, d))]
-    arrays += [rng.normal(size=(heads, d, dh)) for _ in range(3)]
-    arrays += [rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=d)]
-    g = rng.normal(size=(n_q, d))
+    *_, weights, _ = random_blocks(rng, heads, dh)
+    arrays = [rng.normal(size=(2, n, d))] + weights
+    g = rng.normal(size=(2, n, d))
 
     def attend(arrs):
         tensors = [Tensor(a) for a in arrs]
-        block = AttentionBlock(*tensors[3:])
-        out = mh_attention(*tensors[:3], block, scale, diagonal=diagonal)
-        return out, tensors
+        pair = block_pair(AttentionBlock(*tensors[1:7]), AttentionBlock(*tensors[7:]), cross)
+        return attention(tensors[0], pair, heads, cross, scale, diagonal=post), tensors
 
     out, tensors = attend(arrays)
     divisor = np.sqrt(dh) if scale == "head" else np.sqrt(d)
-    expected = numpy_attention(*arrays, divisor, diagonal)
-    assert out.data.tobytes() == expected.tobytes()
-    if diagonal:  # each query sees only its own row: the value path
-        v, wv, wo, w_out, b_out = arrays[2], *arrays[5:]
-        assert out.data.tobytes() == (merge(v @ wv) @ wo @ w_out.T + b_out).tobytes()
+    for m, (q, kv) in enumerate(sources(arrays[0], cross)):
+        block = weights[6 * m:6 * m + 6]
+        expected = numpy_attention(q, kv, kv, *block, divisor, post)
+        value_path = merge(kv @ block[2]) @ block[3] @ block[4].T + block[5]
+        if n == 1 or dh == 1:
+            # numpy computes a one-row or one-column product with gemv, whose
+            # sums may round differently from the node's merged GEMM
+            assert_gemv_close(out.data[m], expected)
+            continue
+        assert out.data[m].tobytes() == expected.tobytes()
+        if post:  # each query sees only its own row: the value path
+            assert out.data[m].tobytes() == value_path.tobytes()
 
     out.backward(g)
-    if diagonal:
-        assert np.all(tensors[0].grad == 0.0)
+    if post:  # no score gradient, so no query or key projection learns
+        for k in (1, 2, 7, 8):
+            assert np.all(tensors[k].grad == 0.0), k
     # Rounding in f(x ± h) puts about eps * S / h into each central difference,
     # S being the sum of the |terms| that f adds up (|f| itself can cancel far
     # below S). For gradients below about 1e-4 * S the 1e-6 relative bound lies
@@ -187,11 +222,9 @@ def test_attention_node_matches_numpy_and_finite_differences(
 
 
 def test_attention_rejects_empty_keys(rng):
-    params = build_params()
-    q = Tensor(rng.normal(size=(2, 4)))
-    k = Tensor(np.zeros((0, 4)))
+    blocks = random_blocks(rng, 2, 2)[:2]
     with pytest.raises(FusionError):
-        mh_attention(q, k, k, params.block("att_text"))
+        stacked(np.zeros((2, 0, 4)), blocks)
 
 
 def symmetric_setup(rng, n=3):
@@ -213,8 +246,9 @@ def symmetric_setup(rng, n=3):
 def test_equal_cross_outputs_pin_fusion(rng):
     ds, params = symmetric_setup(rng)
     wf = fusion.fuse_group(ds, params, [window_over(ds)])
-    np.testing.assert_allclose(wf.cross_ti.data, wf.cross_it.data)
-    np.testing.assert_allclose(wf.fused.data, wf.cross_ti.data)
+    c_ti, c_it = wf.cross.data
+    np.testing.assert_allclose(c_ti, c_it)
+    np.testing.assert_allclose(wf.fused.data, c_ti)
 
 
 def test_saturated_gate_selects_first_branch(rng):
@@ -223,7 +257,7 @@ def test_saturated_gate_selects_first_branch(rng):
     params["fusion.W_g"].data[...] = 0.0
     params["fusion.b_g"].data[...] = 40.0
     wf = fusion.fuse_group(ds, params, [window_over(ds)])
-    assert np.abs(wf.fused.data - wf.cross_ti.data).max() < 1e-9
+    assert np.abs(wf.fused.data - wf.cross.data[0]).max() < 1e-9
 
 
 def test_single_post_window_finite(rng):
@@ -237,8 +271,7 @@ def test_gate_bounds_and_convex_combination(rng):
     ds = make_dataset(rng.normal(size=(5, 3)), image=rng.normal(size=(5, 3)))
     wf = fusion.fuse_group(ds, build_params(seed=9), [window_over(ds)])
     assert np.all(wf.gate > 0.0) and np.all(wf.gate < 1.0)
-    lo = np.minimum(wf.cross_ti.data, wf.cross_it.data)
-    hi = np.maximum(wf.cross_ti.data, wf.cross_it.data)
+    lo, hi = wf.cross.data.min(axis=0), wf.cross.data.max(axis=0)
     assert np.all(wf.fused.data >= lo - 1e-12)
     assert np.all(wf.fused.data <= hi + 1e-12)
 
@@ -303,31 +336,27 @@ def test_fusion_gradients_match_finite_differences(rng):
 @given(
     batch=st.integers(1, 3),
     n=st.integers(1, 4),
-    n_k=st.integers(1, 4),
     heads=st.sampled_from([1, 2]),
     post=st.booleans(),
+    cross=st.booleans(),
     seed=st.integers(0, 10_000),
 )
 def test_batched_attention_matches_each_sequence_and_finite_differences(
-        batch, n, n_k, heads, post, seed):
-    diagonal = post and n == n_k
-    d = 2 * heads
+        batch, n, heads, post, cross, seed):
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(batch, n, d)), rng.normal(size=(batch, n_k, d)),
-              rng.normal(size=(batch, n_k, d))]
-    arrays += [rng.normal(size=(heads, d, 2)) for _ in range(3)]
-    arrays += [rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=d)]
-    g = rng.normal(size=(batch, n, d))
+    *_, weights, _ = random_blocks(rng, heads, 2)
+    arrays = [rng.normal(size=(2, batch, n, 2 * heads))] + weights
+    g = rng.normal(size=(2, batch, n, 2 * heads))
 
     def attend(arrs):
         tensors = [Tensor(a) for a in arrs]
-        block = AttentionBlock(*tensors[3:])
-        return mh_attention(*tensors[:3], block, diagonal=diagonal), tensors
+        pair = block_pair(AttentionBlock(*tensors[1:7]), AttentionBlock(*tensors[7:]), cross)
+        return attention(tensors[0], pair, heads, cross, diagonal=post), tensors
 
     out, tensors = attend(arrays)
     for b in range(batch):
-        one, _ = attend([a[b] for a in arrays[:3]] + arrays[3:])
-        np.testing.assert_allclose(out.data[b], one.data, rtol=1e-12, atol=1e-14)
+        one, _ = attend([arrays[0][:, b]] + arrays[1:])
+        np.testing.assert_allclose(out.data[:, b], one.data, rtol=1e-12, atol=1e-14)
 
     out.backward(g)
     for idx, tensor in enumerate(tensors):
@@ -339,9 +368,17 @@ def test_batched_attention_matches_each_sequence_and_finite_differences(
         assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max(), 1e-3), idx
 
 
+def head_grad(x, g_heads):
+    """Per-head ``x^T @ g`` summed over every leading axis: (H, d, dh)."""
+    heads, dh = g_heads.shape[-3], g_heads.shape[-1]
+    g_rows = np.moveaxis(g_heads, -3, 0).reshape(heads, -1, dh)
+    return x.reshape(-1, x.shape[-1]).T @ g_rows
+
+
 def out_of_place_attention(q, k, v, wq, wk, wv, wo, w_out, b_out, c, diagonal, g_out):
-    """The attention forward and its nine VJP outputs, each n x n step in a
-    fresh array: the expressions the in-place softmax must match bit for bit."""
+    """One attention block in the per-head layout, with each n x n step in a
+    fresh array: its forward and the nine gradients of its q, k, v and
+    weights, each head's input and weight gradients summed over heads."""
     n_q, d = q.shape[-2:]
     heads = wq.shape[0]
     qh, kh, vh = q[..., None, :, :] @ wq, k[..., None, :, :] @ wk, v[..., None, :, :] @ wv
@@ -366,55 +403,148 @@ def out_of_place_attention(q, k, v, wq, wk, wv, wo, w_out, b_out, c, diagonal, g
         (g_qh @ wq.swapaxes(-1, -2)).sum(axis=-3),
         (g_kh @ wk.swapaxes(-1, -2)).sum(axis=-3),
         (g_vh @ wv.swapaxes(-1, -2)).sum(axis=-3),
-        fusion._head_grad(q, g_qh), fusion._head_grad(k, g_kh), fusion._head_grad(v, g_vh),
+        head_grad(q, g_qh), head_grad(k, g_kh), head_grad(v, g_vh),
         merged.reshape(-1, d).T @ g.reshape(-1, d), (rows.T @ g_rows).T, g_rows.sum(axis=0),
     )
-    return out, p, grads
+    return out, grads
+
+
+def out_of_place_stacked(x, pair, heads, cross, c, diagonal, g_out):
+    """An attention node in its stacked, head-merged layout, with each n x n
+    step in a fresh array: the forward, the probabilities and the VJP
+    outputs that the node's in-place softmax must match bit for bit."""
+    n, d = x.shape[-2:]
+    rows_in = x.reshape(2, -1, d)
+    q, k, v = (rows_in @ pair[:, :, :3 * d]).reshape(2, -1, n, 3, heads, d // heads) \
+        .transpose(3, 0, 1, 4, 2, 5)
+    if cross:
+        k, v = k[::-1], v[::-1]
+    scores = (q @ k.swapaxes(-1, -2)) * c
+    if diagonal:
+        scores[..., ~np.eye(n, dtype=bool)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    merged = (p @ v).transpose(0, 1, 3, 2, 4).reshape(2, -1, d)
+    rows = merged @ pair[:, :, 3 * d:4 * d]
+    out = rows @ pair[:, :, 4 * d:5 * d].swapaxes(-1, -2) + pair[:, None, :, 5 * d]
+
+    g_rows = g_out.reshape(rows.shape)
+    g = g_rows @ pair[:, :, 4 * d:5 * d]
+    g_att = (g @ pair[:, :, 3 * d:4 * d].swapaxes(-1, -2)) \
+        .reshape(2, -1, n, heads, d // heads).transpose(0, 1, 3, 2, 4)
+    g_p = g_att @ v.swapaxes(-1, -2)
+    g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+    g_q, g_k, g_v = g_s @ k, g_s.swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ g_att
+    if cross:
+        g_k, g_v = g_k[::-1], g_v[::-1]
+    g_proj = np.stack([g_q, g_k, g_v]).transpose(1, 2, 4, 0, 3, 5).reshape(2, -1, 3 * d)
+    g_pair = np.concatenate([rows_in.swapaxes(-1, -2) @ g_proj, merged.swapaxes(-1, -2) @ g,
+                             (g_rows.swapaxes(-1, -2) @ merged) @ pair[:, :, 3 * d:4 * d],
+                             g_rows.sum(axis=1)[..., None]],
+                            axis=-1)
+    g_x = (g_proj @ pair[:, :, :3 * d].swapaxes(-1, -2)).reshape(x.shape)
+    return out.reshape(x.shape), p, (g_x, g_pair)
+
+
+def burst_size_params(d=32, heads=4, seed=1):
+    """Model parameters with attention weights at the scale of a trained model."""
+    params = ModelParams.build(d, heads, 8, 8, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, tensor in params.items():
+        if name.startswith("fusion.att_"):
+            scale = 1.0 if name.endswith("b_out") else 1.0 / np.sqrt(d)
+            tensor.data = rng.normal(size=tensor.shape) * scale
+    return params
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize("batch, n", [(1, 150), (40, 8)], ids=["burst-window", "chunk"])
 def test_attention_is_bitwise_the_out_of_place_softmax_at_burst_size(batch, n, diagonal):
+    # At n = 150 the node runs its n x n stage one modality at a time, at
+    # n = 8 both at once; the reference runs both at once.
     d, heads = 32, 4
     rng = np.random.default_rng(batch * 1000 + n)
-    arrays = [rng.normal(size=(batch, n, d)) for _ in range(3)]
-    arrays += [rng.normal(size=(heads, d, d // heads)) / np.sqrt(d) for _ in range(3)]
-    arrays += [rng.normal(size=(d, d)) / np.sqrt(d), rng.normal(size=(d, d)) / np.sqrt(d),
-               rng.normal(size=d)]
-    g_out = rng.normal(size=(batch, n, d))
+    params = burst_size_params(d, heads)
     c = 1.0 / np.sqrt(d / heads)
+    for cross, pair in enumerate(block_pairs(params)):
+        x = rng.normal(size=(2, batch, n, d))
+        g_out = rng.normal(size=(2, batch, n, d))
+        out, p = attention(Tensor(x), pair, heads, bool(cross), diagonal=diagonal,
+                           return_weights=True)
+        ref_out, ref_p, ref_grads = out_of_place_stacked(x, pair.data, heads, cross, c,
+                                                         diagonal, g_out)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert p.tobytes() == ref_p.tobytes()
+        grads = out._vjp(g_out)
+        assert len(grads) == len(ref_grads) == 2
+        for idx, (got, want) in enumerate(zip(grads, ref_grads)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (cross, idx)
 
-    tensors = [Tensor(a) for a in arrays]
-    out, p = mh_attention(*tensors[:3], AttentionBlock(*tensors[3:]), diagonal=diagonal,
-                          return_weights=True)
-    ref_out, ref_p, ref_grads = out_of_place_attention(*arrays, c, diagonal, g_out)
-    assert out.data.tobytes() == ref_out.tobytes()
-    assert p.tobytes() == ref_p.tobytes()
-    grads = out._vjp(g_out)
-    assert len(grads) == len(ref_grads) == 9
-    for idx, (got, want) in enumerate(zip(grads, ref_grads)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), idx
+
+def assert_close_to_per_head(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("batch, n", [(64, 1), (5, 1), (30, 2), (7, 5), (40, 8), (10, 16),
+                                      (4, 17), (2, 60), (1, 91), (1, 190)])
+def test_two_nodes_match_four_per_block_passes(batch, n):
+    # The self and the cross node against the four blocks run one by one in
+    # the per-head layout: the forward byte for byte (1-post windows go
+    # through gemv there, which may round differently), the gradients up to
+    # the order in which heads, roles and modalities are summed.
+    d, heads = 32, 4
+    rng = np.random.default_rng(n)
+    params = burst_size_params(d, heads)
+    c = 1.0 / np.sqrt(d / heads)
+    x = rng.normal(size=(2, batch, n, d))
+    g_out = rng.normal(size=(2, 2, batch, n, d))
+    names = (("att_text", "att_img"), ("att_ti", "att_it"))
+    for cross, (pair, blocks) in enumerate(zip(block_pairs(params), names)):
+        node = attention(Tensor(x), pair, heads, bool(cross))
+        g_x, g_pair = node._vjp(g_out[cross])
+        g_weights = pair._vjp(g_pair)
+        ref_gx = np.zeros_like(x)
+        for m, (q, kv) in enumerate(sources(x, cross)):
+            block = params.block(blocks[m])
+            weights = [t.data for t in (block.wq, block.wk, block.wv, block.wo, block.w_out,
+                                        block.b_out)]
+            ref, grads = out_of_place_attention(q, kv, kv, *weights, c, False,
+                                                g_out[cross, m])
+            if n == 1:
+                assert_gemv_close(node.data[m], ref)
+            else:
+                assert node.data[m].tobytes() == ref.tobytes(), (cross, m)
+            ref_gx[m] += grads[0]
+            ref_gx[1 - m if cross else m] += grads[1] + grads[2]
+            for t, want in zip((block.wq, block.wk, block.wv, block.wo, block.w_out,
+                                block.b_out), grads[3:]):
+                got = g_weights[next(k for k, p in enumerate(pair._parents) if p is t)]
+                assert_close_to_per_head(got, want)
+        assert_close_to_per_head(g_x, ref_gx)
+        x = node.data  # the cross node reads the self node's output
 
 
 def test_attention_forward_holds_one_score_buffer():
-    # Without a graph the block's peak allocation is its one (1, H, n, n)
-    # score buffer plus (n, d)-sized rows; each out-of-place softmax step
-    # would add a buffer of its own.
+    # Without a graph each node's peak allocation is one (1, H, n, n) score
+    # buffer plus (n, d)-sized rows: a window this big runs its modalities
+    # one after the other, and each out-of-place softmax step would add a
+    # buffer of its own.
     n, d, heads = 190, 32, 4
     rng = np.random.default_rng(0)
     params = build_params(d=d, heads=heads, d_text=d, d_img=d, seed=1)
-    x = Tensor(rng.normal(size=(1, n, d)))
-    block = params.block("att_text")
+    x = Tensor(rng.normal(size=(2, 1, n, d)))
     with no_grad():
-        mh_attention(x, x, x, block)  # warm any lazy set-up outside the trace
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            mh_attention(x, x, x, block)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-    assert peak < 2 * heads * n * n * 8, peak / (heads * n * n * 8)
+        pairs = block_pairs(params)
+        for cross, pair in enumerate(pairs):
+            attention(x, pair, heads, bool(cross))  # warm any lazy set-up outside the trace
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                attention(x, pair, heads, bool(cross))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * heads * n * n * 8, (cross, peak / (heads * n * n * 8))
 
 
 def test_window_groups_cut_same_size_chunks():
@@ -449,9 +579,10 @@ def test_group_pass_matches_one_window_passes(rng):
     assert together.fused.shape == (3, 3, 4)
     for k, w in enumerate(group):
         alone = fusion.fuse_group(ds, params, [w])
-        for field in ("cross_ti", "cross_it", "fused"):
-            np.testing.assert_allclose(getattr(together, field).data[k],
-                                       getattr(alone, field).data[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(together.cross.data[:, k], alone.cross.data[:, 0],
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(together.fused.data[k], alone.fused.data[0],
+                                   rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(together.gate[k], alone.gate[0], rtol=1e-12, atol=1e-15)
 
 
@@ -473,13 +604,13 @@ def test_group_pass_rejects_mixed_sizes(rng):
 def test_gate_node_matches_numpy_and_finite_differences(batch, n, d, shift, seed):
     # ``shift`` pushes the gate bias towards one branch without saturating it.
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(batch, n, d)), rng.normal(size=(batch, n, d)),
-              rng.normal(size=(d, 2 * d)), rng.normal(size=d) + shift]
+    arrays = [rng.normal(size=(2, batch, n, d)), rng.normal(size=(d, 2 * d)),
+              rng.normal(size=d) + shift]
     g = rng.normal(size=(batch, n, d))
     tensors = [Tensor(a) for a in arrays]
     out, gate = fusion.gate(*tensors)
 
-    c_ti, c_it, w, b = arrays
+    (c_ti, c_it), w, b = arrays
     ref = 1.0 / (1.0 + np.exp(-(np.concatenate([c_ti, c_it], axis=-1) @ w.T + b)))
     np.testing.assert_allclose(gate, ref, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(out.data, ref * c_ti + (1.0 - ref) * c_it, rtol=1e-12, atol=1e-15)
@@ -498,14 +629,14 @@ def test_gate_node_matches_numpy_and_finite_differences(batch, n, d, shift, seed
 
 @pytest.mark.parametrize("bias, chosen", [(800.0, 0), (-800.0, 1)])
 def test_saturated_gate_node_passes_one_branch_and_no_gate_gradient(rng, bias, chosen):
-    arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)),
-              rng.normal(size=(4, 8)) * 0.1, np.full(4, bias)]
+    arrays = [rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(4, 8)) * 0.1, np.full(4, bias)]
     tensors = [Tensor(a) for a in arrays]
     out, gate = fusion.gate(*tensors)
     assert np.all(gate == (1.0 if chosen == 0 else 0.0))
-    np.testing.assert_array_equal(out.data, arrays[chosen])
+    np.testing.assert_array_equal(out.data, arrays[0][chosen])
     g = rng.normal(size=(2, 3, 4))
     out.backward(g)
-    np.testing.assert_array_equal(tensors[chosen].grad, g)
-    for k in (1 - chosen, 2, 3):  # the other branch and the gate's weights
+    np.testing.assert_array_equal(tensors[0].grad[chosen], g)
+    assert np.all(tensors[0].grad[1 - chosen] == 0.0)  # the other branch
+    for k in (1, 2):  # the gate's weights
         assert np.all(tensors[k].grad == 0.0), k

@@ -67,19 +67,24 @@ def test_layout_covers_the_grouping_cases():
     assert [[sizes[k] for k in c] for c in chunks] == [[1, 1], [2, 2, 2, 2], [3], [5]]
 
 
-def test_one_forward_makes_four_attention_nodes_per_chunk():
+def test_one_forward_makes_two_attention_nodes_per_chunk():
+    # One self- and one cross-attention node per chunk, each applying two
+    # blocks; the pass builds each pair's weight node once.
     ds, events, windows, params, cfg = keyed_problem(LAYOUT)
     out = training.run_model(ds, events, windows, params, cfg)
     nodes = _tape(out.states)
     n_chunks = len(fusion.window_groups(flat_windows(events, windows)))
     assert n_chunks == 4 < len(flat_windows(events, windows))
-    for block in ATT_BLOCKS:
-        wq = params[f"fusion.{block}.Wq"]
-        assert sum(any(p is wq for p in n._parents) for n in nodes) == n_chunks, block
+    pairs = [n for n in nodes if any(p is params["fusion.att_text.Wq"] for p in n._parents)
+             or any(p is params["fusion.att_ti.Wq"] for p in n._parents)]
+    assert len(pairs) == 2
+    for pair in pairs:
+        assert sum(any(p is pair for p in n._parents) for n in nodes) == n_chunks
 
 
 def test_each_attention_block_is_one_node_per_chunk():
-    # The block's projections and its output affine enter the same node.
+    # All six tensors of a block enter one weight node, shared with the other
+    # block of its pair, and that node enters one attention node per chunk.
     ds, events, windows, params, cfg = keyed_problem(LAYOUT)
     nodes = _tape(training.run_model(ds, events, windows, params, cfg).states)
     n_chunks = len(fusion.window_groups(flat_windows(events, windows)))
@@ -87,8 +92,9 @@ def test_each_attention_block_is_one_node_per_chunk():
         tensors = [params[f"fusion.{block}.{t}"]
                    for t in ("Wq", "Wk", "Wv", "Wo", "W_out", "b_out")]
         users = [n for n in nodes if any(any(p is t for p in n._parents) for t in tensors)]
-        assert len(users) == n_chunks, block
-        assert all(any(p is t for p in n._parents) for n in users for t in tensors), block
+        assert len(users) == 1, block
+        assert all(any(p is t for p in users[0]._parents) for t in tensors), block
+        assert sum(any(p is users[0] for p in n._parents) for n in nodes) == n_chunks, block
 
 
 def score(ds, events, windows, params, cfg):

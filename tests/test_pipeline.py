@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 from conftest import DAY, make_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecatch import pipeline, training
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
+from ecatch.metrics import evaluate
 from ecatch.params import ModelParams
 from ecatch.windows import segment_all
 
@@ -52,3 +55,39 @@ def test_scoring_keeps_no_tape():
     assert p_post.tobytes() == taped.p_post.tobytes()
     assert np.array(list(p_event.items())).tobytes() == \
         np.array(list(taped.p_event.items())).tobytes()
+
+
+def looped_event_level(ds, indices, p_event, events, threshold):
+    """The event-level aggregate, one event and one post at a time."""
+    selected = set(int(i) for i in indices)
+    probs, labels = [], []
+    for ev in events:
+        members = [i for i in ev.member_indices if i in selected]
+        if members:
+            probs.append(p_event[ev.event_id])
+            labels.append(int(np.mean([ds.labels[i] for i in members]) >= 0.5))
+    if not probs:
+        return None
+    return evaluate(np.asarray(probs), np.asarray(labels), threshold).as_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       share=st.sampled_from([0.0, 0.2, 0.5, 1.0]), seed=st.integers(0, 10_000))
+def test_event_level_counts_match_the_per_event_loop(sizes, share, seed):
+    # Some events have no selected post, some tie between the labels.
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    ds = make_dataset(rng.normal(size=(n, 2)), labels=rng.integers(0, 2, size=n))
+    order = rng.permutation(n)
+    bounds = np.cumsum([0] + sizes)
+    events = [PseudoEvent(int(e), tuple(int(i) for i in order[a:b]))
+              for e, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    indices = np.sort(rng.choice(n, size=max(1, int(share * n)), replace=False))
+    p_post = rng.random(n)
+    p_event = {ev.event_id: float(rng.random()) for ev in events}
+    report = pipeline.evaluate_posts_and_events(ds, indices, p_post, p_event, events, 0.5)
+    assert report == {
+        "post_level": evaluate(p_post[indices], ds.labels[indices], 0.5).as_dict(),
+        "event_level": looped_event_level(ds, indices, p_event, events, 0.5),
+    }

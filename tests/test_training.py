@@ -193,10 +193,10 @@ def _kind(node) -> str:
 
 
 def test_epoch_tape_holds_only_fused_nodes():
-    # 8 nodes per fusion chunk and 7 for all events: the gather of the
-    # chunks' aggregates into event order, the trend input, the LSTM, the
-    # readout, the two loss nodes and their weighted sum; the leaves are the
-    # parameters. No node is made per event.
+    # 5 nodes per fusion chunk, 2 attention weight nodes per fusion pass, and
+    # 7 for all events: the gather of the chunks' aggregates into event order,
+    # the trend input, the LSTM, the readout, the two loss nodes and their
+    # weighted sum; the leaves are the parameters. No node is made per event.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
     flat = [w for ev in events for w in windows[ev.event_id].windows]
     chunks, n_events = len(fusion.window_groups(flat)), len(events)
@@ -204,8 +204,10 @@ def test_epoch_tape_holds_only_fused_nodes():
     tape = _tape(forward(ds, events, windows, params, cfg).loss)
     assert Counter(_kind(n) for n in tape) == {
         "": len(params.names()),
-        "linear": 2 * chunks + 1,
-        "mh_attention": 4 * chunks,
+        "linear": 1,
+        "encode": chunks,
+        "block_pair": 2,
+        "attention": 2 * chunks,
         "gate": chunks,
         "aggregate": chunks,
         "gather": 1,
@@ -216,7 +218,7 @@ def test_epoch_tape_holds_only_fused_nodes():
         "add_scaled": 1,
     }
     assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
-    assert len(tape) - len(params.names()) == 8 * chunks + 7
+    assert len(tape) - len(params.names()) == 5 * chunks + 2 + 7
 
 
 def test_backward_leaves_gradients_on_parameters_only():
