@@ -1,11 +1,13 @@
 """ecatch command line: generate | cluster | train | eval | predict | crosseval | verify.
 
-Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error (a bad run
-config, ``generate`` spec or ``verify --seeds`` value). ECATCH_THREADS (default 1)
-sizes the BLAS thread pools: it fills in whichever of OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS and MKL_NUM_THREADS is unset, before numpy is first
-imported (``import ecatch`` imports none), which keeps training bitwise
-reproducible for a given thread count.
+Exit codes: 0 success, 1 runtime/numeric failure (a bad dataset or run directory
+among them), 2 configuration error (a bad run config, ``generate`` spec, ``verify
+--seeds`` value or ECATCH_THREADS). ECATCH_THREADS (default 1) sizes the BLAS
+thread pools: it fills in whichever of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS is unset, before numpy is first imported (``import ecatch``
+imports none), which keeps training bitwise reproducible for a given thread
+count. It must be a positive decimal integer; BLAS would read any other value as
+"every core", so another is not exported, and every command refuses it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import os
 
 _threads = os.environ.get("ECATCH_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, _threads)
+_threads_ok = _threads.isascii() and _threads.isdigit() and int(_threads) > 0
+if _threads_ok:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
 
 import argparse
 import hashlib
@@ -28,7 +32,7 @@ import numpy as np
 from .clustering import ClusteringError, check_partition, load_events, save_events
 from .config import (KEYS, NON_NEGATIVE, ConfigError, RunConfig, check_value, load_config,
                      parse_override, read_config_file, save_config)
-from .data import Dataset, assign_splits, load_dataset, write_dataset
+from .data import Dataset, assign_splits, load_dataset, read_json, write_dataset
 from .params import shape_table
 from .pipeline import build_structure, evaluate_posts_and_events, predictions
 from .synth import MAX_ARRAY_BYTES, SynthSpec, generate, write_ground_truth
@@ -69,11 +73,8 @@ def _check_model_size(ds: Dataset, cfg: RunConfig) -> None:
 
 # -- commands -----------------------------------------------------------------
 def cmd_generate(args) -> int:
-    try:
-        raw = json.loads(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read spec {args.spec}: {exc}") from exc
-    spec = SynthSpec.from_dict(raw)
+    # from_dict refuses a spec that is not an object
+    spec = SynthSpec.from_dict(read_json(Path(args.spec), f"spec {args.spec}", ConfigError))
     out = Path(args.out)
     _prepare_out_dir(out, args.force)
     ds, truth = generate(spec)
@@ -141,27 +142,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_persisted(path: Path, load):
-    """``load(path)``, or a CliError naming the file when it is malformed."""
-    try:
-        return load(path)
-    except ClusteringError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"{path}: malformed ({exc!r})") from exc
-
-
 def _structure_for(ds, cfg, run_dir: Path):
     """Reuse the persisted events of this dataset, refusing damaged ones, and
     rebuild their windows, which depend on the timestamps alone."""
     ev_path, meta_path = run_dir / "events.json", run_dir / "dataset.json"
     if ev_path.is_file() and meta_path.is_file():
-        meta = _read_persisted(meta_path, lambda p: json.loads(p.read_text()))
-        if not isinstance(meta, dict):
-            raise CliError(f"{meta_path}: not a JSON object")
+        meta = read_json(meta_path, str(meta_path), CliError, dict)
         if meta.get("fingerprint") == _fingerprint(ds):
-            events = _read_persisted(ev_path, load_events)
             try:
+                events = load_events(ev_path)
                 check_partition(events, ds.n)
             except ClusteringError as exc:
                 raise CliError(f"{ev_path}: {exc}") from exc
@@ -360,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not _threads_ok:
+            raise ConfigError(f"ECATCH_THREADS must be a positive decimal integer, "
+                              f"got {_threads!r}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

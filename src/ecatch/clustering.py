@@ -68,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_json
 
 LINKAGES = ("average", "complete", "single")
 
@@ -404,9 +404,7 @@ def _json_int(value, where: str) -> int:
 
 def load_events(path: str | Path) -> list[PseudoEvent]:
     """The events of ``save_events``; each id and member must be a JSON integer."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, list):
-        raise ClusteringError("events must be a JSON list")
+    payload = read_json(Path(path), "events", ClusteringError, list)
     events = []
     for k, e in enumerate(payload):
         if not isinstance(e, dict) or not isinstance(e.get("members"), list):

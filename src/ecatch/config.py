@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .clustering import LINKAGES
+from .data import read_json
 from .fusion import SCALES, SCOPES
 from .objective import WEIGHT_SCOPES
 from .windows import DAY, PRESETS
@@ -192,13 +193,7 @@ class RunConfig:
 
 def read_config_file(path: str | Path) -> dict[str, Any]:
     """The JSON object a config file holds, keys and values not yet checked."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return raw
+    return read_json(Path(path), f"config {path}", ConfigError, dict)
 
 
 def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> RunConfig:

@@ -11,7 +11,9 @@ Directory layout (all files required except image.f32):
   image-absent.
 
 Embeddings are stored as float32 but all in-memory computation is float64.
-A loaded Dataset is immutable (arrays are marked read-only).
+A loaded Dataset is immutable (arrays are marked read-only). Every missing or
+malformed file raises ``DatasetError`` naming it. ``read_json`` reads every JSON
+document the program takes from outside, here and in the modules above.
 """
 
 from __future__ import annotations
@@ -31,6 +33,32 @@ MAX_TIMESTAMP = 2**62
 
 class DatasetError(ValueError):
     """Malformed dataset directory or invalid dataset operation."""
+
+
+# How a top-level value of another type is reported, by the type asked for.
+_WRONG_KIND = {dict: "is not a JSON object", list: "must be a JSON list"}
+# What json.loads(text) calls, less its argument checks: one call a manifest line.
+_decode = json.JSONDecoder().decode
+
+
+def read_json(source: Path | str | bytes, where: str, error: type[Exception],
+              kind: type = object):
+    """The JSON ``kind`` in ``source`` (a file, or one document's text or bytes),
+    or ``error`` with the prefix ``where``. Bytes must be UTF-8, where
+    ``json.loads`` would also take UTF-16 and UTF-32.
+    """
+    try:
+        if isinstance(source, Path):
+            source = source.read_bytes()
+        if isinstance(source, bytes):
+            source = source.decode()
+        value = _decode(source)
+    # ValueError covers bad UTF-8 and bad JSON; RecursionError, deep nesting.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"{where}: {exc}") from exc
+    if not isinstance(value, kind):
+        raise error(f"{where} {_WRONG_KIND[kind]}")
+    return value
 
 
 class Dataset:
@@ -102,12 +130,14 @@ class Dataset:
         )
 
 
-def _read_matrix(path: Path, n: int, d: int, name: str) -> np.ndarray:
+def _read_matrix(path: Path, n: int, d: int) -> np.ndarray:
+    if not path.is_file():
+        raise DatasetError(f"missing {path.name} in {path.parent}")
     expected = n * d * 4
     actual = path.stat().st_size
     if actual != expected:
         raise DatasetError(
-            f"{name}: expected {expected} bytes for {n}x{d} float32, found {actual}"
+            f"{path.name}: expected {expected} bytes for {n}x{d} float32, found {actual}"
         )
     raw = np.fromfile(path, dtype="<f4")
     return raw.reshape(n, d).astype(np.float64)
@@ -126,14 +156,7 @@ def _check_finite(mat: np.ndarray, rows: np.ndarray | None, name: str) -> None:
 def load_dataset(directory: str | Path) -> Dataset:
     """Load and validate a dataset directory; missing images become zero rows."""
     directory = Path(directory)
-    meta_path = directory / "meta.json"
-    if not meta_path.is_file():
-        raise DatasetError(f"missing meta.json in {directory}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"meta.json: invalid JSON ({exc})") from exc
-
+    meta = read_json(directory / "meta.json", "meta.json", DatasetError, dict)
     for key in ("n_posts", "d_text", "d_img", "format_version"):
         if key not in meta or isinstance(meta[key], bool) or not isinstance(meta[key], int):
             raise DatasetError(f"meta.json: missing or non-integer field {key!r}")
@@ -143,58 +166,55 @@ def load_dataset(directory: str | Path) -> Dataset:
     if n < 0 or d_text < 1 or d_img < 1:
         raise DatasetError("meta.json: n_posts must be >= 0 and dims positive")
 
-    manifest_path = directory / "manifest.jsonl"
-    if not manifest_path.is_file():
-        raise DatasetError(f"missing manifest.jsonl in {directory}")
     ids: list[str] = []
     labels: list[int] = []
     timestamps: list[int] = []
     has_image: list[bool] = []
     extra: list[dict] = []
-    with manifest_path.open() as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(row.get("id"), str):
-                raise DatasetError(f"manifest line {lineno}: id must be a string")
-            label = row.get("label")
-            if isinstance(label, bool) or label not in (0, 1):
-                raise DatasetError(f"manifest line {lineno}: label must be 0 or 1")
-            ts = row.get("timestamp")
-            if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
-                raise DatasetError(
-                    f"manifest line {lineno}: timestamp must be a non-negative integer"
-                )
-            if ts > MAX_TIMESTAMP:
-                raise DatasetError(
-                    f"manifest line {lineno}: timestamp {ts} exceeds 2**62, beyond "
-                    f"which window arithmetic may overflow int64"
-                )
-            if not isinstance(row.get("has_image"), bool):
-                raise DatasetError(f"manifest line {lineno}: has_image must be a bool")
-            ids.append(row["id"])
-            labels.append(int(label))
-            timestamps.append(ts)
-            has_image.append(row["has_image"])
-            extra.append({k: v for k, v in row.items() if k not in _MANIFEST_KEYS})
+    try:
+        with (directory / "manifest.jsonl").open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh):
+                line = line.strip()
+                if not line:
+                    continue
+                row = read_json(line, f"manifest line {lineno}", DatasetError, dict)
+                if not isinstance(row.get("id"), str):
+                    raise DatasetError(f"manifest line {lineno}: id must be a string")
+                label = row.get("label")
+                if isinstance(label, bool) or label not in (0, 1):
+                    raise DatasetError(f"manifest line {lineno}: label must be 0 or 1")
+                ts = row.get("timestamp")
+                if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
+                    raise DatasetError(
+                        f"manifest line {lineno}: timestamp must be a non-negative integer"
+                    )
+                if ts > MAX_TIMESTAMP:
+                    raise DatasetError(
+                        f"manifest line {lineno}: timestamp {ts} exceeds 2**62, beyond "
+                        f"which window arithmetic may overflow int64"
+                    )
+                if not isinstance(row.get("has_image"), bool):
+                    raise DatasetError(f"manifest line {lineno}: has_image must be a bool")
+                ids.append(row["id"])
+                labels.append(int(label))
+                timestamps.append(ts)
+                has_image.append(row["has_image"])
+                extra.append({k: v for k, v in row.items() if k not in _MANIFEST_KEYS})
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"manifest.jsonl: {exc}") from exc
     if len(ids) != n:
         raise DatasetError(f"manifest has {len(ids)} rows but meta declares {n}")
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})[0]
         raise DatasetError(f"duplicate post id {dup!r}")
 
-    text = _read_matrix(directory / "text.f32", n, d_text, "text.f32")
+    text = _read_matrix(directory / "text.f32", n, d_text)
     _check_finite(text, None, "text.f32")
 
     has_image_arr = np.asarray(has_image, dtype=bool)
     image_path = directory / "image.f32"
     if image_path.is_file():
-        image = _read_matrix(image_path, n, d_img, "image.f32")
+        image = _read_matrix(image_path, n, d_img)
         present = np.flatnonzero(has_image_arr)
         _check_finite(image, present, "image.f32")
         image[~has_image_arr] = 0.0

@@ -65,9 +65,7 @@ def auc_roc(p: np.ndarray, y: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
-def evaluate(
-    p: np.ndarray, y: np.ndarray, threshold: float = 0.5, positive_class: int = 1
-) -> EvalResult:
+def evaluate(p: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> EvalResult:
     """Threshold-at-``threshold`` confusion metrics plus rank AUC."""
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y)
@@ -78,7 +76,7 @@ def evaluate(
     if not 0.0 < threshold < 1.0:
         raise MetricsError(f"threshold must be in (0, 1), got {threshold}")
 
-    pos = y == positive_class
+    pos = y == 1
     pred = p >= threshold
     tp = int((pred & pos).sum())
     fp = int((pred & ~pos).sum())
@@ -92,7 +90,7 @@ def evaluate(
     accuracy = (tp + tn) / p.size
 
     try:
-        auc = auc_roc(p, (y == positive_class).astype(int))
+        auc = auc_roc(p, pos.astype(int))
     except MetricsError:
         auc = float("nan")
 

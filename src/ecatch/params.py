@@ -52,10 +52,6 @@ class AttentionBlock:
     w_out: Tensor   # (d, d) output affine, applied after Wo
     b_out: Tensor   # (d,)
 
-    @property
-    def heads(self) -> int:
-        return self.wq.shape[0]
-
 
 def shape_table(d: int, heads: int, d_text: int, d_img: int) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape, by name, in the fixed name order; allocates nothing."""

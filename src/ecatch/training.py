@@ -29,7 +29,7 @@ import numpy as np
 from .autodiff import Tensor, add_scaled
 from .clustering import PseudoEvent
 from .config import RunConfig
-from .data import Dataset
+from .data import Dataset, read_json
 # ``fuse_window`` is not called here. Only ``bench/tracer.py`` uses it: the
 # tracer wraps the names ``run_model`` used to call.
 from .fusion import FusionError, block_pairs, fuse_group, fuse_window, window_groups  # noqa: F401
@@ -359,16 +359,14 @@ def _field(entry, key: str, where: str, kind: type):
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise TrainingError(f"checkpoint: {exc}") from exc
     nl = raw.find(b"\n")
     if nl < 0:
         raise TrainingError("checkpoint: missing header line")
-    try:
-        header = json.loads(raw[:nl].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TrainingError(f"checkpoint: bad header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise TrainingError("checkpoint: header is not a JSON object")
+    header = read_json(raw[:nl], "checkpoint: header", TrainingError, dict)
     version = header.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise TrainingError(

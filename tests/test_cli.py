@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,10 @@ import pytest
 from ecatch import cli, clustering
 from ecatch.cli import main
 from ecatch.pipeline import build_structure
-from ecatch.data import Dataset, load_dataset, write_dataset
+from ecatch.clustering import ClusteringError, load_events
+from ecatch.config import ConfigError, load_config
+from ecatch.data import Dataset, DatasetError, load_dataset, write_dataset
+from ecatch.training import TrainingError, load_checkpoint
 
 from conftest import DAY, nan_gradient_at_epoch_1
 
@@ -489,6 +493,15 @@ def test_help_documents_config_keys(capsys):
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+
+def _env(**variables):
+    """This environment less the BLAS variables, plus ``variables``, importing this ecatch."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return dict(env, **variables)
+
+
 # Records OPENBLAS_NUM_THREADS at the moment numpy is first imported.
 NUMPY_IMPORT_PROBE = """
 import os, sys
@@ -512,10 +525,116 @@ print(Probe.seen)
     ("import ecatch; from ecatch import train", [None]),
 ])
 def test_ecatch_threads_reach_blas_before_numpy_starts(statement, seen):
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env["ECATCH_THREADS"] = "3"
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
     proc = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE.format(statement=statement)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_env(ECATCH_THREADS="3"), capture_output=True, text=True,
+                          check=True)
     assert proc.stdout.strip() == repr(seen)
+
+
+# Runs main with the given arguments, then prints what reached OMP and MKL.
+MAIN_PROBE = """
+import os, sys
+from ecatch.cli import main
+rc = main(sys.argv[1:])
+print([os.environ.get(v) for v in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")])
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "1.5", "+2", "\u0663"])
+def test_bad_ecatch_threads_is_not_exported_and_exits_2(tmp_path, value):
+    # OPENBLAS_NUM_THREADS is preset, so the numpy import starts one thread.
+    argv = ["generate", "--spec", str(write_spec(tmp_path)), "--out", str(tmp_path / "x")]
+    proc = subprocess.run([sys.executable, "-c", MAIN_PROBE, *argv],
+                          env=_env(ECATCH_THREADS=value, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout.strip() == "[None, None]"
+    assert (f"configuration error: ECATCH_THREADS must be a positive decimal integer, "
+            f"got {value!r}" in proc.stderr)
+    assert not (tmp_path / "x").exists()
+
+
+def _write(name, content):
+    """Replace ``name`` under the test directory with bytes, or with a directory
+    when ``content`` is None."""
+    def damage(root):
+        path = root / name
+        path.unlink(missing_ok=True)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+    return damage
+
+
+def _unlink(name):
+    return lambda root: (root / name).unlink()
+
+
+def _generate(root):
+    return cli.cmd_generate(Namespace(spec=str(root / "bad-spec.json"), out=str(root / "gen"),
+                                      force=False))
+
+
+def _load_run(root):
+    return cli._load_run(Namespace(checkpoint=str(root / "run" / "checkpoint.bin"),
+                                   data=str(root / "data")))
+
+
+CLUSTER = ["cluster", "--data", "data", "--out", "events.json"]
+EVAL = ["eval", "--data", "data", "--checkpoint", "run/checkpoint.bin"]
+NESTED = b"[" * 100_000
+
+# damage, the API call and the typed error it raises, the command line, its exit
+# code and what its error says
+MALFORMED_FILES = {
+    "config-utf16": (_write("bad-config.json", '{"model.d": 4}'.encode("utf-16")),
+                     lambda root: load_config(root / "bad-config.json"), ConfigError,
+                     CLUSTER + ["--config", "bad-config.json"], 2,
+                     "bad-config.json: 'utf-8' codec can't decode byte 0xff in position 0"),
+    "spec-latin1": (_write("bad-spec.json", '{"seed": "\u00e9"}'.encode("latin-1")),
+                    _generate, ConfigError,
+                    ["generate", "--spec", "bad-spec.json", "--out", "gen"], 2,
+                    "bad-spec.json: 'utf-8' codec can't decode byte 0xe9 in position 10"),
+    "meta-int": (_write("data/meta.json", b"5"), lambda root: load_dataset(root / "data"),
+                 DatasetError, CLUSTER, 1, "meta.json is not a JSON object"),
+    "manifest-line-list": (_write("data/manifest.jsonl", b"[1, 2]\n"),
+                           lambda root: load_dataset(root / "data"), DatasetError, CLUSTER, 1,
+                           "manifest line 0 is not a JSON object"),
+    "manifest-latin1": (_write("data/manifest.jsonl", '{"id": "\u00e9"}\n'.encode("latin-1")),
+                        lambda root: load_dataset(root / "data"), DatasetError, CLUSTER, 1,
+                        "manifest.jsonl: 'utf-8' codec can't decode byte 0xe9"),
+    "text-missing": (_unlink("data/text.f32"), lambda root: load_dataset(root / "data"),
+                     DatasetError, CLUSTER, 1, "missing text.f32 in"),
+    "events-not-json": (_write("run/events.json", b"\x00"),
+                        lambda root: load_events(root / "run" / "events.json"),
+                        ClusteringError, EVAL, 1, "events.json: events: Expecting value"),
+    "dataset-nested": (_write("run/dataset.json", NESTED), _load_run, cli.CliError, EVAL, 1,
+                       "dataset.json: maximum recursion depth exceeded"),
+    "checkpoint-missing": (_unlink("run/checkpoint.bin"),
+                           lambda root: load_checkpoint(root / "run" / "checkpoint.bin"),
+                           TrainingError, EVAL, 1, "checkpoint: [Errno 2] No such file"),
+    "checkpoint-directory": (_write("run/checkpoint.bin", None),
+                             lambda root: load_checkpoint(root / "run" / "checkpoint.bin"),
+                             TrainingError, EVAL, 1, "checkpoint: [Errno 21] Is a directory"),
+    "checkpoint-header-nested": (_write("run/checkpoint.bin", NESTED + b"\n"),
+                                 lambda root: load_checkpoint(root / "run" / "checkpoint.bin"),
+                                 TrainingError, EVAL, 1,
+                                 "checkpoint: header: maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_file_raises_its_typed_error_and_exit_code(tmp_path, run_dir, capsys,
+                                                              monkeypatch, case):
+    damage, api, error, argv, code, says = MALFORMED_FILES[case]
+    damage(tmp_path)
+    with pytest.raises(error):
+        api(tmp_path)
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " if code == 2 else "error: ")
+    assert says in err

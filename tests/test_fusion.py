@@ -87,7 +87,7 @@ def random_blocks(rng, heads, dh, scale=1.0):
 
 def stacked(x, blocks, cross=False, **kwargs):
     """One attention node over the (2, ..., n, d) array ``x``."""
-    return attention(Tensor(x), block_pair(*blocks, cross=cross), blocks[0].heads, cross,
+    return attention(Tensor(x), block_pair(*blocks, cross=cross), blocks[0].wq.shape[0], cross,
                      **kwargs)
 
 
