@@ -1,13 +1,16 @@
 """ecatch command line: generate | cluster | train | eval | predict | crosseval | verify.
 
 Exit codes: 0 success, 1 runtime/numeric failure (a bad dataset or run directory
-among them), 2 configuration error (a bad run config, ``generate`` spec, ``verify
---seeds`` value or ECATCH_THREADS). ECATCH_THREADS (default 1) sizes the BLAS
-thread pools: it fills in whichever of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
-MKL_NUM_THREADS is unset, before numpy is first imported (``import ecatch``
-imports none), which keeps training bitwise reproducible for a given thread
-count. It must be a positive decimal integer; BLAS would read any other value as
-"every core", so another is not exported, and every command refuses it.
+among them, a run's own ``config.json`` included, or anything at ``image.f32``
+that is not a matrix of the declared size), 2 configuration error (a bad
+``--config`` or ``--test-config`` file, ``--set`` value, ``generate`` spec,
+``verify --seeds`` value or ECATCH_THREADS). ECATCH_THREADS (default 1) sizes
+the BLAS thread pools: it fills in whichever of OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS is unset, before numpy is first
+imported (``import ecatch`` imports none), which keeps training bitwise
+reproducible for a given thread count. It must be a positive decimal integer;
+BLAS would read any other value as "every core", so another is not exported,
+and every command refuses it.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ def cmd_cluster(args) -> int:
 def _fingerprint(ds: Dataset) -> str:
     """sha256 of everything build_structure reads from a dataset."""
     h = hashlib.sha256(json.dumps([ds.ids, ds.extra], sort_keys=True).encode())
-    h.update(ds.timestamps.tobytes())
-    h.update(ds.text.tobytes())
+    h.update(np.ascontiguousarray(ds.timestamps))
+    h.update(np.ascontiguousarray(ds.text))
     return h.hexdigest()
 
 
@@ -167,7 +170,10 @@ def _load_run(args):
     cfg_path = run_dir / "config.json"
     if not cfg_path.is_file():
         raise CliError(f"{cfg_path}: missing (train and crosseval write it)")
-    cfg = load_config(cfg_path)
+    try:
+        cfg = RunConfig(read_json(cfg_path, str(cfg_path), CliError, dict))
+    except ConfigError as exc:
+        raise CliError(f"{cfg_path}: {exc}") from exc
     params = load_checkpoint(args.checkpoint)
     ds = assign_splits(load_dataset(args.data), cfg.split_fractions(), cfg["seed"])
     events, windows = _structure_for(ds, cfg, run_dir)

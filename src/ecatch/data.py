@@ -7,8 +7,9 @@ Directory layout (all files required except image.f32):
   "has_image"}`` plus arbitrary extra fields; line k describes row k.
 * ``text.f32``       -- n_posts x d_text float32, little-endian, row-major.
 * ``image.f32``      -- n_posts x d_img float32; rows with has_image=false are
-  ignored on read. If the file is missing entirely, every post is treated as
-  image-absent.
+  ignored on read. If nothing exists at that path, every post is treated as
+  image-absent; anything there that is not a regular file of the right size
+  (a directory, say) raises ``DatasetError``.
 
 Embeddings are stored as float32 but all in-memory computation is float64.
 A loaded Dataset is immutable (arrays are marked read-only). Every missing or
@@ -19,6 +20,8 @@ document the program takes from outside, here and in the modules above.
 from __future__ import annotations
 
 import json
+import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +135,8 @@ class Dataset:
 
 def _read_matrix(path: Path, n: int, d: int) -> np.ndarray:
     if not path.is_file():
+        if os.path.lexists(path):
+            raise DatasetError(f"{path.name} in {path.parent} is not a regular file")
         raise DatasetError(f"missing {path.name} in {path.parent}")
     expected = n * d * 4
     actual = path.stat().st_size
@@ -205,7 +210,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     if len(ids) != n:
         raise DatasetError(f"manifest has {len(ids)} rows but meta declares {n}")
     if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
+        dup = min(i for i, count in Counter(ids).items() if count > 1)
         raise DatasetError(f"duplicate post id {dup!r}")
 
     text = _read_matrix(directory / "text.f32", n, d_text)
@@ -213,7 +218,7 @@ def load_dataset(directory: str | Path) -> Dataset:
 
     has_image_arr = np.asarray(has_image, dtype=bool)
     image_path = directory / "image.f32"
-    if image_path.is_file():
+    if os.path.lexists(image_path):
         image = _read_matrix(image_path, n, d_img)
         present = np.flatnonzero(has_image_arr)
         _check_finite(image, present, "image.f32")

@@ -10,7 +10,10 @@ Windows are fused in groups of equal member count, which may mix events:
 fusion has no term across windows, so a group of B windows of n posts is one
 pass over (2, B, n, d) stacks, text rows at modality 0 and image rows at 1,
 and no padding is needed. :func:`window_groups` cuts each group into chunks of
-at most ``MAX_PAIRS`` attention pairs per modality. Fusing a chunk makes four
+at most ``MAX_PAIRS`` attention pairs per modality and hands each chunk on as
+its (B, n) member matrix, row b the members of its window b: the one member
+count is the matrix's width, and :func:`fuse_group` and
+``trend.decay_weights`` read no ``Window``. Fusing a chunk makes four
 tape nodes, each with a hand-written vector-Jacobian product: one
 :func:`encode` node that writes the stack, one :func:`attention` node of
 self-attention over it (blocks ``att_text`` and ``att_img``), one of
@@ -251,8 +254,9 @@ def attention(
     return out
 
 
-def window_groups(windows: Sequence[Window]) -> list[list[int]]:
-    """Positions in ``windows`` grouped by member count, ascending, in chunks.
+def window_groups(windows: Sequence[Window]) -> list[tuple[list[int], np.ndarray]]:
+    """Positions in ``windows`` grouped by member count, ascending, in chunks,
+    each with its (B, n) member matrix.
 
     A group keeps the order of ``windows``; a group of n-post windows is cut
     into chunks of at most max(1, MAX_PAIRS // (n * max(n, 8))) windows.
@@ -265,7 +269,8 @@ def window_groups(windows: Sequence[Window]) -> list[list[int]]:
     chunks = []
     for n in sorted(by_size):
         group, step = by_size[n], max(1, MAX_PAIRS // (n * max(n, 8)))
-        chunks += [group[k:k + step] for k in range(0, len(group), step)]
+        members = np.array([windows[p].members for p in group], dtype=np.intp)
+        chunks += [(group[k:k + step], members[k:k + step]) for k in range(0, len(group), step)]
     return chunks
 
 
@@ -300,8 +305,7 @@ def gate(cross: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
 
 @dataclass
 class GroupFusion:
-    """One pass over B windows of n posts, row b following the members of the
-    pass's window b."""
+    """One pass over a (B, n) member matrix; row b follows the matrix's row b."""
 
     cross: Tensor  # (2, B, n, d): c_ti, then c_it
     gate: np.ndarray  # the gate node's g, in (0, 1)
@@ -311,28 +315,24 @@ class GroupFusion:
 def fuse_group(
     ds: Dataset,
     params: ModelParams,
-    windows: Sequence[Window],
+    members: np.ndarray,
     scope: str = "window",
     scale: str = "head",
     pairs: tuple[Tensor, Tensor] | None = None,
 ) -> GroupFusion:
-    """Full fusion pipeline for windows of one member count, in one pass.
+    """Full fusion pipeline for the (B, n) member matrix of one chunk, in one pass.
 
     ``pairs`` are :func:`block_pairs` of ``params``, which a caller fusing
-    several groups builds once; by default this pass builds its own.
+    several chunks builds once; by default this pass builds its own.
     Zero image vectors (absent images) encode exactly onto the image bias.
     """
     if scope not in SCOPES:
         raise FusionError(f"unknown attention scope {scope!r}")
-    sizes = {len(w.members) for w in windows}
-    if len(sizes) != 1 or 0 in sizes:
-        raise FusionError(f"a fusion group needs windows of one non-zero member "
-                          f"count, got counts {sorted(sizes)}")
     check_dims(ds, params)
     intra, inter = block_pairs(params) if pairs is None else pairs
 
     post = scope == "post"
-    x = encode(ds, params, np.array([w.members for w in windows]))
+    x = encode(ds, params, members)
     h = attention(x, intra, params.heads, False, scale, diagonal=post)
     c = attention(h, inter, params.heads, True, scale, diagonal=post)
     fused, g = gate(c, params["fusion.W_g"], params["fusion.b_g"])
@@ -346,9 +346,9 @@ def fuse_window(
     scope: str = "window",
     scale: str = "head",
 ) -> GroupFusion:
-    """Fusion of one window: a group of one, (1, n, d) tensors per modality.
+    """Fusion of one window: a (1, n) member matrix, (1, n, d) tensors per modality.
 
     Only ``bench/tracer.py`` uses it: the tracer wraps this name. Deleting it
     waits for the benchmark change that points the tracer at ``fuse_group``.
     """
-    return fuse_group(ds, params, [window], scope, scale)
+    return fuse_group(ds, params, np.array([window.members], dtype=np.intp), scope, scale)

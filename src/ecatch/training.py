@@ -80,15 +80,12 @@ def fused_aggregates(
     """
     chunks = window_groups(windows)
     pairs = block_pairs(params)
-    parts = []
-    for chunk in chunks:
-        group = [windows[k] for k in chunk]
-        # One expression, so no chunk's fused rows outlive its aggregate
-        # under ``no_grad``.
-        parts.append(aggregate(fuse_group(ds, params, group, scope, scale, pairs).fused,
-                               decay_weights(ds, group, alpha)))
+    # One expression a chunk, so no chunk's fused rows outlive its aggregate
+    # under ``no_grad``.
+    parts = [aggregate(fuse_group(ds, params, members, scope, scale, pairs).fused,
+                       decay_weights(ds, members, alpha)) for _, members in chunks]
     rows = np.empty(len(windows), dtype=np.intp)
-    rows[[k for chunk in chunks for k in chunk]] = np.arange(len(windows))
+    rows[[k for positions, _ in chunks for k in positions]] = np.arange(len(windows))
     return parts or [Tensor(np.zeros((0, params.d)))], rows
 
 

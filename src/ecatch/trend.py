@@ -2,13 +2,15 @@
 
 Per window: posts are averaged with weights exp(-alpha * (t_max - t_i)),
 t_max being the latest member timestamp, so the newest post always carries
-weight 1. :func:`aggregate` does that for a whole fusion group of windows in
-one tape node. Every event's aggregates are stacked in window order, event
-k in rows ``offsets[k]:offsets[k + 1]``. Between consecutive windows of an
-event the aggregate difference (semantic shift) and an exponential moving
-average of its norm (momentum) are appended, all events in one node. That
-input rolls through a unidirectional LSTM, each event from zero state, all
-events in lockstep in one node that returns the (R, d) hidden states.
+weight 1. :func:`decay_weights` takes a fusion chunk as its (B, n) member
+matrix and anchors each row at the latest timestamp among its members, which
+no window stores. :func:`aggregate` averages a whole chunk in one tape node.
+Every event's aggregates are stacked in window order, event k in rows
+``offsets[k]:offsets[k + 1]``. Between consecutive windows of an event the
+aggregate difference (semantic shift) and an exponential moving average of
+its norm (momentum) are appended, all events in one node. That input rolls
+through a unidirectional LSTM, each event from zero state, all events in
+lockstep in one node that returns the (R, d) hidden states.
 """
 
 from __future__ import annotations
@@ -20,20 +22,18 @@ import numpy as np
 from .autodiff import Tensor, gather, stable_sigmoid
 from .data import Dataset
 from .params import LSTM_GATES, ModelParams
-from .windows import Window
 
 
 class TrendError(ValueError):
     pass
 
 
-def decay_weights(ds: Dataset, windows: Sequence[Window], alpha: float) -> np.ndarray:
-    """Normalized recency weights of windows of one member count: (B, n), rows sum to 1."""
+def decay_weights(ds: Dataset, members: np.ndarray, alpha: float) -> np.ndarray:
+    """Normalized recency weights of a (B, n) member matrix: (B, n), rows sum to 1."""
     if alpha < 0:
         raise TrendError("alpha must be >= 0")
-    members = np.array([w.members for w in windows], dtype=np.intp)
-    t_max = np.array([w.t_max_local for w in windows], dtype=np.int64)
-    ages = (t_max[:, None] - ds.timestamps[members]).astype(np.float64)
+    times = ds.timestamps[members]
+    ages = (times.max(axis=1, keepdims=True) - times).astype(np.float64)
     lam = np.exp(-alpha * ages)
     return lam / lam.sum(axis=1, keepdims=True)
 

@@ -30,7 +30,7 @@ from .objective import PROB_CLAMP, ce_loss, tc_terms
 from .params import LSTM_GATES, ModelParams
 from .trend import aggregate, decay_weights, run_lstm, trend_features
 from .training import backward, forward
-from .windows import DAY, Window, segment_all, segment_event
+from .windows import DAY, segment_all, segment_event
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -157,8 +157,9 @@ def reference_lstm(x: np.ndarray, params: ModelParams) -> np.ndarray:
 def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
     """Randomized fusion/trend runs; checks the hard architectural bounds.
 
-    Each trial fuses one group of 2-4 windows of equal size in one pass, so
-    the bounds are checked window by window on the batched nodes.
+    Each trial fuses one chunk, the member matrix of 2-4 windows of equal
+    size, in one pass, so the bounds are checked window by window on the
+    batched nodes.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -186,10 +187,8 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
                     rng.normal(size=(n_posts, d_text)) * scale_factor,
                     rng.normal(size=(n_posts, d_img)) * scale_factor)
         params = ModelParams.build(d, heads, d_text, d_img, seed=int(rng.integers(1 << 31)))
-        # one fusion group: n_windows windows of n consecutive posts each
-        group = [Window(b + 1, int(times[b * n]), int(times[(b + 1) * n - 1]) + 1,
-                        tuple(range(b * n, (b + 1) * n)), int(times[(b + 1) * n - 1]))
-                 for b in range(n_windows)]
+        # one fusion chunk: n_windows windows of n consecutive posts each
+        members = np.arange(n_posts).reshape(n_windows, n)
 
         # attention rows must be stochastic even for large scores, in both
         # stacked nodes and both modalities
@@ -200,7 +199,7 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
             track(float(np.abs(weights.sum(axis=-1) - 1.0).max()),
                   f"trial {trial}: softmax row sum")
 
-        gf = fuse_group(ds, params, group)
+        gf = fuse_group(ds, params, members)
         gate = gf.gate
         if not ((gate > 0.0).all() and (gate < 1.0).all()):
             track(1.0, f"trial {trial}: gate out of (0,1)")
@@ -210,7 +209,7 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
               f"trial {trial}: fused outside gate interval")
 
         alpha = float(rng.choice([0.0, 1.0 / DAY, 5.0 / DAY]))
-        agg = aggregate(gf.fused, decay_weights(ds, group, alpha))
+        agg = aggregate(gf.fused, decay_weights(ds, members, alpha))
         col_lo = gf.fused.data.min(axis=1) - 1e-12
         col_hi = gf.fused.data.max(axis=1) + 1e-12
         track(float(np.maximum(col_lo - agg.data, agg.data - col_hi).max()),
@@ -455,8 +454,7 @@ def decay_weight_properties(seeds: list[int]) -> OracleReport:
         n = int(rng.integers(1, 8))
         times = np.sort(rng.integers(0, 10 * DAY, size=n))
         ds = _posts(times)
-        w = Window(1, int(times[0]), int(times[-1]) + 1, tuple(range(n)), int(times[-1]))
-        lam = decay_weights(ds, [w], alpha=float(rng.uniform(0, 2)) / DAY)[0]
+        lam = decay_weights(ds, np.arange(n)[None], alpha=float(rng.uniform(0, 2)) / DAY)[0]
         if abs(lam.sum() - 1.0) > 1e-12 or (lam <= 0).any():
             return OracleReport("decay_weights", "fail", 1.0, f"n={n}", seed)
         if lam.argmax() not in np.flatnonzero(times == times[-1]):

@@ -6,6 +6,10 @@ dropped and survivors re-indexed contiguously from 1. After an empty window
 the walk jumps to the first grid position that covers the next post, so its
 cost follows the number of windows, not the event's extent. With stride = span/2
 consecutive grid windows overlap by 50%.
+
+A window holds its members in time order and no decay anchor:
+``fusion.window_groups`` stacks same-size windows into (B, n) member matrices,
+and ``trend.decay_weights`` anchors each row at its latest member timestamp.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ class Window:
     start: int
     end: int                    # exclusive
     members: tuple[int, ...]
-    t_max_local: int            # latest member timestamp, anchor for decay weights
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,6 @@ def segment_event(
                 start=start,
                 end=end,
                 members=tuple(members[lo:hi]),
-                t_max_local=int(times[hi - 1]),
             )
         )
     return WindowSequence(event_id=event.event_id, windows=tuple(windows))
@@ -111,20 +113,8 @@ def segment_all(
 def save_windows(windows: dict[int, WindowSequence], path: str | Path) -> None:
     """Write ``windows`` as JSON for reading; ``eval`` and ``predict`` rebuild
     the windows from the run's ``events.json`` instead of loading this."""
-    payload = [
-        {
-            "event_id": seq.event_id,
-            "windows": [
-                {
-                    "index": w.index,
-                    "start": w.start,
-                    "end": w.end,
-                    "members": list(w.members),
-                    "t_max_local": w.t_max_local,
-                }
-                for w in seq.windows
-            ],
-        }
-        for seq in (windows[k] for k in sorted(windows))
-    ]
+    payload = [{"event_id": seq.event_id,
+                "windows": [{"index": w.index, "start": w.start, "end": w.end,
+                             "members": list(w.members)} for w in seq.windows]}
+               for seq in (windows[k] for k in sorted(windows))]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

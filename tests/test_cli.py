@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from argparse import Namespace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from ecatch import cli, clustering
 from ecatch.cli import main
 from ecatch.pipeline import build_structure
 from ecatch.clustering import ClusteringError, load_events
-from ecatch.config import ConfigError, load_config
+from ecatch.config import ConfigError, load_config, read_config_file
 from ecatch.data import Dataset, DatasetError, load_dataset, write_dataset
 from ecatch.training import TrainingError, load_checkpoint
 
@@ -607,6 +608,18 @@ MALFORMED_FILES = {
                         "manifest.jsonl: 'utf-8' codec can't decode byte 0xe9"),
     "text-missing": (_unlink("data/text.f32"), lambda root: load_dataset(root / "data"),
                      DatasetError, CLUSTER, 1, "missing text.f32 in"),
+    "image-directory": (_write("data/image.f32", None), lambda root: load_dataset(root / "data"),
+                        DatasetError, CLUSTER, 1, "image.f32 in data is not a regular file"),
+    "run-config-list": (_write("run/config.json", b"[1]"), _load_run, cli.CliError, EVAL, 1,
+                        "error: run/config.json is not a JSON object"),
+    "test-config-list": (_write("bad-test.json", b"[1]"),
+                         lambda root: read_config_file(root / "bad-test.json"), ConfigError,
+                         ["crosseval", "--train-data", "data", "--test-data", "data", "--out",
+                          "xrun", "--test-config", "bad-test.json"], 2,
+                         "config bad-test.json is not a JSON object"),
+    "run-config-unknown-key": (_write("run/config.json", b'{"model.width": 4}'), _load_run,
+                               cli.CliError, EVAL, 1,
+                               "error: run/config.json: unknown config key 'model.width'"),
     "events-not-json": (_write("run/events.json", b"\x00"),
                         lambda root: load_events(root / "run" / "events.json"),
                         ClusteringError, EVAL, 1, "events.json: events: Expecting value"),
@@ -638,3 +651,22 @@ def test_malformed_file_raises_its_typed_error_and_exit_code(tmp_path, run_dir, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: " if code == 2 else "error: ")
     assert says in err
+
+
+def test_fingerprint_hashes_the_arrays_in_place(rng):
+    ds = Dataset([f"p{i}" for i in range(20_000)], np.zeros(20_000),
+                 np.arange(20_000) * 60, rng.normal(size=(20_000, 64)),
+                 np.zeros((20_000, 2)), np.zeros(20_000), [{"k": i % 3} for i in range(20_000)])
+    # the digest every dataset.json written so far holds
+    old = hashlib.sha256(json.dumps([ds.ids, ds.extra], sort_keys=True).encode())
+    old.update(ds.timestamps.tobytes())
+    old.update(ds.text.tobytes())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        digest = cli._fingerprint(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == old.hexdigest()
+    assert peak < ds.text.nbytes / 2, peak

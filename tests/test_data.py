@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,19 @@ def test_duplicate_ids(tmp_path):
     write_raw(tmp_path, rows=rows)
     with pytest.raises(DatasetError, match="duplicate post id"):
         load_dataset(tmp_path)
+
+
+def test_duplicate_id_is_found_in_linear_time(tmp_path):
+    # 60,000 posts, one id repeated at the end; a quadratic search for the
+    # duplicate takes about a minute at this size on a 2-core host
+    rows = [{"id": f"p{i:05d}", "label": 0, "timestamp": i, "has_image": False}
+            for i in range(60_000)]
+    rows[-1]["id"] = rows[-2]["id"] = "p00007"
+    write_raw(tmp_path, n=60_000, d_text=1, rows=rows, skip_image=True)
+    t = time.perf_counter()
+    with pytest.raises(DatasetError, match="duplicate post id 'p00007'$"):
+        load_dataset(tmp_path)
+    assert time.perf_counter() - t < 5.0
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,9 @@ from ecatch.windows import Window
 from conftest import make_dataset
 
 
-def window_over(ds):
-    times = ds.timestamps
-    return Window(1, int(times.min()), int(times.max()) + 1,
-                  tuple(range(ds.n)), int(times.max()))
+def all_posts(ds):
+    """The member matrix of one window over every post of ``ds``."""
+    return np.arange(ds.n)[None]
 
 
 def build_params(d=4, heads=2, d_text=3, d_img=3, seed=0, zero=False):
@@ -27,7 +26,7 @@ def build_params(d=4, heads=2, d_text=3, d_img=3, seed=0, zero=False):
 def encode(ds, params, indices):
     """The text and image encoder outputs, (n, d) each, read off the encoder
     node of a one-window fusion pass over ``indices``."""
-    fused = fusion.fuse_group(ds, params, [Window(1, 0, 1, tuple(indices), 0)]).fused
+    fused = fusion.fuse_group(ds, params, np.array([indices])).fused
     nodes, stack = [], [fused]
     while stack:
         node = stack.pop()
@@ -245,7 +244,7 @@ def symmetric_setup(rng, n=3):
 
 def test_equal_cross_outputs_pin_fusion(rng):
     ds, params = symmetric_setup(rng)
-    wf = fusion.fuse_group(ds, params, [window_over(ds)])
+    wf = fusion.fuse_group(ds, params, all_posts(ds))
     c_ti, c_it = wf.cross.data
     np.testing.assert_allclose(c_ti, c_it)
     np.testing.assert_allclose(wf.fused.data, c_ti)
@@ -256,20 +255,20 @@ def test_saturated_gate_selects_first_branch(rng):
     params = build_params(seed=7)
     params["fusion.W_g"].data[...] = 0.0
     params["fusion.b_g"].data[...] = 40.0
-    wf = fusion.fuse_group(ds, params, [window_over(ds)])
+    wf = fusion.fuse_group(ds, params, all_posts(ds))
     assert np.abs(wf.fused.data - wf.cross.data[0]).max() < 1e-9
 
 
 def test_single_post_window_finite(rng):
     ds = make_dataset(rng.normal(size=(1, 3)), image=rng.normal(size=(1, 3)))
-    wf = fusion.fuse_group(ds, build_params(seed=8), [window_over(ds)])
+    wf = fusion.fuse_group(ds, build_params(seed=8), all_posts(ds))
     assert wf.fused.data.shape == (1, 1, 4)
     assert np.all(np.isfinite(wf.fused.data))
 
 
 def test_gate_bounds_and_convex_combination(rng):
     ds = make_dataset(rng.normal(size=(5, 3)), image=rng.normal(size=(5, 3)))
-    wf = fusion.fuse_group(ds, build_params(seed=9), [window_over(ds)])
+    wf = fusion.fuse_group(ds, build_params(seed=9), all_posts(ds))
     assert np.all(wf.gate > 0.0) and np.all(wf.gate < 1.0)
     lo, hi = wf.cross.data.min(axis=0), wf.cross.data.max(axis=0)
     assert np.all(wf.fused.data >= lo - 1e-12)
@@ -282,10 +281,8 @@ def test_permutation_equivariance(rng):
     times = [10, 20, 30, 40]
     ds = make_dataset(x, image=img, timestamps=times, has_image=[True] * 4)
     params = build_params(seed=10)
-    base = Window(1, 0, 100, (0, 1, 2, 3), 40)
-    perm = Window(1, 0, 100, (2, 0, 3, 1), 40)
-    a = fusion.fuse_group(ds, params, [base]).fused.data[0]
-    b = fusion.fuse_group(ds, params, [perm]).fused.data[0]
+    a = fusion.fuse_group(ds, params, np.array([[0, 1, 2, 3]])).fused.data[0]
+    b = fusion.fuse_group(ds, params, np.array([[2, 0, 3, 1]])).fused.data[0]
     np.testing.assert_allclose(b, a[[2, 0, 3, 1]], atol=1e-12)
 
 
@@ -296,9 +293,8 @@ def test_post_scope_has_no_cross_post_flow(rng):
     x2[2] += 5.0
     ds2 = make_dataset(x2, image=np.zeros((3, 3)))
     params = build_params(seed=11)
-    w = window_over(ds1)
-    out1 = fusion.fuse_group(ds1, params, [w], scope="post").fused.data[0]
-    out2 = fusion.fuse_group(ds2, params, [w], scope="post").fused.data[0]
+    out1 = fusion.fuse_group(ds1, params, all_posts(ds1), scope="post").fused.data[0]
+    out2 = fusion.fuse_group(ds2, params, all_posts(ds2), scope="post").fused.data[0]
     np.testing.assert_allclose(out1[:2], out2[:2])
     assert not np.allclose(out1[2], out2[2])
 
@@ -307,12 +303,12 @@ def test_fusion_gradients_match_finite_differences(rng):
     ds = make_dataset(rng.normal(size=(3, 3)), image=rng.normal(size=(3, 3)),
                       has_image=[True, True, False])
     params = build_params(seed=12)
-    w = window_over(ds)
+    members = all_posts(ds)
 
     def scalar():  # the sum of squared fused entries
-        return float(np.sum(fusion.fuse_group(ds, params, [w]).fused.data ** 2))
+        return float(np.sum(fusion.fuse_group(ds, params, members).fused.data ** 2))
 
-    fused = fusion.fuse_group(ds, params, [w]).fused
+    fused = fusion.fuse_group(ds, params, members).fused
     params.zero_grads()
     fused.backward(2.0 * fused.data)
     for name in ("fusion.W_text", "fusion.att_ti.Wq", "fusion.W_g",
@@ -549,36 +545,41 @@ def test_attention_forward_holds_one_score_buffer():
 
 def test_window_groups_cut_same_size_chunks():
     sizes = [3, 1, 3, 100, 2, 1, 3, 100]
-    windows = [Window(k + 1, 0, 1, tuple(range(n)), 0) for k, n in enumerate(sizes)]
+    windows = [Window(k + 1, 0, 1, tuple(range(k, k + n))) for k, n in enumerate(sizes)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "MAX_PAIRS", 48)  # 6, 3, 2 and 1 windows of 1, 2, 3, 100 posts
         chunks = fusion.window_groups(windows)
-    assert chunks == [[1, 5], [4], [0, 2], [6], [3], [7]]
-    assert fusion.window_groups(windows) == [[1, 5], [4], [0, 2, 6], [3], [7]]
+    assert [positions for positions, _ in chunks] == [[1, 5], [4], [0, 2], [6], [3], [7]]
+    chunks = fusion.window_groups(windows)
+    assert [positions for positions, _ in chunks] == [[1, 5], [4], [0, 2, 6], [3], [7]]
+    for positions, members in chunks:
+        assert members.dtype == np.intp
+        np.testing.assert_array_equal(members, [windows[k].members for k in positions])
     with pytest.raises(FusionError, match="no members"):
-        fusion.window_groups([Window(1, 0, 1, (), 0)])
+        fusion.window_groups([Window(1, 0, 1, ())])
 
 
 def test_window_groups_bound_pairs_and_rows_per_chunk():
-    windows = [Window(1, 0, 1, tuple(range(n)), 0)
+    windows = [Window(1, 0, 1, tuple(range(n)))
                for n in (1, 2, 5, 8, 30, 91) for _ in range(3000)]
     chunks = fusion.window_groups(windows)
-    assert sorted(k for c in chunks for k in c) == list(range(len(windows)))
-    for chunk in chunks:
-        n = len(windows[chunk[0]].members)
-        assert {len(windows[k].members) for k in chunk} == {n}
-        assert len(chunk) == 1 or len(chunk) * n * max(n, 8) <= fusion.MAX_PAIRS
+    assert sorted(k for positions, _ in chunks for k in positions) == list(range(len(windows)))
+    for positions, members in chunks:
+        b, n = members.shape
+        assert b == len(positions)
+        assert {len(windows[k].members) for k in positions} == {n}
+        assert b == 1 or b * n * max(n, 8) <= fusion.MAX_PAIRS
 
 
 def test_group_pass_matches_one_window_passes(rng):
     ds = make_dataset(rng.normal(size=(9, 3)), image=rng.normal(size=(9, 3)),
                       timestamps=np.arange(9) * 100)
     params = build_params(seed=13)
-    group = [Window(k + 1, 0, 1000, (3 * k, 3 * k + 1, 3 * k + 2), 0) for k in range(3)]
+    group = np.arange(9).reshape(3, 3)
     together = fusion.fuse_group(ds, params, group)
     assert together.fused.shape == (3, 3, 4)
-    for k, w in enumerate(group):
-        alone = fusion.fuse_group(ds, params, [w])
+    for k in range(3):
+        alone = fusion.fuse_group(ds, params, group[k:k + 1])
         np.testing.assert_allclose(together.cross.data[:, k], alone.cross.data[:, 0],
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(together.fused.data[k], alone.fused.data[0],
@@ -586,11 +587,14 @@ def test_group_pass_matches_one_window_passes(rng):
         np.testing.assert_allclose(together.gate[k], alone.gate[0], rtol=1e-12, atol=1e-15)
 
 
-def test_group_pass_rejects_mixed_sizes(rng):
-    ds = make_dataset(rng.normal(size=(3, 3)))
-    params = build_params()
-    with pytest.raises(FusionError, match="one non-zero member count"):
-        fusion.fuse_group(ds, params, [Window(1, 0, 1, (0,), 0), Window(2, 0, 1, (1, 2), 0)])
+def test_fuse_window_is_a_one_row_chunk(rng):
+    # fuse_window is kept as a name for the benchmark's tracer to wrap
+    ds = make_dataset(rng.normal(size=(4, 3)), image=rng.normal(size=(4, 3)))
+    params = build_params(seed=14)
+    alone = fusion.fuse_window(ds, params, Window(1, 0, 1, (3, 1, 2)))
+    chunk = fusion.fuse_group(ds, params, np.array([[3, 1, 2]]))
+    np.testing.assert_array_equal(alone.fused.data, chunk.fused.data)
+    np.testing.assert_array_equal(alone.cross.data, chunk.cross.data)
 
 
 @settings(max_examples=40, deadline=None)

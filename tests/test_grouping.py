@@ -64,7 +64,9 @@ def test_layout_covers_the_grouping_cases():
     flat = flat_windows(events, windows)
     sizes = [len(w.members) for w in flat]
     chunks = fusion.window_groups(flat)
-    assert [[sizes[k] for k in c] for c in chunks] == [[1, 1], [2, 2, 2, 2], [3], [5]]
+    assert [[sizes[k] for k in positions] for positions, _ in chunks] == \
+        [[1, 1], [2, 2, 2, 2], [3], [5]]
+    assert [members.shape for _, members in chunks] == [(2, 1), (4, 2), (1, 3), (1, 5)]
 
 
 def test_one_forward_makes_two_attention_nodes_per_chunk():

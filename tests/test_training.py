@@ -86,7 +86,7 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
     # direct evaluation: encode -> self/cross attention collapse to affine
     # chains on one row -> gate -> lstm on [P; 0; 0] -> sigmoid readout
     from ecatch.fusion import fuse_group
-    wf = fuse_group(ds, params, [windows[0].windows[0]])
+    wf = fuse_group(ds, params, np.array([windows[0].windows[0].members]))
     feats = trend_features(Tensor(wf.fused.data[0]), cfg["trend.beta"])
     hidden = run_lstm(feats, params)
     logit = (hidden.data @ params["clf.W_c"].data.T

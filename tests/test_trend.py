@@ -12,32 +12,31 @@ from ecatch.trend import (
     run_lstm,
     trend_features,
 )
-from ecatch.windows import Window
 
 from conftest import DAY, make_dataset
 
 
-def window_for(ds):
-    t = ds.timestamps
-    return Window(1, int(t.min()), int(t.max()) + 1, tuple(range(ds.n)), int(t.max()))
+def all_posts(ds):
+    """The member matrix of one window over every post of ``ds``."""
+    return np.arange(ds.n)[None]
 
 
-def aggregate_window(fused, window, ds, alpha):
-    """The aggregation node on a group of one window: (n, d) -> (1, d)."""
-    return aggregate(Tensor(fused.data[None]), decay_weights(ds, [window], alpha))
+def aggregate_window(fused, ds, alpha):
+    """The aggregation node on a chunk of one window over every post: (n, d) -> (1, d)."""
+    return aggregate(Tensor(fused.data[None]), decay_weights(ds, all_posts(ds), alpha))
 
 
 def test_alpha_zero_is_plain_mean(rng):
     ds = make_dataset(np.zeros((4, 2)), timestamps=[0, DAY, 2 * DAY, 9 * DAY])
     fused = Tensor(rng.normal(size=(4, 3)))
-    agg = aggregate_window(fused, window_for(ds), ds, alpha=0.0)
+    agg = aggregate_window(fused, ds, alpha=0.0)
     np.testing.assert_allclose(agg.data[0], fused.data.mean(axis=0))
 
 
 def test_single_post_aggregate_is_identity(rng):
     ds = make_dataset(np.zeros((1, 2)), timestamps=[77])
     fused = Tensor(rng.normal(size=(1, 3)))
-    agg = aggregate_window(fused, window_for(ds), ds, alpha=1.0)
+    agg = aggregate_window(fused, ds, alpha=1.0)
     np.testing.assert_allclose(agg.data, fused.data)
 
 
@@ -46,13 +45,13 @@ def test_half_life_gap_weights():
     gap = 3 * DAY
     alpha = np.log(2.0) / gap
     ds = make_dataset(np.zeros((2, 2)), timestamps=[0, gap])
-    lam = decay_weights(ds, [window_for(ds)], alpha)[0]
+    lam = decay_weights(ds, all_posts(ds), alpha)[0]
     np.testing.assert_allclose(lam, [1.0 / 3.0, 2.0 / 3.0])
 
 
 def test_newest_post_has_unit_raw_weight(rng):
     ds = make_dataset(np.zeros((3, 2)), timestamps=[0, DAY, 5 * DAY])
-    lam = decay_weights(ds, [window_for(ds)], alpha=2.0 / DAY)[0]
+    lam = decay_weights(ds, all_posts(ds), alpha=2.0 / DAY)[0]
     # normalized weights keep their ordering; newest dominates
     assert lam.argmax() == 2
     np.testing.assert_allclose(lam.sum(), 1.0)
@@ -61,7 +60,7 @@ def test_newest_post_has_unit_raw_weight(rng):
 def test_aggregate_in_convex_hull(rng):
     ds = make_dataset(np.zeros((5, 2)), timestamps=np.arange(5) * DAY)
     fused = Tensor(rng.normal(size=(5, 4)))
-    agg = aggregate_window(fused, window_for(ds), ds, alpha=1.0 / DAY)
+    agg = aggregate_window(fused, ds, alpha=1.0 / DAY)
     assert np.all(agg.data[0] >= fused.data.min(axis=0) - 1e-12)
     assert np.all(agg.data[0] <= fused.data.max(axis=0) + 1e-12)
 
@@ -212,6 +211,20 @@ def test_lstm_node_matches_numpy_and_finite_differences(steps, d, scale, seed):
         assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(grad).max(), 1e-3), idx
 
 
+def test_decay_anchor_is_each_rows_latest_member():
+    # Rows anchor at their own latest timestamp, wherever it sits in the row.
+    times = np.array([0, DAY, 5 * DAY, 2 * DAY, 7 * DAY, 7 * DAY])
+    ds = make_dataset(np.zeros((6, 2)), timestamps=times)
+    members = np.array([[2, 0, 1], [4, 3, 5]])
+    alpha = 0.5 / DAY
+    lam = decay_weights(ds, members, alpha)
+    for row, weights in zip(members, lam):
+        raw = np.exp(-alpha * (times[row].max() - times[row]))
+        np.testing.assert_array_equal(weights, raw / raw.sum())
+    np.testing.assert_allclose(lam[0, 0] / lam[0], np.exp(alpha * (times[2] - times[[2, 0, 1]])))
+    assert lam[1, 0] == lam[1, 2] > lam[1, 1]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     batch=st.integers(1, 4),
@@ -224,16 +237,15 @@ def test_aggregation_node_matches_loop_and_finite_differences(batch, n, d, alpha
     rng = np.random.default_rng(seed)
     ds = make_dataset(np.zeros((batch * n, 2)),
                       timestamps=np.sort(rng.integers(0, 5 * DAY, size=batch * n)))
-    group = [Window(b + 1, 0, 5 * DAY, tuple(range(b * n, (b + 1) * n)),
-                    int(ds.timestamps[(b + 1) * n - 1])) for b in range(batch)]
+    group = np.arange(batch * n).reshape(batch, n)
     weights = decay_weights(ds, group, alpha_days / DAY)
     fused = rng.normal(size=(batch, n, d))
     g = rng.normal(size=(batch, d))
 
     x = Tensor(fused)
     out = aggregate(x, weights)
-    for b, w in enumerate(group):
-        lam = decay_weights(ds, [w], alpha_days / DAY)[0]
+    for b, row in enumerate(group):
+        lam = decay_weights(ds, row[None], alpha_days / DAY)[0]
         np.testing.assert_allclose(out.data[b], lam @ fused[b], rtol=1e-12, atol=1e-15)
         assert np.all(out.data[b] >= fused[b].min(axis=0) - 1e-12)
         assert np.all(out.data[b] <= fused[b].max(axis=0) + 1e-12)

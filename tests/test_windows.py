@@ -76,12 +76,6 @@ def test_member_order_is_internal():
     assert all(type(i) is int for w in a.windows for i in w.members)
 
 
-def test_t_max_local_is_member_max():
-    seq, ds = seg([0, DAY, 3 * DAY], 2 * DAY, DAY)
-    for w in seq.windows:
-        assert w.t_max_local == max(ds.timestamps[i] for i in w.members)
-
-
 def test_presets():
     def geometry(preset):
         return RunConfig({"window.preset": preset}).window_geometry()
@@ -132,9 +126,9 @@ def test_windows_json_roundtrip(tmp_path):
     payload = json.loads(path.read_text())
     assert [entry["event_id"] for entry in payload] == sorted(windows)
     for entry in payload:
-        assert tuple(Window(w["index"], w["start"], w["end"], tuple(w["members"]),
-                            w["t_max_local"]) for w in entry["windows"]) == \
-            windows[entry["event_id"]].windows
+        assert all(set(w) == {"index", "start", "end", "members"} for w in entry["windows"])
+        assert tuple(Window(w["index"], w["start"], w["end"], tuple(w["members"]))
+                     for w in entry["windows"]) == windows[entry["event_id"]].windows
 
 
 def grid_walk(times, span, stride):
@@ -147,7 +141,7 @@ def grid_walk(times, span, stride):
         start = t0 + k * stride
         inside = [i for i, t in enumerate(times) if start <= t < start + span]
         if inside:
-            out.append((start, start + span, tuple(inside), times[inside[-1]]))
+            out.append((start, start + span, tuple(inside)))
     return out
 
 
