@@ -2,14 +2,15 @@
 
 Every model operation is one hand-written node: a new :class:`Tensor` that
 remembers its parents and a vector-Jacobian closure. This module holds the
-generic ones: :func:`linear`, :func:`gather`, which stacks row blocks and
-picks rows of the stack, and :func:`add_scaled`, the loss's ``a + c * b``.
-The attention and the gate live in ``fusion``, the aggregation, trend-input
-and LSTM nodes in ``trend``, and the cross-entropy and consistency nodes in
-``objective``. ``Tensor`` has no arithmetic of its own. ``Tensor.backward()``
-topologically sorts the graph (iteratively, so deep chains are fine) and
-accumulates gradients into ``.grad``. All data is float64; gradient checks
-downstream rely on that.
+generic ones: :func:`linear` of a ``Tensor`` input, :func:`gather`, which
+stacks row blocks and picks rows of the stack, and :func:`add_scaled`, the
+loss's ``a + c * b``. The encoders of constant inputs, the attention and the
+gate live in ``fusion``, the aggregation, trend-input and LSTM nodes in
+``trend``, and the cross-entropy and consistency nodes in ``objective``.
+``Tensor`` has no arithmetic of its own. ``Tensor.backward()`` topologically
+sorts the graph (iteratively, so deep chains are fine) and accumulates
+gradients into ``.grad``. All data is float64; gradient checks downstream
+rely on that.
 
 ``backward`` consumes the graph it walks: once an interior node has passed
 its gradient to its parents, it drops its ``grad``, its closure and its
@@ -156,27 +157,23 @@ class Tensor:
         return Tensor(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def linear(x: Tensor | Array, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``x @ w.T + b`` over the last axis as one node; ``w`` is (out, in).
 
-    Leading axes of ``x`` are flattened into rows for the matmuls. A plain
-    ndarray ``x``, such as a batch of input embeddings, is a constant: it is
-    no parent of the node and gets no gradient.
+    Leading axes of ``x`` are flattened into rows for the matmuls.
     """
-    constant = not isinstance(x, Tensor)
-    x_data = _as_array(x) if constant else x.data
-    rows = x_data.reshape(-1, x_data.shape[-1])
-    out = (rows @ w.data.T).reshape(x_data.shape[:-1] + (w.shape[0],))
-    parents = (w,) if b is None else (w, b)
+    shape = x.shape
+    rows = x.data.reshape(-1, shape[-1])
+    out = (rows @ w.data.T).reshape(shape[:-1] + (w.shape[0],))
 
     def vjp(g: Array):
         g_rows = g.reshape(rows.shape[0], -1)
-        grads = ((rows.T @ g_rows).T,) + (() if b is None else (g_rows.sum(axis=0),))
-        return grads if constant else ((g_rows @ w.data).reshape(x_data.shape),) + grads
+        grads = ((g_rows @ w.data).reshape(shape), (rows.T @ g_rows).T)
+        return grads if b is None else grads + (g_rows.sum(axis=0),)
 
     if b is not None:
         out = out + b.data
-    return Tensor(out, parents if constant else (x,) + parents, vjp)
+    return Tensor(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def gather(parts: Sequence[Tensor], rows) -> Tensor:

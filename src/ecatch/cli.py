@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 runtime/numeric failure (a bad dataset or run directory
 among them, a run's own ``config.json`` included, or anything at ``image.f32``
 that is not a matrix of the declared size), 2 configuration error (a bad
 ``--config`` or ``--test-config`` file, ``--set`` value, ``generate`` spec,
-``verify --seeds`` value or ECATCH_THREADS). ECATCH_THREADS (default 1) sizes
+``verify --seeds`` value or ECATCH_THREADS; a ``cluster.key`` that names a
+core manifest field such as ``label`` among them, which a run's own
+``config.json`` turns into exit 1). ECATCH_THREADS (default 1) sizes
 the BLAS thread pools: it fills in whichever of OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS and MKL_NUM_THREADS is unset, before numpy is first
 imported (``import ecatch`` imports none), which keeps training bitwise
@@ -96,9 +98,23 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+FINGERPRINT_SLICE = 4096  # posts per json.dumps call in _fingerprint
+
+
 def _fingerprint(ds: Dataset) -> str:
-    """sha256 of everything build_structure reads from a dataset."""
-    h = hashlib.sha256(json.dumps([ds.ids, ds.extra], sort_keys=True).encode())
+    """sha256 of everything build_structure reads from a dataset.
+
+    The ids and extra fields enter as the bytes of
+    ``json.dumps([ds.ids, ds.extra], sort_keys=True)``, fed to the hash a slice
+    at a time, so no string of the whole corpus is built.
+    """
+    h = hashlib.sha256()
+    for opening, items in ((b"[[", ds.ids), (b"], [", ds.extra)):
+        h.update(opening)
+        for start in range(0, len(items), FINGERPRINT_SLICE):
+            text = json.dumps(items[start:start + FINGERPRINT_SLICE], sort_keys=True)
+            h.update(((", " if start else "") + text[1:-1]).encode())
+    h.update(b"]]")
     h.update(np.ascontiguousarray(ds.timestamps))
     h.update(np.ascontiguousarray(ds.text))
     return h.hexdigest()

@@ -9,7 +9,9 @@ Each key is declared once, in ``KEYS``: its default, its help (printed by
 there; ``check_value`` then checks its values and the help lists it. A string
 key may list its allowed values, a numeric key may carry a bound, and a key
 that takes null (every key whose default is null) names its type.
-Constraints between keys go in ``RunConfig._check_cross_keys``.
+Constraints between keys, and the rule that ``cluster.key`` names an extra
+manifest field (not one of ``data._MANIFEST_KEYS``, which every post holds),
+go in ``RunConfig._check_rules``; breaking either is a configuration error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .clustering import LINKAGES
-from .data import read_json
+from .data import _MANIFEST_KEYS, read_json
 from .fusion import SCALES, SCOPES
 from .objective import WEIGHT_SCOPES
 from .windows import DAY, PRESETS
@@ -97,7 +99,8 @@ KEYS: dict[str, Key] = {
                                 SIZE),
     "cluster.linkage": Key("average", "agglomerative linkage: average|complete|single",
                            LINKAGES),
-    "cluster.key": Key(None, "manifest field to group by instead of clustering", kind=str),
+    "cluster.key": Key(None, "extra manifest field to group by instead of clustering",
+                       kind=str),
     "window.preset": Key("fakeddit", "span/stride preset: fakeddit|ind|covid", tuple(PRESETS)),
     "window.span_secs": Key(None, "window span in seconds (overrides preset)",
                             SIZE, int),
@@ -146,10 +149,16 @@ class RunConfig:
             if k not in KEYS:
                 raise ConfigError(f"unknown config key {k!r}")
             self._values[k] = KEYS[k].check(k, v)
-        self._check_cross_keys()
+        self._check_rules()
 
-    def _check_cross_keys(self) -> None:
-        """Constraints between keys, checked once every key is valid alone."""
+    def _check_rules(self) -> None:
+        """Constraints beyond each key's kind and bound, checked once every key
+        is valid alone."""
+        key = self["cluster.key"]
+        # Grouping by label would also leak the labels into the structure.
+        if key in _MANIFEST_KEYS:
+            raise ConfigError(f"cluster.key: {key!r} is a core manifest field; only extra "
+                              f"manifest fields can group posts")
         d, heads = self["model.d"], self["model.heads"]
         if d % heads != 0:
             raise ConfigError(f"model.heads ({heads}) must divide model.d ({d})")

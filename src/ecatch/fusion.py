@@ -13,7 +13,9 @@ and no padding is needed. :func:`window_groups` cuts each group into chunks of
 at most ``MAX_PAIRS`` attention pairs per modality and hands each chunk on as
 its (B, n) member matrix, row b the members of its window b: the one member
 count is the matrix's width, and :func:`fuse_group` and
-``trend.decay_weights`` read no ``Window``. Fusing a chunk makes four
+``trend.decay_weights`` read no ``Window``. Nor does :func:`fuse_group` check
+the embedding widths: ``training.run_model`` runs :func:`check_dims` once per
+pass, before the first chunk. Fusing a chunk makes four
 tape nodes, each with a hand-written vector-Jacobian product: one
 :func:`encode` node that writes the stack, one :func:`attention` node of
 self-attention over it (blocks ``att_text`` and ``att_img``), one of
@@ -328,7 +330,6 @@ def fuse_group(
     """
     if scope not in SCOPES:
         raise FusionError(f"unknown attention scope {scope!r}")
-    check_dims(ds, params)
     intra, inter = block_pairs(params) if pairs is None else pairs
 
     post = scope == "post"

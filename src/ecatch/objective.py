@@ -2,8 +2,9 @@
 
 The trend stage hands over one (R, d) matrix that stacks every event's
 trend states in ascending event_id (see ``training.run_model``), and one
-``linear`` node reads it out into a :class:`Readout`. A post's probability
-is the sigmoid of the row of the last window containing it. The readout
+``linear`` node reads it out into a :class:`Readout`, with the window list
+``run_model`` stacked row for row with it: a post's probability is the
+sigmoid of the row of the last window containing it. The readout
 lists every (event, post) membership with that row as aligned index arrays,
 and the bookkeeping stays in arrays up to the loss: :func:`ce_terms` gives
 each training membership's weighted cross-entropy, with class weights
@@ -27,7 +28,7 @@ import numpy as np
 from .autodiff import Tensor, linear, stable_sigmoid
 from .clustering import PseudoEvent
 from .params import ModelParams
-from .windows import WindowSequence
+from .windows import Window
 
 PROB_CLAMP = 1e-12
 NORM_GUARD = 1e-12
@@ -79,7 +80,7 @@ class Readout:
 
 def post_probabilities(
     events: list[PseudoEvent],
-    window_seqs: dict[int, WindowSequence],
+    windows: list[Window],
     states: Tensor,
     offsets: np.ndarray,
     params: ModelParams,
@@ -87,10 +88,10 @@ def post_probabilities(
 ) -> Readout:
     """Read out ``states``; a post's probability is its last covering window's.
 
-    ``states`` stacks the events' trend states in the order of ``events``,
-    event k in rows ``offsets[k]:offsets[k + 1]``.
+    ``windows`` stacks the events' windows in the order of ``events``, and
+    ``states`` their trend states row for row: event k owns rows
+    ``offsets[k]:offsets[k + 1]`` of both.
     """
-    windows = [w for ev in events for w in window_seqs[ev.event_id].windows]
     cover_row = np.repeat(np.arange(len(windows)), [len(w.members) for w in windows])
     covered = np.fromiter(chain.from_iterable(w.members for w in windows), dtype=np.intp)
     event_of_row = np.repeat(np.arange(len(events)), np.diff(offsets))

@@ -151,7 +151,7 @@ class ModelParams:
         for name, t in self.tensors.items():
             t.data[...] = other.tensors[name].data
 
-    def assert_finite(self, context: str) -> None:
+    def assert_finite(self, context: str, error: type[Exception] = FloatingPointError) -> None:
         for name, t in self.tensors.items():
             if not np.all(np.isfinite(t.data)):
-                raise FloatingPointError(f"{context}: non-finite values in {name}")
+                raise error(f"{context}: non-finite values in {name}")

@@ -13,7 +13,6 @@ from .autodiff import no_grad
 from .clustering import PseudoEvent, check_partition, cluster_events, pass_through_events
 from .config import RunConfig
 from .data import Dataset
-from .fusion import check_dims
 from .metrics import evaluate
 from .params import ModelParams
 from .training import run_model
@@ -42,7 +41,6 @@ def predictions(
     cfg: RunConfig,
 ) -> tuple[np.ndarray, dict[int, float]]:
     """Per-post and per-event probabilities under fixed parameters."""
-    check_dims(ds, params)
     with no_grad():
         out = run_model(ds, events, windows, params, cfg)
     return out.p_post, out.p_event

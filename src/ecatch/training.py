@@ -13,7 +13,10 @@ readout to the loss, the per-post bookkeeping is index arrays. Its report
 holds totals only: the sums of those two nodes, the regularizer and the
 total. One backward pass over it yields every gradient, and runs are bitwise
 reproducible. Regularization gradients are added in closed form
-(2 * lambda_reg * theta). Everything runs in float64.
+(2 * lambda_reg * theta). Everything runs in float64. :func:`run_model`
+prepares each pass, scoring's too: one embedding-width check and one window
+list for fusion and readout. A ``FusionError`` or ``TrendError`` passes
+through unwrapped.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .config import RunConfig
 from .data import Dataset, read_json
 # ``fuse_window`` is not called here. Only ``bench/tracer.py`` uses it: the
 # tracer wraps the names ``run_model`` used to call.
-from .fusion import FusionError, block_pairs, fuse_group, fuse_window, window_groups  # noqa: F401
+from .fusion import block_pairs, check_dims, fuse_group, fuse_window, window_groups  # noqa: F401
 from .metrics import EvalResult, evaluate
 from .objective import (
     LossReport,
@@ -44,7 +47,7 @@ from .objective import (
     tc_terms,
 )
 from .params import ModelParams, ParamError, shape_table
-from .trend import TrendError, aggregate, decay_weights, encode_event
+from .trend import aggregate, decay_weights, encode_event
 from .windows import Window, WindowSequence
 
 CHECKPOINT_VERSION = 1
@@ -96,18 +99,16 @@ def run_model(
     params: ModelParams,
     cfg: RunConfig,
 ) -> Readout:
-    """Grouped fusion -> one trend encoding and one readout of all events."""
+    """Grouped fusion -> one trend encoding and one readout of all events,
+    from one width check and one window list in ascending event_id."""
+    check_dims(ds, params)
     ordered = sorted(events, key=lambda e: e.event_id)
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in ordered])
     flat = [w for ev in ordered for w in windows[ev.event_id].windows]
-    try:
-        parts, rows = fused_aggregates(ds, params, flat, cfg["attention.scope"],
-                                       cfg["attention.scale"], cfg["trend.alpha"])
-        states = encode_event(rows, parts, params, cfg["trend.beta"], offsets)
-    except (FusionError, TrendError) as exc:
-        raise TrainingError(f"window encoding: {exc}") from exc
-
-    return post_probabilities(ordered, windows, states, offsets, params, ds.n)
+    parts, rows = fused_aggregates(ds, params, flat, cfg["attention.scope"],
+                                   cfg["attention.scale"], cfg["trend.alpha"])
+    states = encode_event(rows, parts, params, cfg["trend.beta"], offsets)
+    return post_probabilities(ordered, flat, states, offsets, params, ds.n)
 
 
 def forward(
@@ -356,6 +357,7 @@ def _field(entry, key: str, where: str, kind: type):
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """The parameters a checkpoint holds; a damaged or non-finite one raises TrainingError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -410,4 +412,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         offset += nbytes
     if offset != len(body):
         raise TrainingError("checkpoint: trailing bytes after last tensor")
-    return ModelParams(d, heads, d_text, d_img, tensors)
+    params = ModelParams(d, heads, d_text, d_img, tensors)
+    params.assert_finite("checkpoint", TrainingError)
+    return params

@@ -69,10 +69,9 @@ def test_linear_gradient(rng):
     b = rng.normal(size=(3,))
     fd_check(lambda t, u, v: linear(t, u, v), x, w, b)
     fd_check(lambda t, u: add_scaled(linear(t, u), linear(t, u), 1.0), x, w)
-    # a plain ndarray input is a constant: no parent, no gradient
-    fd_check(lambda u, v: linear(x, u, v), w, b)
-    wt, bt = Tensor(w), Tensor(b)
-    assert linear(x, wt, bt)._parents == (wt, bt)
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+    assert linear(xt, wt, bt)._parents == (xt, wt, bt)
+    assert linear(xt, wt)._parents == (xt, wt)
 
 
 @settings(max_examples=40, deadline=None)

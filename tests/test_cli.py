@@ -138,6 +138,20 @@ def test_cluster_writes_events(tmp_path, dataset_dir):
     assert members == list(range(10))
 
 
+@pytest.mark.parametrize("field", ["id", "label", "timestamp", "has_image"])
+def test_cluster_key_naming_a_core_manifest_field_exits_2(tmp_path, dataset_dir, capsys,
+                                                          field):
+    out = tmp_path / "events.json"
+    assert main(["cluster", "--data", str(dataset_dir), "--out", str(out),
+                 "--set", f"cluster.key={field}"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cluster.key: {field!r} is a core manifest field; "
+        f"only extra manifest fields can group posts\n")
+    assert not out.exists()
+    assert main(["cluster", "--data", str(dataset_dir), "--out", str(out),
+                 "--set", "cluster.key=event"]) == 0
+
+
 def test_average_cluster_events_json_is_unchanged(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, n_events=4, posts_per_event=[20, 30], d_text=8,
                       margin=2.0, seed=11)
@@ -573,6 +587,14 @@ def _unlink(name):
     return lambda root: (root / name).unlink()
 
 
+def _last_float_nan(name):
+    """Set the last float64 of the file ``name`` to NaN."""
+    def damage(root):
+        raw = (root / name).read_bytes()
+        (root / name).write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    return damage
+
+
 def _generate(root):
     return cli.cmd_generate(Namespace(spec=str(root / "bad-spec.json"), out=str(root / "gen"),
                                       force=False))
@@ -620,6 +642,9 @@ MALFORMED_FILES = {
     "run-config-unknown-key": (_write("run/config.json", b'{"model.width": 4}'), _load_run,
                                cli.CliError, EVAL, 1,
                                "error: run/config.json: unknown config key 'model.width'"),
+    "run-config-core-key": (_write("run/config.json", b'{"cluster.key": "label"}'), _load_run,
+                            cli.CliError, EVAL, 1,
+                            "error: run/config.json: cluster.key: 'label' is a core manifest"),
     "events-not-json": (_write("run/events.json", b"\x00"),
                         lambda root: load_events(root / "run" / "events.json"),
                         ClusteringError, EVAL, 1, "events.json: events: Expecting value"),
@@ -635,6 +660,9 @@ MALFORMED_FILES = {
                                  lambda root: load_checkpoint(root / "run" / "checkpoint.bin"),
                                  TrainingError, EVAL, 1,
                                  "checkpoint: header: maximum recursion depth exceeded"),
+    "checkpoint-non-finite": (_last_float_nan("run/checkpoint.bin"),
+                              lambda root: load_checkpoint(root / "run" / "checkpoint.bin"),
+                              TrainingError, EVAL, 1, "checkpoint: non-finite values in clf.b_c"),
 }
 
 
@@ -653,14 +681,24 @@ def test_malformed_file_raises_its_typed_error_and_exit_code(tmp_path, run_dir, 
     assert says in err
 
 
+def _posts(ids, extra):
+    n = len(ids)
+    return Dataset(ids, np.zeros(n), np.arange(n) * 60, np.ones((n, 2)), np.zeros((n, 1)),
+                   np.zeros(n), extra)
+
+
+def _old_fingerprint(ds):
+    """The formula every dataset.json written so far holds."""
+    h = hashlib.sha256(json.dumps([ds.ids, ds.extra], sort_keys=True).encode())
+    h.update(ds.timestamps.tobytes())
+    h.update(ds.text.tobytes())
+    return h.hexdigest()
+
+
 def test_fingerprint_hashes_the_arrays_in_place(rng):
     ds = Dataset([f"p{i}" for i in range(20_000)], np.zeros(20_000),
                  np.arange(20_000) * 60, rng.normal(size=(20_000, 64)),
                  np.zeros((20_000, 2)), np.zeros(20_000), [{"k": i % 3} for i in range(20_000)])
-    # the digest every dataset.json written so far holds
-    old = hashlib.sha256(json.dumps([ds.ids, ds.extra], sort_keys=True).encode())
-    old.update(ds.timestamps.tobytes())
-    old.update(ds.text.tobytes())
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -668,5 +706,27 @@ def test_fingerprint_hashes_the_arrays_in_place(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert digest == old.hexdigest()
+    assert digest == _old_fingerprint(ds)
     assert peak < ds.text.nbytes / 2, peak
+
+
+@pytest.mark.parametrize("n", [0, 1, cli.FINGERPRINT_SLICE, cli.FINGERPRINT_SLICE + 1,
+                               2 * cli.FINGERPRINT_SLICE + 3])
+def test_fingerprint_slices_hash_the_old_bytes(n):
+    awkward = ['q"', "b\\", "n\n", "é", "☃", "\U0001f600"]
+    ids = [f"{awkward[i % 6]}{i}" for i in range(n)]
+    extra = [{"z": i, "a": {"y": [i, 'q"'], "b": None}} if i % 3 else {} for i in range(n)]
+    ds = _posts(ids, extra)
+    assert cli._fingerprint(ds) == _old_fingerprint(ds)
+
+
+def test_fingerprint_peak_does_not_grow_with_the_ids():
+    ds = _posts([f"p{i}" for i in range(200_000)], [{"event": i} for i in range(200_000)])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cli._fingerprint(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -117,6 +118,15 @@ def test_nullable_keys():
     assert cfg["cluster.key"] == "event"
     with pytest.raises(ConfigError):
         RunConfig({"model.d": None})
+
+
+@pytest.mark.parametrize("field", ["id", "label", "timestamp", "has_image"])
+def test_cluster_key_naming_a_core_manifest_field_is_refused(field):
+    says = f"cluster.key: {field!r} is a core manifest field; only extra manifest fields"
+    with pytest.raises(ConfigError, match=re.escape(says)):
+        RunConfig({"cluster.key": field})
+    with pytest.raises(ConfigError, match=re.escape(says)):
+        load_config(None, {"cluster.key": field})
 
 
 def test_window_geometry_resolution():

@@ -69,12 +69,6 @@ def test_encode_identity_passthrough(rng):
     np.testing.assert_array_equal(t, x)
 
 
-def test_encode_dimension_mismatch(rng):
-    ds = make_dataset(rng.normal(size=(2, 5)))
-    with pytest.raises(FusionError, match="d_text"):
-        encode(ds, build_params(d_text=3), range(2))
-
-
 def random_blocks(rng, heads, dh, scale=1.0):
     """Two attention blocks of random Tensors, and their arrays in block order."""
     d = heads * dh

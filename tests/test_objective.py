@@ -34,10 +34,17 @@ def trend_states(*rows):
     return Tensor(np.array(rows, dtype=float))
 
 
+def stacked(events, windows):
+    """The events' windows in one list, one event's after another, as ``run_model``
+    stacks them."""
+    return [w for ev in events for w in windows[ev.event_id].windows]
+
+
 def probabilities_of(events, windows, states, params, n_posts):
     """``post_probabilities``' readout of ``states``, one event's rows after another."""
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
-    return post_probabilities(events, windows, states, offsets, params, n_posts)
+    return post_probabilities(events, stacked(events, windows), states, offsets, params,
+                              n_posts)
 
 
 # -- class weights ------------------------------------------------------------
@@ -150,7 +157,8 @@ def test_readout_lists_each_events_posts_with_their_last_window(rng):
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
     states = run_lstm(trend_features(Tensor(rng.normal(size=(offsets[-1], 4))), 0.5, offsets),
                       params, offsets)
-    readout = post_probabilities(events, windows, states, offsets, params, ds.n)
+    readout = post_probabilities(events, stacked(events, windows), states, offsets, params,
+                                 ds.n)
     last = {ev.event_id: {i: w.index for w in windows[ev.event_id].windows for i in w.members}
             for ev in events}  # later windows overwrite: each post's last window
     want = [(post, k, offsets[k] + last[ev.event_id][post] - 1)
@@ -168,7 +176,7 @@ def test_uncovered_post_is_named(rng):
     events = [events[0], PseudoEvent(1, events[1].member_indices + (0,))]
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
     with pytest.raises(ObjectiveError, match="post 0 of event 1 is not covered"):
-        post_probabilities(events, windows, states, offsets, params, ds.n)
+        post_probabilities(events, stacked(events, windows), states, offsets, params, ds.n)
 
 
 # -- cross-entropy and mining --------------------------------------------------

@@ -1,11 +1,12 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from conftest import DAY, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecatch import pipeline, training
+from ecatch import fusion, pipeline, training
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.metrics import evaluate
@@ -55,6 +56,30 @@ def test_scoring_keeps_no_tape():
     assert p_post.tobytes() == taped.p_post.tobytes()
     assert np.array(list(p_event.items())).tobytes() == \
         np.array(list(taped.p_event.items())).tobytes()
+
+
+def test_predictions_dimension_mismatch():
+    ds, events, windows, params, cfg = bursty_problem()
+    narrow = ModelParams.build(params.d, params.heads, ds.d_text - 1, ds.d_img)
+    with pytest.raises(fusion.FusionError, match="d_text"):
+        pipeline.predictions(ds, events, windows, narrow, cfg)
+
+
+def test_one_width_check_per_pass(monkeypatch):
+    ds, events, windows, params, cfg = bursty_problem()
+    assert len(fusion.window_groups([w for s in windows.values() for w in s.windows])) > 2
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_dims(*args)
+
+    check_dims = training.check_dims
+    # the name run_model looks up, and the one a per-chunk check would
+    monkeypatch.setattr(training, "check_dims", counted)
+    monkeypatch.setattr(fusion, "check_dims", counted)
+    pipeline.predictions(ds, events, windows, params, cfg)
+    assert calls == [(ds, params)]
 
 
 def looped_event_level(ds, indices, p_event, events, threshold):

@@ -347,6 +347,13 @@ def test_forward_requires_training_posts():
         forward(no_train, events, windows, params, cfg)
 
 
+def test_forward_dimension_mismatch():
+    ds, events, windows, params, cfg = toy_problem(7)
+    narrow = ModelParams.build(params.d, params.heads, ds.d_text - 1, ds.d_img)
+    with pytest.raises(fusion.FusionError, match="d_text"):
+        forward(ds, events, windows, narrow, cfg)
+
+
 # -- optimizers -----------------------------------------------------------------
 def test_adam_zero_gradient_is_identity():
     params = ModelParams.build(4, 2, 3, 2, seed=1)
@@ -534,6 +541,17 @@ def test_checkpoint_truncated_file(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(TrainingError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value", [("fusion.W_g", math.inf), ("lstm.b_f", -math.inf),
+                                         ("fusion.att_ti.Wq", math.nan)])
+def test_checkpoint_refuses_non_finite_values(tmp_path, name, value):
+    params = ModelParams.build(4, 2, 5, 3, seed=14)
+    params[name].data.flat[1] = value
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(params, path)
+    with pytest.raises(TrainingError, match=f"^checkpoint: non-finite values in {name}$"):
         load_checkpoint(path)
 
 
