@@ -7,10 +7,9 @@ stacks row blocks and picks rows of the stack, and :func:`add_scaled`, the
 loss's ``a + c * b``. The encoders of constant inputs, the attention and the
 gate live in ``fusion``, the aggregation, trend-input and LSTM nodes in
 ``trend``, and the cross-entropy and consistency nodes in ``objective``.
-``Tensor`` has no arithmetic of its own. ``Tensor.backward()`` topologically
-sorts the graph (iteratively, so deep chains are fine) and accumulates
-gradients into ``.grad``. All data is float64; gradient checks downstream
-rely on that.
+``Tensor.backward()`` topologically sorts the graph (iteratively, so deep
+chains are fine) and accumulates gradients into ``.grad``. All data is
+float64; gradient checks downstream rely on that.
 
 ``backward`` consumes the graph it walks: once an interior node has passed
 its gradient to its parents, it drops its ``grad``, its closure and its

@@ -37,7 +37,7 @@ import numpy as np
 from .clustering import ClusteringError, check_partition, load_events, save_events
 from .config import (KEYS, NON_NEGATIVE, ConfigError, RunConfig, check_value, load_config,
                      parse_override, read_config_file, save_config)
-from .data import Dataset, assign_splits, load_dataset, read_json, write_dataset
+from .data import SPLIT_NAMES, Dataset, assign_splits, load_dataset, read_json, write_dataset
 from .params import shape_table
 from .pipeline import build_structure, evaluate_posts_and_events, predictions
 from .synth import MAX_ARRAY_BYTES, SynthSpec, generate, write_ground_truth
@@ -219,14 +219,13 @@ def cmd_predict(args) -> int:
     cfg, params, ds, events, windows = _load_run(args)
     p_post, _ = predictions(ds, events, windows, params, cfg)
 
-    assignment = ds.split_assignment()
     with Path(args.out).open("w") as fh:
-        for i in range(ds.n):
+        for i, s in enumerate(ds.split.tolist()):
             fh.write(json.dumps({
                 "id": ds.ids[i],
                 "p": float(p_post[i]),
                 "label": int(ds.labels[i]),
-                "split": assignment[ds.ids[i]],
+                "split": SPLIT_NAMES[s],
             }) + "\n")
     print(f"wrote {ds.n} predictions to {args.out}")
     return 0

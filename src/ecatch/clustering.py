@@ -68,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_json
+from .data import _MANIFEST_KEYS, Dataset, read_json
 
 LINKAGES = ("average", "complete", "single")
 
@@ -347,8 +347,12 @@ def pass_through_events(ds: Dataset, key: str) -> list[PseudoEvent]:
     """One event per distinct manifest value of ``key`` (clustering skipped).
 
     Equal numbers such as 1 and 1.0 share an event; true and false match no
-    number. A list or object value is refused.
+    number. A list or object value is refused, and so is a core manifest field
+    (``data._MANIFEST_KEYS``), which ``Dataset.extra`` does not hold.
     """
+    if key in _MANIFEST_KEYS:
+        raise ClusteringError(f"{key!r} is a core manifest field; only extra manifest "
+                              f"fields can group posts")
     groups: dict = {}
     order: list = []
     for i in range(ds.n):

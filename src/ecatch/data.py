@@ -114,11 +114,6 @@ class Dataset:
             raise DatasetError(f"unknown split {name!r}")
         return np.flatnonzero(self.split == SPLIT_NAMES.index(name))
 
-    def split_assignment(self) -> dict[str, str]:
-        if self.split is None:
-            raise DatasetError("splits have not been assigned")
-        return {self.ids[i]: SPLIT_NAMES[self.split[i]] for i in range(self.n)}
-
     def train_mask(self) -> np.ndarray:
         if self.split is None:
             raise DatasetError("splits have not been assigned")

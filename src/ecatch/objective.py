@@ -13,8 +13,7 @@ hard-example mining keeps the globally highest-loss fraction of them. The
 loss is two nodes over the stack: :func:`ce_loss` over the selected terms,
 and :func:`tc_terms`, the temporal-consistency term, which penalizes large
 aligned jumps between consecutive trend states of one event. A
-:class:`LossReport` holds the totals of those sums only, with no per-event or
-per-post split.
+:class:`LossReport` holds the totals of those sums only.
 """
 
 from __future__ import annotations

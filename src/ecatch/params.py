@@ -151,7 +151,7 @@ class ModelParams:
         for name, t in self.tensors.items():
             t.data[...] = other.tensors[name].data
 
-    def assert_finite(self, context: str, error: type[Exception] = FloatingPointError) -> None:
+    def assert_finite(self, context: str, error: type[Exception]) -> None:
         for name, t in self.tensors.items():
             if not np.all(np.isfinite(t.data)):
                 raise error(f"{context}: non-finite values in {name}")

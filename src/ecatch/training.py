@@ -15,8 +15,13 @@ total. One backward pass over it yields every gradient, and runs are bitwise
 reproducible. Regularization gradients are added in closed form
 (2 * lambda_reg * theta). Everything runs in float64. :func:`run_model`
 prepares each pass, scoring's too: one embedding-width check and one window
-list for fusion and readout. A ``FusionError`` or ``TrendError`` passes
-through unwrapped.
+list for fusion and readout.
+
+Early stopping has one rule: the validation split ranks parameters only if
+it holds both classes, since F1 and AUC say nothing on one class. Without
+that, each epoch's parameters stand in as best. A divergence (a non-finite
+loss, gradient or updated parameter) ends training with the best checkpoint
+so far and a reason that names its epoch.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .data import Dataset, read_json
 # ``fuse_window`` is not called here. Only ``bench/tracer.py`` uses it: the
 # tracer wraps the names ``run_model`` used to call.
 from .fusion import block_pairs, check_dims, fuse_group, fuse_window, window_groups  # noqa: F401
-from .metrics import EvalResult, evaluate
+from .metrics import evaluate
 from .objective import (
     LossReport,
     Readout,
@@ -126,9 +131,8 @@ def forward(
     if not len(terms):
         raise TrainingError("no training posts: cannot build the classification loss")
 
-    rho = cfg["mining.rho"]
-    if rho < 1.0 and epoch >= cfg["mining.warmup_epochs"]:
-        terms = mine_hard_examples(terms, rho)
+    if epoch >= cfg["mining.warmup_epochs"]:
+        terms = mine_hard_examples(terms, cfg["mining.rho"])
 
     lambda_tc, lambda_reg = cfg["loss.lambda_tc"], cfg["loss.lambda_reg"]
     loss = ce_loss(readout.logits, readout.ce_coefficients(terms))
@@ -230,19 +234,12 @@ HISTORY_FIELDS = ("epoch", "ce", "tc", "reg", "total") + tuple(f"val_{m}" for m 
 
 @dataclass
 class TrainResult:
-    params: ModelParams       # best-validation checkpoint
+    params: ModelParams       # best checkpoint
     history: list[dict]
     best_epoch: int
-    best_metric: float
+    best_metric: float        # the monitored metric at best_epoch
     final_params: ModelParams | None = None  # state after the last update
     divergence: str | None = None  # why a non-finite value stopped training early
-
-
-def _val_metrics(ds: Dataset, p_post: np.ndarray, threshold: float) -> EvalResult | None:
-    val_idx = ds.split_indices("val")
-    if val_idx.size == 0:
-        return None
-    return evaluate(p_post[val_idx], ds.labels[val_idx], threshold)
 
 
 def train(
@@ -252,9 +249,21 @@ def train(
     cfg: RunConfig,
     params: ModelParams | None = None,
 ) -> TrainResult:
-    """Full-batch gradient training with best-validation checkpointing."""
-    if ds.split is None:
-        raise TrainingError("assign splits before training")
+    """Full-batch gradient training with best-validation checkpointing.
+
+    The validation split ranks parameters only if it holds both classes. Then
+    an epoch whose ``train.early_stop_metric`` beats every earlier one stands
+    as best, and training stops once more than ``train.early_stop_patience``
+    epochs in a row have not. Otherwise (no validation post, or one class)
+    each epoch's parameters stand in as best and no epoch counts as stale.
+
+    A non-finite loss, gradient or updated parameter is a divergence: training
+    stops, ``divergence`` reads ``epoch N: ...`` and the best checkpoint so
+    far is returned.
+    """
+    val_idx = ds.split_indices("val")
+    val_labels = ds.labels[val_idx]
+    ranked = np.unique(val_labels).size == 2
     if params is None:
         params = ModelParams.build(
             cfg["model.d"], cfg["model.heads"], ds.d_text, ds.d_img,
@@ -272,7 +281,6 @@ def train(
     stale = 0
     divergence = None
 
-    # A divergence stops the loop and hands back the last good checkpoint.
     for epoch in range(cfg["train.epochs"]):
         artifacts = forward(ds, events, windows, params, cfg, epoch=epoch)
         report = artifacts.report
@@ -280,22 +288,16 @@ def train(
             divergence = f"epoch {epoch}: non-finite loss"
             break
 
-        val = _val_metrics(ds, report.p_post, threshold)
+        val = evaluate(report.p_post[val_idx], val_labels, threshold) if val_idx.size else None
         row = {"epoch": epoch, "ce": report.ce, "tc": report.tc, "reg": report.reg,
                "total": report.total}
         row.update({f"val_{m}": getattr(val, m) if val else math.nan for m in VAL_METRICS})
         history.append(row)
 
         monitored = row[f"val_{metric_name}"]
-        if val is None:
-            # No validation split: the latest parameters stand in as best.
+        if not ranked or monitored > best_metric:
+            best_metric, best_epoch, stale = monitored, epoch, 0
             best.load_values(params)
-            best_epoch = epoch
-        elif math.isfinite(monitored) and monitored > best_metric:
-            best_metric = monitored
-            best.load_values(params)
-            best_epoch = epoch
-            stale = 0
         else:
             stale += 1
             if stale > patience:
@@ -303,17 +305,13 @@ def train(
 
         try:
             grads = backward(artifacts)
+            # Release this epoch's tape before the next forward builds another.
+            del artifacts
+            clip_gradients(grads, cfg["train.grad_clip_norm"])
+            optimizer.step(grads)
+            params.assert_finite("after the update", TrainingError)
         except TrainingError as exc:
             divergence = f"epoch {epoch}: {exc}"
-            break
-        # Release this epoch's tape before the next forward builds another.
-        del artifacts
-        clip_gradients(grads, cfg["train.grad_clip_norm"])
-        optimizer.step(grads)
-        try:
-            params.assert_finite(f"after update at epoch {epoch}")
-        except FloatingPointError as exc:
-            divergence = str(exc)
             break
 
     return TrainResult(best, history, best_epoch, best_metric, params, divergence)

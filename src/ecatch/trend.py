@@ -3,8 +3,8 @@
 Per window: posts are averaged with weights exp(-alpha * (t_max - t_i)),
 t_max being the latest member timestamp, so the newest post always carries
 weight 1. :func:`decay_weights` takes a fusion chunk as its (B, n) member
-matrix and anchors each row at the latest timestamp among its members, which
-no window stores. :func:`aggregate` averages a whole chunk in one tape node.
+matrix and anchors each row at the latest timestamp among its members.
+:func:`aggregate` averages a whole chunk in one tape node.
 Every event's aggregates are stacked in window order, event k in rows
 ``offsets[k]:offsets[k + 1]``. Between consecutive windows of an event the
 aggregate difference (semantic shift) and an exponential moving average of

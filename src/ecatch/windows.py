@@ -7,7 +7,7 @@ the walk jumps to the first grid position that covers the next post, so its
 cost follows the number of windows, not the event's extent. With stride = span/2
 consecutive grid windows overlap by 50%.
 
-A window holds its members in time order and no decay anchor:
+A window holds its members in time order:
 ``fusion.window_groups`` stacks same-size windows into (B, n) member matrices,
 and ``trend.decay_weights`` anchors each row at its latest member timestamp.
 """

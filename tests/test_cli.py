@@ -15,7 +15,7 @@ from ecatch.cli import main
 from ecatch.pipeline import build_structure
 from ecatch.clustering import ClusteringError, load_events
 from ecatch.config import ConfigError, load_config, read_config_file
-from ecatch.data import Dataset, DatasetError, load_dataset, write_dataset
+from ecatch.data import Dataset, DatasetError, assign_splits, load_dataset, write_dataset
 from ecatch.training import TrainingError, load_checkpoint
 
 from conftest import DAY, nan_gradient_at_epoch_1
@@ -271,6 +271,12 @@ def test_predict_emits_one_line_per_post(tmp_path, dataset_dir, run_dir):
     assert len(lines) == 10
     assert {"id", "p", "label", "split"} <= set(lines[0])
     assert all(0.0 <= l["p"] <= 1.0 for l in lines)
+    cfg = load_config(run_dir / "config.json")
+    ds = assign_splits(load_dataset(dataset_dir), cfg.split_fractions(), cfg["seed"])
+    assert [l["id"] for l in lines] == ds.ids
+    for name in ("train", "val", "test"):
+        assert [i for i, l in enumerate(lines) if l["split"] == name] == \
+            ds.split_indices(name).tolist()
 
 
 def _drop_first_event(path):

@@ -383,6 +383,13 @@ def test_pass_through_missing_key():
         pass_through_events(ds, "k")
 
 
+@pytest.mark.parametrize("key", ["id", "label", "timestamp", "has_image"])
+def test_pass_through_refuses_a_core_manifest_field(key):
+    ds = make_dataset(np.zeros((2, 2)), extra=[{"k": 1}, {"k": 2}])
+    with pytest.raises(ClusteringError, match=f"^'{key}' is a core manifest field; "):
+        pass_through_events(ds, key)
+
+
 def test_pass_through_keeps_bools_apart_from_equal_numbers():
     ds = make_dataset(np.zeros((4, 2)), extra=[{"k": v} for v in (1, True, 1.0, "1")])
     assert partition(pass_through_events(ds, "k")) == [(0, 2), (1,), (3,)]

@@ -228,11 +228,11 @@ def test_split_floor_rule_enumerated():
 
 def test_split_determinism_and_seed_sensitivity():
     ds = make_dataset(np.zeros((50, 2)))
-    a = assign_splits(ds, (0.8, 0.1, 0.1), seed=3).split_assignment()
-    b = assign_splits(ds, (0.8, 0.1, 0.1), seed=3).split_assignment()
-    c = assign_splits(ds, (0.8, 0.1, 0.1), seed=4).split_assignment()
-    assert a == b
-    assert a != c
+    a = assign_splits(ds, (0.8, 0.1, 0.1), seed=3).split
+    b = assign_splits(ds, (0.8, 0.1, 0.1), seed=3).split
+    c = assign_splits(ds, (0.8, 0.1, 0.1), seed=4).split
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_split_validation():

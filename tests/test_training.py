@@ -419,6 +419,25 @@ def test_best_checkpoint_tracks_monitored_metric():
     assert res.best_epoch == int(np.argmax(observed))
 
 
+@pytest.mark.parametrize("metric", ["f1", "auc", "accuracy"])
+def test_one_class_validation_split_ranks_no_epoch(metric):
+    # F1 and AUC say nothing on one class, so each epoch stands in as best
+    # and none counts as stale, as with no validation split at all.
+    ds, events, windows, _, cfg = toy_problem(10)
+    split = np.zeros(ds.n, dtype=np.int8)
+    split[:2] = 1
+    ds = ds.with_split(split)
+    assert ds.labels[:2].tolist() == [0, 0]
+    cfg = cfg.updated({"train.early_stop_metric": metric, "train.early_stop_patience": 0})
+    res = train(ds, events, windows, cfg.updated({"train.epochs": 4}))
+    three = train(ds, events, windows, cfg.updated({"train.epochs": 3}))
+    assert len(res.history) == 4
+    assert res.best_epoch == 3
+    assert res.divergence is None
+    for name, t in res.params.items():
+        np.testing.assert_array_equal(t.data, three.final_params[name].data)
+
+
 def test_epoch_tape_has_no_reference_cycles():
     # Reference counting alone frees the whole tape: no node may sit on a
     # cycle, so the collector finds nothing once the collector was held off.
@@ -489,7 +508,7 @@ def _nan_parameter_at_epoch_1(monkeypatch):
 
 @pytest.mark.parametrize("inject, reason", [
     (nan_gradient_at_epoch_1, "epoch 1: non-finite gradient in "),
-    (_nan_parameter_at_epoch_1, "after update at epoch 1: non-finite values in fusion.W_text"),
+    (_nan_parameter_at_epoch_1, "epoch 1: after the update: non-finite values in fusion.W_text"),
 ])
 def test_divergence_returns_best_checkpoint(monkeypatch, inject, reason):
     ds, events, windows, _, cfg = toy_problem(9)
