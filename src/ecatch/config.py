@@ -134,8 +134,9 @@ KEYS: dict[str, Key] = {
                                 float),
     "train.early_stop_patience": Key(5, "epochs without val improvement before stop",
                                      COUNT),
-    "train.early_stop_metric": Key("f1", "validation metric: f1|auc|accuracy; ranks "
-                                   "epochs only on a validation split with both classes",
+    "train.early_stop_metric": Key("f1", "validation metric: f1|auc|accuracy, ties to the "
+                                   "lower log-loss; ranks epochs only on a validation "
+                                   "split with both classes",
                                    ("f1", "auc", "accuracy")),
     "eval.threshold": Key(0.5, "decision threshold for headline metrics", OPEN_UNIT_INTERVAL),
 }

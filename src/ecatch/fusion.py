@@ -29,9 +29,17 @@ Inside an attention node, each input modality goes through one
 (rows, d) @ (d, 3d) product that covers every head and the q/k/v roles, and
 ``Wo`` and ``W_out`` are one 2-D product each per modality. The VJP makes the
 input gradient and the weight gradient with one product each, over all heads
-and roles. Only the n x n stage runs per (window, head). The tape keeps a
-node's projections, probabilities and head outputs, but not the rows that
-enter ``W_out``: the VJP takes ``W_out``'s gradient through ``Wo`` instead.
+and roles. Only the n x n stage runs per (window, head).
+
+For its VJP a fusion node keeps only what is costly to rebuild: an attention
+node its softmax probabilities. The VJP rebuilds the rest from arrays that
+outlive the node: the q/k/v projections from the input rows and the weight
+pack, which the parent nodes hold, the head outputs from the probabilities,
+and the encoder rows by gathering the dataset again. Each is the forward's
+operation on the same operands in the same shapes, and the pass writes none
+of those arrays after the node is built, so the gradients are bit for bit
+those of keeping them. Nor does the tape keep the rows that enter ``W_out``:
+the VJP takes ``W_out``'s gradient through ``Wo`` instead.
 
 That stage holds one (2, B, H, n, n) buffer in the forward pass: the scores
 are scaled, shifted, exponentiated and normalised in place into the
@@ -92,25 +100,32 @@ def encode(ds: Dataset, params: ModelParams, members: np.ndarray) -> Tensor:
     """Text and image rows of ``members`` as one (2, *members.shape, d) node.
 
     Modality m is ``x @ W.T + b`` over its embeddings, which are constants.
+    The node keeps no gathered embedding rows: its VJP gathers them from
+    ``ds`` again, the same rows in the same layout, which nothing changes
+    during the pass.
     """
     d = params.d
-    inputs = (ds.text[members].reshape(-1, ds.d_text),
-              ds.image[members].reshape(-1, ds.d_img))
     weights = (params["fusion.W_text"], params["fusion.b_text"],
                params["fusion.W_img"], params["fusion.b_img"])
-    out = np.empty((2, inputs[0].shape[0], d))
-    for m, rows in enumerate(inputs):
+    out = np.empty((2, members.size, d))
+    for m, rows in enumerate(_encoder_rows(ds, members)):
         np.matmul(rows, weights[2 * m].data.T, out=out[m])
         out[m] += weights[2 * m + 1].data
 
     def vjp(g: np.ndarray):
-        g = g.reshape(out.shape)
+        g = g.reshape(2, -1, d)
         grads = []
-        for m, rows in enumerate(inputs):
+        for m, rows in enumerate(_encoder_rows(ds, members)):
             grads += [(rows.T @ g[m]).T, g[m].sum(axis=0)]
         return grads
 
     return Tensor(out.reshape((2,) + members.shape + (d,)), weights, vjp)
+
+
+def _encoder_rows(ds: Dataset, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text and the image rows of ``members``, gathered, one row a member."""
+    return (ds.text[members].reshape(-1, ds.d_text),
+            ds.image[members].reshape(-1, ds.d_img))
 
 
 def block_pair(first: AttentionBlock, second: AttentionBlock, cross: bool = False) -> Tensor:
@@ -179,6 +194,13 @@ def attention(
     the modality and the rows index independent sequences, such as the
     windows of one fusion chunk. ``diagonal`` masks every score but (i, i);
     ``return_weights`` also returns the (2, ..., H, n, n) probabilities.
+
+    The node keeps the probabilities for its VJP, and nothing else of its
+    own: the VJP rebuilds the (2, B * n, 3d) projections as ``x`` rows @ the
+    pair's projection columns, and the (2, B * n, d) head outputs as each
+    head's ``p @ v`` into the same layout. The operands are ``x.data`` and
+    ``pair.data``, which the parent nodes hold and the pass does not write
+    again, and the shapes are the forward's, so the floats are the same.
     """
     shape = x.shape
     n, d = shape[-2:]
@@ -190,15 +212,10 @@ def attention(
     w = pair.data
     rows_in = x.data.reshape(2, -1, d)
     batch = rows_in.shape[1] // n
-    # (role, modality, window, head, post, head width) views of the projections
-    q, k, v = (rows_in @ w[:, :, :3 * d]).reshape(2, batch, n, 3, heads, -1) \
-        .transpose(3, 0, 1, 4, 2, 5)
-    if cross:
-        k, v = k[::-1], v[::-1]
+    q, k, v = _projections(rows_in, w, n, heads, cross)
     # A window too big for the pair budget on its own runs one modality at a time.
     parts = [slice(0, 1), slice(1, 2)] if n * max(n, 8) > MAX_PAIRS else [slice(0, 2)]
-    merged = np.empty((2, batch, n, heads, d // heads))
-    heads_first = merged.transpose(0, 1, 3, 2, 4)
+    merged, heads_first = _head_outputs(batch, n, heads, d)
     keep = recording() or return_weights
     probs = []
     for s in parts:
@@ -216,9 +233,13 @@ def attention(
         if keep:
             probs.append(p)
         del p
-    merged = merged.reshape(2, -1, d)
 
     def vjp(g_out: np.ndarray):
+        # The projections and head outputs again, by the forward's products
+        q, k, v = _projections(rows_in, w, n, heads, cross)
+        merged, heads_first = _head_outputs(batch, n, heads, d)
+        for s, p in zip(parts, probs):
+            np.matmul(p, v[s], out=heads_first[s])
         g_rows = g_out.reshape(merged.shape)
         g_pair = np.empty_like(w)
         # W_out's gradient g_rows^T @ (merged @ Wo), associated so that the
@@ -254,6 +275,23 @@ def attention(
     if return_weights:
         return out, probs[0] if len(probs) == 1 else np.concatenate(probs)
     return out
+
+
+def _projections(rows_in: np.ndarray, w: np.ndarray, n: int, heads: int, cross: bool):
+    """q, k and v of the (2, B * n, d) rows ``rows_in`` under the (2, d, 5d + 1)
+    pair ``w``: (modality, window, head, post, head width) views of one
+    (2, B * n, 3d) product, k and v flipped across modalities for ``cross``."""
+    d = rows_in.shape[-1]
+    q, k, v = (rows_in @ w[:, :, :3 * d]).reshape(2, -1, n, 3, heads, d // heads) \
+        .transpose(3, 0, 1, 4, 2, 5)
+    return (q, k[::-1], v[::-1]) if cross else (q, k, v)
+
+
+def _head_outputs(batch: int, n: int, heads: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """An empty (2, B * n, d) head-output buffer, heads merged, and its
+    (2, B, H, n, d / H) view, into which each head's ``p @ v`` is written."""
+    merged = np.empty((2, batch, n, heads, d // heads))
+    return merged.reshape(2, -1, d), merged.transpose(0, 1, 3, 2, 4)
 
 
 def window_groups(windows: Sequence[Window]) -> list[tuple[list[int], np.ndarray]]:

@@ -98,6 +98,18 @@ def evaluate(p: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> EvalResult
                       tp, fp, tn, fn, threshold, int(p.size))
 
 
+def log_loss(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy of probabilities ``p`` against 0/1 labels ``y``.
+
+    Probabilities are clipped into [eps, 1 - eps] (float64 eps), so one that
+    rounds to 0 or 1 costs at most -log(eps) ~ 36 and the mean stays finite.
+    """
+    eps = np.finfo(np.float64).eps
+    p = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
+    pos = np.asarray(y) == 1
+    return float(-np.mean(np.where(pos, np.log(p), np.log1p(-p))))
+
+
 def auc_by_pair_enumeration(p: np.ndarray, y: np.ndarray) -> float:
     """Quadratic-time oracle: walk every positive/negative pair explicitly."""
     p = np.asarray(p, dtype=np.float64)

@@ -19,14 +19,17 @@ list for fusion and readout.
 
 Early stopping has one rule: the validation split ranks parameters only if
 it holds both classes, since F1 and AUC say nothing on one class. Without
-that, each epoch's parameters stand in as best. A divergence (a non-finite
-loss, gradient or updated parameter) ends training with the best checkpoint
-so far and a reason that names its epoch.
+that, each epoch's parameters stand in as best. Epochs are ranked by the
+monitored metric, and a tie by the lower validation log-loss, so that a
+metric stuck at one value (F1 at 0 on a rare class) does not keep epoch 0.
+A divergence (a non-finite loss, gradient or updated parameter) ends
+training with the best checkpoint so far and a reason that names its epoch.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from .data import Dataset, read_json
 # ``fuse_window`` is not called here. Only ``bench/tracer.py`` uses it: the
 # tracer wraps the names ``run_model`` used to call.
 from .fusion import block_pairs, check_dims, fuse_group, fuse_window, window_groups  # noqa: F401
-from .metrics import evaluate
+from .metrics import evaluate, log_loss
 from .objective import (
     LossReport,
     Readout,
@@ -229,7 +232,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> floa
 
 # -- training loop ----------------------------------------------------------
 VAL_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
-HISTORY_FIELDS = ("epoch", "ce", "tc", "reg", "total") + tuple(f"val_{m}" for m in VAL_METRICS)
+HISTORY_FIELDS = (("epoch", "ce", "tc", "reg", "total") + tuple(f"val_{m}" for m in VAL_METRICS)
+                  + ("val_logloss",))
 
 
 @dataclass
@@ -252,9 +256,10 @@ def train(
     """Full-batch gradient training with best-validation checkpointing.
 
     The validation split ranks parameters only if it holds both classes. Then
-    an epoch whose ``train.early_stop_metric`` beats every earlier one stands
-    as best, and training stops once more than ``train.early_stop_patience``
-    epochs in a row have not. Otherwise (no validation post, or one class)
+    an epoch whose (``train.early_stop_metric``, -validation log-loss) pair
+    beats every earlier one's, compared in that order, stands as best, and
+    training stops once more than ``train.early_stop_patience`` epochs in a
+    row have not. Otherwise (no validation post, or one class)
     each epoch's parameters stand in as best and no epoch counts as stale.
 
     A non-finite loss, gradient or updated parameter is a divergence: training
@@ -276,7 +281,7 @@ def train(
 
     history: list[dict] = []
     best = params.clone()
-    best_metric = -math.inf
+    best_score = (-math.inf, -math.inf)  # (monitored metric, -validation log-loss)
     best_epoch = 0
     stale = 0
     divergence = None
@@ -292,11 +297,12 @@ def train(
         row = {"epoch": epoch, "ce": report.ce, "tc": report.tc, "reg": report.reg,
                "total": report.total}
         row.update({f"val_{m}": getattr(val, m) if val else math.nan for m in VAL_METRICS})
+        row["val_logloss"] = log_loss(report.p_post[val_idx], val_labels) if val else math.nan
         history.append(row)
 
-        monitored = row[f"val_{metric_name}"]
-        if not ranked or monitored > best_metric:
-            best_metric, best_epoch, stale = monitored, epoch, 0
+        score = (row[f"val_{metric_name}"], -row["val_logloss"])
+        if not ranked or score > best_score:
+            best_score, best_epoch, stale = score, epoch, 0
             best.load_values(params)
         else:
             stale += 1
@@ -314,7 +320,7 @@ def train(
             divergence = f"epoch {epoch}: {exc}"
             break
 
-    return TrainResult(best, history, best_epoch, best_metric, params, divergence)
+    return TrainResult(best, history, best_epoch, best_score[0], params, divergence)
 
 
 def write_history(history: list[dict], path: str | Path) -> None:
@@ -328,17 +334,21 @@ def write_history(history: list[dict], path: str | Path) -> None:
 
 # -- checkpoints -------------------------------------------------------------
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Header JSON line, then concatenated little-endian float64 tensors."""
+    """Header JSON line, then concatenated little-endian float64 tensors.
+
+    The header's ``sha256`` is the hex digest of those tensor bytes.
+    """
+    body = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                    for _, t in params.items())
     header = {
         "format_version": CHECKPOINT_VERSION,
         "d": params.d,
         "H": params.heads,
         "names": [{"name": n, "shape": list(t.shape)} for n, t in params.items()],
+        "sha256": hashlib.sha256(body).hexdigest(),
     }
     with Path(path).open("wb") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        for _, t in params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
 
 
 def _field(entry, key: str, where: str, kind: type):
@@ -355,7 +365,11 @@ def _field(entry, key: str, where: str, kind: type):
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """The parameters a checkpoint holds; a damaged or non-finite one raises TrainingError."""
+    """The parameters a checkpoint holds; a damaged or non-finite one raises TrainingError.
+
+    A header without ``sha256`` (as written before it had one) skips the
+    digest check.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -410,6 +424,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         offset += nbytes
     if offset != len(body):
         raise TrainingError("checkpoint: trailing bytes after last tensor")
+    stated = header.get("sha256")
+    if stated is not None and hashlib.sha256(body).hexdigest() != stated:
+        raise TrainingError(f"checkpoint: payload sha256 does not match the header's {stated!r}")
     params = ModelParams(d, heads, d_text, d_img, tensors)
     params.assert_finite("checkpoint", TrainingError)
     return params

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -208,6 +209,24 @@ def test_train_keeps_best_checkpoint_on_nan_gradient(tmp_path, dataset_dir,
     assert "epoch 1: non-finite gradient in " in capsys.readouterr().err
     assert (out / "checkpoint.bin").is_file()
     assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_train_on_a_rare_class_keeps_trained_weights(tmp_path, capsys):
+    # One positive validation post: F1 reads 0 at every epoch, and the lower
+    # validation log-loss ranks the epochs in its place.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_events": 6, "posts_per_event": [30, 40],
+                                "imbalance": 0.05, "seed": 7}))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(tmp_path / "data"), "--out", str(out),
+                 "--set", "cluster.key=event", "--epochs", "12"]) == 0
+    with (out / "history.csv").open() as fh:
+        history = list(csv.DictReader(fh))
+    assert list(history[0])[-2:] == ["val_auc", "val_logloss"]
+    assert {row["val_f1"] for row in history} == {"0.0"}
+    best = int(capsys.readouterr().out.split("best epoch ")[1].split(";")[0])
+    assert best > 0
 
 
 def test_train_refuses_nonempty_out(tmp_path, dataset_dir, run_dir):
@@ -594,10 +613,23 @@ def _unlink(name):
 
 
 def _last_float_nan(name):
-    """Set the last float64 of the file ``name`` to NaN."""
+    """Set the last float64 of the checkpoint ``name`` to NaN, and the header's
+    sha256 to match, as a writer of that NaN would."""
     def damage(root):
         raw = (root / name).read_bytes()
-        (root / name).write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        nl = raw.find(b"\n")
+        body = raw[nl + 1:-8] + np.array([np.nan], dtype="<f8").tobytes()
+        header = dict(json.loads(raw[:nl]), sha256=hashlib.sha256(body).hexdigest())
+        (root / name).write_bytes(json.dumps(header).encode() + b"\n" + body)
+    return damage
+
+
+def _flip_first_float(name):
+    """Flip one bit of the first float64 after the header line of ``name``."""
+    def damage(root):
+        raw = bytearray((root / name).read_bytes())
+        raw[raw.find(b"\n") + 1] ^= 0x01
+        (root / name).write_bytes(bytes(raw))
     return damage
 
 
@@ -669,6 +701,9 @@ MALFORMED_FILES = {
     "checkpoint-non-finite": (_last_float_nan("run/checkpoint.bin"),
                               lambda root: load_checkpoint(root / "run" / "checkpoint.bin"),
                               TrainingError, EVAL, 1, "checkpoint: non-finite values in clf.b_c"),
+    "checkpoint-payload-edited": (_flip_first_float("run/checkpoint.bin"),
+                                  lambda root: load_checkpoint(root / "run" / "checkpoint.bin"),
+                                  TrainingError, EVAL, 1, "checkpoint: payload sha256 "),
 }
 
 

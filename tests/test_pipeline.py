@@ -6,7 +6,7 @@ from conftest import DAY, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecatch import fusion, pipeline, training
+from ecatch import autodiff, fusion, pipeline, training
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.metrics import evaluate
@@ -44,18 +44,85 @@ def _peak(fn):
         tracemalloc.stop()
 
 
-def test_scoring_keeps_no_tape():
+def test_scoring_keeps_no_tape(monkeypatch):
     ds, events, windows, params, cfg = bursty_problem()
     members = sorted(len(w.members) for s in windows.values() for w in s.windows)
     assert members[-1] >= 10 * members[len(members) // 2]
 
     taped, taped_peak = _peak(lambda: training.run_model(ds, events, windows, params, cfg))
+    made = []
+    init = autodiff.Tensor.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", recorded)
     (p_post, p_event), peak = _peak(
         lambda: pipeline.predictions(ds, events, windows, params, cfg))
-    assert peak < taped_peak / 2, (peak, taped_peak)
+    assert made
+    assert all(t._parents == () and t._vjp is None for t in made)
+    assert peak < taped_peak, (peak, taped_peak)
     assert p_post.tobytes() == taped.p_post.tobytes()
     assert np.array(list(p_event.items())).tobytes() == \
         np.array(list(taped.p_event.items())).tobytes()
+
+
+def _owner(a):
+    """The array that owns the memory of ``a``."""
+    return a.base if isinstance(a.base, np.ndarray) else a
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)
+
+
+def _closure_buffers(*roots):
+    """The distinct buffers that the VJP closures under ``roots`` hold and no
+    node's data does."""
+    nodes, stack, seen = [], list(roots), set()
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    data = {id(_owner(t.data)) for t in nodes}
+    held = {}
+    for t in nodes:
+        for cell in getattr(t._vjp, "__closure__", None) or ():
+            for a in _arrays(cell.cell_contents):
+                if id(_owner(a)) not in data:
+                    held[id(_owner(a))] = _owner(a)
+    return list(held.values())
+
+
+def _holds_rows_of(buffer, table):
+    """Whether ``buffer`` is made of whole rows of the matrix ``table``."""
+    if buffer.dtype != table.dtype or buffer.shape[-1] != table.shape[1]:
+        return False
+    rows = buffer.reshape(-1, table.shape[1])
+    return bool((rows[:, None, :] == table[None]).all(axis=-1).any(axis=-1).all())
+
+
+def test_tape_keeps_probabilities_not_projections_head_outputs_or_encoder_rows():
+    # A fusion node keeps only its softmax probabilities for its VJP, which
+    # rebuilds the q/k/v projections, the head outputs and the encoder rows.
+    # Keeping them as well held 2,757 B per window membership here.
+    ds, events, windows, params, cfg = bursty_problem()
+    memberships = sum(len(w.members) for s in windows.values() for w in s.windows)
+    out = training.run_model(ds, events, windows, params, cfg)
+    held = _closure_buffers(out.logits, out.states)
+    assert sum(b.nbytes for b in held) < 2000 * memberships
+    assert not [b.shape for b in held if b.shape[-1] == 3 * params.d]
+    assert not [b.shape for b in held
+                if _holds_rows_of(b, ds.text) or _holds_rows_of(b, ds.image)]
+    # the probabilities of the 60-post burst window, both modalities
+    assert any(b.shape[-2:] == (60, 60) for b in held)
 
 
 def test_predictions_dimension_mismatch():

@@ -16,6 +16,7 @@ from ecatch.autodiff import Tensor
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.data import Dataset, assign_splits
+from ecatch.metrics import log_loss
 from ecatch.objective import ce_terms, class_weights, mine_hard_examples, tc_terms
 from ecatch.params import ModelParams, shape_table
 from ecatch.trend import run_lstm, trend_features
@@ -419,6 +420,33 @@ def test_best_checkpoint_tracks_monitored_metric():
     assert res.best_epoch == int(np.argmax(observed))
 
 
+def test_metric_tie_goes_to_the_lower_validation_log_loss():
+    # No validation probability reaches the threshold, so F1 reads 0 at every
+    # epoch; the log-loss is lowest at epoch 2, whose parameters stand as best.
+    ds, events, windows, _, cfg = toy_problem(10)
+    split = np.zeros(ds.n, dtype=np.int8)
+    split[-2:] = 1
+    ds = ds.with_split(split)
+    assert ds.labels[-2:].tolist() == [0, 1]
+    cfg = cfg.updated({"train.early_stop_patience": 6, "eval.threshold": 0.999})
+    res = train(ds, events, windows, cfg.updated({"train.epochs": 6}))
+    assert [row["val_f1"] for row in res.history] == [0.0] * 6
+    losses = [row["val_logloss"] for row in res.history]
+    assert res.best_epoch == int(np.argmin(losses)) == 2
+    assert res.best_metric == 0.0
+    two = train(ds, events, windows, cfg.updated({"train.epochs": 2}))
+    for name, t in res.params.items():
+        np.testing.assert_array_equal(t.data, two.final_params[name].data)
+
+
+def test_validation_log_loss_stays_finite_at_certain_probabilities():
+    p = np.array([0.0, 1.0, 1.0, 0.0, 0.5])
+    y = np.array([1, 0, 1, 0, 1])
+    value = log_loss(p, y)
+    assert math.isfinite(value)
+    assert value == pytest.approx((2 * -math.log(np.finfo(np.float64).eps) + math.log(2)) / 5)
+
+
 @pytest.mark.parametrize("metric", ["f1", "auc", "accuracy"])
 def test_one_class_validation_split_ranks_no_epoch(metric):
     # F1 and AUC say nothing on one class, so each epoch stands in as best
@@ -561,6 +589,21 @@ def test_checkpoint_truncated_file(tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(TrainingError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_checkpoint_without_a_digest_loads(tmp_path):
+    # as written before the header carried one
+    params = ModelParams.build(4, 2, 5, 3, seed=14)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(params, path)
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    del header["sha256"]
+    path.write_bytes(json.dumps(header).encode() + raw[nl:])
+    loaded = load_checkpoint(path)
+    for name, t in params.items():
+        np.testing.assert_array_equal(t.data, loaded[name].data)
 
 
 @pytest.mark.parametrize("name, value", [("fusion.W_g", math.inf), ("lstm.b_f", -math.inf),
