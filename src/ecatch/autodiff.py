@@ -1,15 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Every model operation is one hand-written node: a new :class:`Tensor` that
-remembers its parents and a vector-Jacobian closure. This module holds the
-generic ones: :func:`linear` of a ``Tensor`` input, :func:`gather`, which
-stacks row blocks and picks rows of the stack, and :func:`add_scaled`, the
-loss's ``a + c * b``. The encoders of constant inputs, the attention and the
-gate live in ``fusion``, the aggregation, trend-input and LSTM nodes in
-``trend``, and the cross-entropy and consistency nodes in ``objective``.
-``Tensor.backward()`` topologically sorts the graph (iteratively, so deep
-chains are fine) and accumulates gradients into ``.grad``. All data is
-float64; gradient checks downstream rely on that.
+remembers its parents and a vector-Jacobian closure. This module holds only
+the engine; every node is a model stage, made where the stage lives: the
+encoders of constant inputs, the attention and the gate in ``fusion``, the
+aggregation, trend-input and LSTM nodes in ``trend``, and the epoch loss in
+``objective``. ``Tensor.backward()`` topologically sorts the graph
+(iteratively, so deep chains are fine) and accumulates gradients into
+``.grad``. All data is float64; gradient checks downstream rely on that.
 
 ``backward`` consumes the graph it walks: once an interior node has passed
 its gradient to its parents, it drops its ``grad``, its closure and its
@@ -28,7 +26,7 @@ last root is dropped.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -154,52 +152,6 @@ class Tensor:
         if a.data.ndim != 2 or b.data.ndim != 2:
             raise ValueError("matmul requires 2-D tensors")
         return Tensor(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ w.T + b`` over the last axis as one node; ``w`` is (out, in).
-
-    Leading axes of ``x`` are flattened into rows for the matmuls.
-    """
-    shape = x.shape
-    rows = x.data.reshape(-1, shape[-1])
-    out = (rows @ w.data.T).reshape(shape[:-1] + (w.shape[0],))
-
-    def vjp(g: Array):
-        g_rows = g.reshape(rows.shape[0], -1)
-        grads = ((g_rows @ w.data).reshape(shape), (rows.T @ g_rows).T)
-        return grads if b is None else grads + (g_rows.sum(axis=0),)
-
-    if b is not None:
-        out = out + b.data
-    return Tensor(out, (x, w) if b is None else (x, w, b), vjp)
-
-
-def gather(parts: Sequence[Tensor], rows) -> Tensor:
-    """Rows ``rows`` of the stack of ``parts`` along axis 0, as one node.
-
-    The VJP scatter-adds into a zero stack, repeated rows summing, and splits
-    it back into the parts.
-    """
-    parts = tuple(parts)
-    rows = np.asarray(rows, dtype=np.intp)
-    stack = np.concatenate([p.data for p in parts])
-    shape, ends = stack.shape, np.cumsum([p.shape[0] for p in parts])[:-1]
-
-    def vjp(g: Array):
-        grad = np.zeros(shape)
-        np.add.at(grad, rows, g)
-        return tuple(np.split(grad, ends))
-
-    return Tensor(stack[rows], parts, vjp)
-
-
-def add_scaled(a: Tensor, b: Tensor, c: float) -> Tensor:
-    """``a + c * b`` for tensors of one shape and a constant number ``c``, as one node."""
-    if a.shape != b.shape:
-        raise ValueError(f"cannot add shapes {a.shape} and {b.shape}")
-    c = float(c)
-    return Tensor(a.data + b.data * c, (a, b), lambda g: (g, g * c))
 
 
 def finite_difference_gradient(f, x: Array, h: float = 1e-5) -> Array:

@@ -163,7 +163,8 @@ def cmd_train(args) -> int:
 
 def _structure_for(ds, cfg, run_dir: Path):
     """Reuse the persisted events of this dataset, refusing damaged ones, and
-    rebuild their windows, which depend on the timestamps alone."""
+    rebuild their windows, which depend on the timestamps alone. Events saved
+    for another dataset are rebuilt, with a note on stderr."""
     ev_path, meta_path = run_dir / "events.json", run_dir / "dataset.json"
     if ev_path.is_file() and meta_path.is_file():
         meta = read_json(meta_path, str(meta_path), CliError, dict)
@@ -174,6 +175,8 @@ def _structure_for(ds, cfg, run_dir: Path):
             except ClusteringError as exc:
                 raise CliError(f"{ev_path}: {exc}") from exc
             return events, segment_all(events, ds, *cfg.window_geometry())
+        print(f"note: {run_dir} holds the events of another dataset; rebuilding the events",
+              file=sys.stderr)
     return build_structure(ds, cfg)
 
 

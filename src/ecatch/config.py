@@ -25,7 +25,7 @@ from .clustering import LINKAGES
 from .data import _MANIFEST_KEYS, read_json
 from .fusion import SCALES, SCOPES
 from .objective import WEIGHT_SCOPES
-from .windows import DAY, PRESETS
+from .windows import DAY, INT64_MAX, PRESETS
 
 
 class ConfigError(ValueError):
@@ -37,7 +37,6 @@ POSITIVE = ("> 0", lambda x: x > 0)
 NON_NEGATIVE = (">= 0", lambda x: x >= 0)
 # Sizes and counts must fit numpy's int64; seeds take NON_NEGATIVE, since
 # numpy seeds any non-negative int.
-INT64_MAX = 2**63 - 1
 SIZE = ("in [1, 2**63 - 1]", lambda x: 1 <= x <= INT64_MAX)
 COUNT = ("in [0, 2**63 - 1]", lambda x: 0 <= x <= INT64_MAX)
 UNIT_INTERVAL = ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)

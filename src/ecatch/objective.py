@@ -1,19 +1,20 @@
 """Classification head and the composite training objective.
 
 The trend stage hands over one (R, d) matrix that stacks every event's
-trend states in ascending event_id (see ``training.run_model``), and one
-``linear`` node reads it out into a :class:`Readout`, with the window list
-``run_model`` stacked row for row with it: a post's probability is the
-sigmoid of the row of the last window containing it. The readout
+trend states in ascending event_id (see ``training.run_model``), and
+:func:`post_probabilities` reads it out into a :class:`Readout`, with the
+window list ``run_model`` stacked row for row with it: a post's probability
+is the sigmoid of the logit of the last window containing it. The readout
 lists every (event, post) membership with that row as aligned index arrays,
 and the bookkeeping stays in arrays up to the loss: :func:`ce_terms` gives
 each training membership's weighted cross-entropy, with class weights
 adapted to per-event (or global) training label counts, and optional
-hard-example mining keeps the globally highest-loss fraction of them. The
-loss is two nodes over the stack: :func:`ce_loss` over the selected terms,
-and :func:`tc_terms`, the temporal-consistency term, which penalizes large
-aligned jumps between consecutive trend states of one event. A
-:class:`LossReport` holds the totals of those sums only.
+hard-example mining keeps the globally highest-loss fraction of them.
+:func:`tc_terms`, the temporal-consistency term, penalizes large aligned
+jumps between consecutive trend states of one event; it gives each event's
+sum and a VJP over the state array. :func:`epoch_loss` joins both into the
+epoch's one loss node, ``ce + lambda_tc * tc``, over the trend states and
+the classifier. A :class:`LossReport` holds the totals of those sums only.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, linear, stable_sigmoid
+from .autodiff import Tensor, stable_sigmoid
 from .clustering import PseudoEvent
 from .params import ModelParams
 from .windows import Window
@@ -60,8 +62,7 @@ class Readout:
     """
 
     states: Tensor            # (R, d), R the windows of all events
-    logits: Tensor            # (R, 1)
-    probs: np.ndarray         # (R,) sigmoid of the logits
+    probs: np.ndarray         # (R,) sigmoid of the classifier's logits
     p_post: np.ndarray        # (n_posts,) probability of each covered post, else NaN
     p_event: dict[int, float]  # event_id -> its last window's probability
     event_ids: list[int]
@@ -69,12 +70,6 @@ class Readout:
     post: np.ndarray          # membership -> post index
     event: np.ndarray         # membership -> position of its event in ``event_ids``
     row: np.ndarray           # membership -> row of the post's last covering window
-
-    def ce_coefficients(self, terms: "CrossEntropyTerms") -> np.ndarray:
-        """Per class, each row's negated sum of the weights of ``terms``: (2, R)."""
-        coef = np.zeros((2, self.probs.size))
-        np.add.at(coef, (terms.label, terms.row), -terms.weight)
-        return coef
 
 
 def post_probabilities(
@@ -107,12 +102,12 @@ def post_probabilities(
                              f"is not covered by any window")
     row = cover_row[::-1][last[np.searchsorted(keys, key)]]
 
-    logits = linear(states, params["clf.W_c"], params["clf.b_c"])
-    probs = stable_sigmoid(logits.data[:, 0])
+    logits = states.data @ params["clf.W_c"].data.T + params["clf.b_c"].data
+    probs = stable_sigmoid(logits[:, 0])
     p_post = np.full(n_posts, np.nan)
     p_post[post] = probs[row]
     p_event = {ev.event_id: probs[offsets[k + 1] - 1].item() for k, ev in enumerate(events)}
-    return Readout(states, logits, probs, p_post, p_event, [ev.event_id for ev in events],
+    return Readout(states, probs, p_post, p_event, [ev.event_id for ev in events],
                    offsets, post, event, row)
 
 
@@ -166,25 +161,6 @@ def ce_terms(
     return CrossEntropyTerms(post, event, row, label, weight, -weight * logs[label, row]), weights
 
 
-def ce_loss(logits: Tensor, coef: np.ndarray) -> Tensor:
-    """Weighted cross-entropy over (R, 1) logits as one node.
-
-    With p the sigmoid of the logits clipped to [PROB_CLAMP, 1 - PROB_CLAMP],
-    the value is the sum of coef[1] * log p + coef[0] * log(1 - p); ``coef``
-    (2, R) holds each row's negated post weights per class (see
-    :meth:`Readout.ce_coefficients`). A clipped p passes no gradient.
-    """
-    p = stable_sigmoid(logits.data[:, 0])
-    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-    q = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = np.sum(np.log(q) * coef[1] + np.log(1.0 - q) * coef[0])
-
-    def vjp(g: np.ndarray):
-        return ((g * inside * (coef[1] * (1.0 - p) - coef[0] * p))[:, None],)
-
-    return Tensor(value, (logits,), vjp)
-
-
 def mine_hard_examples(terms: CrossEntropyTerms, rho: float) -> CrossEntropyTerms:
     """Keep the ceil(rho * N) highest-loss terms, highest first; ties favor
     lower post index."""
@@ -196,20 +172,17 @@ def mine_hard_examples(terms: CrossEntropyTerms, rho: float) -> CrossEntropyTerm
     return terms.take(np.lexsort((terms.post, -terms.value))[:k])
 
 
-def tc_terms(
-    states: Tensor,
-    clamp_negative_sim: bool = False,
-    offsets=None,
-) -> tuple[Tensor | None, np.ndarray]:
+def tc_terms(h: np.ndarray, clamp_negative_sim: bool = False,
+             offsets=None) -> tuple[np.ndarray, Callable | None]:
     """Sum over t>=2 of |T_t - T_{t-1}|^2 * cos(T_t, T_{t-1}) within each event.
 
-    ``states`` stacks the events' trend-state matrices, event k in rows
+    ``h`` stacks the events' trend-state matrices, event k in rows
     ``offsets[k]:offsets[k + 1]`` (one event when ``offsets`` is None), and
-    no pair crosses two events. Returns one node over ``states`` for the
-    whole sum, or None when no pair contributes (short events, the zero-norm
-    guard, or clamped-away negative similarity), and each event's sum.
+    no pair crosses two events. Returns each event's sum, and the VJP of the
+    whole sum over ``h`` (a cotangent g gives g times its (R, d) gradient),
+    or None when no pair contributes (short events, the zero-norm guard, or
+    clamped-away negative similarity).
     """
-    h = states.data
     offsets = np.array([0, h.shape[0]]) if offsets is None else np.asarray(offsets)
     event_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
     norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
@@ -227,18 +200,52 @@ def tc_terms(
     values = (sq * sim)[:, 0]
     by_event = np.bincount(event_of[rows], weights=values, minlength=offsets.size - 1)
     if rows.size == 0:
-        return None, by_event
+        return by_event, None
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray) -> np.ndarray:
         # d(sim)/da = b / (|a||b|) - sim * a / |a|^2, and b mirrors a.
         ga = 2.0 * sim * diff + sq * (b / (na * nb) - sim * a / (na * na))
         gb = -2.0 * sim * diff + sq * (a / (na * nb) - sim * b / (nb * nb))
         grad = np.zeros_like(h)
         grad[rows + 1] += ga
         grad[rows] += gb
-        return (g * grad,)
+        return g * grad
 
-    return Tensor(np.sum(values), (states,), vjp), by_event
+    return by_event, vjp
+
+
+def epoch_loss(readout: Readout, terms: CrossEntropyTerms, tc_values: np.ndarray,
+               tc_vjp: Callable | None, lambda_tc: float,
+               params: ModelParams) -> tuple[Tensor, float, float]:
+    """The epoch loss ``ce + lambda_tc * tc`` as one node over the readout's
+    trend states, ``clf.W_c`` and ``clf.b_c``, and its sums ``ce`` and ``tc``.
+
+    ``ce`` adds the values of ``terms`` and ``tc`` the events' consistency
+    sums ``tc_values`` of :func:`tc_terms`. The VJP reads the readout's
+    probabilities p: a row's logit gets coef[1] * (1 - p) - coef[0] * p, with
+    coef (2, R) each row's negated sum of the term weights per class, and
+    nothing where p was clipped to [PROB_CLAMP, 1 - PROB_CLAMP]. The states
+    also get ``lambda_tc`` times ``tc_vjp``, unless it is None or
+    ``lambda_tc`` is 0.
+    """
+    # Each event's sum first (bincount adds in term order), then across events.
+    ce = float(sum(np.bincount(terms.event, weights=terms.value).tolist()))
+    tc = float(sum(tc_values.tolist()))
+    states, w_c, b_c = readout.states, params["clf.W_c"], params["clf.b_c"]
+    p = readout.probs
+    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+    coef = np.zeros((2, p.size))
+    np.add.at(coef, (terms.label, terms.row), -terms.weight)
+    consistency = tc_vjp if lambda_tc != 0.0 else None
+
+    def vjp(g: np.ndarray):
+        g_logits = (g * inside * (coef[1] * (1.0 - p) - coef[0] * p))[:, None]
+        g_states = g_logits @ w_c.data
+        if consistency is not None:
+            g_states = g_states + consistency(g * lambda_tc)
+        return g_states, (states.data.T @ g_logits).T, g_logits.sum(axis=0)
+
+    return Tensor(ce + lambda_tc * tc, (states, w_c, b_c), vjp), ce, tc
 
 
 @dataclass

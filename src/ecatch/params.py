@@ -12,8 +12,9 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
 * classifier ``clf.W_c`` (1, d), ``clf.b_c`` (1,)
 
 The (out, in) matrices above are applied as ``x @ W.T + b``: the encoders by
-``fusion.encode``, the classifier by ``autodiff.linear``, ``W_g`` by
-``fusion.gate`` and ``W_out`` by ``fusion.attention``. The 12 LSTM tensors
+``fusion.encode``, the classifier by ``objective.post_probabilities`` (its
+gradient by the ``objective.epoch_loss`` node), ``W_g`` by ``fusion.gate``
+and ``W_out`` by ``fusion.attention``. The 12 LSTM tensors
 enter only through ``trend.run_lstm``, one tape node for all events, which
 stacks each kind in gate order and applies them the same way. The attention
 blocks enter in pairs, one block per modality: ``att_text`` with ``att_img``

@@ -3,14 +3,14 @@
 One epoch is one full-batch pass: the windows of all events are fused in
 chunks of equal member count, five tape nodes a chunk (the encoder, self- and
 cross-attention over both modalities, the gate and the aggregate) and two
-attention weight nodes for them all, and one gather node orders the chunks'
-aggregates by ascending event_id for the lockstep trend encoding and one
-read-out into an ``objective.Readout``. The epoch loss is
-``ce + lambda_tc * tc``: one cross-entropy node over the training posts
-(optionally after global hard-example mining) and one temporal-consistency
-node over all events, joined by one ``autodiff.add_scaled`` node; from the
+attention weight nodes for them all. The trend input node reads the chunks'
+aggregates in ascending event_id for the lockstep LSTM node, whose states
+are read out into an ``objective.Readout``. The epoch loss
+``ce + lambda_tc * tc`` is one node over those states and the classifier:
+the cross-entropy of the training posts (optionally after global
+hard-example mining) plus the temporal consistency of all events; from the
 readout to the loss, the per-post bookkeeping is index arrays. Its report
-holds totals only: the sums of those two nodes, the regularizer and the
+holds totals only: the sums of those two terms, the regularizer and the
 total. One backward pass over it yields every gradient, and runs are bitwise
 reproducible. Regularization gradients are added in closed form
 (2 * lambda_reg * theta). Everything runs in float64. :func:`run_model`
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add_scaled
+from .autodiff import Tensor
 from .clustering import PseudoEvent
 from .config import RunConfig
 from .data import Dataset, read_json
@@ -48,8 +48,8 @@ from .metrics import evaluate, log_loss
 from .objective import (
     LossReport,
     Readout,
-    ce_loss,
     ce_terms,
+    epoch_loss,
     mine_hard_examples,
     post_probabilities,
     tc_terms,
@@ -67,10 +67,10 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class ForwardArtifacts:
-    """Everything backward() needs: the summed loss node plus the report."""
+    """Everything backward() needs: the epoch loss node plus the report."""
 
     report: LossReport
-    loss: Tensor  # add_scaled(ce, tc, lambda_tc), or the ce node alone
+    loss: Tensor  # ce + lambda_tc * tc, from objective.epoch_loss
     params: ModelParams
 
 
@@ -138,14 +138,8 @@ def forward(
         terms = mine_hard_examples(terms, cfg["mining.rho"])
 
     lambda_tc, lambda_reg = cfg["loss.lambda_tc"], cfg["loss.lambda_reg"]
-    loss = ce_loss(readout.logits, readout.ce_coefficients(terms))
-    tc_node, tc_values = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
-    if tc_node is not None and lambda_tc != 0.0:
-        loss = add_scaled(loss, tc_node, lambda_tc)
-
-    # Each event's sum first (bincount adds in term order), then across events.
-    ce = float(sum(np.bincount(terms.event, weights=terms.value).tolist()))
-    tc = float(sum(tc_values.tolist()))
+    tc_values, tc_vjp = tc_terms(readout.states.data, cfg["loss.tc_clamp"], readout.offsets)
+    loss, ce, tc = epoch_loss(readout, terms, tc_values, tc_vjp, lambda_tc, params)
     reg = params.l2_squared()
     report = LossReport(ce, tc, reg, ce + lambda_tc * tc + lambda_reg * reg,
                         readout.p_post, lambda_reg)

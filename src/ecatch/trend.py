@@ -5,12 +5,12 @@ t_max being the latest member timestamp, so the newest post always carries
 weight 1. :func:`decay_weights` takes a fusion chunk as its (B, n) member
 matrix and anchors each row at the latest timestamp among its members.
 :func:`aggregate` averages a whole chunk in one tape node.
-Every event's aggregates are stacked in window order, event k in rows
-``offsets[k]:offsets[k + 1]``. Between consecutive windows of an event the
-aggregate difference (semantic shift) and an exponential moving average of
-its norm (momentum) are appended, all events in one node. That input rolls
-through a unidirectional LSTM, each event from zero state, all events in
-lockstep in one node that returns the (R, d) hidden states.
+Every event's aggregates are read from the chunks' stack in window order,
+event k in rows ``offsets[k]:offsets[k + 1]``. Between consecutive windows of
+an event the aggregate difference (semantic shift) and an exponential moving
+average of its norm (momentum) are appended, all events in one node. That
+input rolls through a unidirectional LSTM, each event from zero state, all
+events in lockstep in one node that returns the (R, d) hidden states.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather, stable_sigmoid
+from .autodiff import Tensor, stable_sigmoid
 from .data import Dataset
 from .params import LSTM_GATES, ModelParams
 
@@ -61,20 +61,27 @@ def _lockstep(offsets, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
                     for t in range(running.max(initial=0))]
 
 
-def trend_features(aggregates: Tensor, beta: float, offsets=None) -> Tensor:
-    """Every event's LSTM input [L; delta; M] from its window aggregates.
+def trend_features(rows, parts: Sequence[Tensor], beta: float, offsets=None) -> Tensor:
+    """Every event's LSTM input [L; delta; M] from rows ``rows`` of the stacked
+    window aggregates ``parts``.
 
-    Event k owns rows ``offsets[k]:offsets[k + 1]`` (one event when None).
-    Row t holds the aggregate, its shift from row t-1 of its event (zero at
-    the event's first window) and the momentum
+    Event k owns rows ``offsets[k]:offsets[k + 1]`` of the input (one event
+    when None). Row t holds the aggregate, its shift from row t-1 of its event
+    (zero at the event's first window) and the momentum
     M_t = beta * M_{t-1} + (1 - beta) * |delta_t|, restarting at 0 with each
-    event: one (R, 2d+1) node. A zero shift gets a zero subgradient, and no
-    gradient crosses an event boundary.
+    event: one (R, 2d+1) node over the parts. A zero shift gets a zero
+    subgradient, and no gradient crosses an event boundary. The VJP
+    scatter-adds the aggregates' gradient into the stack, a row read twice
+    summing, and splits it back into the parts.
     """
-    starts, steps = _lockstep(offsets, aggregates.shape[0])
+    parts = tuple(parts)
+    rows = np.asarray(rows, dtype=np.intp)
+    starts, steps = _lockstep(offsets, rows.size)
     if not 0.0 <= beta <= 1.0:
         raise TrendError("beta must lie in [0, 1]")
-    agg = aggregates.data
+    stack = np.concatenate([p.data for p in parts])
+    shape, ends = stack.shape, np.cumsum([p.shape[0] for p in parts])[:-1]
+    agg = stack[rows]
     delta = np.zeros_like(agg)
     delta[1:] = agg[1:] - agg[:-1]
     delta[starts] = 0.0
@@ -95,10 +102,12 @@ def trend_features(aggregates: Tensor, beta: float, offsets=None) -> Tensor:
         g_agg = g[:, :d].copy()
         g_agg[1:] += g_delta[1:]
         g_agg[:-1] -= g_delta[1:]
-        return (g_agg,)
+        grad = np.zeros(shape)
+        np.add.at(grad, rows, g_agg)
+        return tuple(np.split(grad, ends))
 
     out = np.concatenate([agg, delta, momentum[:, None]], axis=1)
-    return Tensor(out, (aggregates,), vjp)
+    return Tensor(out, parts, vjp)
 
 
 def run_lstm(x: Tensor, params: ModelParams, offsets=None) -> Tensor:
@@ -164,6 +173,6 @@ def run_lstm(x: Tensor, params: ModelParams, offsets=None) -> Tensor:
 def encode_event(rows, parts: Sequence[Tensor], params: ModelParams, beta: float,
                  offsets) -> Tensor:
     """The (R, d) trend states of every event, laid out by ``offsets``, from the
-    rows ``rows`` of the stacked aggregate ``parts``: one gather, features and
-    LSTM node each."""
-    return run_lstm(trend_features(gather(parts, rows), beta, offsets), params, offsets)
+    rows ``rows`` of the stacked aggregate ``parts``: one trend input node and
+    one LSTM node."""
+    return run_lstm(trend_features(rows, parts, beta, offsets), params, offsets)

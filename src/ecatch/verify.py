@@ -19,18 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, finite_difference_gradient, no_grad, stable_sigmoid
+from .autodiff import Tensor, finite_difference_gradient, no_grad
 from .clustering import (PseudoEvent, agglomerate, average_linkage_chain, cluster_events,
                          cosine_distances)
 from .config import RunConfig
 from .data import Dataset, assign_splits
 from .fusion import attention, block_pairs, fuse_group
 from .metrics import auc_by_pair_enumeration, auc_roc
-from .objective import PROB_CLAMP, ce_loss, tc_terms
+from .objective import PROB_CLAMP, ce_terms, epoch_loss, post_probabilities, tc_terms
 from .params import LSTM_GATES, ModelParams
 from .trend import aggregate, decay_weights, run_lstm, trend_features
 from .training import backward, forward
-from .windows import DAY, segment_all, segment_event
+from .windows import DAY, Window, segment_all, segment_event
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -222,23 +222,30 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
         offsets = np.cumsum([0, *rng.integers(1, 5, size=int(rng.integers(2, 5)))])
         seq = seq[rng.integers(0, len(seq), size=offsets[-1])]
         beta = float(rng.uniform(0.0, 1.0))
-        feats = trend_features(Tensor(seq), beta, offsets)
+        feats = trend_features(np.arange(len(seq)), [Tensor(seq)], beta, offsets)
         states = run_lstm(feats, params, offsets).data
         if (feats.data[:, -1] < 0).any():
             track(1.0, f"trial {trial}: negative momentum")
         if float(np.abs(states).max()) >= 1.0:
             track(1.0, f"trial {trial}: |T| >= 1")
         for a, b in zip(offsets[:-1], offsets[1:]):
-            alone = reference_lstm(trend_features(Tensor(seq[a:b]), beta).data, params)
+            alone = reference_lstm(trend_features(np.arange(a, b), [Tensor(seq)], beta).data,
+                                   params)
             track(float(np.abs(states[a:b] - alone).max()),
                   f"trial {trial}: stacked event differs from the reference LSTM")
 
-        # the cross-entropy node is flat where the probability is clipped
-        logits = Tensor(rng.normal(size=(n_windows, 1))
-                        + rng.choice([0.0, 40.0, -40.0, 800.0, -800.0], size=(n_windows, 1)))
-        ce_loss(logits, -rng.uniform(0.1, 2.0, size=(2, n_windows))).backward()
-        p = stable_sigmoid(logits.data[:, 0])
-        if np.any(logits.grad[(p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)] != 0.0):
+        # the loss node is flat where the probability is clipped: each window's
+        # logit moves by 0, +-40 or +-800 along clf.W_c
+        w_c = params["clf.W_c"].data[0]
+        shift = rng.choice([0.0, 40.0, -40.0, 800.0, -800.0], size=n_windows)
+        states = Tensor(rng.normal(size=(n_windows, d)) + np.outer(shift / (w_c @ w_c), w_c))
+        flat = [Window(k + 1, 0, 1, tuple(m)) for k, m in enumerate(members.tolist())]
+        readout = post_probabilities([PseudoEvent(0, tuple(range(n_posts)))], flat, states,
+                                     np.array([0, n_windows]), params, n_posts)
+        terms, _ = ce_terms(readout, ds.labels, np.ones(n_posts, dtype=bool), 1.0, True)
+        epoch_loss(readout, terms, np.zeros(1), None, 0.0, params)[0].backward()
+        p = readout.probs
+        if np.any(states.grad[(p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)] != 0.0):
             track(1.0, f"trial {trial}: gradient through a clipped probability")
 
     tol = 1e-12
@@ -423,10 +430,9 @@ def tc_rotation_invariance(seeds: list[int]) -> OracleReport:
         offsets = np.concatenate([[0], np.cumsum(steps)])
         hidden = rng.normal(size=(int(offsets[-1]), d))
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        _, va = tc_terms(Tensor(hidden), offsets=offsets)
-        _, vb = tc_terms(Tensor(hidden @ q), offsets=offsets)
-        alone = np.concatenate([tc_terms(Tensor(hidden[a:b]))[1]
-                                for a, b in zip(offsets, offsets[1:])])
+        va, _ = tc_terms(hidden, offsets=offsets)
+        vb, _ = tc_terms(hidden @ q, offsets=offsets)
+        alone = np.concatenate([tc_terms(hidden[a:b])[0] for a, b in zip(offsets, offsets[1:])])
         scale = np.maximum(np.abs(va), 1.0)
         worst = max(worst, float(np.max(np.maximum(np.abs(va - vb), np.abs(va - alone)) / scale)))
     status = "pass" if worst < 1e-9 else "fail"

@@ -5,6 +5,7 @@ import pytest
 
 from ecatch import training
 from ecatch.data import Dataset
+from ecatch.trend import trend_features
 
 DAY = 86400
 
@@ -41,6 +42,11 @@ def make_dataset(
         has_image=np.asarray(has_image, dtype=bool),
         extra=extra,
     )
+
+
+def features(aggregates, beta, offsets=None):
+    """The trend input node over one tensor of window aggregates, row for row."""
+    return trend_features(np.arange(aggregates.shape[0]), [aggregates], beta, offsets)
 
 
 @pytest.fixture

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 from ecatch.autodiff import (
     GraphConsumedError,
     Tensor,
-    add_scaled,
     finite_difference_gradient,
-    gather,
-    linear,
     no_grad,
     stable_sigmoid,
 )
 from ecatch.fusion import gate
-from ecatch.objective import PROB_CLAMP, ce_loss, tc_terms
+from ecatch.objective import PROB_CLAMP, CrossEntropyTerms, Readout, epoch_loss, tc_terms
+from ecatch.params import ModelParams
+from ecatch.trend import run_lstm, trend_features
+
+from conftest import features
 
 
 def fd_check(build, *arrays, tol=1e-7):
@@ -36,23 +37,68 @@ def fd_check(build, *arrays, tol=1e-7):
         assert np.abs(fd - tensors[k].grad).max() < tol
 
 
+# -- the engine's own tests build their nodes by hand -------------------------
+def scaled_sum(a, b, c):
+    """``a + c * b`` as a hand-built node."""
+    return Tensor(a.data + b.data * c, (a, b), lambda g: (g, g * c))
+
+
+def affine(x, w):
+    """``x @ w.T`` as a hand-built node."""
+    return Tensor(x.data @ w.data.T, (x, w), lambda g: (g @ w.data, g.T @ x.data))
+
+
+# -- the epoch loss node ---------------------------------------------------------
+def loss_node(states, w_c, b_c, weight, lambda_tc=0.0, offsets=None):
+    """``objective.epoch_loss`` over ``states`` read out by ``w_c`` and ``b_c``:
+    row r holds one term of each class y, of weight ``weight[y, r]``, and the
+    consistency term pairs the rows of each event of ``offsets``."""
+    n = states.shape[0]
+    probs = stable_sigmoid((states.data @ w_c.data.T + b_c.data)[:, 0])
+    row, label = np.tile(np.arange(n), 2), np.repeat([0, 1], n)
+    q = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    w = weight[label, row]
+    terms = CrossEntropyTerms(row, 0 * row, row, label, w, -w * np.log([1.0 - q, q])[label, row])
+    readout = Readout(states, probs, None, None, [0], None, row, 0 * row, row)
+    tc_values, tc_vjp = tc_terms(states.data, offsets=offsets)
+    loss, _, _ = epoch_loss(readout, terms, tc_values, tc_vjp, lambda_tc,
+                            {"clf.W_c": w_c, "clf.b_c": b_c})
+    return loss
+
+
+def classifier(rng, d):
+    return rng.normal(size=(1, d)), rng.normal(size=(1,))
+
+
 def test_add_and_scale(rng):
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(3, 4)) + 3.0
-    fd_check(lambda x, y: add_scaled(add_scaled(x, y, 0.5), x, 2.0), a, b)
-    with pytest.raises(ValueError, match="cannot add"):
-        add_scaled(Tensor(a), Tensor(np.ones(4)), 1.0)  # no broadcasting
+    # ce + lambda_tc * tc: the value adds the scaled consistency sum, the
+    # states' gradient the scaled consistency gradient.
+    states, (w, b) = rng.normal(size=(5, 3)), classifier(rng, 3)
+    weight = rng.uniform(0.1, 2.0, size=(2, 5))
+    offsets = [0, 2, 5]
+    tc_values, tc_vjp = tc_terms(states, offsets=offsets)
+    values, grads = {}, {}
+    for lam in (0.0, 0.5):
+        t = Tensor(states.copy())
+        out = loss_node(t, Tensor(w), Tensor(b), weight, lam, offsets)
+        out.backward()
+        values[lam], grads[lam] = out.item(), t.grad
+    assert values[0.5] == values[0.0] + 0.5 * float(sum(tc_values.tolist()))
+    np.testing.assert_allclose(grads[0.5], grads[0.0] + 0.5 * tc_vjp(1.0), rtol=1e-12,
+                               atol=1e-15)
+    fd_check(lambda h: loss_node(h, Tensor(w), Tensor(b), weight, 2.0, offsets), states)
 
 
 def test_broadcast_bias(rng):
-    x = rng.normal(size=(2, 5, 3))
-    w = rng.normal(size=(4, 3))
-    b = rng.normal(size=(4,))
-    fd_check(lambda t, u, v: linear(t, u, v), x, w, b)
-    bias = Tensor(b)
-    g = rng.normal(size=(2, 5, 4))
-    linear(Tensor(x), Tensor(w), bias).backward(g)
-    np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 1)), rtol=1e-12)
+    # clf.b_c reaches every row: its gradient sums the rows' logit gradients
+    states, (w, b) = rng.normal(size=(6, 4)), classifier(rng, 4)
+    weight = rng.uniform(0.1, 2.0, size=(2, 6))
+    t, wt, bt = Tensor(states), Tensor(w), Tensor(b)
+    loss_node(t, wt, bt, weight).backward()
+    g_logits = t.grad[:, 0] / w[0, 0]
+    np.testing.assert_allclose(bt.grad, [g_logits.sum()], rtol=1e-12)
+    np.testing.assert_allclose(wt.grad[0], g_logits @ states, rtol=1e-12)
+    fd_check(lambda v: loss_node(Tensor(states), Tensor(w), v, weight), b)
 
 
 def test_matmul_2d(rng):
@@ -64,78 +110,77 @@ def test_matmul_2d(rng):
 
 
 def test_linear_gradient(rng):
-    x = rng.normal(size=(5, 4))
-    w = rng.normal(size=(3, 4))
-    b = rng.normal(size=(3,))
-    fd_check(lambda t, u, v: linear(t, u, v), x, w, b)
-    fd_check(lambda t, u: add_scaled(linear(t, u), linear(t, u), 1.0), x, w)
+    # the loss node's parents are the states and the classifier, in that order
+    x, (w, b) = rng.normal(size=(5, 4)), classifier(rng, 4)
+    weight = rng.uniform(0.1, 2.0, size=(2, 5))
+    fd_check(lambda t, u, v: loss_node(t, u, v, weight), x, w, b)
     xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
-    assert linear(xt, wt, bt)._parents == (xt, wt, bt)
-    assert linear(xt, wt)._parents == (xt, wt)
+    assert loss_node(xt, wt, bt, weight)._parents == (xt, wt, bt)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 6),
     d_in=st.integers(1, 7),
-    d_out=st.integers(1, 7),
-    bias=st.booleans(),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
     seed=st.integers(0, 10_000),
 )
-def test_linear_matches_composed_ops(n, d_in, d_out, bias, seed):
+def test_linear_matches_composed_ops(n, d_in, scale, seed):
+    # The loss node's gradients, against the logit gradient pushed back
+    # through the readout's matmul as composed ops.
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(n, d_in)), rng.normal(size=(d_out, d_in))]
-    if bias:
-        arrays.append(rng.normal(size=(d_out,)))
-    g = rng.normal(size=(n, d_out))
+    states, (w, b) = rng.normal(size=(n, d_in)) * scale, classifier(rng, d_in)
+    weight = rng.uniform(0.1, 2.0, size=(2, n))
+    fused = [Tensor(a) for a in (states, w, b)]
+    loss_node(*fused, weight).backward()
 
-    fused = [Tensor(a) for a in arrays]
-    out = linear(*fused)
-    x, w_t = Tensor(arrays[0]), Tensor(arrays[1].T)
+    x, w_t = Tensor(states), Tensor(w.T)
     ref = x @ w_t
-    want = ref.data + arrays[2] if bias else ref.data
-    assert out.data.tobytes() == want.tobytes()
-
-    out.backward(g)
-    ref.backward(g)
-    composed = [x.grad, w_t.grad.T] + ([g.sum(axis=0)] if bias else [])
-    for a, ref_grad in zip(fused, composed):
-        assert a.grad.shape == ref_grad.shape
-        assert np.abs(a.grad - ref_grad).max() <= 1e-12
+    p = stable_sigmoid((ref.data + b)[:, 0])
+    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+    g_logits = np.where(inside, weight[0] * p - weight[1] * (1.0 - p), 0.0)
+    ref.backward(g_logits[:, None])
+    for a, ref_grad in zip(fused, (x.grad, w_t.grad.T, [g_logits.sum()])):
+        assert a.grad.shape == np.shape(ref_grad)
+        assert np.abs(a.grad - ref_grad).max() <= 1e-12 * max(1.0, np.abs(ref_grad).max())
 
 
 def test_sigmoid_log(rng):
-    # the cross-entropy node: sigmoid, clip and both logs
-    logits = rng.normal(size=(5, 1)) * 3.0
-    coef = -rng.uniform(0.1, 2.0, size=(2, 5))
-    fd_check(lambda z: ce_loss(z, coef), logits)
+    # the cross-entropy part: sigmoid, clip and both logs
+    states, (w, b) = rng.normal(size=(5, 3)) * 3.0, classifier(rng, 3)
+    weight = rng.uniform(0.1, 2.0, size=(2, 5))
+    fd_check(lambda z: loss_node(z, Tensor(w), Tensor(b), weight), states)
 
 
 def test_l2norm_gradient(rng):
-    # the consistency node's row norms and cosines, over two stacked events
+    # the consistency VJP's row norms and cosines, over two stacked events
     x = rng.normal(size=(5, 4))
-    fd_check(lambda t: tc_terms(t, offsets=[0, 2, 5])[0], x)
+    g = rng.normal()
+    _, vjp = tc_terms(x, offsets=[0, 2, 5])
+    fd = finite_difference_gradient(
+        lambda a: g * float(tc_terms(a, offsets=[0, 2, 5])[0].sum()), x)
+    assert np.abs(fd - vjp(g)).max() < 1e-7
 
 
 def test_l2norm_zero_is_safe():
-    x = Tensor(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 1.0, 0.5],
-                         [0.0, 0.0, 0.0]]))
-    node, by_event = tc_terms(x)
-    node.backward()
-    assert np.all(np.isfinite(x.grad))
-    assert np.all(x.grad[[0, 3]] == 0.0)  # zero rows join no pair
-    assert by_event.tolist() == [node.item()]
-    node, by_event = tc_terms(Tensor(np.zeros((3, 2))), offsets=[0, 1, 3])
-    assert node is None
+    x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
+    by_event, vjp = tc_terms(x)
+    grad = vjp(1.0)
+    assert np.all(np.isfinite(grad))
+    assert np.all(grad[[0, 3]] == 0.0)  # zero rows join no pair
+    assert by_event.shape == (1,)
+    by_event, vjp = tc_terms(np.zeros((3, 2)), offsets=[0, 1, 3])
+    assert vjp is None
     assert by_event.tolist() == [0.0, 0.0]
 
 
 def test_gather_gradients(rng):
+    # the trend input reads its aggregates out of the stack of its parts
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(1, 3))
-    fd_check(lambda x, y: gather([x, y], [2, 0, 2, 1]), a, b)
-    out = gather([Tensor(a), Tensor(b)], [0, 1, 2])
-    assert out.data.tobytes() == np.concatenate([a, b]).tobytes()
+    fd_check(lambda x, y: trend_features([2, 0, 2, 1], [x, y], 0.5), a, b)
+    out = trend_features([0, 1, 2], [Tensor(a), Tensor(b)], 0.5)
+    assert out.data[:, :3].tobytes() == np.concatenate([a, b]).tobytes()
 
 
 def test_gate_over_leading_axes_matches_rows(rng):
@@ -150,11 +195,9 @@ def test_gate_over_leading_axes_matches_rows(rng):
 
 def test_final_sum_of_ce_and_tc(rng):
     # the epoch loss, ce + lambda_tc * tc, over one stack of trend states
-    states = rng.normal(size=(4, 3))
-    w = rng.normal(size=(1, 3))
-    coef = -rng.uniform(0.1, 2.0, size=(2, 4))
-    fd_check(lambda h, u: add_scaled(ce_loss(linear(h, u), coef),
-                                     tc_terms(h, offsets=[0, 2, 4])[0], 0.3), states, w)
+    states, (w, b) = rng.normal(size=(4, 3)), classifier(rng, 3)
+    weight = rng.uniform(0.1, 2.0, size=(2, 4))
+    fd_check(lambda h, u, v: loss_node(h, u, v, weight, 0.3, [0, 2, 4]), states, w, b)
 
 
 def test_clip_masks_gradient():
@@ -162,24 +205,24 @@ def test_clip_masks_gradient():
     z = np.array([[-40.0], [0.3], [40.0]])
     p = stable_sigmoid(z[:, 0])
     assert p[0] < PROB_CLAMP and p[2] > 1.0 - PROB_CLAMP
-    logits = Tensor(z)
-    ce_loss(logits, -np.ones((2, 3))).backward()
-    assert logits.grad[0, 0] == 0.0 and logits.grad[2, 0] == 0.0
-    assert logits.grad[1, 0] == pytest.approx(2.0 * p[1] - 1.0, rel=1e-12)
+    states = Tensor(z)
+    loss_node(states, Tensor(np.ones((1, 1))), Tensor(np.zeros(1)), np.ones((2, 3))).backward()
+    assert states.grad[0, 0] == 0.0 and states.grad[2, 0] == 0.0
+    assert states.grad[1, 0] == pytest.approx(2.0 * p[1] - 1.0, rel=1e-12)
 
 
 def test_deep_chain_no_recursion_error():
     x = Tensor(np.ones((1, 1)))
     y = x
     for _ in range(5000):
-        y = add_scaled(y, y, 0.0)
+        y = scaled_sum(y, y, 0.0)
     y.backward()
     assert x.grad[0, 0] == 1.0
 
 
 def test_reused_node_accumulates():
     x = Tensor(np.array([[2.0]]))
-    y = add_scaled(x, x, 3.0)  # dy/dx = 1 + 3 = 4
+    y = scaled_sum(x, x, 3.0)  # dy/dx = 1 + 3 = 4
     y.backward()
     assert x.grad[0, 0] == pytest.approx(4.0)
 
@@ -193,7 +236,7 @@ def test_reused_node_accumulates():
 def test_grad_of_sum_is_ones(rows, cols, seed):
     rng = np.random.default_rng(seed)
     x, y = Tensor(rng.normal(size=(rows, cols))), Tensor(rng.normal(size=(rows, cols)))
-    add_scaled(x, y, 1.0).backward()
+    scaled_sum(x, y, 1.0).backward()
     assert np.all(x.grad == 1.0) and np.all(y.grad == 1.0)
 
 
@@ -233,7 +276,7 @@ def _graph(*roots) -> list[Tensor]:
 def test_backward_consumes_interior_nodes_and_keeps_leaf_grads(rng):
     x_val, w_val = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
     x, w = Tensor(x_val), Tensor(w_val)
-    out = add_scaled(linear(x, w), linear(x, w), 2.0)
+    out = scaled_sum(affine(x, w), affine(x, w), 2.0)
     interior = [n for n in _graph(out) if n._parents]
     closures = [weakref.ref(n._vjp) for n in interior]
     assert len(interior) == 3
@@ -251,7 +294,7 @@ def test_backward_consumes_interior_nodes_and_keeps_leaf_grads(rng):
 
 def test_second_backward_on_the_same_root_raises():
     x = Tensor(np.array([[2.0]]))
-    y = add_scaled(add_scaled(x, x, 1.0), x, 1.0)
+    y = scaled_sum(scaled_sum(x, x, 1.0), x, 1.0)
     y.backward()
     grad = x.grad.copy()
     with pytest.raises(GraphConsumedError, match="already walked"):
@@ -261,9 +304,9 @@ def test_second_backward_on_the_same_root_raises():
 
 def test_backward_through_a_consumed_shared_node_raises():
     x = Tensor(np.array([[2.0, -1.0]]))
-    shared = add_scaled(x, x, 2.0)
-    first = add_scaled(shared, shared, 1.0)
-    second = add_scaled(shared, shared, 0.0)  # a fresh root over the same interior node
+    shared = scaled_sum(x, x, 2.0)
+    first = scaled_sum(shared, shared, 1.0)
+    second = scaled_sum(shared, shared, 0.0)  # a fresh root over the same interior node
     first.backward()
     grad = x.grad.copy()
     with pytest.raises(GraphConsumedError):
@@ -271,48 +314,51 @@ def test_backward_through_a_consumed_shared_node_raises():
     assert np.array_equal(x.grad, grad)
     assert second._parents != ()  # refused before any node was consumed
     # a graph over leaves only is still free to walk
-    fresh = add_scaled(x, x, 1.0)
+    fresh = scaled_sum(x, x, 1.0)
     fresh.backward()
     np.testing.assert_array_equal(x.grad, grad + 2.0)
 
 
 def test_no_grad_records_no_graph_and_restores_its_state(rng):
     a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3)))
-    w_g, b_g, w_c = (Tensor(rng.normal(size=s)) for s in ((3, 6), (3,), (1, 3)))
-    coef = -rng.uniform(0.1, 2.0, size=(2, 4))
+    params = ModelParams.build(3, 1, 2, 2, seed=0)
+    weight = rng.uniform(0.1, 2.0, size=(2, 4))
+    offsets = [0, 2, 4]
 
     def loss():
-        fused, _ = gate(gather([a, b], [[0, 1, 2, 3], [2, 3, 0, 1]]), w_g, b_g)
-        tc, _ = tc_terms(fused, offsets=[0, 2, 4])
-        return fused, add_scaled(ce_loss(linear(fused, w_c), coef), tc, 0.5)
+        states = run_lstm(trend_features([2, 3, 0, 1], [a, b], 0.5, offsets), params, offsets)
+        return states, loss_node(states, params["clf.W_c"], params["clf.b_c"], weight, 0.5,
+                                 offsets)
 
     _, taped = loss()
     with no_grad():
-        fused, untaped = loss()
+        states, untaped = loss()
         with no_grad():
-            assert add_scaled(a, a, 1.0)._parents == ()
-        assert add_scaled(a, a, 1.0)._parents == ()
-    assert all(n._parents == () and n._vjp is None for n in (fused, untaped))
+            assert scaled_sum(a, a, 1.0)._parents == ()
+        assert scaled_sum(a, a, 1.0)._parents == ()
+    assert all(n._parents == () and n._vjp is None for n in (states, untaped))
     assert untaped.data.tobytes() == taped.data.tobytes()
     assert len(_graph(taped)) > 1
-    assert add_scaled(a, a, 1.0)._parents == (a, a)
+    assert scaled_sum(a, a, 1.0)._parents == (a, a)
 
     with pytest.raises(ZeroDivisionError):
         with no_grad():
             1 / 0
-    assert add_scaled(a, a, 1.0)._parents != ()
+    assert scaled_sum(a, a, 1.0)._parents != ()
 
 
 def test_gather_scatter_adds_repeated_rows(rng):
     x, y = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(1, 3)))
     index = [2, 0, 2, 3]
-    out = gather([x, y], index)
-    np.testing.assert_array_equal(out.data, np.concatenate([x.data, y.data])[index])
-    g = rng.normal(size=(4, 3))
+    out = trend_features(index, [x, y], 0.5)
+    np.testing.assert_array_equal(out.data[:, :3], np.concatenate([x.data, y.data])[index])
+    g = rng.normal(size=(4, 7))
     out.backward(g)
+    read = Tensor(np.concatenate([x.data, y.data])[index])
+    features(read, 0.5).backward(g)  # the gradient of each row read
     expected = np.zeros((4, 3))
     for row, k in enumerate(index):
-        expected[k] += g[row]
+        expected[k] += read.grad[row]
     np.testing.assert_array_equal(x.grad, expected[:3])
     np.testing.assert_array_equal(y.grad, expected[3:])
 
@@ -321,46 +367,38 @@ def test_gather_scatter_adds_repeated_rows(rng):
 @given(
     sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
     cols=st.integers(1, 4),
-    n_rows=st.integers(0, 12),
+    n_rows=st.integers(1, 12),
     scale=st.floats(-3.0, 3.0, allow_nan=False),
     seed=st.integers(0, 10_000),
 )
 def test_gather_and_add_scaled_match_their_numpy_expressions_bitwise(
         sizes, cols, n_rows, scale, seed):
-    # The epoch graph's two generic nodes, against the expressions they
-    # replace: rows of a concatenation, and a + b * scale.
+    # The trend input against its aggregates read as rows of a concatenation,
+    # and the loss node against ce + scale * tc.
     rng = np.random.default_rng(seed)
     blocks = [rng.normal(size=(n, cols)) for n in sizes]
     stack = np.concatenate(blocks)
     rows = rng.integers(0, stack.shape[0], size=n_rows)  # repeats are likely
-    g = rng.normal(size=(n_rows, cols))
+    g = rng.normal(size=(n_rows, 2 * cols + 1))
     parts = [Tensor(b) for b in blocks]
-    out = gather(parts, rows)
-    assert out.data.tobytes() == stack[rows].tobytes()
+    out = trend_features(rows, parts, 0.5)
+    read = Tensor(stack[rows])
+    ref = features(read, 0.5)
+    assert out.data.tobytes() == ref.data.tobytes()
     out.backward(g)
+    ref.backward(g)
     want = np.zeros_like(stack)
-    np.add.at(want, rows, g)
+    np.add.at(want, rows, read.grad)
     for part, block in zip(parts, np.split(want, np.cumsum(sizes)[:-1])):
         assert part.grad.tobytes() == block.tobytes()
 
-    a, b = Tensor(rng.normal(size=(2, cols))), Tensor(rng.normal(size=(2, cols)))
-    total = add_scaled(a, b, scale)
-    assert total.data.tobytes() == (a.data + b.data * scale).tobytes()
-    seed_grad = rng.normal(size=(2, cols))
-    total.backward(seed_grad)
-    assert a.grad.tobytes() == seed_grad.tobytes()
-    assert b.grad.tobytes() == (seed_grad * scale).tobytes()
-
-
-def test_linear_over_leading_axes_matches_rows(rng):
-    x, w, b = (Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (5, 4), (5,)))
-    xr, wr, br = (Tensor(t.data.copy()) for t in (x, w, b))
-    out = linear(x, w, b)
-    rows = linear(Tensor(xr.data.reshape(6, 4)), wr, br)
-    np.testing.assert_array_equal(out.data, rows.data.reshape(2, 3, 5))
-    g = rng.normal(size=(2, 3, 5))
-    out.backward(g)
-    rows.backward(g.reshape(6, 5))
-    for batched, flat in ((w, wr), (b, br)):
-        np.testing.assert_array_equal(batched.grad, flat.grad)
-    np.testing.assert_allclose(x.grad, g @ w.data, rtol=1e-12)
+    states, (w, b) = rng.normal(size=(3, cols)), classifier(rng, cols)
+    weight = rng.uniform(0.1, 2.0, size=(2, 3))
+    tc_values, tc_vjp = tc_terms(states)
+    plain, scaled = Tensor(states), Tensor(states)
+    ce = loss_node(plain, Tensor(w), Tensor(b), weight, 0.0)
+    total = loss_node(scaled, Tensor(w), Tensor(b), weight, scale)
+    assert total.item() == ce.item() + scale * float(sum(tc_values.tolist()))
+    ce.backward()
+    total.backward()
+    np.testing.assert_array_equal(scaled.grad, plain.grad + scale * tc_vjp(1.0))

@@ -271,6 +271,22 @@ def test_eval_rebuilds_structure_for_another_dataset_of_the_same_size(
     assert builds == [10]  # same size, other timestamps: rebuilt, not reused
 
 
+def test_eval_notes_a_rebuild_for_another_dataset(tmp_path, dataset_dir, run_dir, capsys):
+    other = tmp_path / "other"
+    assert main(["generate", "--spec", str(write_spec(tmp_path, seed=6)),
+                 "--out", str(other)]) == 0
+    capsys.readouterr()
+    checkpoint = str(run_dir / "checkpoint.bin")
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", checkpoint]) == 0
+    own = capsys.readouterr()
+    assert own.err == ""
+    assert main(["eval", "--data", str(other), "--checkpoint", checkpoint]) == 0
+    rebuilt = capsys.readouterr()
+    assert rebuilt.err.splitlines() == [
+        f"note: {run_dir} holds the events of another dataset; rebuilding the events"]
+    assert json.loads(rebuilt.out)["n"] == json.loads(own.out)["n"]
+
+
 def test_eval_dimension_mismatch_names_tensor(tmp_path, run_dir, capsys):
     other_spec = write_spec(tmp_path, d_text=8, seed=9)
     other = tmp_path / "other"

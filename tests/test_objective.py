@@ -13,25 +13,25 @@ from ecatch.objective import (
     CrossEntropyTerms,
     ObjectiveError,
     Readout,
-    ce_loss,
     ce_terms,
     class_weights,
+    epoch_loss,
     mine_hard_examples,
     post_probabilities,
     tc_terms,
 )
 from ecatch.params import ModelParams
 from ecatch.training import forward
-from ecatch.trend import run_lstm, trend_features
+from ecatch.trend import run_lstm
 from ecatch.verify import toy_problem
 from ecatch.windows import segment_all
 
-from conftest import DAY, make_dataset
+from conftest import DAY, features, make_dataset
 
 
 def trend_states(*rows):
     """An event's (T, d) trend-state matrix, one row per window."""
-    return Tensor(np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)
 
 
 def stacked(events, windows):
@@ -100,7 +100,7 @@ def pipeline(rng, n=6, d=4):
     params = ModelParams.build(d, 2, 3, 2, seed=1)
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
     aggs = Tensor(rng.normal(size=(offsets[-1], d)))
-    states = run_lstm(trend_features(aggs, 0.5, offsets), params, offsets)
+    states = run_lstm(features(aggs, 0.5, offsets), params, offsets)
     return ds, events, windows, params, states
 
 
@@ -128,7 +128,7 @@ def test_single_window_event_shares_probability(rng):
     windows = segment_all(events, ds, DAY, DAY)
     assert len(windows[0].windows) == 1
     params = ModelParams.build(4, 2, 3, 2, seed=2)
-    hidden = run_lstm(trend_features(Tensor(rng.normal(size=(1, 4))), 0.5), params)
+    hidden = run_lstm(features(Tensor(rng.normal(size=(1, 4))), 0.5), params)
     out = probabilities_of(events, windows, hidden, params, ds.n)
     np.testing.assert_allclose(out.p_post, out.p_event[0])
 
@@ -142,7 +142,7 @@ def test_readout_uses_last_covering_window(rng):
     assert last[1] == 2
     params = ModelParams.build(4, 2, 3, 2, seed=3)
     aggs = Tensor(rng.normal(size=(len(windows[0].windows), 4)))
-    hidden = run_lstm(trend_features(aggs, 0.5), params)
+    hidden = run_lstm(features(aggs, 0.5), params)
     p_post = probabilities_of(events, windows, hidden, params, ds.n).p_post
     row = hidden.data[last[1] - 1]
     logit = row @ params["clf.W_c"].data[0] + params["clf.b_c"].data[0]
@@ -155,7 +155,7 @@ def test_readout_lists_each_events_posts_with_their_last_window(rng):
     events = events + [PseudoEvent(2, events[0].member_indices[::-1])]
     windows[2] = windows[0]
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
-    states = run_lstm(trend_features(Tensor(rng.normal(size=(offsets[-1], 4))), 0.5, offsets),
+    states = run_lstm(features(Tensor(rng.normal(size=(offsets[-1], 4))), 0.5, offsets),
                       params, offsets)
     readout = post_probabilities(events, stacked(events, windows), states, offsets, params,
                                  ds.n)
@@ -192,7 +192,7 @@ def ce_setup(rng, labels, probs):
     logits = np.log(np.asarray(probs) / (1.0 - np.asarray(probs)))
     params["clf.W_c"].data[...] = np.array([[1.0, 0.0]])
     # hidden values are bounded by tanh, so steer via handcrafted states
-    hidden = trend_states(*([l, 0.0] for l in logits))
+    hidden = Tensor(trend_states(*([l, 0.0] for l in logits)))
     return ds, probabilities_of(events, windows, hidden, params, ds.n)
 
 
@@ -206,7 +206,7 @@ def test_perfect_predictions_near_zero_loss(rng):
     windows = segment_all(events, ds, DAY, DAY)
     params = ModelParams.build(2, 1, 3, 2, zero=True)
     params["clf.W_c"].data[...] = np.array([[60.0, 0.0]])
-    hidden = trend_states(*([1.0 if y == 1 else -1.0, 0.0] for y in labels))
+    hidden = Tensor(trend_states(*([1.0 if y == 1 else -1.0, 0.0] for y in labels)))
     readout = probabilities_of(events, windows, hidden, params, ds.n)
     terms, _ = ce_terms(readout, labels, np.ones(3, dtype=bool), epsilon=1.0, adaptive=False)
     total = terms.value.sum()
@@ -284,16 +284,22 @@ def test_adaptive_terms_are_reweighted_plain_terms(rng):
         assert value == pytest.approx(by_post[post] * w[labels[post]])
 
 
+def unit_classifier():
+    """``clf.W_c`` and ``clf.b_c`` that read a (R, 1) state out as its logit."""
+    return {"clf.W_c": Tensor(np.ones((1, 1))), "clf.b_c": Tensor(np.zeros(1))}
+
+
 def readout_of(logits, last_of):
-    """A hand-made readout: events of (T_e,) logits, post -> 1-based window."""
+    """A hand-made readout: events of (T_e,) logits, post -> 1-based window.
+    Its (R, 1) states are the logits, for :func:`unit_classifier`."""
     steps = [len(z) for z in logits]
     offsets = np.concatenate([[0], np.cumsum(steps)]).astype(np.intp)
     z = np.concatenate(logits)
     post, event, row = np.array([(post, e, offsets[e] + t - 1)
                                  for e, of_event in enumerate(last_of)
                                  for post, t in of_event.items()], dtype=np.intp).reshape(-1, 3).T
-    return Readout(Tensor(np.zeros((z.size, 1))), Tensor(z[:, None]), stable_sigmoid(z),
-                   None, None, list(range(len(steps))), offsets, post, event, row)
+    return Readout(Tensor(z[:, None]), stable_sigmoid(z), None, None, list(range(len(steps))),
+                   offsets, post, event, row)
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,10 +327,11 @@ def test_ce_loss_is_the_sum_of_its_terms(steps, n_posts, mined, seed):
         return
     terms = mine_hard_examples(terms, mined)
 
-    coef = readout.ce_coefficients(terms)
-    loss = ce_loss(readout.logits, coef)
+    loss, ce, tc = epoch_loss(readout, terms, np.zeros(len(steps)), None, 0.0,
+                              unit_classifier())
     want = terms.value.sum()
-    assert abs(loss.item() - want) <= 1e-12 * max(1.0, abs(want))
+    assert loss.item() == ce and tc == 0.0
+    assert abs(ce - want) <= 1e-12 * max(1.0, abs(want))
 
     loss.backward()
     p = readout.probs
@@ -332,13 +339,16 @@ def test_ce_loss_is_the_sum_of_its_terms(steps, n_posts, mined, seed):
     for row, label, weight in zip(terms.row, terms.label, terms.weight):
         expected[row] += -weight * (1.0 - p[row]) if label == 1 else weight * p[row]
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-    assert np.all(readout.logits.grad[~inside] == 0.0)
-    np.testing.assert_allclose(readout.logits.grad[:, 0], np.where(inside, expected, 0.0),
-                               rtol=1e-12, atol=0.0)
+    logit_grad = readout.states.grad[:, 0]
+    assert np.all(logit_grad[~inside] == 0.0)
+    np.testing.assert_allclose(logit_grad, np.where(inside, expected, 0.0), rtol=1e-12, atol=0.0)
 
-    fd = finite_difference_gradient(lambda x: ce_loss(Tensor(x), coef).item(),
-                                    readout.logits.data)
-    err = np.abs(fd - readout.logits.grad).max()
+    def ce_at(x):
+        q = np.clip(stable_sigmoid(x[:, 0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        return float(np.sum(-terms.weight * np.log([1.0 - q, q])[terms.label, terms.row]))
+
+    fd = finite_difference_gradient(ce_at, readout.states.data)
+    err = np.abs(fd - readout.states.grad).max()
     assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
@@ -402,45 +412,51 @@ def test_terms_mining_and_coefficients_match_a_per_term_loop(
     assert list(zip(kept.post.tolist(), kept.event.tolist(), kept.value.tolist())) == \
         [(t[0], t[1], t[5]) for t in want_kept]
 
+    # The loss node's logit gradient, from each row's negated weight sums per class.
     coef = np.zeros((2, readout.probs.size))
     for _, _, row, y, w, _ in want_kept:
         coef[y, row] -= w
-    assert readout.ce_coefficients(kept).tobytes() == coef.tobytes()
+    loss, _, _ = epoch_loss(readout, kept, np.zeros(len(logits)), None, 0.0, unit_classifier())
+    loss.backward()
+    p = readout.probs
+    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+    np.testing.assert_array_equal(readout.states.grad[:, 0],
+                                  np.where(inside, coef[1] * (1.0 - p) - coef[0] * p, 0.0))
 
 
 # -- temporal consistency --------------------------------------------------------
 def test_tc_constant_sequence_is_zero():
-    total, _ = tc_terms(trend_states([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]))
-    assert total is None or total.item() == pytest.approx(0.0)
+    values, vjp = tc_terms(trend_states([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]))
+    assert vjp is None or values.tolist() == [pytest.approx(0.0)]
 
 
 def test_tc_colinear_growth():
-    total, _ = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0]))
-    assert total.item() == pytest.approx(1.0)
+    values, _ = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0]))
+    assert values.tolist() == [pytest.approx(1.0)]
 
 
 def test_tc_anti_aligned_is_negative():
-    total, _ = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0]))
-    assert total.item() == pytest.approx(-4.0)
+    values, _ = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0]))
+    assert values.tolist() == [pytest.approx(-4.0)]
 
 
 def test_tc_zero_norm_guard():
-    total, _ = tc_terms(trend_states([0.0, 0.0], [1.0, 0.0]))
-    assert total is None
+    values, vjp = tc_terms(trend_states([0.0, 0.0], [1.0, 0.0]))
+    assert vjp is None and values.tolist() == [0.0]
 
 
 def test_tc_clamp_drops_negative_similarity():
     clamped, _ = tc_terms(trend_states([1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]),
-                       clamp_negative_sim=True)
+                          clamp_negative_sim=True)
     # only the colinear (-1,0)->(-2,0) pair survives: |d|^2=1, sim=1
-    assert clamped.item() == pytest.approx(1.0)
+    assert clamped.tolist() == [pytest.approx(1.0)]
 
 
 def test_tc_sum_over_multiple_steps():
-    total, _ = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0], [2.0, 1.0]))
+    values, _ = tc_terms(trend_states([1.0, 0.0], [2.0, 0.0], [2.0, 1.0]))
     # term2: |d|^2=1, sim=1; term3: |d|^2=1, sim=4/(2*sqrt5)
     expected = 1.0 + 1.0 * (4.0 / (2.0 * math.sqrt(5.0)))
-    assert total.item() == pytest.approx(expected)
+    assert values.tolist() == [pytest.approx(expected)]
 
 
 def tc_by_pairs(h, clamp):
@@ -475,29 +491,24 @@ def test_tc_node_matches_pair_loop_and_finite_differences(kinds, d, clamp, seed)
             h[t] = 0.0
         elif kind == "flip" and t > 0:
             h[t] = -rng.uniform(0.5, 2.0) * h[t - 1]
-    hidden = Tensor(h)
-    got, by_event = tc_terms(hidden, clamp_negative_sim=clamp)
+    by_event, vjp = tc_terms(h, clamp_negative_sim=clamp)
     want = tc_by_pairs(h, clamp)
     if want is None:
-        assert got is None and by_event.tolist() == [0.0]
+        assert vjp is None and by_event.tolist() == [0.0]
         return
-    assert abs(got.item() - want) <= 1e-12 * max(1.0, abs(want))
-    assert by_event.tolist() == [pytest.approx(want, rel=1e-12)]
+    assert abs(by_event[0] - want) <= 1e-12 * max(1.0, abs(want))
 
-    got.backward()
-    assert np.all(hidden.grad[np.linalg.norm(h, axis=1) < NORM_GUARD] == 0.0)
+    grad = vjp(1.0)
+    assert np.all(grad[np.linalg.norm(h, axis=1) < NORM_GUARD] == 0.0)
     a, b = h[1:], h[:-1]
     cos = np.sum(a * b, axis=1) / np.maximum(
         np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1), 1e-300)
     if "zero" in kinds or np.abs(cos).min() < 1e-3:
         return  # finite differences would cross the guard or the clamp
 
-    def f(x):
-        out, _ = tc_terms(Tensor(x), clamp_negative_sim=clamp)
-        return out.item() if out is not None else 0.0
-
-    fd = finite_difference_gradient(f, h)
-    err = np.abs(fd - hidden.grad).max()
+    fd = finite_difference_gradient(
+        lambda x: float(tc_terms(x, clamp_negative_sim=clamp)[0].sum()), h)
+    err = np.abs(fd - grad).max()
     assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
@@ -523,29 +534,24 @@ def test_stacked_tc_node_pairs_rows_only_within_events(kinds, breaks, d, clamp, 
     per_event = [tc_by_pairs(h[a:b], clamp) for a, b in zip(offsets, offsets[1:])]
     want = np.array([0.0 if v is None else v for v in per_event])
 
-    states = Tensor(h)
-    got, by_event = tc_terms(states, clamp_negative_sim=clamp, offsets=offsets)
+    by_event, vjp = tc_terms(h, clamp_negative_sim=clamp, offsets=offsets)
     assert by_event.shape == want.shape
     assert np.abs(by_event - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     if all(v is None for v in per_event):
-        assert got is None
+        assert vjp is None
         return
-    assert abs(got.item() - want.sum()) <= 1e-12 * max(1.0, np.abs(want).sum())
 
-    got.backward()
-    assert np.all(states.grad[np.linalg.norm(h, axis=1) < NORM_GUARD] == 0.0)
+    grad = vjp(1.0)
+    assert np.all(grad[np.linalg.norm(h, axis=1) < NORM_GUARD] == 0.0)
     a, b = h[1:], h[:-1]
     cos = np.sum(a * b, axis=1) / np.maximum(
         np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1), 1e-300)
     if "zero" in kinds or np.abs(cos).min() < 1e-3:
         return  # finite differences would cross the guard or the clamp
 
-    def f(x):
-        out, _ = tc_terms(Tensor(x), clamp_negative_sim=clamp, offsets=offsets)
-        return out.item() if out is not None else 0.0
-
-    fd = finite_difference_gradient(f, h)
-    err = np.abs(fd - states.grad).max()
+    fd = finite_difference_gradient(
+        lambda x: float(tc_terms(x, clamp_negative_sim=clamp, offsets=offsets)[0].sum()), h)
+    err = np.abs(fd - grad).max()
     assert err <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
@@ -559,5 +565,5 @@ def test_forward_total_adds_the_reported_sums(lambda_tc, lambda_reg):
     assert report.tc > 0.0 and report.reg > 0.0
     assert report.reg == params.l2_squared()
     assert report.total == report.ce + lambda_tc * report.tc + lambda_reg * report.reg
-    # the loss node differentiates the same sums, the regularizer aside
-    assert art.loss.item() == pytest.approx(report.ce + lambda_tc * report.tc, rel=1e-12)
+    # the loss node holds the same sums, the regularizer aside
+    assert art.loss.item() == report.ce + lambda_tc * report.tc

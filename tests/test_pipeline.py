@@ -116,7 +116,7 @@ def test_tape_keeps_probabilities_not_projections_head_outputs_or_encoder_rows()
     ds, events, windows, params, cfg = bursty_problem()
     memberships = sum(len(w.members) for s in windows.values() for w in s.windows)
     out = training.run_model(ds, events, windows, params, cfg)
-    held = _closure_buffers(out.logits, out.states)
+    held = _closure_buffers(out.states)
     assert sum(b.nbytes for b in held) < 2000 * memberships
     assert not [b.shape for b in held if b.shape[-1] == 3 * params.d]
     assert not [b.shape for b in held

@@ -12,14 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecatch import fusion, pipeline, training
-from ecatch.autodiff import Tensor
+from ecatch.autodiff import Tensor, finite_difference_gradient, no_grad
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.data import Dataset, assign_splits
 from ecatch.metrics import log_loss
 from ecatch.objective import ce_terms, class_weights, mine_hard_examples, tc_terms
 from ecatch.params import ModelParams, shape_table
-from ecatch.trend import run_lstm, trend_features
+from ecatch.trend import run_lstm
 from ecatch.training import (
     Adam,
     Sgd,
@@ -31,10 +31,10 @@ from ecatch.training import (
     save_checkpoint,
     train,
 )
-from ecatch.verify import grad_check, toy_problem
+from ecatch.verify import FD_STEP, GRAD_TOL, REL_FLOOR, grad_check, toy_problem
 from ecatch.windows import segment_all
 
-from conftest import DAY, make_dataset, nan_gradient_at_epoch_1
+from conftest import DAY, features, make_dataset, nan_gradient_at_epoch_1
 
 
 def test_zero_parameter_forward_closed_form():
@@ -88,7 +88,7 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
     # chains on one row -> gate -> lstm on [P; 0; 0] -> sigmoid readout
     from ecatch.fusion import fuse_group
     wf = fuse_group(ds, params, np.array([windows[0].windows[0].members]))
-    feats = trend_features(Tensor(wf.fused.data[0]), cfg["trend.beta"])
+    feats = features(Tensor(wf.fused.data[0]), cfg["trend.beta"])
     hidden = run_lstm(feats, params)
     logit = (hidden.data @ params["clf.W_c"].data.T
              + params["clf.b_c"].data)
@@ -109,6 +109,36 @@ def test_reg_only_gradient_is_linear_in_params():
 def test_gradient_check_passes():
     report = grad_check(0)
     assert report.ok, report.line()
+
+
+@pytest.mark.parametrize("seed, n_posts, overrides", [
+    (1, 6, {"loss.lambda_tc": 0.0}),
+    (3, 12, {"loss.lambda_tc": 0.5, "loss.tc_clamp": True}),
+], ids=["lambda-tc-zero", "tc-clamp"])
+def test_forward_gradients_match_finite_differences(seed, n_posts, overrides):
+    # grad_check runs lambda_tc 0.1 without the clamp. These are the loss
+    # node's other branches: no consistency gradient, and one from only the
+    # pairs that the clamp keeps (here some pair is clamped and some is kept).
+    ds, events, windows, params, cfg = toy_problem(seed, n_posts=n_posts)
+    cfg = cfg.updated(overrides)
+    readout = training.run_model(ds, events, windows, params, cfg)
+    kept, _ = tc_terms(readout.states.data, cfg["loss.tc_clamp"], readout.offsets)
+    every, _ = tc_terms(readout.states.data, False, readout.offsets)
+    assert kept.sum() != 0.0 and (kept != every).any() == cfg["loss.tc_clamp"]
+    analytic = backward(forward(ds, events, windows, params, cfg))
+
+    def total_with(tensor, x):
+        tensor.data = x
+        with no_grad():
+            return forward(ds, events, windows, params, cfg).report.total
+
+    for name, tensor in params.items():
+        orig = tensor.data
+        fd = finite_difference_gradient(lambda x: total_with(tensor, x), orig, FD_STEP)
+        tensor.data = orig
+        a = analytic[name]
+        rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), REL_FLOOR)
+        assert rel.max() < GRAD_TOL, name
 
 
 def test_gradient_check_detects_fault_injection():
@@ -178,13 +208,16 @@ def _tape(*roots) -> list[Tensor]:
 
 
 def test_one_lstm_node_and_one_readout_node_per_pass():
+    # The classifier reads the states out in the loss node only; a pass that
+    # only scores makes no node for it.
     ds, events, _, params, cfg = toy_problem(0)
     windows = segment_all(events, ds, 2 * DAY, DAY)
     assert all(len(windows[ev.event_id].windows) > 1 for ev in events)
     out = training.run_model(ds, events, windows, params, cfg)
-    nodes = _tape(out.states, out.logits)
-    for name, count in (("lstm.W_i", 1), ("clf.W_c", 1)):
-        users = [n for n in nodes if any(p is params[name] for p in n._parents)]
+    loss = forward(ds, events, windows, params, cfg).loss
+    for roots, name, count in (((out.states,), "lstm.W_i", 1), ((out.states,), "clf.W_c", 0),
+                               ((loss,), "clf.W_c", 1), ((loss,), "clf.b_c", 1)):
+        users = [n for n in _tape(*roots) if any(p is params[name] for p in n._parents)]
         assert len(users) == count, name
 
 
@@ -195,9 +228,9 @@ def _kind(node) -> str:
 
 def test_epoch_tape_holds_only_fused_nodes():
     # 5 nodes per fusion chunk, 2 attention weight nodes per fusion pass, and
-    # 7 for all events: the gather of the chunks' aggregates into event order,
-    # the trend input, the LSTM, the readout, the two loss nodes and their
-    # weighted sum; the leaves are the parameters. No node is made per event.
+    # 3 for all events: the trend input, which reads the chunks' aggregates in
+    # event order, the LSTM, and the epoch loss over the states and the
+    # classifier; the leaves are the parameters. No node is made per event.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
     flat = [w for ev in events for w in windows[ev.event_id].windows]
     chunks, n_events = len(fusion.window_groups(flat)), len(events)
@@ -205,21 +238,17 @@ def test_epoch_tape_holds_only_fused_nodes():
     tape = _tape(forward(ds, events, windows, params, cfg).loss)
     assert Counter(_kind(n) for n in tape) == {
         "": len(params.names()),
-        "linear": 1,
         "encode": chunks,
         "block_pair": 2,
         "attention": 2 * chunks,
         "gate": chunks,
         "aggregate": chunks,
-        "gather": 1,
         "trend_features": 1,
         "run_lstm": 1,
-        "ce_loss": 1,
-        "tc_terms": 1,
-        "add_scaled": 1,
+        "epoch_loss": 1,
     }
     assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
-    assert len(tape) - len(params.names()) == 5 * chunks + 2 + 7
+    assert len(tape) - len(params.names()) == 5 * chunks + 2 + 3
 
 
 def test_backward_leaves_gradients_on_parameters_only():
@@ -332,7 +361,7 @@ def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, i
     ce_by_event = [functools.reduce(operator.add, terms.value[terms.event == k].tolist(), 0.0)
                    for k in range(len(events))]
     assert report.ce == sum(ce_by_event)
-    _, tc_by_event = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
+    tc_by_event, _ = tc_terms(readout.states.data, cfg["loss.tc_clamp"], readout.offsets)
     assert tc_by_event.size == len(events)
     assert report.tc == sum(tc_by_event.tolist())
     if untrained_last and len(sizes) > 1:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecatch.autodiff import Tensor, finite_difference_gradient, gather
+from ecatch.autodiff import Tensor, finite_difference_gradient
 from ecatch.params import LSTM_GATES, ModelParams
 from ecatch.trend import (
     TrendError,
@@ -13,7 +13,7 @@ from ecatch.trend import (
     trend_features,
 )
 
-from conftest import DAY, make_dataset
+from conftest import DAY, features, make_dataset
 
 
 def all_posts(ds):
@@ -66,24 +66,24 @@ def test_aggregate_in_convex_hull(rng):
 
 
 def test_constant_aggregates_have_null_features():
-    feats = trend_features(Tensor(np.full((3, 3), 1.5)), beta=0.6).data
+    feats = features(Tensor(np.full((3, 3), 1.5)), beta=0.6).data
     assert np.all(feats[:, :3] == 1.5)
     assert np.all(feats[:, 3:] == 0.0)
 
 
 def test_momentum_recurrence_by_hand():
     # shift norms (0, 2, 0) with beta=0.5 give momentum (0, 1, 0.5)
-    feats = trend_features(Tensor(np.array([[0.0], [2.0], [2.0]])), beta=0.5)
+    feats = features(Tensor(np.array([[0.0], [2.0], [2.0]])), beta=0.5)
     assert feats.data[:, 2].tolist() == [0.0, 1.0, 0.5]
 
 
 def test_beta_one_freezes_momentum(rng):
-    feats = trend_features(Tensor(rng.normal(size=(4, 3))), beta=1.0)
+    feats = features(Tensor(rng.normal(size=(4, 3))), beta=1.0)
     assert np.all(feats.data[:, 6] == 0.0)
 
 
 def test_lbar_layout():
-    feats = trend_features(Tensor(np.array([[1.0, 2.0], [2.0, 4.0]])), beta=0.5)
+    feats = features(Tensor(np.array([[1.0, 2.0], [2.0, 4.0]])), beta=0.5)
     assert feats.shape == (2, 5)
     lbar = feats.data[1]
     np.testing.assert_allclose(lbar[:2], [2.0, 4.0])
@@ -93,7 +93,7 @@ def test_lbar_layout():
 
 def test_zero_parameter_lstm_fixed_point(rng):
     params = ModelParams.build(3, 1, 2, 2, zero=True)
-    feats = trend_features(Tensor(rng.normal(size=(3, 3))), beta=0.5)
+    feats = features(Tensor(rng.normal(size=(3, 3))), beta=0.5)
     # cell halves each step from zero: stays zero, and so does 0.5 * tanh(cell)
     np.testing.assert_array_equal(run_lstm(feats, params).data, np.zeros((3, 3)))
 
@@ -115,7 +115,7 @@ def test_saturated_gates_single_step(rng):
     params["lstm.b_c"].data[...] = b_c
 
     agg = rng.normal(size=(1, d))
-    hidden = run_lstm(trend_features(Tensor(agg), beta=0.5), params)
+    hidden = run_lstm(features(Tensor(agg), beta=0.5), params)
     lbar = np.concatenate([agg, np.zeros((1, d)), np.zeros((1, 1))], axis=1)
     expected_c = np.tanh(lbar @ w_c.T + b_c)
     np.testing.assert_allclose(hidden.data, 0.5 * np.tanh(expected_c), atol=1e-6)
@@ -123,7 +123,7 @@ def test_saturated_gates_single_step(rng):
 
 def test_feature_length_validation(rng):
     params = ModelParams.build(4, 2, 2, 2, zero=True)
-    feats = trend_features(Tensor(rng.normal(size=(1, 3))), beta=0.5)
+    feats = features(Tensor(rng.normal(size=(1, 3))), beta=0.5)
     with pytest.raises(TrendError, match="2d\\+1"):
         run_lstm(feats, params)
 
@@ -131,7 +131,7 @@ def test_feature_length_validation(rng):
 def test_hidden_state_strictly_inside_unit_box(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=5)
     aggs = Tensor(rng.normal(size=(6, 4)) * 3)
-    hidden = run_lstm(trend_features(aggs, beta=0.3), params)
+    hidden = run_lstm(features(aggs, beta=0.3), params)
     assert hidden.shape == (6, 4)
     assert np.abs(hidden.data).max() < 1.0
 
@@ -140,9 +140,9 @@ def test_event_isolation(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=6)
     aggs_a = Tensor(rng.normal(size=(3, 4)))
     aggs_b = Tensor(rng.normal(size=(3, 4)))
-    solo = run_lstm(trend_features(aggs_a, 0.5), params).data
-    run_lstm(trend_features(aggs_b, 0.5), params)  # unrelated event in between
-    again = run_lstm(trend_features(aggs_a, 0.5), params).data
+    solo = run_lstm(features(aggs_a, 0.5), params).data
+    run_lstm(features(aggs_b, 0.5), params)  # unrelated event in between
+    again = run_lstm(features(aggs_a, 0.5), params).data
     np.testing.assert_array_equal(solo, again)
 
 
@@ -151,7 +151,7 @@ def test_duplicate_window_delta_gradient_is_safe(rng):
     # norm's subgradient must stay finite
     params = ModelParams.build(3, 1, 2, 2, seed=7)
     base = Tensor(rng.normal(size=(1, 3)))
-    feats = trend_features(gather([base], [0, 0]), beta=0.5)
+    feats = trend_features([0, 0], [base], beta=0.5)
     hidden = run_lstm(feats, params)
     hidden.backward(2.0 * hidden.data)  # the gradient of the sum of squares
     assert np.all(np.isfinite(base.grad))
@@ -283,7 +283,7 @@ def test_trend_input_node_matches_steps_and_finite_differences(steps, d, beta, r
     g = rng.normal(size=(steps, 2 * d + 1))
 
     x = Tensor(agg)
-    out = trend_features(x, beta)
+    out = features(x, beta)
     np.testing.assert_allclose(out.data, trend_input_by_steps(agg, beta), rtol=1e-12,
                                atol=1e-15)
     out.backward(g)
@@ -292,15 +292,15 @@ def test_trend_input_node_matches_steps_and_finite_differences(steps, d, beta, r
     # A central difference of |delta| at delta = 0 is exactly 0, the
     # subgradient the node uses, so one comparison covers the zero shift too.
     fd = finite_difference_gradient(
-        lambda a: float((trend_features(Tensor(a), beta).data * g).sum()), agg)
+        lambda a: float((features(Tensor(a), beta).data * g).sum()), agg)
     assert np.abs(fd - x.grad).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 def test_trend_input_needs_a_window():
     with pytest.raises(TrendError, match="no window aggregates"):
-        trend_features(Tensor(np.zeros((0, 3))), beta=0.5)
+        features(Tensor(np.zeros((0, 3))), beta=0.5)
     with pytest.raises(TrendError, match="beta"):
-        trend_features(Tensor(np.zeros((1, 3))), beta=1.5)
+        features(Tensor(np.zeros((1, 3))), beta=1.5)
 
 
 # -- all events stacked --------------------------------------------------------
@@ -327,12 +327,12 @@ def test_stacked_trend_input_is_each_events_own(lengths, d, beta, repeat, seed):
     g = rng.normal(size=(offsets[-1], 2 * d + 1))
 
     x = Tensor(agg)
-    out = trend_features(x, beta, offsets)
+    out = features(x, beta, offsets)
     for a, b in zip(offsets[:-1], offsets[1:]):
-        np.testing.assert_array_equal(out.data[a:b], trend_features(Tensor(agg[a:b]), beta).data)
+        np.testing.assert_array_equal(out.data[a:b], features(Tensor(agg[a:b]), beta).data)
     out.backward(g)
     fd = finite_difference_gradient(
-        lambda a: float((trend_features(Tensor(a), beta, offsets).data * g).sum()), agg)
+        lambda a: float((features(Tensor(a), beta, offsets).data * g).sum()), agg)
     assert np.abs(fd - x.grad).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
