@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every model operation is one hand-written node: a new :class:`Tensor` that
-remembers its parents and a vector-Jacobian closure. This module holds only
-the engine; every node is a model stage, made where the stage lives: the
-encoders of constant inputs, the attention and the gate in ``fusion``, the
-aggregation, trend-input and LSTM nodes in ``trend``, and the epoch loss in
-``objective``. ``Tensor.backward()`` topologically sorts the graph
+Every tape node is a new :class:`Tensor` that remembers its parents and a
+hand-written vector-Jacobian closure. This module holds only the engine; the
+nodes are made where their stages live: in ``fusion`` one node per fusion
+chunk (encoders, attention, gate and aggregate under one VJP) and the
+attention weight packs, in ``trend`` the trend-input and LSTM nodes, and in
+``objective`` the epoch loss. ``Tensor.backward()`` topologically sorts the graph
 (iteratively, so deep chains are fine) and accumulates gradients into
 ``.grad``. All data is float64; gradient checks downstream rely on that.
 
@@ -15,7 +15,7 @@ parents, so the tape shrinks as the walk proceeds. Leaves keep their
 ``.grad``. Walking a consumed graph again raises :class:`GraphConsumedError`.
 Under :func:`no_grad` no graph is recorded at all: each new ``Tensor`` is a
 leaf, and reference counting frees intermediate results as soon as the
-caller drops them. Scoring runs that way; :func:`recording` tells a node
+caller drops them. Scoring runs that way; :func:`recording` tells a stage
 whether to keep what only its VJP needs.
 
 The tape is acyclic: a closure captures its parents and plain ndarrays,

@@ -15,36 +15,37 @@ its (B, n) member matrix, row b the members of its window b: the one member
 count is the matrix's width, and :func:`fuse_group` and
 ``trend.decay_weights`` read no ``Window``. Nor does :func:`fuse_group` check
 the embedding widths: ``training.run_model`` runs :func:`check_dims` once per
-pass, before the first chunk. Fusing a chunk makes four
-tape nodes, each with a hand-written vector-Jacobian product: one
-:func:`encode` node that writes the stack, one :func:`attention` node of
-self-attention over it (blocks ``att_text`` and ``att_img``), one of
-cross-attention whose keys and values are the stack with its modality axis
-flipped (``att_ti`` and ``att_it``), and one :func:`gate` node that mixes the
-two halves of the cross output (``trend.aggregate`` adds a fifth). Each
-attention node reads its two blocks' weights from one :func:`block_pair`
-node, which a fusion pass builds once for all its chunks.
+pass, before the first chunk. Fusing a chunk makes one tape node,
+:func:`fuse_group`, whose value is the chunk's (B, d) decay-weighted
+aggregates. Its stages are array functions that return a value and a
+hand-written vector-Jacobian product: :func:`encode` writes the stack,
+:func:`attention` runs self-attention over it (blocks ``att_text`` and
+``att_img``), then cross-attention whose keys and values are the stack with
+its modality axis flipped (``att_ti`` and ``att_it``), and :func:`gate`
+mixes the two halves of the cross output. The node's VJP calls theirs in
+reverse order; each value inside a chunk has one consumer, so no gradient is
+summed there and the floats are those of one node per stage.
 
-Inside an attention node, each input modality goes through one
+Inside an attention stage, each input modality goes through one
 (rows, d) @ (d, 3d) product that covers every head and the q/k/v roles, and
 ``Wo`` and ``W_out`` are one 2-D product each per modality. The VJP makes the
 input gradient and the weight gradient with one product each, over all heads
 and roles. Only the n x n stage runs per (window, head).
 
-For its VJP a fusion node keeps only what is costly to rebuild: an attention
-node its softmax probabilities. The VJP rebuilds the rest from arrays that
-outlive the node: the q/k/v projections from the input rows and the weight
-pack, which the parent nodes hold, the head outputs from the probabilities,
-and the encoder rows by gathering the dataset again. Each is the forward's
-operation on the same operands in the same shapes, and the pass writes none
-of those arrays after the node is built, so the gradients are bit for bit
-those of keeping them. Nor does the tape keep the rows that enter ``W_out``:
-the VJP takes ``W_out``'s gradient through ``Wo`` instead.
+For its VJP an attention stage keeps only what is costly to rebuild, its
+softmax probabilities. The VJP rebuilds the rest from arrays that it holds
+anyway: the q/k/v projections from the input rows and the weight pack, the
+head outputs from the probabilities, and the encoder rows by gathering the
+dataset again. Each is the forward's operation on the same operands in the
+same shapes, and the pass writes none of those arrays after the stage has
+run, so the gradients are bit for bit those of keeping them. Nor does the
+tape keep the rows that enter ``W_out`` (the VJP takes ``W_out``'s gradient
+through ``Wo``) or the gate's fused rows, which only the aggregate reads.
 
 That stage holds one (2, B, H, n, n) buffer in the forward pass: the scores
 are scaled, shifted, exponentiated and normalised in place into the
 probabilities that the VJP keeps. The VJP turns its fresh ``g_p`` into the
-score gradient in place too, so a node's backward adds one buffer of that size
+score gradient in place too, so its backward adds one buffer of that size
 and one temporary. A window whose pairs alone pass ``MAX_PAIRS`` runs the
 stage one modality at a time, so no buffer grows past one modality's
 (1, H, n, n), and scoring holds one at a time.
@@ -55,8 +56,7 @@ shallow and gate/LSTM based, and stays stable without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,12 +72,13 @@ SCALES = ("head", "model")
 # also holds at most MAX_PAIRS / 8 post rows, so that at d = 32 and H = 4
 # neither one modality's (B, H, n, n) scores nor its (B, n, d) rows pass
 # 256 KB an array, whatever the number of same-size windows. Each attention
-# node's forward keeps the scores of both modalities, the probabilities its VJP
+# stage's forward keeps the scores of both modalities, the probabilities its VJP
 # reuses for the score gradient.
 MAX_PAIRS = 8192
 # Rows of at most this many keys take their softmax max one key column at a
 # time: exact, and far cheaper than a reduction over a short last axis.
 COLUMN_MAX_KEYS = 16
+ENCODER = ("fusion.W_text", "fusion.b_text", "fusion.W_img", "fusion.b_img")
 
 
 class FusionError(ValueError):
@@ -96,21 +97,20 @@ def check_dims(ds: Dataset, params: ModelParams) -> None:
         )
 
 
-def encode(ds: Dataset, params: ModelParams, members: np.ndarray) -> Tensor:
-    """Text and image rows of ``members`` as one (2, *members.shape, d) node.
+def encode(ds: Dataset, params: ModelParams, members: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Text and image rows of ``members`` as one (2, *members.shape, d) stack,
+    and a VJP to the gradients of the ``ENCODER`` tensors.
 
     Modality m is ``x @ W.T + b`` over its embeddings, which are constants.
-    The node keeps no gathered embedding rows: its VJP gathers them from
-    ``ds`` again, the same rows in the same layout, which nothing changes
-    during the pass.
+    The VJP gathers them from ``ds`` again instead of keeping them: the same
+    rows in the same layout, which nothing changes during the pass.
     """
     d = params.d
-    weights = (params["fusion.W_text"], params["fusion.b_text"],
-               params["fusion.W_img"], params["fusion.b_img"])
+    weights = [params[k].data for k in ENCODER]
     out = np.empty((2, members.size, d))
     for m, rows in enumerate(_encoder_rows(ds, members)):
-        np.matmul(rows, weights[2 * m].data.T, out=out[m])
-        out[m] += weights[2 * m + 1].data
+        np.matmul(rows, weights[2 * m].T, out=out[m])
+        out[m] += weights[2 * m + 1]
 
     def vjp(g: np.ndarray):
         g = g.reshape(2, -1, d)
@@ -119,7 +119,7 @@ def encode(ds: Dataset, params: ModelParams, members: np.ndarray) -> Tensor:
             grads += [(rows.T @ g[m]).T, g[m].sum(axis=0)]
         return grads
 
-    return Tensor(out.reshape((2,) + members.shape + (d,)), weights, vjp)
+    return out.reshape((2,) + members.shape + (d,)), vjp
 
 
 def _encoder_rows(ds: Dataset, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,29 +178,30 @@ def _row_max(s: np.ndarray) -> np.ndarray:
 
 
 def attention(
-    x: Tensor,
-    pair: Tensor,
+    x: np.ndarray,
+    w: np.ndarray,
     heads: int,
     cross: bool = False,
     scale: str = "head",
     diagonal: bool = False,
     return_weights: bool = False,
 ):
-    """Two multi-head attention blocks over the (2, ..., n, d) stack ``x``, one node.
+    """Two multi-head attention blocks over the (2, ..., n, d) stack ``x``:
+    the output and a VJP to the gradients of ``x`` and the pack ``w``.
 
     Output m attends from the rows of ``x[m]`` to those of ``x[m]``, or with
-    ``cross`` to those of ``x[1 - m]``, with row block m of ``pair`` (see
+    ``cross`` to those of ``x[1 - m]``, with row block m of ``w`` (see
     :func:`block_pair`), then applies ``x @ W_out.T + b_out``. Axes between
     the modality and the rows index independent sequences, such as the
     windows of one fusion chunk. ``diagonal`` masks every score but (i, i);
-    ``return_weights`` also returns the (2, ..., H, n, n) probabilities.
+    ``return_weights`` puts the (2, ..., H, n, n) probabilities before the VJP.
 
-    The node keeps the probabilities for its VJP, and nothing else of its
-    own: the VJP rebuilds the (2, B * n, 3d) projections as ``x`` rows @ the
-    pair's projection columns, and the (2, B * n, d) head outputs as each
-    head's ``p @ v`` into the same layout. The operands are ``x.data`` and
-    ``pair.data``, which the parent nodes hold and the pass does not write
-    again, and the shapes are the forward's, so the floats are the same.
+    The VJP keeps the probabilities (while :func:`autodiff.recording`), and
+    nothing else of the stage's own: it rebuilds the (2, B * n, 3d)
+    projections as ``x`` rows @ the pack's projection columns, and the
+    (2, B * n, d) head outputs as each head's ``p @ v`` into the same layout.
+    The operands are ``x`` and ``w``, which the pass does not write again, and
+    the shapes are the forward's, so the floats are the same.
     """
     shape = x.shape
     n, d = shape[-2:]
@@ -209,8 +210,7 @@ def attention(
     if scale not in SCALES:
         raise FusionError(f"unknown attention scale {scale!r}")
     c = 1.0 / (np.sqrt(d / heads) if scale == "head" else np.sqrt(d))
-    w = pair.data
-    rows_in = x.data.reshape(2, -1, d)
+    rows_in = x.reshape(2, -1, d)
     batch = rows_in.shape[1] // n
     q, k, v = _projections(rows_in, w, n, heads, cross)
     # A window too big for the pair budget on its own runs one modality at a time.
@@ -271,10 +271,9 @@ def attention(
 
     out = (merged @ w[:, :, 3 * d:4 * d]) @ w[:, :, 4 * d:5 * d].swapaxes(-1, -2) \
         + w[:, None, :, 5 * d]
-    out = Tensor(out.reshape(shape), (x, pair), vjp)
     if return_weights:
-        return out, probs[0] if len(probs) == 1 else np.concatenate(probs)
-    return out
+        return out.reshape(shape), probs[0] if len(probs) == 1 else np.concatenate(probs), vjp
+    return out.reshape(shape), vjp
 
 
 def _projections(rows_in: np.ndarray, w: np.ndarray, n: int, heads: int, cross: bool):
@@ -314,18 +313,18 @@ def window_groups(windows: Sequence[Window]) -> list[tuple[list[int], np.ndarray
     return chunks
 
 
-def gate(cross: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Soft-gated mix ``g * c_ti + (1 - g) * c_it`` of the halves of ``cross``
-    as one node, and the gate g.
+def gate(cross: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Soft-gated mix ``g * c_ti + (1 - g) * c_it`` of the halves of ``cross``,
+    the gate g and a VJP to the gradients of ``cross``, ``w`` and ``b``.
 
     ``cross`` is the (2, ..., d) stack of ``c_ti`` and ``c_it``, and
     ``g = sigmoid(c_ti @ w_a.T + c_it @ w_b.T + b)``, where ``w_a`` and
     ``w_b`` are the two (d, d) column blocks of the (d, 2d) gate matrix ``w``.
     """
     shape, d = cross.shape[1:], cross.shape[-1]
-    a, c = cross.data.reshape(2, -1, d)
-    w_a, w_b = w.data[:, :d], w.data[:, d:]
-    g = stable_sigmoid(a @ w_a.T + c @ w_b.T + b.data)
+    a, c = cross.reshape(2, -1, d)
+    w_a, w_b = w[:, :d], w[:, d:]
+    g = stable_sigmoid(a @ w_a.T + c @ w_b.T + b)
 
     def vjp(grad: np.ndarray):
         grad = grad.reshape(-1, d)
@@ -339,55 +338,55 @@ def gate(cross: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
             dz.sum(axis=0),
         )
 
-    fused = Tensor((g * a + (1.0 - g) * c).reshape(shape), (cross, w, b), vjp)
-    return fused, g.reshape(shape)
-
-
-@dataclass
-class GroupFusion:
-    """One pass over a (B, n) member matrix; row b follows the matrix's row b."""
-
-    cross: Tensor  # (2, B, n, d): c_ti, then c_it
-    gate: np.ndarray  # the gate node's g, in (0, 1)
-    fused: Tensor  # (B, n, d)
+    return (g * a + (1.0 - g) * c).reshape(shape), g.reshape(shape), vjp
 
 
 def fuse_group(
     ds: Dataset,
     params: ModelParams,
     members: np.ndarray,
+    weights: np.ndarray,
+    pairs: tuple[Tensor, Tensor],
     scope: str = "window",
     scale: str = "head",
-    pairs: tuple[Tensor, Tensor] | None = None,
-) -> GroupFusion:
-    """Full fusion pipeline for the (B, n) member matrix of one chunk, in one pass.
+) -> Tensor:
+    """The (B, d) aggregates of the (B, n) member matrix of one chunk, one node.
 
-    ``pairs`` are :func:`block_pairs` of ``params``, which a caller fusing
-    several chunks builds once; by default this pass builds its own.
-    Zero image vectors (absent images) encode exactly onto the image bias.
+    Row b is the mean of window b's fused rows under row b of the (B, n)
+    ``weights``. ``pairs`` are :func:`block_pairs` of ``params``, which a
+    caller fusing several chunks builds once. Zero image vectors (absent
+    images) encode exactly onto the image bias.
     """
     if scope not in SCOPES:
         raise FusionError(f"unknown attention scope {scope!r}")
-    intra, inter = block_pairs(params) if pairs is None else pairs
+    (intra, inter), w_g, b_g = pairs, params["fusion.W_g"], params["fusion.b_g"]
+    x, encode_vjp = encode(ds, params, members)
+    h, self_vjp = attention(x, intra.data, params.heads, False, scale, scope == "post")
+    c, cross_vjp = attention(h, inter.data, params.heads, True, scale, scope == "post")
+    fused, _, gate_vjp = gate(c, w_g.data, b_g.data)
 
-    post = scope == "post"
-    x = encode(ds, params, members)
-    h = attention(x, intra, params.heads, False, scale, diagonal=post)
-    c = attention(h, inter, params.heads, True, scale, diagonal=post)
-    fused, g = gate(c, params["fusion.W_g"], params["fusion.b_g"])
-    return GroupFusion(c, g, fused)
+    def vjp(g: np.ndarray):
+        g_c, g_wg, g_bg = gate_vjp(weights[:, :, None] * g[:, None, :])
+        g_h, g_inter = cross_vjp(g_c)
+        g_x, g_intra = self_vjp(g_h)
+        return (g_intra, g_inter, *encode_vjp(g_x), g_wg, g_bg)
+
+    return Tensor((weights[:, None, :] @ fused)[:, 0, :],
+                  (intra, inter, *(params[k] for k in ENCODER), w_g, b_g), vjp)
 
 
 def fuse_window(
     ds: Dataset,
     params: ModelParams,
     window: Window,
+    weights: np.ndarray,
     scope: str = "window",
     scale: str = "head",
-) -> GroupFusion:
-    """Fusion of one window: a (1, n) member matrix, (1, n, d) tensors per modality.
+) -> Tensor:
+    """Fusion of one window: a (1, n) member matrix under (1, n) ``weights``.
 
     Only ``bench/tracer.py`` uses it: the tracer wraps this name. Deleting it
     waits for the benchmark change that points the tracer at ``fuse_group``.
     """
-    return fuse_group(ds, params, np.array([window.members], dtype=np.intp), scope, scale)
+    return fuse_group(ds, params, np.array([window.members], dtype=np.intp), weights,
+                      block_pairs(params), scope, scale)

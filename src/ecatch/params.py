@@ -14,14 +14,15 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
 The (out, in) matrices above are applied as ``x @ W.T + b``: the encoders by
 ``fusion.encode``, the classifier by ``objective.post_probabilities`` (its
 gradient by the ``objective.epoch_loss`` node), ``W_g`` by ``fusion.gate``
-and ``W_out`` by ``fusion.attention``. The 12 LSTM tensors
-enter only through ``trend.run_lstm``, one tape node for all events, which
-stacks each kind in gate order and applies them the same way. The attention
-blocks enter in pairs, one block per modality: ``att_text`` with ``att_img``
-and ``att_ti`` with ``att_it``. Each pair is one ``fusion.block_pair`` node per
-fusion pass, which stacks the two blocks' tensors and merges ``Wq/Wk/Wv``
-across heads, and one ``fusion.attention`` node per fusion chunk (windows of
-one member count), which applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out),
+and ``W_out`` by ``fusion.attention``, all three stages of one
+``fusion.fuse_group`` node per fusion chunk (windows of one member count).
+The 12 LSTM tensors enter only through ``trend.run_lstm``, one tape node for
+all events, which stacks each kind in gate order and applies them the same
+way. The attention blocks enter in pairs, one block per modality:
+``att_text`` with ``att_img`` and ``att_ti`` with ``att_it``. Each pair is
+one ``fusion.block_pair`` node per fusion pass, which stacks the two blocks'
+tensors and merges ``Wq/Wk/Wv`` across heads, and one ``fusion.attention``
+stage per fusion chunk, which applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out),
 ``x @ W``, before ``W_out``.
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per

@@ -19,6 +19,10 @@ from .training import run_model
 from .windows import WindowSequence, segment_all
 
 
+class ScoringError(RuntimeError):
+    pass
+
+
 def build_structure(
     ds: Dataset, cfg: RunConfig
 ) -> tuple[list[PseudoEvent], dict[int, WindowSequence]]:
@@ -40,9 +44,13 @@ def predictions(
     params: ModelParams,
     cfg: RunConfig,
 ) -> tuple[np.ndarray, dict[int, float]]:
-    """Per-post and per-event probabilities under fixed parameters."""
+    """Per-post and per-event probabilities; :class:`ScoringError` if one is not finite."""
     with no_grad():
         out = run_model(ds, events, windows, params, cfg)
+    bad = np.flatnonzero(~np.isfinite(out.probs))
+    if bad.size:
+        event = out.event_ids[np.searchsorted(out.offsets, bad[0], side="right") - 1]
+        raise ScoringError(f"event {event}: a window probability is not finite")
     return out.p_post, out.p_event
 
 

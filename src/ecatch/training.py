@@ -1,11 +1,11 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
 One epoch is one full-batch pass: the windows of all events are fused in
-chunks of equal member count, five tape nodes a chunk (the encoder, self- and
-cross-attention over both modalities, the gate and the aggregate) and two
-attention weight nodes for them all. The trend input node reads the chunks'
-aggregates in ascending event_id for the lockstep LSTM node, whose states
-are read out into an ``objective.Readout``. The epoch loss
+chunks of equal member count, one tape node a chunk (the encoder, self- and
+cross-attention over both modalities, the gate and the aggregate under one
+VJP) and two attention weight nodes for them all. The trend input node reads
+the chunks' aggregates in ascending event_id for the lockstep LSTM node,
+whose states are read out into an ``objective.Readout``. The epoch loss
 ``ce + lambda_tc * tc`` is one node over those states and the classifier:
 the cross-entropy of the training posts (optionally after global
 hard-example mining) plus the temporal consistency of all events; from the
@@ -55,7 +55,7 @@ from .objective import (
     tc_terms,
 )
 from .params import ModelParams, ParamError, shape_table
-from .trend import aggregate, decay_weights, encode_event
+from .trend import decay_weights, encode_event
 from .windows import Window, WindowSequence
 
 CHECKPOINT_VERSION = 1
@@ -91,10 +91,8 @@ def fused_aggregates(
     """
     chunks = window_groups(windows)
     pairs = block_pairs(params)
-    # One expression a chunk, so no chunk's fused rows outlive its aggregate
-    # under ``no_grad``.
-    parts = [aggregate(fuse_group(ds, params, members, scope, scale, pairs).fused,
-                       decay_weights(ds, members, alpha)) for _, members in chunks]
+    parts = [fuse_group(ds, params, members, decay_weights(ds, members, alpha), pairs,
+                        scope, scale) for _, members in chunks]
     rows = np.empty(len(windows), dtype=np.intp)
     rows[[k for positions, _ in chunks for k in positions]] = np.arange(len(windows))
     return parts or [Tensor(np.zeros((0, params.d)))], rows

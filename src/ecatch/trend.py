@@ -1,16 +1,17 @@
-"""Window aggregation with recency decay, trend features, and the LSTM roll.
+"""Recency decay weights, trend features, and the LSTM roll.
 
 Per window: posts are averaged with weights exp(-alpha * (t_max - t_i)),
 t_max being the latest member timestamp, so the newest post always carries
 weight 1. :func:`decay_weights` takes a fusion chunk as its (B, n) member
-matrix and anchors each row at the latest timestamp among its members.
-:func:`aggregate` averages a whole chunk in one tape node.
-Every event's aggregates are read from the chunks' stack in window order,
-event k in rows ``offsets[k]:offsets[k + 1]``. Between consecutive windows of
-an event the aggregate difference (semantic shift) and an exponential moving
-average of its norm (momentum) are appended, all events in one node. That
-input rolls through a unidirectional LSTM, each event from zero state, all
-events in lockstep in one node that returns the (R, d) hidden states.
+matrix and anchors each row at the latest timestamp among its members;
+``fusion.fuse_group`` averages a chunk's fused rows with them in its one
+tape node. Every event's aggregates are read from the chunks' stack in
+window order, event k in rows ``offsets[k]:offsets[k + 1]``. Between
+consecutive windows of an event the aggregate difference (semantic shift)
+and an exponential moving average of its norm (momentum) are appended, all
+events in one node. That input rolls through a unidirectional LSTM, each
+event from zero state, all events in lockstep in one node that returns the
+(R, d) hidden states.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ def decay_weights(ds: Dataset, members: np.ndarray, alpha: float) -> np.ndarray:
     ages = (times.max(axis=1, keepdims=True) - times).astype(np.float64)
     lam = np.exp(-alpha * ages)
     return lam / lam.sum(axis=1, keepdims=True)
-
-
-def aggregate(fused: Tensor, weights: np.ndarray) -> Tensor:
-    """Weighted mean of each window's fused rows: (B, n, d) -> (B, d), one node."""
-    if fused.shape[:2] != weights.shape:
-        raise TrendError(f"fused rows {fused.shape[:2]} do not match weights {weights.shape}")
-    w = weights[:, None, :]
-    return Tensor((w @ fused.data)[:, 0, :], (fused,),
-                  lambda g: (weights[:, :, None] * g[:, None, :],))
 
 
 def _lockstep(offsets, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:

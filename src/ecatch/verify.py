@@ -4,8 +4,8 @@ Everything here is independent of the implementation paths it checks:
 gradients against central finite differences, clustering against an
 exhaustive agglomerative reference, the average-linkage vector path against
 the distance-matrix path, AUC against explicit pair enumeration,
-plus randomized structural invariants (row-stochastic attention, the gate
-node's bounds, hull bounds, LSTM output bounds, momentum positivity, stacked
+plus randomized structural invariants (row-stochastic attention, the gate's
+bounds, hull bounds, LSTM output bounds, momentum positivity, stacked
 events matching a per-step reference LSTM on each event alone, no gradient
 through a clipped probability).
 """
@@ -24,11 +24,11 @@ from .clustering import (PseudoEvent, agglomerate, average_linkage_chain, cluste
                          cosine_distances)
 from .config import RunConfig
 from .data import Dataset, assign_splits
-from .fusion import attention, block_pairs, fuse_group
+from .fusion import attention, block_pairs, encode, fuse_group, gate
 from .metrics import auc_by_pair_enumeration, auc_roc
 from .objective import PROB_CLAMP, ce_terms, epoch_loss, post_probabilities, tc_terms
 from .params import LSTM_GATES, ModelParams
-from .trend import aggregate, decay_weights, run_lstm, trend_features
+from .trend import decay_weights, run_lstm, trend_features
 from .training import backward, forward
 from .windows import DAY, Window, segment_all, segment_event
 
@@ -159,7 +159,7 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
 
     Each trial fuses one chunk, the member matrix of 2-4 windows of equal
     size, in one pass, so the bounds are checked window by window on the
-    batched nodes.
+    batched stages.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -192,26 +192,27 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
 
         # attention rows must be stochastic even for large scores, in both
         # stacked nodes and both modalities
-        x = Tensor(rng.normal(size=(2, n_windows, n, d))
-                   * rng.choice([0.1, 1.0, 3.0], size=(2, 1, 1, 1)))
+        x = (rng.normal(size=(2, n_windows, n, d))
+             * rng.choice([0.1, 1.0, 3.0], size=(2, 1, 1, 1)))
+        c = encode(ds, params, members)[0]  # then self- and cross-attention over it
         for cross, pair in enumerate(block_pairs(params)):
-            _, weights = attention(x, pair, heads, bool(cross), return_weights=True)
+            _, weights, _ = attention(x, pair.data, heads, bool(cross), return_weights=True)
             track(float(np.abs(weights.sum(axis=-1) - 1.0).max()),
                   f"trial {trial}: softmax row sum")
+            c = attention(c, pair.data, heads, bool(cross))[0]
 
-        gf = fuse_group(ds, params, members)
-        gate = gf.gate
-        if not ((gate > 0.0).all() and (gate < 1.0).all()):
+        fused, g, _ = gate(c, params["fusion.W_g"].data, params["fusion.b_g"].data)
+        if not ((g > 0.0).all() and (g < 1.0).all()):
             track(1.0, f"trial {trial}: gate out of (0,1)")
-        lo = gf.cross.data.min(axis=0) - 1e-12
-        hi = gf.cross.data.max(axis=0) + 1e-12
-        track(float(np.maximum(lo - gf.fused.data, gf.fused.data - hi).max()),
+        lo = c.min(axis=0) - 1e-12
+        hi = c.max(axis=0) + 1e-12
+        track(float(np.maximum(lo - fused, fused - hi).max()),
               f"trial {trial}: fused outside gate interval")
 
         alpha = float(rng.choice([0.0, 1.0 / DAY, 5.0 / DAY]))
-        agg = aggregate(gf.fused, decay_weights(ds, members, alpha))
-        col_lo = gf.fused.data.min(axis=1) - 1e-12
-        col_hi = gf.fused.data.max(axis=1) + 1e-12
+        agg = fuse_group(ds, params, members, decay_weights(ds, members, alpha), block_pairs(params))
+        col_lo = fused.min(axis=1) - 1e-12
+        col_hi = fused.max(axis=1) + 1e-12
         track(float(np.maximum(col_lo - agg.data, agg.data - col_hi).max()),
               f"trial {trial}: aggregate outside convex hull")
 

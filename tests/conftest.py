@@ -1,9 +1,11 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from ecatch import training
+from ecatch import fusion, training
+from ecatch.autodiff import Tensor
 from ecatch.data import Dataset
 from ecatch.trend import trend_features
 
@@ -47,6 +49,42 @@ def make_dataset(
 def features(aggregates, beta, offsets=None):
     """The trend input node over one tensor of window aggregates, row for row."""
     return trend_features(np.arange(aggregates.shape[0]), [aggregates], beta, offsets)
+
+
+def as_node(stage, *parents):
+    """A fusion stage's ``(value, ..., vjp)`` as one engine node over
+    ``parents``, the tensors its VJP returns gradients for, in that order.
+    Outputs between the value and the VJP (the gate, the probabilities)
+    follow the node."""
+    value, *extra, vjp = stage
+    node = Tensor(value, parents, vjp)
+    return (node, *extra) if extra else node
+
+
+class Chunk(NamedTuple):
+    cross: Tensor  # (2, B, n, d): c_ti, then c_it
+    gate: np.ndarray  # the gate g, in (0, 1)
+    fused: Tensor  # (B, n, d)
+    aggregate: Tensor  # (B, d)
+
+
+def five_nodes(ds, params, members, weights=None, pairs=None, scope="window", scale="head"):
+    """A fusion chunk as one engine node per stage: the encoder, self- and
+    cross-attention, the gate and the aggregate under ``weights`` (uniform by
+    default), over ``pairs`` (built here by default)."""
+    members = np.asarray(members, dtype=np.intp)
+    if weights is None:
+        weights = np.full(members.shape, 1.0 / members.shape[1])
+    intra, inter = fusion.block_pairs(params) if pairs is None else pairs
+    w_g, b_g = params["fusion.W_g"], params["fusion.b_g"]
+    post, heads = scope == "post", params.heads
+    x = as_node(fusion.encode(ds, params, members), *(params[k] for k in fusion.ENCODER))
+    h = as_node(fusion.attention(x.data, intra.data, heads, False, scale, post), x, intra)
+    c = as_node(fusion.attention(h.data, inter.data, heads, True, scale, post), h, inter)
+    fused, g = as_node(fusion.gate(c.data, w_g.data, b_g.data), c, w_g, b_g)
+    aggregate = Tensor((weights[:, None, :] @ fused.data)[:, 0, :], (fused,),
+                       lambda grad: (weights[:, :, None] * grad[:, None, :],))
+    return Chunk(c, g, fused, aggregate)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from ecatch.objective import PROB_CLAMP, CrossEntropyTerms, Readout, epoch_loss,
 from ecatch.params import ModelParams
 from ecatch.trend import run_lstm, trend_features
 
-from conftest import features
+from conftest import as_node, features
 
 
 def fd_check(build, *arrays, tol=1e-7):
@@ -186,10 +186,10 @@ def test_gather_gradients(rng):
 def test_gate_over_leading_axes_matches_rows(rng):
     cross = rng.normal(size=(2, 2, 3, 4))  # c_ti, then c_it
     w, b = rng.normal(size=(4, 8)), rng.normal(size=(4,))
-    fd_check(lambda x, u, v: gate(x, u, v)[0], cross, w, b)
-    batched, g_batched = gate(*(Tensor(a) for a in (cross, w, b)))
-    rows, g_rows = gate(Tensor(cross.reshape(2, 6, 4)), Tensor(w), Tensor(b))
-    np.testing.assert_array_equal(batched.data.reshape(6, 4), rows.data)
+    fd_check(lambda x, u, v: as_node(gate(x.data, u.data, v.data), x, u, v)[0], cross, w, b)
+    batched, g_batched, _ = gate(cross, w, b)
+    rows, g_rows, _ = gate(cross.reshape(2, 6, 4), w, b)
+    np.testing.assert_array_equal(batched.reshape(6, 4), rows)
     np.testing.assert_array_equal(g_batched.reshape(6, 4), g_rows)
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from ecatch.pipeline import build_structure
 from ecatch.clustering import ClusteringError, load_events
 from ecatch.config import ConfigError, load_config, read_config_file
 from ecatch.data import Dataset, DatasetError, assign_splits, load_dataset, write_dataset
-from ecatch.training import TrainingError, load_checkpoint
+from ecatch.training import TrainingError, load_checkpoint, save_checkpoint
 
 from conftest import DAY, nan_gradient_at_epoch_1
 
@@ -313,6 +314,27 @@ def test_predict_emits_one_line_per_post(tmp_path, dataset_dir, run_dir):
         assert [i for i, l in enumerate(lines) if l["split"] == name] == \
             ds.split_indices(name).tolist()
 
+
+
+def test_overflowing_checkpoint_exits_1_and_writes_no_predictions(tmp_path, dataset_dir,
+                                                                  run_dir, capsys):
+    # every tensor times 1e200, saved again so that its sha256 still matches
+    big = tmp_path / "run-big"
+    shutil.copytree(run_dir, big)
+    params = load_checkpoint(big / "checkpoint.bin")
+    for _, t in params.items():
+        t.data = t.data * 1e200
+    save_checkpoint(params, big / "checkpoint.bin")
+    out = tmp_path / "preds.jsonl"
+    checkpoint = ["--data", str(dataset_dir), "--checkpoint", str(big / "checkpoint.bin")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["predict", *checkpoint, "--out", str(out)]) == 1
+        assert main(["eval", *checkpoint]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: event ") and "probability is not finite" in line
+               for line in err)
 
 def _drop_first_event(path):
     payload = json.loads(path.read_text())

@@ -2,16 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecatch import fusion
 from ecatch.autodiff import Tensor, finite_difference_gradient, no_grad
 from ecatch.fusion import FusionError, attention, block_pair, block_pairs
 from ecatch.params import AttentionBlock, ModelParams
+from ecatch.trend import decay_weights
 from ecatch.windows import Window
 
-from conftest import make_dataset
+from conftest import DAY, as_node, five_nodes, make_dataset
 
 
 def all_posts(ds):
@@ -24,19 +25,8 @@ def build_params(d=4, heads=2, d_text=3, d_img=3, seed=0, zero=False):
 
 
 def encode(ds, params, indices):
-    """The text and image encoder outputs, (n, d) each, read off the encoder
-    node of a one-window fusion pass over ``indices``."""
-    fused = fusion.fuse_group(ds, params, np.array([indices])).fused
-    nodes, stack = [], [fused]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node._parents)
-
-    def node_of(name):
-        return next(n for n in nodes if any(p is params[name] for p in n._parents))
-
-    text, image = node_of("fusion.W_text").data[:, 0]
+    """The text and image encoder outputs, (n, d) each, of one window over ``indices``."""
+    text, image = fusion.encode(ds, params, np.array([indices], dtype=np.intp))[0][:, 0]
     return text, image
 
 
@@ -79,9 +69,9 @@ def random_blocks(rng, heads, dh, scale=1.0):
 
 
 def stacked(x, blocks, cross=False, **kwargs):
-    """One attention node over the (2, ..., n, d) array ``x``."""
-    return attention(Tensor(x), block_pair(*blocks, cross=cross), blocks[0].wq.shape[0], cross,
-                     **kwargs)
+    """One attention stage's output over the (2, ..., n, d) array ``x``."""
+    return attention(x, block_pair(*blocks, cross=cross).data, blocks[0].wq.shape[0], cross,
+                     **kwargs)[0]
 
 
 def test_attention_single_key_ignores_query(rng):
@@ -92,7 +82,7 @@ def test_attention_single_key_ignores_query(rng):
     y = x.copy()
     y[0] = rng.normal(size=(3, 1, 4)) * 50
     for cross, same in ((True, 0), (False, 1)):
-        out1, out2 = stacked(x, blocks, cross).data, stacked(y, blocks, cross).data
+        out1, out2 = stacked(x, blocks, cross), stacked(y, blocks, cross)
         np.testing.assert_array_equal(out1[same], out2[same])
         assert not np.allclose(out1[1 - same], out2[1 - same])
 
@@ -100,7 +90,7 @@ def test_attention_single_key_ignores_query(rng):
 def test_attention_identical_keys_identical_rows(rng):
     blocks = random_blocks(rng, 2, 2)[:2]
     x = np.stack([rng.normal(size=(5, 4)), np.tile(rng.normal(size=(1, 4)), (5, 1))])
-    out = stacked(x, blocks, cross=True).data
+    out = stacked(x, blocks, cross=True)
     assert np.allclose(out[0], out[0, 0])  # queries of x[0] over identical keys
     assert np.allclose(out[1], out[1, 0])  # identical queries
 
@@ -116,7 +106,7 @@ def test_single_head_uniform_softmax_is_column_mean(rng):
         block.w_out.data[...] = np.eye(4)
     x = rng.normal(size=(2, 6, 4))
     for cross, pair in enumerate(block_pairs(params)):
-        out = attention(Tensor(x), pair, 1, bool(cross)).data
+        out = attention(x, pair.data, 1, bool(cross))[0]
         for m in range(2):
             direct = x[m if not cross else 1 - m].mean(axis=0)
             np.testing.assert_allclose(out[m], np.tile(direct, (6, 1)), atol=1e-12)
@@ -124,9 +114,9 @@ def test_single_head_uniform_softmax_is_column_mean(rng):
 
 def test_attention_rows_stochastic(rng):
     params = build_params(seed=5)
-    x = Tensor(rng.normal(size=(2, 3, 6, 4)) * 3)
+    x = rng.normal(size=(2, 3, 6, 4)) * 3
     for cross, pair in enumerate(block_pairs(params)):
-        _, w = attention(x, pair, 2, bool(cross), return_weights=True)
+        _, w, _ = attention(x, pair.data, 2, bool(cross), return_weights=True)
         assert w.shape == (2, 3, 2, 6, 6)
         assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -178,7 +168,8 @@ def test_attention_node_matches_numpy_and_finite_differences(
     def attend(arrs):
         tensors = [Tensor(a) for a in arrs]
         pair = block_pair(AttentionBlock(*tensors[1:7]), AttentionBlock(*tensors[7:]), cross)
-        return attention(tensors[0], pair, heads, cross, scale, diagonal=post), tensors
+        return as_node(attention(arrs[0], pair.data, heads, cross, scale, diagonal=post),
+                       tensors[0], pair), tensors
 
     out, tensors = attend(arrays)
     divisor = np.sqrt(dh) if scale == "head" else np.sqrt(d)
@@ -238,7 +229,7 @@ def symmetric_setup(rng, n=3):
 
 def test_equal_cross_outputs_pin_fusion(rng):
     ds, params = symmetric_setup(rng)
-    wf = fusion.fuse_group(ds, params, all_posts(ds))
+    wf = five_nodes(ds, params, all_posts(ds))
     c_ti, c_it = wf.cross.data
     np.testing.assert_allclose(c_ti, c_it)
     np.testing.assert_allclose(wf.fused.data, c_ti)
@@ -249,20 +240,20 @@ def test_saturated_gate_selects_first_branch(rng):
     params = build_params(seed=7)
     params["fusion.W_g"].data[...] = 0.0
     params["fusion.b_g"].data[...] = 40.0
-    wf = fusion.fuse_group(ds, params, all_posts(ds))
+    wf = five_nodes(ds, params, all_posts(ds))
     assert np.abs(wf.fused.data - wf.cross.data[0]).max() < 1e-9
 
 
 def test_single_post_window_finite(rng):
     ds = make_dataset(rng.normal(size=(1, 3)), image=rng.normal(size=(1, 3)))
-    wf = fusion.fuse_group(ds, build_params(seed=8), all_posts(ds))
+    wf = five_nodes(ds, build_params(seed=8), all_posts(ds))
     assert wf.fused.data.shape == (1, 1, 4)
     assert np.all(np.isfinite(wf.fused.data))
 
 
 def test_gate_bounds_and_convex_combination(rng):
     ds = make_dataset(rng.normal(size=(5, 3)), image=rng.normal(size=(5, 3)))
-    wf = fusion.fuse_group(ds, build_params(seed=9), all_posts(ds))
+    wf = five_nodes(ds, build_params(seed=9), all_posts(ds))
     assert np.all(wf.gate > 0.0) and np.all(wf.gate < 1.0)
     lo, hi = wf.cross.data.min(axis=0), wf.cross.data.max(axis=0)
     assert np.all(wf.fused.data >= lo - 1e-12)
@@ -275,8 +266,8 @@ def test_permutation_equivariance(rng):
     times = [10, 20, 30, 40]
     ds = make_dataset(x, image=img, timestamps=times, has_image=[True] * 4)
     params = build_params(seed=10)
-    a = fusion.fuse_group(ds, params, np.array([[0, 1, 2, 3]])).fused.data[0]
-    b = fusion.fuse_group(ds, params, np.array([[2, 0, 3, 1]])).fused.data[0]
+    a = five_nodes(ds, params, [[0, 1, 2, 3]]).fused.data[0]
+    b = five_nodes(ds, params, [[2, 0, 3, 1]]).fused.data[0]
     np.testing.assert_allclose(b, a[[2, 0, 3, 1]], atol=1e-12)
 
 
@@ -287,8 +278,8 @@ def test_post_scope_has_no_cross_post_flow(rng):
     x2[2] += 5.0
     ds2 = make_dataset(x2, image=np.zeros((3, 3)))
     params = build_params(seed=11)
-    out1 = fusion.fuse_group(ds1, params, all_posts(ds1), scope="post").fused.data[0]
-    out2 = fusion.fuse_group(ds2, params, all_posts(ds2), scope="post").fused.data[0]
+    out1 = five_nodes(ds1, params, all_posts(ds1), scope="post").fused.data[0]
+    out2 = five_nodes(ds2, params, all_posts(ds2), scope="post").fused.data[0]
     np.testing.assert_allclose(out1[:2], out2[:2])
     assert not np.allclose(out1[2], out2[2])
 
@@ -297,14 +288,17 @@ def test_fusion_gradients_match_finite_differences(rng):
     ds = make_dataset(rng.normal(size=(3, 3)), image=rng.normal(size=(3, 3)),
                       has_image=[True, True, False])
     params = build_params(seed=12)
-    members = all_posts(ds)
+    members, weights = all_posts(ds), np.array([[0.2, 0.3, 0.5]])
 
-    def scalar():  # the sum of squared fused entries
-        return float(np.sum(fusion.fuse_group(ds, params, members).fused.data ** 2))
+    def chunk():
+        return fusion.fuse_group(ds, params, members, weights, block_pairs(params))
 
-    fused = fusion.fuse_group(ds, params, members).fused
+    def scalar():  # the sum of squared aggregate entries
+        return float(np.sum(chunk().data ** 2))
+
+    agg = chunk()
     params.zero_grads()
-    fused.backward(2.0 * fused.data)
+    agg.backward(2.0 * agg.data)
     for name in ("fusion.W_text", "fusion.att_ti.Wq", "fusion.W_g",
                  "fusion.att_img.b_out"):
         tensor = params[name]
@@ -341,7 +335,8 @@ def test_batched_attention_matches_each_sequence_and_finite_differences(
     def attend(arrs):
         tensors = [Tensor(a) for a in arrs]
         pair = block_pair(AttentionBlock(*tensors[1:7]), AttentionBlock(*tensors[7:]), cross)
-        return attention(tensors[0], pair, heads, cross, diagonal=post), tensors
+        return as_node(attention(arrs[0], pair.data, heads, cross, diagonal=post),
+                       tensors[0], pair), tensors
 
     out, tensors = attend(arrays)
     for b in range(batch):
@@ -459,13 +454,13 @@ def test_attention_is_bitwise_the_out_of_place_softmax_at_burst_size(batch, n, d
     for cross, pair in enumerate(block_pairs(params)):
         x = rng.normal(size=(2, batch, n, d))
         g_out = rng.normal(size=(2, batch, n, d))
-        out, p = attention(Tensor(x), pair, heads, bool(cross), diagonal=diagonal,
-                           return_weights=True)
+        out, p, vjp = attention(x, pair.data, heads, bool(cross), diagonal=diagonal,
+                                return_weights=True)
         ref_out, ref_p, ref_grads = out_of_place_stacked(x, pair.data, heads, cross, c,
                                                          diagonal, g_out)
-        assert out.data.tobytes() == ref_out.tobytes()
+        assert out.tobytes() == ref_out.tobytes()
         assert p.tobytes() == ref_p.tobytes()
-        grads = out._vjp(g_out)
+        grads = vjp(g_out)
         assert len(grads) == len(ref_grads) == 2
         for idx, (got, want) in enumerate(zip(grads, ref_grads)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (cross, idx)
@@ -490,8 +485,8 @@ def test_two_nodes_match_four_per_block_passes(batch, n):
     g_out = rng.normal(size=(2, 2, batch, n, d))
     names = (("att_text", "att_img"), ("att_ti", "att_it"))
     for cross, (pair, blocks) in enumerate(zip(block_pairs(params), names)):
-        node = attention(Tensor(x), pair, heads, bool(cross))
-        g_x, g_pair = node._vjp(g_out[cross])
+        out, vjp = attention(x, pair.data, heads, bool(cross))
+        g_x, g_pair = vjp(g_out[cross])
         g_weights = pair._vjp(g_pair)
         ref_gx = np.zeros_like(x)
         for m, (q, kv) in enumerate(sources(x, cross)):
@@ -501,9 +496,9 @@ def test_two_nodes_match_four_per_block_passes(batch, n):
             ref, grads = out_of_place_attention(q, kv, kv, *weights, c, False,
                                                 g_out[cross, m])
             if n == 1:
-                assert_gemv_close(node.data[m], ref)
+                assert_gemv_close(out[m], ref)
             else:
-                assert node.data[m].tobytes() == ref.tobytes(), (cross, m)
+                assert out[m].tobytes() == ref.tobytes(), (cross, m)
             ref_gx[m] += grads[0]
             ref_gx[1 - m if cross else m] += grads[1] + grads[2]
             for t, want in zip((block.wq, block.wk, block.wv, block.wo, block.w_out,
@@ -511,7 +506,7 @@ def test_two_nodes_match_four_per_block_passes(batch, n):
                 got = g_weights[next(k for k, p in enumerate(pair._parents) if p is t)]
                 assert_close_to_per_head(got, want)
         assert_close_to_per_head(g_x, ref_gx)
-        x = node.data  # the cross node reads the self node's output
+        x = out  # the cross stage reads the self stage's output
 
 
 def test_attention_forward_holds_one_score_buffer():
@@ -522,15 +517,15 @@ def test_attention_forward_holds_one_score_buffer():
     n, d, heads = 190, 32, 4
     rng = np.random.default_rng(0)
     params = build_params(d=d, heads=heads, d_text=d, d_img=d, seed=1)
-    x = Tensor(rng.normal(size=(2, 1, n, d)))
+    x = rng.normal(size=(2, 1, n, d))
     with no_grad():
         pairs = block_pairs(params)
         for cross, pair in enumerate(pairs):
-            attention(x, pair, heads, bool(cross))  # warm any lazy set-up outside the trace
+            attention(x, pair.data, heads, bool(cross))  # warm any lazy set-up outside the trace
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                attention(x, pair, heads, bool(cross))
+                attention(x, pair.data, heads, bool(cross))
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -570,10 +565,10 @@ def test_group_pass_matches_one_window_passes(rng):
                       timestamps=np.arange(9) * 100)
     params = build_params(seed=13)
     group = np.arange(9).reshape(3, 3)
-    together = fusion.fuse_group(ds, params, group)
+    together = five_nodes(ds, params, group)
     assert together.fused.shape == (3, 3, 4)
     for k in range(3):
-        alone = fusion.fuse_group(ds, params, group[k:k + 1])
+        alone = five_nodes(ds, params, group[k:k + 1])
         np.testing.assert_allclose(together.cross.data[:, k], alone.cross.data[:, 0],
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(together.fused.data[k], alone.fused.data[0],
@@ -585,10 +580,40 @@ def test_fuse_window_is_a_one_row_chunk(rng):
     # fuse_window is kept as a name for the benchmark's tracer to wrap
     ds = make_dataset(rng.normal(size=(4, 3)), image=rng.normal(size=(4, 3)))
     params = build_params(seed=14)
-    alone = fusion.fuse_window(ds, params, Window(1, 0, 1, (3, 1, 2)))
-    chunk = fusion.fuse_group(ds, params, np.array([[3, 1, 2]]))
-    np.testing.assert_array_equal(alone.fused.data, chunk.fused.data)
-    np.testing.assert_array_equal(alone.cross.data, chunk.cross.data)
+    weights = np.array([[0.5, 0.2, 0.3]])
+    alone = fusion.fuse_window(ds, params, Window(1, 0, 1, (3, 1, 2)), weights)
+    chunk = fusion.fuse_group(ds, params, np.array([[3, 1, 2]]), weights, block_pairs(params))
+    np.testing.assert_array_equal(alone.data, chunk.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    n=st.integers(1, 8),
+    scope=st.sampled_from(fusion.SCOPES),
+    scale=st.sampled_from(fusion.SCALES),
+    seed=st.integers(0, 10_000),
+)
+@example(batch=1, n=95, scope="window", scale="head", seed=0)  # one modality at a time
+@example(batch=1, n=95, scope="post", scale="model", seed=1)
+def test_chunk_node_is_the_five_node_composition_bitwise(batch, n, scope, scale, seed):
+    # One node whose VJP calls the stage VJPs against one engine node per
+    # stage: inside a chunk no gradient is summed, so the bytes are the same.
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(rng.normal(size=(batch * n, 3)), image=rng.normal(size=(batch * n, 3)),
+                      timestamps=rng.integers(0, 5 * DAY, size=batch * n))
+    params = build_params(d=8, heads=2, seed=seed)
+    members = rng.permutation(batch * n).reshape(batch, n)
+    weights = decay_weights(ds, members, 1.0 / DAY)
+    g = rng.normal(size=(batch, params.d))
+    runs = []
+    for chunk in (fusion.fuse_group, lambda *args: five_nodes(*args).aggregate):
+        params.zero_grads()
+        out = chunk(ds, params, members, weights, block_pairs(params), scope, scale)
+        out.backward(g)
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for name, t in params.items()
+                                            if name.startswith("fusion.")])
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -606,7 +631,7 @@ def test_gate_node_matches_numpy_and_finite_differences(batch, n, d, shift, seed
               rng.normal(size=d) + shift]
     g = rng.normal(size=(batch, n, d))
     tensors = [Tensor(a) for a in arrays]
-    out, gate = fusion.gate(*tensors)
+    out, gate = as_node(fusion.gate(*arrays), *tensors)
 
     (c_ti, c_it), w, b = arrays
     ref = 1.0 / (1.0 + np.exp(-(np.concatenate([c_ti, c_it], axis=-1) @ w.T + b)))
@@ -618,7 +643,7 @@ def test_gate_node_matches_numpy_and_finite_differences(batch, n, d, shift, seed
     for idx, tensor in enumerate(tensors):
         def f(x, idx=idx):
             args = arrays[:idx] + [x] + arrays[idx + 1:]
-            return float((fusion.gate(*(Tensor(a) for a in args))[0].data * g).sum())
+            return float((fusion.gate(*args)[0] * g).sum())
 
         fd = finite_difference_gradient(f, arrays[idx])
         err = np.abs(fd - tensor.grad).max()
@@ -629,7 +654,7 @@ def test_gate_node_matches_numpy_and_finite_differences(batch, n, d, shift, seed
 def test_saturated_gate_node_passes_one_branch_and_no_gate_gradient(rng, bias, chosen):
     arrays = [rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(4, 8)) * 0.1, np.full(4, bias)]
     tensors = [Tensor(a) for a in arrays]
-    out, gate = fusion.gate(*tensors)
+    out, gate = as_node(fusion.gate(*arrays), *tensors)
     assert np.all(gate == (1.0 if chosen == 0 else 0.0))
     np.testing.assert_array_equal(out.data, arrays[0][chosen])
     g = rng.normal(size=(2, 3, 4))

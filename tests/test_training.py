@@ -86,9 +86,9 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
 
     # direct evaluation: encode -> self/cross attention collapse to affine
     # chains on one row -> gate -> lstm on [P; 0; 0] -> sigmoid readout
-    from ecatch.fusion import fuse_group
-    wf = fuse_group(ds, params, np.array([windows[0].windows[0].members]))
-    feats = features(Tensor(wf.fused.data[0]), cfg["trend.beta"])
+    agg = fusion.fuse_group(ds, params, np.array([windows[0].windows[0].members]),
+                            np.ones((1, 1)), fusion.block_pairs(params))
+    feats = features(agg, cfg["trend.beta"])
     hidden = run_lstm(feats, params)
     logit = (hidden.data @ params["clf.W_c"].data.T
              + params["clf.b_c"].data)
@@ -227,7 +227,7 @@ def _kind(node) -> str:
 
 
 def test_epoch_tape_holds_only_fused_nodes():
-    # 5 nodes per fusion chunk, 2 attention weight nodes per fusion pass, and
+    # 1 node per fusion chunk, 2 attention weight nodes per fusion pass, and
     # 3 for all events: the trend input, which reads the chunks' aggregates in
     # event order, the LSTM, and the epoch loss over the states and the
     # classifier; the leaves are the parameters. No node is made per event.
@@ -238,17 +238,14 @@ def test_epoch_tape_holds_only_fused_nodes():
     tape = _tape(forward(ds, events, windows, params, cfg).loss)
     assert Counter(_kind(n) for n in tape) == {
         "": len(params.names()),
-        "encode": chunks,
+        "fuse_group": chunks,
         "block_pair": 2,
-        "attention": 2 * chunks,
-        "gate": chunks,
-        "aggregate": chunks,
         "trend_features": 1,
         "run_lstm": 1,
         "epoch_loss": 1,
     }
     assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
-    assert len(tape) - len(params.names()) == 5 * chunks + 2 + 3
+    assert len(tape) - len(params.names()) == chunks + 2 + 3
 
 
 def test_backward_leaves_gradients_on_parameters_only():

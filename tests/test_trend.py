@@ -4,16 +4,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecatch.autodiff import Tensor, finite_difference_gradient
+from ecatch.fusion import block_pairs, fuse_group
 from ecatch.params import LSTM_GATES, ModelParams
 from ecatch.trend import (
     TrendError,
-    aggregate,
     decay_weights,
     run_lstm,
     trend_features,
 )
 
-from conftest import DAY, features, make_dataset
+from conftest import DAY, features, five_nodes, make_dataset
 
 
 def all_posts(ds):
@@ -21,23 +21,32 @@ def all_posts(ds):
     return np.arange(ds.n)[None]
 
 
-def aggregate_window(fused, ds, alpha):
-    """The aggregation node on a chunk of one window over every post: (n, d) -> (1, d)."""
-    return aggregate(Tensor(fused.data[None]), decay_weights(ds, all_posts(ds), alpha))
+def posts(rng, timestamps):
+    """A dataset of random text and image rows at ``timestamps``."""
+    n = len(timestamps)
+    return make_dataset(rng.normal(size=(n, 2)), image=rng.normal(size=(n, 2)),
+                        timestamps=timestamps)
+
+
+def fused_and_aggregated(ds, members, alpha, params=None):
+    """A chunk's (B, n, d) fused rows, stage by stage, and the chunk node's
+    (B, d) aggregates of them under decay ``alpha``."""
+    params = ModelParams.build(3, 1, 2, 2, seed=3) if params is None else params
+    node = fuse_group(ds, params, members, decay_weights(ds, members, alpha),
+                      block_pairs(params))
+    return five_nodes(ds, params, members).fused.data, node
 
 
 def test_alpha_zero_is_plain_mean(rng):
-    ds = make_dataset(np.zeros((4, 2)), timestamps=[0, DAY, 2 * DAY, 9 * DAY])
-    fused = Tensor(rng.normal(size=(4, 3)))
-    agg = aggregate_window(fused, ds, alpha=0.0)
-    np.testing.assert_allclose(agg.data[0], fused.data.mean(axis=0))
+    ds = posts(rng, [0, DAY, 2 * DAY, 9 * DAY])
+    fused, agg = fused_and_aggregated(ds, all_posts(ds), alpha=0.0)
+    np.testing.assert_allclose(agg.data[0], fused[0].mean(axis=0))
 
 
 def test_single_post_aggregate_is_identity(rng):
-    ds = make_dataset(np.zeros((1, 2)), timestamps=[77])
-    fused = Tensor(rng.normal(size=(1, 3)))
-    agg = aggregate_window(fused, ds, alpha=1.0)
-    np.testing.assert_allclose(agg.data, fused.data)
+    ds = posts(rng, [77])
+    fused, agg = fused_and_aggregated(ds, all_posts(ds), alpha=1.0)
+    np.testing.assert_allclose(agg.data, fused[0])
 
 
 def test_half_life_gap_weights():
@@ -58,11 +67,10 @@ def test_newest_post_has_unit_raw_weight(rng):
 
 
 def test_aggregate_in_convex_hull(rng):
-    ds = make_dataset(np.zeros((5, 2)), timestamps=np.arange(5) * DAY)
-    fused = Tensor(rng.normal(size=(5, 4)))
-    agg = aggregate_window(fused, ds, alpha=1.0 / DAY)
-    assert np.all(agg.data[0] >= fused.data.min(axis=0) - 1e-12)
-    assert np.all(agg.data[0] <= fused.data.max(axis=0) + 1e-12)
+    ds = posts(rng, np.arange(5) * DAY)
+    fused, agg = fused_and_aggregated(ds, all_posts(ds), alpha=1.0 / DAY)
+    assert np.all(agg.data[0] >= fused[0].min(axis=0) - 1e-12)
+    assert np.all(agg.data[0] <= fused[0].max(axis=0) + 1e-12)
 
 
 def test_constant_aggregates_have_null_features():
@@ -234,24 +242,32 @@ def test_decay_anchor_is_each_rows_latest_member():
     seed=st.integers(0, 10_000),
 )
 def test_aggregation_node_matches_loop_and_finite_differences(batch, n, d, alpha_days, seed):
+    # the chunk node's aggregates against each window's decay-weighted fused
+    # rows, and its gradient, which reaches the gate only through them
     rng = np.random.default_rng(seed)
-    ds = make_dataset(np.zeros((batch * n, 2)),
-                      timestamps=np.sort(rng.integers(0, 5 * DAY, size=batch * n)))
+    ds = posts(rng, np.sort(rng.integers(0, 5 * DAY, size=batch * n)))
     group = np.arange(batch * n).reshape(batch, n)
-    weights = decay_weights(ds, group, alpha_days / DAY)
-    fused = rng.normal(size=(batch, n, d))
+    params = ModelParams.build(d, 1, 2, 2, seed=seed)
+    fused, out = fused_and_aggregated(ds, group, alpha_days / DAY, params)
     g = rng.normal(size=(batch, d))
 
-    x = Tensor(fused)
-    out = aggregate(x, weights)
     for b, row in enumerate(group):
         lam = decay_weights(ds, row[None], alpha_days / DAY)[0]
         np.testing.assert_allclose(out.data[b], lam @ fused[b], rtol=1e-12, atol=1e-15)
         assert np.all(out.data[b] >= fused[b].min(axis=0) - 1e-12)
         assert np.all(out.data[b] <= fused[b].max(axis=0) + 1e-12)
+    x = params["fusion.W_g"]
     out.backward(g)
-    fd = finite_difference_gradient(lambda a: float((aggregate(Tensor(a), weights).data
-                                                     * g).sum()), fused)
+
+    def f(a):
+        x.data, kept = a, x.data
+        try:
+            return float((fused_and_aggregated(ds, group, alpha_days / DAY, params)[1].data
+                          * g).sum())
+        finally:
+            x.data = kept
+
+    fd = finite_difference_gradient(f, x.data)
     assert np.abs(fd - x.grad).max() <= 1e-8 * max(np.abs(fd).max(), 1.0)
 
 
