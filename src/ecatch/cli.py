@@ -240,31 +240,35 @@ def cmd_crosseval(args) -> int:
     if args.test_config:
         test_cfg = cfg.updated(read_config_file(args.test_config))
 
-    ds_b_probe = load_dataset(args.test_data)
+    ds_b = load_dataset(args.test_data)
+    if ds_b.n == 0:
+        raise CliError(f"{args.test_data}: the test dataset has no posts")
     ds_a = load_dataset(args.train_data)
-    if ds_a.d_text != ds_b_probe.d_text or ds_a.d_img != ds_b_probe.d_img:
+    if ds_a.d_text != ds_b.d_text or ds_a.d_img != ds_b.d_img:
         raise CliError(
             "embedding dimension mismatch between datasets: "
-            f"text {ds_a.d_text} vs {ds_b_probe.d_text}, "
-            f"image {ds_a.d_img} vs {ds_b_probe.d_img}"
+            f"text {ds_a.d_text} vs {ds_b.d_text}, "
+            f"image {ds_a.d_img} vs {ds_b.d_img}"
         )
     _check_model_size(ds_a, cfg)
+    # the target dataset gets its own structure, built before anything is
+    # written or trained, so that a test side that cannot be scored stops here
+    events_b, windows_b = build_structure(ds_b, test_cfg)
 
     out = Path(args.out)
     _prepare_out_dir(out, args.force)
     _, _, _, result = _run_training(ds_a, cfg, out)
 
-    # the target dataset gets its own structure; no fine-tuning on it
-    events_b, windows_b = build_structure(ds_b_probe, test_cfg)
-    p_post, p_event = predictions(ds_b_probe, events_b, windows_b, result.params, test_cfg)
+    # no fine-tuning on the target dataset
+    p_post, p_event = predictions(ds_b, events_b, windows_b, result.params, test_cfg)
     payload = {
         "train_data": str(args.train_data),
         "test_data": str(args.test_data),
-        "n": ds_b_probe.n,
+        "n": ds_b.n,
     }
     payload.update(
         evaluate_posts_and_events(
-            ds_b_probe, np.arange(ds_b_probe.n), p_post, p_event, events_b,
+            ds_b, np.arange(ds_b.n), p_post, p_event, events_b,
             test_cfg["eval.threshold"],
         )
     )

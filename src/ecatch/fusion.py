@@ -15,16 +15,17 @@ its (B, n) member matrix, row b the members of its window b: the one member
 count is the matrix's width, and :func:`fuse_group` and
 ``trend.decay_weights`` read no ``Window``. Nor does :func:`fuse_group` check
 the embedding widths: ``training.run_model`` runs :func:`check_dims` once per
-pass, before the first chunk. Fusing a chunk makes one tape node,
-:func:`fuse_group`, whose value is the chunk's (B, d) decay-weighted
-aggregates. Its stages are array functions that return a value and a
-hand-written vector-Jacobian product: :func:`encode` writes the stack,
+pass, before the first chunk. Fusing a chunk is one :func:`fuse_group` call,
+which returns the chunk's (B, d) decay-weighted aggregates and one
+vector-Jacobian product (VJP). Its stages are array functions that return a
+value and a hand-written VJP: :func:`encode` writes the stack,
 :func:`attention` runs self-attention over it (blocks ``att_text`` and
 ``att_img``), then cross-attention whose keys and values are the stack with
 its modality axis flipped (``att_ti`` and ``att_it``), and :func:`gate`
-mixes the two halves of the cross output. The node's VJP calls theirs in
+mixes the two halves of the cross output. The chunk's VJP calls theirs in
 reverse order; each value inside a chunk has one consumer, so no gradient is
-summed there and the floats are those of one node per stage.
+summed there and the floats are those of calling the stage VJPs one by one.
+The two attention weight packs come from :func:`block_pairs`, once per pass.
 
 Inside an attention stage, each input modality goes through one
 (rows, d) @ (d, 3d) product that covers every head and the q/k/v roles, and
@@ -38,8 +39,8 @@ anyway: the q/k/v projections from the input rows and the weight pack, the
 head outputs from the probabilities, and the encoder rows by gathering the
 dataset again. Each is the forward's operation on the same operands in the
 same shapes, and the pass writes none of those arrays after the stage has
-run, so the gradients are bit for bit those of keeping them. Nor does the
-tape keep the rows that enter ``W_out`` (the VJP takes ``W_out``'s gradient
+run, so the gradients are bit for bit those of keeping them. Nor does a
+VJP keep the rows that enter ``W_out`` (it takes ``W_out``'s gradient
 through ``Wo``) or the gate's fused rows, which only the aggregate reads.
 
 That stage holds one (2, B, H, n, n) buffer in the forward pass: the scores
@@ -48,7 +49,8 @@ probabilities that the VJP keeps. The VJP turns its fresh ``g_p`` into the
 score gradient in place too, so its backward adds one buffer of that size
 and one temporary. A window whose pairs alone pass ``MAX_PAIRS`` runs the
 stage one modality at a time, so no buffer grows past one modality's
-(1, H, n, n), and scoring holds one at a time.
+(1, H, n, n), and scoring, which asks for no VJP (``keep`` False), holds one
+at a time.
 
 No residual connections or layer normalization anywhere: the network is
 shallow and gate/LSTM based, and stays stable without them.
@@ -60,9 +62,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, recording, stable_sigmoid
+from .autodiff import stable_sigmoid
 from .data import Dataset
-from .params import AttentionBlock, ModelParams
+from .params import ModelParams
 from .windows import Window
 
 SCOPES = ("window", "post")
@@ -128,8 +130,11 @@ def _encoder_rows(ds: Dataset, members: np.ndarray) -> tuple[np.ndarray, np.ndar
             ds.image[members].reshape(-1, ds.d_img))
 
 
-def block_pair(first: AttentionBlock, second: AttentionBlock, cross: bool = False) -> Tensor:
-    """Two attention blocks' weights, one per modality, as one (2, d, 5d + 1) node.
+def block_pair(params: ModelParams, first: str, second: str,
+               cross: bool = False) -> tuple[np.ndarray, Callable]:
+    """Attention blocks ``first`` and ``second`` of ``params``, one per
+    modality, as one (2, d, 5d + 1) pack, and a VJP to their tensors'
+    gradients by name.
 
     Row block m holds the projection columns for the rows of input modality
     m, heads merged (head h of a role in its columns h*dh .. (h+1)*dh): Wq,
@@ -137,34 +142,38 @@ def block_pair(first: AttentionBlock, second: AttentionBlock, cross: bool = Fals
     of the other block, whose queries attend to these rows. Then come output
     m's ``Wo``, ``W_out`` and, as the last column, ``b_out``.
     """
-    d, dh = first.wo.shape[0], first.wq.shape[-1]
-    parents = []
+    d, dh = params.d, params.d // params.heads
+    names = []
     for block, other in ((first, second), (second, first)):
         kv = other if cross else block
-        parents += [block.wq, kv.wk, kv.wv, block.wo, block.w_out, block.b_out]
+        names += [f"fusion.{block}.Wq", f"fusion.{kv}.Wk", f"fusion.{kv}.Wv",
+                  f"fusion.{block}.Wo", f"fusion.{block}.W_out", f"fusion.{block}.b_out"]
     pack = np.empty((2, d, 5 * d + 1))
     for m in range(2):
-        wq, wk, wv, wo, w_out, b_out = (t.data for t in parents[6 * m:6 * m + 6])
+        wq, wk, wv, wo, w_out, b_out = (params[k].data for k in names[6 * m:6 * m + 6])
         pack[m, :, :3 * d] = np.concatenate([wq, wk, wv]).transpose(1, 0, 2).reshape(d, -1)
         pack[m, :, 3 * d:4 * d] = wo
         pack[m, :, 4 * d:5 * d] = w_out
         pack[m, :, 5 * d] = b_out
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray) -> dict[str, np.ndarray]:
         grads = []
         for m in range(2):
             grads += np.split(g[m, :, :3 * d].reshape(d, -1, dh).transpose(1, 0, 2).copy(), 3)
             grads += [g[m, :, 3 * d:4 * d].copy(), g[m, :, 4 * d:5 * d].copy(),
                       g[m, :, 5 * d].copy()]
-        return grads
+        return dict(zip(names, grads))
 
-    return Tensor(pack, tuple(parents), vjp)
+    return pack, vjp
 
 
-def block_pairs(params: ModelParams) -> tuple[Tensor, Tensor]:
-    """The self- and the cross-attention :func:`block_pair` of ``params``."""
-    return (block_pair(params.block("att_text"), params.block("att_img")),
-            block_pair(params.block("att_ti"), params.block("att_it"), cross=True))
+def block_pairs(params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray],
+                                              tuple[Callable, Callable]]:
+    """The self- and the cross-attention :func:`block_pair` packs of ``params``,
+    then their VJPs in the same order."""
+    intra, intra_vjp = block_pair(params, "att_text", "att_img")
+    inter, inter_vjp = block_pair(params, "att_ti", "att_it", cross=True)
+    return (intra, inter), (intra_vjp, inter_vjp)
 
 
 def _row_max(s: np.ndarray) -> np.ndarray:
@@ -185,9 +194,11 @@ def attention(
     scale: str = "head",
     diagonal: bool = False,
     return_weights: bool = False,
+    keep: bool = True,
 ):
     """Two multi-head attention blocks over the (2, ..., n, d) stack ``x``:
-    the output and a VJP to the gradients of ``x`` and the pack ``w``.
+    the output and a VJP to the gradients of ``x`` and the pack ``w``, or
+    None for the VJP without ``keep``.
 
     Output m attends from the rows of ``x[m]`` to those of ``x[m]``, or with
     ``cross`` to those of ``x[1 - m]``, with row block m of ``w`` (see
@@ -196,12 +207,12 @@ def attention(
     windows of one fusion chunk. ``diagonal`` masks every score but (i, i);
     ``return_weights`` puts the (2, ..., H, n, n) probabilities before the VJP.
 
-    The VJP keeps the probabilities (while :func:`autodiff.recording`), and
-    nothing else of the stage's own: it rebuilds the (2, B * n, 3d)
-    projections as ``x`` rows @ the pack's projection columns, and the
-    (2, B * n, d) head outputs as each head's ``p @ v`` into the same layout.
-    The operands are ``x`` and ``w``, which the pass does not write again, and
-    the shapes are the forward's, so the floats are the same.
+    The VJP keeps the probabilities, and nothing else of the stage's own: it
+    rebuilds the (2, B * n, 3d) projections as ``x`` rows @ the pack's
+    projection columns, and the (2, B * n, d) head outputs as each head's
+    ``p @ v`` into the same layout. The operands are ``x`` and ``w``, which
+    the pass does not write again, and the shapes are the forward's, so the
+    floats are the same.
     """
     shape = x.shape
     n, d = shape[-2:]
@@ -216,7 +227,7 @@ def attention(
     # A window too big for the pair budget on its own runs one modality at a time.
     parts = [slice(0, 1), slice(1, 2)] if n * max(n, 8) > MAX_PAIRS else [slice(0, 2)]
     merged, heads_first = _head_outputs(batch, n, heads, d)
-    keep = recording() or return_weights
+    hold = keep or return_weights
     probs = []
     for s in parts:
         # The softmax runs in place on one score buffer, in the operand order
@@ -230,7 +241,7 @@ def attention(
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p, v[s], out=heads_first[s])
-        if keep:
+        if hold:
             probs.append(p)
         del p
 
@@ -243,7 +254,7 @@ def attention(
         g_rows = g_out.reshape(merged.shape)
         g_pair = np.empty_like(w)
         # W_out's gradient g_rows^T @ (merged @ Wo), associated so that the
-        # tape need not keep the rows that entered W_out
+        # VJP need not keep the rows that entered W_out
         np.matmul(g_rows.swapaxes(-1, -2) @ merged, w[:, :, 3 * d:4 * d],
                   out=g_pair[:, :, 4 * d:5 * d])
         g_pair[:, :, 5 * d] = g_rows.sum(axis=1)
@@ -271,6 +282,8 @@ def attention(
 
     out = (merged @ w[:, :, 3 * d:4 * d]) @ w[:, :, 4 * d:5 * d].swapaxes(-1, -2) \
         + w[:, None, :, 5 * d]
+    if not keep:
+        vjp = None
     if return_weights:
         return out.reshape(shape), probs[0] if len(probs) == 1 else np.concatenate(probs), vjp
     return out.reshape(shape), vjp
@@ -346,33 +359,41 @@ def fuse_group(
     params: ModelParams,
     members: np.ndarray,
     weights: np.ndarray,
-    pairs: tuple[Tensor, Tensor],
+    packs: tuple[np.ndarray, np.ndarray],
     scope: str = "window",
     scale: str = "head",
-) -> Tensor:
-    """The (B, d) aggregates of the (B, n) member matrix of one chunk, one node.
+    keep: bool = True,
+) -> tuple[np.ndarray, Callable | None]:
+    """The (B, d) aggregates of the (B, n) member matrix of one chunk, and
+    their VJP, or None without ``keep``.
 
     Row b is the mean of window b's fused rows under row b of the (B, n)
-    ``weights``. ``pairs`` are :func:`block_pairs` of ``params``, which a
-    caller fusing several chunks builds once. Zero image vectors (absent
-    images) encode exactly onto the image bias.
+    ``weights``. ``packs`` are the two :func:`block_pairs` packs of
+    ``params``, which a caller fusing several chunks builds once. Zero image
+    vectors (absent images) encode exactly onto the image bias. The VJP maps
+    the aggregates' gradient to the two packs' gradients, then those of the
+    ``ENCODER`` tensors, ``fusion.W_g`` and ``fusion.b_g`` by name.
     """
     if scope not in SCOPES:
         raise FusionError(f"unknown attention scope {scope!r}")
-    (intra, inter), w_g, b_g = pairs, params["fusion.W_g"], params["fusion.b_g"]
+    (intra, inter), post = packs, scope == "post"
+    w_g, b_g = params["fusion.W_g"].data, params["fusion.b_g"].data
     x, encode_vjp = encode(ds, params, members)
-    h, self_vjp = attention(x, intra.data, params.heads, False, scale, scope == "post")
-    c, cross_vjp = attention(h, inter.data, params.heads, True, scale, scope == "post")
-    fused, _, gate_vjp = gate(c, w_g.data, b_g.data)
+    h, self_vjp = attention(x, intra, params.heads, False, scale, post, keep=keep)
+    c, cross_vjp = attention(h, inter, params.heads, True, scale, post, keep=keep)
+    fused, _, gate_vjp = gate(c, w_g, b_g)
+    out = (weights[:, None, :] @ fused)[:, 0, :]
+    if not keep:
+        return out, None
 
     def vjp(g: np.ndarray):
         g_c, g_wg, g_bg = gate_vjp(weights[:, :, None] * g[:, None, :])
         g_h, g_inter = cross_vjp(g_c)
         g_x, g_intra = self_vjp(g_h)
-        return (g_intra, g_inter, *encode_vjp(g_x), g_wg, g_bg)
+        grads = encode_vjp(g_x) + [g_wg, g_bg]
+        return (g_intra, g_inter), dict(zip(ENCODER + ("fusion.W_g", "fusion.b_g"), grads))
 
-    return Tensor((weights[:, None, :] @ fused)[:, 0, :],
-                  (intra, inter, *(params[k] for k in ENCODER), w_g, b_g), vjp)
+    return out, vjp
 
 
 def fuse_window(
@@ -382,11 +403,11 @@ def fuse_window(
     weights: np.ndarray,
     scope: str = "window",
     scale: str = "head",
-) -> Tensor:
+):
     """Fusion of one window: a (1, n) member matrix under (1, n) ``weights``.
 
     Only ``bench/tracer.py`` uses it: the tracer wraps this name. Deleting it
     waits for the benchmark change that points the tracer at ``fuse_group``.
     """
     return fuse_group(ds, params, np.array([window.members], dtype=np.intp), weights,
-                      block_pairs(params), scope, scale)
+                      block_pairs(params)[0], scope, scale)

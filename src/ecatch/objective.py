@@ -13,8 +13,9 @@ hard-example mining keeps the globally highest-loss fraction of them.
 :func:`tc_terms`, the temporal-consistency term, penalizes large aligned
 jumps between consecutive trend states of one event; it gives each event's
 sum and a VJP over the state array. :func:`epoch_loss` joins both into the
-epoch's one loss node, ``ce + lambda_tc * tc``, over the trend states and
-the classifier. A :class:`LossReport` holds the totals of those sums only.
+epoch's loss, ``ce + lambda_tc * tc``, and gives its VJP to the trend states
+and the classifier. A :class:`LossReport` holds the totals of those sums
+only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, stable_sigmoid
+from .autodiff import stable_sigmoid
 from .clustering import PseudoEvent
 from .params import ModelParams
 from .windows import Window
@@ -61,7 +62,7 @@ class Readout:
     event after event: a post in two events appears once for each.
     """
 
-    states: Tensor            # (R, d), R the windows of all events
+    states: np.ndarray        # (R, d), R the windows of all events
     probs: np.ndarray         # (R,) sigmoid of the classifier's logits
     p_post: np.ndarray        # (n_posts,) probability of each covered post, else NaN
     p_event: dict[int, float]  # event_id -> its last window's probability
@@ -75,7 +76,7 @@ class Readout:
 def post_probabilities(
     events: list[PseudoEvent],
     windows: list[Window],
-    states: Tensor,
+    states: np.ndarray,
     offsets: np.ndarray,
     params: ModelParams,
     n_posts: int,
@@ -102,7 +103,7 @@ def post_probabilities(
                              f"is not covered by any window")
     row = cover_row[::-1][last[np.searchsorted(keys, key)]]
 
-    logits = states.data @ params["clf.W_c"].data.T + params["clf.b_c"].data
+    logits = states @ params["clf.W_c"].data.T + params["clf.b_c"].data
     probs = stable_sigmoid(logits[:, 0])
     p_post = np.full(n_posts, np.nan)
     p_post[post] = probs[row]
@@ -216,9 +217,10 @@ def tc_terms(h: np.ndarray, clamp_negative_sim: bool = False,
 
 def epoch_loss(readout: Readout, terms: CrossEntropyTerms, tc_values: np.ndarray,
                tc_vjp: Callable | None, lambda_tc: float,
-               params: ModelParams) -> tuple[Tensor, float, float]:
-    """The epoch loss ``ce + lambda_tc * tc`` as one node over the readout's
-    trend states, ``clf.W_c`` and ``clf.b_c``, and its sums ``ce`` and ``tc``.
+               params: ModelParams) -> tuple[float, float, Callable]:
+    """The sums ``ce`` and ``tc`` of the epoch loss ``ce + lambda_tc * tc``,
+    and the loss's VJP to the gradient of the readout's trend states and
+    those of ``clf.W_c`` and ``clf.b_c`` by name.
 
     ``ce`` adds the values of ``terms`` and ``tc`` the events' consistency
     sums ``tc_values`` of :func:`tc_terms`. The VJP reads the readout's
@@ -231,7 +233,7 @@ def epoch_loss(readout: Readout, terms: CrossEntropyTerms, tc_values: np.ndarray
     # Each event's sum first (bincount adds in term order), then across events.
     ce = float(sum(np.bincount(terms.event, weights=terms.value).tolist()))
     tc = float(sum(tc_values.tolist()))
-    states, w_c, b_c = readout.states, params["clf.W_c"], params["clf.b_c"]
+    states, w_c = readout.states, params["clf.W_c"].data
     p = readout.probs
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
     coef = np.zeros((2, p.size))
@@ -240,12 +242,12 @@ def epoch_loss(readout: Readout, terms: CrossEntropyTerms, tc_values: np.ndarray
 
     def vjp(g: np.ndarray):
         g_logits = (g * inside * (coef[1] * (1.0 - p) - coef[0] * p))[:, None]
-        g_states = g_logits @ w_c.data
+        g_states = g_logits @ w_c
         if consistency is not None:
             g_states = g_states + consistency(g * lambda_tc)
-        return g_states, (states.data.T @ g_logits).T, g_logits.sum(axis=0)
+        return g_states, {"clf.W_c": (states.T @ g_logits).T, "clf.b_c": g_logits.sum(axis=0)}
 
-    return Tensor(ce + lambda_tc * tc, (states, w_c, b_c), vjp), ce, tc
+    return ce, tc, vjp
 
 
 @dataclass

@@ -13,25 +13,24 @@ Naming scheme (shapes for model width d, H heads, head width dh = d // H):
 
 The (out, in) matrices above are applied as ``x @ W.T + b``: the encoders by
 ``fusion.encode``, the classifier by ``objective.post_probabilities`` (its
-gradient by the ``objective.epoch_loss`` node), ``W_g`` by ``fusion.gate``
+gradient by the VJP of ``objective.epoch_loss``), ``W_g`` by ``fusion.gate``
 and ``W_out`` by ``fusion.attention``, all three stages of one
-``fusion.fuse_group`` node per fusion chunk (windows of one member count).
-The 12 LSTM tensors enter only through ``trend.run_lstm``, one tape node for
-all events, which stacks each kind in gate order and applies them the same
-way. The attention blocks enter in pairs, one block per modality:
-``att_text`` with ``att_img`` and ``att_ti`` with ``att_it``. Each pair is
-one ``fusion.block_pair`` node per fusion pass, which stacks the two blocks'
+``fusion.fuse_group`` call per fusion chunk (windows of one member count).
+The 12 LSTM tensors enter only through ``trend.run_lstm``, one call for all
+events, which stacks each kind in gate order and applies them the same way.
+The attention blocks enter in pairs, one block per modality: ``att_text``
+with ``att_img`` and ``att_ti`` with ``att_it``. Each pair is one
+``fusion.block_pair`` pack per fusion pass, which stacks the two blocks'
 tensors and merges ``Wq/Wk/Wv`` across heads, and one ``fusion.attention``
 stage per fusion chunk, which applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out),
-``x @ W``, before ``W_out``.
+``x @ W``, before ``W_out``. Each of those stages returns a VJP that gives
+the gradients of the tensors it read under these names.
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per
 head/matrix, biases at zero, in fixed name order from a seeded generator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +42,6 @@ LSTM_GATES = ("i", "f", "o", "c")
 
 class ParamError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AttentionBlock:
-    wq: Tensor  # (H, d, dh)
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor      # (d, d)
-    w_out: Tensor   # (d, d) output affine, applied after Wo
-    b_out: Tensor   # (d,)
 
 
 def shape_table(d: int, heads: int, d_text: int, d_img: int) -> dict[str, tuple[int, ...]]:
@@ -129,18 +118,7 @@ class ModelParams:
     def items(self):
         return self.tensors.items()
 
-    def block(self, name: str) -> AttentionBlock:
-        p = f"fusion.{name}"
-        return AttentionBlock(
-            wq=self[f"{p}.Wq"], wk=self[f"{p}.Wk"], wv=self[f"{p}.Wv"],
-            wo=self[f"{p}.Wo"], w_out=self[f"{p}.W_out"], b_out=self[f"{p}.b_out"],
-        )
-
     # -- numeric helpers ---------------------------------------------------
-    def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.grad = None
-
     def l2_squared(self) -> float:
         return float(sum(np.sum(t.data * t.data) for t in self.tensors.values()))
 
@@ -149,7 +127,7 @@ class ModelParams:
         return ModelParams(self.d, self.heads, self.d_text, self.d_img, tensors)
 
     def load_values(self, other: "ModelParams") -> None:
-        """Copy tensor values from ``other`` in place (graph identity kept)."""
+        """Copy tensor values from ``other`` into these tensors' arrays, in place."""
         for name, t in self.tensors.items():
             t.data[...] = other.tensors[name].data
 

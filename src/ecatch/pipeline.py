@@ -1,15 +1,14 @@
 """Shared wiring between CLI commands: structure building and evaluation.
 
-Scoring records no autodiff tape: :func:`predictions` runs the model under
-``autodiff.no_grad``, so reference counting frees each attention's buffers as
-soon as it returns, and a pass holds no more than the outputs it is building.
+Scoring keeps no VJP: :func:`predictions` runs the model with ``keep``
+False, so reference counting frees each attention's buffers as soon as it
+returns, and a pass holds no more than the outputs it is building.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import no_grad
 from .clustering import PseudoEvent, check_partition, cluster_events, pass_through_events
 from .config import RunConfig
 from .data import Dataset
@@ -45,8 +44,7 @@ def predictions(
     cfg: RunConfig,
 ) -> tuple[np.ndarray, dict[int, float]]:
     """Per-post and per-event probabilities; :class:`ScoringError` if one is not finite."""
-    with no_grad():
-        out = run_model(ds, events, windows, params, cfg)
+    out, _ = run_model(ds, events, windows, params, cfg, keep=False)
     bad = np.flatnonzero(~np.isfinite(out.probs))
     if bad.size:
         event = out.event_ids[np.searchsorted(out.offsets, bad[0], side="right") - 1]

@@ -1,17 +1,19 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
-One epoch is one full-batch pass: the windows of all events are fused in
-chunks of equal member count, one tape node a chunk (the encoder, self- and
+One epoch is one full-batch pass of fixed stages, each returning its value
+and a vector-Jacobian product (VJP). The two attention weight packs are
+built once; the windows of all events are fused in chunks of equal member
+count, one ``fusion.fuse_group`` call a chunk (the encoder, self- and
 cross-attention over both modalities, the gate and the aggregate under one
-VJP) and two attention weight nodes for them all. The trend input node reads
-the chunks' aggregates in ascending event_id for the lockstep LSTM node,
-whose states are read out into an ``objective.Readout``. The epoch loss
-``ce + lambda_tc * tc`` is one node over those states and the classifier:
-the cross-entropy of the training posts (optionally after global
-hard-example mining) plus the temporal consistency of all events; from the
-readout to the loss, the per-post bookkeeping is index arrays. Its report
-holds totals only: the sums of those two terms, the regularizer and the
-total. One backward pass over it yields every gradient, and runs are bitwise
+VJP). The trend input reads the chunks' aggregates in ascending event_id
+for the lockstep LSTM, whose states are read out into an
+``objective.Readout``. The epoch loss ``ce + lambda_tc * tc`` over those
+states and the classifier is the cross-entropy of the training posts
+(optionally after global hard-example mining) plus the temporal consistency
+of all events; from the readout to the loss, the per-post bookkeeping is
+index arrays. Its report holds totals only: the sums of those two terms,
+the regularizer and the total. :func:`backward` calls the VJPs once each,
+in the reverse of that order, which yields every gradient; runs are bitwise
 reproducible. Regularization gradients are added in closed form
 (2 * lambda_reg * theta). Everything runs in float64. :func:`run_model`
 prepares each pass, scoring's too: one embedding-width check and one window
@@ -67,11 +69,18 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class ForwardArtifacts:
-    """Everything backward() needs: the epoch loss node plus the report."""
+    """Everything backward() needs: the report and the epoch's stage VJPs.
+
+    ``vjps`` maps ``"pairs"`` to the two ``fusion.block_pairs`` VJPs (self-,
+    then cross-attention), ``"chunks"`` to one ``fusion.fuse_group`` VJP per
+    chunk in chunk order, and ``"trend"``, ``"lstm"`` and ``"loss"`` to those
+    of ``trend.trend_features``, ``trend.run_lstm`` and
+    ``objective.epoch_loss``. backward() takes them out, so it runs once.
+    """
 
     report: LossReport
-    loss: Tensor  # ce + lambda_tc * tc, from objective.epoch_loss
     params: ModelParams
+    vjps: dict | None
 
 
 def fused_aggregates(
@@ -81,21 +90,27 @@ def fused_aggregates(
     scope: str,
     scale: str,
     alpha: float,
-) -> tuple[list[Tensor], np.ndarray]:
+    keep: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray, dict]:
     """Decay-weighted fused aggregates of ``windows``, one pass per chunk of
     :func:`fusion.window_groups`, all chunks reading one pair of attention
-    weight nodes.
+    weight packs.
 
-    Returns the chunks' (B, d) aggregates, in chunk order, and for each
-    window the row of their stack that holds its aggregate.
+    Returns the chunks' (B, d) aggregates, in chunk order, for each window
+    the row of their stack that holds its aggregate, and the VJPs of the
+    packs and the chunks (None per chunk without ``keep``).
     """
     chunks = window_groups(windows)
-    pairs = block_pairs(params)
-    parts = [fuse_group(ds, params, members, decay_weights(ds, members, alpha), pairs,
-                        scope, scale) for _, members in chunks]
+    packs, pair_vjps = block_pairs(params)
+    parts, chunk_vjps = [], []
+    for _, members in chunks:
+        part, vjp = fuse_group(ds, params, members, decay_weights(ds, members, alpha), packs,
+                               scope, scale, keep)
+        parts.append(part)
+        chunk_vjps.append(vjp)
     rows = np.empty(len(windows), dtype=np.intp)
     rows[[k for positions, _ in chunks for k in positions]] = np.arange(len(windows))
-    return parts or [Tensor(np.zeros((0, params.d)))], rows
+    return parts, rows, {"pairs": list(pair_vjps), "chunks": chunk_vjps}
 
 
 def run_model(
@@ -104,17 +119,25 @@ def run_model(
     windows: dict[int, WindowSequence],
     params: ModelParams,
     cfg: RunConfig,
-) -> Readout:
+    keep: bool = True,
+) -> tuple[Readout, dict | None]:
     """Grouped fusion -> one trend encoding and one readout of all events,
-    from one width check and one window list in ascending event_id."""
+    from one width check and one window list in ascending event_id.
+
+    Returns the readout and the stages' VJPs, keyed as in
+    ``ForwardArtifacts.vjps`` less the loss's, or None without ``keep``:
+    scoring asks for none, so no attention stage keeps its probabilities.
+    """
     check_dims(ds, params)
     ordered = sorted(events, key=lambda e: e.event_id)
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in ordered])
     flat = [w for ev in ordered for w in windows[ev.event_id].windows]
-    parts, rows = fused_aggregates(ds, params, flat, cfg["attention.scope"],
-                                   cfg["attention.scale"], cfg["trend.alpha"])
-    states = encode_event(rows, parts, params, cfg["trend.beta"], offsets)
-    return post_probabilities(ordered, flat, states, offsets, params, ds.n)
+    parts, rows, vjps = fused_aggregates(ds, params, flat, cfg["attention.scope"],
+                                         cfg["attention.scale"], cfg["trend.alpha"], keep)
+    states, vjps["trend"], vjps["lstm"] = encode_event(rows, parts, params,
+                                                       cfg["trend.beta"], offsets, keep)
+    readout = post_probabilities(ordered, flat, states, offsets, params, ds.n)
+    return readout, vjps if keep else None
 
 
 def forward(
@@ -125,8 +148,8 @@ def forward(
     cfg: RunConfig,
     epoch: int = 0,
 ) -> ForwardArtifacts:
-    """Build the full loss for one epoch."""
-    readout = run_model(ds, events, windows, params, cfg)
+    """Run one epoch's stages to its loss, keeping their VJPs."""
+    readout, vjps = run_model(ds, events, windows, params, cfg)
     terms, _ = ce_terms(readout, ds.labels, ds.train_mask(), cfg["loss.epsilon"],
                         cfg["weights.adaptive"], cfg["weights.scope"])
     if not len(terms):
@@ -136,32 +159,47 @@ def forward(
         terms = mine_hard_examples(terms, cfg["mining.rho"])
 
     lambda_tc, lambda_reg = cfg["loss.lambda_tc"], cfg["loss.lambda_reg"]
-    tc_values, tc_vjp = tc_terms(readout.states.data, cfg["loss.tc_clamp"], readout.offsets)
-    loss, ce, tc = epoch_loss(readout, terms, tc_values, tc_vjp, lambda_tc, params)
+    tc_values, tc_vjp = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
+    ce, tc, vjps["loss"] = epoch_loss(readout, terms, tc_values, tc_vjp, lambda_tc, params)
     reg = params.l2_squared()
     report = LossReport(ce, tc, reg, ce + lambda_tc * tc + lambda_reg * reg,
                         readout.p_post, lambda_reg)
-    return ForwardArtifacts(report, loss, params)
+    return ForwardArtifacts(report, params, vjps)
 
 
 def backward(artifacts: ForwardArtifacts) -> dict[str, np.ndarray]:
     """Exact gradients of the total loss for every named parameter.
 
-    Walking the loss graph consumes it, so each ``forward`` result can be
-    differentiated once.
+    Calls the stage VJPs once each, in reverse: the loss, the LSTM, the
+    trend input, the chunks in chunk order and the two weight packs. A
+    gradient that several chunks give is summed in chunk order. Each VJP is
+    dropped once it has run, and with it what only it holds; so each
+    ``forward`` result can be differentiated once.
     """
-    params = artifacts.params
-    params.zero_grads()
-    artifacts.loss.backward()
+    vjps, artifacts.vjps = artifacts.vjps, None
+    if vjps is None:
+        raise TrainingError("backward already ran on this forward; run forward again")
+    g_states, grads = vjps.pop("loss")(1.0)
+    g_x, lstm_grads = vjps.pop("lstm")(g_states)
+    grads.update(lstm_grads)
+    g_parts = vjps.pop("trend")(g_x)
+    chunks, g_packs = vjps.pop("chunks"), [None, None]
+    for k, g_part in enumerate(g_parts):
+        packs, shared = chunks[k](g_part)
+        chunks[k] = None
+        g_packs = [g if acc is None else acc + g for acc, g in zip(g_packs, packs)]
+        for name, g in shared.items():
+            grads[name] = g if name not in grads else grads[name] + g
+    for vjp, g in zip(vjps.pop("pairs"), g_packs):
+        grads.update(vjp(g))
 
-    grads: dict[str, np.ndarray] = {}
-    for name, tensor in params.items():
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        g = g + 2.0 * artifacts.report.lambda_reg * tensor.data
+    out: dict[str, np.ndarray] = {}
+    for name, tensor in artifacts.params.items():
+        g = grads[name] + 2.0 * artifacts.report.lambda_reg * tensor.data
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name}")
-        grads[name] = g
-    return grads
+        out[name] = g
+    return out
 
 
 # -- optimizers -----------------------------------------------------------
@@ -303,7 +341,7 @@ def train(
 
         try:
             grads = backward(artifacts)
-            # Release this epoch's tape before the next forward builds another.
+            # Release this epoch's arrays before the next forward builds others.
             del artifacts
             clip_gradients(grads, cfg["train.grad_clip_norm"])
             optimizer.step(grads)
@@ -336,7 +374,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "format_version": CHECKPOINT_VERSION,
         "d": params.d,
         "H": params.heads,
-        "names": [{"name": n, "shape": list(t.shape)} for n, t in params.items()],
+        "names": [{"name": n, "shape": list(t.data.shape)} for n, t in params.items()],
         "sha256": hashlib.sha256(body).hexdigest(),
     }
     with Path(path).open("wb") as fh:

@@ -4,25 +4,29 @@ Per window: posts are averaged with weights exp(-alpha * (t_max - t_i)),
 t_max being the latest member timestamp, so the newest post always carries
 weight 1. :func:`decay_weights` takes a fusion chunk as its (B, n) member
 matrix and anchors each row at the latest timestamp among its members;
-``fusion.fuse_group`` averages a chunk's fused rows with them in its one
-tape node. Every event's aggregates are read from the chunks' stack in
-window order, event k in rows ``offsets[k]:offsets[k + 1]``. Between
-consecutive windows of an event the aggregate difference (semantic shift)
-and an exponential moving average of its norm (momentum) are appended, all
-events in one node. That input rolls through a unidirectional LSTM, each
-event from zero state, all events in lockstep in one node that returns the
-(R, d) hidden states.
+``fusion.fuse_group`` averages a chunk's fused rows with them. Every
+event's aggregates are read from the chunks' stack in window order, event k
+in rows ``offsets[k]:offsets[k + 1]``. Between consecutive windows of an
+event the aggregate difference (semantic shift) and an exponential moving
+average of its norm (momentum) are appended, all events in one
+:func:`trend_features` call. That input rolls through a unidirectional LSTM,
+each event from zero state, all events in lockstep in one :func:`run_lstm`
+call that returns the (R, d) hidden states. Each returns its VJP alongside.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, stable_sigmoid
+from .autodiff import stable_sigmoid
 from .data import Dataset
 from .params import LSTM_GATES, ModelParams
+
+
+# The LSTM's tensors as run_lstm stacks them: W, then U, then b, each in gate order
+LSTM_TENSORS = tuple(f"lstm.{kind}_{g}" for kind in "WUb" for g in LSTM_GATES)
 
 
 class TrendError(ValueError):
@@ -42,36 +46,36 @@ def decay_weights(ds: Dataset, members: np.ndarray, alpha: float) -> np.ndarray:
 def _lockstep(offsets, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Each event's first row, longest event first, and per step t the rows of
     window t of the events that have one: a prefix of the step before.
-    ``offsets`` None means one event of ``rows`` rows."""
+    ``offsets`` None means one event of ``rows`` rows; every event needs a row."""
     offsets = np.array([0, rows]) if offsets is None else np.asarray(offsets, dtype=np.intp)
     lengths = np.diff(offsets)
-    if np.any(lengths <= 0):
+    if lengths.size == 0 or np.any(lengths <= 0):
         raise TrendError("no window aggregates")
     order = np.argsort(-lengths, kind="stable")
     starts, running = offsets[:-1][order], lengths[order]
     return starts, [starts[:np.count_nonzero(running > t)] + t
-                    for t in range(running.max(initial=0))]
+                    for t in range(running.max())]
 
 
-def trend_features(rows, parts: Sequence[Tensor], beta: float, offsets=None) -> Tensor:
+def trend_features(rows, parts: Sequence[np.ndarray], beta: float,
+                   offsets=None) -> tuple[np.ndarray, Callable]:
     """Every event's LSTM input [L; delta; M] from rows ``rows`` of the stacked
-    window aggregates ``parts``.
+    window aggregates ``parts``, and its VJP to the parts' gradients.
 
     Event k owns rows ``offsets[k]:offsets[k + 1]`` of the input (one event
     when None). Row t holds the aggregate, its shift from row t-1 of its event
     (zero at the event's first window) and the momentum
     M_t = beta * M_{t-1} + (1 - beta) * |delta_t|, restarting at 0 with each
-    event: one (R, 2d+1) node over the parts. A zero shift gets a zero
+    event: one (R, 2d+1) array over the parts. A zero shift gets a zero
     subgradient, and no gradient crosses an event boundary. The VJP
     scatter-adds the aggregates' gradient into the stack, a row read twice
     summing, and splits it back into the parts.
     """
-    parts = tuple(parts)
     rows = np.asarray(rows, dtype=np.intp)
     starts, steps = _lockstep(offsets, rows.size)
     if not 0.0 <= beta <= 1.0:
         raise TrendError("beta must lie in [0, 1]")
-    stack = np.concatenate([p.data for p in parts])
+    stack = np.concatenate(parts)
     shape, ends = stack.shape, np.cumsum([p.shape[0] for p in parts])[:-1]
     agg = stack[rows]
     delta = np.zeros_like(agg)
@@ -98,29 +102,29 @@ def trend_features(rows, parts: Sequence[Tensor], beta: float, offsets=None) -> 
         np.add.at(grad, rows, g_agg)
         return tuple(np.split(grad, ends))
 
-    out = np.concatenate([agg, delta, momentum[:, None]], axis=1)
-    return Tensor(out, parts, vjp)
+    return np.concatenate([agg, delta, momentum[:, None]], axis=1), vjp
 
 
-def run_lstm(x: Tensor, params: ModelParams, offsets=None) -> Tensor:
+def run_lstm(x: np.ndarray, params: ModelParams,
+             offsets=None) -> tuple[np.ndarray, Callable]:
     """Roll the trend LSTM over every event's rows of ``x``, laid out as in
-    :func:`trend_features`, each event from zero state.
+    :func:`trend_features`, each event from zero state: the (R, d) hidden
+    states and their VJP.
 
     All events step in lockstep: step t is one recurrent matmul over the
-    events still running. One tape node over the input and the 12 ``lstm.*``
-    tensors gives the (R, d) hidden states. Gates stack in ``LSTM_GATES``
-    order; backpropagation through time, the same steps in reverse, is the VJP.
+    events still running. Gates stack in ``LSTM_GATES`` order;
+    backpropagation through time, the same steps in reverse, is the VJP,
+    which gives the gradient of ``x`` and those of the ``LSTM_TENSORS`` by
+    name.
     """
     d = params.d
-    if x.shape[0] == 0:
-        return Tensor(np.zeros((0, d)))
     if x.shape[1] != 2 * d + 1:
         raise TrendError(f"feature length {x.shape[1]} != 2d+1 = {2 * d + 1}")
-    weights = tuple(params[f"lstm.{kind}_{g}"] for kind in "WUb" for g in LSTM_GATES)
-    w, u, b = (np.concatenate([t.data for t in weights[k:k + 4]]) for k in (0, 4, 8))
+    w, u, b = (np.concatenate([params[k].data for k in LSTM_TENSORS[j:j + 4]])
+               for j in (0, 4, 8))
 
     starts, steps = _lockstep(offsets, x.shape[0])
-    projected = x.data @ w.T                       # (R, 4d)
+    projected = x @ w.T                            # (R, 4d)
     acts = np.empty_like(projected)                # i, f, o, candidate
     cells, hidden = np.empty((x.shape[0], d)), np.empty((x.shape[0], d))
     prev_c, prev_h = np.empty((2, x.shape[0], d))  # the state each row starts from
@@ -152,19 +156,23 @@ def run_lstm(x: Tensor, params: ModelParams, offsets=None) -> Tensor:
                                    axis=1) * slope[r]
             dc_next[:n] = dc * f
             dh_next[:n] = dz[r] @ u
-        return (
-            dz @ w,
-            *np.split(dz.T @ x.data, 4),
-            *np.split(dz.T @ prev_h, 4),
-            *np.split(dz.sum(axis=0), 4),
-        )
+        grads = (*np.split(dz.T @ x, 4), *np.split(dz.T @ prev_h, 4),
+                 *np.split(dz.sum(axis=0), 4))
+        return dz @ w, dict(zip(LSTM_TENSORS, grads))
 
-    return Tensor(hidden, (x, *weights), vjp)
+    return hidden, vjp
 
 
-def encode_event(rows, parts: Sequence[Tensor], params: ModelParams, beta: float,
-                 offsets) -> Tensor:
+def encode_event(rows, parts: Sequence[np.ndarray], params: ModelParams, beta: float,
+                 offsets, keep: bool = True) -> tuple[np.ndarray, Callable | None,
+                                                      Callable | None]:
     """The (R, d) trend states of every event, laid out by ``offsets``, from the
-    rows ``rows`` of the stacked aggregate ``parts``: one trend input node and
-    one LSTM node."""
-    return run_lstm(trend_features(rows, parts, beta, offsets), params, offsets)
+    rows ``rows`` of the stacked aggregate ``parts``, then the VJPs of
+    :func:`trend_features` and :func:`run_lstm`, both None without ``keep``.
+    Then the trend input's VJP, and what only it holds, is gone before the
+    LSTM runs."""
+    x, trend_vjp = trend_features(rows, parts, beta, offsets)
+    if not keep:
+        trend_vjp = None
+    states, lstm_vjp = run_lstm(x, params, offsets)
+    return states, trend_vjp, lstm_vjp if keep else None

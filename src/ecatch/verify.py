@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, finite_difference_gradient, no_grad
+from .autodiff import Tensor, finite_difference_gradient
 from .clustering import (PseudoEvent, agglomerate, average_linkage_chain, cluster_events,
                          cosine_distances)
 from .config import RunConfig
@@ -119,8 +119,7 @@ def grad_check(seed: int, d: int = 4, heads: int = 2,
 
     def total_with(tensor: Tensor, x: np.ndarray) -> float:
         tensor.data = x
-        with no_grad():  # a value only: no tape to build
-            return forward(ds, events, windows, params, cfg).report.total
+        return forward(ds, events, windows, params, cfg).report.total
 
     worst = 0.0
     where = ""
@@ -191,15 +190,15 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
         members = np.arange(n_posts).reshape(n_windows, n)
 
         # attention rows must be stochastic even for large scores, in both
-        # stacked nodes and both modalities
+        # stacked stages and both modalities
         x = (rng.normal(size=(2, n_windows, n, d))
              * rng.choice([0.1, 1.0, 3.0], size=(2, 1, 1, 1)))
         c = encode(ds, params, members)[0]  # then self- and cross-attention over it
-        for cross, pair in enumerate(block_pairs(params)):
-            _, weights, _ = attention(x, pair.data, heads, bool(cross), return_weights=True)
+        for cross, pack in enumerate(block_pairs(params)[0]):
+            _, weights, _ = attention(x, pack, heads, bool(cross), return_weights=True)
             track(float(np.abs(weights.sum(axis=-1) - 1.0).max()),
                   f"trial {trial}: softmax row sum")
-            c = attention(c, pair.data, heads, bool(cross))[0]
+            c = attention(c, pack, heads, bool(cross))[0]
 
         fused, g, _ = gate(c, params["fusion.W_g"].data, params["fusion.b_g"].data)
         if not ((g > 0.0).all() and (g < 1.0).all()):
@@ -210,43 +209,42 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
               f"trial {trial}: fused outside gate interval")
 
         alpha = float(rng.choice([0.0, 1.0 / DAY, 5.0 / DAY]))
-        agg = fuse_group(ds, params, members, decay_weights(ds, members, alpha), block_pairs(params))
+        agg, _ = fuse_group(ds, params, members, decay_weights(ds, members, alpha),
+                            block_pairs(params)[0])
         col_lo = fused.min(axis=1) - 1e-12
         col_hi = fused.max(axis=1) + 1e-12
-        track(float(np.maximum(col_lo - agg.data, agg.data - col_hi).max()),
+        track(float(np.maximum(col_lo - agg, agg - col_hi).max()),
               f"trial {trial}: aggregate outside convex hull")
 
         # 2-4 events of 1-4 aggregates each, stacked through features + LSTM;
         # each event's rows must be what it gives alone
-        seq = np.concatenate([agg.data, agg.data * float(rng.uniform(0.2, 2.0)),
-                              agg.data + 0.5])
+        seq = np.concatenate([agg, agg * float(rng.uniform(0.2, 2.0)), agg + 0.5])
         offsets = np.cumsum([0, *rng.integers(1, 5, size=int(rng.integers(2, 5)))])
         seq = seq[rng.integers(0, len(seq), size=offsets[-1])]
         beta = float(rng.uniform(0.0, 1.0))
-        feats = trend_features(np.arange(len(seq)), [Tensor(seq)], beta, offsets)
-        states = run_lstm(feats, params, offsets).data
-        if (feats.data[:, -1] < 0).any():
+        feats, _ = trend_features(np.arange(len(seq)), [seq], beta, offsets)
+        states, _ = run_lstm(feats, params, offsets)
+        if (feats[:, -1] < 0).any():
             track(1.0, f"trial {trial}: negative momentum")
         if float(np.abs(states).max()) >= 1.0:
             track(1.0, f"trial {trial}: |T| >= 1")
         for a, b in zip(offsets[:-1], offsets[1:]):
-            alone = reference_lstm(trend_features(np.arange(a, b), [Tensor(seq)], beta).data,
-                                   params)
+            alone = reference_lstm(trend_features(np.arange(a, b), [seq], beta)[0], params)
             track(float(np.abs(states[a:b] - alone).max()),
                   f"trial {trial}: stacked event differs from the reference LSTM")
 
-        # the loss node is flat where the probability is clipped: each window's
+        # the loss is flat where the probability is clipped: each window's
         # logit moves by 0, +-40 or +-800 along clf.W_c
         w_c = params["clf.W_c"].data[0]
         shift = rng.choice([0.0, 40.0, -40.0, 800.0, -800.0], size=n_windows)
-        states = Tensor(rng.normal(size=(n_windows, d)) + np.outer(shift / (w_c @ w_c), w_c))
+        states = rng.normal(size=(n_windows, d)) + np.outer(shift / (w_c @ w_c), w_c)
         flat = [Window(k + 1, 0, 1, tuple(m)) for k, m in enumerate(members.tolist())]
         readout = post_probabilities([PseudoEvent(0, tuple(range(n_posts)))], flat, states,
                                      np.array([0, n_windows]), params, n_posts)
         terms, _ = ce_terms(readout, ds.labels, np.ones(n_posts, dtype=bool), 1.0, True)
-        epoch_loss(readout, terms, np.zeros(1), None, 0.0, params)[0].backward()
+        g_states, _ = epoch_loss(readout, terms, np.zeros(1), None, 0.0, params)[2](1.0)
         p = readout.probs
-        if np.any(states.grad[(p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)] != 0.0):
+        if np.any(g_states[(p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)] != 0.0):
             track(1.0, f"trial {trial}: gradient through a clipped probability")
 
     tol = 1e-12

@@ -1,11 +1,10 @@
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from ecatch import fusion, training
-from ecatch.autodiff import Tensor
 from ecatch.data import Dataset
 from ecatch.trend import trend_features
 
@@ -47,44 +46,57 @@ def make_dataset(
 
 
 def features(aggregates, beta, offsets=None):
-    """The trend input node over one tensor of window aggregates, row for row."""
+    """The trend input over one array of window aggregates, row for row, and
+    its VJP."""
     return trend_features(np.arange(aggregates.shape[0]), [aggregates], beta, offsets)
 
 
-def as_node(stage, *parents):
-    """A fusion stage's ``(value, ..., vjp)`` as one engine node over
-    ``parents``, the tensors its VJP returns gradients for, in that order.
-    Outputs between the value and the VJP (the gate, the probabilities)
-    follow the node."""
-    value, *extra, vjp = stage
-    node = Tensor(value, parents, vjp)
-    return (node, *extra) if extra else node
-
-
 class Chunk(NamedTuple):
-    cross: Tensor  # (2, B, n, d): c_ti, then c_it
+    cross: np.ndarray  # (2, B, n, d): c_ti, then c_it
     gate: np.ndarray  # the gate g, in (0, 1)
-    fused: Tensor  # (B, n, d)
-    aggregate: Tensor  # (B, d)
+    fused: np.ndarray  # (B, n, d)
+    aggregate: np.ndarray  # (B, d)
+    vjp: Callable  # as fusion.fuse_group's, the five stage VJPs called in turn
 
 
-def five_nodes(ds, params, members, weights=None, pairs=None, scope="window", scale="head"):
-    """A fusion chunk as one engine node per stage: the encoder, self- and
-    cross-attention, the gate and the aggregate under ``weights`` (uniform by
-    default), over ``pairs`` (built here by default)."""
+def five_stages(ds, params, members, weights=None, packs=None, scope="window",
+                scale="head"):
+    """A fusion chunk as its five stages called one by one: the encoder, self-
+    and cross-attention, the gate and the aggregate under ``weights``
+    (uniform by default), over ``packs`` (built here by default), and a VJP
+    that calls the stage VJPs one by one in reverse."""
     members = np.asarray(members, dtype=np.intp)
     if weights is None:
         weights = np.full(members.shape, 1.0 / members.shape[1])
-    intra, inter = fusion.block_pairs(params) if pairs is None else pairs
-    w_g, b_g = params["fusion.W_g"], params["fusion.b_g"]
+    intra, inter = fusion.block_pairs(params)[0] if packs is None else packs
+    w_g, b_g = params["fusion.W_g"].data, params["fusion.b_g"].data
     post, heads = scope == "post", params.heads
-    x = as_node(fusion.encode(ds, params, members), *(params[k] for k in fusion.ENCODER))
-    h = as_node(fusion.attention(x.data, intra.data, heads, False, scale, post), x, intra)
-    c = as_node(fusion.attention(h.data, inter.data, heads, True, scale, post), h, inter)
-    fused, g = as_node(fusion.gate(c.data, w_g.data, b_g.data), c, w_g, b_g)
-    aggregate = Tensor((weights[:, None, :] @ fused.data)[:, 0, :], (fused,),
-                       lambda grad: (weights[:, :, None] * grad[:, None, :],))
-    return Chunk(c, g, fused, aggregate)
+    x, encode_vjp = fusion.encode(ds, params, members)
+    h, self_vjp = fusion.attention(x, intra, heads, False, scale, post)
+    c, cross_vjp = fusion.attention(h, inter, heads, True, scale, post)
+    fused, g, gate_vjp = fusion.gate(c, w_g, b_g)
+    aggregate = (weights[:, None, :] @ fused)[:, 0, :]
+
+    def vjp(grad):
+        g_fused = weights[:, :, None] * grad[:, None, :]
+        g_c, g_wg, g_bg = gate_vjp(g_fused)
+        g_h, g_inter = cross_vjp(g_c)
+        g_x, g_intra = self_vjp(g_h)
+        names = fusion.ENCODER + ("fusion.W_g", "fusion.b_g")
+        return (g_intra, g_inter), dict(zip(names, [*encode_vjp(g_x), g_wg, g_bg]))
+
+    return Chunk(c, g, fused, aggregate, vjp)
+
+
+def chunk_gradients(params, vjp, g, pair_vjps=None):
+    """Every gradient, by name, that a chunk VJP and the packs' VJPs give for
+    the aggregates' gradient ``g``."""
+    if pair_vjps is None:
+        pair_vjps = fusion.block_pairs(params)[1]
+    packs, grads = vjp(g)
+    for pair_vjp, g_pack in zip(pair_vjps, packs):
+        grads.update(pair_vjp(g_pack))
+    return grads
 
 
 @pytest.fixture

@@ -474,6 +474,33 @@ def test_crosseval_bad_test_config_exits_2(tmp_path, dataset_dir, capsys, conten
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["no-event-field", "too-many-clusters", "no-posts"])
+def test_crosseval_refuses_an_unscorable_test_side_before_training(tmp_path, dataset_dir,
+                                                                    capsys, case):
+    ds = load_dataset(dataset_dir)
+    test_data, args = tmp_path / "test-side", []
+    if case == "no-event-field":  # the test manifest lacks the cluster.key field
+        write_dataset(Dataset(ds.ids, ds.labels, ds.timestamps, ds.text, ds.image,
+                              ds.has_image), test_data)
+        args, message = ["--set", "cluster.key=event"], "missing manifest key 'event'"
+    elif case == "too-many-clusters":
+        test_data = dataset_dir
+        (tmp_path / "test_config.json").write_text('{"cluster.num_clusters": 500}')
+        args = ["--test-config", str(tmp_path / "test_config.json")]
+        message = "num_clusters must be in [1, 10]"
+    else:
+        write_dataset(Dataset([], np.zeros(0), np.zeros(0), np.zeros((0, ds.d_text)),
+                              np.zeros((0, ds.d_img)), np.zeros(0, dtype=bool)), test_data)
+        assert load_dataset(test_data).n == 0
+        message = "the test dataset has no posts"
+    out = tmp_path / "xrun"
+    rc = main(["crosseval", "--train-data", str(dataset_dir), "--test-data", str(test_data),
+               "--config", str(write_config(tmp_path)), "--out", str(out), *args])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_crosseval_self_transfer_smoke(tmp_path, dataset_dir, monkeypatch):
     loaded = []
 

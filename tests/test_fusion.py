@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecatch import fusion
-from ecatch.autodiff import Tensor, finite_difference_gradient, no_grad
+from ecatch.autodiff import finite_difference_gradient
 from ecatch.fusion import FusionError, attention, block_pair, block_pairs
-from ecatch.params import AttentionBlock, ModelParams
+from ecatch.params import ModelParams
 from ecatch.trend import decay_weights
 from ecatch.windows import Window
 
-from conftest import DAY, as_node, five_nodes, make_dataset
+from conftest import DAY, chunk_gradients, five_stages, make_dataset
 
 
 def all_posts(ds):
@@ -59,25 +59,40 @@ def test_encode_identity_passthrough(rng):
     np.testing.assert_array_equal(t, x)
 
 
+PAIRS = (("att_text", "att_img"), ("att_ti", "att_it"))
+BLOCK_TENSORS = ("Wq", "Wk", "Wv", "Wo", "W_out", "b_out")
+
+
+def pair_names(cross):
+    """The tensors of the self (or the cross) pair's two blocks, in block order."""
+    return [f"fusion.{block}.{t}" for block in PAIRS[cross] for t in BLOCK_TENSORS]
+
+
 def random_blocks(rng, heads, dh, scale=1.0):
-    """Two attention blocks of random Tensors, and their arrays in block order."""
+    """Random arrays for two attention blocks, in block order."""
     d = heads * dh
     shapes = [(heads, d, dh)] * 3 + [(d, d), (d, d), (d,)]
-    arrays = [rng.normal(size=s) * scale for _ in range(2) for s in shapes]
-    tensors = [Tensor(a) for a in arrays]
-    return AttentionBlock(*tensors[:6]), AttentionBlock(*tensors[6:]), arrays, tensors
+    return [rng.normal(size=s) * scale for _ in range(2) for s in shapes]
+
+
+def pair(blocks, cross=False):
+    """The :func:`block_pair` pack and VJP of two blocks' arrays ``blocks``,
+    set as the self (or the cross) pair of otherwise zero parameters."""
+    params = ModelParams.build(blocks[3].shape[0], blocks[0].shape[0], 1, 1, zero=True)
+    for name, a in zip(pair_names(cross), blocks):
+        params[name].data = a
+    return block_pair(params, *PAIRS[cross], cross=cross)
 
 
 def stacked(x, blocks, cross=False, **kwargs):
     """One attention stage's output over the (2, ..., n, d) array ``x``."""
-    return attention(x, block_pair(*blocks, cross=cross).data, blocks[0].wq.shape[0], cross,
-                     **kwargs)[0]
+    return attention(x, pair(blocks, cross)[0], blocks[0].shape[0], cross, **kwargs)[0]
 
 
 def test_attention_single_key_ignores_query(rng):
     # With one key the softmax is 1, so a cross output does not see its
     # queries, and a self output is its own row's value path.
-    blocks = random_blocks(rng, 2, 2)[:2]
+    blocks = random_blocks(rng, 2, 2)
     x = rng.normal(size=(2, 3, 1, 4))
     y = x.copy()
     y[0] = rng.normal(size=(3, 1, 4)) * 50
@@ -88,7 +103,7 @@ def test_attention_single_key_ignores_query(rng):
 
 
 def test_attention_identical_keys_identical_rows(rng):
-    blocks = random_blocks(rng, 2, 2)[:2]
+    blocks = random_blocks(rng, 2, 2)
     x = np.stack([rng.normal(size=(5, 4)), np.tile(rng.normal(size=(1, 4)), (5, 1))])
     out = stacked(x, blocks, cross=True)
     assert np.allclose(out[0], out[0, 0])  # queries of x[0] over identical keys
@@ -100,13 +115,12 @@ def test_single_head_uniform_softmax_is_column_mean(rng):
     # output projections then average the value rows
     params = ModelParams.build(4, 1, 3, 3, zero=True)
     for name in ("att_text", "att_img", "att_ti", "att_it"):
-        block = params.block(name)
-        block.wv.data[...] = np.eye(4)[None]
-        block.wo.data[...] = np.eye(4)
-        block.w_out.data[...] = np.eye(4)
+        params[f"fusion.{name}.Wv"].data[...] = np.eye(4)[None]
+        params[f"fusion.{name}.Wo"].data[...] = np.eye(4)
+        params[f"fusion.{name}.W_out"].data[...] = np.eye(4)
     x = rng.normal(size=(2, 6, 4))
-    for cross, pair in enumerate(block_pairs(params)):
-        out = attention(x, pair.data, 1, bool(cross))[0]
+    for cross, pack in enumerate(block_pairs(params)[0]):
+        out = attention(x, pack, 1, bool(cross))[0]
         for m in range(2):
             direct = x[m if not cross else 1 - m].mean(axis=0)
             np.testing.assert_allclose(out[m], np.tile(direct, (6, 1)), atol=1e-12)
@@ -115,8 +129,8 @@ def test_single_head_uniform_softmax_is_column_mean(rng):
 def test_attention_rows_stochastic(rng):
     params = build_params(seed=5)
     x = rng.normal(size=(2, 3, 6, 4)) * 3
-    for cross, pair in enumerate(block_pairs(params)):
-        _, w, _ = attention(x, pair.data, 2, bool(cross), return_weights=True)
+    for cross, pack in enumerate(block_pairs(params)[0]):
+        _, w, _ = attention(x, pack, 2, bool(cross), return_weights=True)
         assert w.shape == (2, 3, 2, 6, 6)
         assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -161,17 +175,15 @@ def test_attention_node_matches_numpy_and_finite_differences(
         n, heads, dh, scale, post, cross, seed):
     d = heads * dh
     rng = np.random.default_rng(seed)
-    *_, weights, _ = random_blocks(rng, heads, dh)
+    weights = random_blocks(rng, heads, dh)
     arrays = [rng.normal(size=(2, n, d))] + weights
     g = rng.normal(size=(2, n, d))
 
     def attend(arrs):
-        tensors = [Tensor(a) for a in arrs]
-        pair = block_pair(AttentionBlock(*tensors[1:7]), AttentionBlock(*tensors[7:]), cross)
-        return as_node(attention(arrs[0], pair.data, heads, cross, scale, diagonal=post),
-                       tensors[0], pair), tensors
+        pack, pair_vjp = pair(arrs[1:], cross)
+        return (*attention(arrs[0], pack, heads, cross, scale, diagonal=post), pair_vjp)
 
-    out, tensors = attend(arrays)
+    out, vjp, pair_vjp = attend(arrays)
     divisor = np.sqrt(dh) if scale == "head" else np.sqrt(d)
     for m, (q, kv) in enumerate(sources(arrays[0], cross)):
         block = weights[6 * m:6 * m + 6]
@@ -180,33 +192,35 @@ def test_attention_node_matches_numpy_and_finite_differences(
         if n == 1 or dh == 1:
             # numpy computes a one-row or one-column product with gemv, whose
             # sums may round differently from the node's merged GEMM
-            assert_gemv_close(out.data[m], expected)
+            assert_gemv_close(out[m], expected)
             continue
-        assert out.data[m].tobytes() == expected.tobytes()
+        assert out[m].tobytes() == expected.tobytes()
         if post:  # each query sees only its own row: the value path
-            assert out.data[m].tobytes() == value_path.tobytes()
+            assert out[m].tobytes() == value_path.tobytes()
 
-    out.backward(g)
+    g_x, g_pack = vjp(g)
+    named = pair_vjp(g_pack)
+    grads = [g_x] + [named[k] for k in pair_names(cross)]
     if post:  # no score gradient, so no query or key projection learns
         for k in (1, 2, 7, 8):
-            assert np.all(tensors[k].grad == 0.0), k
+            assert np.all(grads[k] == 0.0), k
     # Rounding in f(x ± h) puts about eps * S / h into each central difference,
     # S being the sum of the |terms| that f adds up (|f| itself can cancel far
     # below S). For gradients below about 1e-4 * S the 1e-6 relative bound lies
     # under that floor; such draws showed up to 0.83 * eps * S / h of error.
     h = 1e-5
-    floor = 4 * np.finfo(np.float64).eps * float(np.abs(out.data * g).sum()) / h
-    for idx, tensor in enumerate(tensors):
+    floor = 4 * np.finfo(np.float64).eps * float(np.abs(out * g).sum()) / h
+    for idx, grad in enumerate(grads):
         def f(x, idx=idx):
-            return float((attend(arrays[:idx] + [x] + arrays[idx + 1:])[0].data * g).sum())
+            return float((attend(arrays[:idx] + [x] + arrays[idx + 1:])[0] * g).sum())
 
         fd = finite_difference_gradient(f, arrays[idx], h)
-        err = np.abs(fd - tensor.grad).max()
-        assert err <= max(1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max()), floor), idx
+        err = np.abs(fd - grad).max()
+        assert err <= max(1e-6 * max(np.abs(fd).max(), np.abs(grad).max()), floor), idx
 
 
 def test_attention_rejects_empty_keys(rng):
-    blocks = random_blocks(rng, 2, 2)[:2]
+    blocks = random_blocks(rng, 2, 2)
     with pytest.raises(FusionError):
         stacked(np.zeros((2, 0, 4)), blocks)
 
@@ -229,10 +243,10 @@ def symmetric_setup(rng, n=3):
 
 def test_equal_cross_outputs_pin_fusion(rng):
     ds, params = symmetric_setup(rng)
-    wf = five_nodes(ds, params, all_posts(ds))
-    c_ti, c_it = wf.cross.data
+    wf = five_stages(ds, params, all_posts(ds))
+    c_ti, c_it = wf.cross
     np.testing.assert_allclose(c_ti, c_it)
-    np.testing.assert_allclose(wf.fused.data, c_ti)
+    np.testing.assert_allclose(wf.fused, c_ti)
 
 
 def test_saturated_gate_selects_first_branch(rng):
@@ -240,24 +254,24 @@ def test_saturated_gate_selects_first_branch(rng):
     params = build_params(seed=7)
     params["fusion.W_g"].data[...] = 0.0
     params["fusion.b_g"].data[...] = 40.0
-    wf = five_nodes(ds, params, all_posts(ds))
-    assert np.abs(wf.fused.data - wf.cross.data[0]).max() < 1e-9
+    wf = five_stages(ds, params, all_posts(ds))
+    assert np.abs(wf.fused - wf.cross[0]).max() < 1e-9
 
 
 def test_single_post_window_finite(rng):
     ds = make_dataset(rng.normal(size=(1, 3)), image=rng.normal(size=(1, 3)))
-    wf = five_nodes(ds, build_params(seed=8), all_posts(ds))
-    assert wf.fused.data.shape == (1, 1, 4)
-    assert np.all(np.isfinite(wf.fused.data))
+    wf = five_stages(ds, build_params(seed=8), all_posts(ds))
+    assert wf.fused.shape == (1, 1, 4)
+    assert np.all(np.isfinite(wf.fused))
 
 
 def test_gate_bounds_and_convex_combination(rng):
     ds = make_dataset(rng.normal(size=(5, 3)), image=rng.normal(size=(5, 3)))
-    wf = five_nodes(ds, build_params(seed=9), all_posts(ds))
+    wf = five_stages(ds, build_params(seed=9), all_posts(ds))
     assert np.all(wf.gate > 0.0) and np.all(wf.gate < 1.0)
-    lo, hi = wf.cross.data.min(axis=0), wf.cross.data.max(axis=0)
-    assert np.all(wf.fused.data >= lo - 1e-12)
-    assert np.all(wf.fused.data <= hi + 1e-12)
+    lo, hi = wf.cross.min(axis=0), wf.cross.max(axis=0)
+    assert np.all(wf.fused >= lo - 1e-12)
+    assert np.all(wf.fused <= hi + 1e-12)
 
 
 def test_permutation_equivariance(rng):
@@ -266,8 +280,8 @@ def test_permutation_equivariance(rng):
     times = [10, 20, 30, 40]
     ds = make_dataset(x, image=img, timestamps=times, has_image=[True] * 4)
     params = build_params(seed=10)
-    a = five_nodes(ds, params, [[0, 1, 2, 3]]).fused.data[0]
-    b = five_nodes(ds, params, [[2, 0, 3, 1]]).fused.data[0]
+    a = five_stages(ds, params, [[0, 1, 2, 3]]).fused[0]
+    b = five_stages(ds, params, [[2, 0, 3, 1]]).fused[0]
     np.testing.assert_allclose(b, a[[2, 0, 3, 1]], atol=1e-12)
 
 
@@ -278,8 +292,8 @@ def test_post_scope_has_no_cross_post_flow(rng):
     x2[2] += 5.0
     ds2 = make_dataset(x2, image=np.zeros((3, 3)))
     params = build_params(seed=11)
-    out1 = five_nodes(ds1, params, all_posts(ds1), scope="post").fused.data[0]
-    out2 = five_nodes(ds2, params, all_posts(ds2), scope="post").fused.data[0]
+    out1 = five_stages(ds1, params, all_posts(ds1), scope="post").fused[0]
+    out2 = five_stages(ds2, params, all_posts(ds2), scope="post").fused[0]
     np.testing.assert_allclose(out1[:2], out2[:2])
     assert not np.allclose(out1[2], out2[2])
 
@@ -291,18 +305,17 @@ def test_fusion_gradients_match_finite_differences(rng):
     members, weights = all_posts(ds), np.array([[0.2, 0.3, 0.5]])
 
     def chunk():
-        return fusion.fuse_group(ds, params, members, weights, block_pairs(params))
+        return fusion.fuse_group(ds, params, members, weights, block_pairs(params)[0])
 
     def scalar():  # the sum of squared aggregate entries
-        return float(np.sum(chunk().data ** 2))
+        return float(np.sum(chunk()[0] ** 2))
 
-    agg = chunk()
-    params.zero_grads()
-    agg.backward(2.0 * agg.data)
+    agg, vjp = chunk()
+    grads = chunk_gradients(params, vjp, 2.0 * agg)
     for name in ("fusion.W_text", "fusion.att_ti.Wq", "fusion.W_g",
                  "fusion.att_img.b_out"):
         tensor = params[name]
-        analytic = tensor.grad.copy()
+        analytic = grads[name]
 
         def f(x, tensor=tensor):
             old = tensor.data.copy()
@@ -328,29 +341,28 @@ def test_fusion_gradients_match_finite_differences(rng):
 def test_batched_attention_matches_each_sequence_and_finite_differences(
         batch, n, heads, post, cross, seed):
     rng = np.random.default_rng(seed)
-    *_, weights, _ = random_blocks(rng, heads, 2)
+    weights = random_blocks(rng, heads, 2)
     arrays = [rng.normal(size=(2, batch, n, 2 * heads))] + weights
     g = rng.normal(size=(2, batch, n, 2 * heads))
 
     def attend(arrs):
-        tensors = [Tensor(a) for a in arrs]
-        pair = block_pair(AttentionBlock(*tensors[1:7]), AttentionBlock(*tensors[7:]), cross)
-        return as_node(attention(arrs[0], pair.data, heads, cross, diagonal=post),
-                       tensors[0], pair), tensors
+        pack, pair_vjp = pair(arrs[1:], cross)
+        return (*attention(arrs[0], pack, heads, cross, diagonal=post), pair_vjp)
 
-    out, tensors = attend(arrays)
+    out, vjp, pair_vjp = attend(arrays)
     for b in range(batch):
-        one, _ = attend([arrays[0][:, b]] + arrays[1:])
-        np.testing.assert_allclose(out.data[:, b], one.data, rtol=1e-12, atol=1e-14)
+        one = attend([arrays[0][:, b]] + arrays[1:])[0]
+        np.testing.assert_allclose(out[:, b], one, rtol=1e-12, atol=1e-14)
 
-    out.backward(g)
-    for idx, tensor in enumerate(tensors):
+    g_x, g_pack = vjp(g)
+    named = pair_vjp(g_pack)
+    for idx, grad in enumerate([g_x] + [named[k] for k in pair_names(cross)]):
         def f(x, idx=idx):
-            return float((attend(arrays[:idx] + [x] + arrays[idx + 1:])[0].data * g).sum())
+            return float((attend(arrays[:idx] + [x] + arrays[idx + 1:])[0] * g).sum())
 
         fd = finite_difference_gradient(f, arrays[idx])
-        err = np.abs(fd - tensor.grad).max()
-        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max(), 1e-3), idx
+        err = np.abs(fd - grad).max()
+        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(grad).max(), 1e-3), idx
 
 
 def head_grad(x, g_heads):
@@ -438,7 +450,7 @@ def burst_size_params(d=32, heads=4, seed=1):
     for name, tensor in params.items():
         if name.startswith("fusion.att_"):
             scale = 1.0 if name.endswith("b_out") else 1.0 / np.sqrt(d)
-            tensor.data = rng.normal(size=tensor.shape) * scale
+            tensor.data = rng.normal(size=tensor.data.shape) * scale
     return params
 
 
@@ -451,12 +463,12 @@ def test_attention_is_bitwise_the_out_of_place_softmax_at_burst_size(batch, n, d
     rng = np.random.default_rng(batch * 1000 + n)
     params = burst_size_params(d, heads)
     c = 1.0 / np.sqrt(d / heads)
-    for cross, pair in enumerate(block_pairs(params)):
+    for cross, pack in enumerate(block_pairs(params)[0]):
         x = rng.normal(size=(2, batch, n, d))
         g_out = rng.normal(size=(2, batch, n, d))
-        out, p, vjp = attention(x, pair.data, heads, bool(cross), diagonal=diagonal,
+        out, p, vjp = attention(x, pack, heads, bool(cross), diagonal=diagonal,
                                 return_weights=True)
-        ref_out, ref_p, ref_grads = out_of_place_stacked(x, pair.data, heads, cross, c,
+        ref_out, ref_p, ref_grads = out_of_place_stacked(x, pack, heads, cross, c,
                                                          diagonal, g_out)
         assert out.tobytes() == ref_out.tobytes()
         assert p.tobytes() == ref_p.tobytes()
@@ -483,16 +495,14 @@ def test_two_nodes_match_four_per_block_passes(batch, n):
     c = 1.0 / np.sqrt(d / heads)
     x = rng.normal(size=(2, batch, n, d))
     g_out = rng.normal(size=(2, 2, batch, n, d))
-    names = (("att_text", "att_img"), ("att_ti", "att_it"))
-    for cross, (pair, blocks) in enumerate(zip(block_pairs(params), names)):
-        out, vjp = attention(x, pair.data, heads, bool(cross))
+    for cross, (pack, pair_vjp) in enumerate(zip(*block_pairs(params))):
+        out, vjp = attention(x, pack, heads, bool(cross))
         g_x, g_pair = vjp(g_out[cross])
-        g_weights = pair._vjp(g_pair)
+        g_weights = pair_vjp(g_pair)
         ref_gx = np.zeros_like(x)
         for m, (q, kv) in enumerate(sources(x, cross)):
-            block = params.block(blocks[m])
-            weights = [t.data for t in (block.wq, block.wk, block.wv, block.wo, block.w_out,
-                                        block.b_out)]
+            names = [f"fusion.{PAIRS[cross][m]}.{t}" for t in BLOCK_TENSORS]
+            weights = [params[name].data for name in names]
             ref, grads = out_of_place_attention(q, kv, kv, *weights, c, False,
                                                 g_out[cross, m])
             if n == 1:
@@ -501,16 +511,14 @@ def test_two_nodes_match_four_per_block_passes(batch, n):
                 assert out[m].tobytes() == ref.tobytes(), (cross, m)
             ref_gx[m] += grads[0]
             ref_gx[1 - m if cross else m] += grads[1] + grads[2]
-            for t, want in zip((block.wq, block.wk, block.wv, block.wo, block.w_out,
-                                block.b_out), grads[3:]):
-                got = g_weights[next(k for k, p in enumerate(pair._parents) if p is t)]
-                assert_close_to_per_head(got, want)
+            for name, want in zip(names, grads[3:]):
+                assert_close_to_per_head(g_weights[name], want)
         assert_close_to_per_head(g_x, ref_gx)
         x = out  # the cross stage reads the self stage's output
 
 
 def test_attention_forward_holds_one_score_buffer():
-    # Without a graph each node's peak allocation is one (1, H, n, n) score
+    # Without a VJP each stage's peak allocation is one (1, H, n, n) score
     # buffer plus (n, d)-sized rows: a window this big runs its modalities
     # one after the other, and each out-of-place softmax step would add a
     # buffer of its own.
@@ -518,18 +526,16 @@ def test_attention_forward_holds_one_score_buffer():
     rng = np.random.default_rng(0)
     params = build_params(d=d, heads=heads, d_text=d, d_img=d, seed=1)
     x = rng.normal(size=(2, 1, n, d))
-    with no_grad():
-        pairs = block_pairs(params)
-        for cross, pair in enumerate(pairs):
-            attention(x, pair.data, heads, bool(cross))  # warm any lazy set-up outside the trace
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                attention(x, pair.data, heads, bool(cross))
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 * heads * n * n * 8, (cross, peak / (heads * n * n * 8))
+    for cross, pack in enumerate(block_pairs(params)[0]):
+        attention(x, pack, heads, bool(cross), keep=False)  # warm any lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            attention(x, pack, heads, bool(cross), keep=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * heads * n * n * 8, (cross, peak / (heads * n * n * 8))
 
 
 def test_window_groups_cut_same_size_chunks():
@@ -565,13 +571,13 @@ def test_group_pass_matches_one_window_passes(rng):
                       timestamps=np.arange(9) * 100)
     params = build_params(seed=13)
     group = np.arange(9).reshape(3, 3)
-    together = five_nodes(ds, params, group)
+    together = five_stages(ds, params, group)
     assert together.fused.shape == (3, 3, 4)
     for k in range(3):
-        alone = five_nodes(ds, params, group[k:k + 1])
-        np.testing.assert_allclose(together.cross.data[:, k], alone.cross.data[:, 0],
+        alone = five_stages(ds, params, group[k:k + 1])
+        np.testing.assert_allclose(together.cross[:, k], alone.cross[:, 0],
                                    rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(together.fused.data[k], alone.fused.data[0],
+        np.testing.assert_allclose(together.fused[k], alone.fused[0],
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(together.gate[k], alone.gate[0], rtol=1e-12, atol=1e-15)
 
@@ -581,9 +587,10 @@ def test_fuse_window_is_a_one_row_chunk(rng):
     ds = make_dataset(rng.normal(size=(4, 3)), image=rng.normal(size=(4, 3)))
     params = build_params(seed=14)
     weights = np.array([[0.5, 0.2, 0.3]])
-    alone = fusion.fuse_window(ds, params, Window(1, 0, 1, (3, 1, 2)), weights)
-    chunk = fusion.fuse_group(ds, params, np.array([[3, 1, 2]]), weights, block_pairs(params))
-    np.testing.assert_array_equal(alone.data, chunk.data)
+    alone, _ = fusion.fuse_window(ds, params, Window(1, 0, 1, (3, 1, 2)), weights)
+    chunk, _ = fusion.fuse_group(ds, params, np.array([[3, 1, 2]]), weights,
+                                 block_pairs(params)[0])
+    np.testing.assert_array_equal(alone, chunk)
 
 
 @settings(max_examples=40, deadline=None)
@@ -597,8 +604,9 @@ def test_fuse_window_is_a_one_row_chunk(rng):
 @example(batch=1, n=95, scope="window", scale="head", seed=0)  # one modality at a time
 @example(batch=1, n=95, scope="post", scale="model", seed=1)
 def test_chunk_node_is_the_five_node_composition_bitwise(batch, n, scope, scale, seed):
-    # One node whose VJP calls the stage VJPs against one engine node per
-    # stage: inside a chunk no gradient is summed, so the bytes are the same.
+    # fuse_group's one VJP against the stages called one by one and their
+    # VJPs chained by hand: inside a chunk no gradient is summed, so the
+    # bytes are the same.
     rng = np.random.default_rng(seed)
     ds = make_dataset(rng.normal(size=(batch * n, 3)), image=rng.normal(size=(batch * n, 3)),
                       timestamps=rng.integers(0, 5 * DAY, size=batch * n))
@@ -606,14 +614,30 @@ def test_chunk_node_is_the_five_node_composition_bitwise(batch, n, scope, scale,
     members = rng.permutation(batch * n).reshape(batch, n)
     weights = decay_weights(ds, members, 1.0 / DAY)
     g = rng.normal(size=(batch, params.d))
+    packs, pair_vjps = block_pairs(params)
+    fusion_names = [name for name in params.names() if name.startswith("fusion.")]
     runs = []
-    for chunk in (fusion.fuse_group, lambda *args: five_nodes(*args).aggregate):
-        params.zero_grads()
-        out = chunk(ds, params, members, weights, block_pairs(params), scope, scale)
-        out.backward(g)
-        runs.append([out.data.tobytes()] + [t.grad.tobytes() for name, t in params.items()
-                                            if name.startswith("fusion.")])
+    for chunk in (fusion.fuse_group, lambda *args: five_stages(*args)[3:]):
+        out, vjp = chunk(ds, params, members, weights, packs, scope, scale)
+        grads = chunk_gradients(params, vjp, g, pair_vjps)
+        assert sorted(grads) == sorted(fusion_names)
+        runs.append([out.tobytes()] + [grads[name].tobytes() for name in fusion_names])
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("n", [3, 95], ids=["both-modalities", "one-modality-at-a-time"])
+def test_fuse_group_without_keep_is_bitwise_the_same_and_keeps_no_vjp(rng, n):
+    # Scoring fuses with keep=False: the same aggregates, and no VJP.
+    ds = make_dataset(rng.normal(size=(2 * n, 3)), image=rng.normal(size=(2 * n, 3)),
+                      timestamps=rng.integers(0, 5 * DAY, size=2 * n))
+    params = build_params(d=8, heads=2, seed=3)
+    members = rng.permutation(2 * n).reshape(2, n)
+    weights = decay_weights(ds, members, 1.0 / DAY)
+    packs = block_pairs(params)[0]
+    kept, vjp = fusion.fuse_group(ds, params, members, weights, packs)
+    scored, none = fusion.fuse_group(ds, params, members, weights, packs, keep=False)
+    assert callable(vjp) and none is None
+    assert scored.tobytes() == kept.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -630,36 +654,33 @@ def test_gate_node_matches_numpy_and_finite_differences(batch, n, d, shift, seed
     arrays = [rng.normal(size=(2, batch, n, d)), rng.normal(size=(d, 2 * d)),
               rng.normal(size=d) + shift]
     g = rng.normal(size=(batch, n, d))
-    tensors = [Tensor(a) for a in arrays]
-    out, gate = as_node(fusion.gate(*arrays), *tensors)
+    out, gate, vjp = fusion.gate(*arrays)
 
     (c_ti, c_it), w, b = arrays
     ref = 1.0 / (1.0 + np.exp(-(np.concatenate([c_ti, c_it], axis=-1) @ w.T + b)))
     np.testing.assert_allclose(gate, ref, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(out.data, ref * c_ti + (1.0 - ref) * c_it, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(out, ref * c_ti + (1.0 - ref) * c_it, rtol=1e-12, atol=1e-15)
     assert np.all((gate > 0.0) & (gate < 1.0))
 
-    out.backward(g)
-    for idx, tensor in enumerate(tensors):
+    for idx, grad in enumerate(vjp(g)):
         def f(x, idx=idx):
             args = arrays[:idx] + [x] + arrays[idx + 1:]
             return float((fusion.gate(*args)[0] * g).sum())
 
         fd = finite_difference_gradient(f, arrays[idx])
-        err = np.abs(fd - tensor.grad).max()
-        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(tensor.grad).max(), 1e-3), idx
+        err = np.abs(fd - grad).max()
+        assert err <= 1e-6 * max(np.abs(fd).max(), np.abs(grad).max(), 1e-3), idx
 
 
 @pytest.mark.parametrize("bias, chosen", [(800.0, 0), (-800.0, 1)])
 def test_saturated_gate_node_passes_one_branch_and_no_gate_gradient(rng, bias, chosen):
     arrays = [rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(4, 8)) * 0.1, np.full(4, bias)]
-    tensors = [Tensor(a) for a in arrays]
-    out, gate = as_node(fusion.gate(*arrays), *tensors)
+    out, gate, vjp = fusion.gate(*arrays)
     assert np.all(gate == (1.0 if chosen == 0 else 0.0))
-    np.testing.assert_array_equal(out.data, arrays[0][chosen])
+    np.testing.assert_array_equal(out, arrays[0][chosen])
     g = rng.normal(size=(2, 3, 4))
-    out.backward(g)
-    np.testing.assert_array_equal(tensors[0].grad[chosen], g)
-    assert np.all(tensors[0].grad[1 - chosen] == 0.0)  # the other branch
-    for k in (1, 2):  # the gate's weights
-        assert np.all(tensors[k].grad == 0.0), k
+    g_cross, *g_weights = vjp(g)
+    np.testing.assert_array_equal(g_cross[chosen], g)
+    assert np.all(g_cross[1 - chosen] == 0.0)  # the other branch
+    for k, grad in enumerate(g_weights):  # the gate's weights
+        assert np.all(grad == 0.0), k

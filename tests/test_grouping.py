@@ -48,16 +48,6 @@ def flat_windows(events, windows):
             for w in windows[ev.event_id].windows]
 
 
-def _tape(*roots):
-    seen, stack = {}, list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return list(seen.values())
-
-
 def test_layout_covers_the_grouping_cases():
     ds, events, windows, _, _ = keyed_problem(LAYOUT)
     assert {e: tuple(len(w.members) for w in windows[e].windows) for e in LAYOUT} == LAYOUT
@@ -69,34 +59,40 @@ def test_layout_covers_the_grouping_cases():
     assert [members.shape for _, members in chunks] == [(2, 1), (4, 2), (1, 3), (1, 5)]
 
 
-def test_one_forward_makes_two_attention_nodes_per_chunk():
-    # One self- and one cross-attention node per chunk, each applying two
-    # blocks; the pass builds each pair's weight node once.
+def test_one_forward_makes_two_attention_nodes_per_chunk(monkeypatch):
+    # One self- and one cross-attention stage per chunk, each applying two
+    # blocks; the pass builds each pair's weight pack once.
     ds, events, windows, params, cfg = keyed_problem(LAYOUT)
-    out = training.run_model(ds, events, windows, params, cfg)
-    nodes = _tape(out.states)
+    calls = []
+    for name in ("attention", "block_pair"):
+        def counted(*args, real=getattr(fusion, name), name=name, **kwargs):
+            calls.append((name, args[3] if name == "attention" else kwargs.get("cross")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, name, counted)
+    _, vjps = training.run_model(ds, events, windows, params, cfg)
     n_chunks = len(fusion.window_groups(flat_windows(events, windows)))
     assert n_chunks == 4 < len(flat_windows(events, windows))
-    pairs = [n for n in nodes if any(p is params["fusion.att_text.Wq"] for p in n._parents)
-             or any(p is params["fusion.att_ti.Wq"] for p in n._parents)]
-    assert len(pairs) == 2
-    for pair in pairs:
-        assert sum(any(p is pair for p in n._parents) for n in nodes) == n_chunks
+    assert calls == [("block_pair", None), ("block_pair", True)] + \
+        [("attention", False), ("attention", True)] * n_chunks
+    assert len(vjps["pairs"]) == 2 and len(vjps["chunks"]) == n_chunks
 
 
 def test_each_attention_block_is_one_node_per_chunk():
-    # All six tensors of a block enter one weight node, shared with the other
-    # block of its pair, and that node enters one attention node per chunk.
+    # All six tensors of a block enter one weight pack, shared with the other
+    # block of its pair, and every chunk reads both packs.
     ds, events, windows, params, cfg = keyed_problem(LAYOUT)
-    nodes = _tape(training.run_model(ds, events, windows, params, cfg).states)
-    n_chunks = len(fusion.window_groups(flat_windows(events, windows)))
+    _, vjps = training.run_model(ds, events, windows, params, cfg)
+    d = params.d
+    named = [set(vjp(np.zeros((2, d, 5 * d + 1)))) for vjp in vjps["pairs"]]
     for block in ATT_BLOCKS:
-        tensors = [params[f"fusion.{block}.{t}"]
-                   for t in ("Wq", "Wk", "Wv", "Wo", "W_out", "b_out")]
-        users = [n for n in nodes if any(any(p is t for p in n._parents) for t in tensors)]
-        assert len(users) == 1, block
-        assert all(any(p is t for p in users[0]._parents) for t in tensors), block
-        assert sum(any(p is users[0] for p in n._parents) for n in nodes) == n_chunks, block
+        tensors = {f"fusion.{block}.{t}" for t in ("Wq", "Wk", "Wv", "Wo", "W_out", "b_out")}
+        users = [names for names in named if names & tensors]
+        assert len(users) == 1 and tensors <= users[0], block
+    chunks = fusion.window_groups(flat_windows(events, windows))
+    for (positions, _), vjp in zip(chunks, vjps["chunks"], strict=True):
+        packs, _ = vjp(np.ones((len(positions), d)))
+        assert [p.shape for p in packs] == [(2, d, 5 * d + 1)] * 2
 
 
 def score(ds, events, windows, params, cfg):

@@ -6,9 +6,10 @@ from conftest import DAY, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecatch import autodiff, fusion, pipeline, training
+from ecatch import fusion, pipeline, training
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
+from ecatch.data import assign_splits
 from ecatch.metrics import evaluate
 from ecatch.params import ModelParams
 from ecatch.windows import segment_all
@@ -44,24 +45,16 @@ def _peak(fn):
         tracemalloc.stop()
 
 
-def test_scoring_keeps_no_tape(monkeypatch):
+def test_scoring_keeps_no_tape():
     ds, events, windows, params, cfg = bursty_problem()
     members = sorted(len(w.members) for s in windows.values() for w in s.windows)
     assert members[-1] >= 10 * members[len(members) // 2]
 
-    taped, taped_peak = _peak(lambda: training.run_model(ds, events, windows, params, cfg))
-    made = []
-    init = autodiff.Tensor.__init__
-
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(autodiff.Tensor, "__init__", recorded)
+    (taped, vjps), taped_peak = _peak(
+        lambda: training.run_model(ds, events, windows, params, cfg))
+    assert vjps is not None
     (p_post, p_event), peak = _peak(
         lambda: pipeline.predictions(ds, events, windows, params, cfg))
-    assert made
-    assert all(t._parents == () and t._vjp is None for t in made)
     assert peak < taped_peak, (peak, taped_peak)
     assert p_post.tobytes() == taped.p_post.tobytes()
     assert np.array(list(p_event.items())).tobytes() == \
@@ -87,21 +80,13 @@ def _arrays(value, seen):
             yield from _arrays(cell.cell_contents, seen)
 
 
-def _tape_buffers(*roots):
-    """The distinct buffers that the tape under ``roots`` reaches, parameters
-    aside: the data of its non-leaf nodes and the arrays its VJPs hold."""
-    nodes, stack, seen = [], list(roots), set()
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
-    leaves = {id(_owner(t.data)) for t in nodes if not t._parents}
-    held, closures = {}, set()
-    for a in [t.data for t in nodes if t._parents] + list(_arrays([t._vjp for t in nodes],
-                                                                    closures)):
-        if id(_owner(a)) not in leaves:
+def _held_buffers(vjps, params):
+    """The distinct buffers that the VJPs ``vjps`` of ``ForwardArtifacts``
+    hold, nested closures included, parameters aside."""
+    owned = {id(_owner(t.data)) for _, t in params.items()}
+    held = {}
+    for a in _arrays(list(vjps.values()), set()):
+        if id(_owner(a)) not in owned:
             held[id(_owner(a))] = _owner(a)
     return list(held.values())
 
@@ -117,12 +102,16 @@ def _holds_rows_of(buffer, table):
 def test_tape_keeps_probabilities_not_projections_head_outputs_or_encoder_rows():
     # An attention stage keeps only its softmax probabilities for its VJP,
     # which rebuilds the q/k/v projections, the head outputs and the encoder
-    # rows; the gate's fused rows are not kept at all. With one node per
-    # stage the tape held 408,384 B here, 2,244 B per window membership.
+    # rows; the gate's fused rows are not kept at all. A graph of one node per
+    # fusion chunk held 405,243 B here under the epoch loss, and 396,736 B
+    # (2,180 B per window membership) without the loss's own arrays.
     ds, events, windows, params, cfg = bursty_problem()
-    out = training.run_model(ds, events, windows, params, cfg)
-    held = _tape_buffers(out.states)
-    assert sum(b.nbytes for b in held) <= 408_384
+    ds = assign_splits(ds, cfg.split_fractions(), cfg["seed"])
+    art = training.forward(ds, events, windows, params, cfg)
+    held = _held_buffers(art.vjps, params)
+    assert sum(b.nbytes for b in held) <= 405_243
+    del art.vjps["loss"]
+    assert sum(b.nbytes for b in _held_buffers(art.vjps, params)) <= 396_736
     assert not [b.shape for b in held if b.shape[-1] == 3 * params.d]
     assert not [b.shape for b in held
                 if _holds_rows_of(b, ds.text) or _holds_rows_of(b, ds.image)]

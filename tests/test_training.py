@@ -1,9 +1,9 @@
-import dataclasses
 import functools
 import gc
 import json
 import math
 import operator
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecatch import fusion, pipeline, training
-from ecatch.autodiff import Tensor, finite_difference_gradient, no_grad
+from ecatch.autodiff import finite_difference_gradient
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
 from ecatch.data import Dataset, assign_splits
@@ -86,14 +86,21 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
 
     # direct evaluation: encode -> self/cross attention collapse to affine
     # chains on one row -> gate -> lstm on [P; 0; 0] -> sigmoid readout
-    agg = fusion.fuse_group(ds, params, np.array([windows[0].windows[0].members]),
-                            np.ones((1, 1)), fusion.block_pairs(params))
-    feats = features(agg, cfg["trend.beta"])
-    hidden = run_lstm(feats, params)
-    logit = (hidden.data @ params["clf.W_c"].data.T
+    agg, _ = fusion.fuse_group(ds, params, np.array([windows[0].windows[0].members]),
+                               np.ones((1, 1)), fusion.block_pairs(params)[0])
+    feats, _ = features(agg, cfg["trend.beta"])
+    hidden, _ = run_lstm(feats, params)
+    logit = (hidden @ params["clf.W_c"].data.T
              + params["clf.b_c"].data)
     expected = 1.0 / (1.0 + np.exp(-logit[0, 0]))
     assert art.report.p_post[0] == pytest.approx(expected)
+
+
+def constant_loss(art):
+    """``art`` with its loss held constant: the loss's VJP passes zeros on."""
+    loss_vjp = art.vjps["loss"]
+    art.vjps["loss"] = lambda g: loss_vjp(0.0 * g)
+    return art
 
 
 def test_reg_only_gradient_is_linear_in_params():
@@ -101,7 +108,7 @@ def test_reg_only_gradient_is_linear_in_params():
     cfg = cfg.updated({"loss.lambda_tc": 0.0, "loss.lambda_reg": 0.03})
     art = forward(ds, events, windows, params, cfg)
     # A constant loss leaves only the closed-form regularizer gradient.
-    grads = backward(dataclasses.replace(art, loss=Tensor(0.0)))
+    grads = backward(constant_loss(art))
     for name, tensor in params.items():
         np.testing.assert_allclose(grads[name], 2 * 0.03 * tensor.data)
 
@@ -121,16 +128,15 @@ def test_forward_gradients_match_finite_differences(seed, n_posts, overrides):
     # pairs that the clamp keeps (here some pair is clamped and some is kept).
     ds, events, windows, params, cfg = toy_problem(seed, n_posts=n_posts)
     cfg = cfg.updated(overrides)
-    readout = training.run_model(ds, events, windows, params, cfg)
-    kept, _ = tc_terms(readout.states.data, cfg["loss.tc_clamp"], readout.offsets)
-    every, _ = tc_terms(readout.states.data, False, readout.offsets)
+    readout, _ = training.run_model(ds, events, windows, params, cfg)
+    kept, _ = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
+    every, _ = tc_terms(readout.states, False, readout.offsets)
     assert kept.sum() != 0.0 and (kept != every).any() == cfg["loss.tc_clamp"]
     analytic = backward(forward(ds, events, windows, params, cfg))
 
     def total_with(tensor, x):
         tensor.data = x
-        with no_grad():
-            return forward(ds, events, windows, params, cfg).report.total
+        return forward(ds, events, windows, params, cfg).report.total
 
     for name, tensor in params.items():
         orig = tensor.data
@@ -154,7 +160,7 @@ def test_zero_parameter_gradients_match_quadratic_form():
     cfg0 = cfg.updated({"loss.lambda_tc": 0.0})
     art = forward(ds, events, windows, zero, cfg0)
     # A constant loss leaves only the closed-form regularizer gradient.
-    grads = backward(dataclasses.replace(art, loss=Tensor(0.0)))
+    grads = backward(constant_loss(art))
     for name in zero.names():
         np.testing.assert_allclose(grads[name], 0.0)
 
@@ -196,64 +202,108 @@ def test_gradients_add_up_over_events(seed):
         np.testing.assert_allclose(g, sum(p[name] for p in parts), rtol=0, atol=1e-12)
 
 
-def _tape(*roots) -> list[Tensor]:
-    seen: dict[int, Tensor] = {}
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return list(seen.values())
+def held_vjps(vjps) -> list:
+    """The VJPs of ``ForwardArtifacts.vjps`` or ``run_model``'s, in one list."""
+    return [v for value in vjps.values() for v in (value if isinstance(value, list) else [value])]
 
 
 def test_one_lstm_node_and_one_readout_node_per_pass():
-    # The classifier reads the states out in the loss node only; a pass that
-    # only scores makes no node for it.
+    # One LSTM VJP for all events, and the classifier's gradient comes from
+    # the loss's VJP only; a pass that only scores keeps no VJP.
     ds, events, _, params, cfg = toy_problem(0)
     windows = segment_all(events, ds, 2 * DAY, DAY)
     assert all(len(windows[ev.event_id].windows) > 1 for ev in events)
-    out = training.run_model(ds, events, windows, params, cfg)
-    loss = forward(ds, events, windows, params, cfg).loss
-    for roots, name, count in (((out.states,), "lstm.W_i", 1), ((out.states,), "clf.W_c", 0),
-                               ((loss,), "clf.W_c", 1), ((loss,), "clf.b_c", 1)):
-        users = [n for n in _tape(*roots) if any(p is params[name] for p in n._parents)]
-        assert len(users) == count, name
+    _, vjps = training.run_model(ds, events, windows, params, cfg)
+    assert "loss" not in vjps and len(held_vjps(vjps)) == len(vjps["chunks"]) + 4
+    assert training.run_model(ds, events, windows, params, cfg, keep=False)[1] is None
+    vjps = forward(ds, events, windows, params, cfg).vjps
+    assert len(held_vjps(vjps)) == len(vjps["chunks"]) + 5
+    g_states, named = vjps["loss"](1.0)
+    assert list(named) == ["clf.W_c", "clf.b_c"]
+    _, named = vjps["lstm"](g_states)
+    assert sorted(named) == sorted(n for n in params.names() if n.startswith("lstm."))
 
 
-def _kind(node) -> str:
-    """The function whose VJP closure a node holds; '' for a leaf."""
-    return node._vjp.__qualname__.split(".<locals>")[0] if node._vjp else ""
+def _kind(vjp) -> str:
+    """The function that made a VJP closure."""
+    return vjp.__qualname__.split(".<locals>")[0]
 
 
 def test_epoch_tape_holds_only_fused_nodes():
-    # 1 node per fusion chunk, 2 attention weight nodes per fusion pass, and
-    # 3 for all events: the trend input, which reads the chunks' aggregates in
-    # event order, the LSTM, and the epoch loss over the states and the
-    # classifier; the leaves are the parameters. No node is made per event.
+    # 1 VJP per fusion chunk, 2 for the attention weight packs, and 3 for all
+    # events: the trend input, which reads the chunks' aggregates in event
+    # order, the LSTM, and the epoch loss over the states and the classifier.
+    # None is made per event.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
     flat = [w for ev in events for w in windows[ev.event_id].windows]
     chunks, n_events = len(fusion.window_groups(flat)), len(events)
     assert chunks == 3 and n_events == 2
-    tape = _tape(forward(ds, events, windows, params, cfg).loss)
-    assert Counter(_kind(n) for n in tape) == {
-        "": len(params.names()),
+    held = held_vjps(forward(ds, events, windows, params, cfg).vjps)
+    assert Counter(_kind(v) for v in held) == {
         "fuse_group": chunks,
         "block_pair": 2,
         "trend_features": 1,
         "run_lstm": 1,
         "epoch_loss": 1,
     }
-    assert {id(n) for n in tape if not n._parents} == {id(t) for _, t in params.items()}
-    assert len(tape) - len(params.names()) == chunks + 2 + 3
+    assert len(held) == chunks + 2 + 3
 
 
 def test_backward_leaves_gradients_on_parameters_only():
     ds, events, windows, params, cfg = toy_problem(0)
+    grads = backward(forward(ds, events, windows, params, cfg))
+    assert list(grads) == params.names()
+    assert all(grads[name].shape == t.data.shape for name, t in params.items())
+
+
+def test_second_backward_on_one_forward_raises():
+    ds, events, windows, params, cfg = toy_problem(0)
     art = forward(ds, events, windows, params, cfg)
-    leaves = [n for n in _tape(art.loss) if not n._parents]
     backward(art)
-    assert {id(n) for n in leaves if n.grad is not None} <= {id(t) for _, t in params.items()}
+    with pytest.raises(TrainingError, match="backward already ran on this forward"):
+        backward(art)
+
+
+def test_backward_drops_each_vjp_once_it_has_run():
+    # A chunk's VJP, and with it its attention probabilities, is gone before
+    # the next chunk's runs; after the walk no VJP of the epoch is left.
+    ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
+    art = forward(ds, events, windows, params, cfg)
+    refs = [weakref.ref(v) for v in held_vjps(art.vjps)]
+    chunks = [weakref.ref(v) for v in art.vjps["chunks"]]
+    alive = []
+
+    def watched(vjp):
+        def call(g):
+            alive.append([r() is not None for r in chunks])
+            return vjp(g)
+        return call
+
+    art.vjps["chunks"] = [watched(v) for v in art.vjps["chunks"]]
+    backward(art)
+    n = len(chunks)
+    assert n == 3 and alive == [[j >= k for j in range(n)] for k in range(n)]
+    assert art.vjps is None and not [r for r in refs if r() is not None]
+
+
+def test_backward_sums_shared_gradients_in_chunk_order():
+    # The encoder, the gate and both weight packs get one gradient per chunk,
+    # added up in chunk order: the bytes of calling the VJPs one by one.
+    ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
+    lambda_reg = cfg["loss.lambda_reg"]
+    grads = backward(forward(ds, events, windows, params, cfg))
+    vjps = forward(ds, events, windows, params, cfg).vjps
+    g_x, _ = vjps["lstm"](vjps["loss"](1.0)[0])
+    by_chunk = [vjp(g) for vjp, g in zip(vjps["chunks"], vjps["trend"](g_x), strict=True)]
+    assert len(by_chunk) > 2
+    want = {name: functools.reduce(operator.add, [named[name] for _, named in by_chunk])
+            for name in by_chunk[0][1]}
+    for pair_vjp, packs in zip(vjps["pairs"], zip(*(packs for packs, _ in by_chunk))):
+        want.update(pair_vjp(functools.reduce(operator.add, packs)))
+    assert len(want) == 6 + 24
+    for name, g in want.items():
+        g = g + 2.0 * lambda_reg * params[name].data
+        assert grads[name].tobytes() == g.tobytes(), name
 
 
 def _rebuilt(ds: Dataset, **fields) -> Dataset:
@@ -350,7 +400,7 @@ def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, i
     assert np.all((report.p_post > 0.0) & (report.p_post < 1.0))
     # The reported sums, per event in term order and then across events,
     # bitwise, over the terms that mining kept.
-    readout = training.run_model(ds, events, windows, params, cfg)
+    readout, _ = training.run_model(ds, events, windows, params, cfg)
     terms, _ = ce_terms(readout, ds.labels, ds.train_mask(), cfg["loss.epsilon"],
                         cfg["weights.adaptive"], scope)
     if mined:
@@ -358,7 +408,7 @@ def test_drawn_edge_cases_stay_finite(sizes, same_time, stride_is_span, scope, i
     ce_by_event = [functools.reduce(operator.add, terms.value[terms.event == k].tolist(), 0.0)
                    for k in range(len(events))]
     assert report.ce == sum(ce_by_event)
-    tc_by_event, _ = tc_terms(readout.states.data, cfg["loss.tc_clamp"], readout.offsets)
+    tc_by_event, _ = tc_terms(readout.states, cfg["loss.tc_clamp"], readout.offsets)
     assert tc_by_event.size == len(events)
     assert report.tc == sum(tc_by_event.tolist())
     if untrained_last and len(sizes) > 1:
@@ -493,8 +543,8 @@ def test_one_class_validation_split_ranks_no_epoch(metric):
 
 
 def test_epoch_tape_has_no_reference_cycles():
-    # Reference counting alone frees the whole tape: no node may sit on a
-    # cycle, so the collector finds nothing once the collector was held off.
+    # Reference counting alone frees an epoch's VJPs and all they hold: none
+    # may sit on a cycle, so the collector finds nothing once it was held off.
     ds, events, windows, params, cfg = toy_problem(3)
     gc.collect()
     gc.disable()
@@ -525,25 +575,29 @@ def test_train_and_scoring_leave_the_collector_on(monkeypatch):
     assert all(enabled for _, enabled in seen)
 
 
-def _live_tensors() -> int:
+def _live_vjps() -> int:
     gc.collect()
-    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+    return sum(callable(o) and getattr(o, "__name__", "") == "vjp" for o in gc.get_objects())
 
 
 def test_train_holds_one_tape_at_a_time(monkeypatch):
+    # No VJP of an epoch outlives its backward, and each epoch makes as many.
     ds, events, windows, _, cfg = toy_problem(9)
     cfg = cfg.updated({"train.epochs": 3})
-    at_entry = []
+    at_entry, made = [], []
     real_forward = training.forward
 
     def counting_forward(*args, **kwargs):
-        at_entry.append(_live_tensors())
-        return real_forward(*args, **kwargs)
+        at_entry.append(_live_vjps())
+        art = real_forward(*args, **kwargs)
+        made.append(_live_vjps())
+        return art
 
     monkeypatch.setattr(training, "forward", counting_forward)
     res = train(ds, events, windows, cfg)
     assert len(res.history) == 3
-    assert at_entry == [at_entry[0]] * 3
+    assert at_entry == [0] * 3
+    assert made == [made[0]] * 3 and made[0] > 0
 
 
 def _nan_parameter_at_epoch_1(monkeypatch):

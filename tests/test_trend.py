@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecatch.autodiff import Tensor, finite_difference_gradient
+from ecatch import trend
+from ecatch.autodiff import finite_difference_gradient
 from ecatch.fusion import block_pairs, fuse_group
 from ecatch.params import LSTM_GATES, ModelParams
 from ecatch.trend import (
@@ -13,7 +16,7 @@ from ecatch.trend import (
     trend_features,
 )
 
-from conftest import DAY, features, five_nodes, make_dataset
+from conftest import DAY, features, five_stages, make_dataset
 
 
 def all_posts(ds):
@@ -29,24 +32,24 @@ def posts(rng, timestamps):
 
 
 def fused_and_aggregated(ds, members, alpha, params=None):
-    """A chunk's (B, n, d) fused rows, stage by stage, and the chunk node's
-    (B, d) aggregates of them under decay ``alpha``."""
+    """A chunk's (B, n, d) fused rows, stage by stage, and ``fuse_group``'s
+    (B, d) aggregates of them under decay ``alpha`` with their VJP."""
     params = ModelParams.build(3, 1, 2, 2, seed=3) if params is None else params
-    node = fuse_group(ds, params, members, decay_weights(ds, members, alpha),
-                      block_pairs(params))
-    return five_nodes(ds, params, members).fused.data, node
+    chunk = fuse_group(ds, params, members, decay_weights(ds, members, alpha),
+                       block_pairs(params)[0])
+    return five_stages(ds, params, members).fused, chunk
 
 
 def test_alpha_zero_is_plain_mean(rng):
     ds = posts(rng, [0, DAY, 2 * DAY, 9 * DAY])
-    fused, agg = fused_and_aggregated(ds, all_posts(ds), alpha=0.0)
-    np.testing.assert_allclose(agg.data[0], fused[0].mean(axis=0))
+    fused, (agg, _) = fused_and_aggregated(ds, all_posts(ds), alpha=0.0)
+    np.testing.assert_allclose(agg[0], fused[0].mean(axis=0))
 
 
 def test_single_post_aggregate_is_identity(rng):
     ds = posts(rng, [77])
-    fused, agg = fused_and_aggregated(ds, all_posts(ds), alpha=1.0)
-    np.testing.assert_allclose(agg.data, fused[0])
+    fused, (agg, _) = fused_and_aggregated(ds, all_posts(ds), alpha=1.0)
+    np.testing.assert_allclose(agg, fused[0])
 
 
 def test_half_life_gap_weights():
@@ -68,32 +71,32 @@ def test_newest_post_has_unit_raw_weight(rng):
 
 def test_aggregate_in_convex_hull(rng):
     ds = posts(rng, np.arange(5) * DAY)
-    fused, agg = fused_and_aggregated(ds, all_posts(ds), alpha=1.0 / DAY)
-    assert np.all(agg.data[0] >= fused[0].min(axis=0) - 1e-12)
-    assert np.all(agg.data[0] <= fused[0].max(axis=0) + 1e-12)
+    fused, (agg, _) = fused_and_aggregated(ds, all_posts(ds), alpha=1.0 / DAY)
+    assert np.all(agg[0] >= fused[0].min(axis=0) - 1e-12)
+    assert np.all(agg[0] <= fused[0].max(axis=0) + 1e-12)
 
 
 def test_constant_aggregates_have_null_features():
-    feats = features(Tensor(np.full((3, 3), 1.5)), beta=0.6).data
+    feats = features(np.full((3, 3), 1.5), beta=0.6)[0]
     assert np.all(feats[:, :3] == 1.5)
     assert np.all(feats[:, 3:] == 0.0)
 
 
 def test_momentum_recurrence_by_hand():
     # shift norms (0, 2, 0) with beta=0.5 give momentum (0, 1, 0.5)
-    feats = features(Tensor(np.array([[0.0], [2.0], [2.0]])), beta=0.5)
-    assert feats.data[:, 2].tolist() == [0.0, 1.0, 0.5]
+    feats, _ = features(np.array([[0.0], [2.0], [2.0]]), beta=0.5)
+    assert feats[:, 2].tolist() == [0.0, 1.0, 0.5]
 
 
 def test_beta_one_freezes_momentum(rng):
-    feats = features(Tensor(rng.normal(size=(4, 3))), beta=1.0)
-    assert np.all(feats.data[:, 6] == 0.0)
+    feats, _ = features(rng.normal(size=(4, 3)), beta=1.0)
+    assert np.all(feats[:, 6] == 0.0)
 
 
 def test_lbar_layout():
-    feats = features(Tensor(np.array([[1.0, 2.0], [2.0, 4.0]])), beta=0.5)
+    feats, _ = features(np.array([[1.0, 2.0], [2.0, 4.0]]), beta=0.5)
     assert feats.shape == (2, 5)
-    lbar = feats.data[1]
+    lbar = feats[1]
     np.testing.assert_allclose(lbar[:2], [2.0, 4.0])
     np.testing.assert_allclose(lbar[2:4], [1.0, 2.0])
     np.testing.assert_allclose(lbar[4], 0.5 * np.sqrt(5.0))
@@ -101,14 +104,43 @@ def test_lbar_layout():
 
 def test_zero_parameter_lstm_fixed_point(rng):
     params = ModelParams.build(3, 1, 2, 2, zero=True)
-    feats = features(Tensor(rng.normal(size=(3, 3))), beta=0.5)
+    feats, _ = features(rng.normal(size=(3, 3)), beta=0.5)
     # cell halves each step from zero: stays zero, and so does 0.5 * tanh(cell)
-    np.testing.assert_array_equal(run_lstm(feats, params).data, np.zeros((3, 3)))
+    np.testing.assert_array_equal(run_lstm(feats, params)[0], np.zeros((3, 3)))
 
 
-def test_empty_feature_list_gives_empty_states():
+def test_empty_feature_list_raises():
+    # no command runs the model on zero windows: an empty input is an error
     params = ModelParams.build(3, 1, 2, 2, zero=True)
-    assert run_lstm(Tensor(np.zeros((0, 7))), params).shape == (0, 3)
+    with pytest.raises(TrendError, match="no window aggregates"):
+        run_lstm(np.zeros((0, 7)), params)
+    with pytest.raises(TrendError, match="no window aggregates"):
+        run_lstm(np.zeros((0, 7)), params, offsets=[0])
+
+
+def test_scoring_drops_the_trend_input_vjp_before_the_lstm(monkeypatch, rng):
+    # Without keep, what only the trend input's VJP holds is freed before the
+    # LSTM allocates, so scoring peaks no higher than the forward pass alone.
+    refs, alive = [], []
+    real_features, real_lstm = trend.trend_features, trend.run_lstm
+
+    def features_spy(*args):
+        out, vjp = real_features(*args)
+        refs.append(weakref.ref(vjp))
+        return out, vjp
+
+    def lstm_spy(*args):
+        alive.append(refs[-1]() is not None)
+        return real_lstm(*args)
+
+    monkeypatch.setattr(trend, "trend_features", features_spy)
+    monkeypatch.setattr(trend, "run_lstm", lstm_spy)
+    params = ModelParams.build(3, 1, 2, 2, seed=0)
+    aggs = [rng.normal(size=(4, 3))]
+    for keep in (True, False):
+        _, *vjps = trend.encode_event(np.arange(4), aggs, params, 0.5, [0, 2, 4], keep)
+        assert [v is None for v in vjps] == [not keep] * 2
+    assert alive == [True, False]
 
 
 def test_saturated_gates_single_step(rng):
@@ -123,34 +155,34 @@ def test_saturated_gates_single_step(rng):
     params["lstm.b_c"].data[...] = b_c
 
     agg = rng.normal(size=(1, d))
-    hidden = run_lstm(features(Tensor(agg), beta=0.5), params)
+    hidden, _ = run_lstm(features(agg, beta=0.5)[0], params)
     lbar = np.concatenate([agg, np.zeros((1, d)), np.zeros((1, 1))], axis=1)
     expected_c = np.tanh(lbar @ w_c.T + b_c)
-    np.testing.assert_allclose(hidden.data, 0.5 * np.tanh(expected_c), atol=1e-6)
+    np.testing.assert_allclose(hidden, 0.5 * np.tanh(expected_c), atol=1e-6)
 
 
 def test_feature_length_validation(rng):
     params = ModelParams.build(4, 2, 2, 2, zero=True)
-    feats = features(Tensor(rng.normal(size=(1, 3))), beta=0.5)
+    feats, _ = features(rng.normal(size=(1, 3)), beta=0.5)
     with pytest.raises(TrendError, match="2d\\+1"):
         run_lstm(feats, params)
 
 
 def test_hidden_state_strictly_inside_unit_box(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=5)
-    aggs = Tensor(rng.normal(size=(6, 4)) * 3)
-    hidden = run_lstm(features(aggs, beta=0.3), params)
+    aggs = rng.normal(size=(6, 4)) * 3
+    hidden, _ = run_lstm(features(aggs, beta=0.3)[0], params)
     assert hidden.shape == (6, 4)
-    assert np.abs(hidden.data).max() < 1.0
+    assert np.abs(hidden).max() < 1.0
 
 
 def test_event_isolation(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=6)
-    aggs_a = Tensor(rng.normal(size=(3, 4)))
-    aggs_b = Tensor(rng.normal(size=(3, 4)))
-    solo = run_lstm(features(aggs_a, 0.5), params).data
-    run_lstm(features(aggs_b, 0.5), params)  # unrelated event in between
-    again = run_lstm(features(aggs_a, 0.5), params).data
+    aggs_a = rng.normal(size=(3, 4))
+    aggs_b = rng.normal(size=(3, 4))
+    solo = run_lstm(features(aggs_a, 0.5)[0], params)[0]
+    run_lstm(features(aggs_b, 0.5)[0], params)  # unrelated event in between
+    again = run_lstm(features(aggs_a, 0.5)[0], params)[0]
     np.testing.assert_array_equal(solo, again)
 
 
@@ -158,11 +190,12 @@ def test_duplicate_window_delta_gradient_is_safe(rng):
     # identical consecutive aggregates: the shift is identically zero and the
     # norm's subgradient must stay finite
     params = ModelParams.build(3, 1, 2, 2, seed=7)
-    base = Tensor(rng.normal(size=(1, 3)))
-    feats = trend_features([0, 0], [base], beta=0.5)
-    hidden = run_lstm(feats, params)
-    hidden.backward(2.0 * hidden.data)  # the gradient of the sum of squares
-    assert np.all(np.isfinite(base.grad))
+    base = rng.normal(size=(1, 3))
+    feats, trend_vjp = trend_features([0, 0], [base], beta=0.5)
+    hidden, lstm_vjp = run_lstm(feats, params)
+    g_feats, _ = lstm_vjp(2.0 * hidden)  # the gradient of the sum of squares
+    (g_base,) = trend_vjp(g_feats)
+    assert np.all(np.isfinite(g_base))
 
 
 def numpy_lstm(x, p):
@@ -192,27 +225,23 @@ def test_lstm_node_matches_numpy_and_finite_differences(steps, d, scale, seed):
     params = ModelParams.build(d, 1, 2, 2, seed=seed)
     names = [n for n in params.names() if n.startswith("lstm.")]
     arrays = [rng.normal(size=(steps, 2 * d + 1)) * scale]
-    arrays += [rng.normal(size=params[n].shape) * scale for n in names]
+    arrays += [rng.normal(size=params[n].data.shape) * scale for n in names]
     g = rng.normal(size=(steps, d))
 
     def roll(arrs):
         for name, a in zip(names, arrs[1:]):
             params[name].data = a
-        x = Tensor(arrs[0])
-        return run_lstm(x, params), x
+        return run_lstm(arrs[0], params)
 
-    out, x = roll(arrays)
+    out, vjp = roll(arrays)
     assert out.shape == (steps, d)
     expected = numpy_lstm(arrays[0], dict(zip(names, arrays[1:])))
-    assert np.abs(out.data - expected).max() <= 1e-12
+    assert np.abs(out - expected).max() <= 1e-12
 
-    params.zero_grads()
-    out.backward(g)
-    analytic = [x.grad]
-    analytic += [params[n].grad for n in names]
-    for idx, grad in enumerate(analytic):
+    g_x, named = vjp(g)
+    for idx, grad in enumerate([g_x] + [named[n] for n in names]):
         def f(x, idx=idx):
-            return float((roll(arrays[:idx] + [x] + arrays[idx + 1:])[0].data * g).sum())
+            return float((roll(arrays[:idx] + [x] + arrays[idx + 1:])[0] * g).sum())
 
         fd = finite_difference_gradient(f, arrays[idx])
         err = np.abs(fd - grad).max()
@@ -242,33 +271,33 @@ def test_decay_anchor_is_each_rows_latest_member():
     seed=st.integers(0, 10_000),
 )
 def test_aggregation_node_matches_loop_and_finite_differences(batch, n, d, alpha_days, seed):
-    # the chunk node's aggregates against each window's decay-weighted fused
+    # fuse_group's aggregates against each window's decay-weighted fused
     # rows, and its gradient, which reaches the gate only through them
     rng = np.random.default_rng(seed)
     ds = posts(rng, np.sort(rng.integers(0, 5 * DAY, size=batch * n)))
     group = np.arange(batch * n).reshape(batch, n)
     params = ModelParams.build(d, 1, 2, 2, seed=seed)
-    fused, out = fused_and_aggregated(ds, group, alpha_days / DAY, params)
+    fused, (out, vjp) = fused_and_aggregated(ds, group, alpha_days / DAY, params)
     g = rng.normal(size=(batch, d))
 
     for b, row in enumerate(group):
         lam = decay_weights(ds, row[None], alpha_days / DAY)[0]
-        np.testing.assert_allclose(out.data[b], lam @ fused[b], rtol=1e-12, atol=1e-15)
-        assert np.all(out.data[b] >= fused[b].min(axis=0) - 1e-12)
-        assert np.all(out.data[b] <= fused[b].max(axis=0) + 1e-12)
+        np.testing.assert_allclose(out[b], lam @ fused[b], rtol=1e-12, atol=1e-15)
+        assert np.all(out[b] >= fused[b].min(axis=0) - 1e-12)
+        assert np.all(out[b] <= fused[b].max(axis=0) + 1e-12)
     x = params["fusion.W_g"]
-    out.backward(g)
+    analytic = vjp(g)[1]["fusion.W_g"]
 
     def f(a):
         x.data, kept = a, x.data
         try:
-            return float((fused_and_aggregated(ds, group, alpha_days / DAY, params)[1].data
+            return float((fused_and_aggregated(ds, group, alpha_days / DAY, params)[1][0]
                           * g).sum())
         finally:
             x.data = kept
 
     fd = finite_difference_gradient(f, x.data)
-    assert np.abs(fd - x.grad).max() <= 1e-8 * max(np.abs(fd).max(), 1.0)
+    assert np.abs(fd - analytic).max() <= 1e-8 * max(np.abs(fd).max(), 1.0)
 
 
 def trend_input_by_steps(agg, beta):
@@ -298,25 +327,23 @@ def test_trend_input_node_matches_steps_and_finite_differences(steps, d, beta, r
         agg[1] = agg[0]  # a zero shift: the norm's subgradient is zero there
     g = rng.normal(size=(steps, 2 * d + 1))
 
-    x = Tensor(agg)
-    out = features(x, beta)
-    np.testing.assert_allclose(out.data, trend_input_by_steps(agg, beta), rtol=1e-12,
+    out, vjp = features(agg, beta)
+    np.testing.assert_allclose(out, trend_input_by_steps(agg, beta), rtol=1e-12,
                                atol=1e-15)
-    out.backward(g)
-    assert np.all(np.isfinite(x.grad))
+    (g_agg,) = vjp(g)
+    assert np.all(np.isfinite(g_agg))
 
     # A central difference of |delta| at delta = 0 is exactly 0, the
-    # subgradient the node uses, so one comparison covers the zero shift too.
-    fd = finite_difference_gradient(
-        lambda a: float((features(Tensor(a), beta).data * g).sum()), agg)
-    assert np.abs(fd - x.grad).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+    # subgradient the VJP uses, so one comparison covers the zero shift too.
+    fd = finite_difference_gradient(lambda a: float((features(a, beta)[0] * g).sum()), agg)
+    assert np.abs(fd - g_agg).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 def test_trend_input_needs_a_window():
     with pytest.raises(TrendError, match="no window aggregates"):
-        features(Tensor(np.zeros((0, 3))), beta=0.5)
+        features(np.zeros((0, 3)), beta=0.5)
     with pytest.raises(TrendError, match="beta"):
-        features(Tensor(np.zeros((1, 3))), beta=1.5)
+        features(np.zeros((1, 3)), beta=1.5)
 
 
 # -- all events stacked --------------------------------------------------------
@@ -342,14 +369,12 @@ def test_stacked_trend_input_is_each_events_own(lengths, d, beta, repeat, seed):
         agg[1::2] = agg[:-1:2]  # zero shifts, and repeats across event boundaries
     g = rng.normal(size=(offsets[-1], 2 * d + 1))
 
-    x = Tensor(agg)
-    out = features(x, beta, offsets)
+    out, vjp = features(agg, beta, offsets)
     for a, b in zip(offsets[:-1], offsets[1:]):
-        np.testing.assert_array_equal(out.data[a:b], features(Tensor(agg[a:b]), beta).data)
-    out.backward(g)
+        np.testing.assert_array_equal(out[a:b], features(agg[a:b], beta)[0])
     fd = finite_difference_gradient(
-        lambda a: float((features(Tensor(a), beta, offsets).data * g).sum()), agg)
-    assert np.abs(fd - x.grad).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+        lambda a: float((features(a, beta, offsets)[0] * g).sum()), agg)
+    assert np.abs(fd - vjp(g)[0]).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -365,27 +390,24 @@ def test_lockstep_lstm_matches_each_event_alone_and_finite_differences(lengths, 
     params = ModelParams.build(d, 1, 2, 2, seed=seed)
     names = [n for n in params.names() if n.startswith("lstm.")]
     arrays = [rng.normal(size=(offsets[-1], 2 * d + 1)) * scale]
-    arrays += [rng.normal(size=params[n].shape) * scale for n in names]
+    arrays += [rng.normal(size=params[n].data.shape) * scale for n in names]
     g = rng.normal(size=(offsets[-1], d))
 
     def roll(arrs):
         for name, a in zip(names, arrs[1:]):
             params[name].data = a
-        x = Tensor(arrs[0])
-        return run_lstm(x, params, offsets), x
+        return run_lstm(arrs[0], params, offsets)
 
-    out, x = roll(arrays)
+    out, vjp = roll(arrays)
     assert out.shape == (offsets[-1], d)
     by_name = dict(zip(names, arrays[1:]))
     for a, b in zip(offsets[:-1], offsets[1:]):
-        assert np.abs(out.data[a:b] - numpy_lstm(arrays[0][a:b], by_name)).max() <= 1e-12
+        assert np.abs(out[a:b] - numpy_lstm(arrays[0][a:b], by_name)).max() <= 1e-12
 
-    params.zero_grads()
-    out.backward(g)
-    analytic = [x.grad] + [params[n].grad for n in names]
-    for idx, grad in enumerate(analytic):
+    g_x, named = vjp(g)
+    for idx, grad in enumerate([g_x] + [named[n] for n in names]):
         def f(a, idx=idx):
-            return float((roll(arrays[:idx] + [a] + arrays[idx + 1:])[0].data * g).sum())
+            return float((roll(arrays[:idx] + [a] + arrays[idx + 1:])[0] * g).sum())
 
         fd = finite_difference_gradient(f, arrays[idx])
         err = np.abs(fd - grad).max()
