@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from ecatch.autodiff import Tensor, finite_difference_gradient, stable_sigmoid
 from ecatch.fusion import gate
 from ecatch.objective import PROB_CLAMP, CrossEntropyTerms, Readout, epoch_loss, tc_terms
+from ecatch.training import TrainingError, backward, forward
 from ecatch.trend import trend_features
+from ecatch.verify import toy_problem
 
 from conftest import features
 
@@ -262,3 +264,32 @@ def test_gather_and_add_scaled_match_their_numpy_expressions_bitwise(
     total, scaled = loss_node(states, w, b, weight, scale)
     assert total == ce + scale * float(sum(tc_values.tolist()))
     np.testing.assert_array_equal(scaled(1.0)[0], plain(1.0)[0] + scale * tc_vjp(1.0))
+
+
+# -- one backward per forward -----------------------------------------------------
+def test_second_backward_on_the_same_root_raises():
+    ds, events, windows, params, cfg = toy_problem(0)
+    art = forward(ds, events, windows, params, cfg)
+    grads = backward(art)
+    kept = {name: g.copy() for name, g in grads.items()}
+    data = {name: t.data.copy() for name, t in params.items()}
+    with pytest.raises(TrainingError, match="backward already ran on this forward"):
+        backward(art)
+    # the failed walk changed neither the first gradients nor the parameters
+    assert all(grads[name].tobytes() == g.tobytes() for name, g in kept.items())
+    assert all(t.data.tobytes() == data[name].tobytes() for name, t in params.items())
+
+
+def test_backward_through_a_consumed_shared_node_raises():
+    # Every chunk shares the encoder, gate and weight-pack parameters; a
+    # consumed forward refuses a second walk, while a fresh forward over the
+    # same parameters walks again to the same bytes.
+    ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
+    art = forward(ds, events, windows, params, cfg)
+    assert len(art.vjps["chunks"]) > 1
+    grads = backward(art)
+    with pytest.raises(TrainingError, match="backward already ran on this forward"):
+        backward(art)
+    again = backward(forward(ds, events, windows, params, cfg))
+    assert list(again) == list(grads)
+    assert all(again[name].tobytes() == g.tobytes() for name, g in grads.items())

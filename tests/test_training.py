@@ -256,14 +256,6 @@ def test_backward_leaves_gradients_on_parameters_only():
     assert all(grads[name].shape == t.data.shape for name, t in params.items())
 
 
-def test_second_backward_on_one_forward_raises():
-    ds, events, windows, params, cfg = toy_problem(0)
-    art = forward(ds, events, windows, params, cfg)
-    backward(art)
-    with pytest.raises(TrainingError, match="backward already ran on this forward"):
-        backward(art)
-
-
 def test_backward_drops_each_vjp_once_it_has_run():
     # A chunk's VJP, and with it its attention probabilities, is gone before
     # the next chunk's runs; after the walk no VJP of the epoch is left.
