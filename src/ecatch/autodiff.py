@@ -1,13 +1,14 @@
 """Reverse mode for one fixed pipeline: float64 helpers and the parameter holder.
 
 There is no graph. Each differentiable stage of the model returns its value
-and a hand-written vector-Jacobian product (VJP): ``fusion.block_pair`` and
-``fusion.fuse_group``, one per fusion chunk, ``trend.trend_features`` and
-``trend.run_lstm`` for all events, and ``objective.epoch_loss``.
-``training.forward`` keeps those VJPs, and ``training.backward`` calls each
-once, in the reverse of the order the stages ran: the pipeline's adjoint
-written out. A VJP returns the gradients of the parameters it reads by name,
-and the gradient of its input array, which the next VJP of the walk takes.
+and a hand-written vector-Jacobian product (VJP), which gives the gradient
+of its input array and those of the parameters it reads, by name. An epoch
+keeps the VJPs of three blocks, each chaining its stages' VJPs:
+``training.fused_aggregates`` (the ``fusion.fuse_group`` chunks, then both
+``fusion.block_pair`` packs), ``trend.encode_event`` (``trend.run_lstm``,
+then ``trend.trend_features``) and ``objective.epoch_loss``.
+``training.backward`` calls the three in reverse, loss to fusion: the
+pipeline's adjoint written out.
 
 A :class:`Tensor` only holds a parameter's array; all data is float64, and
 gradient checks downstream rely on that.

@@ -201,11 +201,10 @@ def _load_run(args):
 
 def cmd_eval(args) -> int:
     cfg, params, ds, events, windows = _load_run(args)
-    p_post, p_event = predictions(ds, events, windows, params, cfg)
-
     idx = ds.split_indices(args.split)
     if idx.size == 0:
         raise CliError(f"split {args.split!r} is empty")
+    p_post, p_event = predictions(ds, events, windows, params, cfg)
     payload = {"split": args.split, "n": int(idx.size)}
     payload.update(
         evaluate_posts_and_events(ds, idx, p_post, p_event, events,

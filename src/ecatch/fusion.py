@@ -25,7 +25,9 @@ its modality axis flipped (``att_ti`` and ``att_it``), and :func:`gate`
 mixes the two halves of the cross output. The chunk's VJP calls theirs in
 reverse order; each value inside a chunk has one consumer, so no gradient is
 summed there and the floats are those of calling the stage VJPs one by one.
-The two attention weight packs come from :func:`block_pairs`, once per pass.
+``training.fused_aggregates`` builds both weight packs (:func:`block_pairs`)
+once per pass, writes each chunk's aggregates at its windows' rows of one
+(R, d) array and chains the chunks' VJPs, then the packs', into one.
 
 Inside an attention stage, each input modality goes through one
 (rows, d) @ (d, 3d) product that covers every head and the q/k/v roles, and

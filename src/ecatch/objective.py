@@ -14,8 +14,8 @@ hard-example mining keeps the globally highest-loss fraction of them.
 jumps between consecutive trend states of one event; it gives each event's
 sum and a VJP over the state array. :func:`epoch_loss` joins both into the
 epoch's loss, ``ce + lambda_tc * tc``, and gives its VJP to the trend states
-and the classifier. A :class:`LossReport` holds the totals of those sums
-only.
+and the classifier, the first of the three that ``training.backward`` calls.
+A :class:`LossReport` holds the totals of those sums only.
 """
 
 from __future__ import annotations

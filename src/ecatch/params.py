@@ -24,7 +24,8 @@ with ``att_img`` and ``att_ti`` with ``att_it``. Each pair is one
 tensors and merges ``Wq/Wk/Wv`` across heads, and one ``fusion.attention``
 stage per fusion chunk, which applies ``Wq/Wk/Wv`` and ``Wo`` as (in, out),
 ``x @ W``, before ``W_out``. Each of those stages returns a VJP that gives
-the gradients of the tensors it read under these names.
+the gradients of the tensors it read under these names; an epoch chains them
+into the three VJPs that ``training.backward`` calls (loss, trend, fusion).
 
 Matrices are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) per
 head/matrix, biases at zero, in fixed name order from a seeded generator.

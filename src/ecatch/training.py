@@ -1,23 +1,23 @@
 """End-to-end training: exact gradients, optimizer steps, early stopping.
 
-One epoch is one full-batch pass of fixed stages, each returning its value
-and a vector-Jacobian product (VJP). The two attention weight packs are
-built once; the windows of all events are fused in chunks of equal member
-count, one ``fusion.fuse_group`` call a chunk (the encoder, self- and
-cross-attention over both modalities, the gate and the aggregate under one
-VJP). The trend input reads the chunks' aggregates in ascending event_id
-for the lockstep LSTM, whose states are read out into an
-``objective.Readout``. The epoch loss ``ce + lambda_tc * tc`` over those
-states and the classifier is the cross-entropy of the training posts
-(optionally after global hard-example mining) plus the temporal consistency
-of all events; from the readout to the loss, the per-post bookkeeping is
-index arrays. Its report holds totals only: the sums of those two terms,
-the regularizer and the total. :func:`backward` calls the VJPs once each,
-in the reverse of that order, which yields every gradient; runs are bitwise
-reproducible. Regularization gradients are added in closed form
-(2 * lambda_reg * theta). Everything runs in float64. :func:`run_model`
-prepares each pass, scoring's too: one embedding-width check and one window
-list for fusion and readout.
+One epoch is one full-batch pass of three blocks, each returning its value
+and one vector-Jacobian product (VJP). :func:`fused_aggregates` builds the
+two attention weight packs once and fuses the windows of all events in
+chunks of equal member count, one ``fusion.fuse_group`` call a chunk (the
+encoder, self- and cross-attention over both modalities, the gate and the
+aggregate), into one (R, d) array of window aggregates in window order,
+ascending event_id. ``trend.encode_event`` rolls it through the lockstep
+LSTM, whose states are read out into an ``objective.Readout``. The epoch
+loss ``ce + lambda_tc * tc`` over those states and the classifier is the
+cross-entropy of the training posts (optionally after global hard-example
+mining) plus the temporal consistency of all events; from the readout to
+the loss, the per-post bookkeeping is index arrays. Its report holds totals
+only: the sums of those two terms, the regularizer and the total.
+:func:`backward` calls the three VJPs once each, loss, trend, fusion, which
+yields every gradient; runs are bitwise reproducible. Regularization
+gradients are added in closed form (2 * lambda_reg * theta). Everything runs
+in float64. :func:`run_model` prepares each pass, scoring's too: one
+embedding-width check and one window list for fusion and readout.
 
 Early stopping has one rule: the validation split ranks parameters only if
 it holds both classes, since F1 and AUC say nothing on one class. Without
@@ -36,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -69,12 +70,11 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class ForwardArtifacts:
-    """Everything backward() needs: the report and the epoch's stage VJPs.
+    """Everything backward() needs: the report and the epoch's three VJPs.
 
-    ``vjps`` maps ``"pairs"`` to the two ``fusion.block_pairs`` VJPs (self-,
-    then cross-attention), ``"chunks"`` to one ``fusion.fuse_group`` VJP per
-    chunk in chunk order, and ``"trend"``, ``"lstm"`` and ``"loss"`` to those
-    of ``trend.trend_features``, ``trend.run_lstm`` and
+    ``vjps`` maps ``"fusion"``, ``"trend"`` and ``"loss"`` to the VJPs of
+    :func:`fused_aggregates` (every chunk, then both attention weight packs),
+    ``trend.encode_event`` (the LSTM, then the trend input) and
     ``objective.epoch_loss``. backward() takes them out, so it runs once.
     """
 
@@ -91,26 +91,38 @@ def fused_aggregates(
     scale: str,
     alpha: float,
     keep: bool = True,
-) -> tuple[list[np.ndarray], np.ndarray, dict]:
-    """Decay-weighted fused aggregates of ``windows``, one pass per chunk of
-    :func:`fusion.window_groups`, all chunks reading one pair of attention
-    weight packs.
-
-    Returns the chunks' (B, d) aggregates, in chunk order, for each window
-    the row of their stack that holds its aggregate, and the VJPs of the
-    packs and the chunks (None per chunk without ``keep``).
-    """
+) -> tuple[np.ndarray, Callable | None]:
+    """Decay-weighted fused aggregates of ``windows``, one (R, d) array in
+    window order, one pass per chunk of :func:`fusion.window_groups`, all
+    chunks reading one pair of attention weight packs; and a VJP (None
+    without ``keep``) to every fusion gradient by name. It hands each chunk's
+    VJP its windows' rows, in chunk order, dropping each once it has run;
+    sums a gradient that several chunks give in chunk order; then calls the
+    two packs' VJPs."""
     chunks = window_groups(windows)
     packs, pair_vjps = block_pairs(params)
-    parts, chunk_vjps = [], []
-    for _, members in chunks:
-        part, vjp = fuse_group(ds, params, members, decay_weights(ds, members, alpha), packs,
-                               scope, scale, keep)
-        parts.append(part)
-        chunk_vjps.append(vjp)
-    rows = np.empty(len(windows), dtype=np.intp)
-    rows[[k for positions, _ in chunks for k in positions]] = np.arange(len(windows))
-    return parts, rows, {"pairs": list(pair_vjps), "chunks": chunk_vjps}
+    agg, chunk_vjps = np.empty((len(windows), params.d)), [None] * len(chunks)
+    for k, (positions, members) in enumerate(chunks):
+        weights = decay_weights(ds, members, alpha)
+        agg[positions], chunk_vjps[k] = fuse_group(ds, params, members, weights, packs,
+                                                   scope, scale, keep)
+    if not keep:
+        return agg, None
+    places = [positions for positions, _ in chunks]
+
+    def vjp(g_agg: np.ndarray) -> dict[str, np.ndarray]:
+        grads, g_packs = {}, [None, None]
+        for k, positions in enumerate(places):
+            pack_grads, shared = chunk_vjps[k](g_agg[positions])
+            chunk_vjps[k] = None
+            g_packs = [g if acc is None else acc + g for acc, g in zip(g_packs, pack_grads)]
+            for name, g in shared.items():
+                grads[name] = g if name not in grads else grads[name] + g
+        for pair_vjp, g in zip(pair_vjps, g_packs):
+            grads.update(pair_vjp(g))
+        return grads
+
+    return agg, vjp
 
 
 def run_model(
@@ -132,12 +144,11 @@ def run_model(
     ordered = sorted(events, key=lambda e: e.event_id)
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in ordered])
     flat = [w for ev in ordered for w in windows[ev.event_id].windows]
-    parts, rows, vjps = fused_aggregates(ds, params, flat, cfg["attention.scope"],
-                                         cfg["attention.scale"], cfg["trend.alpha"], keep)
-    states, vjps["trend"], vjps["lstm"] = encode_event(rows, parts, params,
-                                                       cfg["trend.beta"], offsets, keep)
+    agg, fusion_vjp = fused_aggregates(ds, params, flat, cfg["attention.scope"],
+                                       cfg["attention.scale"], cfg["trend.alpha"], keep)
+    states, trend_vjp = encode_event(agg, params, cfg["trend.beta"], offsets, keep)
     readout = post_probabilities(ordered, flat, states, offsets, params, ds.n)
-    return readout, vjps if keep else None
+    return readout, {"fusion": fusion_vjp, "trend": trend_vjp} if keep else None
 
 
 def forward(
@@ -170,28 +181,16 @@ def forward(
 def backward(artifacts: ForwardArtifacts) -> dict[str, np.ndarray]:
     """Exact gradients of the total loss for every named parameter.
 
-    Calls the stage VJPs once each, in reverse: the loss, the LSTM, the
-    trend input, the chunks in chunk order and the two weight packs. A
-    gradient that several chunks give is summed in chunk order. Each VJP is
-    dropped once it has run, and with it what only it holds; so each
-    ``forward`` result can be differentiated once.
+    Calls the three VJPs once each, in reverse: the loss, the trend stage
+    and fusion. Each is dropped once it has run, and with it what only it
+    holds; so each ``forward`` result can be differentiated once.
     """
     vjps, artifacts.vjps = artifacts.vjps, None
     if vjps is None:
         raise TrainingError("backward already ran on this forward; run forward again")
     g_states, grads = vjps.pop("loss")(1.0)
-    g_x, lstm_grads = vjps.pop("lstm")(g_states)
-    grads.update(lstm_grads)
-    g_parts = vjps.pop("trend")(g_x)
-    chunks, g_packs = vjps.pop("chunks"), [None, None]
-    for k, g_part in enumerate(g_parts):
-        packs, shared = chunks[k](g_part)
-        chunks[k] = None
-        g_packs = [g if acc is None else acc + g for acc, g in zip(g_packs, packs)]
-        for name, g in shared.items():
-            grads[name] = g if name not in grads else grads[name] + g
-    for vjp, g in zip(vjps.pop("pairs"), g_packs):
-        grads.update(vjp(g))
+    g_agg, lstm_grads = vjps.pop("trend")(g_states)
+    grads |= lstm_grads | vjps.pop("fusion")(g_agg)
 
     out: dict[str, np.ndarray] = {}
     for name, tensor in artifacts.params.items():

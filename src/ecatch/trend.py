@@ -4,19 +4,20 @@ Per window: posts are averaged with weights exp(-alpha * (t_max - t_i)),
 t_max being the latest member timestamp, so the newest post always carries
 weight 1. :func:`decay_weights` takes a fusion chunk as its (B, n) member
 matrix and anchors each row at the latest timestamp among its members;
-``fusion.fuse_group`` averages a chunk's fused rows with them. Every
-event's aggregates are read from the chunks' stack in window order, event k
-in rows ``offsets[k]:offsets[k + 1]``. Between consecutive windows of an
+``fusion.fuse_group`` averages a chunk's fused rows with them. The stage
+reads one (R, d) array of window aggregates in window order, event k in
+rows ``offsets[k]:offsets[k + 1]``. Between consecutive windows of an
 event the aggregate difference (semantic shift) and an exponential moving
 average of its norm (momentum) are appended, all events in one
 :func:`trend_features` call. That input rolls through a unidirectional LSTM,
 each event from zero state, all events in lockstep in one :func:`run_lstm`
-call that returns the (R, d) hidden states. Each returns its VJP alongside.
+call that returns the (R, d) hidden states. Each returns its VJP alongside,
+and :func:`encode_event` chains the two into one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -57,27 +58,21 @@ def _lockstep(offsets, rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
                     for t in range(running.max())]
 
 
-def trend_features(rows, parts: Sequence[np.ndarray], beta: float,
+def trend_features(agg: np.ndarray, beta: float,
                    offsets=None) -> tuple[np.ndarray, Callable]:
-    """Every event's LSTM input [L; delta; M] from rows ``rows`` of the stacked
-    window aggregates ``parts``, and its VJP to the parts' gradients.
+    """Every event's LSTM input [L; delta; M] from the (R, d) window
+    aggregates ``agg``, and its VJP to the aggregates' gradient.
 
-    Event k owns rows ``offsets[k]:offsets[k + 1]`` of the input (one event
-    when None). Row t holds the aggregate, its shift from row t-1 of its event
-    (zero at the event's first window) and the momentum
+    Event k owns rows ``offsets[k]:offsets[k + 1]`` (one event when None).
+    Row t holds the aggregate, its shift from row t-1 of its event (zero at
+    the event's first window) and the momentum
     M_t = beta * M_{t-1} + (1 - beta) * |delta_t|, restarting at 0 with each
-    event: one (R, 2d+1) array over the parts. A zero shift gets a zero
-    subgradient, and no gradient crosses an event boundary. The VJP
-    scatter-adds the aggregates' gradient into the stack, a row read twice
-    summing, and splits it back into the parts.
+    event: one (R, 2d+1) array. A zero shift gets a zero subgradient, and no
+    gradient crosses an event boundary.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    starts, steps = _lockstep(offsets, rows.size)
+    starts, steps = _lockstep(offsets, agg.shape[0])
     if not 0.0 <= beta <= 1.0:
         raise TrendError("beta must lie in [0, 1]")
-    stack = np.concatenate(parts)
-    shape, ends = stack.shape, np.cumsum([p.shape[0] for p in parts])[:-1]
-    agg = stack[rows]
     delta = np.zeros_like(agg)
     delta[1:] = agg[1:] - agg[:-1]
     delta[starts] = 0.0
@@ -98,9 +93,7 @@ def trend_features(rows, parts: Sequence[np.ndarray], beta: float,
         g_agg = g[:, :d].copy()
         g_agg[1:] += g_delta[1:]
         g_agg[:-1] -= g_delta[1:]
-        grad = np.zeros(shape)
-        np.add.at(grad, rows, g_agg)
-        return tuple(np.split(grad, ends))
+        return g_agg
 
     return np.concatenate([agg, delta, momentum[:, None]], axis=1), vjp
 
@@ -163,16 +156,21 @@ def run_lstm(x: np.ndarray, params: ModelParams,
     return hidden, vjp
 
 
-def encode_event(rows, parts: Sequence[np.ndarray], params: ModelParams, beta: float,
-                 offsets, keep: bool = True) -> tuple[np.ndarray, Callable | None,
-                                                      Callable | None]:
-    """The (R, d) trend states of every event, laid out by ``offsets``, from the
-    rows ``rows`` of the stacked aggregate ``parts``, then the VJPs of
-    :func:`trend_features` and :func:`run_lstm`, both None without ``keep``.
-    Then the trend input's VJP, and what only it holds, is gone before the
-    LSTM runs."""
-    x, trend_vjp = trend_features(rows, parts, beta, offsets)
+def encode_event(agg: np.ndarray, params: ModelParams, beta: float, offsets,
+                 keep: bool = True) -> tuple[np.ndarray, Callable | None]:
+    """The (R, d) trend states of every event, laid out by ``offsets``, from
+    the window aggregates ``agg``, and one VJP (None without ``keep``): the
+    LSTM's, then the trend input's. Without ``keep`` the trend input's VJP,
+    and what only it holds, is gone before the LSTM runs."""
+    x, trend_vjp = trend_features(agg, beta, offsets)
     if not keep:
-        trend_vjp = None
+        del trend_vjp
+        return run_lstm(x, params, offsets)[0], None
     states, lstm_vjp = run_lstm(x, params, offsets)
-    return states, trend_vjp, lstm_vjp if keep else None
+    stages = [trend_vjp, lstm_vjp]  # popped, so each is freed once it has run
+
+    def vjp(g: np.ndarray):
+        g_x, grads = stages.pop()(g)
+        return stages.pop()(g_x), grads
+
+    return states, vjp

@@ -1,13 +1,13 @@
 """Cross-cutting verification: oracles and invariant checks.
 
 Everything here is independent of the implementation paths it checks:
-gradients against central finite differences, clustering against an
-exhaustive agglomerative reference, the average-linkage vector path against
-the distance-matrix path, AUC against explicit pair enumeration,
-plus randomized structural invariants (row-stochastic attention, the gate's
-bounds, hull bounds, LSTM output bounds, momentum positivity, stacked
-events matching a per-step reference LSTM on each event alone, no gradient
-through a clipped probability).
+gradients (``training.backward``'s three VJPs) against central finite
+differences, clustering against an exhaustive agglomerative reference, the
+average-linkage vector path against the distance-matrix path, AUC against
+explicit pair enumeration, plus randomized structural invariants
+(row-stochastic attention, the gate's bounds, hull bounds, LSTM output
+bounds, momentum positivity, stacked events matching a per-step reference
+LSTM on each event alone, no gradient through a clipped probability).
 """
 
 from __future__ import annotations
@@ -222,14 +222,14 @@ def structural_invariants(n_configs: int = 1000, seed: int = 0) -> OracleReport:
         offsets = np.cumsum([0, *rng.integers(1, 5, size=int(rng.integers(2, 5)))])
         seq = seq[rng.integers(0, len(seq), size=offsets[-1])]
         beta = float(rng.uniform(0.0, 1.0))
-        feats, _ = trend_features(np.arange(len(seq)), [seq], beta, offsets)
+        feats, _ = trend_features(seq, beta, offsets)
         states, _ = run_lstm(feats, params, offsets)
         if (feats[:, -1] < 0).any():
             track(1.0, f"trial {trial}: negative momentum")
         if float(np.abs(states).max()) >= 1.0:
             track(1.0, f"trial {trial}: |T| >= 1")
         for a, b in zip(offsets[:-1], offsets[1:]):
-            alone = reference_lstm(trend_features(np.arange(a, b), [seq], beta)[0], params)
+            alone = reference_lstm(trend_features(seq[a:b], beta)[0], params)
             track(float(np.abs(states[a:b] - alone).max()),
                   f"trial {trial}: stacked event differs from the reference LSTM")
 

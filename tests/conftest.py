@@ -6,7 +6,6 @@ import pytest
 
 from ecatch import fusion, training
 from ecatch.data import Dataset
-from ecatch.trend import trend_features
 
 DAY = 86400
 
@@ -43,12 +42,6 @@ def make_dataset(
         has_image=np.asarray(has_image, dtype=bool),
         extra=extra,
     )
-
-
-def features(aggregates, beta, offsets=None):
-    """The trend input over one array of window aggregates, row for row, and
-    its VJP."""
-    return trend_features(np.arange(aggregates.shape[0]), [aggregates], beta, offsets)
 
 
 class Chunk(NamedTuple):
@@ -97,6 +90,19 @@ def chunk_gradients(params, vjp, g, pair_vjps=None):
     for pair_vjp, g_pack in zip(pair_vjps, packs):
         grads.update(pair_vjp(g_pack))
     return grads
+
+
+def chunk_vjp_spy(monkeypatch) -> list:
+    """The VJPs of the ``fusion.fuse_group`` calls of ``training``, in call order."""
+    vjps = []
+
+    def spy(*args, real=training.fuse_group, **kwargs):
+        aggregates, vjp = real(*args, **kwargs)
+        vjps.append(vjp)
+        return aggregates, vjp
+
+    monkeypatch.setattr(training, "fuse_group", spy)
+    return vjps
 
 
 @pytest.fixture

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecatch.autodiff import Tensor, finite_difference_gradient, stable_sigmoid
-from ecatch.fusion import gate
+from ecatch.fusion import gate, window_groups
 from ecatch.objective import PROB_CLAMP, CrossEntropyTerms, Readout, epoch_loss, tc_terms
 from ecatch.training import TrainingError, backward, forward
 from ecatch.trend import trend_features
 from ecatch.verify import toy_problem
-
-from conftest import features
 
 
 def fd_check(build, *arrays, tol=1e-7):
@@ -163,12 +161,14 @@ def test_l2norm_zero_is_safe():
 
 
 def test_gather_gradients(rng):
-    # the trend input reads its aggregates out of the stack of its parts
-    a = rng.normal(size=(2, 3))
-    b = rng.normal(size=(1, 3))
-    fd_check(lambda x, y: trend_features([2, 0, 2, 1], [x, y], 0.5), a, b)
-    out, _ = trend_features([0, 1, 2], [a, b], 0.5)
-    assert out[:, :3].tobytes() == np.concatenate([a, b]).tobytes()
+    # the trend input reads its aggregates row for row, in window order
+    agg, offsets = rng.normal(size=(4, 3)), [0, 1, 4]
+    out, vjp = trend_features(agg, 0.5, offsets)
+    assert out[:, :3].tobytes() == agg.tobytes()
+    g = rng.normal(size=out.shape)
+    fd = finite_difference_gradient(
+        lambda a: float(np.sum(g * trend_features(a, 0.5, offsets)[0])), agg)
+    assert np.abs(fd - vjp(g)).max() < 1e-7
 
 
 def gate_stage(cross, w, b):
@@ -217,45 +217,26 @@ def test_stable_sigmoid_is_bitwise_the_two_branch_formula():
     assert np.signbit(x[4000 + len(edges)]) and got[4000 + len(edges)] == 0.5
 
 
-def test_gather_scatter_adds_repeated_rows(rng):
-    x, y = rng.normal(size=(3, 3)), rng.normal(size=(1, 3))
-    index = [2, 0, 2, 3]
-    out, vjp = trend_features(index, [x, y], 0.5)
-    np.testing.assert_array_equal(out[:, :3], np.concatenate([x, y])[index])
-    g = rng.normal(size=(4, 7))
-    g_x, g_y = vjp(g)
-    (g_read,) = features(np.concatenate([x, y])[index], 0.5)[1](g)  # each row read's
-    expected = np.zeros((4, 3))
-    for row, k in enumerate(index):
-        expected[k] += g_read[row]
-    np.testing.assert_array_equal(g_x, expected[:3])
-    np.testing.assert_array_equal(g_y, expected[3:])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
     cols=st.integers(1, 4),
-    n_rows=st.integers(1, 12),
     scale=st.floats(-3.0, 3.0, allow_nan=False),
     seed=st.integers(0, 10_000),
 )
-def test_gather_and_add_scaled_match_their_numpy_expressions_bitwise(
-        sizes, cols, n_rows, scale, seed):
-    # The trend input against its aggregates read as rows of a concatenation,
-    # and the loss node against ce + scale * tc.
+def test_gather_and_add_scaled_match_their_numpy_expressions_bitwise(sizes, cols, scale, seed):
+    # The trend input over events stacked in one array against each event's
+    # own, value and gradient, and the loss node against ce + scale * tc.
     rng = np.random.default_rng(seed)
     blocks = [rng.normal(size=(n, cols)) for n in sizes]
-    stack = np.concatenate(blocks)
-    rows = rng.integers(0, stack.shape[0], size=n_rows)  # repeats are likely
-    g = rng.normal(size=(n_rows, 2 * cols + 1))
-    out, vjp = trend_features(rows, blocks, 0.5)
-    ref, ref_vjp = features(stack[rows], 0.5)
-    assert out.tobytes() == ref.tobytes()
-    want = np.zeros_like(stack)
-    np.add.at(want, rows, ref_vjp(g)[0])
-    for got, block in zip(vjp(g), np.split(want, np.cumsum(sizes)[:-1])):
-        assert got.tobytes() == block.tobytes()
+    offsets = np.cumsum([0, *sizes])
+    g = rng.normal(size=(offsets[-1], 2 * cols + 1))
+    out, vjp = trend_features(np.concatenate(blocks), 0.5, offsets)
+    g_agg = vjp(g)
+    for a, b, block in zip(offsets[:-1], offsets[1:], blocks):
+        ref, ref_vjp = trend_features(block, 0.5)
+        assert out[a:b].tobytes() == ref.tobytes()
+        assert g_agg[a:b].tobytes() == ref_vjp(g[a:b]).tobytes()
 
     states, (w, b) = rng.normal(size=(3, cols)), classifier(rng, cols)
     weight = rng.uniform(0.1, 2.0, size=(2, 3))
@@ -285,8 +266,8 @@ def test_backward_through_a_consumed_shared_node_raises():
     # consumed forward refuses a second walk, while a fresh forward over the
     # same parameters walks again to the same bytes.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
+    assert len(window_groups([w for seq in windows.values() for w in seq.windows])) > 1
     art = forward(ds, events, windows, params, cfg)
-    assert len(art.vjps["chunks"]) > 1
     grads = backward(art)
     with pytest.raises(TrainingError, match="backward already ran on this forward"):
         backward(art)

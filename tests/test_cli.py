@@ -14,7 +14,7 @@ import pytest
 
 from ecatch import cli, clustering
 from ecatch.cli import main
-from ecatch.pipeline import build_structure
+from ecatch.pipeline import build_structure, predictions
 from ecatch.clustering import ClusteringError, load_events
 from ecatch.config import ConfigError, load_config, read_config_file
 from ecatch.data import Dataset, DatasetError, assign_splits, load_dataset, write_dataset
@@ -296,6 +296,29 @@ def test_eval_dimension_mismatch_names_tensor(tmp_path, run_dir, capsys):
                "--checkpoint", str(run_dir / "checkpoint.bin"), "--split", "test"])
     assert rc == 1
     assert "fusion.W_text" in capsys.readouterr().err
+
+
+def test_eval_of_an_empty_split_scores_no_post(tmp_path, capsys, monkeypatch):
+    # 8 posts leave the validation split empty: eval refuses it before scoring.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_events": 2, "posts_per_event": [4, 4], "seed": 1}))
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "2",
+                 "--set", "cluster.num_clusters=2"]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return predictions(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predictions", counted)
+    rc = main(["eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.bin"),
+               "--split", "val"])
+    assert rc == 1
+    assert "split 'val' is empty" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_predict_emits_one_line_per_post(tmp_path, dataset_dir, run_dir):

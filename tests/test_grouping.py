@@ -1,7 +1,10 @@
 """Windows of all events fused in same-size groups: results must not depend
 on which group or chunk a window lands in, nor on the other events."""
 
+import functools
+import operator
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from ecatch.config import RunConfig
 from ecatch.params import ATT_BLOCKS, ModelParams
 from ecatch.windows import segment_all
 
-from conftest import DAY, make_dataset
+from conftest import DAY, chunk_vjp_spy, make_dataset
 
 # Posts per one-day window, event by event (span = stride = one day):
 # event 0's windows fall into three groups and one holds a single post,
@@ -70,27 +73,29 @@ def test_one_forward_makes_two_attention_nodes_per_chunk(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fusion, name, counted)
+    chunk_vjps = chunk_vjp_spy(monkeypatch)
     _, vjps = training.run_model(ds, events, windows, params, cfg)
     n_chunks = len(fusion.window_groups(flat_windows(events, windows)))
     assert n_chunks == 4 < len(flat_windows(events, windows))
     assert calls == [("block_pair", None), ("block_pair", True)] + \
         [("attention", False), ("attention", True)] * n_chunks
-    assert len(vjps["pairs"]) == 2 and len(vjps["chunks"]) == n_chunks
+    assert sorted(vjps) == ["fusion", "trend"] and len(chunk_vjps) == n_chunks
 
 
-def test_each_attention_block_is_one_node_per_chunk():
+def test_each_attention_block_is_one_node_per_chunk(monkeypatch):
     # All six tensors of a block enter one weight pack, shared with the other
     # block of its pair, and every chunk reads both packs.
     ds, events, windows, params, cfg = keyed_problem(LAYOUT)
-    _, vjps = training.run_model(ds, events, windows, params, cfg)
+    chunk_vjps = chunk_vjp_spy(monkeypatch)
+    training.run_model(ds, events, windows, params, cfg)
     d = params.d
-    named = [set(vjp(np.zeros((2, d, 5 * d + 1)))) for vjp in vjps["pairs"]]
+    named = [set(vjp(np.zeros((2, d, 5 * d + 1)))) for vjp in fusion.block_pairs(params)[1]]
     for block in ATT_BLOCKS:
         tensors = {f"fusion.{block}.{t}" for t in ("Wq", "Wk", "Wv", "Wo", "W_out", "b_out")}
         users = [names for names in named if names & tensors]
         assert len(users) == 1 and tensors <= users[0], block
     chunks = fusion.window_groups(flat_windows(events, windows))
-    for (positions, _), vjp in zip(chunks, vjps["chunks"], strict=True):
+    for (positions, _), vjp in zip(chunks, chunk_vjps, strict=True):
         packs, _ = vjp(np.ones((len(positions), d)))
         assert [p.shape for p in packs] == [(2, d, 5 * d + 1)] * 2
 
@@ -132,6 +137,62 @@ def test_grouping_never_changes_an_event_beyond_rounding(layout, max_pairs, seed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "MAX_PAIRS", max_pairs)
         np.testing.assert_allclose(score(*problem)[0], together, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    layout=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+                    min_size=1, max_size=4),
+    max_pairs=st.sampled_from([1, 8, fusion.MAX_PAIRS]),
+    seed=st.integers(0, 1000),
+)
+def test_fusion_reads_and_writes_each_chunk_at_its_window_positions(layout, max_pairs, seed):
+    # Each chunk's aggregates land at its windows' rows. The fusion VJP hands
+    # each chunk's VJP exactly those rows of the gradient, in chunk order,
+    # each dead before the next runs, and its gradients are the bytes of
+    # calling the chunk VJPs by hand, summing in chunk order, then the packs'.
+    ds, events, windows, params, cfg = keyed_problem(dict(enumerate(layout)), seed=seed)
+    flat = flat_windows(events, windows)
+    args = (ds, params, flat, cfg["attention.scope"], cfg["attention.scale"],
+            cfg["trend.alpha"])
+    g_agg = np.random.default_rng(seed).normal(size=(len(flat), params.d))
+    real, outs, refs, handed, alive = training.fuse_group, [], [], [], []
+
+    def watched(*a, **kw):
+        aggregates, vjp = real(*a, **kw)
+        outs.append(aggregates)
+        refs.append(weakref.ref(vjp))
+
+        def call(g):
+            handed.append(g)
+            alive.append([r() is not None for r in refs])
+            return vjp(g)
+        return aggregates, call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "MAX_PAIRS", max_pairs)
+        chunks = fusion.window_groups(flat)
+        by_hand = chunk_vjp_spy(mp)
+        training.fused_aggregates(*args)
+        called = [vjp(g_agg[positions])
+                  for (positions, _), vjp in zip(chunks, by_hand, strict=True)]
+        mp.setattr(training, "fuse_group", watched)
+        agg, vjp = training.fused_aggregates(*args)
+        grads = vjp(g_agg)
+
+    n = len(chunks)
+    assert len(outs) == len(handed) == n
+    for (positions, _), out, g in zip(chunks, outs, handed):
+        assert agg[positions].tobytes() == out.tobytes()
+        assert g.tobytes() == g_agg[positions].tobytes()
+    assert alive == [[j >= k for j in range(n)] for k in range(n)]
+    want = {name: functools.reduce(operator.add, [named[name] for _, named in called])
+            for name in called[0][1]}
+    for pair_vjp, packs in zip(fusion.block_pairs(params)[1],
+                               zip(*(packs for packs, _ in called))):
+        want.update(pair_vjp(functools.reduce(operator.add, packs)))
+    assert sorted(grads) == sorted(want)
+    assert all(grads[name].tobytes() == g.tobytes() for name, g in want.items())
 
 
 def _predictions_peak(n_events):

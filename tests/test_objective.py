@@ -22,11 +22,11 @@ from ecatch.objective import (
 )
 from ecatch.params import ModelParams
 from ecatch.training import forward
-from ecatch.trend import run_lstm
+from ecatch.trend import run_lstm, trend_features
 from ecatch.verify import toy_problem
 from ecatch.windows import segment_all
 
-from conftest import DAY, features, make_dataset
+from conftest import DAY, make_dataset
 
 
 def trend_states(*rows):
@@ -100,7 +100,7 @@ def pipeline(rng, n=6, d=4):
     params = ModelParams.build(d, 2, 3, 2, seed=1)
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
     aggs = rng.normal(size=(offsets[-1], d))
-    states, _ = run_lstm(features(aggs, 0.5, offsets)[0], params, offsets)
+    states, _ = run_lstm(trend_features(aggs, 0.5, offsets)[0], params, offsets)
     return ds, events, windows, params, states
 
 
@@ -128,7 +128,7 @@ def test_single_window_event_shares_probability(rng):
     windows = segment_all(events, ds, DAY, DAY)
     assert len(windows[0].windows) == 1
     params = ModelParams.build(4, 2, 3, 2, seed=2)
-    hidden, _ = run_lstm(features(rng.normal(size=(1, 4)), 0.5)[0], params)
+    hidden, _ = run_lstm(trend_features(rng.normal(size=(1, 4)), 0.5)[0], params)
     out = probabilities_of(events, windows, hidden, params, ds.n)
     np.testing.assert_allclose(out.p_post, out.p_event[0])
 
@@ -142,7 +142,7 @@ def test_readout_uses_last_covering_window(rng):
     assert last[1] == 2
     params = ModelParams.build(4, 2, 3, 2, seed=3)
     aggs = rng.normal(size=(len(windows[0].windows), 4))
-    hidden, _ = run_lstm(features(aggs, 0.5)[0], params)
+    hidden, _ = run_lstm(trend_features(aggs, 0.5)[0], params)
     p_post = probabilities_of(events, windows, hidden, params, ds.n).p_post
     row = hidden[last[1] - 1]
     logit = row @ params["clf.W_c"].data[0] + params["clf.b_c"].data[0]
@@ -155,7 +155,7 @@ def test_readout_lists_each_events_posts_with_their_last_window(rng):
     events = events + [PseudoEvent(2, events[0].member_indices[::-1])]
     windows[2] = windows[0]
     offsets = np.cumsum([0] + [len(windows[ev.event_id].windows) for ev in events])
-    states, _ = run_lstm(features(rng.normal(size=(offsets[-1], 4)), 0.5, offsets)[0],
+    states, _ = run_lstm(trend_features(rng.normal(size=(offsets[-1], 4)), 0.5, offsets)[0],
                          params, offsets)
     readout = post_probabilities(events, stacked(events, windows), states, offsets, params,
                                  ds.n)

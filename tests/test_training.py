@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecatch import fusion, pipeline, training
+from ecatch import fusion, pipeline, training, trend
 from ecatch.autodiff import finite_difference_gradient
 from ecatch.clustering import PseudoEvent
 from ecatch.config import RunConfig
@@ -19,7 +19,7 @@ from ecatch.data import Dataset, assign_splits
 from ecatch.metrics import log_loss
 from ecatch.objective import ce_terms, class_weights, mine_hard_examples, tc_terms
 from ecatch.params import ModelParams, shape_table
-from ecatch.trend import run_lstm
+from ecatch.trend import run_lstm, trend_features
 from ecatch.training import (
     Adam,
     Sgd,
@@ -34,7 +34,7 @@ from ecatch.training import (
 from ecatch.verify import FD_STEP, GRAD_TOL, REL_FLOOR, grad_check, toy_problem
 from ecatch.windows import segment_all
 
-from conftest import DAY, features, make_dataset, nan_gradient_at_epoch_1
+from conftest import DAY, chunk_vjp_spy, make_dataset, nan_gradient_at_epoch_1
 
 
 def test_zero_parameter_forward_closed_form():
@@ -88,7 +88,7 @@ def test_single_post_pipeline_collapses_to_direct_formula(rng):
     # chains on one row -> gate -> lstm on [P; 0; 0] -> sigmoid readout
     agg, _ = fusion.fuse_group(ds, params, np.array([windows[0].windows[0].members]),
                                np.ones((1, 1)), fusion.block_pairs(params)[0])
-    feats, _ = features(agg, cfg["trend.beta"])
+    feats, _ = trend_features(agg, cfg["trend.beta"])
     hidden, _ = run_lstm(feats, params)
     logit = (hidden @ params["clf.W_c"].data.T
              + params["clf.b_c"].data)
@@ -202,25 +202,31 @@ def test_gradients_add_up_over_events(seed):
         np.testing.assert_allclose(g, sum(p[name] for p in parts), rtol=0, atol=1e-12)
 
 
-def held_vjps(vjps) -> list:
-    """The VJPs of ``ForwardArtifacts.vjps`` or ``run_model``'s, in one list."""
-    return [v for value in vjps.values() for v in (value if isinstance(value, list) else [value])]
+def counted(calls: Counter, stage):
+    """``stage``, counting its calls in ``calls`` under its name."""
+    def call(*args, **kwargs):
+        calls[stage.__name__] += 1
+        return stage(*args, **kwargs)
+    return call
 
 
-def test_one_lstm_node_and_one_readout_node_per_pass():
-    # One LSTM VJP for all events, and the classifier's gradient comes from
-    # the loss's VJP only; a pass that only scores keeps no VJP.
+def test_one_lstm_node_and_one_readout_node_per_pass(monkeypatch):
+    # One LSTM for all events, under the trend stage's one VJP, and the
+    # classifier's gradient comes from the loss's VJP only; a pass that only
+    # scores keeps no VJP.
     ds, events, _, params, cfg = toy_problem(0)
     windows = segment_all(events, ds, 2 * DAY, DAY)
     assert all(len(windows[ev.event_id].windows) > 1 for ev in events)
+    calls = Counter()
+    monkeypatch.setattr(trend, "run_lstm", counted(calls, trend.run_lstm))
     _, vjps = training.run_model(ds, events, windows, params, cfg)
-    assert "loss" not in vjps and len(held_vjps(vjps)) == len(vjps["chunks"]) + 4
+    assert sorted(vjps) == ["fusion", "trend"]
     assert training.run_model(ds, events, windows, params, cfg, keep=False)[1] is None
     vjps = forward(ds, events, windows, params, cfg).vjps
-    assert len(held_vjps(vjps)) == len(vjps["chunks"]) + 5
+    assert sorted(vjps) == ["fusion", "loss", "trend"] and calls == {"run_lstm": 3}
     g_states, named = vjps["loss"](1.0)
     assert list(named) == ["clf.W_c", "clf.b_c"]
-    _, named = vjps["lstm"](g_states)
+    _, named = vjps["trend"](g_states)
     assert sorted(named) == sorted(n for n in params.names() if n.startswith("lstm."))
 
 
@@ -229,24 +235,25 @@ def _kind(vjp) -> str:
     return vjp.__qualname__.split(".<locals>")[0]
 
 
-def test_epoch_tape_holds_only_fused_nodes():
-    # 1 VJP per fusion chunk, 2 for the attention weight packs, and 3 for all
-    # events: the trend input, which reads the chunks' aggregates in event
-    # order, the LSTM, and the epoch loss over the states and the classifier.
-    # None is made per event.
+def test_epoch_tape_holds_only_fused_nodes(monkeypatch):
+    # Three VJPs: fusion, whose VJP runs 1 per chunk and 2 for the attention
+    # weight packs; the trend stage, the trend input reading the aggregates in
+    # window order, then the LSTM; and the epoch loss over the states and the
+    # classifier. None is made per event.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
     flat = [w for ev in events for w in windows[ev.event_id].windows]
     chunks, n_events = len(fusion.window_groups(flat)), len(events)
     assert chunks == 3 and n_events == 2
-    held = held_vjps(forward(ds, events, windows, params, cfg).vjps)
-    assert Counter(_kind(v) for v in held) == {
-        "fuse_group": chunks,
-        "block_pair": 2,
-        "trend_features": 1,
-        "run_lstm": 1,
-        "epoch_loss": 1,
-    }
-    assert len(held) == chunks + 2 + 3
+    calls = Counter()
+    for module, name in [(training, "fuse_group"), (fusion, "block_pair"),
+                         (trend, "trend_features"), (trend, "run_lstm"),
+                         (training, "epoch_loss")]:
+        monkeypatch.setattr(module, name, counted(calls, getattr(module, name)))
+    vjps = forward(ds, events, windows, params, cfg).vjps
+    assert {key: _kind(v) for key, v in vjps.items()} == {
+        "fusion": "fused_aggregates", "trend": "encode_event", "loss": "epoch_loss"}
+    assert calls == {"fuse_group": chunks, "block_pair": 2, "trend_features": 1,
+                     "run_lstm": 1, "epoch_loss": 1}
 
 
 def test_backward_leaves_gradients_on_parameters_only():
@@ -256,41 +263,48 @@ def test_backward_leaves_gradients_on_parameters_only():
     assert all(grads[name].shape == t.data.shape for name, t in params.items())
 
 
-def test_backward_drops_each_vjp_once_it_has_run():
+def test_backward_drops_each_vjp_once_it_has_run(monkeypatch):
     # A chunk's VJP, and with it its attention probabilities, is gone before
     # the next chunk's runs; after the walk no VJP of the epoch is left.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
-    art = forward(ds, events, windows, params, cfg)
-    refs = [weakref.ref(v) for v in held_vjps(art.vjps)]
-    chunks = [weakref.ref(v) for v in art.vjps["chunks"]]
-    alive = []
+    real, chunks, alive = training.fuse_group, [], []
 
-    def watched(vjp):
+    def watched(*args, **kwargs):
+        aggregates, vjp = real(*args, **kwargs)
+        chunks.append(weakref.ref(vjp))
+
         def call(g):
             alive.append([r() is not None for r in chunks])
             return vjp(g)
-        return call
+        return aggregates, call
 
-    art.vjps["chunks"] = [watched(v) for v in art.vjps["chunks"]]
+    monkeypatch.setattr(training, "fuse_group", watched)
+    art = forward(ds, events, windows, params, cfg)
+    refs = [weakref.ref(v) for v in art.vjps.values()] + chunks
     backward(art)
     n = len(chunks)
     assert n == 3 and alive == [[j >= k for j in range(n)] for k in range(n)]
     assert art.vjps is None and not [r for r in refs if r() is not None]
 
 
-def test_backward_sums_shared_gradients_in_chunk_order():
+def test_backward_sums_shared_gradients_in_chunk_order(monkeypatch):
     # The encoder, the gate and both weight packs get one gradient per chunk,
     # added up in chunk order: the bytes of calling the VJPs one by one.
     ds, events, windows, params, cfg = toy_problem(0, n_posts=12)
     lambda_reg = cfg["loss.lambda_reg"]
     grads = backward(forward(ds, events, windows, params, cfg))
+    chunk_vjps = chunk_vjp_spy(monkeypatch)
     vjps = forward(ds, events, windows, params, cfg).vjps
-    g_x, _ = vjps["lstm"](vjps["loss"](1.0)[0])
-    by_chunk = [vjp(g) for vjp, g in zip(vjps["chunks"], vjps["trend"](g_x), strict=True)]
+    g_agg, _ = vjps["trend"](vjps["loss"](1.0)[0])
+    flat = [w for ev in sorted(events, key=lambda e: e.event_id)
+            for w in windows[ev.event_id].windows]
+    by_chunk = [vjp(g_agg[positions]) for (positions, _), vjp
+                in zip(fusion.window_groups(flat), chunk_vjps, strict=True)]
     assert len(by_chunk) > 2
     want = {name: functools.reduce(operator.add, [named[name] for _, named in by_chunk])
             for name in by_chunk[0][1]}
-    for pair_vjp, packs in zip(vjps["pairs"], zip(*(packs for packs, _ in by_chunk))):
+    for pair_vjp, packs in zip(fusion.block_pairs(params)[1],
+                               zip(*(packs for packs, _ in by_chunk))):
         want.update(pair_vjp(functools.reduce(operator.add, packs)))
     assert len(want) == 6 + 24
     for name, g in want.items():

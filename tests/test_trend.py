@@ -16,7 +16,7 @@ from ecatch.trend import (
     trend_features,
 )
 
-from conftest import DAY, features, five_stages, make_dataset
+from conftest import DAY, five_stages, make_dataset
 
 
 def all_posts(ds):
@@ -77,24 +77,24 @@ def test_aggregate_in_convex_hull(rng):
 
 
 def test_constant_aggregates_have_null_features():
-    feats = features(np.full((3, 3), 1.5), beta=0.6)[0]
+    feats = trend_features(np.full((3, 3), 1.5), beta=0.6)[0]
     assert np.all(feats[:, :3] == 1.5)
     assert np.all(feats[:, 3:] == 0.0)
 
 
 def test_momentum_recurrence_by_hand():
     # shift norms (0, 2, 0) with beta=0.5 give momentum (0, 1, 0.5)
-    feats, _ = features(np.array([[0.0], [2.0], [2.0]]), beta=0.5)
+    feats, _ = trend_features(np.array([[0.0], [2.0], [2.0]]), beta=0.5)
     assert feats[:, 2].tolist() == [0.0, 1.0, 0.5]
 
 
 def test_beta_one_freezes_momentum(rng):
-    feats, _ = features(rng.normal(size=(4, 3)), beta=1.0)
+    feats, _ = trend_features(rng.normal(size=(4, 3)), beta=1.0)
     assert np.all(feats[:, 6] == 0.0)
 
 
 def test_lbar_layout():
-    feats, _ = features(np.array([[1.0, 2.0], [2.0, 4.0]]), beta=0.5)
+    feats, _ = trend_features(np.array([[1.0, 2.0], [2.0, 4.0]]), beta=0.5)
     assert feats.shape == (2, 5)
     lbar = feats[1]
     np.testing.assert_allclose(lbar[:2], [2.0, 4.0])
@@ -104,7 +104,7 @@ def test_lbar_layout():
 
 def test_zero_parameter_lstm_fixed_point(rng):
     params = ModelParams.build(3, 1, 2, 2, zero=True)
-    feats, _ = features(rng.normal(size=(3, 3)), beta=0.5)
+    feats, _ = trend_features(rng.normal(size=(3, 3)), beta=0.5)
     # cell halves each step from zero: stays zero, and so does 0.5 * tanh(cell)
     np.testing.assert_array_equal(run_lstm(feats, params)[0], np.zeros((3, 3)))
 
@@ -136,11 +136,49 @@ def test_scoring_drops_the_trend_input_vjp_before_the_lstm(monkeypatch, rng):
     monkeypatch.setattr(trend, "trend_features", features_spy)
     monkeypatch.setattr(trend, "run_lstm", lstm_spy)
     params = ModelParams.build(3, 1, 2, 2, seed=0)
-    aggs = [rng.normal(size=(4, 3))]
+    agg = rng.normal(size=(4, 3))
     for keep in (True, False):
-        _, *vjps = trend.encode_event(np.arange(4), aggs, params, 0.5, [0, 2, 4], keep)
-        assert [v is None for v in vjps] == [not keep] * 2
+        _, vjp = trend.encode_event(agg, params, 0.5, [0, 2, 4], keep)
+        assert (vjp is None) == (not keep)
     assert alive == [True, False]
+
+
+def test_encode_event_vjp_is_the_lstms_then_the_trend_inputs(monkeypatch, rng):
+    # Bitwise the two VJPs called by hand; and the LSTM's VJP, with what only
+    # it holds, is gone before the trend input's runs.
+    params = ModelParams.build(3, 1, 2, 2, seed=0)
+    agg, offsets = rng.normal(size=(5, 3)), [0, 2, 5]
+    states, vjp = trend.encode_event(agg, params, 0.5, offsets)
+    x, trend_vjp = trend_features(agg, 0.5, offsets)
+    want, lstm_vjp = run_lstm(x, params, offsets)
+    assert states.tobytes() == want.tobytes()
+    g = rng.normal(size=states.shape)
+    g_agg, grads = vjp(g)
+    g_x, want_grads = lstm_vjp(g)
+    assert g_agg.tobytes() == trend_vjp(g_x).tobytes()
+    assert list(grads) == list(want_grads)
+    assert all(grads[name].tobytes() == g.tobytes() for name, g in want_grads.items())
+
+    refs, alive = [], []
+    real_features, real_lstm = trend.trend_features, trend.run_lstm
+
+    def lstm_spy(*args):
+        out, lstm = real_lstm(*args)
+        refs.append(weakref.ref(lstm))
+        return out, lstm
+
+    def features_spy(*args):
+        out, features = real_features(*args)
+
+        def call(g):
+            alive.append(refs[-1]() is not None)
+            return features(g)
+        return out, call
+
+    monkeypatch.setattr(trend, "trend_features", features_spy)
+    monkeypatch.setattr(trend, "run_lstm", lstm_spy)
+    trend.encode_event(agg, params, 0.5, offsets)[1](g)
+    assert alive == [False]
 
 
 def test_saturated_gates_single_step(rng):
@@ -155,7 +193,7 @@ def test_saturated_gates_single_step(rng):
     params["lstm.b_c"].data[...] = b_c
 
     agg = rng.normal(size=(1, d))
-    hidden, _ = run_lstm(features(agg, beta=0.5)[0], params)
+    hidden, _ = run_lstm(trend_features(agg, beta=0.5)[0], params)
     lbar = np.concatenate([agg, np.zeros((1, d)), np.zeros((1, 1))], axis=1)
     expected_c = np.tanh(lbar @ w_c.T + b_c)
     np.testing.assert_allclose(hidden, 0.5 * np.tanh(expected_c), atol=1e-6)
@@ -163,7 +201,7 @@ def test_saturated_gates_single_step(rng):
 
 def test_feature_length_validation(rng):
     params = ModelParams.build(4, 2, 2, 2, zero=True)
-    feats, _ = features(rng.normal(size=(1, 3)), beta=0.5)
+    feats, _ = trend_features(rng.normal(size=(1, 3)), beta=0.5)
     with pytest.raises(TrendError, match="2d\\+1"):
         run_lstm(feats, params)
 
@@ -171,7 +209,7 @@ def test_feature_length_validation(rng):
 def test_hidden_state_strictly_inside_unit_box(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=5)
     aggs = rng.normal(size=(6, 4)) * 3
-    hidden, _ = run_lstm(features(aggs, beta=0.3)[0], params)
+    hidden, _ = run_lstm(trend_features(aggs, beta=0.3)[0], params)
     assert hidden.shape == (6, 4)
     assert np.abs(hidden).max() < 1.0
 
@@ -180,9 +218,9 @@ def test_event_isolation(rng):
     params = ModelParams.build(4, 2, 2, 2, seed=6)
     aggs_a = rng.normal(size=(3, 4))
     aggs_b = rng.normal(size=(3, 4))
-    solo = run_lstm(features(aggs_a, 0.5)[0], params)[0]
-    run_lstm(features(aggs_b, 0.5)[0], params)  # unrelated event in between
-    again = run_lstm(features(aggs_a, 0.5)[0], params)[0]
+    solo = run_lstm(trend_features(aggs_a, 0.5)[0], params)[0]
+    run_lstm(trend_features(aggs_b, 0.5)[0], params)  # unrelated event in between
+    again = run_lstm(trend_features(aggs_a, 0.5)[0], params)[0]
     np.testing.assert_array_equal(solo, again)
 
 
@@ -191,11 +229,10 @@ def test_duplicate_window_delta_gradient_is_safe(rng):
     # norm's subgradient must stay finite
     params = ModelParams.build(3, 1, 2, 2, seed=7)
     base = rng.normal(size=(1, 3))
-    feats, trend_vjp = trend_features([0, 0], [base], beta=0.5)
+    feats, trend_vjp = trend_features(np.concatenate([base, base]), beta=0.5)
     hidden, lstm_vjp = run_lstm(feats, params)
     g_feats, _ = lstm_vjp(2.0 * hidden)  # the gradient of the sum of squares
-    (g_base,) = trend_vjp(g_feats)
-    assert np.all(np.isfinite(g_base))
+    assert np.all(np.isfinite(trend_vjp(g_feats)))
 
 
 def numpy_lstm(x, p):
@@ -327,23 +364,24 @@ def test_trend_input_node_matches_steps_and_finite_differences(steps, d, beta, r
         agg[1] = agg[0]  # a zero shift: the norm's subgradient is zero there
     g = rng.normal(size=(steps, 2 * d + 1))
 
-    out, vjp = features(agg, beta)
+    out, vjp = trend_features(agg, beta)
     np.testing.assert_allclose(out, trend_input_by_steps(agg, beta), rtol=1e-12,
                                atol=1e-15)
-    (g_agg,) = vjp(g)
+    g_agg = vjp(g)
     assert np.all(np.isfinite(g_agg))
 
     # A central difference of |delta| at delta = 0 is exactly 0, the
     # subgradient the VJP uses, so one comparison covers the zero shift too.
-    fd = finite_difference_gradient(lambda a: float((features(a, beta)[0] * g).sum()), agg)
+    fd = finite_difference_gradient(lambda a: float((trend_features(a, beta)[0] * g).sum()),
+                                    agg)
     assert np.abs(fd - g_agg).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 def test_trend_input_needs_a_window():
     with pytest.raises(TrendError, match="no window aggregates"):
-        features(np.zeros((0, 3)), beta=0.5)
+        trend_features(np.zeros((0, 3)), beta=0.5)
     with pytest.raises(TrendError, match="beta"):
-        features(np.zeros((1, 3)), beta=1.5)
+        trend_features(np.zeros((1, 3)), beta=1.5)
 
 
 # -- all events stacked --------------------------------------------------------
@@ -369,12 +407,12 @@ def test_stacked_trend_input_is_each_events_own(lengths, d, beta, repeat, seed):
         agg[1::2] = agg[:-1:2]  # zero shifts, and repeats across event boundaries
     g = rng.normal(size=(offsets[-1], 2 * d + 1))
 
-    out, vjp = features(agg, beta, offsets)
+    out, vjp = trend_features(agg, beta, offsets)
     for a, b in zip(offsets[:-1], offsets[1:]):
-        np.testing.assert_array_equal(out[a:b], features(agg[a:b], beta)[0])
+        np.testing.assert_array_equal(out[a:b], trend_features(agg[a:b], beta)[0])
     fd = finite_difference_gradient(
-        lambda a: float((features(a, beta, offsets)[0] * g).sum()), agg)
-    assert np.abs(fd - vjp(g)[0]).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+        lambda a: float((trend_features(a, beta, offsets)[0] * g).sum()), agg)
+    assert np.abs(fd - vjp(g)).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 @settings(max_examples=25, deadline=None)
